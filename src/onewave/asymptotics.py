@@ -14,7 +14,6 @@ cannot contaminate the fitted exponents.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,6 @@ class SweepPlan:
     orders: tuple = ((0, (0,)),)
     dt_policy: DtPolicy | None = None
     seed: int = 0
-    jobs: int = 1
     cascade_max_order: int = 0
     measure_seminorms: bool = False
     seminorm_case: str = "a"
@@ -177,10 +175,6 @@ class SweepReport:
     incomplete: dict
     extras: dict = field(default_factory=dict)
 
-    def max_exponent(self):
-        vals = [f["N_hat"] for f in self.fits.values() if f["N_hat"] is not None]
-        return max(vals) if vals else None
-
     def to_json(self) -> dict:
         def clean(v):
             if isinstance(v, (np.floating, np.integer)):
@@ -239,20 +233,11 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
 
     results = {}
     incomplete = {}
-    if plan.jobs > 1:
-        with ThreadPoolExecutor(max_workers=plan.jobs) as pool:
-            futures = {eps: pool.submit(solve_one, eps) for eps in eps_list}
-            for eps, fut in futures.items():
-                try:
-                    results[eps] = fut.result()
-                except Exception as err:  # record and continue
-                    incomplete[eps] = f"{type(err).__name__}: {err}"
-    else:
-        for eps in eps_list:
-            try:
-                results[eps] = solve_one(eps)
-            except Exception as err:
-                incomplete[eps] = f"{type(err).__name__}: {err}"
+    for eps in eps_list:
+        try:
+            results[eps] = solve_one(eps)
+        except Exception as err:  # record and continue
+            incomplete[eps] = f"{type(err).__name__}: {err}"
 
     done = [eps for eps in eps_list if eps in results]
     norms = {order: [results[eps][0][order] for eps in done]

@@ -28,7 +28,6 @@ __all__ = [
     "TimeProfile", "Forcing", "CauchyProblem", "DtPolicy", "EnergyLedger",
     "SolveResult", "solve_fixed_eps", "check_energy_estimate",
     "check_case_variants", "derivative_cascade", "case_orders",
-    "calibrate_energy_constant",
 ]
 
 
@@ -199,9 +198,6 @@ class SolveResult:
 
     def final(self) -> GridFunction:
         return self.snapshots[-1][1]
-
-    def snapshot_pairs(self):
-        return self.snapshots
 
 
 def _symbol_sup(symbol: SymbolExpr, grid: Grid, horizon: float,
@@ -540,17 +536,3 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult | None = None
             "c_tilde": c_meas,
         }
     return report
-
-
-def calibrate_energy_constant(corpus, grid: Grid, horizon: float = 1.0,
-                              seed=0) -> float:
-    """Smallest C with C * (1 + Q0 + Q1) >= measured constant on a corpus of
-    hyperbolic symbols; frozen (with safety factor) in config.CALIBRATED_C."""
-    worst = 0.0
-    for symbol in corpus:
-        skew, a0n, _ = _measure_norms(symbol, grid, horizon, seed)
-        c_meas = 1.0 + skew + 2.0 * a0n
-        value, _ = seminorm_constant(symbol, grid, horizon, case="a",
-                                     calibration_C=1.0)
-        worst = max(worst, c_meas / value)
-    return worst

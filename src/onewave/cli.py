@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-    onewave run <config.json | preset-name> [--out DIR] [--jobs N]
-                [--eps-count N] [--grid-M N] [--seed S]
+    onewave run <config.json | preset-name> [--out DIR] [--eps-count N]
+                [--grid-M N] [--seed S]
     onewave presets
     onewave validate <config.json | preset-name>
 
@@ -174,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scenario")
     run.add_argument("config", help="preset name or JSON config path")
     run.add_argument("--out", default=None, help="artifact directory")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker pool size for eps sweeps")
     run.add_argument("--eps-count", type=int, default=None,
                      help="override sweep point count")
     run.add_argument("--grid-M", type=int, default=None,
@@ -205,7 +203,7 @@ def main(argv=None) -> int:
         return 0
     cfg = _apply_overrides(cfg, args)
     try:
-        ok, _ = run_scenario(cfg, outdir=args.out, jobs=args.jobs)
+        ok, _ = run_scenario(cfg, outdir=args.out)
     except ConfigInvalid as err:
         print(f"config error: {err}", file=sys.stderr)
         return 3

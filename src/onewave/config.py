@@ -31,9 +31,10 @@ TRAJECTORY_STRIDE = 8
 
 # Energy-estimate calibration constants, one per spatial dimension: the
 # semi-norm bound C * (1 + Q0(a0) + Q1(a1)) must dominate the measured
-# constant 1 + skew_norm + 2*a0_norm on the calibration corpus (see
-# cauchy.calibrate_energy_constant).  Corpus-fitted worst ratios 0.795
-# (n=1) and 0.929 (n=2), frozen with a 1.25 safety factor.
+# constant 1 + skew_norm + 2*a0_norm on a corpus of hyperbolic symbols.  C is
+# the largest ratio of measured constant to case-a semi-norm sum
+# 1 + Q0 + Q1 over the corpus: 0.795 (n=1) and 0.929 (n=2), frozen with a
+# 1.25 safety factor.
 CALIBRATED_C = {1: 1.0, 2: 1.17}
 
 # Operator-norm calibration: measured L2 norm of an order-0 symbol

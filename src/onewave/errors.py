@@ -41,14 +41,6 @@ class TooLarge(OnewaveError):
     """Dense-matrix oracle requested beyond its size guard."""
 
 
-class NoConvergence(OnewaveError):
-    """Iterative estimator failed to converge (best estimate attached)."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class BoxTooSmall(OnewaveError):
     """Truncated integral tail estimate exceeds the requested tolerance."""
 

@@ -178,9 +178,6 @@ class CoordXi(Expr):
 def _is_zero(e):
     return isinstance(e, Const) and e.value == 0
 
-def _is_one(e):
-    return isinstance(e, Const) and e.value == 1
-
 
 def add(*terms) -> Expr:
     """Sum constructor that flattens and folds constants."""

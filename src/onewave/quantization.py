@@ -346,24 +346,20 @@ def _r_theta(s: SymbolExpr, t: float, x, xi, theta: float,
     extra_beta = extra_beta or (0,) * dim
     y_nodes, y_w, y_raw = _axis_quad(cfg.y_half, cfg.y_points)
     e_nodes, e_w, _ = _axis_quad(cfg.eta_half, cfg.eta_points)
-    if dim == 1:
-        y_mesh = (y_nodes[:, None],)
-        e_mesh = (e_nodes[None, :],)
-        w_y = y_w[:, None]
-        raw_w_y = y_raw[:, None]
-        w_e = e_w[None, :] / (2.0 * np.pi)
-        y_sq = y_mesh[0] ** 2
-        phase = np.exp(-1j * y_nodes[:, None] * e_nodes[None, :])
-    else:
-        ya, yb = np.meshgrid(y_nodes, y_nodes, indexing="ij")
-        ea, eb = np.meshgrid(e_nodes, e_nodes, indexing="ij")
-        y_mesh = (ya.ravel()[:, None], yb.ravel()[:, None])
-        e_mesh = (ea.ravel()[None, :], eb.ravel()[None, :])
-        w_y = np.outer(y_w, y_w).ravel()[:, None]
-        raw_w_y = np.outer(y_raw, y_raw).ravel()[:, None]
-        w_e = (np.outer(e_w, e_w).ravel() / (2.0 * np.pi) ** 2)[None, :]
-        y_sq = y_mesh[0] ** 2 + y_mesh[1] ** 2
-        phase = np.exp(-1j * (y_mesh[0] * e_mesh[0] + y_mesh[1] * e_mesh[1]))
+    # (dim, points**dim) tensor-grid axes, flattened: y runs down the rows
+    # and eta along the columns of every integrand array.
+    def tensor(axis):
+        return np.stack([m.ravel() for m in
+                         np.meshgrid(*(axis,) * dim, indexing="ij")])
+
+    ys, es = tensor(y_nodes), tensor(e_nodes)
+    y_mesh = tuple(ys[:, :, None])
+    e_mesh = tuple(es[:, None, :])
+    w_y = tensor(y_w).prod(axis=0)[:, None]
+    raw_w_y = tensor(y_raw).prod(axis=0)[:, None]
+    w_e = (tensor(e_w).prod(axis=0) / (2.0 * np.pi) ** dim)[None, :]
+    y_sq = (ys ** 2).sum(axis=0)[:, None]
+    phase = np.exp(-1j * (ys[:, :, None] * es[:, None, :]).sum(axis=0))
     damp = (1.0 + y_sq) ** (-cfg.lam)
     x_args = tuple(np.asarray(x[a]) + y_mesh[a] for a in range(dim))
     xi_args = tuple(np.asarray(xi[a]) + theta * e_mesh[a] for a in range(dim))

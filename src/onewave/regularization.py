@@ -208,11 +208,6 @@ class RoughCoefficient:
         frac = np.mod(y - b[idx], self.period) / widths[idx]
         return self.values[idx] * (1 - frac) + v_next[idx] * frac
 
-    def max_jump(self) -> float:
-        if self.kind in ("piecewise_constant", "table"):
-            return float(np.max(np.abs(self.values - np.roll(self.values, 1))))
-        return 0.0
-
     def to_json(self) -> dict:
         out = {"kind": self.kind, "period": self.period}
         if self.kind == "fourier":

@@ -66,10 +66,9 @@ class CheckOutcome:
 class ScenarioContext:
     """Built objects and caches shared by the checks of one scenario."""
 
-    def __init__(self, cfg: dict, outdir=None, jobs: int = 1):
+    def __init__(self, cfg: dict, outdir=None):
         self.cfg = cfg
         self.outdir = Path(outdir) if outdir else None
-        self.jobs = jobs
         self.seed = int(cfg["seed"])
         gc = cfg["grid"]
         self.grid = Grid(gc["dim"], gc["points"], gc["length"])
@@ -199,7 +198,7 @@ class ScenarioContext:
                          data=self.data_builder(data_cfg), grid=self.grid,
                          horizon=self.cfg["horizon"],
                          orders=orders, dt_policy=self.dt_policy(),
-                         seed=self.seed, jobs=self.jobs,
+                         seed=self.seed,
                          cascade_max_order=cascade,
                          measure_seminorms=cascade > 0)
 
@@ -553,9 +552,9 @@ CHECKS = {
 }
 
 
-def run_scenario(cfg: dict, outdir=None, jobs: int = 1, echo=print):
+def run_scenario(cfg: dict, outdir=None, echo=print):
     """Execute the scenario's checks; returns (all_ok, outcomes)."""
-    ctx = ScenarioContext(cfg, outdir=outdir, jobs=jobs)
+    ctx = ScenarioContext(cfg, outdir=outdir)
     outcomes = []
     for entry in cfg["checks"]:
         params = dict(entry) if isinstance(entry, dict) else {"check": entry}

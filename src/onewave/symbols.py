@@ -192,8 +192,6 @@ class SampleBox:
     def x_points(self) -> np.ndarray:
         axes = [np.linspace(lo, hi, self.x_count)
                 for lo, hi in zip(self.x_lo, self.x_hi)]
-        if self.dim == 1:
-            return axes[0][:, None]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -299,8 +297,8 @@ class HyperbolicSymbol:
         construction paths; case analysis also needs a0 real)."""
         if self.a0 is None:
             return True
-        box = box or SampleBox(x_hi=(2.0 * math.pi,) * self.dim if self.dim > 1
-                               else (2.0 * math.pi,), x_count=33,
+        box = box or SampleBox(x_lo=(0.0,) * self.dim,
+                               x_hi=(2.0 * math.pi,) * self.dim, x_count=33,
                                xi_uniform_count=9, xi_max=64.0)
         return check_real_valued(self.a0, box)
 

@@ -76,14 +76,6 @@ class TestRunSweep:
         n, _, _ = fit_exponent([0.1, 0.01, 0.001], [0.0, 0.0, 0.0])
         assert n is None
 
-    def test_jobs_parallel_matches_serial(self, grid256):
-        data = DataBuilder(kind="fixed", g=smooth_g(grid256))
-        serial = run_sweep(SweepPlan(family=const_family(), data=data,
-                                     grid=grid256, horizon=0.5, jobs=1))
-        parallel = run_sweep(SweepPlan(family=const_family(), data=data,
-                                       grid=grid256, horizon=0.5, jobs=4))
-        assert serial.norms == parallel.norms
-
 
 class TestNegligible:
     def test_zero_data(self, grid256):

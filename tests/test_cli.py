@@ -1,10 +1,12 @@
 """CLI surface: presets, schema validation, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from onewave.cli import build_parser, load_config, main, validate_config
+from onewave.cli import (CONFIG_SCHEMA, build_parser, load_config, main,
+                         validate_config)
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
 
@@ -34,6 +36,10 @@ class TestPresets:
         for name in PRESETS:
             cfg = get_preset(name)
             assert json.loads(json.dumps(cfg)) == cfg
+
+    def test_docs_schema_matches_config_schema(self):
+        path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+        assert json.loads(path.read_text()) == CONFIG_SCHEMA
 
 
 class TestValidation:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from onewave import expr as ex
-from onewave.cauchy import CauchyProblem, DtPolicy, check_energy_estimate, \
-    solve_fixed_eps
+from onewave.cauchy import CauchyProblem, DtPolicy, check_case_variants, \
+    check_energy_estimate, solve_fixed_eps
 from onewave.grid import Grid, GridFunction
 from onewave.quantization import adjoint_defect_norm
 from onewave.symbols import (HyperbolicSymbol, SampleBox, SymbolExpr,
@@ -72,3 +72,17 @@ class TestSolve2D:
         est = adjoint_defect_norm(plane_symbol(), 0.0, grid, seed=1)
         # skew defect ~ max |div of the speed field| ~ 0.5
         assert est.value <= 1.0
+
+    def test_real_a0_case_c(self):
+        grid = Grid(2, 32, TWO_PI)
+        a0 = SymbolExpr(ex.mul(ex.Const(0.5),
+                               ex.Cos(ex.add(ex.CoordX(0), ex.CoordX(1)))),
+                        0.0, 2)
+        sym = HyperbolicSymbol(a1=plane_symbol(), a0=a0)
+        x1, x2 = grid.x_mesh()
+        g0 = GridFunction(grid, np.sin(x1) * np.cos(x2))
+        prob = CauchyProblem(symbol=sym, initial=g0, horizon=0.1)
+        rep = check_case_variants(prob, seed=0)
+        assert rep["case_c"]["applicable"]
+        assert rep["case_c"]["dominates_measured"]
+        assert rep["case_c"]["gronwall_ok"]
