@@ -22,7 +22,7 @@ from .cauchy import (CauchyProblem, DtPolicy, Forcing,
                      check_energy_estimate, derivative_cascade,
                      solve_fixed_eps)
 from .config import DEFAULT_THRESHOLDS, Thresholds
-from .errors import GridMismatch, InsufficientOrders
+from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
 from .quantization import PeriodicOperator
 from .regularization import embed_data
@@ -88,7 +88,6 @@ class SweepPlan:
     seed: int = 0
     cascade_max_order: int = 0
     measure_seminorms: bool = False
-    seminorm_case: str = "a"
 
     def normalized_orders(self):
         out = []
@@ -218,8 +217,7 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
         problem = CauchyProblem(symbol=symbol, initial=g_eps,
                                 horizon=plan.horizon, forcing=f_eps)
         result = solve_fixed_eps(problem, plan.dt_policy, seed=plan.seed,
-                                 measure_seminorms=plan.measure_seminorms,
-                                 seminorm_case=plan.seminorm_case)
+                                 measure_seminorms=plan.measure_seminorms)
         op_cache = {}
         norms = _t_derivative_norms(symbol, f_eps, op_cache,
                                     result.snapshots, plan.grid, orders, d_max)
@@ -236,7 +234,7 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
     for eps in eps_list:
         try:
             results[eps] = solve_one(eps)
-        except Exception as err:  # record and continue
+        except OnewaveError as err:  # record and continue
             incomplete[eps] = f"{type(err).__name__}: {err}"
 
     done = [eps for eps in eps_list if eps in results]

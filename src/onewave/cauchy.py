@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
-                     TRAJECTORY_STRIDE)
+                     INSTABILITY_FACTOR, TRAJECTORY_STRIDE)
 from .errors import (GridMismatch, IncompleteLedger, NonFinite, TagMismatch,
                      UnstableStep)
 from .grid import Grid, GridFunction
@@ -124,23 +124,21 @@ class CauchyProblem:
 
 @dataclass
 class DtPolicy:
-    """Step control: explicit dt must satisfy dt * sup|a| <= margin unless
-    overridden; automatic steps use the safety factor on top."""
+    """Step control: explicit dt must satisfy dt * sup|a| <= CFL_MARGIN
+    unless overridden; automatic steps use CFL_SAFETY on top."""
 
     dt: float | None = None
-    margin: float = CFL_MARGIN
-    safety: float = CFL_SAFETY
     override: bool = False
 
     def resolve(self, horizon: float, symbol_sup: float) -> float:
         if self.dt is not None:
-            if not self.override and symbol_sup * self.dt > self.margin * (1 + 1e-12):
+            if not self.override and symbol_sup * self.dt > CFL_MARGIN * (1 + 1e-12):
                 raise UnstableStep(
                     f"dt*sup|a| = {self.dt * symbol_sup:.3f} exceeds margin "
-                    f"{self.margin} (pass override=True to force)")
+                    f"{CFL_MARGIN} (pass override=True to force)")
             dt = self.dt
         else:
-            dt = self.safety * self.margin / max(symbol_sup, 1e-30)
+            dt = CFL_SAFETY * CFL_MARGIN / max(symbol_sup, 1e-30)
         steps = max(1, math.ceil(horizon / dt - 1e-12))
         return horizon / steps
 
@@ -164,7 +162,6 @@ class EnergyLedger:
     skew_norm: float
     a0_norm: float
     C_eps_seminorm: float
-    seminorm_case: str = "a"
     seminorm_parts: dict = field(default_factory=dict)
     dt: float = 0.0
     initial_norm_sq: float = 0.0
@@ -200,11 +197,10 @@ class SolveResult:
         return self.snapshots[-1][1]
 
 
-def _symbol_sup(symbol: SymbolExpr, grid: Grid, horizon: float,
-                t_samples: int = 5) -> float:
+def _symbol_sup(symbol: SymbolExpr, grid: Grid, horizon: float) -> float:
     """Upper estimate of sup |a(t,x,xi)| over the grid's resolved set."""
     terms = ex.separable_terms(symbol.root)
-    times = (np.linspace(0.0, horizon, t_samples)
+    times = (np.linspace(0.0, horizon, 5)
              if symbol.depends_t() else np.array([0.0]))
     xm, xim = grid.x_mesh(), grid.xi_mesh()
     zeros = tuple(np.zeros(grid.shape) for _ in range(grid.dim))
@@ -231,9 +227,9 @@ def _symbol_sup(symbol: SymbolExpr, grid: Grid, horizon: float,
 
 
 def _measure_norms(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
-                   seed, nt: int = 3):
+                   seed):
     """Max over sampled t of the a1 skew-defect norm and the a0 norm."""
-    times = (np.linspace(0.0, horizon, nt)
+    times = (np.linspace(0.0, horizon, 3)
              if symbol.a1.depends_t() or
                 (symbol.a0 is not None and symbol.a0.depends_t())
              else [0.0])
@@ -277,13 +273,11 @@ def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
 def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
                     stride: int = TRAJECTORY_STRIDE, seed=0,
                     measure_seminorms: bool = True,
-                    seminorm_case: str = "a",
-                    calibration_C: float | None = None,
-                    instability_factor: float = 10.0) -> SolveResult:
+                    calibration_C: float | None = None) -> SolveResult:
     """Classical RK4 integration with full energy bookkeeping.
 
-    Aborts with UnstableStep when the norm exceeds ``instability_factor``
-    times the Gronwall bound predicted from the measured operator norms.
+    Aborts with UnstableStep when the norm exceeds INSTABILITY_FACTOR times
+    the Gronwall bound predicted from the measured operator norms.
     """
     dt_policy = dt_policy or DtPolicy()
     grid = problem.grid
@@ -297,7 +291,7 @@ def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
     c_meas = 1.0 + skew + 2.0 * a0n
     if measure_seminorms:
         c_sem, parts = seminorm_constant(problem.symbol, grid, problem.horizon,
-                                         seminorm_case, calibration_C)
+                                         calibration_C=calibration_C)
     else:
         c_sem, parts = math.nan, {}
 
@@ -336,11 +330,11 @@ def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
         nsq = float(cell * np.sum(np.abs(u) ** 2))
         if not math.isfinite(nsq):
             raise NonFinite(f"solution norm non-finite at t={tn:.4g}")
-        bound = instability_factor * max(guard_base, 1e-300) * \
+        bound = INSTABILITY_FACTOR * max(guard_base, 1e-300) * \
             math.exp(c_meas * tn)
         if guard_base > 0 and nsq > bound:
             raise UnstableStep(
-                f"norm^2 {nsq:.3e} exceeds {instability_factor}x Gronwall "
+                f"norm^2 {nsq:.3e} exceeds {INSTABILITY_FACTOR}x Gronwall "
                 f"prediction {bound:.3e} at t={tn:.4g} (dt={dt:.3e}, "
                 f"sup|a|={sup:.3e})")
         times.append(tn)
@@ -352,9 +346,8 @@ def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
     ledger = EnergyLedger(
         times=np.array(times), u_norm_sq=np.array(u_norms),
         f_norm_sq=np.array(f_norms), skew_norm=skew, a0_norm=a0n,
-        C_eps_seminorm=c_sem, seminorm_case=seminorm_case,
-        seminorm_parts=parts, dt=dt, initial_norm_sq=g_norm_sq,
-        converged_norms=norms_ok)
+        C_eps_seminorm=c_sem, seminorm_parts=parts, dt=dt,
+        initial_norm_sq=g_norm_sq, converged_norms=norms_ok)
     return SolveResult(times=np.array(times), snapshots=snapshots,
                        ledger=ledger, dt=dt)
 

@@ -22,6 +22,10 @@ POWER_RTOL = 1e-6
 CFL_MARGIN = 2.8
 CFL_SAFETY = 0.9
 
+# A solve aborts with UnstableStep once ||u||^2 exceeds this multiple of the
+# Gronwall bound predicted from the measured operator norms.
+INSTABILITY_FACTOR = 10.0
+
 # Slack added to the pointwise energy inequality to absorb time-discretization
 # error of the centered-difference d/dt estimate.
 ENERGY_SLACK = 1e-8

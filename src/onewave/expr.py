@@ -30,21 +30,28 @@ def _real_argument(v):
 
 
 class Expr:
-    """Base node. Subclasses implement eval and the three derivative maps."""
+    """Base node. Subclasses implement eval and the derivative map ``d``.
+
+    A differentiation variable is ``("t", 0)``, ``("x", axis)`` or
+    ``("xi", axis)``.
+    """
 
     __slots__ = ("_deps",)
 
     def eval(self, t, x, xi):
         raise NotImplementedError
 
-    def d_t(self) -> "Expr":
+    def d(self, var) -> "Expr":
         raise NotImplementedError
+
+    def d_t(self) -> "Expr":
+        return self.d(("t", 0))
 
     def d_x(self, axis: int) -> "Expr":
-        raise NotImplementedError
+        return self.d(("x", axis))
 
     def d_xi(self, axis: int) -> "Expr":
-        raise NotImplementedError
+        return self.d(("xi", axis))
 
     def children(self):
         return ()
@@ -86,13 +93,7 @@ class Const(Expr):
     def eval(self, t, x, xi):
         return self.value
 
-    def d_t(self):
-        return ZERO
-
-    def d_x(self, axis):
-        return ZERO
-
-    def d_xi(self, axis):
+    def d(self, var):
         return ZERO
 
     def to_json(self):
@@ -112,14 +113,8 @@ class CoordT(Expr):
     def _own_deps(self):
         return (True, False, False)
 
-    def d_t(self):
-        return ONE
-
-    def d_x(self, axis):
-        return ZERO
-
-    def d_xi(self, axis):
-        return ZERO
+    def d(self, var):
+        return ONE if var[0] == "t" else ZERO
 
     def to_json(self):
         return {"node": "coord_t"}
@@ -137,14 +132,8 @@ class CoordX(Expr):
     def _own_deps(self):
         return (False, True, False)
 
-    def d_t(self):
-        return ZERO
-
-    def d_x(self, axis):
-        return ONE if axis == self.axis else ZERO
-
-    def d_xi(self, axis):
-        return ZERO
+    def d(self, var):
+        return ONE if var == ("x", self.axis) else ZERO
 
     def to_json(self):
         return {"node": "coord_x", "axis": self.axis}
@@ -162,14 +151,8 @@ class CoordXi(Expr):
     def _own_deps(self):
         return (False, False, True)
 
-    def d_t(self):
-        return ZERO
-
-    def d_x(self, axis):
-        return ZERO
-
-    def d_xi(self, axis):
-        return ONE if axis == self.axis else ZERO
+    def d(self, var):
+        return ONE if var == ("xi", self.axis) else ZERO
 
     def to_json(self):
         return {"node": "coord_xi", "axis": self.axis}
@@ -236,14 +219,8 @@ class Sum(Expr):
             out = out + term.eval(t, x, xi)
         return out
 
-    def d_t(self):
-        return add(*(c.d_t() for c in self.terms))
-
-    def d_x(self, axis):
-        return add(*(c.d_x(axis) for c in self.terms))
-
-    def d_xi(self, axis):
-        return add(*(c.d_xi(axis) for c in self.terms))
+    def d(self, var):
+        return add(*(c.d(var) for c in self.terms))
 
     def to_json(self):
         return {"node": "sum", "children": [c.to_json() for c in self.terms]}
@@ -264,23 +241,14 @@ class Product(Expr):
             out = out * f.eval(t, x, xi)
         return out
 
-    def _leibniz(self, d):
+    def d(self, var):
         terms = []
         for i, f in enumerate(self.factors):
-            df = d(f)
+            df = f.d(var)
             if _is_zero(df):
                 continue
             terms.append(mul(*self.factors[:i], df, *self.factors[i + 1:]))
         return add(*terms)
-
-    def d_t(self):
-        return self._leibniz(lambda f: f.d_t())
-
-    def d_x(self, axis):
-        return self._leibniz(lambda f: f.d_x(axis))
-
-    def d_xi(self, axis):
-        return self._leibniz(lambda f: f.d_xi(axis))
 
     def to_json(self):
         return {"node": "product", "children": [c.to_json() for c in self.factors]}
@@ -303,19 +271,11 @@ class Power(Expr):
     def eval(self, t, x, xi):
         return np.asarray(self.base.eval(t, x, xi)) ** self.exponent
 
-    def _chain(self, db):
+    def d(self, var):
+        db = self.base.d(var)
         if self.exponent == 0 or _is_zero(db):
             return ZERO
         return mul(Const(self.exponent), Power(self.base, self.exponent - 1), db)
-
-    def d_t(self):
-        return self._chain(self.base.d_t())
-
-    def d_x(self, axis):
-        return self._chain(self.base.d_x(axis))
-
-    def d_xi(self, axis):
-        return self._chain(self.base.d_xi(axis))
 
     def to_json(self):
         return {"node": "power", "base": self.base.to_json(), "exponent": self.exponent}
@@ -333,14 +293,8 @@ class Sin(Expr):
     def eval(self, t, x, xi):
         return np.sin(self.child.eval(t, x, xi))
 
-    def d_t(self):
-        return mul(Cos(self.child), self.child.d_t())
-
-    def d_x(self, axis):
-        return mul(Cos(self.child), self.child.d_x(axis))
-
-    def d_xi(self, axis):
-        return mul(Cos(self.child), self.child.d_xi(axis))
+    def d(self, var):
+        return mul(Cos(self.child), self.child.d(var))
 
     def to_json(self):
         return {"node": "sin", "child": self.child.to_json()}
@@ -358,109 +312,71 @@ class Cos(Expr):
     def eval(self, t, x, xi):
         return np.cos(self.child.eval(t, x, xi))
 
-    def d_t(self):
-        return mul(Const(-1), Sin(self.child), self.child.d_t())
-
-    def d_x(self, axis):
-        return mul(Const(-1), Sin(self.child), self.child.d_x(axis))
-
-    def d_xi(self, axis):
-        return mul(Const(-1), Sin(self.child), self.child.d_xi(axis))
+    def d(self, var):
+        return mul(Const(-1), Sin(self.child), self.child.d(var))
 
     def to_json(self):
         return {"node": "cos", "child": self.child.to_json()}
 
 
-class SmoothBump(Expr):
-    """psi((child - center)/width) with psi the unit bump; order tracks how
-    many profile derivatives have been taken by tree differentiation."""
+class _ProfileNode(Expr):
+    """profile((child - loc)/width), differentiated by the chain rule; order
+    tracks how many profile derivatives tree differentiation has taken.
+    Subclasses fix the profile, the JSON node name and the location key."""
 
-    __slots__ = ("child", "center", "width", "order")
+    __slots__ = ("child", "loc", "width", "order")
+
+    def __init__(self, child: Expr, loc: float, width: float, order: int):
+        if width <= 0:
+            raise ValueError(f"{self.node} width must be positive")
+        self.child = child
+        self.loc = float(loc)
+        self.width = float(width)
+        self.order = int(order)
+
+    def children(self):
+        return (self.child,)
+
+    def eval(self, t, x, xi):
+        v = _real_argument(self.child.eval(t, x, xi))
+        return self.profile((v - self.loc) / self.width, self.order)
+
+    def d(self, var):
+        dc = self.child.d(var)
+        if _is_zero(dc):
+            return ZERO
+        higher = type(self)(self.child, self.loc, self.width, self.order + 1)
+        return mul(Const(1.0 / self.width), higher, dc)
+
+    def to_json(self):
+        out = {"node": self.node, "child": self.child.to_json(),
+               self.loc_key: self.loc, "width": self.width}
+        if self.order:
+            out["order"] = self.order
+        return out
+
+
+class SmoothBump(_ProfileNode):
+    """psi((child - center)/width) with psi the unit bump."""
+
+    __slots__ = ()
+    node, loc_key, profile = "smooth_bump", "center", staticmethod(profiles.bump)
 
     def __init__(self, child: Expr, center: float = 0.0, width: float = 1.0,
                  order: int = 0):
-        if width <= 0:
-            raise ValueError("bump width must be positive")
-        self.child = child
-        self.center = float(center)
-        self.width = float(width)
-        self.order = int(order)
-
-    def children(self):
-        return (self.child,)
-
-    def eval(self, t, x, xi):
-        v = _real_argument(self.child.eval(t, x, xi))
-        arg = (v - self.center) / self.width
-        return profiles.bump(arg, self.order)
-
-    def _chain(self, dc):
-        if _is_zero(dc):
-            return ZERO
-        bumped = SmoothBump(self.child, self.center, self.width, self.order + 1)
-        return mul(Const(1.0 / self.width), bumped, dc)
-
-    def d_t(self):
-        return self._chain(self.child.d_t())
-
-    def d_x(self, axis):
-        return self._chain(self.child.d_x(axis))
-
-    def d_xi(self, axis):
-        return self._chain(self.child.d_xi(axis))
-
-    def to_json(self):
-        out = {"node": "smooth_bump", "child": self.child.to_json(),
-               "center": self.center, "width": self.width}
-        if self.order:
-            out["order"] = self.order
-        return out
+        super().__init__(child, center, width, order)
 
 
-class SmoothStep(Expr):
+class SmoothStep(_ProfileNode):
     """Decreasing smooth step in the child value: 1 below ``edge``, 0 above
     ``edge + width``."""
 
-    __slots__ = ("child", "edge", "width", "order")
+    __slots__ = ()
+    node, loc_key, profile = "smooth_step", "edge", staticmethod(profiles.step)
 
     def __init__(self, child: Expr, edge: float = 1.0, width: float = 1.0,
                  order: int = 0):
-        if width <= 0:
-            raise ValueError("step width must be positive")
-        self.child = child
-        self.edge = float(edge)
-        self.width = float(width)
-        self.order = int(order)
-
-    def children(self):
-        return (self.child,)
-
-    def eval(self, t, x, xi):
-        v = _real_argument(self.child.eval(t, x, xi))
-        arg = (v - self.edge) / self.width
-        return profiles.step(arg, self.order)
-
-    def _chain(self, dc):
-        if _is_zero(dc):
-            return ZERO
-        stepped = SmoothStep(self.child, self.edge, self.width, self.order + 1)
-        return mul(Const(1.0 / self.width), stepped, dc)
-
-    def d_t(self):
-        return self._chain(self.child.d_t())
-
-    def d_x(self, axis):
-        return self._chain(self.child.d_x(axis))
-
-    def d_xi(self, axis):
-        return self._chain(self.child.d_xi(axis))
-
-    def to_json(self):
-        out = {"node": "smooth_step", "child": self.child.to_json(),
-               "edge": self.edge, "width": self.width}
-        if self.order:
-            out["order"] = self.order
-        return out
+        super().__init__(child, edge, width, order)
 
 
 class JapaneseBracket(Expr):
@@ -480,14 +396,11 @@ class JapaneseBracket(Expr):
     def _own_deps(self):
         return (False, False, True)
 
-    def d_t(self):
-        return ZERO
-
-    def d_x(self, axis):
-        return ZERO
-
-    def d_xi(self, axis):
-        return mul(Const(self.order), CoordXi(axis), JapaneseBracket(self.order - 2.0))
+    def d(self, var):
+        if var[0] != "xi":
+            return ZERO
+        return mul(Const(self.order), CoordXi(var[1]),
+                   JapaneseBracket(self.order - 2.0))
 
     def to_json(self):
         return {"node": "japanese_bracket", "order": self.order}
@@ -511,16 +424,10 @@ class MollifiedCoeff(Expr):
     def _own_deps(self):
         return (False, True, False)
 
-    def d_t(self):
-        return ZERO
-
-    def d_x(self, axis):
-        if axis != self.axis:
+    def d(self, var):
+        if var != ("x", self.axis):
             return ZERO
         return MollifiedCoeff(self.coeff, self.axis, self.order + 1)
-
-    def d_xi(self, axis):
-        return ZERO
 
     def to_json(self):
         out = {"node": "mollified_in_x", "axis": self.axis,
@@ -544,14 +451,8 @@ class Conj(Expr):
     def eval(self, t, x, xi):
         return np.conjugate(self.child.eval(t, x, xi))
 
-    def d_t(self):
-        return Conj(self.child.d_t())
-
-    def d_x(self, axis):
-        return Conj(self.child.d_x(axis))
-
-    def d_xi(self, axis):
-        return Conj(self.child.d_xi(axis))
+    def d(self, var):
+        return Conj(self.child.d(var))
 
     def to_json(self):
         return {"node": "conj", "child": self.child.to_json()}
@@ -621,6 +522,9 @@ _LEAF_PARSERS = {
 }
 
 
+_PROFILE_NODES = {cls.node: cls for cls in (SmoothBump, SmoothStep)}
+
+
 def from_json(data: dict, mollifier_factory=None) -> Expr:
     """Parse the tagged-union JSON form back into a tree.
 
@@ -645,14 +549,10 @@ def from_json(data: dict, mollifier_factory=None) -> Expr:
         return Cos(from_json(data["child"], mollifier_factory))
     if node == "conj":
         return Conj(from_json(data["child"], mollifier_factory))
-    if node == "smooth_bump":
-        return SmoothBump(from_json(data["child"], mollifier_factory),
-                          data.get("center", 0.0), data.get("width", 1.0),
-                          data.get("order", 0))
-    if node == "smooth_step":
-        return SmoothStep(from_json(data["child"], mollifier_factory),
-                          data.get("edge", 1.0), data.get("width", 1.0),
-                          data.get("order", 0))
+    if node in _PROFILE_NODES:
+        cls = _PROFILE_NODES[node]
+        kwargs = {k: data[k] for k in (cls.loc_key, "width", "order") if k in data}
+        return cls(from_json(data["child"], mollifier_factory), **kwargs)
     if node == "mollified_in_x":
         if mollifier_factory is None:
             raise ValueError("mollified_in_x nodes need a mollifier factory")

@@ -36,13 +36,13 @@ DENSE_GUARD = 4096
 class PeriodicOperator:
     """A quantized symbol bound to a grid, with per-time evaluation caches."""
 
-    def __init__(self, symbol: SymbolExpr, grid: Grid, separable_cap: int = 64):
+    def __init__(self, symbol: SymbolExpr, grid: Grid):
         if symbol.dim != grid.dim:
             raise DimensionMismatch(
                 f"symbol dim {symbol.dim} != grid dim {grid.dim}")
         self.symbol = symbol
         self.grid = grid
-        self.terms = ex.separable_terms(symbol.root, separable_cap)
+        self.terms = ex.separable_terms(symbol.root)
         self._t_independent = not symbol.depends_t()
         self._cache_t = None
         self._cache = None
@@ -73,17 +73,20 @@ class PeriodicOperator:
                 raise TooLarge(
                     f"dense quantization path guarded at {DENSE_GUARD} nodes; "
                     f"grid has {g.size} (use a separable symbol)")
-            pts = g.flat_points()
-            xi_flat = np.stack([m.ravel() for m in g.xi_mesh()], axis=-1)
-            x = tuple(pts[:, a][:, None] for a in range(g.dim))
-            xi = tuple(xi_flat[:, a][None, :] for a in range(g.dim))
-            table = np.asarray(self.symbol.root.eval(key, x, xi), dtype=complex)
-            table = np.broadcast_to(table, (g.size, g.size)).copy()
-            phase = pts @ xi_flat.T
-            tables = ("dense", table * np.exp(1j * phase))
+            tables = ("dense", self._symbol_table(key))
         self._cache_t = key
         self._cache = tables
         return tables
+
+    def _symbol_table(self, t: float) -> np.ndarray:
+        """S o E with S[j, k] = s(t, x_j, xi_k) and E[j, k] = exp(i x_j.xi_k)."""
+        g = self.grid
+        pts = g.flat_points()
+        xi_flat = _flat_frequencies(g)
+        x = tuple(pts[:, a][:, None] for a in range(g.dim))
+        xi = tuple(xi_flat[:, a][None, :] for a in range(g.dim))
+        table = np.asarray(self.symbol.root.eval(t, x, xi), dtype=complex)
+        return np.broadcast_to(table, (g.size, g.size)) * _fourier_matrix(g)
 
     # -- application -----------------------------------------------------------
     def apply(self, t: float, values: np.ndarray) -> np.ndarray:
@@ -115,20 +118,24 @@ class PeriodicOperator:
         return (table.conj().T @ values.ravel()).reshape(g.shape) / g.size
 
     def matrix(self, t: float = 0.0) -> np.ndarray:
-        """Dense nodal-basis matrix (small-scale oracle)."""
+        """Dense nodal-basis matrix (S o E) E^H / N (small-scale oracle).
+
+        Built from the full symbol table for every symbol, never through the
+        separable FFT path, so it can referee ``apply``.
+        """
         g = self.grid
         if g.size > DENSE_GUARD:
             raise TooLarge(f"matrix oracle guarded at {DENSE_GUARD} nodes")
-        tables = self._tables(t)
-        if tables[0] == "dense":
-            pts = g.flat_points()
-            xi_flat = np.stack([m.ravel() for m in g.xi_mesh()], axis=-1)
-            E = np.exp(1j * pts @ xi_flat.T)
-            return tables[1] @ E.conj().T / g.size
-        eye = np.eye(g.size, dtype=complex)
-        cols = [self.apply(t, eye[:, j].reshape(g.shape)).ravel()
-                for j in range(g.size)]
-        return np.stack(cols, axis=1)
+        return self._symbol_table(float(t)) @ _fourier_matrix(g).conj().T / g.size
+
+
+def _flat_frequencies(grid: Grid) -> np.ndarray:
+    return np.stack([m.ravel() for m in grid.xi_mesh()], axis=-1)
+
+
+def _fourier_matrix(grid: Grid) -> np.ndarray:
+    """E[j, k] = exp(i x_j.xi_k) over the flattened nodes and frequencies."""
+    return np.exp(1j * (grid.flat_points() @ _flat_frequencies(grid).T))
 
 
 def apply_op(s: SymbolExpr, t: float, u: GridFunction) -> GridFunction:
@@ -151,14 +158,11 @@ def symbol_from_matrix(matrix: np.ndarray, grid: Grid) -> np.ndarray:
     analysis matrix F[k,l] = exp(-i xi_k.x_l)/N one has  matrix = (S*E) F and
     F^(-1) = E, hence S = (matrix @ E) / E elementwise.
     """
-    pts = grid.flat_points()
-    xi_flat = np.stack([m.ravel() for m in grid.xi_mesh()], axis=-1)
-    E = np.exp(1j * pts @ xi_flat.T)
+    E = _fourier_matrix(grid)
     return (matrix @ E) / E
 
 
-def power_iteration(apply_hermitian, shape, rng, iters: int = POWER_ITERS,
-                    rtol: float = POWER_RTOL):
+def power_iteration(apply_hermitian, shape, rng):
     """Largest eigenvalue of a Hermitian PSD operator by power iteration.
 
     Returns (eigenvalue_estimate, converged, iterations_used); deterministic
@@ -168,17 +172,18 @@ def power_iteration(apply_hermitian, shape, rng, iters: int = POWER_ITERS,
     v /= np.linalg.norm(v.ravel())
     lam_prev = None
     lam = 0.0
-    for it in range(1, iters + 1):
+    for it in range(1, POWER_ITERS + 1):
         w = apply_hermitian(v)
         lam = float(np.real(np.vdot(v.ravel(), w.ravel())))
         nw = np.linalg.norm(w.ravel())
         if nw == 0.0:
             return 0.0, True, it
         v = w / nw
-        if lam_prev is not None and abs(lam - lam_prev) <= rtol * max(abs(lam), 1e-300):
+        if lam_prev is not None and \
+                abs(lam - lam_prev) <= POWER_RTOL * max(abs(lam), 1e-300):
             return max(lam, 0.0), True, it
         lam_prev = lam
-    return max(lam, 0.0), False, iters
+    return max(lam, 0.0), False, POWER_ITERS
 
 
 @dataclass
@@ -202,10 +207,8 @@ def band_projector(grid: Grid, fraction: float = 0.5):
 
     Discrete quantization aliases products near the unpaired Nyquist mode, so
     operator norms are measured on the resolved band the scenarios use
-    (default half Nyquist); pass fraction=None for the raw grid operator.
+    (default half Nyquist).
     """
-    if fraction is None:
-        return lambda v: v
     xi = grid.xi_mesh()
     mag = np.sqrt(sum(np.asarray(c) ** 2 for c in xi))
     mask = mag <= fraction * grid.max_abs_xi() + 1e-12
@@ -217,8 +220,7 @@ def band_projector(grid: Grid, fraction: float = 0.5):
 
 
 def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,
-                        iters: int = POWER_ITERS, seed=None,
-                        band_limit: float | None = 0.5) -> NormEstimate:
+                        seed=None) -> NormEstimate:
     """L2 operator norm of P(op(s) - op(s)^dagger)P via power iteration.
 
     B = A - A^dagger satisfies B^dagger = -B, and conjugating with the band
@@ -226,7 +228,7 @@ def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,
     iteration.
     """
     op = PeriodicOperator(s, grid)
-    proj = band_projector(grid, band_limit)
+    proj = band_projector(grid)
 
     def b_apply(v):
         pv = proj(v)
@@ -235,25 +237,23 @@ def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,
     def bhb(v):
         return -b_apply(b_apply(v))
 
-    lam, ok, used = power_iteration(bhb, grid.shape, _rng_from(seed), iters)
+    lam, ok, used = power_iteration(bhb, grid.shape, _rng_from(seed))
     return NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
 
 
-def operator_norm(s: SymbolExpr, t: float, grid: Grid,
-                  iters: int = POWER_ITERS, seed=None,
+def operator_norm(s: SymbolExpr, t: float, grid: Grid, seed=None,
                   with_seminorm_bound: bool = False,
-                  box: SampleBox | None = None,
-                  band_limit: float | None = 0.5) -> dict:
+                  box: SampleBox | None = None) -> dict:
     """Power-iteration L2 norm of P op(s) P; optionally the order-0 semi-norm
     bound side Q^0_{0,f,f} with f = floor(n/2)+1 for constant calibration."""
     op = PeriodicOperator(s, grid)
-    proj = band_projector(grid, band_limit)
+    proj = band_projector(grid)
 
     def aha(v):
         av = op.apply(t, proj(v))
         return proj(op.apply_adjoint(t, proj(av)))
 
-    lam, ok, used = power_iteration(aha, grid.shape, _rng_from(seed), iters)
+    lam, ok, used = power_iteration(aha, grid.shape, _rng_from(seed))
     out = {"norm": math.sqrt(max(lam, 0.0)), "converged": ok,
            "iterations": used}
     if with_seminorm_bound:
@@ -416,12 +416,10 @@ def adjoint_symbol_remainder(s: SymbolExpr, t: float, x, xi,
 
 def check_remainder_estimate(s: SymbolExpr, alpha, beta,
                              cfg: OscIntConfig | None = None,
-                             box: SampleBox | None = None,
-                             t: float = 0.0,
-                             x_probes=None, xi_probes=None) -> dict:
+                             box: SampleBox | None = None) -> dict:
     """Compare weighted remainder derivatives against the semi-norm side.
 
-    lhs = max over sampled (x, xi, theta) of
+    lhs = max over sampled (x, xi, theta) at t = 0 of
           |d_xi^alpha d_x^beta r_theta| * (1+|xi|)^{|alpha|};
     rhs = Q^1_{0, n+2+|alpha|, n+2+|alpha|+|beta|}(s).  The ratio is
     reported; theta-uniformity shows up as stability under refinement.
@@ -434,18 +432,16 @@ def check_remainder_estimate(s: SymbolExpr, alpha, beta,
     cfg.validate(dim, a_tot)
     box = box or SampleBox(x_lo=(0.0,) * dim, x_hi=(2 * math.pi,) * dim,
                            x_count=9, xi_max=64.0, xi_uniform_count=5)
-    if x_probes is None:
-        x_probes = box.x_points()[:: max(1, box.x_points().shape[0] // 7)]
-    if xi_probes is None:
-        ladder = [0.0, 1.0, 4.0, 16.0, 64.0]
-        xi_probes = np.array([[v] + [0.0] * (dim - 1) for v in ladder])
+    x_probes = box.x_points()[:: max(1, box.x_points().shape[0] // 7)]
+    ladder = [0.0, 1.0, 4.0, 16.0, 64.0]
+    xi_probes = np.array([[v] + [0.0] * (dim - 1) for v in ladder])
     thetas = np.linspace(0.0, 1.0, 5)
     lhs = 0.0
-    for xp in np.atleast_2d(x_probes):
-        for xip in np.atleast_2d(xi_probes):
+    for xp in x_probes:
+        for xip in xi_probes:
             weight = (1.0 + float(np.linalg.norm(xip))) ** a_tot
             for theta in thetas:
-                val = _r_theta(s, t, tuple(xp), tuple(xip), float(theta), cfg,
+                val = _r_theta(s, 0.0, tuple(xp), tuple(xip), float(theta), cfg,
                                extra_alpha=alpha, extra_beta=beta)
                 lhs = max(lhs, abs(val) * weight)
     rhs = seminorm_Q(s, 1.0, 0, dim + 2 + a_tot, dim + 2 + a_tot + b_tot, box)

@@ -179,17 +179,15 @@ class ScenarioContext:
         return DtPolicy(dt=self.cfg.get("dt") if dt is None else dt)
 
     # -- cached runs --------------------------------------------------------
-    def solve(self, dt=None, seminorm_case="a"):
-        key = (dt, seminorm_case)
-        if key not in self._solve_cache:
+    def solve(self, dt=None):
+        if dt not in self._solve_cache:
             problem = CauchyProblem(symbol=self.fixed_symbol(),
                                     initial=self.initial_data(),
                                     horizon=self.cfg["horizon"],
                                     forcing=self.forcing())
-            self._solve_cache[key] = (problem, solve_fixed_eps(
-                problem, self.dt_policy(dt), seed=self.seed,
-                seminorm_case=seminorm_case))
-        return self._solve_cache[key]
+            self._solve_cache[dt] = (problem, solve_fixed_eps(
+                problem, self.dt_policy(dt), seed=self.seed))
+        return self._solve_cache[dt]
 
     def sweep_plan(self, data_cfg=None, cascade: int = 0) -> SweepPlan:
         orders = tuple((d, tuple(a)) for d, a in
@@ -217,18 +215,23 @@ class ScenarioContext:
 
 # -- check implementations ----------------------------------------------------
 
-def _check_transport_exactness(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    speed = float(p.get("speed", 1.0))
-    tol = float(p.get("tol", 1e-6))
-    problem, result = ctx.solve()
+def _transported_data(ctx: ScenarioContext, check: str, speed: float):
+    """Exact constant-speed transport g(x - c T) of expression data g."""
     gspec = ctx.cfg["data"]["g"]
-    if gspec["kind"] != "expression":
-        raise ConfigInvalid("transport_exactness needs expression data")
+    if gspec["kind"] != "expression" or ctx.grid.dim != 1:
+        raise ConfigInvalid(f"{check} needs expression data on a 1-D grid")
     tree = ex.from_json(gspec["expr"], mollifier_factory())
-    sym = SymbolExpr(tree, 0.0, ctx.grid.dim)
+    sym = SymbolExpr(tree, 0.0, 1)
     x = ctx.grid.x_mesh()[0]
     shifted = np.mod(x - speed * ctx.cfg["horizon"], ctx.grid.length)
-    exact = np.asarray(sym.eval(0.0, (shifted,), (np.zeros_like(x),)))
+    return np.asarray(sym.eval(0.0, (shifted,), (np.zeros_like(x),)))
+
+
+def _check_transport_exactness(ctx: ScenarioContext, p: dict) -> CheckOutcome:
+    tol = float(p.get("tol", 1e-6))
+    exact = _transported_data(ctx, "transport_exactness",
+                              float(p.get("speed", 1.0)))
+    _, result = ctx.solve()
     err = float(np.max(np.abs(result.final().values - exact)))
     if ctx.artifact("ledger.csv"):
         owio.write_ledger_csv(ctx.artifact("ledger.csv"), result.ledger, "energy")
@@ -239,14 +242,8 @@ def _check_transport_exactness(ctx: ScenarioContext, p: dict) -> CheckOutcome:
 
 
 def _check_rk4_convergence(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    speed = float(p.get("speed", 1.0))
     base_dt = ctx.cfg.get("dt") or 1e-3
-    gspec = ctx.cfg["data"]["g"]
-    tree = ex.from_json(gspec["expr"], mollifier_factory())
-    sym = SymbolExpr(tree, 0.0, ctx.grid.dim)
-    x = ctx.grid.x_mesh()[0]
-    shifted = np.mod(x - speed * ctx.cfg["horizon"], ctx.grid.length)
-    exact = np.asarray(sym.eval(0.0, (shifted,), (np.zeros_like(x),)))
+    exact = _transported_data(ctx, "rk4_convergence", float(p.get("speed", 1.0)))
     errs = []
     for factor in (4, 2, 1):
         _, res = ctx.solve(dt=base_dt * factor)
@@ -400,8 +397,8 @@ def _check_negligible(ctx: ScenarioContext, p: dict) -> CheckOutcome:
     if ctx.artifact("negligible.json"):
         owio.write_json(ctx.artifact("negligible.json"),
                         {k: v for k, v in rep.items() if k != "report"})
-    return CheckOutcome("negligible",
-                        "PASS" if rep["is_negligible"] else "FAIL",
+    ok = rep["is_negligible"] and not rep["report"].incomplete
+    return CheckOutcome("negligible", "PASS" if ok else "FAIL",
                         rep["max_passed_q"],
                         f"max passed q of q_max={thr.q_max}")
 
@@ -450,9 +447,10 @@ def _check_association(ctx: ScenarioContext, p: dict) -> CheckOutcome:
 def _check_ginf(ctx: ScenarioContext, p: dict) -> CheckOutcome:
     expect = bool(p.get("expect", True))
     data_cfg = p.get("data")
-    plan = ctx.sweep_plan(data_cfg)
-    rep = check_ginf(plan, ctx.sweep_report(data_cfg), thresholds=ctx.thresholds)
-    ok = rep["is_ginf"] == expect and rep["gate_passed"]
+    report = ctx.sweep_report(data_cfg)
+    rep = check_ginf(ctx.sweep_plan(data_cfg), report, thresholds=ctx.thresholds)
+    # checked here, not in is_ginf: a short sweep must not pass expect=False
+    ok = rep["is_ginf"] == expect and rep["gate_passed"] and not report.incomplete
     name = "ginf" + ("_regular" if expect else "_irregular")
     return CheckOutcome(name, "PASS" if ok else "FAIL",
                         rep["max_tracked_exponent"],

@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from onewave import asymptotics
 from onewave import expr as ex
 from onewave.asymptotics import (DataBuilder, SweepPlan, check_association,
                                  check_ginf, check_negligible, fit_exponent,
                                  run_sweep, spectral_extend)
+from onewave.cauchy import solve_fixed_eps
+from onewave.errors import UnstableStep
 from onewave.grid import Grid, GridFunction
+from onewave.presets import get_preset
 from onewave.regularization import (RoughCoefficient, RoughTransport,
                                     regularized_family)
+from onewave.scenario import run_scenario
 from onewave.symbols import GenSymbolFamily, HyperbolicSymbol, SymbolExpr
 
 TWO_PI = 2.0 * np.pi
@@ -220,3 +225,27 @@ class TestGinf:
         assert rep["status"] == "not_applicable"
         assert not rep["gate_passed"]
         assert not rep["is_ginf"]
+
+
+class TestIncompleteSweep:
+    @pytest.mark.parametrize("preset, check_index", [
+        ("negligible_uniqueness", 0),
+        ("ginf_regularity", 0),
+        ("ginf_regularity", 1),
+    ])
+    def test_missing_eps_point_fails_verdict(self, monkeypatch, preset,
+                                             check_index):
+        calls = []
+
+        def second_solve_fails(problem, *args, **kwargs):
+            calls.append(problem)
+            if len(calls) == 2:
+                raise UnstableStep("injected failure")
+            return solve_fixed_eps(problem, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "solve_fixed_eps", second_solve_fails)
+        cfg = get_preset(preset)
+        cfg["checks"] = [cfg["checks"][check_index]]
+        ok, outcomes = run_scenario(cfg, echo=lambda line: None)
+        assert len(calls) > 2
+        assert not ok and outcomes[0].status == "FAIL"

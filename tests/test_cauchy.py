@@ -109,13 +109,13 @@ class TestInvariants:
 
     def test_cfl_policy_rejects_large_dt(self, grid256):
         prob = transport_problem(grid256)
-        with pytest.raises(UnstableStep):
+        with pytest.raises(UnstableStep, match="exceeds margin"):
             solve_fixed_eps(prob, DtPolicy(dt=0.1), seed=0,
                             measure_seminorms=False)
 
     def test_cfl_override_allows_and_guard_catches(self, grid256):
         prob = transport_problem(grid256)
-        with pytest.raises((UnstableStep, Exception)):
+        with pytest.raises(UnstableStep, match="Gronwall"):
             solve_fixed_eps(prob, DtPolicy(dt=0.1, override=True), seed=0,
                             measure_seminorms=False)
 

@@ -103,6 +103,19 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 2
 
+    def test_transport_checks_need_1d_expression_data(self, tmp_path, capsys):
+        delta = get_preset("transport_smoke")
+        delta["data"]["g"] = {"kind": "delta", "node": [0]}
+        delta["checks"] = [{"check": "rk4_convergence", "speed": 1.0}]
+        plane = get_preset("transport_smoke")
+        plane["grid"].update(dim=2, points=16)
+        plane["symbol"]["a1"]["dim"] = 2
+        plane["checks"] = [{"check": "transport_exactness", "speed": 1.0}]
+        for i, cfg in enumerate((delta, plane)):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["run", str(path)]) == 3
+
 
 class TestDeterminism:
     def test_identical_artifacts(self, tmp_path, capsys):

@@ -249,8 +249,3 @@ class TestBandProjector:
         once = proj(u.values)
         twice = proj(once)
         assert np.max(np.abs(once - twice)) <= 1e-13
-
-    def test_none_is_identity(self, grid32, rng):
-        proj = band_projector(grid32, None)
-        u = random_grid_function(grid32, rng)
-        assert proj(u.values) is u.values
