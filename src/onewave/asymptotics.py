@@ -27,12 +27,16 @@ from .grid import Grid, GridFunction
 from .quantization import PeriodicOperator
 from .regularization import embed_data
 from .symbols import (GenSymbolFamily, SampleBox, SymbolExpr,
-                      classify_log_type, classify_slow_scale, multi_indices)
+                      classify_log_type, classify_slow_scale, log_fit,
+                      multi_indices)
 
 __all__ = [
     "DataBuilder", "SweepPlan", "SweepReport", "run_sweep",
     "check_negligible", "check_association", "check_ginf", "fit_exponent",
 ]
+
+# Space and time refinement of check_association's refined-solve reference.
+REFERENCE_REFINEMENT = 4
 
 
 @dataclass
@@ -172,6 +176,7 @@ class SweepReport:
     gronwall_bound_norms: dict
     predicted_exponents: dict
     incomplete: dict
+    finals: list            # u_eps(T) per completed eps; not serialized
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -225,8 +230,7 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
         cascade = {}
         if plan.cascade_max_order > 0:
             cascade = derivative_cascade(problem, result,
-                                         max_order=plan.cascade_max_order,
-                                         seed=plan.seed)
+                                         max_order=plan.cascade_max_order)
         return norms, result, energy, cascade
 
     results = {}
@@ -248,14 +252,10 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
                                     n_hat <= thresholds.moderate_exponent_cap)}
     c_measured = [results[eps][1].ledger.c_measured for eps in done]
     c_seminorm = [results[eps][1].ledger.C_eps_seminorm for eps in done]
-    logs = np.log(1.0 / np.array(done)) if done else np.array([])
     c_log_fit = {}
     if len(done) >= 3:
-        coeffs = np.polyfit(logs, np.array(c_measured), 1)
-        fit = np.polyval(coeffs, logs)
-        scale = max(float(np.linalg.norm(c_measured)), 1e-300)
-        c_log_fit = {"coeff": float(coeffs[0]), "intercept": float(coeffs[1]),
-                     "residual": float(np.linalg.norm(np.array(c_measured) - fit)) / scale}
+        c_log_fit = dict(zip(("coeff", "intercept", "residual"),
+                             log_fit(done, c_measured)))
     energy_ok = [bool(results[eps][2]["pointwise_ok"] and
                       results[eps][2]["gronwall_ok"]) for eps in done]
 
@@ -278,25 +278,26 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
         eps=done, orders=orders, norms=norms, fits=fits,
         c_measured=c_measured, c_seminorm=c_seminorm, c_log_fit=c_log_fit,
         energy_ok=energy_ok, gronwall_bound_norms=gronwall_bound_norms,
-        predicted_exponents=predicted, incomplete=incomplete)
+        predicted_exponents=predicted, incomplete=incomplete,
+        finals=[results[eps][1].final() for eps in done])
 
 
-def check_negligible(plan: SweepPlan,
+def check_negligible(plan: SweepPlan, report: SweepReport,
                      thresholds: Thresholds = DEFAULT_THRESHOLDS) -> dict:
-    """q-decay check for superpolynomially small data.
+    """q-decay check for superpolynomially small data on the plan's sweep.
 
-    Normalizes at the largest sweep eps: for each q <= q_max the sequence
-    max_t ||u_eps|| must stay below (eps/eps_0)^q times the first value
-    (with the configured multiplicative slack), i.e. decay at least as fast
-    as every tested power along the sweep.
+    Normalizes at the largest completed eps: for each q <= q_max the
+    sequence max_t ||u_eps|| must stay below (eps/eps_0)^q times the first
+    value (with the configured multiplicative slack), i.e. decay at least as
+    fast as every tested power along the sweep.  A sweep with no completed
+    eps point passes no q.
     """
     plan.family.require_regression_sweep()
-    report = run_sweep(plan, thresholds)
     order = report.orders[0]
     vals = np.array(report.norms[order])
     eps = np.array(report.eps)
     q_max = thresholds.q_max
-    base = vals[0]
+    base = vals[0] if vals.size else 0.0
     per_q = {}
     max_passed = -1
     for q in range(q_max + 1):
@@ -306,27 +307,24 @@ def check_negligible(plan: SweepPlan,
         else:
             bound = base * (eps / eps[0]) ** q * thresholds.negligible_slack
             ok = bool(np.all(vals <= bound + 1e-300))
-        per_q[q] = ok
+        per_q[q] = ok = ok and vals.size > 0
         if ok and max_passed == q - 1:
             max_passed = q
     return {"is_negligible": max_passed >= q_max, "max_passed_q": max_passed,
-            "per_q": per_q, "norms": vals.tolist(), "eps": eps.tolist(),
-            "report": report}
+            "per_q": per_q, "norms": vals.tolist(), "eps": eps.tolist()}
 
 
-def check_association(plan: SweepPlan, probes, reference,
-                      thresholds: Thresholds = DEFAULT_THRESHOLDS,
-                      resolution_factor: int = 4) -> dict:
-    """Weak-pairing residuals of u_eps(T) against a reference solution.
+def check_association(plan: SweepPlan, report: SweepReport, probes, reference,
+                      thresholds: Thresholds = DEFAULT_THRESHOLDS) -> dict:
+    """Weak-pairing residuals of the sweep's u_eps(T) against a reference.
 
     ``probes`` are callables phi(x mesh arrays); ``reference`` is either a
     callable probe -> exact pairing value, or the string "solve" for a
-    resolution_factor-refined solve with data built at the smallest sweep
+    REFERENCE_REFINEMENT-refined solve with data built at the smallest sweep
     eps (documented as an oracle, not ground truth).  Residuals must be
-    non-increasing over the last three sweep points (up to the configured
-    additive slack).
+    non-increasing over the last three completed sweep points (up to the
+    configured additive slack).
     """
-    eps_list = list(plan.family.eps_grid)
     grid = plan.grid
 
     def pairing(u: GridFunction, phi_vals: np.ndarray) -> complex:
@@ -339,8 +337,8 @@ def check_association(plan: SweepPlan, probes, reference,
     if callable(reference):
         ref_pairings = [complex(reference(phi)) for phi in probes]
     else:
-        fine = Grid(grid.dim, grid.points * resolution_factor, grid.length)
-        eps_ref = min(eps_list)
+        fine = Grid(grid.dim, grid.points * REFERENCE_REFINEMENT, grid.length)
+        eps_ref = min(plan.family.eps_grid)
         g_f, f_f = _rebuild_on(plan.data, fine, eps_ref)
         prob = CauchyProblem(symbol=plan.family.member(eps_ref),
                              initial=g_f, horizon=plan.horizon, forcing=f_f)
@@ -348,32 +346,24 @@ def check_association(plan: SweepPlan, probes, reference,
         # below the sweep's
         ref_policy = None
         if plan.dt_policy is not None and plan.dt_policy.dt is not None:
-            ref_policy = DtPolicy(dt=plan.dt_policy.dt / resolution_factor)
+            ref_policy = DtPolicy(dt=plan.dt_policy.dt / REFERENCE_REFINEMENT)
         res = solve_fixed_eps(prob, ref_policy, seed=plan.seed,
                               measure_seminorms=False)
         fine_phis = [np.asarray(phi(*fine.x_mesh()), dtype=complex)
                      for phi in probes]
         ref_pairings = [pairing(res.final(), pv) for pv in fine_phis]
 
-    residuals = []
-    for eps in eps_list:
-        g_eps, f_eps = plan.data.build(eps, grid)
-        prob = CauchyProblem(symbol=plan.family.member(eps), initial=g_eps,
-                             horizon=plan.horizon, forcing=f_eps)
-        res = solve_fixed_eps(prob, plan.dt_policy, seed=plan.seed,
-                              measure_seminorms=False)
-        row = [abs(pairing(res.final(), pv) - rp)
-               for pv, rp in zip(coarse_phis, ref_pairings)]
-        residuals.append(row)
-    residuals = np.array(residuals)
+    residuals = np.array([[abs(pairing(final, pv) - rp)
+                           for pv, rp in zip(coarse_phis, ref_pairings)]
+                          for final in report.finals])
     slack = thresholds.association_trend_slack
     tail = residuals[-3:]
     monotone = bool(np.all(np.diff(tail, axis=0) <= slack))
     return {
-        "eps": eps_list,
+        "eps": report.eps,
         "residuals": residuals.tolist(),
         "monotone_tail": monotone,
-        "terminal_residuals": residuals[-1].tolist(),
+        "terminal_residuals": residuals[-1].tolist() if len(residuals) else [],
         "reference": "exact" if callable(reference) else "refined-solve",
     }
 
@@ -405,35 +395,33 @@ def _rebuild_on(data: DataBuilder, fine: Grid, eps: float):
     return rebuilt.build(eps, fine)
 
 
-def check_ginf(plan: SweepPlan, report: SweepReport | None = None,
-               box: SampleBox | None = None,
+def check_ginf(plan: SweepPlan, report: SweepReport,
                thresholds: Thresholds = DEFAULT_THRESHOLDS) -> dict:
-    """Uniform-exponent regularity check.
+    """Uniform-exponent regularity check of the plan's sweep report.
 
     Gate: the symbol family must classify as slow scale with log-type
     growth; then is_ginf requires every tracked exponent to stay within
     p_hat + slack where p_hat = N_hat(0,0) + 1.  The gate can pass while the
-    conclusion fails and vice versa; both facts are reported separately.
+    conclusion fails and vice versa; both facts are reported separately.  A
+    report with no completed eps point observes no conclusion.
     """
     dim = plan.grid.dim
-    box = box or SampleBox(x_lo=(0.0,) * dim, x_hi=(plan.grid.length,) * dim,
-                           x_count=33, xi_max=min(plan.grid.max_abs_xi(), 256.0),
-                           xi_uniform_count=9, t_max=plan.horizon)
-    gate_slow = classify_slow_scale(plan.family, 0, 1, 1, box, thresholds)
-    gate_log = classify_log_type(plan.family, 1.0, 0, 1, box, thresholds)
-    gate_passed = gate_slow["is_slow_scale"] and gate_log["is_log_type"]
-    if report is None:
-        report = run_sweep(plan, thresholds)
     cap = thresholds.ginf_order_cap
     covered = [o for o in report.orders if o[0] + sum(o[1]) <= cap]
     if not any(o[0] + sum(o[1]) >= cap for o in report.orders):
         raise InsufficientOrders(
             f"report must track orders up to d + |alpha| = {cap}")
+    box = SampleBox(x_lo=(0.0,) * dim, x_hi=(plan.grid.length,) * dim,
+                    x_count=33, xi_max=min(plan.grid.max_abs_xi(), 256.0),
+                    xi_uniform_count=9, t_max=plan.horizon)
+    gate_slow = classify_slow_scale(plan.family, 0, 1, 1, box, thresholds)
+    gate_log = classify_log_type(plan.family, 1.0, 0, 1, box, thresholds)
+    gate_passed = gate_slow["is_slow_scale"] and gate_log["is_log_type"]
     base = report.fits[(0, (0,) * dim)]["N_hat"]
     base = 0.0 if base is None else base
     p_hat = base + 1.0
     worst = None
-    conclusion = True
+    conclusion = bool(report.eps)
     for order in covered:
         n_hat = report.fits[order]["N_hat"]
         if n_hat is None:

@@ -239,27 +239,24 @@ def _measure_norms(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
         skew = max(skew, est.value)
         ok = ok and est.converged
         if symbol.a0 is not None:
-            res = operator_norm(symbol.a0, float(t), grid, seed=seed)
-            a0n = max(a0n, res["norm"])
-            ok = ok and res["converged"]
+            est = operator_norm(symbol.a0, float(t), grid, seed=seed)
+            a0n = max(a0n, est.value)
+            ok = ok and est.converged
     return skew, a0n, ok
 
 
 def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
-                      case: str = "a", calibration_C: float | None = None,
-                      box: SampleBox | None = None,
+                      case: str = "a",
                       drop_a0: bool = False) -> tuple[float, dict]:
     """C * (1 + Q^0_{0,k',l'}(a0) + Q^1_{0,k,l}(a1)) at the case's orders."""
     dim = symbol.dim
     orders = case_orders(dim, "b" if case == "b" else "a")
-    C = CALIBRATED_C[dim] if calibration_C is None else calibration_C
+    C = CALIBRATED_C[dim]
     # 2-D sampling thins the x grid: the derivative-order set is ~16x larger
     # and the sampled sup is a lower bound either way.
-    box = box or SampleBox(x_lo=(0.0,) * dim, x_hi=(grid.length,) * dim,
-                           x_count=129 if dim == 1 else 17,
-                           xi_max=grid.max_abs_xi(),
-                           xi_uniform_count=33 if dim == 1 else 9,
-                           t_max=horizon)
+    box = SampleBox(x_lo=(0.0,) * dim, x_hi=(grid.length,) * dim,
+                    x_count=129 if dim == 1 else 17, xi_max=grid.max_abs_xi(),
+                    xi_uniform_count=33 if dim == 1 else 9, t_max=horizon)
     q1 = seminorm_Q(symbol.a1, 1.0, 0, orders["k"], orders["l"], box)
     q0 = 0.0
     if symbol.a0 is not None and not drop_a0:
@@ -271,9 +268,7 @@ def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
 
 
 def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
-                    stride: int = TRAJECTORY_STRIDE, seed=0,
-                    measure_seminorms: bool = True,
-                    calibration_C: float | None = None) -> SolveResult:
+                    seed=0, measure_seminorms: bool = True) -> SolveResult:
     """Classical RK4 integration with full energy bookkeeping.
 
     Aborts with UnstableStep when the norm exceeds INSTABILITY_FACTOR times
@@ -290,8 +285,7 @@ def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
                                          problem.horizon, seed)
     c_meas = 1.0 + skew + 2.0 * a0n
     if measure_seminorms:
-        c_sem, parts = seminorm_constant(problem.symbol, grid, problem.horizon,
-                                         calibration_C=calibration_C)
+        c_sem, parts = seminorm_constant(problem.symbol, grid, problem.horizon)
     else:
         c_sem, parts = math.nan, {}
 
@@ -340,7 +334,7 @@ def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
         times.append(tn)
         u_norms.append(nsq)
         f_norms.append(forcing.norm(tn) ** 2)
-        if step % stride == 0 or step == n_steps:
+        if step % TRAJECTORY_STRIDE == 0 or step == n_steps:
             snapshots.append((tn, GridFunction(grid, u.copy())))
 
     ledger = EnergyLedger(
@@ -350,6 +344,11 @@ def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
         initial_norm_sq=g_norm_sq, converged_norms=norms_ok)
     return SolveResult(times=np.array(times), snapshots=snapshots,
                        ledger=ledger, dt=dt)
+
+
+def _under_bound(values, bound) -> bool:
+    """Gronwall test: every value stays below its bound up to rounding."""
+    return bool(np.all(values <= bound * (1.0 + 1e-9) + 1e-300))
 
 
 def check_energy_estimate(ledger: EnergyLedger,
@@ -371,7 +370,7 @@ def check_energy_estimate(ledger: EnergyLedger,
     pointwise_ok = bool(np.all(margins >= 0.0))
     bound = ledger.gronwall_bound()
     gr_margin = bound - usq
-    gronwall_ok = bool(np.all(usq <= bound * (1.0 + 1e-9) + 1e-300))
+    gronwall_ok = _under_bound(usq, bound)
     c_sem = ledger.C_eps_seminorm
     if calibration_C is not None and ledger.seminorm_parts.get("C"):
         # rescale the stored constant to the requested calibration
@@ -389,10 +388,8 @@ def check_energy_estimate(ledger: EnergyLedger,
     return out
 
 
-def check_case_variants(problem: CauchyProblem,
-                        result: SolveResult | None = None,
-                        seed=0, calibration_C: float | None = None,
-                        require=()) -> dict:
+def check_case_variants(problem: CauchyProblem, result: SolveResult,
+                        seed=0, require=()) -> dict:
     """Reduced-order semi-norm constants for the tagged special cases.
 
     case b (multiplier outside a radius) uses k=1, l=n+2, k'=0, l'=n+1;
@@ -401,9 +398,6 @@ def check_case_variants(problem: CauchyProblem,
     Cases listed in ``require`` raise TagMismatch when the symbol lacks the
     structural tag; otherwise inapplicable cases are reported with a reason.
     """
-    if result is None:
-        result = solve_fixed_eps(problem, seed=seed,
-                                 measure_seminorms=False)
     if "b" in require and problem.symbol.x_independent_outside is None:
         raise TagMismatch("case b requires the x_independent_outside tag")
     if "c" in require and not problem.symbol.is_real():
@@ -412,17 +406,15 @@ def check_case_variants(problem: CauchyProblem,
     grid = problem.grid
     report = {"c_measured": ledger.c_measured}
 
-    def gronwall_holds(c_sem):
-        bound = (ledger.initial_norm_sq + ledger.forcing_integral()) * \
-            np.exp(c_sem * ledger.times)
-        return bool(np.all(ledger.u_norm_sq <= bound * (1 + 1e-9) + 1e-300))
+    def gronwall_ok(c):
+        return _under_bound(ledger.u_norm_sq, ledger.gronwall_bound(c))
 
     if problem.symbol.x_independent_outside is not None:
         c_b, parts_b = seminorm_constant(problem.symbol, grid, problem.horizon,
-                                         case="b", calibration_C=calibration_C)
+                                         case="b")
         report["case_b"] = {"applicable": True, "c_seminorm": c_b,
                             "dominates_measured": c_b >= ledger.c_measured,
-                            "gronwall_ok": gronwall_holds(c_b),
+                            "gronwall_ok": gronwall_ok(c_b),
                             "parts": parts_b}
     else:
         report["case_b"] = {"applicable": False,
@@ -431,9 +423,7 @@ def check_case_variants(problem: CauchyProblem,
     if problem.symbol.is_real():
         base_case = "b" if problem.symbol.x_independent_outside is not None else "a"
         c_c, parts_c = seminorm_constant(problem.symbol, grid, problem.horizon,
-                                         case=base_case,
-                                         calibration_C=calibration_C,
-                                         drop_a0=True)
+                                         case=base_case, drop_a0=True)
         # real a0 contributes only through its adjoint defect (zero for a
         # real multiplication part), so the measured side drops 2||a0|| too
         defect_a0 = 0.0
@@ -444,7 +434,7 @@ def check_case_variants(problem: CauchyProblem,
         report["case_c"] = {"applicable": True, "c_seminorm": c_c,
                             "c_measured_reduced": c_meas_c,
                             "dominates_measured": c_c >= c_meas_c,
-                            "gronwall_ok": gronwall_holds(c_c),
+                            "gronwall_ok": gronwall_ok(c_c),
                             "parts": parts_c}
     else:
         report["case_c"] = {"applicable": False,
@@ -468,8 +458,8 @@ def _binomial_indices(alpha):
     return out
 
 
-def derivative_cascade(problem: CauchyProblem, result: SolveResult | None = None,
-                       max_order: int = 2, seed=0) -> dict:
+def derivative_cascade(problem: CauchyProblem, result: SolveResult,
+                       max_order: int = 2) -> dict:
     """Energy ledgers for spatial derivatives of the solution.
 
     d_x^alpha u solves the same equation with commutator forcing
@@ -480,8 +470,6 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult | None = None
                            * exp(c_meas * t), evaluated on the stored
     snapshots.
     """
-    if result is None:
-        result = solve_fixed_eps(problem, seed=seed, measure_seminorms=False)
     grid = problem.grid
     dim = grid.dim
     full = problem.symbol.full()
@@ -522,10 +510,10 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult | None = None
         h_int = float(np.trapezoid(h_vals, snap_t))
         g_alpha_sq = derivs[alpha][0].norm_sq()
         bound = (g_alpha_sq + h_int) * np.exp(c_meas * snap_t)
-        ok = bool(np.all(v_norm_sq <= bound * (1 + 1e-9) + 1e-300))
         report[alpha] = {
             "times": snap_t, "v_norm_sq": v_norm_sq, "H": h_vals,
-            "H_integral": h_int, "bound": bound, "ok": ok,
+            "H_integral": h_int, "bound": bound,
+            "ok": _under_bound(v_norm_sq, bound),
             "c_tilde": c_meas,
         }
     return report

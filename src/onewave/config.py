@@ -80,24 +80,4 @@ class Thresholds:
         return asdict(self)
 
 
-@dataclass
-class SeminormSampling:
-    """Default sampling recipe for semi-norm suprema (reported lower bounds).
-
-    x is sampled uniformly (endpoints included); xi combines a uniform
-    low-frequency band with a dyadic ladder {0, +-2^j} up to xi_max along the
-    grid directions; t is sampled uniformly on [0, T].
-    """
-
-    x_count: int = 129
-    xi_max: float = 1024.0
-    xi_uniform_count: int = 33
-    xi_uniform_max: float = 4.0
-    t_samples: int = 33
-
-    def as_dict(self):
-        return asdict(self)
-
-
 DEFAULT_THRESHOLDS = Thresholds()
-DEFAULT_SAMPLING = SeminormSampling()

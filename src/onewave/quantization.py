@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .config import POWER_ITERS, POWER_RTOL, CV_CONSTANT
+from .config import POWER_ITERS, POWER_RTOL
 from .errors import BoxTooSmall, DimensionMismatch, TooLarge
 from .grid import Grid, GridFunction
 from .profiles import plateau
@@ -219,6 +219,18 @@ def band_projector(grid: Grid, fraction: float = 0.5):
     return project
 
 
+def _band_norm(s: SymbolExpr, t: float, grid: Grid, seed,
+               gram) -> NormEstimate:
+    """Square root of the top eigenvalue of gram(op, proj, v), a Hermitian
+    PSD product of op(s) at time t and the band projector, by power
+    iteration."""
+    op = PeriodicOperator(s, grid)
+    proj = band_projector(grid)
+    lam, ok, used = power_iteration(lambda v: gram(op, proj, v), grid.shape,
+                                    _rng_from(seed))
+    return NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
+
+
 def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,
                         seed=None) -> NormEstimate:
     """L2 operator norm of P(op(s) - op(s)^dagger)P via power iteration.
@@ -227,44 +239,19 @@ def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,
     projector P preserves that, so B*B needs two B applications per
     iteration.
     """
-    op = PeriodicOperator(s, grid)
-    proj = band_projector(grid)
-
-    def b_apply(v):
+    def b_apply(op, proj, v):
         pv = proj(v)
         return proj(op.apply(t, pv) - op.apply_adjoint(t, pv))
 
-    def bhb(v):
-        return -b_apply(b_apply(v))
-
-    lam, ok, used = power_iteration(bhb, grid.shape, _rng_from(seed))
-    return NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
+    return _band_norm(s, t, grid, seed, lambda op, proj, v:
+                      -b_apply(op, proj, b_apply(op, proj, v)))
 
 
-def operator_norm(s: SymbolExpr, t: float, grid: Grid, seed=None,
-                  with_seminorm_bound: bool = False,
-                  box: SampleBox | None = None) -> dict:
-    """Power-iteration L2 norm of P op(s) P; optionally the order-0 semi-norm
-    bound side Q^0_{0,f,f} with f = floor(n/2)+1 for constant calibration."""
-    op = PeriodicOperator(s, grid)
-    proj = band_projector(grid)
-
-    def aha(v):
-        av = op.apply(t, proj(v))
-        return proj(op.apply_adjoint(t, proj(av)))
-
-    lam, ok, used = power_iteration(aha, grid.shape, _rng_from(seed))
-    out = {"norm": math.sqrt(max(lam, 0.0)), "converged": ok,
-           "iterations": used}
-    if with_seminorm_bound:
-        f = grid.dim // 2 + 1
-        box = box or SampleBox(x_lo=(0.0,) * grid.dim,
-                               x_hi=(grid.length,) * grid.dim,
-                               xi_max=grid.max_abs_xi())
-        q = seminorm_Q(s, 0.0, 0, f, f, box)
-        out["seminorm_side"] = q
-        out["cv_bound"] = CV_CONSTANT[grid.dim] * q
-    return out
+def operator_norm(s: SymbolExpr, t: float, grid: Grid,
+                  seed=None) -> NormEstimate:
+    """L2 operator norm of P op(s) P via power iteration on its Gram product."""
+    return _band_norm(s, t, grid, seed, lambda op, proj, v: proj(
+        op.apply_adjoint(t, proj(op.apply(t, proj(v))))))
 
 
 # -- oscillatory-integral adjoint remainder (desk-scale verification) --------

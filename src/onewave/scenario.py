@@ -45,6 +45,14 @@ def mollifier_factory(mollifier: Mollifier | None = None):
     return build
 
 
+def _x_expression(expr_json, x) -> np.ndarray:
+    """Values of an x-only data expression at coordinate arrays x (xi = 0)."""
+    sym = SymbolExpr(ex.from_json(expr_json, mollifier_factory()), 0.0, len(x))
+    zeros = tuple(np.zeros_like(c) for c in x)
+    return np.asarray(sym.eval(0.0, x, zeros), dtype=complex) * \
+        np.ones_like(x[0])
+
+
 @dataclass
 class CheckOutcome:
     name: str
@@ -75,6 +83,7 @@ class ScenarioContext:
         self.thresholds = Thresholds(**{**DEFAULT_THRESHOLDS.as_dict(),
                                         **cfg.get("thresholds", {})})
         self._solve_cache = {}
+        self._plan_cache = {}
         self._sweep_cache = {}
         self._family = None
 
@@ -132,13 +141,6 @@ class ScenarioContext:
         raise ConfigInvalid("fixed-symbol checks need symbol.kind == 'expr'")
 
     # -- data ----------------------------------------------------------------
-    def _expression_values(self, expr_json) -> np.ndarray:
-        tree = ex.from_json(expr_json, mollifier_factory())
-        sym = SymbolExpr(tree, 0.0, self.grid.dim)
-        zeros = tuple(np.zeros(self.grid.shape) for _ in range(self.grid.dim))
-        return np.asarray(sym.eval(0.0, self.grid.x_mesh(), zeros),
-                          dtype=complex) * np.ones(self.grid.shape)
-
     def initial_data(self, data_cfg=None) -> GridFunction:
         dc = data_cfg or self.cfg["data"]
         gspec = dc.get("g", {"kind": "zero"})
@@ -148,7 +150,8 @@ class ScenarioContext:
         if kind == "delta":
             return GridFunction.delta(self.grid, tuple(gspec["node"]))
         if kind == "expression":
-            return GridFunction(self.grid, self._expression_values(gspec["expr"]))
+            return GridFunction(self.grid, _x_expression(gspec["expr"],
+                                                         self.grid.x_mesh()))
         raise ConfigInvalid(f"unknown data.g kind {kind!r}")
 
     def forcing(self, data_cfg=None) -> Forcing:
@@ -163,8 +166,8 @@ class ScenarioContext:
                 power=int(prof.get("power", 0)),
                 freq=float(prof.get("freq", 0.0)),
                 phase=float(prof.get("phase", 0.0)))
-            shape = GridFunction(self.grid,
-                                 self._expression_values(fspec["shape"]))
+            shape = GridFunction(self.grid, _x_expression(fspec["shape"],
+                                                          self.grid.x_mesh()))
             return Forcing.separable(profile, shape)
         raise ConfigInvalid(f"unknown data.f kind {fspec['kind']!r}")
 
@@ -190,15 +193,16 @@ class ScenarioContext:
         return self._solve_cache[dt]
 
     def sweep_plan(self, data_cfg=None, cascade: int = 0) -> SweepPlan:
-        orders = tuple((d, tuple(a)) for d, a in
-                       self.cfg.get("orders", [[0, [0] * self.grid.dim]]))
-        return SweepPlan(family=self.family(),
-                         data=self.data_builder(data_cfg), grid=self.grid,
-                         horizon=self.cfg["horizon"],
-                         orders=orders, dt_policy=self.dt_policy(),
-                         seed=self.seed,
-                         cascade_max_order=cascade,
-                         measure_seminorms=cascade > 0)
+        key = (repr(data_cfg), cascade)
+        if key not in self._plan_cache:
+            orders = tuple((d, tuple(a)) for d, a in
+                           self.cfg.get("orders", [[0, [0] * self.grid.dim]]))
+            self._plan_cache[key] = SweepPlan(
+                family=self.family(), data=self.data_builder(data_cfg),
+                grid=self.grid, horizon=self.cfg["horizon"], orders=orders,
+                dt_policy=self.dt_policy(), seed=self.seed,
+                cascade_max_order=cascade, measure_seminorms=cascade > 0)
+        return self._plan_cache[key]
 
     def sweep_report(self, data_cfg=None, cascade: int = 0):
         key = (repr(data_cfg), cascade)
@@ -220,11 +224,9 @@ def _transported_data(ctx: ScenarioContext, check: str, speed: float):
     gspec = ctx.cfg["data"]["g"]
     if gspec["kind"] != "expression" or ctx.grid.dim != 1:
         raise ConfigInvalid(f"{check} needs expression data on a 1-D grid")
-    tree = ex.from_json(gspec["expr"], mollifier_factory())
-    sym = SymbolExpr(tree, 0.0, 1)
-    x = ctx.grid.x_mesh()[0]
-    shifted = np.mod(x - speed * ctx.cfg["horizon"], ctx.grid.length)
-    return np.asarray(sym.eval(0.0, (shifted,), (np.zeros_like(x),)))
+    shifted = np.mod(ctx.grid.x_axis() - speed * ctx.cfg["horizon"],
+                     ctx.grid.length)
+    return _x_expression(gspec["expr"], (shifted,))
 
 
 def _check_transport_exactness(ctx: ScenarioContext, p: dict) -> CheckOutcome:
@@ -307,8 +309,7 @@ def _check_case_variants(ctx: ScenarioContext, p: dict) -> CheckOutcome:
 def _check_cascade_bounds(ctx: ScenarioContext, p: dict) -> CheckOutcome:
     problem, result = ctx.solve()
     rep = derivative_cascade(problem, result,
-                             max_order=int(p.get("max_order", 2)),
-                             seed=ctx.seed)
+                             max_order=int(p.get("max_order", 2)))
     ok = all(entry["ok"] for entry in rep.values())
     worst = min((np.min(entry["bound"] - entry["v_norm_sq"])
                  for entry in rep.values()), default=0.0)
@@ -393,11 +394,11 @@ def _check_negligible(ctx: ScenarioContext, p: dict) -> CheckOutcome:
         d = thr.as_dict()
         d["q_max"] = int(p["q_max"])
         thr = Thresholds(**d)
-    rep = check_negligible(ctx.sweep_plan(), thr)
+    report = ctx.sweep_report()
+    rep = check_negligible(ctx.sweep_plan(), report, thr)
     if ctx.artifact("negligible.json"):
-        owio.write_json(ctx.artifact("negligible.json"),
-                        {k: v for k, v in rep.items() if k != "report"})
-    ok = rep["is_negligible"] and not rep["report"].incomplete
+        owio.write_json(ctx.artifact("negligible.json"), rep)
+    ok = rep["is_negligible"] and not report.incomplete
     return CheckOutcome("negligible", "PASS" if ok else "FAIL",
                         rep["max_passed_q"],
                         f"max passed q of q_max={thr.q_max}")
@@ -407,18 +408,8 @@ def _check_association(ctx: ScenarioContext, p: dict) -> CheckOutcome:
     probes_json = p.get("probes")
     if not probes_json:
         raise ConfigInvalid("association check requires probes")
-    factory = mollifier_factory()
-    probe_syms = [SymbolExpr(ex.from_json(pj, factory), 0.0, ctx.grid.dim)
-                  for pj in probes_json]
-
-    def make_probe(sym):
-        def phi(*mesh):
-            zeros = tuple(np.zeros_like(mesh[0]) for _ in mesh)
-            return np.asarray(sym.eval(0.0, mesh, zeros)) * \
-                np.ones_like(mesh[0])
-        return phi
-
-    probes = [make_probe(s) for s in probe_syms]
+    probes = [lambda *mesh, pj=pj: _x_expression(pj, mesh)
+              for pj in probes_json]
     gspec = ctx.cfg["data"]["g"]
     reference = "solve"
     if gspec["kind"] == "delta" and "speed" in p:
@@ -429,11 +420,12 @@ def _check_association(ctx: ScenarioContext, p: dict) -> CheckOutcome:
             pt = np.mod(np.array([target]), ctx.grid.length)
             return complex(phi(pt)[0])
         reference = exact_reference
-    rep = check_association(ctx.sweep_plan(), probes, reference,
+    report = ctx.sweep_report()
+    rep = check_association(ctx.sweep_plan(), report, probes, reference,
                             ctx.thresholds)
-    terminal = max(rep["terminal_residuals"])
+    terminal = max(rep["terminal_residuals"], default=math.inf)
     tol = float(p.get("terminal_tol", math.inf))
-    ok = rep["monotone_tail"] and terminal <= tol
+    ok = rep["monotone_tail"] and terminal <= tol and not report.incomplete
     if ctx.artifact("association.csv"):
         rows = [(eps, *res) for eps, res in zip(rep["eps"], rep["residuals"])]
         owio.write_csv(ctx.artifact("association.csv"),
@@ -552,14 +544,15 @@ CHECKS = {
 
 def run_scenario(cfg: dict, outdir=None, echo=print):
     """Execute the scenario's checks; returns (all_ok, outcomes)."""
+    checks = [dict(entry) if isinstance(entry, dict) else {"check": entry}
+              for entry in cfg["checks"]]
+    unknown = [c["check"] for c in checks if c["check"] not in CHECKS]
+    if unknown:
+        raise ConfigInvalid(f"unknown check {unknown[0]!r}")
     ctx = ScenarioContext(cfg, outdir=outdir)
     outcomes = []
-    for entry in cfg["checks"]:
-        params = dict(entry) if isinstance(entry, dict) else {"check": entry}
-        name = params.pop("check")
-        if name not in CHECKS:
-            raise ConfigInvalid(f"unknown check {name!r}")
-        outcome = CHECKS[name](ctx, params)
+    for params in checks:
+        outcome = CHECKS[params.pop("check")](ctx, params)
         outcomes.append(outcome)
         echo(outcome.line())
     if outdir is not None:

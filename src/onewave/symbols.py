@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .config import DEFAULT_SAMPLING, DEFAULT_THRESHOLDS, MAX_DIFF_ORDER
+from .config import DEFAULT_THRESHOLDS, MAX_DIFF_ORDER
 from .errors import (EmptyBox, InsufficientSweep, NonFinite,
                      UnsupportedDerivativeOrder)
 
@@ -163,17 +163,17 @@ class SampleBox:
     count by powers of two only adds points, keeping the reported maximum
     monotone); xi combines a uniform low-frequency band with the dyadic
     ladder {0, +-2^j <= xi_max} along the grid directions, plus xi_max
-    itself.
+    itself; t is sampled uniformly on [0, t_max].
     """
 
     x_lo: tuple = (0.0,)
     x_hi: tuple = (2.0 * math.pi,)
-    x_count: int = DEFAULT_SAMPLING.x_count
-    xi_max: float = DEFAULT_SAMPLING.xi_max
-    xi_uniform_count: int = DEFAULT_SAMPLING.xi_uniform_count
-    xi_uniform_max: float = DEFAULT_SAMPLING.xi_uniform_max
+    x_count: int = 129
+    xi_max: float = 1024.0
+    xi_uniform_count: int = 33
+    xi_uniform_max: float = 4.0
     t_max: float = 1.0
-    t_samples: int = DEFAULT_SAMPLING.t_samples
+    t_samples: int = 33
 
     def __post_init__(self):
         self.x_lo = tuple(float(v) for v in np.atleast_1d(self.x_lo))
@@ -338,14 +338,6 @@ class GenSymbolFamily:
         if first.dim != last.dim:
             raise ValueError("family members disagree on dimension")
 
-    @staticmethod
-    def geometric(base, eps0: float, ratio: float, count: int,
-                  mollification_k=None) -> "GenSymbolFamily":
-        if not 0 < ratio < 1:
-            raise ValueError("ratio must lie in (0, 1)")
-        grid = [eps0 * ratio ** i for i in range(count)]
-        return GenSymbolFamily(base, grid, mollification_k)
-
     def member(self, eps: float) -> HyperbolicSymbol:
         key = float(eps)
         if key not in self._members:
@@ -366,6 +358,19 @@ def _family_Q_values(fam: GenSymbolFamily, m, j, k, l, box):
     return np.array(vals)
 
 
+def log_fit(eps, values) -> tuple[float, float, float]:
+    """Least-squares c*log(1/eps) + b through values.
+
+    Returns (c, b, residual) with the residual relative to ||values||.
+    """
+    logs = np.log(1.0 / np.asarray(eps, dtype=float))
+    values = np.asarray(values, dtype=float)
+    coeffs = np.polyfit(logs, values, 1)
+    scale = max(float(np.linalg.norm(values)), 1e-300)
+    residual = float(np.linalg.norm(values - np.polyval(coeffs, logs))) / scale
+    return float(coeffs[0]), float(coeffs[1]), residual
+
+
 def classify_log_type(fam: GenSymbolFamily, m: float, k: int, l: int,
                       box: SampleBox, thresholds=DEFAULT_THRESHOLDS) -> dict:
     """Least-squares fit Q^m_{0,k,l}(a_eps) ~ c*log(1/eps) + b over the sweep.
@@ -375,18 +380,13 @@ def classify_log_type(fam: GenSymbolFamily, m: float, k: int, l: int,
     """
     fam.require_regression_sweep()
     q_vals = _family_Q_values(fam, m, 0, k, l, box)
-    logs = np.log(1.0 / np.array(fam.eps_grid))
-    coeffs = np.polyfit(logs, q_vals, 1)
-    fit = np.polyval(coeffs, logs)
-    scale = max(float(np.linalg.norm(q_vals)), 1e-300)
-    residual = float(np.linalg.norm(q_vals - fit)) / scale
-    c = float(coeffs[0])
+    c, intercept, residual = log_fit(fam.eps_grid, q_vals)
     # "nonnegative" up to fit noise: 1% of the semi-norm level counts as zero
     c_floor = -0.01 * (float(np.mean(np.abs(q_vals))) + 1e-300)
     return {
         "is_log_type": bool(residual < thresholds.log_type_residual and c >= c_floor),
         "fitted_coeff": c,
-        "intercept": float(coeffs[1]),
+        "intercept": intercept,
         "residual": residual,
         "q_values": q_vals.tolist(),
         "eps": list(fam.eps_grid),

@@ -86,13 +86,13 @@ class TestNegligible:
     def test_zero_data(self, grid256):
         plan = SweepPlan(family=const_family(), data=DataBuilder(kind="fixed"),
                          grid=grid256, horizon=0.5)
-        rep = check_negligible(plan)
+        rep = check_negligible(plan, run_sweep(plan))
         assert rep["is_negligible"]
 
     def test_exponentially_small_data(self, grid256):
         plan = SweepPlan(family=const_family(), data=DataBuilder(
             kind="scaled_exp", g=smooth_g(grid256)), grid=grid256, horizon=0.5)
-        rep = check_negligible(plan)
+        rep = check_negligible(plan, run_sweep(plan))
         assert rep["is_negligible"]
         assert rep["max_passed_q"] >= 10
 
@@ -100,7 +100,7 @@ class TestNegligible:
         plan = SweepPlan(family=const_family(), data=DataBuilder(
             kind="scaled_power", g=smooth_g(grid256), power=1.0),
             grid=grid256, horizon=0.5)
-        rep = check_negligible(plan)
+        rep = check_negligible(plan, run_sweep(plan))
         assert not rep["is_negligible"]
         assert rep["max_passed_q"] == 1
 
@@ -126,7 +126,7 @@ class TestAssociation:
             return complex(grid256.cell_volume *
                            np.sum(classical.values * np.conjugate(vals)))
 
-        rep = check_association(plan, [probe], reference)
+        rep = check_association(plan, run_sweep(plan), [probe], reference)
         assert max(rep["terminal_residuals"]) <= 1e-10
         assert rep["monotone_tail"]
 
@@ -146,7 +146,7 @@ class TestAssociation:
         def reference(phi):
             return complex(phi(np.array([x0 + 1.0]))[0])
 
-        rep = check_association(plan, probes, reference)
+        rep = check_association(plan, run_sweep(plan), probes, reference)
         assert rep["monotone_tail"]
         res = np.array(rep["residuals"])
         assert np.all(res[-1] <= res[0])
@@ -159,8 +159,8 @@ class TestAssociation:
         plan = SweepPlan(family=const_family(eps_grid), data=DataBuilder(
             kind="mollified", g=g0), grid=grid32, horizon=0.5,
             dt_policy=DtPolicy(dt=0.005))
-        rep = check_association(plan, [lambda X: np.cos(X)], "solve",
-                                resolution_factor=4)
+        rep = check_association(plan, run_sweep(plan),
+                                [lambda X: np.cos(X)], "solve")
         assert rep["reference"] == "refined-solve"
         assert max(rep["terminal_residuals"]) <= 1e-8
 
@@ -183,7 +183,7 @@ class TestGinf:
             grid=grid256, horizon=0.5,
             orders=((0, (0,)), (0, (1,)), (0, (2,)), (0, (3,)), (0, (4,)),
                     (1, (0,)), (1, (3,)), (2, (2,))))
-        rep = check_ginf(plan)
+        rep = check_ginf(plan, run_sweep(plan))
         assert rep["gate_passed"]
         assert rep["is_ginf"]
         assert rep["p_hat"] == pytest.approx(1.0, abs=0.1)
@@ -197,7 +197,7 @@ class TestGinf:
             data=DataBuilder(kind="oscillating", g=envelope, gamma=0.5),
             grid=grid256, horizon=0.5,
             orders=((0, (0,)), (0, (1,)), (0, (2,)), (0, (3,)), (0, (4,))))
-        rep = check_ginf(plan)
+        rep = check_ginf(plan, run_sweep(plan))
         assert rep["gate_passed"]
         assert not rep["is_ginf"]
 
@@ -207,7 +207,7 @@ class TestGinf:
             kind="fixed", g=smooth_g(grid256)), grid=grid256, horizon=0.5,
             orders=((0, (0,)), (0, (1,))))
         with pytest.raises(InsufficientOrders):
-            check_ginf(plan)
+            check_ginf(plan, run_sweep(plan))
 
     def test_slow_scale_violating_family_not_applicable(self, grid256):
         def member(eps):
@@ -221,10 +221,14 @@ class TestGinf:
             family=fam, data=DataBuilder(kind="fixed", g=smooth_g(grid256)),
             grid=grid256, horizon=0.02,
             orders=((0, (0,)), (0, (1,)), (0, (2,)), (0, (3,)), (0, (4,))))
-        rep = check_ginf(plan)
+        rep = check_ginf(plan, run_sweep(plan))
         assert rep["status"] == "not_applicable"
         assert not rep["gate_passed"]
         assert not rep["is_ginf"]
+
+
+def every_solve_fails(problem, *args, **kwargs):
+    raise UnstableStep("injected failure")
 
 
 class TestIncompleteSweep:
@@ -232,6 +236,7 @@ class TestIncompleteSweep:
         ("negligible_uniqueness", 0),
         ("ginf_regularity", 0),
         ("ginf_regularity", 1),
+        ("delta_association", 0),
     ])
     def test_missing_eps_point_fails_verdict(self, monkeypatch, preset,
                                              check_index):
@@ -249,3 +254,22 @@ class TestIncompleteSweep:
         ok, outcomes = run_scenario(cfg, echo=lambda line: None)
         assert len(calls) > 2
         assert not ok and outcomes[0].status == "FAIL"
+
+    def test_no_completed_eps_point_fails_negligible(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "solve_fixed_eps", every_solve_fails)
+        cfg = get_preset("negligible_uniqueness")
+        ok, outcomes = run_scenario(cfg, echo=lambda line: None)
+        assert not ok and outcomes[0].status == "FAIL"
+
+    def test_empty_sweep_observes_no_regularity(self, monkeypatch, grid256):
+        plan = SweepPlan(family=const_family(), data=DataBuilder(kind="fixed"),
+                         grid=grid256, horizon=0.5,
+                         orders=((0, (0,)), (0, (4,))))
+        # an all-zero but complete sweep stays regular
+        zero = check_ginf(plan, run_sweep(plan))
+        assert zero["is_ginf"] and zero["conclusion_observed"]
+        monkeypatch.setattr(asymptotics, "solve_fixed_eps", every_solve_fails)
+        report = run_sweep(plan)
+        assert report.eps == [] and len(report.incomplete) == len(EPS6)
+        rep = check_ginf(plan, report)
+        assert not rep["is_ginf"] and not rep["conclusion_observed"]

@@ -25,6 +25,10 @@ def transport_problem(grid, horizon=1.0, extra_mode=True):
                          horizon=horizon)
 
 
+def solve_quiet(problem):
+    return solve_fixed_eps(problem, seed=0, measure_seminorms=False)
+
+
 def transport_exact(grid, t, extra_mode=True):
     x = np.mod(grid.x_axis() - t, grid.length)
     vals = np.sin(x) + 0.6 * np.cos(2 * x)
@@ -173,7 +177,7 @@ class TestEnergy:
 class TestCaseVariants:
     def test_x_independent_qualifies_for_case_b(self, grid256):
         prob = transport_problem(grid256, extra_mode=False)
-        rep = check_case_variants(prob, seed=0)
+        rep = check_case_variants(prob, solve_quiet(prob), seed=0)
         assert rep["case_b"]["applicable"]
         assert rep["case_b"]["dominates_measured"]
         assert rep["case_b"]["gronwall_ok"]
@@ -185,7 +189,7 @@ class TestCaseVariants:
         prob = CauchyProblem(symbol=HyperbolicSymbol(a1=a1),
                              initial=GridFunction(grid256, np.sin(x)),
                              horizon=0.5)
-        rep = check_case_variants(prob, seed=0)
+        rep = check_case_variants(prob, solve_quiet(prob), seed=0)
         assert rep["case_c"]["applicable"]
         assert rep["case_c"]["dominates_measured"]
         assert rep["case_c"]["gronwall_ok"]
@@ -195,7 +199,7 @@ class TestCaseVariants:
         a0 = SymbolExpr(ex.mul(ex.Const(2j), ex.Sin(ex.CoordX(0))), 0.0, 1)
         prob = CauchyProblem(symbol=HyperbolicSymbol(a1=a1, a0=a0),
                              initial=GridFunction.zeros(grid32), horizon=0.25)
-        rep = check_case_variants(prob, seed=0)
+        rep = check_case_variants(prob, solve_quiet(prob), seed=0)
         assert not rep["case_c"]["applicable"]
         assert "reason" in rep["case_c"]
 
@@ -206,7 +210,8 @@ class TestCaseVariants:
         prob = CauchyProblem(symbol=HyperbolicSymbol(a1=a1),
                              initial=GridFunction.zeros(grid32), horizon=0.25)
         with pytest.raises(TagMismatch):
-            check_case_variants(prob, seed=0, require=("b",))
+            check_case_variants(prob, solve_quiet(prob), seed=0,
+                                require=("b",))
 
 
 class TestCascade:
@@ -216,7 +221,7 @@ class TestCascade:
         prob = transport_problem(grid256, extra_mode=False)
         result = solve_fixed_eps(prob, DtPolicy(dt=1e-3), seed=0,
                                  measure_seminorms=False)
-        rep = derivative_cascade(prob, result, max_order=2, seed=0)
+        rep = derivative_cascade(prob, result, max_order=2)
         for alpha, entry in rep.items():
             assert np.max(entry["H"]) <= 1e-20
             fresh = solve_fixed_eps(
@@ -237,6 +242,6 @@ class TestCascade:
         prob = CauchyProblem(symbol=HyperbolicSymbol(a1=a1), initial=g0,
                              horizon=0.5)
         result = solve_fixed_eps(prob, seed=0, measure_seminorms=False)
-        rep = derivative_cascade(prob, result, max_order=3, seed=0)
+        rep = derivative_cascade(prob, result, max_order=3)
         assert all(entry["ok"] for entry in rep.values())
         assert set(rep) == {(1,), (2,), (3,)}

@@ -116,6 +116,17 @@ class TestExitCodes:
             path.write_text(json.dumps(cfg))
             assert main(["run", str(path)]) == 3
 
+    def test_unknown_check_rejected_before_any_check_runs(self, tmp_path,
+                                                          capsys):
+        cfg = get_preset("transport_smoke")
+        cfg["checks"] = ["unitarity", "no_such_check"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestDeterminism:
     def test_identical_artifacts(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from onewave import expr as ex
+from onewave.config import CV_CONSTANT
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
 from onewave.quantization import (OscIntConfig, PeriodicOperator,
@@ -12,7 +13,7 @@ from onewave.quantization import (OscIntConfig, PeriodicOperator,
                                   band_projector, check_remainder_estimate,
                                   op_matrix, operator_norm, power_iteration,
                                   symbol_from_matrix)
-from onewave.symbols import SymbolExpr, eval_symbol
+from onewave.symbols import SampleBox, SymbolExpr, eval_symbol, seminorm_Q
 
 from conftest import random_grid_function
 
@@ -155,20 +156,21 @@ class TestAdjoint:
 class TestOperatorNorm:
     def test_constant_symbol(self, grid32):
         s = SymbolExpr(ex.Const(3.0), 0.0, 1)
-        assert operator_norm(s, 0.0, grid32, seed=1)["norm"] == \
+        assert operator_norm(s, 0.0, grid32, seed=1).value == \
             pytest.approx(3.0, rel=1e-6)
 
     def test_multiplication_bounded_by_sup(self, grid32):
         s = SymbolExpr(ex.Sin(ex.CoordX(0)), 0.0, 1)
         res = operator_norm(s, 0.0, grid32, seed=1)
-        assert res["norm"] <= 1.0 + 1e-9
+        assert res.value <= 1.0 + 1e-9
 
     def test_cv_bound_dominates(self, grid32):
         s = SymbolExpr(ex.mul(ex.Sin(ex.CoordX(0)),
                               ex.SmoothStep(ex.JapaneseBracket(1.0), 4.0, 4.0)),
                        0.0, 1)
-        res = operator_norm(s, 0.0, grid32, seed=1, with_seminorm_bound=True)
-        assert res["norm"] <= res["cv_bound"]
+        box = SampleBox(x_hi=(grid32.length,), xi_max=grid32.max_abs_xi())
+        cv_bound = CV_CONSTANT[1] * seminorm_Q(s, 0.0, 0, 1, 1, box)
+        assert operator_norm(s, 0.0, grid32, seed=1).value <= cv_bound
 
     def test_invariant_under_dft_conjugation(self, variable_speed_symbol, grid32):
         mat = op_matrix(variable_speed_symbol, 0.0, grid32)
