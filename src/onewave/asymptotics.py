@@ -14,7 +14,7 @@ cannot contaminate the fitted exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,21 +87,11 @@ class SweepPlan:
     data: DataBuilder
     grid: Grid
     horizon: float
-    orders: tuple = ((0, (0,)),)
+    orders: tuple = ((0, (0,)),)   # (d, alpha), len(alpha) == grid.dim
     dt_policy: DtPolicy | None = None
     seed: int = 0
     cascade_max_order: int = 0
     measure_seminorms: bool = False
-
-    def normalized_orders(self):
-        out = []
-        for d, alpha in self.orders:
-            if isinstance(alpha, int):
-                alpha = (alpha,) * 1 if self.grid.dim == 1 else None
-            if alpha is None or len(alpha) != self.grid.dim:
-                raise ValueError("tracked order multi-index mismatch")
-            out.append((int(d), tuple(int(a) for a in alpha)))
-        return out
 
 
 def fit_exponent(eps, values):
@@ -173,11 +163,9 @@ class SweepReport:
     c_seminorm: list
     c_log_fit: dict
     energy_ok: list
-    gronwall_bound_norms: dict
     predicted_exponents: dict
     incomplete: dict
     finals: list            # u_eps(T) per completed eps; not serialized
-    extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         def clean(v):
@@ -205,14 +193,13 @@ class SweepReport:
             "predicted_exponents": {str(k): clean(v) for k, v in
                                     self.predicted_exponents.items()},
             "incomplete": clean(self.incomplete),
-            "extras": clean(self.extras),
         }
 
 
 def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SweepReport:
     """Solve every eps, track derivative norms, fit exponents, and
     cross-check each run against its own Gronwall bound."""
-    orders = plan.normalized_orders()
+    orders = list(plan.orders)
     d_max = max(d for d, _ in orders)
     eps_list = list(plan.family.eps_grid)
 
@@ -259,7 +246,6 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
     energy_ok = [bool(results[eps][2]["pointwise_ok"] and
                       results[eps][2]["gronwall_ok"]) for eps in done]
 
-    gronwall_bound_norms = {}
     predicted = {}
     if plan.cascade_max_order > 0:
         for alpha in multi_indices(plan.grid.dim, plan.cascade_max_order):
@@ -270,15 +256,13 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
             else:
                 vals = [math.sqrt(results[eps][3][alpha]["bound"][-1])
                         for eps in done]
-            gronwall_bound_norms[alpha] = vals
             slope, _, _ = fit_exponent(done, vals)
             predicted[alpha] = slope
 
     return SweepReport(
         eps=done, orders=orders, norms=norms, fits=fits,
         c_measured=c_measured, c_seminorm=c_seminorm, c_log_fit=c_log_fit,
-        energy_ok=energy_ok, gronwall_bound_norms=gronwall_bound_norms,
-        predicted_exponents=predicted, incomplete=incomplete,
+        energy_ok=energy_ok, predicted_exponents=predicted, incomplete=incomplete,
         finals=[results[eps][1].final() for eps in done])
 
 

@@ -6,7 +6,7 @@ asymptotic statements; the thresholds encode how much finite-sweep slack each
 verdict tolerates.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 # Maximum derivative order accepted by the user-facing evaluation entry
 # points (internal machinery may differentiate further).
@@ -75,9 +75,6 @@ class Thresholds:
     # Gronwall-predicted exponent must dominate the fitted one up to this
     # fit-noise slack.
     exponent_fit_slack: float = 0.05
-
-    def as_dict(self):
-        return asdict(self)
 
 
 DEFAULT_THRESHOLDS = Thresholds()

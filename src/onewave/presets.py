@@ -146,7 +146,7 @@ PRESETS = {
         "cascade_max_order": 3,
         "checks": [
             {"check": "log_type"},
-            {"check": "gronwall_fit", "residual_tol": 0.15},
+            {"check": "gronwall_fit"},
             {"check": "moderateness"},
         ],
     },
@@ -187,7 +187,7 @@ PRESETS = {
                  "builder": "scaled_exp"},
         "sweep": {"eps0": 1e-1, "eps_min": 1e-6, "count": 6},
         "checks": [
-            {"check": "negligible", "q_max": 10},
+            {"check": "negligible"},
         ],
     },
     "adjoint_remainder_desk": {

@@ -1,17 +1,23 @@
 """Scenario execution: config dict -> built objects -> named checks.
 
-Each check returns a CheckOutcome with a PASS/FAIL/REPORT status and one
-headline number; run_scenario prints one line per check and writes machine
+The one module that knows the config format.  ScenarioContext(cfg) builds:
+it validates the config, constructs every object the checks use, binds every
+check and raises only ConfigInvalid.  run_scenario then runs the checks,
+prints one PASS/FAIL/REPORT line per CheckOutcome and writes machine
 artifacts (CSV/JSON/binary) to the output directory.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import expr as ex
 from . import io as owio
@@ -20,8 +26,8 @@ from .asymptotics import (DataBuilder, SweepPlan, check_association,
 from .cauchy import (CauchyProblem, DtPolicy, Forcing, TimeProfile,
                      check_case_variants, check_energy_estimate,
                      derivative_cascade, solve_fixed_eps)
-from .config import DEFAULT_THRESHOLDS, Thresholds
-from .errors import ConfigInvalid
+from .config import Thresholds
+from .errors import ConfigInvalid, OnewaveError
 from .grid import Grid, GridFunction
 from .quantization import (OscIntConfig, adjoint_defect_norm,
                            adjoint_symbol_remainder,
@@ -35,22 +41,22 @@ from .symbols import (GenSymbolFamily, HyperbolicSymbol, SampleBox,
                       SymbolExpr)
 
 
-def mollifier_factory(mollifier: Mollifier | None = None):
-    moll = mollifier or Mollifier()
-
-    def build(rough_json, omega):
-        return MollifiedCoefficient(RoughCoefficient.from_json(rough_json),
-                                    moll, omega)
-
-    return build
+def _mollified(rough_json, omega):
+    """Payload of a `mollified_in_x` expression node."""
+    return MollifiedCoefficient(RoughCoefficient.from_json(rough_json),
+                                Mollifier(), omega)
 
 
-def _x_expression(expr_json, x) -> np.ndarray:
-    """Values of an x-only data expression at coordinate arrays x (xi = 0)."""
-    sym = SymbolExpr(ex.from_json(expr_json, mollifier_factory()), 0.0, len(x))
-    zeros = tuple(np.zeros_like(c) for c in x)
-    return np.asarray(sym.eval(0.0, x, zeros), dtype=complex) * \
-        np.ones_like(x[0])
+def _x_function(expr_json, dim: int):
+    """An x-only data expression as a function of coordinate arrays (xi = 0)."""
+    sym = SymbolExpr(ex.from_json(expr_json, _mollified), 0.0, dim)
+
+    def values(*x) -> np.ndarray:
+        zeros = tuple(np.zeros_like(c) for c in x)
+        return np.asarray(sym.eval(0.0, x, zeros), dtype=complex) * \
+            np.ones_like(x[0])
+
+    return values
 
 
 @dataclass
@@ -59,7 +65,6 @@ class CheckOutcome:
     status: str          # PASS | FAIL | REPORT
     number: float | None
     message: str = ""
-    details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -71,168 +76,18 @@ class CheckOutcome:
         return f"{self.status:6s} {self.name}{num}{msg}"
 
 
-class ScenarioContext:
-    """Built objects and caches shared by the checks of one scenario."""
-
-    def __init__(self, cfg: dict, outdir=None):
-        self.cfg = cfg
-        self.outdir = Path(outdir) if outdir else None
-        self.seed = int(cfg["seed"])
-        gc = cfg["grid"]
-        self.grid = Grid(gc["dim"], gc["points"], gc["length"])
-        self.thresholds = Thresholds(**{**DEFAULT_THRESHOLDS.as_dict(),
-                                        **cfg.get("thresholds", {})})
-        self._solve_cache = {}
-        self._plan_cache = {}
-        self._sweep_cache = {}
-        self._family = None
-
-    # -- symbol -----------------------------------------------------------
-    def rough_transport(self) -> RoughTransport:
-        sc = self.cfg["symbol"]
-        if sc["kind"] != "rough_transport":
-            raise ConfigInvalid("symbol.kind must be rough_transport "
-                                "for this check")
-        speeds = tuple(RoughCoefficient.from_json(r) for r in sc["speeds"])
-        zero = (RoughCoefficient.from_json(sc["zero_order"])
-                if sc.get("zero_order") else None)
-        return RoughTransport(speeds=speeds, zero_order=zero,
-                              x_independent_outside=sc.get("x_independent_outside"))
-
-    def mollification_k(self) -> int:
-        return int(self.cfg["symbol"].get("mollification_k", 1))
-
-    def eps_grid(self):
-        sw = self.cfg.get("sweep")
-        if not sw:
-            raise ConfigInvalid("scenario requires a sweep section")
-        count = int(sw["count"])
-        if "ratio" in sw:
-            return [sw["eps0"] * sw["ratio"] ** i for i in range(count)]
-        return list(np.geomspace(sw["eps0"], sw["eps_min"], count))
-
-    def mollifier(self) -> Mollifier:
-        width = float(self.cfg["symbol"].get("transition_width", 1.0))
-        return Mollifier(dim=self.grid.dim, transition_width=width)
-
-    def family(self) -> GenSymbolFamily:
-        if self._family is not None:
-            return self._family
-        sc = self.cfg["symbol"]
-        if sc["kind"] == "rough_transport":
-            self._family = regularized_family(self.rough_transport(),
-                                              self.mollification_k(),
-                                              self.eps_grid(),
-                                              mollifier=self.mollifier())
-        else:
-            fixed = self.fixed_symbol()
-            self._family = GenSymbolFamily(lambda eps: fixed, self.eps_grid())
-        return self._family
-
-    def fixed_symbol(self) -> HyperbolicSymbol:
-        sc = self.cfg["symbol"]
-        if sc["kind"] == "expr":
-            factory = mollifier_factory()
-            a1 = SymbolExpr.from_json(sc["a1"], factory)
-            a0 = SymbolExpr.from_json(sc["a0"], factory) if sc.get("a0") else None
-            return HyperbolicSymbol(a1=a1, a0=a0,
-                                    x_independent_outside=sc.get(
-                                        "x_independent_outside"))
-        raise ConfigInvalid("fixed-symbol checks need symbol.kind == 'expr'")
-
-    # -- data ----------------------------------------------------------------
-    def initial_data(self, data_cfg=None) -> GridFunction:
-        dc = data_cfg or self.cfg["data"]
-        gspec = dc.get("g", {"kind": "zero"})
-        kind = gspec["kind"]
-        if kind == "zero":
-            return GridFunction.zeros(self.grid)
-        if kind == "delta":
-            return GridFunction.delta(self.grid, tuple(gspec["node"]))
-        if kind == "expression":
-            return GridFunction(self.grid, _x_expression(gspec["expr"],
-                                                         self.grid.x_mesh()))
-        raise ConfigInvalid(f"unknown data.g kind {kind!r}")
-
-    def forcing(self, data_cfg=None) -> Forcing:
-        dc = data_cfg or self.cfg["data"]
-        fspec = dc.get("f")
-        if not fspec or fspec.get("kind", "zero") == "zero":
-            return Forcing.zero(self.grid)
-        if fspec["kind"] == "separable":
-            prof = fspec.get("profile", {})
-            profile = TimeProfile(
-                amp=complex(prof.get("amp_re", 1.0), prof.get("amp_im", 0.0)),
-                power=int(prof.get("power", 0)),
-                freq=float(prof.get("freq", 0.0)),
-                phase=float(prof.get("phase", 0.0)))
-            shape = GridFunction(self.grid, _x_expression(fspec["shape"],
-                                                          self.grid.x_mesh()))
-            return Forcing.separable(profile, shape)
-        raise ConfigInvalid(f"unknown data.f kind {fspec['kind']!r}")
-
-    def data_builder(self, data_cfg=None) -> DataBuilder:
-        dc = data_cfg or self.cfg["data"]
-        return DataBuilder(kind=dc.get("builder", "fixed"),
-                           g=self.initial_data(dc), forcing=self.forcing(dc),
-                           power=float(dc.get("power", 1.0)),
-                           gamma=float(dc.get("gamma", 0.5)))
-
-    def dt_policy(self, dt=None) -> DtPolicy:
-        return DtPolicy(dt=self.cfg.get("dt") if dt is None else dt)
-
-    # -- cached runs --------------------------------------------------------
-    def solve(self, dt=None):
-        if dt not in self._solve_cache:
-            problem = CauchyProblem(symbol=self.fixed_symbol(),
-                                    initial=self.initial_data(),
-                                    horizon=self.cfg["horizon"],
-                                    forcing=self.forcing())
-            self._solve_cache[dt] = (problem, solve_fixed_eps(
-                problem, self.dt_policy(dt), seed=self.seed))
-        return self._solve_cache[dt]
-
-    def sweep_plan(self, data_cfg=None, cascade: int = 0) -> SweepPlan:
-        key = (repr(data_cfg), cascade)
-        if key not in self._plan_cache:
-            orders = tuple((d, tuple(a)) for d, a in
-                           self.cfg.get("orders", [[0, [0] * self.grid.dim]]))
-            self._plan_cache[key] = SweepPlan(
-                family=self.family(), data=self.data_builder(data_cfg),
-                grid=self.grid, horizon=self.cfg["horizon"], orders=orders,
-                dt_policy=self.dt_policy(), seed=self.seed,
-                cascade_max_order=cascade, measure_seminorms=cascade > 0)
-        return self._plan_cache[key]
-
-    def sweep_report(self, data_cfg=None, cascade: int = 0):
-        key = (repr(data_cfg), cascade)
-        if key not in self._sweep_cache:
-            self._sweep_cache[key] = run_sweep(self.sweep_plan(data_cfg, cascade),
-                                               self.thresholds)
-        return self._sweep_cache[key]
-
-    def artifact(self, name: str):
-        if self.outdir is None:
-            return None
-        return self.outdir / f"{self.cfg['name']}_{name}"
-
-
 # -- check implementations ----------------------------------------------------
+# Each check takes the built context and its config parameters as keywords.
 
-def _transported_data(ctx: ScenarioContext, check: str, speed: float):
-    """Exact constant-speed transport g(x - c T) of expression data g."""
-    gspec = ctx.cfg["data"]["g"]
-    if gspec["kind"] != "expression" or ctx.grid.dim != 1:
-        raise ConfigInvalid(f"{check} needs expression data on a 1-D grid")
-    shifted = np.mod(ctx.grid.x_axis() - speed * ctx.cfg["horizon"],
-                     ctx.grid.length)
-    return _x_expression(gspec["expr"], (shifted,))
+def _transported_data(ctx: ScenarioContext, speed: float):
+    """Exact constant-speed transport g(x - c T) of the 1-D expression data."""
+    shifted = np.mod(ctx.grid.x_axis() - speed * ctx.horizon, ctx.grid.length)
+    return ctx.g_1d(shifted)
 
 
-def _check_transport_exactness(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    tol = float(p.get("tol", 1e-6))
-    exact = _transported_data(ctx, "transport_exactness",
-                              float(p.get("speed", 1.0)))
+def _check_transport_exactness(ctx: ScenarioContext, speed=1.0,
+                               tol=1e-6) -> CheckOutcome:
+    exact = _transported_data(ctx, speed)
     _, result = ctx.solve()
     err = float(np.max(np.abs(result.final().values - exact)))
     if ctx.artifact("ledger.csv"):
@@ -243,9 +98,9 @@ def _check_transport_exactness(ctx: ScenarioContext, p: dict) -> CheckOutcome:
                         f"max-norm error vs g(x - ct), tol {tol:g}")
 
 
-def _check_rk4_convergence(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    base_dt = ctx.cfg.get("dt") or 1e-3
-    exact = _transported_data(ctx, "rk4_convergence", float(p.get("speed", 1.0)))
+def _check_rk4_convergence(ctx: ScenarioContext, speed=1.0) -> CheckOutcome:
+    base_dt = ctx.dt_policy.dt or 1e-3
+    exact = _transported_data(ctx, speed)
     errs = []
     for factor in (4, 2, 1):
         _, res = ctx.solve(dt=base_dt * factor)
@@ -259,21 +114,19 @@ def _check_rk4_convergence(ctx: ScenarioContext, p: dict) -> CheckOutcome:
     return CheckOutcome("rk4_convergence", "PASS" if ok else "FAIL",
                         ratios[0] if ratios else None,
                         f"dt-halving error ratios {['%.2f' % r for r in ratios]}"
-                        f" target 16 +-20%",
-                        {"errors": errs})
+                        f" target 16 +-20%")
 
 
-def _check_unitarity(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    tol = float(p.get("tol", 1e-10))
+def _check_unitarity(ctx: ScenarioContext, tol=1e-10) -> CheckOutcome:
     _, result = ctx.solve()
     norms = np.sqrt(result.ledger.u_norm_sq)
     drift = float(np.max(np.abs(norms - norms[0])) /
-                  (norms[0] * ctx.cfg["horizon"]))
+                  (norms[0] * ctx.horizon))
     return CheckOutcome("unitarity", "PASS" if drift <= tol else "FAIL",
                         drift, f"norm drift per unit time, tol {tol:g}")
 
 
-def _check_energy(ctx: ScenarioContext, p: dict) -> CheckOutcome:
+def _check_energy(ctx: ScenarioContext) -> CheckOutcome:
     _, result = ctx.solve()
     rep = check_energy_estimate(result.ledger)
     ok = rep["pointwise_ok"] and rep["gronwall_ok"] and \
@@ -285,11 +138,10 @@ def _check_energy(ctx: ScenarioContext, p: dict) -> CheckOutcome:
                         rep["pointwise_margin_min"],
                         f"pointwise={rep['pointwise_ok']} "
                         f"gronwall={rep['gronwall_ok']} "
-                        f"dominates={rep['seminorm_dominates']}",
-                        rep)
+                        f"dominates={rep['seminorm_dominates']}")
 
 
-def _check_case_variants(ctx: ScenarioContext, p: dict) -> CheckOutcome:
+def _check_case_variants(ctx: ScenarioContext) -> CheckOutcome:
     problem, result = ctx.solve()
     rep = check_case_variants(problem, result, seed=ctx.seed)
     ok = True
@@ -303,30 +155,28 @@ def _check_case_variants(ctx: ScenarioContext, p: dict) -> CheckOutcome:
         else:
             msgs.append(f"{case}: n/a ({entry['reason']})")
     return CheckOutcome("case_variants", "PASS" if ok else "FAIL",
-                        rep["c_measured"], "; ".join(msgs), rep)
+                        rep["c_measured"], "; ".join(msgs))
 
 
-def _check_cascade_bounds(ctx: ScenarioContext, p: dict) -> CheckOutcome:
+def _check_cascade_bounds(ctx: ScenarioContext, max_order=2) -> CheckOutcome:
     problem, result = ctx.solve()
-    rep = derivative_cascade(problem, result,
-                             max_order=int(p.get("max_order", 2)))
+    rep = derivative_cascade(problem, result, max_order=int(max_order))
     ok = all(entry["ok"] for entry in rep.values())
     worst = min((np.min(entry["bound"] - entry["v_norm_sq"])
                  for entry in rep.values()), default=0.0)
     return CheckOutcome("cascade_bounds", "PASS" if ok else "FAIL",
                         float(worst),
-                        f"orders up to {p.get('max_order', 2)}; "
-                        f"min bound margin")
+                        f"orders up to {max_order}; min bound margin")
 
 
-def _check_log_type(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    k = ctx.mollification_k()
+def _check_log_type(ctx: ScenarioContext) -> CheckOutcome:
+    k = ctx.mollification_k
     box = SampleBox(x_lo=(0.0,) * ctx.grid.dim,
                     x_hi=(ctx.grid.length,) * ctx.grid.dim,
                     xi_max=ctx.grid.max_abs_xi())
-    rep = verify_log_type_of_regularization(ctx.rough_transport(), k,
-                                            ctx.eps_grid(), box,
-                                            mollifier=ctx.mollifier(),
+    rep = verify_log_type_of_regularization(ctx.rough_transport, k,
+                                            ctx.eps_grid, box,
+                                            mollifier=ctx.mollifier,
                                             thresholds=ctx.thresholds)
     coeff = rep["orders"][k]["fitted_coeff"]
     if ctx.artifact("seminorms.csv"):
@@ -336,15 +186,12 @@ def _check_log_type(ctx: ScenarioContext, p: dict) -> CheckOutcome:
                 rows.append((eps, 1.0, 0, 0, l, q))
         owio.write_seminorm_csv(ctx.artifact("seminorms.csv"), rows)
     return CheckOutcome("log_type", "PASS" if rep["is_log_type"] else "FAIL",
-                        coeff, f"fit coefficient at derivative order {k}",
-                        {str(l): {kk: vv for kk, vv in v.items()
-                                  if kk != "q_values"}
-                         for l, v in rep["orders"].items()})
+                        coeff, f"fit coefficient at derivative order {k}")
 
 
-def _check_gronwall_fit(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    tol = float(p.get("residual_tol", ctx.thresholds.log_type_residual))
-    rep = ctx.sweep_report(cascade=ctx.cfg.get("cascade_max_order", 0))
+def _check_gronwall_fit(ctx: ScenarioContext) -> CheckOutcome:
+    tol = ctx.thresholds.log_type_residual
+    _, rep = ctx.sweep(cascade=ctx.cascade_max_order)
     fit = rep.c_log_fit
     energy_all = all(rep.energy_ok)
     dominate_all = all(cs >= cm for cs, cm in
@@ -355,13 +202,11 @@ def _check_gronwall_fit(ctx: ScenarioContext, p: dict) -> CheckOutcome:
     return CheckOutcome("gronwall_fit", "PASS" if ok else "FAIL",
                         fit.get("residual") if fit else None,
                         f"C_eps ~ {fit.get('coeff', 0):.3f} log(1/eps) + "
-                        f"{fit.get('intercept', 0):.3f}; energy_ok={energy_all}",
-                        {"fit": fit, "energy_ok": rep.energy_ok})
+                        f"{fit.get('intercept', 0):.3f}; energy_ok={energy_all}")
 
 
-def _check_moderateness(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    cascade = ctx.cfg.get("cascade_max_order", 0)
-    rep = ctx.sweep_report(cascade=cascade)
+def _check_moderateness(ctx: ScenarioContext) -> CheckOutcome:
+    _, rep = ctx.sweep(cascade=ctx.cascade_max_order)
     slack = ctx.thresholds.exponent_fit_slack
     ok = not rep.incomplete
     worst = None
@@ -384,48 +229,36 @@ def _check_moderateness(ctx: ScenarioContext, p: dict) -> CheckOutcome:
         owio.write_check_csv(ctx.artifact("exponents.csv"), rows)
     return CheckOutcome("moderateness", "PASS" if ok else "FAIL", worst,
                         "max fitted exponent; all bounded by energy "
-                        "prediction", {"fits": {str(k): v for k, v in
-                                                rep.fits.items()}})
+                        "prediction")
 
 
-def _check_negligible(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    thr = ctx.thresholds
-    if "q_max" in p:
-        d = thr.as_dict()
-        d["q_max"] = int(p["q_max"])
-        thr = Thresholds(**d)
-    report = ctx.sweep_report()
-    rep = check_negligible(ctx.sweep_plan(), report, thr)
+def _check_negligible(ctx: ScenarioContext) -> CheckOutcome:
+    plan, report = ctx.sweep()
+    rep = check_negligible(plan, report, ctx.thresholds)
     if ctx.artifact("negligible.json"):
         owio.write_json(ctx.artifact("negligible.json"), rep)
     ok = rep["is_negligible"] and not report.incomplete
     return CheckOutcome("negligible", "PASS" if ok else "FAIL",
                         rep["max_passed_q"],
-                        f"max passed q of q_max={thr.q_max}")
+                        f"max passed q of q_max={ctx.thresholds.q_max}")
 
 
-def _check_association(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    probes_json = p.get("probes")
-    if not probes_json:
-        raise ConfigInvalid("association check requires probes")
-    probes = [lambda *mesh, pj=pj: _x_expression(pj, mesh)
-              for pj in probes_json]
-    gspec = ctx.cfg["data"]["g"]
+def _check_association(ctx: ScenarioContext, probes, speed=None,
+                       terminal_tol=math.inf) -> CheckOutcome:
     reference = "solve"
-    if gspec["kind"] == "delta" and "speed" in p:
-        x0 = ctx.grid.x_axis()[tuple(gspec["node"])[0]]
-        target = x0 + float(p["speed"]) * ctx.cfg["horizon"]
+    if ctx.delta_node is not None and speed is not None:
+        x0 = ctx.grid.x_axis()[ctx.delta_node[0]]
+        target = x0 + float(speed) * ctx.horizon
 
         def exact_reference(phi):
             pt = np.mod(np.array([target]), ctx.grid.length)
             return complex(phi(pt)[0])
         reference = exact_reference
-    report = ctx.sweep_report()
-    rep = check_association(ctx.sweep_plan(), report, probes, reference,
-                            ctx.thresholds)
+    plan, report = ctx.sweep()
+    rep = check_association(plan, report, probes, reference, ctx.thresholds)
     terminal = max(rep["terminal_residuals"], default=math.inf)
-    tol = float(p.get("terminal_tol", math.inf))
-    ok = rep["monotone_tail"] and terminal <= tol and not report.incomplete
+    ok = rep["monotone_tail"] and terminal <= terminal_tol and \
+        not report.incomplete
     if ctx.artifact("association.csv"):
         rows = [(eps, *res) for eps, res in zip(rep["eps"], rep["residuals"])]
         owio.write_csv(ctx.artifact("association.csv"),
@@ -436,24 +269,19 @@ def _check_association(ctx: ScenarioContext, p: dict) -> CheckOutcome:
                         f"reference={rep['reference']}")
 
 
-def _check_ginf(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    expect = bool(p.get("expect", True))
-    data_cfg = p.get("data")
-    report = ctx.sweep_report(data_cfg)
-    rep = check_ginf(ctx.sweep_plan(data_cfg), report, thresholds=ctx.thresholds)
+def _check_ginf(ctx: ScenarioContext, expect=True, data=None) -> CheckOutcome:
+    plan, report = ctx.sweep(data)
+    rep = check_ginf(plan, report, thresholds=ctx.thresholds)
     # checked here, not in is_ginf: a short sweep must not pass expect=False
     ok = rep["is_ginf"] == expect and rep["gate_passed"] and not report.incomplete
     name = "ginf" + ("_regular" if expect else "_irregular")
     return CheckOutcome(name, "PASS" if ok else "FAIL",
                         rep["max_tracked_exponent"],
                         f"is_ginf={rep['is_ginf']} expect={expect} "
-                        f"p_hat={rep['p_hat']:.3f}",
-                        {k: v for k, v in rep.items()
-                         if k not in ("gate_slow_scale", "gate_log_type")})
+                        f"p_hat={rep['p_hat']:.3f}")
 
 
-def _check_remainder_xindep(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    tol = float(p.get("tol", 1e-10))
+def _check_remainder_xindep(ctx: ScenarioContext, tol=1e-10) -> CheckOutcome:
     s = SymbolExpr(ex.CoordXi(0), 1.0, 1)
     worst = 0.0
     for xp in (0.5, 2.0, 4.0):
@@ -463,9 +291,8 @@ def _check_remainder_xindep(ctx: ScenarioContext, p: dict) -> CheckOutcome:
                         worst, f"|remainder| of x-independent symbol, tol {tol:g}")
 
 
-def _check_remainder_oracle(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    rel_tol = float(p.get("rel_tol", 5e-2))
-    symbol = ctx.fixed_symbol().full()
+def _check_remainder_oracle(ctx: ScenarioContext, rel_tol=5e-2) -> CheckOutcome:
+    symbol = ctx.fixed_symbol.full()
     grid = ctx.grid
     mat = op_matrix(symbol, 0.0, grid)
     astar = symbol_from_matrix(mat.conj().T, grid)
@@ -482,13 +309,12 @@ def _check_remainder_oracle(ctx: ScenarioContext, p: dict) -> CheckOutcome:
     rel = float(np.max(np.abs(quad - rem_matrix[:, k0]))) / scale
     return CheckOutcome("remainder_oracle", "PASS" if rel <= rel_tol else "FAIL",
                         rel, f"relative sup deviation vs dense adjoint "
-                        f"symbol at xi=0, tol {rel_tol:g}",
-                        {"scale": scale})
+                        f"symbol at xi=0, tol {rel_tol:g}")
 
 
-def _check_remainder_stability(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    rel_change = float(p.get("rel_change", 0.2))
-    symbol = ctx.fixed_symbol().full()
+def _check_remainder_stability(ctx: ScenarioContext,
+                               rel_change=0.2) -> CheckOutcome:
+    symbol = ctx.fixed_symbol.full()
     base_cfg = OscIntConfig()
     base = check_remainder_estimate(symbol, (0,), (0,), cfg=base_cfg)
     refined = check_remainder_estimate(symbol, (0,), (0,),
@@ -503,14 +329,12 @@ def _check_remainder_stability(ctx: ScenarioContext, p: dict) -> CheckOutcome:
         owio.write_check_csv(ctx.artifact("remainder_checks.csv"), rows)
     return CheckOutcome("remainder_stability", "PASS" if ok else "FAIL",
                         change, f"ratio change under theta/box refinement, "
-                        f"tol {rel_change:g}",
-                        {"base": base, "refined": refined})
+                        f"tol {rel_change:g}")
 
 
-def _check_defect_stability(ctx: ScenarioContext, p: dict) -> CheckOutcome:
-    points = p.get("points", [64, 128, 256])
-    max_ratio = float(p.get("max_ratio", 1.1))
-    symbol = ctx.fixed_symbol().a1
+def _check_defect_stability(ctx: ScenarioContext, points=(64, 128, 256),
+                            max_ratio=1.1) -> CheckOutcome:
+    symbol = ctx.fixed_symbol.a1
     values = []
     for m in points:
         g = Grid(ctx.grid.dim, int(m), ctx.grid.length)
@@ -519,48 +343,352 @@ def _check_defect_stability(ctx: ScenarioContext, p: dict) -> CheckOutcome:
     return CheckOutcome("defect_stability",
                         "PASS" if ratio <= max_ratio else "FAIL", ratio,
                         f"defect norms {['%.4f' % v for v in values]} "
-                        f"across M={points}")
+                        f"across M={list(points)}")
 
 
+# CHECKS: name -> (check, the ScenarioContext attributes it needs).  The build
+# rejects a check whose needs the config does not meet; _NEEDS says why.
+_NEEDS = {"fixed_symbol": "symbol.kind 'expr'",
+          "rough_transport": "symbol.kind 'rough_transport'",
+          "family": "a sweep section",
+          "g_1d": "expression data g on a 1-D grid"}
+
+_TRANSPORT = ("fixed_symbol", "g_1d")
 CHECKS = {
-    "transport_exactness": _check_transport_exactness,
-    "rk4_convergence": _check_rk4_convergence,
-    "unitarity": _check_unitarity,
-    "energy": _check_energy,
-    "case_variants": _check_case_variants,
-    "cascade_bounds": _check_cascade_bounds,
-    "log_type": _check_log_type,
-    "gronwall_fit": _check_gronwall_fit,
-    "moderateness": _check_moderateness,
-    "negligible": _check_negligible,
-    "association": _check_association,
-    "ginf": _check_ginf,
-    "remainder_xindep": _check_remainder_xindep,
-    "remainder_oracle": _check_remainder_oracle,
-    "remainder_stability": _check_remainder_stability,
-    "defect_stability": _check_defect_stability,
+    "transport_exactness": (_check_transport_exactness, _TRANSPORT),
+    "rk4_convergence": (_check_rk4_convergence, _TRANSPORT),
+    "unitarity": (_check_unitarity, ("fixed_symbol",)),
+    "energy": (_check_energy, ("fixed_symbol",)),
+    "case_variants": (_check_case_variants, ("fixed_symbol",)),
+    "cascade_bounds": (_check_cascade_bounds, ("fixed_symbol",)),
+    "log_type": (_check_log_type, ("rough_transport", "family")),
+    "gronwall_fit": (_check_gronwall_fit, ("family",)),
+    "moderateness": (_check_moderateness, ("family",)),
+    "negligible": (_check_negligible, ("family",)),
+    "association": (_check_association, ("family",)),
+    "ginf": (_check_ginf, ("family",)),
+    "remainder_xindep": (_check_remainder_xindep, ()),
+    "remainder_oracle": (_check_remainder_oracle, ("fixed_symbol",)),
+    "remainder_stability": (_check_remainder_stability, ("fixed_symbol",)),
+    "defect_stability": (_check_defect_stability, ("fixed_symbol",)),
 }
+
+# -- config schema ----------------------------------------------------------
+
+def _requires(key: str, value: str, *names) -> dict:
+    """Schema clause: an object whose `key` is `value` must have `names`."""
+    return {"if": {"properties": {key: {"const": value}}, "required": [key]},
+            "then": {"required": list(names)}}
+
+
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_MULTI_INDEX = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+
+_EXPR = {"type": "object",
+         "properties": {"node": {"type": "string"}},
+         "required": ["node"]}
+
+_SYMBOL_EXPR = {
+    "type": "object",
+    "properties": {
+        "dim": {"type": "integer", "enum": [1, 2]},
+        "declared_order": _NUMBER,
+        "expr": _EXPR,
+    },
+    "required": ["dim", "declared_order", "expr"],
+}
+
+_ROUGH = {
+    "type": "object",
+    "properties": {
+        "kind": {"enum": list(RoughCoefficient.KINDS)},
+        "period": _POSITIVE,
+    },
+    "required": ["kind", "period"],
+}
+
+_DATA = {
+    "type": "object",
+    "properties": {
+        "g": {"type": "object",
+              "properties": {"kind": {"enum": ["zero", "delta", "expression"]},
+                             "node": _MULTI_INDEX,
+                             "expr": _EXPR},
+              "required": ["kind"],
+              "allOf": [_requires("kind", "delta", "node"),
+                        _requires("kind", "expression", "expr")]},
+        "builder": {"enum": ["fixed", "mollified", "scaled_exp",
+                             "scaled_power", "oscillating"]},
+        "power": _NUMBER,
+        "gamma": _NUMBER,
+        "f": {"type": "object",
+              "properties": {
+                  "kind": {"enum": ["zero", "separable"]},
+                  "profile": {"type": "object", "properties": {
+                      "power": {"type": "integer", "minimum": 0}}},
+                  "shape": _EXPR},
+              **_requires("kind", "separable", "shape")},
+    },
+    "required": ["g"],
+}
+
+# Every check parameter, once; which check takes which is its signature.
+_CHECK_PARAMS = {
+    **dict.fromkeys(("speed", "tol", "rel_tol", "rel_change", "max_ratio",
+                     "terminal_tol"), _NUMBER),
+    "max_order": {"type": "integer", "minimum": 0},
+    "expect": {"type": "boolean"},
+    "points": {"type": "array", "minItems": 1,
+               "items": {"type": "integer", "minimum": 2, "multipleOf": 2}},
+    "probes": {"type": "array", "items": _EXPR, "minItems": 1},
+    "data": _DATA,
+}
+
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "name": {"type": "string"},
+        "description": {"type": "string"},
+        "grid": {
+            "type": "object",
+            "properties": {
+                "dim": {"type": "integer", "enum": [1, 2]},
+                "points": {"type": "integer", "minimum": 2, "multipleOf": 2},
+                "length": _POSITIVE,
+            },
+            "required": ["dim", "points", "length"],
+        },
+        "horizon": _POSITIVE,
+        "dt": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "seed": {"type": "integer"},
+        "symbol": {
+            "type": "object",
+            "properties": {
+                "kind": {"enum": ["expr", "rough_transport"]},
+                "a1": _SYMBOL_EXPR,
+                "a0": {**_SYMBOL_EXPR, "type": ["object", "null"]},
+                "x_independent_outside": {"type": ["number", "null"]},
+                "speeds": {"type": "array", "items": _ROUGH, "minItems": 1},
+                "zero_order": {**_ROUGH, "type": ["object", "null"]},
+                "mollification_k": {"type": "integer", "minimum": 1},
+                "transition_width": _POSITIVE,
+            },
+            "required": ["kind"],
+            "allOf": [_requires("kind", "expr", "a1"),
+                      _requires("kind", "rough_transport", "speeds")],
+        },
+        "data": _DATA,
+        "sweep": {
+            "type": "object",
+            "properties": {
+                "eps0": _POSITIVE,
+                "eps_min": _POSITIVE,
+                "ratio": {"type": "number", "exclusiveMinimum": 0,
+                          "exclusiveMaximum": 1},
+                "count": {"type": "integer", "minimum": 2},
+            },
+            "required": ["eps0", "count"],
+        },
+        "orders": {"type": "array",
+                   "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                             "prefixItems": [{"type": "integer", "minimum": 0},
+                                             _MULTI_INDEX]}},
+        "cascade_max_order": {"type": "integer", "minimum": 0},
+        "checks": {
+            "type": "array", "minItems": 1,
+            "items": {"if": {"type": "string"},
+                      "then": {"enum": list(CHECKS)},
+                      "else": {"type": "object",
+                               "properties": {"check": {"enum": list(CHECKS)},
+                                              **_CHECK_PARAMS},
+                               "required": ["check"],
+                               "additionalProperties": False,
+                               **_requires("check", "association", "probes")}},
+        },
+        "thresholds": {
+            "type": "object",
+            "properties": {f.name: {"type": "integer" if f.type is int
+                                    else "number"}
+                           for f in fields(Thresholds)},
+            "additionalProperties": False,
+        },
+    },
+    "required": ["name", "grid", "horizon", "seed", "symbol", "data",
+                 "checks"],
+}
+
+# Compiled once: jsonschema.validate re-checks the schema on every call.
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+
+def validate_config(cfg: dict) -> dict:
+    err = best_match(_VALIDATOR.iter_errors(cfg))
+    if err is not None:
+        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
+        raise ConfigInvalid(f"config field {path!r}: {err.message}")
+    return cfg
+
+
+# -- build ------------------------------------------------------------------
+
+class ScenarioContext:
+    """The built objects, bound checks and run caches of one scenario."""
+
+    def __init__(self, cfg: dict, outdir=None):
+        validate_config(cfg)
+        self.outdir = Path(outdir) if outdir else None
+        self._solve_cache = {}
+        self._sweep_cache = {}
+        try:
+            self._build(cfg)
+        except (ValueError, TypeError, KeyError, IndexError,
+                OnewaveError) as err:
+            raise ConfigInvalid(
+                f"config does not build ({type(err).__name__}): {err}") from err
+
+    def _build(self, cfg: dict):
+        self.name = cfg["name"]
+        self.seed = int(cfg["seed"])
+        self.horizon = cfg["horizon"]
+        gc = cfg["grid"]
+        self.grid = Grid(gc["dim"], gc["points"], gc["length"])
+        dim = self.grid.dim
+        self.thresholds = Thresholds(**cfg.get("thresholds", {}))
+        self.dt_policy = DtPolicy(dt=cfg.get("dt"))
+        self.cascade_max_order = cfg.get("cascade_max_order", 0)
+
+        sc = cfg["symbol"]
+        self.fixed_symbol = self.rough_transport = None
+        self.mollifier = self.mollification_k = None
+        if sc["kind"] == "expr":
+            self.fixed_symbol = HyperbolicSymbol(
+                a1=SymbolExpr.from_json(sc["a1"], _mollified),
+                a0=SymbolExpr.from_json(sc["a0"], _mollified) if sc.get("a0") else None,
+                x_independent_outside=sc.get("x_independent_outside"))
+        else:
+            zero = sc.get("zero_order")
+            self.rough_transport = RoughTransport(
+                speeds=tuple(RoughCoefficient.from_json(r) for r in sc["speeds"]),
+                zero_order=RoughCoefficient.from_json(zero) if zero else None,
+                x_independent_outside=sc.get("x_independent_outside"))
+            self.mollifier = Mollifier(
+                dim=dim, transition_width=float(sc.get("transition_width", 1.0)))
+            self.mollification_k = int(sc.get("mollification_k", 1))
+        symbol_dim = (self.fixed_symbol or self.rough_transport).dim
+        if symbol_dim != dim:
+            raise ValueError(f"symbol dimension {symbol_dim} != grid.dim {dim}")
+
+        self.eps_grid = self.family = None
+        sw = cfg.get("sweep")
+        if sw:
+            count = int(sw["count"])
+            if "ratio" in sw:
+                self.eps_grid = [sw["eps0"] * sw["ratio"] ** i for i in range(count)]
+            else:
+                self.eps_grid = list(np.geomspace(sw["eps0"], sw["eps_min"], count))
+            if self.rough_transport is not None:
+                self.family = regularized_family(
+                    self.rough_transport, self.mollification_k, self.eps_grid,
+                    mollifier=self.mollifier)
+            else:
+                fixed = self.fixed_symbol
+                self.family = GenSymbolFamily(lambda eps: fixed, self.eps_grid)
+        self.orders = tuple((int(d), tuple(int(a) for a in alpha))
+                            for d, alpha in cfg.get("orders", [[0, [0] * dim]]))
+        if any(len(alpha) != dim for _, alpha in self.orders):
+            raise ValueError("orders multi-index length must equal grid.dim")
+
+        self.data_builder = self._data_builder(cfg["data"])
+        self.initial_data = self.data_builder.g
+        self.forcing = self.data_builder.forcing
+        g = cfg["data"]["g"]
+        self.delta_node = tuple(g["node"]) if g["kind"] == "delta" else None
+        self.g_1d = (_x_function(g["expr"], 1)
+                     if g["kind"] == "expression" and dim == 1 else None)
+        self.checks = [self._bind(entry) for entry in cfg["checks"]]
+
+    def _data_builder(self, dc: dict) -> DataBuilder:
+        def on_grid(expr_json) -> GridFunction:
+            return GridFunction(self.grid, _x_function(
+                expr_json, self.grid.dim)(*self.grid.x_mesh())).check_finite()
+
+        g, fspec = dc["g"], dc.get("f") or {}
+        if g["kind"] == "delta":
+            initial = GridFunction.delta(self.grid, tuple(g["node"]))
+        elif g["kind"] == "expression":
+            initial = on_grid(g["expr"])
+        else:
+            initial = GridFunction.zeros(self.grid)
+        forcing = Forcing.zero(self.grid)
+        if fspec.get("kind") == "separable":
+            prof = fspec.get("profile", {})
+            profile = TimeProfile(
+                amp=complex(prof.get("amp_re", 1.0), prof.get("amp_im", 0.0)),
+                power=int(prof.get("power", 0)),
+                freq=float(prof.get("freq", 0.0)),
+                phase=float(prof.get("phase", 0.0)))
+            forcing = Forcing.separable(profile, on_grid(fspec["shape"]))
+        return DataBuilder(kind=dc.get("builder", "fixed"), g=initial,
+                           forcing=forcing, power=float(dc.get("power", 1.0)),
+                           gamma=float(dc.get("gamma", 0.5)))
+
+    def _bind(self, entry):
+        params = dict(entry) if isinstance(entry, dict) else {"check": entry}
+        name = params.pop("check")
+        run, needs = CHECKS[name]
+        for need in needs:
+            if getattr(self, need) is None:
+                raise ValueError(f"check {name!r} needs {_NEEDS[need]}")
+        if "data" in params:
+            params["data"] = self._data_builder(params["data"])
+        if "probes" in params:
+            params["probes"] = [_x_function(pj, self.grid.dim)
+                                for pj in params["probes"]]
+        # TypeError for a parameter this check does not take
+        inspect.signature(run).bind(self, **params)
+        return functools.partial(run, **params)     # called with the context
+
+    # -- cached runs --------------------------------------------------------
+    def solve(self, dt=None):
+        if dt not in self._solve_cache:
+            problem = CauchyProblem(symbol=self.fixed_symbol,
+                                    initial=self.initial_data,
+                                    horizon=self.horizon, forcing=self.forcing)
+            policy = self.dt_policy if dt is None else DtPolicy(dt=dt)
+            self._solve_cache[dt] = (problem, solve_fixed_eps(
+                problem, policy, seed=self.seed))
+        return self._solve_cache[dt]
+
+    def sweep(self, data: DataBuilder | None = None, cascade: int = 0):
+        """(plan, report) of the eps sweep, run once per data and cascade."""
+        data = data or self.data_builder
+        key = (id(data), cascade)
+        if key not in self._sweep_cache:
+            plan = SweepPlan(
+                family=self.family, data=data, grid=self.grid,
+                horizon=self.horizon, orders=self.orders,
+                dt_policy=self.dt_policy, seed=self.seed,
+                cascade_max_order=cascade, measure_seminorms=cascade > 0)
+            self._sweep_cache[key] = (plan, run_sweep(plan, self.thresholds))
+        return self._sweep_cache[key]
+
+    def artifact(self, name: str):
+        if self.outdir is None:
+            return None
+        return self.outdir / f"{self.name}_{name}"
 
 
 def run_scenario(cfg: dict, outdir=None, echo=print):
-    """Execute the scenario's checks; returns (all_ok, outcomes)."""
-    checks = [dict(entry) if isinstance(entry, dict) else {"check": entry}
-              for entry in cfg["checks"]]
-    unknown = [c["check"] for c in checks if c["check"] not in CHECKS]
-    if unknown:
-        raise ConfigInvalid(f"unknown check {unknown[0]!r}")
+    """Build the scenario, then run its checks; returns (all_ok, outcomes)."""
     ctx = ScenarioContext(cfg, outdir=outdir)
     outcomes = []
-    for params in checks:
-        outcome = CHECKS[params.pop("check")](ctx, params)
+    for check in ctx.checks:
+        outcome = check(ctx)
         outcomes.append(outcome)
         echo(outcome.line())
-    if outdir is not None:
-        payload = {
-            "scenario": cfg["name"],
-            "outcomes": [{"name": o.name, "status": o.status,
-                          "number": o.number, "message": o.message}
-                         for o in outcomes],
-        }
-        owio.write_json(Path(outdir) / f"{cfg['name']}_summary.json", payload)
+    if ctx.outdir is not None:
+        owio.write_json(ctx.artifact("summary.json"), {
+            "scenario": ctx.name, "outcomes": [asdict(o) for o in outcomes]})
     return all(o.ok for o in outcomes), outcomes

@@ -17,7 +17,7 @@ from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
 from onewave.quantization import PeriodicOperator, op_matrix
 from onewave.regularization import embed_data
-from onewave.scenario import ScenarioContext, CHECKS, run_scenario
+from onewave.scenario import ScenarioContext, run_scenario
 from onewave.symbols import HyperbolicSymbol, SymbolExpr
 
 TWO_PI = 2.0 * np.pi
@@ -62,15 +62,17 @@ class TestAcceptance:
         numbers = []
         for name in ("transport_smoke", "unitary_multiplier",
                      "variable_speed_smooth"):
-            ctx = ScenarioContext(get_preset(name))
-            outcome = CHECKS["energy"](ctx, {})
+            cfg = get_preset(name)
+            cfg["checks"] = ["energy"]
+            ctx = ScenarioContext(cfg)
+            outcome = ctx.checks[0](ctx)
             numbers.append(f"{name}:{outcome.number:.3g}")
             if not outcome.ok:
                 failures.append(name)
         # sweep scenarios: per-eps pointwise/Gronwall flags plus calibrated
         # domination where the semi-norm constant is measured
         ctx = ScenarioContext(get_preset("piecewise_speed_logtype"))
-        rep = ctx.sweep_report(cascade=3)
+        _, rep = ctx.sweep(cascade=3)
         if not all(rep.energy_ok):
             failures.append("piecewise_speed_logtype(energy)")
         if not all(cs >= cm for cs, cm in zip(rep.c_seminorm, rep.c_measured)):

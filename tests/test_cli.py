@@ -1,14 +1,17 @@
 """CLI surface: presets, schema validation, determinism, exit codes."""
 
 import json
-from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
-from onewave.cli import (CONFIG_SCHEMA, build_parser, load_config, main,
-                         validate_config)
+from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
+                         load_config, main, validate_config)
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
+from onewave.scenario import ScenarioContext
 
 
 class TestPresets:
@@ -26,6 +29,8 @@ class TestPresets:
     def test_all_presets_validate(self):
         for name in PRESETS:
             validate_config(get_preset(name))
+            ScenarioContext(get_preset(name))
+            assert main(["validate", name]) == 0
 
     def test_get_preset_returns_copy(self):
         a = get_preset("transport_smoke")
@@ -37,9 +42,10 @@ class TestPresets:
             cfg = get_preset(name)
             assert json.loads(json.dumps(cfg)) == cfg
 
-    def test_docs_schema_matches_config_schema(self):
-        path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
-        assert json.loads(path.read_text()) == CONFIG_SCHEMA
+    def test_schema_is_a_valid_draft_2020_12_schema(self):
+        # validate_config uses a precompiled validator, which never checks
+        # the schema itself
+        Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
 class TestValidation:
@@ -57,6 +63,12 @@ class TestValidation:
             validate_config(cfg)
         assert "points" in str(err.value)
 
+    def test_field_at_fault_named_inside_check_entry(self):
+        cfg = get_preset("transport_smoke")
+        cfg["checks"][0]["tol"] = "abc"
+        with pytest.raises(ConfigInvalid, match="'checks/0/tol'"):
+            validate_config(cfg)
+
     def test_expr_symbol_requires_a1(self):
         cfg = get_preset("transport_smoke")
         del cfg["symbol"]["a1"]
@@ -72,6 +84,11 @@ class TestValidation:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert load_config(str(path))["name"] == "transport_smoke"
+
+    def test_load_config_only_loads(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "x"}))
+        assert load_config(str(path)) == {"name": "x"}
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -149,7 +166,6 @@ class TestDeterminism:
         parser = build_parser()
         args = parser.parse_args(["run", "transport_smoke", "--grid-M", "64",
                                   "--seed", "7"])
-        from onewave.cli import _apply_overrides
         cfg = get_preset("transport_smoke")
         cfg = _apply_overrides(cfg, args)
         assert cfg["grid"]["points"] == 64
@@ -158,8 +174,6 @@ class TestDeterminism:
 
 class TestScenarioDataPaths:
     def test_forcing_from_config(self):
-        from onewave.cli import validate_config
-        from onewave.scenario import ScenarioContext, CHECKS
         cfg = get_preset("transport_smoke")
         cfg["data"]["f"] = {
             "kind": "separable",
@@ -167,21 +181,112 @@ class TestScenarioDataPaths:
             "shape": {"node": "cos", "child": {"node": "coord_x", "axis": 0}},
         }
         cfg["checks"] = [{"check": "energy"}]
-        validate_config(cfg)
         ctx = ScenarioContext(cfg)
-        forcing = ctx.forcing()
+        forcing = ctx.forcing
         assert not forcing.is_zero
         assert forcing.norm(0.0) > 0
-        outcome = CHECKS["energy"](ctx, {})
+        outcome = ctx.checks[0](ctx)
         assert outcome.ok
 
     def test_transition_width_from_config(self):
         cfg = get_preset("piecewise_speed_logtype")
         cfg["symbol"]["transition_width"] = 2.0
-        from onewave.cli import validate_config
-        from onewave.scenario import ScenarioContext
-        validate_config(cfg)
         ctx = ScenarioContext(cfg)
-        assert ctx.mollifier().cutoff_radius == 3.0
-        member = ctx.family().member(0.01)
+        assert ctx.mollifier.cutoff_radius == 3.0
+        member = ctx.family.member(0.01)
         assert member.dim == 1
+
+
+def _set(path, value):
+    """Config mutation: set the leaf at `path` (keys and list indices)."""
+    def mutate(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+_XI = {"node": "coord_xi", "axis": 0}
+
+# (preset, config mutation, run flags): each config must be rejected with
+# exit 3 before any check runs, by `run` and by `validate` alike.
+CONFIG_PROBES = {
+    "unknown_threshold": ("transport_smoke", _set(["thresholds"], {"q": 1}), []),
+    "odd_points": ("transport_smoke", _set(["grid", "points"], 127), []),
+    "unknown_node": ("transport_smoke", _set(
+        ["symbol", "a1", "expr"], {"node": "tan", "child": _XI}), []),
+    "negative_power": ("transport_smoke", _set(
+        ["symbol", "a1", "expr"],
+        {"node": "power", "base": _XI, "exponent": -1}), []),
+    "delta_out_of_grid": ("delta_association",
+                          _set(["data", "g", "node"], [999]), []),
+    "tol_not_number": ("transport_smoke",
+                       _set(["checks", 0, "tol"], "abc"), []),
+    "max_order_not_int": ("variable_speed_smooth",
+                          _set(["checks", 2, "max_order"], "x"), []),
+    "expression_without_expr": ("transport_smoke", _set(
+        ["data", "g"], {"kind": "expression"}), []),
+    "misaligned_rough": ("piecewise_speed_logtype", _set(
+        ["symbol", "speeds", 0, "values"], [2.0]), []),
+    "orders_dim_mismatch": ("piecewise_speed_logtype",
+                            _set(["orders"], [[0, [0, 0]]]), []),
+    "symbol_dim_mismatch": ("transport_smoke",
+                            _set(["symbol", "a1", "dim"], 2), []),
+    "eps_above_one": ("negligible_uniqueness",
+                      _set(["sweep", "eps0"], 2.0), []),
+    "grid_M_odd": ("transport_smoke", lambda cfg: None, ["--grid-M", "127"]),
+    "eps_count_one": ("negligible_uniqueness", lambda cfg: None,
+                      ["--eps-count", "1"]),
+}
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("probe", sorted(CONFIG_PROBES))
+    def test_rejected_before_any_check_runs(self, probe, tmp_path, capsys):
+        preset, mutate, flags = CONFIG_PROBES[probe]
+        cfg = get_preset(preset)
+        mutate(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists() or not any(out.iterdir())
+        # validate sees the config the run flags would have produced
+        args = build_parser().parse_args(["run", str(path), *flags])
+        path.write_text(json.dumps(_apply_overrides(cfg, args)))
+        assert main(["validate", str(path)]) == 3
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict) and node:
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, path + (i,))
+    else:
+        yield path
+
+
+LEAVES = [(name, path) for name in sorted(PRESETS)
+          for path in _leaf_paths(PRESETS[name])]
+
+LEAF_VALUES = st.one_of(st.integers(-3, 300), st.floats(-10.0, 10.0),
+                        st.text(max_size=3), st.none(), st.just([]),
+                        st.just({}))
+
+
+class TestBuildFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(leaf=st.sampled_from(LEAVES), value=LEAF_VALUES)
+    def test_build_raises_only_config_invalid(self, leaf, value):
+        name, path = leaf
+        cfg = get_preset(name)
+        _set(list(path), value)(cfg)
+        try:
+            ScenarioContext(cfg)
+        except ConfigInvalid:
+            pass
