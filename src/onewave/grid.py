@@ -154,9 +154,6 @@ class GridFunction:
         return complex(self.grid.cell_volume *
                        np.sum(self.values * np.conjugate(other.values)))
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def dft(self) -> np.ndarray:
         return np.fft.fftn(self.values) / self.grid.size
 
@@ -181,14 +178,3 @@ class GridFunction:
             shape[axis] = self.grid.points
             coeffs = coeffs * (1j * xi.reshape(shape)) ** order
         return GridFunction.from_dft(self.grid, coeffs)
-
-    def band_fraction_above(self, frac: float = 0.5) -> float:
-        """Energy fraction carried by modes above frac * Nyquist."""
-        coeffs = self.dft()
-        xi = self.grid.xi_mesh()
-        mag = np.sqrt(sum(np.asarray(c) ** 2 for c in xi))
-        cut = frac * self.grid.max_abs_xi()
-        total = float(np.sum(np.abs(coeffs) ** 2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(coeffs[mag > cut]) ** 2)) / total

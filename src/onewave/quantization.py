@@ -12,8 +12,10 @@ scale, not to replace it.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,7 +258,7 @@ def operator_norm(s: SymbolExpr, t: float, grid: Grid,
 
 # -- oscillatory-integral adjoint remainder (desk-scale verification) --------
 
-@dataclass
+@dataclass(frozen=True)
 class OscIntConfig:
     """Regularized oscillatory integral parameters.
 
@@ -265,7 +267,8 @@ class OscIntConfig:
     The (y, eta) integral is truncated to a box with smooth roll-off on the
     outer 40% of each axis; eta-convergence is oscillatory and is therefore
     checked by refinement stability rather than a shell estimate, while the
-    y-tail (with its (1+|y|^2)^(-lam) decay) is monitored directly.
+    y-tail (with its (1+|y|^2)^(-lam) decay) is monitored directly.  Frozen:
+    the weighted quadrature kernel is cached per (config, dim) by _kernel.
     """
 
     lam: int = 2
@@ -284,13 +287,11 @@ class OscIntConfig:
             raise ValueError("OscIntConfig needs 2*l_order > n + |alpha|")
 
     def refined(self, factor: float = 1.5) -> "OscIntConfig":
-        return OscIntConfig(
-            lam=self.lam, l_order=self.l_order,
-            theta_nodes=2 * self.theta_nodes + 1,
+        return replace(
+            self, theta_nodes=2 * self.theta_nodes + 1,
             y_half=self.y_half * factor, eta_half=self.eta_half * factor,
             y_points=int(self.y_points * factor) | 1,
-            eta_points=int(self.eta_points * factor) | 1,
-            tail_tol=self.tail_tol)
+            eta_points=int(self.eta_points * factor) | 1)
 
 
 def _axis_quad(half: float, points: int):
@@ -302,73 +303,99 @@ def _axis_quad(half: float, points: int):
     return nodes, w * window, w
 
 
-def _xi_laplacian(root: ex.Expr, dim: int) -> ex.Expr:
-    return ex.add(*(root.d_xi(a).d_xi(a) for a in range(dim)))
+class _Kernel(NamedTuple):
+    y_mesh: tuple           # dim arrays (Ny, 1): rows run over the y tensor grid
+    e_mesh: tuple           # dim arrays (1, Ne): columns run over the eta grid
+    K: np.ndarray           # exp(-i y.eta) * damp * w_y * w_eta / (2 pi)^n
+    rows: np.ndarray        # K.sum(1)
+    cols: np.ndarray        # K.sum(0)
+    total: complex          # K.sum()
+    tail_w: np.ndarray      # damp * raw trapezoid w_y, shape (Ny, 1)
+    shell: np.ndarray       # |y| > 0.8 y_half, shape (Ny, 1)
 
 
-def _remainder_integrand_trees(s: SymbolExpr, axis: int, lam: int,
-                               extra_alpha, extra_beta):
-    """Trees of Laplacian_xi^i applied to d_xi_j d_x_j conj(s), i = 0..lam,
-    with optional extra derivatives for the estimate check."""
-    root = ex.Conj(s.root)
-    for a, cnt in enumerate(extra_alpha):
-        for _ in range(cnt):
-            root = root.d_xi(a)
-    for a, cnt in enumerate(extra_beta):
-        for _ in range(cnt):
-            root = root.d_x(a)
-    root = root.d_xi(axis).d_x(axis)
-    trees = [root]
-    for _ in range(lam):
-        trees.append(_xi_laplacian(trees[-1], s.dim))
-    return trees
-
-
-def _r_theta(s: SymbolExpr, t: float, x, xi, theta: float,
-             cfg: OscIntConfig, extra_alpha=None, extra_beta=None,
-             tail_report=None):
-    """r_theta summed over axes at one (t, x, xi, theta) point."""
-    dim = s.dim
-    extra_alpha = extra_alpha or (0,) * dim
-    extra_beta = extra_beta or (0,) * dim
+@functools.lru_cache(maxsize=8)
+def _kernel(cfg: OscIntConfig, dim: int) -> _Kernel:
     y_nodes, y_w, y_raw = _axis_quad(cfg.y_half, cfg.y_points)
     e_nodes, e_w, _ = _axis_quad(cfg.eta_half, cfg.eta_points)
-    # (dim, points**dim) tensor-grid axes, flattened: y runs down the rows
-    # and eta along the columns of every integrand array.
+
     def tensor(axis):
         return np.stack([m.ravel() for m in
                          np.meshgrid(*(axis,) * dim, indexing="ij")])
 
     ys, es = tensor(y_nodes), tensor(e_nodes)
-    y_mesh = tuple(ys[:, :, None])
-    e_mesh = tuple(es[:, None, :])
+    ys.flags.writeable = es.flags.writeable = False     # and their views
     w_y = tensor(y_w).prod(axis=0)[:, None]
-    raw_w_y = tensor(y_raw).prod(axis=0)[:, None]
     w_e = (tensor(e_w).prod(axis=0) / (2.0 * np.pi) ** dim)[None, :]
     y_sq = (ys ** 2).sum(axis=0)[:, None]
     phase = np.exp(-1j * (ys[:, :, None] * es[:, None, :]).sum(axis=0))
     damp = (1.0 + y_sq) ** (-cfg.lam)
-    x_args = tuple(np.asarray(x[a]) + y_mesh[a] for a in range(dim))
-    xi_args = tuple(np.asarray(xi[a]) + theta * e_mesh[a] for a in range(dim))
+    K = phase * damp * w_y * w_e
+    kernel = _Kernel(tuple(ys[:, :, None]), tuple(es[:, None, :]), K,
+                     K.sum(axis=1), K.sum(axis=0), complex(K.sum()),
+                     damp * tensor(y_raw).prod(axis=0)[:, None],
+                     y_sq > (0.8 * cfg.y_half) ** 2)
+    for arr in (K, kernel.rows, kernel.cols, kernel.tail_w, kernel.shell):
+        arr.flags.writeable = False     # one kernel serves every caller
+    return kernel
+
+
+def _contract(k: _Kernel, v: np.ndarray) -> complex:
+    """sum(K o v) for an integrand at its natural broadcast shape."""
+    if v.ndim == 0:
+        return complex(v) * k.total
+    if v.shape[1] == 1:
+        return complex(v[:, 0] @ k.rows)
+    if v.shape[0] == 1:
+        return complex(k.cols @ v[0])
+    return complex(np.sum(k.K * v))
+
+
+def _remainder_integrand_trees(s: SymbolExpr, lam: int, extra_alpha=None,
+                               extra_beta=None):
+    """Per axis j, the trees of Laplacian_xi^i applied to d_xi_j d_x_j conj(s),
+    i = 0..lam, with optional extra derivatives for the estimate check."""
+    root = ex.Conj(s.root)
+    for var, counts in (("xi", extra_alpha or ()), ("x", extra_beta or ())):
+        for a, cnt in enumerate(counts):
+            for _ in range(cnt):
+                root = root.d((var, a))
+    per_axis = [[root.d_xi(axis).d_x(axis)] for axis in range(s.dim)]
+    for trees in per_axis:
+        for _ in range(lam):
+            trees.append(ex.add(*(trees[-1].d_xi(a).d_xi(a)
+                                  for a in range(s.dim))))
+    return per_axis
+
+
+def _r_theta(trees, t: float, x, xi, theta: float, cfg: OscIntConfig,
+             tail_report=None):
+    """r_theta summed over axes at one (t, x, xi, theta) point.
+
+    ``trees`` comes from _remainder_integrand_trees.  The weighted kernel K is
+    cached per (cfg, dim); each tree is evaluated at its natural broadcast
+    shape over the (y, eta) grid, and that shape picks the contraction with K
+    (_contract): a constant uses sum(K), a y-column the row sums, an
+    eta-row the column sums, and only a full-grid integrand the whole K.
+    """
+    k = _kernel(cfg, len(trees))
+    x_args = tuple(np.asarray(xa) + ym for xa, ym in zip(x, k.y_mesh))
+    xi_args = tuple(np.asarray(xa) + theta * em for xa, em in zip(xi, k.e_mesh))
+    # (1 - Lap_eta)^lam = sum_i C(lam,i) (-Lap_eta)^i and Lap_eta = theta^2
+    # Lap_xi, so each term carries (-theta^2)^i.
+    coeffs = [math.comb(cfg.lam, i) * (-theta * theta) ** i
+              for i in range(cfg.lam + 1)]
     total = 0.0 + 0.0j
-    from math import comb
-    for axis in range(dim):
-        trees = _remainder_integrand_trees(s, axis, cfg.lam,
-                                           extra_alpha, extra_beta)
-        integrand = np.zeros(phase.shape, dtype=complex)
-        for i in range(cfg.lam + 1):
-            # (1 - Lap_eta)^lam = sum_i C(lam,i) (-Lap_eta)^i and
-            # Lap_eta = theta^2 Lap_xi, so each term carries (-theta^2)^i.
-            vals = np.asarray(trees[i].eval(t, x_args, xi_args))
-            integrand = integrand + comb(cfg.lam, i) * (-theta * theta) ** i * vals
-        weighted = phase * damp * integrand
+    for axis_trees in trees:
+        vals = [np.asarray(tr.eval(t, x_args, xi_args)) for tr in axis_trees]
+        total += sum(c * _contract(k, v) for c, v in zip(coeffs, vals))
         if tail_report is not None:
-            # tail metric uses the raw trapezoid weights so the smooth
-            # roll-off cannot hide boundary mass
-            mag = np.abs(damp * integrand) * raw_w_y
-            shell = np.broadcast_to(y_sq > (0.8 * cfg.y_half) ** 2, mag.shape)
-            tail_report.append((float(np.sum(mag[shell])), float(np.sum(mag))))
-        total += np.sum(weighted * w_y * w_e)
+            # raw trapezoid weights, so the smooth roll-off cannot hide
+            # boundary mass; sums count mag broadcast over the full grid
+            mag = k.tail_w * np.abs(sum(c * v for c, v in zip(coeffs, vals)))
+            scale = k.K.size // mag.size
+            tail_report.append((float(np.sum(mag * k.shell)) * scale,
+                                float(np.sum(mag)) * scale))
     return total
 
 
@@ -388,10 +415,11 @@ def adjoint_symbol_remainder(s: SymbolExpr, t: float, x, xi,
     nodes, weights = np.polynomial.legendre.leggauss(cfg.theta_nodes)
     thetas = 0.5 * (nodes + 1.0)
     tw = 0.5 * weights
+    trees = _remainder_integrand_trees(s, cfg.lam)
     tails = []
     acc = 0.0 + 0.0j
     for theta, w in zip(thetas, tw):
-        acc += w * _r_theta(s, t, tuple(x), tuple(xi), float(theta), cfg,
+        acc += w * _r_theta(trees, t, tuple(x), tuple(xi), float(theta), cfg,
                             tail_report=tails)
     shell = sum(a for a, _ in tails)
     total = sum(b for _, b in tails)
@@ -423,13 +451,14 @@ def check_remainder_estimate(s: SymbolExpr, alpha, beta,
     ladder = [0.0, 1.0, 4.0, 16.0, 64.0]
     xi_probes = np.array([[v] + [0.0] * (dim - 1) for v in ladder])
     thetas = np.linspace(0.0, 1.0, 5)
+    trees = _remainder_integrand_trees(s, cfg.lam, alpha, beta)
     lhs = 0.0
     for xp in x_probes:
         for xip in xi_probes:
             weight = (1.0 + float(np.linalg.norm(xip))) ** a_tot
             for theta in thetas:
-                val = _r_theta(s, 0.0, tuple(xp), tuple(xip), float(theta), cfg,
-                               extra_alpha=alpha, extra_beta=beta)
+                val = _r_theta(trees, 0.0, tuple(xp), tuple(xip),
+                               float(theta), cfg)
                 lhs = max(lhs, abs(val) * weight)
     rhs = seminorm_Q(s, 1.0, 0, dim + 2 + a_tot, dim + 2 + a_tot + b_tot, box)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)

@@ -264,10 +264,6 @@ class MollifiedCoefficient:
         out = phases @ weights
         return out.real.reshape(y.shape)
 
-    def sup_abs(self, order: int = 0, samples: int = 4096) -> float:
-        y = np.linspace(0.0, self.rough.period, samples, endpoint=False)
-        return float(np.max(np.abs(self.eval(y, order))))
-
 
 def embed_data(w, eps: float, mollifier: Mollifier | None = None) -> GridFunction:
     """Spectral embedding w * rho_eps computed as w_hat(xi) * rho_hat(eps xi).

@@ -339,11 +339,14 @@ def _check_defect_stability(ctx: ScenarioContext, points=(64, 128, 256),
     for m in points:
         g = Grid(ctx.grid.dim, int(m), ctx.grid.length)
         values.append(adjoint_defect_norm(symbol, 0.0, g, seed=ctx.seed).value)
-    ratio = max(values) / min(values)
+    # a norm can be zero at small M, and then the ratio is undefined: FAIL
+    zero = [int(m) for m, v in zip(points, values) if v == 0.0]
+    ratio = None if zero else max(values) / min(values)
     return CheckOutcome("defect_stability",
-                        "PASS" if ratio <= max_ratio else "FAIL", ratio,
-                        f"defect norms {['%.4f' % v for v in values]} "
-                        f"across M={list(points)}")
+                        "PASS" if not zero and ratio <= max_ratio else "FAIL",
+                        ratio, f"defect norms {['%.4f' % v for v in values]} "
+                        f"across M={list(points)}" +
+                        (f"; zero at M={zero}" if zero else ""))
 
 
 # CHECKS: name -> (check, the ScenarioContext attributes it needs).  The build
@@ -382,6 +385,7 @@ def _requires(key: str, value: str, *names) -> dict:
 
 
 _NUMBER = {"type": "number"}
+_INT_THRESHOLDS = {f.name for f in fields(Thresholds) if f.type is int}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _MULTI_INDEX = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 
@@ -509,8 +513,8 @@ CONFIG_SCHEMA = {
         },
         "thresholds": {
             "type": "object",
-            "properties": {f.name: {"type": "integer" if f.type is int
-                                    else "number"}
+            "properties": {f.name: {"type": "integer" if f.name in
+                                    _INT_THRESHOLDS else "number"}
                            for f in fields(Thresholds)},
             "additionalProperties": False,
         },
@@ -553,9 +557,12 @@ class ScenarioContext:
         self.seed = int(cfg["seed"])
         self.horizon = cfg["horizon"]
         gc = cfg["grid"]
-        self.grid = Grid(gc["dim"], gc["points"], gc["length"])
+        # the schema counts 10.0 as an integer; range() and numpy do not
+        self.grid = Grid(int(gc["dim"]), int(gc["points"]), gc["length"])
         dim = self.grid.dim
-        self.thresholds = Thresholds(**cfg.get("thresholds", {}))
+        self.thresholds = Thresholds(**{
+            key: int(v) if key in _INT_THRESHOLDS else v
+            for key, v in cfg.get("thresholds", {}).items()})
         self.dt_policy = DtPolicy(dt=cfg.get("dt"))
         self.cascade_max_order = cfg.get("cascade_max_order", 0)
 
@@ -646,6 +653,8 @@ class ScenarioContext:
         if "probes" in params:
             params["probes"] = [_x_function(pj, self.grid.dim)
                                 for pj in params["probes"]]
+            for phi in params["probes"]:    # IndexError for an axis >= dim
+                phi(*self.grid.x_mesh())
         # TypeError for a parameter this check does not take
         inspect.signature(run).bind(self, **params)
         return functools.partial(run, **params)     # called with the context

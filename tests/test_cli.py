@@ -9,6 +9,7 @@ from jsonschema import Draft202012Validator
 
 from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
                          load_config, main, validate_config)
+from onewave.config import Thresholds
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
 from onewave.scenario import ScenarioContext
@@ -235,10 +236,47 @@ CONFIG_PROBES = {
                             _set(["symbol", "a1", "dim"], 2), []),
     "eps_above_one": ("negligible_uniqueness",
                       _set(["sweep", "eps0"], 2.0), []),
+    "threshold_not_integral": ("negligible_uniqueness", _set(
+        ["thresholds"], {"q_max": 10.5}), []),
+    "probe_axis_beyond_grid": ("delta_association", _set(
+        ["checks", 0, "probes"], [{"node": "coord_x", "axis": 1}]), []),
     "grid_M_odd": ("transport_smoke", lambda cfg: None, ["--grid-M", "127"]),
     "eps_count_one": ("negligible_uniqueness", lambda cfg: None,
                       ["--eps-count", "1"]),
 }
+
+
+class TestRunPhaseExits:
+    """Configs that build and then end in a documented exit, not a traceback."""
+
+    def _run(self, cfg, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return main(["run", str(path)])
+
+    @pytest.mark.parametrize("preset, keys", [
+        ("negligible_uniqueness", ("q_max",)),
+        ("ginf_regularity", ("slow_scale_p_max", "ginf_order_cap"))])
+    def test_integral_float_thresholds_run(self, preset, keys, tmp_path,
+                                           capsys):
+        # jsonschema counts 10.0 as an integer; the run must take it as 10
+        cfg = get_preset(preset)
+        cfg["thresholds"] = {k: float(getattr(Thresholds(), k)) for k in keys}
+        assert self._run(cfg, tmp_path) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_integral_float_grid_runs(self, tmp_path, capsys):
+        cfg = get_preset("transport_smoke")
+        cfg["grid"].update(dim=1.0, points=256.0)
+        assert self._run(cfg, tmp_path) == 0
+
+    def test_zero_defect_norm_fails_naming_m(self, tmp_path, capsys):
+        cfg = get_preset("adjoint_remainder_desk")
+        cfg["checks"] = [{"check": "defect_stability", "points": [2, 4]}]
+        assert self._run(cfg, tmp_path) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL   defect_stability")
+        assert "zero at M=[2" in out
 
 
 class TestConfigContract:

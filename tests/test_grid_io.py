@@ -44,13 +44,6 @@ class TestGrid:
         d = GridFunction.delta(grid32, (5,))
         assert grid32.cell_volume * np.sum(d.values.real) == pytest.approx(1.0)
 
-    def test_band_fraction(self, grid32):
-        x = grid32.x_axis()
-        low = GridFunction(grid32, np.exp(2j * x))
-        assert low.band_fraction_above(0.5) <= 1e-20
-        high = GridFunction(grid32, np.exp(14j * x))
-        assert high.band_fraction_above(0.5) == pytest.approx(1.0)
-
 
 class TestTrajectoryFormat:
     def test_round_trip(self, grid32, tmp_path):

@@ -1,5 +1,7 @@
 """Operator application, adjoints, norms, and the oscillatory remainder."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from onewave import expr as ex
 from onewave.config import CV_CONSTANT
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
-from onewave.quantization import (OscIntConfig, PeriodicOperator,
+from onewave.profiles import plateau
+from onewave.quantization import (OscIntConfig, PeriodicOperator, _kernel,
+                                  _r_theta, _remainder_integrand_trees,
                                   adjoint_defect_norm,
                                   adjoint_symbol_remainder, apply_op,
                                   band_projector, check_remainder_estimate,
@@ -242,6 +246,95 @@ class TestOscillatoryRemainder:
         assert base["ratio"] > 0
         change = abs(refined["ratio"] - base["ratio"]) / base["ratio"]
         assert change <= 0.2
+
+
+def _reference_r_theta(s, t, x, xi, theta, cfg, alpha=0):
+    """r_theta of a 1-D symbol as one full phase-matrix sum, rebuilt per call.
+
+    The oracle for the cached kernel and its shape-chosen contractions:
+    integrand sum_i C(lam, i) (-theta^2)^i Lap_xi^i d_xi d_x conj(s) on the
+    whole (y, eta) grid, times exp(-i y eta) (1 + y^2)^-lam and the windowed
+    trapezoid weights.
+    """
+    def axis(half, points):
+        nodes = np.linspace(-half, half, points)
+        w = np.full(points, nodes[1] - nodes[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return nodes, w * plateau(nodes, 0.6 * half, half)
+
+    y, w_y = axis(cfg.y_half, cfg.y_points)
+    eta, w_e = axis(cfg.eta_half, cfg.eta_points)
+    tree = ex.Conj(s.root)
+    for _ in range(alpha):
+        tree = tree.d_xi(0)
+    tree = tree.d_xi(0).d_x(0)
+    integrand = np.zeros((y.size, eta.size), dtype=complex)
+    for i in range(cfg.lam + 1):
+        integrand += math.comb(cfg.lam, i) * (-theta * theta) ** i * \
+            tree.eval(t, (x + y[:, None],), (xi + theta * eta[None, :],))
+        tree = tree.d_xi(0).d_xi(0)
+    phase = np.exp(-1j * np.outer(y, eta))
+    damp = ((1.0 + y ** 2) ** (-cfg.lam))[:, None]
+    return np.sum(phase * damp * integrand * w_y[:, None] * w_e[None, :]) / \
+        (2.0 * np.pi)
+
+
+def _reference_remainder(s, x, xi, cfg):
+    nodes, weights = np.polynomial.legendre.leggauss(cfg.theta_nodes)
+    return -1j * sum(0.5 * w * _reference_r_theta(s, 0.0, x, xi,
+                                                  0.5 * (th + 1.0), cfg)
+                     for th, w in zip(nodes, weights))
+
+
+_BUMP = ex.SmoothBump(ex.CoordX(0), np.pi, 2.4)
+_X, _XI = ex.CoordX(0), ex.CoordXi(0)
+# Integrand shapes over the (y, eta) grid: the trees Lap_xi^i d_xi d_x conj(s)
+# are bump'(x) (a y column); 2 bump'(x) xi (the full grid); 3 xi^2 (an eta
+# row, quadratic so that its theta^2 moment counts) and 6 (a constant).
+SHAPE_SYMBOLS = {
+    "bump_xi": SymbolExpr(ex.mul(_BUMP, _XI), 1.0, 1),
+    "bump_xi2": SymbolExpr(ex.mul(_BUMP, _XI, _XI), 2.0, 1),
+    "x_xi3": SymbolExpr(ex.mul(_X, _XI, _XI, _XI), 3.0, 1),
+}
+
+
+class TestRemainderKernelOracle:
+    CASES = [("bump_xi", 0, OscIntConfig()),
+             ("bump_xi2", 0, OscIntConfig()),
+             ("x_xi3", 0, OscIntConfig()),
+             ("bump_xi2", 1, OscIntConfig()),
+             ("bump_xi", 0, OscIntConfig().refined(1.4)),
+             ("bump_xi2", 0, OscIntConfig().refined(1.4))]
+
+    @pytest.mark.parametrize("name, alpha, cfg", CASES)
+    def test_r_theta_matches_full_phase_sum(self, name, alpha, cfg):
+        s = SHAPE_SYMBOLS[name]
+        trees = _remainder_integrand_trees(s, cfg.lam, (alpha,))
+        for x, xi, theta in ((np.pi + 0.7, 1.0, 0.0), (2.0, 3.0, 0.6)):
+            got = _r_theta(trees, 0.0, (x,), (xi,), theta, cfg)
+            want = _reference_r_theta(s, 0.0, x, xi, theta, cfg, alpha)
+            assert abs(want) > 1e-6
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("bump_xi", OscIntConfig()), ("bump_xi2", OscIntConfig()),
+        ("bump_xi2", OscIntConfig().refined(1.4))])
+    def test_remainder_matches_full_phase_sum(self, name, cfg):
+        s = SHAPE_SYMBOLS[name]
+        got = adjoint_symbol_remainder(s, 0.0, [2.0], [3.0], cfg)
+        want = _reference_remainder(s, 2.0, 3.0, cfg)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_kernel_built_once_per_config_and_dim(self):
+        s = SHAPE_SYMBOLS["bump_xi"]
+        _kernel.cache_clear()
+        for cfg in (OscIntConfig(), OscIntConfig(), OscIntConfig().refined(1.4)):
+            adjoint_symbol_remainder(s, 0.0, [2.0], [0.0], cfg)
+        check_remainder_estimate(s, (0,), (0,))
+        info = _kernel.cache_info()
+        assert info.misses == 2
+        assert info.currsize == 2
 
 
 class TestBandProjector:
