@@ -20,7 +20,7 @@ import numpy as np
 
 from .cauchy import (CauchyProblem, DtPolicy, Forcing,
                      check_energy_estimate, derivative_cascade,
-                     solve_fixed_eps)
+                     seminorm_constant, solve_fixed_eps)
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
@@ -91,7 +91,6 @@ class SweepPlan:
     dt_policy: DtPolicy | None = None
     seed: int = 0
     cascade_max_order: int = 0
-    measure_seminorms: bool = False
 
 
 def fit_exponent(eps, values):
@@ -208,17 +207,17 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
         g_eps, f_eps = plan.data.build(eps, plan.grid)
         problem = CauchyProblem(symbol=symbol, initial=g_eps,
                                 horizon=plan.horizon, forcing=f_eps)
-        result = solve_fixed_eps(problem, plan.dt_policy, seed=plan.seed,
-                                 measure_seminorms=plan.measure_seminorms)
+        result = solve_fixed_eps(problem, plan.dt_policy, seed=plan.seed)
         op_cache = {}
         norms = _t_derivative_norms(symbol, f_eps, op_cache,
                                     result.snapshots, plan.grid, orders, d_max)
         energy = check_energy_estimate(result.ledger)
-        cascade = {}
+        cascade, c_sem = {}, math.nan
         if plan.cascade_max_order > 0:
             cascade = derivative_cascade(problem, result,
                                          max_order=plan.cascade_max_order)
-        return norms, result, energy, cascade
+            c_sem, _ = seminorm_constant(symbol, plan.grid, plan.horizon)
+        return norms, result, energy, cascade, c_sem
 
     results = {}
     incomplete = {}
@@ -238,7 +237,7 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
                        "moderate": (n_hat is None or
                                     n_hat <= thresholds.moderate_exponent_cap)}
     c_measured = [results[eps][1].ledger.c_measured for eps in done]
-    c_seminorm = [results[eps][1].ledger.C_eps_seminorm for eps in done]
+    c_seminorm = [results[eps][4] for eps in done]
     c_log_fit = {}
     if len(done) >= 3:
         c_log_fit = dict(zip(("coeff", "intercept", "residual"),
@@ -331,8 +330,7 @@ def check_association(plan: SweepPlan, report: SweepReport, probes, reference,
         ref_policy = None
         if plan.dt_policy is not None and plan.dt_policy.dt is not None:
             ref_policy = DtPolicy(dt=plan.dt_policy.dt / REFERENCE_REFINEMENT)
-        res = solve_fixed_eps(prob, ref_policy, seed=plan.seed,
-                              measure_seminorms=False)
+        res = solve_fixed_eps(prob, ref_policy, seed=plan.seed)
         fine_phis = [np.asarray(phi(*fine.x_mesh()), dtype=complex)
                      for phi in probes]
         ref_pairings = [pairing(res.final(), pv) for pv in fine_phis]
@@ -379,6 +377,14 @@ def _rebuild_on(data: DataBuilder, fine: Grid, eps: float):
     return rebuilt.build(eps, fine)
 
 
+def require_ginf_orders(orders, cap: int):
+    """Raise InsufficientOrders unless some (d, alpha) in ``orders`` reaches
+    d + |alpha| = cap, the highest order check_ginf's conclusion reads."""
+    if not any(d + sum(alpha) >= cap for d, alpha in orders):
+        raise InsufficientOrders(
+            f"orders must reach d + |alpha| = {cap} (ginf_order_cap)")
+
+
 def check_ginf(plan: SweepPlan, report: SweepReport,
                thresholds: Thresholds = DEFAULT_THRESHOLDS) -> dict:
     """Uniform-exponent regularity check of the plan's sweep report.
@@ -391,10 +397,8 @@ def check_ginf(plan: SweepPlan, report: SweepReport,
     """
     dim = plan.grid.dim
     cap = thresholds.ginf_order_cap
+    require_ginf_orders(report.orders, cap)
     covered = [o for o in report.orders if o[0] + sum(o[1]) <= cap]
-    if not any(o[0] + sum(o[1]) >= cap for o in report.orders):
-        raise InsufficientOrders(
-            f"report must track orders up to d + |alpha| = {cap}")
     box = SampleBox(x_lo=(0.0,) * dim, x_hi=(plan.grid.length,) * dim,
                     x_count=33, xi_max=min(plan.grid.max_abs_xi(), 256.0),
                     xi_uniform_count=9, t_max=plan.horizon)

@@ -1,25 +1,25 @@
 """Fixed-eps Cauchy solves: spectral in space, classical RK4 in time.
 
 du/dt = -i a(t,x,D_x) u + f(t),  u(0) = g  on the periodic grid, with an
-energy ledger recording ||u(t)||^2, ||f(t)||^2, the measured skew-defect and
-order-0 operator norms, and the semi-norm constant.  The step obeys
-dt * sup|a| <= CFL margin (imaginary-axis stability of RK4); the pointwise
-energy inequality is checked with centered differences plus a slack term
-absorbing time-discretization error.
+energy ledger recording ||u(t)||^2, ||f(t)||^2 and the measured skew-defect
+and order-0 operator norms.  The step obeys dt * sup|a| <= CFL margin
+(imaginary-axis stability of RK4), with sup|a| read from the operator's
+tables; the pointwise energy inequality is checked with centered differences
+plus a slack term absorbing time-discretization error.  The semi-norm
+constant belongs to the symbol: seminorm_constant computes it for the
+verdicts that compare against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
                      INSTABILITY_FACTOR, TRAJECTORY_STRIDE)
-from .errors import (GridMismatch, IncompleteLedger, NonFinite, TagMismatch,
-                     UnstableStep)
+from .errors import GridMismatch, IncompleteLedger, NonFinite, UnstableStep
 from .grid import Grid, GridFunction
 from .quantization import PeriodicOperator, adjoint_defect_norm, operator_norm
 from .symbols import HyperbolicSymbol, SampleBox, SymbolExpr, multi_indices, seminorm_Q
@@ -161,15 +161,10 @@ class EnergyLedger:
     f_norm_sq: np.ndarray
     skew_norm: float
     a0_norm: float
-    C_eps_seminorm: float
-    seminorm_parts: dict = field(default_factory=dict)
+    c_measured: float       # the measured Gronwall constant 1 + skew + 2*a0
     dt: float = 0.0
     initial_norm_sq: float = 0.0
     converged_norms: bool = True
-
-    @property
-    def c_measured(self) -> float:
-        return 1.0 + self.skew_norm + 2.0 * self.a0_norm
 
     def forcing_integral(self) -> float:
         """Trapezoid of ||f(t)||^2 over the full horizon."""
@@ -195,35 +190,6 @@ class SolveResult:
 
     def final(self) -> GridFunction:
         return self.snapshots[-1][1]
-
-
-def _symbol_sup(symbol: SymbolExpr, grid: Grid, horizon: float) -> float:
-    """Upper estimate of sup |a(t,x,xi)| over the grid's resolved set."""
-    terms = ex.separable_terms(symbol.root)
-    times = (np.linspace(0.0, horizon, 5)
-             if symbol.depends_t() else np.array([0.0]))
-    xm, xim = grid.x_mesh(), grid.xi_mesh()
-    zeros = tuple(np.zeros(grid.shape) for _ in range(grid.dim))
-    sup = 0.0
-    if terms is not None:
-        for t in times:
-            acc = 0.0
-            for xp, xip in terms:
-                fx = np.max(np.abs(np.asarray(xp.eval(float(t), xm, zeros))))
-                gx = np.max(np.abs(np.asarray(xip.eval(float(t), zeros, xim))))
-                acc += fx * gx
-            sup = max(sup, acc)
-        return sup
-    # dense fallback on a thinned point set
-    pts = grid.flat_points()[:: max(1, grid.size // 2048)]
-    xif = np.stack([m.ravel() for m in grid.xi_mesh()], axis=-1)
-    xif = xif[:: max(1, xif.shape[0] // 2048)]
-    x = tuple(pts[:, a][:, None] for a in range(grid.dim))
-    xi = tuple(xif[:, a][None, :] for a in range(grid.dim))
-    for t in times:
-        sup = max(sup, float(np.max(np.abs(np.asarray(
-            symbol.root.eval(float(t), x, xi))))))
-    return sup
 
 
 def _measure_norms(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
@@ -268,28 +234,27 @@ def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
 
 
 def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
-                    seed=0, measure_seminorms: bool = True) -> SolveResult:
+                    seed=0) -> SolveResult:
     """Classical RK4 integration with full energy bookkeeping.
 
-    Aborts with UnstableStep when the norm exceeds INSTABILITY_FACTOR times
-    the Gronwall bound predicted from the measured operator norms.
+    Computes what the step needs: dt from sup|a| over the operator's tables,
+    and the measured norms of the Gronwall constant.  Aborts with
+    UnstableStep when the norm exceeds INSTABILITY_FACTOR times the Gronwall
+    bound that constant predicts.
     """
     dt_policy = dt_policy or DtPolicy()
     grid = problem.grid
     full = problem.symbol.full()
-    sup = _symbol_sup(full, grid, problem.horizon)
+    op = PeriodicOperator(full, grid)
+    sup_times = (np.linspace(0.0, problem.horizon, 5)
+                 if full.depends_t() else [0.0])
+    sup = max(op.sup_abs(float(t)) for t in sup_times)
     dt = dt_policy.resolve(problem.horizon, sup)
     n_steps = int(round(problem.horizon / dt))
 
     skew, a0n, norms_ok = _measure_norms(problem.symbol, grid,
                                          problem.horizon, seed)
     c_meas = 1.0 + skew + 2.0 * a0n
-    if measure_seminorms:
-        c_sem, parts = seminorm_constant(problem.symbol, grid, problem.horizon)
-    else:
-        c_sem, parts = math.nan, {}
-
-    op = PeriodicOperator(full, grid)
     forcing = problem.forcing
 
     def rhs(t, u):
@@ -340,7 +305,7 @@ def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
     ledger = EnergyLedger(
         times=np.array(times), u_norm_sq=np.array(u_norms),
         f_norm_sq=np.array(f_norms), skew_norm=skew, a0_norm=a0n,
-        C_eps_seminorm=c_sem, seminorm_parts=parts, dt=dt,
+        c_measured=c_meas, dt=dt,
         initial_norm_sq=g_norm_sq, converged_norms=norms_ok)
     return SolveResult(times=np.array(times), snapshots=snapshots,
                        ledger=ledger, dt=dt)
@@ -352,56 +317,47 @@ def _under_bound(values, bound) -> bool:
 
 
 def check_energy_estimate(ledger: EnergyLedger,
-                          calibration_C: float | None = None,
-                          slack: float = ENERGY_SLACK) -> dict:
+                          c_seminorm: float = math.nan) -> dict:
     """Pointwise differential inequality and Gronwall bound from the ledger.
 
     pointwise:  d/dt ||u||^2 <= ||f||^2 + (1 + skew + 2*a0) ||u||^2
-    (centered differences; one-sided at the ends; slack absorbs the
+    (centered differences; one-sided at the ends; ENERGY_SLACK absorbs the
     time-discretization error of the derivative estimate).
     gronwall:   ||u(t)||^2 <= (||g||^2 + int_0^T ||f||^2) exp(c_meas * t).
+    ``c_seminorm`` is the semi-norm constant to compare with c_meas (from
+    seminorm_constant); NaN skips the comparison.
     """
     ledger.validate()
     t, usq, fsq = ledger.times, ledger.u_norm_sq, ledger.f_norm_sq
     c = ledger.c_measured
     dsq = np.gradient(usq, t)
-    rhs = fsq + c * usq + slack * (1.0 + usq)
+    rhs = fsq + c * usq + ENERGY_SLACK * (1.0 + usq)
     margins = rhs - dsq
     pointwise_ok = bool(np.all(margins >= 0.0))
     bound = ledger.gronwall_bound()
     gr_margin = bound - usq
     gronwall_ok = _under_bound(usq, bound)
-    c_sem = ledger.C_eps_seminorm
-    if calibration_C is not None and ledger.seminorm_parts.get("C"):
-        # rescale the stored constant to the requested calibration
-        c_sem = c_sem * calibration_C / ledger.seminorm_parts["C"]
-    out = {
+    return {
         "pointwise_ok": pointwise_ok,
         "gronwall_ok": gronwall_ok,
         "pointwise_margin_min": float(np.min(margins)),
         "gronwall_margin_min": float(np.min(gr_margin)),
         "c_measured": c,
-        "c_seminorm": c_sem,
-        "seminorm_dominates": bool(c_sem >= c)
-        if math.isfinite(c_sem) else None,
+        "c_seminorm": c_seminorm,
+        "seminorm_dominates": bool(c_seminorm >= c)
+        if math.isfinite(c_seminorm) else None,
     }
-    return out
 
 
 def check_case_variants(problem: CauchyProblem, result: SolveResult,
-                        seed=0, require=()) -> dict:
+                        seed=0) -> dict:
     """Reduced-order semi-norm constants for the tagged special cases.
 
     case b (multiplier outside a radius) uses k=1, l=n+2, k'=0, l'=n+1;
     case c (real symbol) drops the a0 term.  Each applicable case must still
     dominate the measured constant and the measured trajectory growth.
-    Cases listed in ``require`` raise TagMismatch when the symbol lacks the
-    structural tag; otherwise inapplicable cases are reported with a reason.
+    Inapplicable cases are reported with a reason.
     """
-    if "b" in require and problem.symbol.x_independent_outside is None:
-        raise TagMismatch("case b requires the x_independent_outside tag")
-    if "c" in require and not problem.symbol.is_real():
-        raise TagMismatch("case c requires a real-valued symbol")
     ledger = result.ledger
     grid = problem.grid
     report = {"c_measured": ledger.c_measured}

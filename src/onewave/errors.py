@@ -53,10 +53,6 @@ class IncompleteLedger(OnewaveError):
     """Energy ledger misses entries required by a check."""
 
 
-class TagMismatch(OnewaveError):
-    """Symbol lacks the structural tag required by a reduced-constant case."""
-
-
 class InsufficientOrders(OnewaveError):
     """Sweep report does not cover the derivative orders a check needs."""
 

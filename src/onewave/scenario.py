@@ -22,10 +22,11 @@ from jsonschema.exceptions import best_match
 from . import expr as ex
 from . import io as owio
 from .asymptotics import (DataBuilder, SweepPlan, check_association,
-                          check_ginf, check_negligible, run_sweep)
+                          check_ginf, check_negligible, require_ginf_orders,
+                          run_sweep)
 from .cauchy import (CauchyProblem, DtPolicy, Forcing, TimeProfile,
                      check_case_variants, check_energy_estimate,
-                     derivative_cascade, solve_fixed_eps)
+                     derivative_cascade, seminorm_constant, solve_fixed_eps)
 from .config import Thresholds
 from .errors import ConfigInvalid, OnewaveError
 from .grid import Grid, GridFunction
@@ -127,8 +128,9 @@ def _check_unitarity(ctx: ScenarioContext, tol=1e-10) -> CheckOutcome:
 
 
 def _check_energy(ctx: ScenarioContext) -> CheckOutcome:
-    _, result = ctx.solve()
-    rep = check_energy_estimate(result.ledger)
+    problem, result = ctx.solve()
+    c_sem, _ = seminorm_constant(problem.symbol, ctx.grid, ctx.horizon)
+    rep = check_energy_estimate(result.ledger, c_sem)
     ok = rep["pointwise_ok"] and rep["gronwall_ok"] and \
         (rep["seminorm_dominates"] is not False)
     if ctx.artifact("energy_ledger.csv"):
@@ -611,7 +613,8 @@ class ScenarioContext:
         self.initial_data = self.data_builder.g
         self.forcing = self.data_builder.forcing
         g = cfg["data"]["g"]
-        self.delta_node = tuple(g["node"]) if g["kind"] == "delta" else None
+        self.delta_node = (tuple(map(int, g["node"]))
+                           if g["kind"] == "delta" else None)
         self.g_1d = (_x_function(g["expr"], 1)
                      if g["kind"] == "expression" and dim == 1 else None)
         self.checks = [self._bind(entry) for entry in cfg["checks"]]
@@ -622,8 +625,8 @@ class ScenarioContext:
                 expr_json, self.grid.dim)(*self.grid.x_mesh())).check_finite()
 
         g, fspec = dc["g"], dc.get("f") or {}
-        if g["kind"] == "delta":
-            initial = GridFunction.delta(self.grid, tuple(g["node"]))
+        if g["kind"] == "delta":    # the schema counts 64.0 as an integer
+            initial = GridFunction.delta(self.grid, tuple(map(int, g["node"])))
         elif g["kind"] == "expression":
             initial = on_grid(g["expr"])
         else:
@@ -648,6 +651,8 @@ class ScenarioContext:
         for need in needs:
             if getattr(self, need) is None:
                 raise ValueError(f"check {name!r} needs {_NEEDS[need]}")
+        if name == "ginf":      # InsufficientOrders, before any sweep runs
+            require_ginf_orders(self.orders, self.thresholds.ginf_order_cap)
         if "data" in params:
             params["data"] = self._data_builder(params["data"])
         if "probes" in params:
@@ -679,7 +684,7 @@ class ScenarioContext:
                 family=self.family, data=data, grid=self.grid,
                 horizon=self.horizon, orders=self.orders,
                 dt_policy=self.dt_policy, seed=self.seed,
-                cascade_max_order=cascade, measure_seminorms=cascade > 0)
+                cascade_max_order=cascade)
             self._sweep_cache[key] = (plan, run_sweep(plan, self.thresholds))
         return self._sweep_cache[key]
 

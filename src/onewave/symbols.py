@@ -292,15 +292,14 @@ class HyperbolicSymbol:
             return self.a1
         return SymbolExpr(ex.add(self.a1.root, self.a0.root), 1.0, self.dim)
 
-    def is_real(self, box: "SampleBox | None" = None) -> bool:
+    def is_real(self) -> bool:
         """Sampled reality check of the full symbol (a1 is checked on
         construction paths; case analysis also needs a0 real)."""
         if self.a0 is None:
             return True
-        box = box or SampleBox(x_lo=(0.0,) * self.dim,
-                               x_hi=(2.0 * math.pi,) * self.dim, x_count=33,
-                               xi_uniform_count=9, xi_max=64.0)
-        return check_real_valued(self.a0, box)
+        return check_real_valued(self.a0, SampleBox(
+            x_lo=(0.0,) * self.dim, x_hi=(2.0 * math.pi,) * self.dim,
+            x_count=33, xi_uniform_count=9, xi_max=64.0))
 
     def to_json(self) -> dict:
         out = {"a1": self.a1.to_json()}
@@ -311,14 +310,11 @@ class HyperbolicSymbol:
         return out
 
 
-def check_real_valued(s: SymbolExpr, box: SampleBox, t_values=(0.0,)) -> bool:
-    """Sampled reality check: |Im| <= 1e-14 * (1 + |value|) everywhere."""
-    xpts, xipts = box.x_points(), box.xi_points()
-    for t in t_values:
-        vals = _eval_on_box(s.root, t, xpts, xipts, s.dim)
-        if np.max(np.abs(vals.imag)) > 1e-14 * (1.0 + np.max(np.abs(vals))):
-            return False
-    return True
+def check_real_valued(s: SymbolExpr, box: SampleBox) -> bool:
+    """Sampled reality check at t = 0: |Im| <= 1e-14 * (1 + |value|)."""
+    vals = _eval_on_box(s.root, 0.0, box.x_points(), box.xi_points(), s.dim)
+    return not (np.max(np.abs(vals.imag)) >
+                1e-14 * (1.0 + np.max(np.abs(vals))))
 
 
 class GenSymbolFamily:

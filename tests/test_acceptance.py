@@ -115,11 +115,11 @@ class TestAcceptance:
         sym = HyperbolicSymbol(a1=a1)
         classical = solve_fixed_eps(
             CauchyProblem(symbol=sym, initial=g0, horizon=1.0),
-            DtPolicy(dt=1e-3), seed=0, measure_seminorms=False).final()
+            DtPolicy(dt=1e-3), seed=0).final()
         mollified = solve_fixed_eps(
             CauchyProblem(symbol=sym, initial=embed_data(g0, 0.05),
                           horizon=1.0),
-            DtPolicy(dt=1e-3), seed=0, measure_seminorms=False).final()
+            DtPolicy(dt=1e-3), seed=0).final()
         ident = np.max(np.abs(classical.values - mollified.values))
         # (ii) delta pairings against the exact transported values
         ok, oc, _ = run_preset("delta_association", 300.0)
@@ -198,7 +198,7 @@ class TestAcceptance:
             def solve(g):
                 return solve_fixed_eps(
                     CauchyProblem(symbol=sym, initial=g, horizon=0.2),
-                    seed=0, measure_seminorms=False).final()
+                    seed=0).final()
 
             combo = solve(al * g1 + be * g2)
             split = al * solve(g1) + be * solve(g2)
@@ -216,11 +216,11 @@ class TestAcceptance:
             fwd = solve_fixed_eps(
                 CauchyProblem(symbol=HyperbolicSymbol(a1=s), initial=g0,
                               horizon=0.3),
-                DtPolicy(dt=1e-3), seed=0, measure_seminorms=False)
+                DtPolicy(dt=1e-3), seed=0)
             back = solve_fixed_eps(
                 CauchyProblem(symbol=HyperbolicSymbol(a1=neg),
                               initial=fwd.final(), horizon=0.3),
-                DtPolicy(dt=1e-3), seed=0, measure_seminorms=False)
+                DtPolicy(dt=1e-3), seed=0)
             rel = np.max(np.abs(back.final().values - g0.values)) / \
                 max(np.max(np.abs(g0.values)), 1e-300)
             worst_rev = max(worst_rev, rel)

@@ -72,10 +72,12 @@ class TestRunSweep:
     def test_gronwall_cross_check_recorded(self, grid256):
         plan = SweepPlan(family=const_family(), data=DataBuilder(
             kind="fixed", g=smooth_g(grid256)), grid=grid256, horizon=0.5,
-            cascade_max_order=1, measure_seminorms=True)
+            cascade_max_order=1)
         rep = run_sweep(plan)
         assert all(rep.energy_ok)
         assert (1,) in rep.predicted_exponents
+        # the cascade's sweep compares against the semi-norm constant
+        assert all(cs >= cm for cs, cm in zip(rep.c_seminorm, rep.c_measured))
 
     def test_fit_exponent_of_vanishing_sequence(self):
         n, _, _ = fit_exponent([0.1, 0.01, 0.001], [0.0, 0.0, 0.0])
@@ -116,7 +118,7 @@ class TestAssociation:
         classical = solve_fixed_eps(
             CauchyProblem(symbol=const_family(eps_grid).member(0.02),
                           initial=smooth_g(grid256), horizon=1.0),
-            seed=0, measure_seminorms=False).final()
+            seed=0).final()
 
         def probe(x):
             return np.cos(x)

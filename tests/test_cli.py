@@ -238,6 +238,8 @@ CONFIG_PROBES = {
                       _set(["sweep", "eps0"], 2.0), []),
     "threshold_not_integral": ("negligible_uniqueness", _set(
         ["thresholds"], {"q_max": 10.5}), []),
+    "ginf_orders_below_cap": ("ginf_regularity", _set(
+        ["orders"], [[0, [0]], [0, [1]]]), []),
     "probe_axis_beyond_grid": ("delta_association", _set(
         ["checks", 0, "probes"], [{"node": "coord_x", "axis": 1}]), []),
     "grid_M_odd": ("transport_smoke", lambda cfg: None, ["--grid-M", "127"]),
@@ -269,6 +271,14 @@ class TestRunPhaseExits:
         cfg = get_preset("transport_smoke")
         cfg["grid"].update(dim=1.0, points=256.0)
         assert self._run(cfg, tmp_path) == 0
+
+    def test_integral_float_delta_node_runs(self, tmp_path, capsys):
+        cfg = get_preset("delta_association")
+        assert self._run(cfg, tmp_path) == 0
+        expected = capsys.readouterr().out
+        cfg["data"]["g"]["node"] = [64.0]
+        assert self._run(cfg, tmp_path) == 0
+        assert capsys.readouterr().out == expected
 
     def test_zero_defect_norm_fails_naming_m(self, tmp_path, capsys):
         cfg = get_preset("adjoint_remainder_desk")

@@ -52,8 +52,7 @@ class TestTrajectoryFormat:
         prob = CauchyProblem(symbol=HyperbolicSymbol(a1=a1),
                              initial=GridFunction(grid32, np.sin(x)),
                              horizon=0.25)
-        res = solve_fixed_eps(prob, DtPolicy(dt=0.01), seed=0,
-                              measure_seminorms=False)
+        res = solve_fixed_eps(prob, DtPolicy(dt=0.01), seed=0)
         path = owio.write_trajectory(tmp_path / "traj.bin", res, grid32)
         grid_back, dt, stride, snaps = owio.read_trajectory(path)
         assert grid_back == grid32
@@ -86,8 +85,7 @@ class TestCsvDeterminism:
         prob = CauchyProblem(symbol=HyperbolicSymbol(a1=a1),
                              initial=GridFunction(grid32, np.sin(x)),
                              horizon=0.25)
-        res = solve_fixed_eps(prob, DtPolicy(dt=0.01), seed=0,
-                              measure_seminorms=False)
+        res = solve_fixed_eps(prob, DtPolicy(dt=0.01), seed=0)
         path = owio.write_ledger_csv(tmp_path / "ledger.csv", res.ledger,
                                      "energy")
         header = path.read_text().splitlines()[0]

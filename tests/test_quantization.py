@@ -149,7 +149,7 @@ class TestAdjoint:
         xi_flat = xis[None, :]
         E = np.exp(1j * pts[:, None] * xi_flat)
         route2 = (astar_table * E) @ E.conj().T / grid32.points
-        proj = band_projector(grid32, 0.5)
+        proj = band_projector(grid32)
         pmat = np.stack([proj(col) for col in np.eye(grid32.points)], axis=1)
         r1 = pmat @ route1 @ pmat
         r2 = pmat @ route2 @ pmat
@@ -339,7 +339,7 @@ class TestRemainderKernelOracle:
 
 class TestBandProjector:
     def test_idempotent(self, grid32, rng):
-        proj = band_projector(grid32, 0.5)
+        proj = band_projector(grid32)
         u = random_grid_function(grid32, rng)
         once = proj(u.values)
         twice = proj(once)

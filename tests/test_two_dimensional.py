@@ -52,8 +52,7 @@ class TestSolve2D:
         x1, x2 = grid.x_mesh()
         g0 = GridFunction(grid, np.sin(x1) + np.cos(2 * x2))
         prob = CauchyProblem(symbol=sym, initial=g0, horizon=0.5)
-        res = solve_fixed_eps(prob, DtPolicy(dt=2e-3), seed=0,
-                              measure_seminorms=False)
+        res = solve_fixed_eps(prob, DtPolicy(dt=2e-3), seed=0)
         exact = np.sin(x1 - 0.5) + np.cos(2 * (x2 - 0.25))
         assert np.max(np.abs(res.final().values - exact)) <= 1e-8
 
@@ -63,7 +62,7 @@ class TestSolve2D:
         x1, x2 = grid.x_mesh()
         g0 = GridFunction(grid, np.sin(x1) * np.cos(x2))
         prob = CauchyProblem(symbol=sym, initial=g0, horizon=0.3)
-        res = solve_fixed_eps(prob, seed=0, measure_seminorms=False)
+        res = solve_fixed_eps(prob, seed=0)
         rep = check_energy_estimate(res.ledger)
         assert rep["pointwise_ok"] and rep["gronwall_ok"]
 
@@ -83,7 +82,7 @@ class TestSolve2D:
         g0 = GridFunction(grid, np.sin(x1) * np.cos(x2))
         prob = CauchyProblem(symbol=sym, initial=g0, horizon=0.1)
         rep = check_case_variants(
-            prob, solve_fixed_eps(prob, seed=0, measure_seminorms=False),
+            prob, solve_fixed_eps(prob, seed=0),
             seed=0)
         assert rep["case_c"]["applicable"]
         assert rep["case_c"]["dominates_measured"]
