@@ -1,6 +1,7 @@
 """Epsilon sweeps and asymptotic classification of solution families.
 
-A sweep solves the Cauchy problem for every eps on a geometric grid, tracks
+A sweep solves the Cauchy problem for every eps on a geometric grid (the
+members advance as one stack through cauchy.solve_stack), tracks
 max_t ||d_t^d d_x^alpha u_eps(t)|| for requested orders, and fits growth
 exponents against log(1/eps).  Verdicts (moderate, negligible, regular,
 slow-scale, associated) are finite-sweep regressions with explicit
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cauchy import (CauchyProblem, DtPolicy, Forcing,
                      check_energy_estimate, derivative_cascade,
-                     seminorm_constant, solve_fixed_eps)
+                     seminorm_constant, solve_fixed_eps, solve_stack)
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
@@ -114,8 +115,7 @@ def fit_exponent(eps, values):
     return float(coeffs[0]), float(np.sqrt(max(cov[0, 0], 0.0))), resid
 
 
-def _t_derivative_norms(symbol, forcing, op_cache, snapshots, grid,
-                        orders, d_max):
+def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max):
     """Norms of d_t^d d_x^alpha u at the stored snapshots via the equation.
 
     d_t^d u = -i sum_i C(d-1, i) op(d_t^i a) d_t^(d-1-i) u + d_t^(d-1) f.
@@ -124,6 +124,7 @@ def _t_derivative_norms(symbol, forcing, op_cache, snapshots, grid,
     dim = grid.dim
     full = symbol.full()
     out = {order: 0.0 for order in orders}
+    op_cache = {}
     f_derivs = [forcing]
     for _ in range(d_max):
         f_derivs.append(f_derivs[-1].t_derivative())
@@ -197,35 +198,44 @@ class SweepReport:
 
 def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SweepReport:
     """Solve every eps, track derivative norms, fit exponents, and
-    cross-check each run against its own Gronwall bound."""
+    cross-check each run against its own Gronwall bound.  Build every
+    member, solve them as one stack, then post-process each eps in order;
+    an OnewaveError in any phase is recorded for its eps."""
     orders = list(plan.orders)
     d_max = max(d for d, _ in orders)
     eps_list = list(plan.family.eps_grid)
-
-    def solve_one(eps):
-        symbol = plan.family.member(eps)
-        g_eps, f_eps = plan.data.build(eps, plan.grid)
-        problem = CauchyProblem(symbol=symbol, initial=g_eps,
-                                horizon=plan.horizon, forcing=f_eps)
-        result = solve_fixed_eps(problem, plan.dt_policy, seed=plan.seed)
-        op_cache = {}
-        norms = _t_derivative_norms(symbol, f_eps, op_cache,
-                                    result.snapshots, plan.grid, orders, d_max)
-        energy = check_energy_estimate(result.ledger)
-        cascade, c_sem = {}, math.nan
-        if plan.cascade_max_order > 0:
-            cascade = derivative_cascade(problem, result,
-                                         max_order=plan.cascade_max_order)
-            c_sem, _ = seminorm_constant(symbol, plan.grid, plan.horizon)
-        return norms, result, energy, cascade, c_sem
-
-    results = {}
-    incomplete = {}
+    failed, problems, results = {}, {}, {}
     for eps in eps_list:
         try:
-            results[eps] = solve_one(eps)
-        except OnewaveError as err:  # record and continue
-            incomplete[eps] = f"{type(err).__name__}: {err}"
+            symbol = plan.family.member(eps)
+            g_eps, f_eps = plan.data.build(eps, plan.grid)
+            problems[eps] = CauchyProblem(symbol=symbol, initial=g_eps,
+                                          horizon=plan.horizon, forcing=f_eps)
+        except OnewaveError as err:
+            failed[eps] = err
+    solved = solve_stack(list(problems.values()), plan.dt_policy,
+                         seed=plan.seed)
+    for eps, result in zip(problems, solved):
+        if isinstance(result, OnewaveError):
+            failed[eps] = result
+            continue
+        problem = problems[eps]
+        try:
+            norms = _t_derivative_norms(problem.symbol, problem.forcing,
+                                        result.snapshots, plan.grid, orders,
+                                        d_max)
+            energy = check_energy_estimate(result.ledger)
+            cascade, c_sem = {}, math.nan
+            if plan.cascade_max_order > 0:
+                cascade = derivative_cascade(problem, result,
+                                             max_order=plan.cascade_max_order)
+                c_sem, _ = seminorm_constant(problem.symbol, plan.grid,
+                                             plan.horizon)
+            results[eps] = norms, result, energy, cascade, c_sem
+        except OnewaveError as err:
+            failed[eps] = err
+    incomplete = {eps: f"{type(failed[eps]).__name__}: {failed[eps]}"
+                  for eps in eps_list if eps in failed}
 
     done = [eps for eps in eps_list if eps in results]
     norms = {order: [results[eps][0][order] for eps in done]
@@ -378,8 +388,11 @@ def _rebuild_on(data: DataBuilder, fine: Grid, eps: float):
 
 
 def require_ginf_orders(orders, cap: int):
-    """Raise InsufficientOrders unless some (d, alpha) in ``orders`` reaches
-    d + |alpha| = cap, the highest order check_ginf's conclusion reads."""
+    """Raise InsufficientOrders unless ``orders`` holds the base order
+    (0, 0), whose fit gives check_ginf's p_hat, and some (d, alpha) reaches
+    d + |alpha| = cap, the highest order its conclusion reads."""
+    if (0, (0,) * len(orders[0][1])) not in orders:
+        raise InsufficientOrders("orders must hold the base order (0, 0)")
     if not any(d + sum(alpha) >= cap for d, alpha in orders):
         raise InsufficientOrders(
             f"orders must reach d + |alpha| = {cap} (ginf_order_cap)")

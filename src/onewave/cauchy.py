@@ -8,6 +8,10 @@ tables; the pointwise energy inequality is checked with centered differences
 plus a slack term absorbing time-discretization error.  The semi-norm
 constant belongs to the symbol: seminorm_constant computes it for the
 verdicts that compare against it.
+
+One RK4 stepper, solve_stack, advances the members of a stack on one grid
+(a sweep's eps members) as rows, each with its own dt and step count, after
+one band-norm iteration over the stack; solve_fixed_eps is one member.
 """
 
 from __future__ import annotations
@@ -19,14 +23,16 @@ import numpy as np
 
 from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
                      INSTABILITY_FACTOR, TRAJECTORY_STRIDE)
-from .errors import GridMismatch, IncompleteLedger, NonFinite, UnstableStep
+from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
+                     UnstableStep)
 from .grid import Grid, GridFunction
-from .quantization import PeriodicOperator, adjoint_defect_norm, operator_norm
+from .quantization import (PeriodicOperator, adjoint_defect_norm,
+                           adjoint_defect_norms, operator_norms, stacks)
 from .symbols import HyperbolicSymbol, SampleBox, SymbolExpr, multi_indices, seminorm_Q
 
 __all__ = [
     "TimeProfile", "Forcing", "CauchyProblem", "DtPolicy", "EnergyLedger",
-    "SolveResult", "solve_fixed_eps", "check_energy_estimate",
+    "SolveResult", "solve_fixed_eps", "solve_stack", "check_energy_estimate",
     "check_case_variants", "derivative_cascade", "case_orders",
 ]
 
@@ -131,6 +137,8 @@ class DtPolicy:
     override: bool = False
 
     def resolve(self, horizon: float, symbol_sup: float) -> float:
+        if not math.isfinite(symbol_sup):
+            raise NonFinite(f"sup|a| = {symbol_sup} is not finite")
         if self.dt is not None:
             if not self.override and symbol_sup * self.dt > CFL_MARGIN * (1 + 1e-12):
                 raise UnstableStep(
@@ -192,23 +200,26 @@ class SolveResult:
         return self.snapshots[-1][1]
 
 
-def _measure_norms(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
-                   seed):
-    """Max over sampled t of the a1 skew-defect norm and the a0 norm."""
-    times = (np.linspace(0.0, horizon, 3)
-             if symbol.a1.depends_t() or
-                (symbol.a0 is not None and symbol.a0.depends_t())
-             else [0.0])
-    skew, a0n, ok = 0.0, 0.0, True
-    for t in times:
-        est = adjoint_defect_norm(symbol.a1, float(t), grid, seed=seed)
-        skew = max(skew, est.value)
-        ok = ok and est.converged
-        if symbol.a0 is not None:
-            est = operator_norm(symbol.a0, float(t), grid, seed=seed)
-            a0n = max(a0n, est.value)
-            ok = ok and est.converged
-    return skew, a0n, ok
+def _measure_norms(problems, grid: Grid, seed) -> list:
+    """Per problem, (skew, a0 norm, Gronwall constant, converged): the max
+    over sampled t of its a1 skew-defect norm and of its a0 norm, each
+    estimator run once over the stack of all problems and sample times."""
+    syms = [p.symbol for p in problems]
+    pairs = [(i, float(t)) for i, p in enumerate(problems) for t in (
+        np.linspace(0.0, p.horizon, 3) if syms[i].a1.depends_t() or (
+            syms[i].a0 is not None and syms[i].a0.depends_t()) else [0.0])]
+    norms = {"a1": [0.0] * len(syms), "a0": [0.0] * len(syms)}
+    ok = [True] * len(syms)
+    for part, estimate in (("a1", adjoint_defect_norms),
+                           ("a0", operator_norms)):
+        used = [(i, t) for i, t in pairs
+                if getattr(syms[i], part) is not None]
+        for (i, _), est in zip(used, estimate(
+                [(getattr(syms[i], part), t) for i, t in used], grid, seed)):
+            norms[part][i] = max(norms[part][i], est.value)
+            ok[i] = ok[i] and est.converged
+    return [(skew, a0n, 1.0 + skew + 2.0 * a0n, conv)
+            for skew, a0n, conv in zip(norms["a1"], norms["a0"], ok)]
 
 
 def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
@@ -235,80 +246,128 @@ def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
 
 def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
                     seed=0) -> SolveResult:
-    """Classical RK4 integration with full energy bookkeeping.
+    """The one-member solve_stack; raises the error that stopped it."""
+    [result] = solve_stack([problem], dt_policy, seed)
+    if isinstance(result, OnewaveError):
+        raise result
+    return result
 
-    Computes what the step needs: dt from sup|a| over the operator's tables,
-    and the measured norms of the Gronwall constant.  Aborts with
-    UnstableStep when the norm exceeds INSTABILITY_FACTOR times the Gronwall
-    bound that constant predicts.
+
+def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
+    """Classical RK4 with full energy bookkeeping for problems on one grid;
+    per problem, its SolveResult or the OnewaveError that stopped it.  The
+    members of one table layout step as one stack, each with its dt from
+    its own sup|a|, and leave it after their last step, so each member's
+    arithmetic is its one-member solve's.  A member aborts with UnstableStep
+    when its norm exceeds INSTABILITY_FACTOR times its Gronwall bound.
     """
     dt_policy = dt_policy or DtPolicy()
-    grid = problem.grid
-    full = problem.symbol.full()
-    op = PeriodicOperator(full, grid)
-    sup_times = (np.linspace(0.0, problem.horizon, 5)
-                 if full.depends_t() else [0.0])
-    sup = max(op.sup_abs(float(t)) for t in sup_times)
-    dt = dt_policy.resolve(problem.horizon, sup)
-    n_steps = int(round(problem.horizon / dt))
+    out = [None] * len(problems)
+    grid = problems[0].grid if problems else None
+    if any(p.grid != grid for p in problems):
+        raise GridMismatch("stacked problems on different grids")
+    for rows, stack in stacks([p.symbol.full() for p in problems], grid):
+        members = []
+        for k, i in enumerate(rows):
+            try:
+                members.append(_Member(k, i, problems[i], stack.ops[k],
+                                       dt_policy))
+            except OnewaveError as err:
+                out[i] = err
+        for m, norms in zip(members, _measure_norms(
+                [m.problem for m in members], stack.grid, seed)):
+            m.norms = norms
+        _rk4(stack.narrow([m.row for m in members]), members, out)
+    return out
 
-    skew, a0n, norms_ok = _measure_norms(problem.symbol, grid,
-                                         problem.horizon, seed)
-    c_meas = 1.0 + skew + 2.0 * a0n
-    forcing = problem.forcing
 
-    def rhs(t, u):
-        out = -1j * op.apply(t, u)
-        if not forcing.is_zero:
-            out = out + forcing.value(t)
-        return out
+class _Member:
+    """One row of a solve stack: its step, its guard and its ledger."""
 
-    u = problem.initial.values.astype(complex).copy()
-    g_norm_sq = problem.initial.norm_sq()
-    cell = grid.cell_volume
+    def __init__(self, row, slot, problem: CauchyProblem, op, dt_policy):
+        self.row, self.slot, self.problem = row, slot, problem
+        sup_times = (np.linspace(0.0, problem.horizon, 5)
+                     if op.symbol.depends_t() else [0.0])
+        self.sup = max(op.sup_abs(float(t)) for t in sup_times)
+        self.dt = dt_policy.resolve(problem.horizon, self.sup)
+        self.n_steps = int(round(problem.horizon / self.dt))
+        self.forcing = None if problem.forcing.is_zero else problem.forcing
+        self.g_norm_sq = problem.initial.norm_sq()
+        # forcing integral over the horizon for the instability guard
+        guard_t = np.linspace(0.0, problem.horizon, 65)
+        self.guard_base = self.g_norm_sq + float(np.trapezoid(
+            [self.f_norm_sq(t) for t in guard_t], guard_t))
+        self.ledger = [(0.0, self.g_norm_sq, self.f_norm_sq(0.0))]
+        self.snapshots = [(0.0, problem.initial.values.astype(complex))]
 
-    # forcing integral over the horizon for the instability guard
-    guard_times = np.linspace(0.0, problem.horizon, 65)
-    f_int = float(np.trapezoid([forcing.norm(t) ** 2 for t in guard_times],
-                               guard_times)) if not forcing.is_zero else 0.0
-    guard_base = g_norm_sq + f_int
+    def f_norm_sq(self, t: float) -> float:
+        return 0.0 if self.forcing is None else self.forcing.norm(t) ** 2
 
-    times = [0.0]
-    u_norms = [g_norm_sq]
-    f_norms = [forcing.norm(0.0) ** 2]
-    snapshots = [(0.0, GridFunction(grid, u.copy()))]
-
-    for step in range(1, n_steps + 1):
-        t = (step - 1) * dt
-        k1 = rhs(t, u)
-        k2 = rhs(t + dt / 2.0, u + dt / 2.0 * k1)
-        k3 = rhs(t + dt / 2.0, u + dt / 2.0 * k2)
-        k4 = rhs(t + dt, u + dt * k3)
-        u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tn = step * dt
-        nsq = float(cell * np.sum(np.abs(u) ** 2))
+    def advance(self, step: int, u: np.ndarray, nsq: float):
+        """Record step ``step``, which left u with norm^2 nsq; returns the
+        SolveResult after the last step, the error that stops it, or None."""
+        tn = step * self.dt
         if not math.isfinite(nsq):
-            raise NonFinite(f"solution norm non-finite at t={tn:.4g}")
-        bound = INSTABILITY_FACTOR * max(guard_base, 1e-300) * \
+            return NonFinite(f"solution norm non-finite at t={tn:.4g}")
+        skew, a0n, c_meas, ok = self.norms
+        bound = INSTABILITY_FACTOR * max(self.guard_base, 1e-300) * \
             math.exp(c_meas * tn)
-        if guard_base > 0 and nsq > bound:
-            raise UnstableStep(
+        if self.guard_base > 0 and nsq > bound:
+            return UnstableStep(
                 f"norm^2 {nsq:.3e} exceeds {INSTABILITY_FACTOR}x Gronwall "
-                f"prediction {bound:.3e} at t={tn:.4g} (dt={dt:.3e}, "
-                f"sup|a|={sup:.3e})")
-        times.append(tn)
-        u_norms.append(nsq)
-        f_norms.append(forcing.norm(tn) ** 2)
-        if step % TRAJECTORY_STRIDE == 0 or step == n_steps:
-            snapshots.append((tn, GridFunction(grid, u.copy())))
+                f"prediction {bound:.3e} at t={tn:.4g} (dt={self.dt:.3e}, "
+                f"sup|a|={self.sup:.3e})")
+        self.ledger.append((tn, nsq, self.f_norm_sq(tn)))
+        if step % TRAJECTORY_STRIDE == 0 or step == self.n_steps:
+            self.snapshots.append((tn, u.copy()))
+        if step < self.n_steps:
+            return None
+        times, u_norms, f_norms = map(np.array, zip(*self.ledger))
+        ledger = EnergyLedger(
+            times=times, u_norm_sq=u_norms, f_norm_sq=f_norms,
+            skew_norm=skew, a0_norm=a0n, c_measured=c_meas, dt=self.dt,
+            initial_norm_sq=self.g_norm_sq, converged_norms=ok)
+        grid = self.problem.grid
+        return SolveResult(times=times, ledger=ledger, dt=self.dt, snapshots=[
+            (t, GridFunction(grid, v)) for t, v in self.snapshots])
 
-    ledger = EnergyLedger(
-        times=np.array(times), u_norm_sq=np.array(u_norms),
-        f_norm_sq=np.array(f_norms), skew_norm=skew, a0_norm=a0n,
-        c_measured=c_meas, dt=dt,
-        initial_norm_sq=g_norm_sq, converged_norms=norms_ok)
-    return SolveResult(times=np.array(times), snapshots=snapshots,
-                       ledger=ledger, dt=dt)
+
+def _rk4(stack, members, out):
+    """The RK4 loop: the live members take each step at once, as the rows
+    of a stack over a leading member axis, each with its own dt and times."""
+    cell = stack.grid.cell_volume
+    if members:
+        u = np.stack([m.snapshots[0][1] for m in members])
+        dt = np.array([m.dt for m in members]).reshape(
+            (-1,) + (1,) * stack.grid.dim)
+
+    def rhs(ts, v):
+        k = -1j * stack.apply(ts, v)
+        for row, (m, t) in enumerate(zip(members, ts)):
+            if m.forcing is not None:
+                k[row] += m.forcing.value(t)
+        return k
+
+    step = 0
+    while members:
+        step += 1
+        t0 = [(step - 1) * m.dt for m in members]
+        th = [t + m.dt / 2.0 for t, m in zip(t0, members)]
+        k1 = rhs(t0, u)
+        k2 = rhs(th, u + dt / 2.0 * k1)
+        k3 = rhs(th, u + dt / 2.0 * k2)
+        k4 = rhs([t + m.dt for t, m in zip(t0, members)], u + dt * k3)
+        u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sq = np.abs(u) ** 2
+        keep = []
+        for row, m in enumerate(members):
+            done = m.advance(step, u[row], float(cell * np.sum(sq[row])))
+            if done is None:
+                keep.append(row)
+            out[m.slot] = done
+        if len(keep) < len(members):
+            members, u, dt = [members[r] for r in keep], u[keep], dt[keep]
+            stack.narrow([m.row for m in members])
 
 
 def _under_bound(values, bound) -> bool:

@@ -27,12 +27,14 @@ from .profiles import plateau
 from .symbols import SampleBox, SymbolExpr, seminorm_Q
 
 __all__ = [
-    "PeriodicOperator", "apply_op", "op_matrix", "symbol_from_matrix",
-    "power_iteration", "adjoint_defect_norm", "operator_norm",
+    "PeriodicOperator", "OperatorStack", "stacks", "apply_op", "op_matrix",
+    "symbol_from_matrix", "power_iteration", "adjoint_defect_norm",
+    "adjoint_defect_norms", "operator_norm", "operator_norms",
     "OscIntConfig", "adjoint_symbol_remainder", "check_remainder_estimate",
 ]
 
 DENSE_GUARD = 4096
+_ROWS = 128      # dense-table rows filled or scanned at a time
 
 
 class PeriodicOperator:
@@ -90,47 +92,43 @@ class PeriodicOperator:
             for f_m, g_m in zip(tables[1], tables[2]):
                 acc += np.max(np.abs(f_m)) * np.max(np.abs(g_m))
             return float(acc)
-        return float(np.max(np.abs(tables[1])))
+        table = tables[1]
+        return float(max(np.max(np.abs(table[lo:lo + _ROWS]))
+                         for lo in range(0, len(table), _ROWS)))
 
     def _symbol_table(self, t: float) -> np.ndarray:
-        """S o E with S[j, k] = s(t, x_j, xi_k) and E[j, k] = exp(i x_j.xi_k)."""
+        """S o E with S[j, k] = s(t, x_j, xi_k) and E[j, k] = exp(i x_j.xi_k).
+
+        2-D M=64 is 4096^2 entries, so no second table is ever alive: the
+        real phase x_j.xi_k is computed by one BLAS call (row blocks would
+        round some entries differently) into the first half of the output's
+        memory, and the rows become S o E _ROWS at a time from the last
+        block down, each block read before complex rows are written over it.
+        """
         g = self.grid
         pts = g.flat_points()
         xi_flat = _flat_frequencies(g)
-        x = tuple(pts[:, a][:, None] for a in range(g.dim))
         xi = tuple(xi_flat[:, a][None, :] for a in range(g.dim))
-        table = np.asarray(self.symbol.root.eval(t, x, xi), dtype=complex)
-        E = _fourier_matrix(g)          # in place: 2-D M=64 is 4096^2 entries
-        return np.multiply(np.broadcast_to(table, E.shape), E, out=E)
+        out = np.empty((g.size, g.size), dtype=complex)
+        phase = out.view(float).reshape(-1)[:g.size ** 2].reshape(out.shape)
+        np.matmul(pts, xi_flat.T, out=phase)
+        for lo in reversed(range(0, g.size, _ROWS)):
+            block = 1j * phase[lo:lo + _ROWS]
+            np.exp(block, out=block)
+            s = np.asarray(self.symbol.root.eval(t, tuple(
+                pts[lo:lo + _ROWS, a][:, None] for a in range(g.dim)), xi),
+                dtype=complex)
+            out[lo:lo + _ROWS] = np.multiply(
+                np.broadcast_to(s, block.shape), block, out=block)
+        return out
 
     # -- application -----------------------------------------------------------
     def apply(self, t: float, values: np.ndarray) -> np.ndarray:
-        tables = self._tables(t)
-        g = self.grid
-        if tables[0] == "sep":
-            _, fx, gxi = tables
-            u_hat = np.fft.fftn(values)
-            out = np.zeros(g.shape, dtype=complex)
-            for f_m, g_m in zip(fx, gxi):
-                out += f_m * np.fft.ifftn(g_m * u_hat)
-            return out
-        table = tables[1]
-        u_hat = np.fft.fftn(values).ravel() / g.size
-        return (table @ u_hat).reshape(g.shape)
+        return _apply(self._tables(t), values, self.grid)
 
     def apply_adjoint(self, t: float, values: np.ndarray) -> np.ndarray:
         """Exact conjugate transpose w.r.t. the discrete L2 inner product."""
-        tables = self._tables(t)
-        g = self.grid
-        if tables[0] == "sep":
-            _, fx, gxi = tables
-            out = np.zeros(g.shape, dtype=complex)
-            for f_m, g_m in zip(fx, gxi):
-                out += np.fft.ifftn(np.conjugate(g_m) *
-                                    np.fft.fftn(np.conjugate(f_m) * values))
-            return out
-        table = tables[1]
-        return (table.conj().T @ values.ravel()).reshape(g.shape) / g.size
+        return _apply(self._tables(t), values, self.grid, adjoint=True)
 
     def matrix(self, t: float = 0.0) -> np.ndarray:
         """Dense nodal-basis matrix (S o E) E^H / N (small-scale oracle).
@@ -142,6 +140,75 @@ class PeriodicOperator:
         if g.size > DENSE_GUARD:
             raise TooLarge(f"matrix oracle guarded at {DENSE_GUARD} nodes")
         return self._symbol_table(float(t)) @ _fourier_matrix(g).conj().T / g.size
+
+
+def _apply(tables, values: np.ndarray, grid: Grid, adjoint=False):
+    """op(s), or its adjoint, on values of shape (..., *grid.shape): the
+    FFTs (lengths given, which spares numpy a lookup) run over the grid axes
+    only, so each row of a stack meets its row of stacked separable tables
+    with its one-member arithmetic, bitwise.  A dense table takes one row."""
+    shape, axes = grid.shape, tuple(range(-grid.dim, 0))
+    if tables[0] == "dense":
+        if adjoint:
+            return (tables[1].conj().T @ values.ravel()).reshape(
+                values.shape) / grid.size
+        u_hat = np.fft.fftn(values, shape, axes).ravel() / grid.size
+        return (tables[1] @ u_hat).reshape(values.shape)
+    out = np.zeros(values.shape, dtype=complex)
+    u_hat = None if adjoint else np.fft.fftn(values, shape, axes)
+    for f_m, g_m in zip(tables[1], tables[2]):
+        if adjoint:
+            out += np.fft.ifftn(np.conjugate(g_m) * np.fft.fftn(
+                np.conjugate(f_m) * values, shape, axes), shape, axes)
+        else:
+            out += f_m * np.fft.ifftn(g_m * u_hat, shape, axes)
+    return out
+
+
+class OperatorStack:
+    """PeriodicOperators of one table layout on one grid, one per row of a
+    stack of grid functions, row i applied at its own time ts[i].  The
+    separable tables are stacked once for t-independent symbols and per
+    row-time otherwise."""
+
+    def __init__(self, ops):
+        self.ops, self.rows = ops, list(range(len(ops)))
+        self.grid = ops[0].grid
+        self._fixed = all(op._t_independent for op in ops)
+        self._times = self._stacked = None
+
+    def narrow(self, rows):
+        """Keep ``rows``, indices into the operators the stack was built
+        from, and drop the others; returns the stack."""
+        if rows != self.rows:
+            self.ops = [self.ops[self.rows.index(r)] for r in rows]
+            self.rows, self._stacked = list(rows), None
+        return self
+
+    def apply(self, ts, values: np.ndarray, adjoint=False) -> np.ndarray:
+        times = None if self._fixed else tuple(ts)
+        if self._stacked is None or times != self._times:
+            tabs = [op._tables(t) for op, t in zip(self.ops, ts)]
+            if tabs[0][0] == "sep":
+                tabs = [("sep", *([np.stack(part) for part in zip(
+                    *(tb[k] for tb in tabs))] for k in (1, 2)))]
+            self._times, self._stacked = times, tabs[0]
+        return _apply(self._stacked, values, self.grid, adjoint)
+
+
+def stacks(symbols, grid: Grid):
+    """(rows, OperatorStack) per table layout of ``symbols`` on ``grid``, in
+    first-row order.  Separable symbols stack by term count, never padded
+    with zero terms (which could flip signed zeros); a dense one stacks
+    alone, so one dense table is alive at a time."""
+    layouts = {}
+    for i, s in enumerate(symbols):
+        terms = ex.separable_terms(s.root)
+        layouts.setdefault(-1 - i if terms is None else len(terms),
+                           []).append(i)
+    for rows in layouts.values():
+        yield rows, OperatorStack([PeriodicOperator(symbols[i], grid)
+                                   for i in rows])
 
 
 def _flat_frequencies(grid: Grid) -> np.ndarray:
@@ -178,28 +245,38 @@ def symbol_from_matrix(matrix: np.ndarray, grid: Grid) -> np.ndarray:
     return (matrix @ E) / E
 
 
-def power_iteration(apply_hermitian, shape, rng):
-    """Largest eigenvalue of a Hermitian PSD operator by power iteration.
-
-    Returns (eigenvalue_estimate, converged, iterations_used); deterministic
-    for a seeded generator.
+def power_iteration(apply_hermitian, shape, rngs):
+    """Largest eigenvalues of a stack of Hermitian PSD operators by one power
+    iteration; ``apply_hermitian(rows, v)`` applies those of ``rows``
+    (indices into ``rngs``) to the rows of v.  Each row starts from its own
+    generator and stops on its own test, then leaves the stack.  Returns a
+    deterministic (eigenvalue_estimate, converged, iterations_used) per row.
     """
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v /= np.linalg.norm(v.ravel())
-    lam_prev = None
-    lam = 0.0
+    v = np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for rng in rngs])
+    for row in v:
+        row /= np.linalg.norm(row.ravel())
+    rows, lam, out = list(range(len(v))), [None] * len(v), {}
     for it in range(1, POWER_ITERS + 1):
-        w = apply_hermitian(v)
-        lam = float(np.real(np.vdot(v.ravel(), w.ravel())))
-        nw = np.linalg.norm(w.ravel())
-        if nw == 0.0:
-            return 0.0, True, it
-        v = w / nw
-        if lam_prev is not None and \
-                abs(lam - lam_prev) <= POWER_RTOL * max(abs(lam), 1e-300):
-            return max(lam, 0.0), True, it
-        lam_prev = lam
-    return max(lam, 0.0), False, POWER_ITERS
+        if not rows:
+            break
+        w, keep = apply_hermitian(rows, v), []
+        for k, i in enumerate(rows):
+            lam_prev = lam[i]
+            lam[i] = float(np.real(np.vdot(v[k].ravel(), w[k].ravel())))
+            nw = np.linalg.norm(w[k].ravel())
+            if nw == 0.0:
+                out[i] = (0.0, True, it)
+            elif lam_prev is not None and abs(lam[i] - lam_prev) <= \
+                    POWER_RTOL * max(abs(lam[i]), 1e-300):
+                out[i] = (max(lam[i], 0.0), True, it)
+            else:
+                w[k] /= nw
+                keep.append(k)
+        v = w if len(keep) == len(rows) else w[keep]
+        rows = [rows[k] for k in keep]
+    return [out.get(i, (max(lam[i], 0.0), False, POWER_ITERS))
+            for i in range(len(lam))]
 
 
 @dataclass
@@ -227,46 +304,59 @@ def band_projector(grid: Grid):
     xi = grid.xi_mesh()
     mag = np.sqrt(sum(np.asarray(c) ** 2 for c in xi))
     mask = mag <= 0.5 * grid.max_abs_xi() + 1e-12
+    axes = tuple(range(-grid.dim, 0))
 
     def project(v):
-        return np.fft.ifftn(np.fft.fftn(v) * mask)
+        return np.fft.ifftn(np.fft.fftn(v, grid.shape, axes) * mask,
+                            grid.shape, axes)
 
     return project
 
 
-def _band_norm(s: SymbolExpr, t: float, grid: Grid, seed,
-               gram) -> NormEstimate:
-    """Square root of the top eigenvalue of gram(op, proj, v), a Hermitian
-    PSD product of op(s) at time t and the band projector, by power
-    iteration."""
-    op = PeriodicOperator(s, grid)
+def _band_norms(pairs, grid: Grid, seed, gram) -> list:
+    """Square root of the top eigenvalue of gram(stack, ts, proj, v), a
+    Hermitian PSD product of op(s) at time t and the band projector, per
+    (s, t) in ``pairs``: one power iteration over the stack of each table
+    layout, every row seeded like a one-member estimate."""
     proj = band_projector(grid)
-    lam, ok, used = power_iteration(lambda v: gram(op, proj, v), grid.shape,
-                                    _rng_from(seed))
-    return NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
+    out = [None] * len(pairs)
+    for rows, stack in stacks([s for s, _ in pairs], grid):
+        ts = [pairs[i][1] for i in rows]
+        found = power_iteration(lambda live, v: gram(
+            stack.narrow(live), [ts[k] for k in live], proj, v),
+            grid.shape, [_rng_from(seed) for _ in rows])
+        for i, (lam, ok, used) in zip(rows, found):
+            out[i] = NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
+    return out
+
+
+def adjoint_defect_norms(pairs, grid: Grid, seed=None) -> list:
+    """L2 operator norm of P(op(s) - op(s)^dagger)P at t, per (s, t) in
+    ``pairs``.  B = A - A^dagger satisfies B^dagger = -B, and so does PBP,
+    so B*B needs two B applications per iteration."""
+    def b_apply(stack, ts, proj, v):
+        pv = proj(v)
+        return proj(stack.apply(ts, pv) - stack.apply(ts, pv, adjoint=True))
+
+    return _band_norms(pairs, grid, seed, lambda stack, ts, proj, v:
+                       -b_apply(stack, ts, proj, b_apply(stack, ts, proj, v)))
+
+
+def operator_norms(pairs, grid: Grid, seed=None) -> list:
+    """L2 operator norm of P op(s) P at t, per (s, t) in ``pairs``, by power
+    iteration on its Gram product."""
+    return _band_norms(pairs, grid, seed, lambda stack, ts, proj, v: proj(
+        stack.apply(ts, proj(stack.apply(ts, proj(v))), adjoint=True)))
 
 
 def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,
                         seed=None) -> NormEstimate:
-    """L2 operator norm of P(op(s) - op(s)^dagger)P via power iteration.
-
-    B = A - A^dagger satisfies B^dagger = -B, and conjugating with the band
-    projector P preserves that, so B*B needs two B applications per
-    iteration.
-    """
-    def b_apply(op, proj, v):
-        pv = proj(v)
-        return proj(op.apply(t, pv) - op.apply_adjoint(t, pv))
-
-    return _band_norm(s, t, grid, seed, lambda op, proj, v:
-                      -b_apply(op, proj, b_apply(op, proj, v)))
+    return adjoint_defect_norms([(s, t)], grid, seed)[0]
 
 
 def operator_norm(s: SymbolExpr, t: float, grid: Grid,
                   seed=None) -> NormEstimate:
-    """L2 operator norm of P op(s) P via power iteration on its Gram product."""
-    return _band_norm(s, t, grid, seed, lambda op, proj, v: proj(
-        op.apply_adjoint(t, proj(op.apply(t, proj(v))))))
+    return operator_norms([(s, t)], grid, seed)[0]
 
 
 # -- oscillatory-integral adjoint remainder (desk-scale verification) --------

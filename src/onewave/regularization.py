@@ -156,6 +156,9 @@ class RoughCoefficient:
                 raise ValueError("breakpoints must be strictly increasing")
             if self.breakpoints[0] < 0 or self.breakpoints[-1] >= period:
                 raise ValueError("breakpoints must lie in [0, period)")
+        if self.values is not None and not np.all(np.isfinite(
+                np.append(self.breakpoints, self.values))):
+            raise ValueError("breakpoints and values must be finite")
 
     # -- analytic Fourier coefficients ---------------------------------------
     def fourier_coeff(self, k: np.ndarray) -> np.ndarray:

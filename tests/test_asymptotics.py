@@ -1,5 +1,7 @@
 """Sweep classification: moderateness, negligibility, association, regularity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,14 @@ from onewave import expr as ex
 from onewave.asymptotics import (DataBuilder, SweepPlan, check_association,
                                  check_ginf, check_negligible, fit_exponent,
                                  run_sweep, spectral_extend)
-from onewave.cauchy import solve_fixed_eps
-from onewave.errors import UnstableStep
+from onewave.cauchy import (CauchyProblem, DtPolicy, Forcing, TimeProfile,
+                            solve_fixed_eps, solve_stack)
+from onewave.config import CFL_MARGIN, CFL_SAFETY
+from onewave.errors import BadEps, OnewaveError, UnstableStep
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
+from onewave.quantization import (adjoint_defect_norm, adjoint_defect_norms,
+                                  operator_norm, operator_norms)
 from onewave.regularization import (RoughCoefficient, RoughTransport,
                                     regularized_family)
 from onewave.scenario import run_scenario
@@ -211,6 +217,14 @@ class TestGinf:
         with pytest.raises(InsufficientOrders):
             check_ginf(plan, run_sweep(plan))
 
+    def test_orders_without_base_order_rejected(self, grid256):
+        from onewave.errors import InsufficientOrders
+        plan = SweepPlan(family=const_family(), data=DataBuilder(
+            kind="fixed", g=smooth_g(grid256)), grid=grid256, horizon=0.5,
+            orders=((1, (0,)), (0, (4,))))
+        with pytest.raises(InsufficientOrders, match="base order"):
+            check_ginf(plan, run_sweep(plan))
+
     def test_slow_scale_violating_family_not_applicable(self, grid256):
         def member(eps):
             a1 = SymbolExpr(ex.mul(ex.Const(eps ** -0.5),
@@ -229,8 +243,8 @@ class TestGinf:
         assert not rep["is_ginf"]
 
 
-def every_solve_fails(problem, *args, **kwargs):
-    raise UnstableStep("injected failure")
+def every_solve_fails(problems, *args, **kwargs):
+    return [UnstableStep("injected failure") for _ in problems]
 
 
 class TestIncompleteSweep:
@@ -244,13 +258,13 @@ class TestIncompleteSweep:
                                              check_index):
         calls = []
 
-        def second_solve_fails(problem, *args, **kwargs):
-            calls.append(problem)
-            if len(calls) == 2:
-                raise UnstableStep("injected failure")
-            return solve_fixed_eps(problem, *args, **kwargs)
+        def second_solve_fails(problems, *args, **kwargs):
+            calls.extend(problems)
+            results = solve_stack(problems, *args, **kwargs)
+            results[1] = UnstableStep("injected failure")
+            return results
 
-        monkeypatch.setattr(asymptotics, "solve_fixed_eps", second_solve_fails)
+        monkeypatch.setattr(asymptotics, "solve_stack", second_solve_fails)
         cfg = get_preset(preset)
         cfg["checks"] = [cfg["checks"][check_index]]
         ok, outcomes = run_scenario(cfg, echo=lambda line: None)
@@ -258,7 +272,7 @@ class TestIncompleteSweep:
         assert not ok and outcomes[0].status == "FAIL"
 
     def test_no_completed_eps_point_fails_negligible(self, monkeypatch):
-        monkeypatch.setattr(asymptotics, "solve_fixed_eps", every_solve_fails)
+        monkeypatch.setattr(asymptotics, "solve_stack", every_solve_fails)
         cfg = get_preset("negligible_uniqueness")
         ok, outcomes = run_scenario(cfg, echo=lambda line: None)
         assert not ok and outcomes[0].status == "FAIL"
@@ -270,8 +284,168 @@ class TestIncompleteSweep:
         # an all-zero but complete sweep stays regular
         zero = check_ginf(plan, run_sweep(plan))
         assert zero["is_ginf"] and zero["conclusion_observed"]
-        monkeypatch.setattr(asymptotics, "solve_fixed_eps", every_solve_fails)
+        monkeypatch.setattr(asymptotics, "solve_stack", every_solve_fails)
         report = run_sweep(plan)
         assert report.eps == [] and len(report.incomplete) == len(EPS6)
         rep = check_ginf(plan, report)
         assert not rep["is_ginf"] and not rep["conclusion_observed"]
+
+
+def one_member_solves(problems, dt_policy=None, seed=0):
+    """The serial reference of solve_stack: one one-member solve per slot."""
+    out = []
+    for problem in problems:
+        try:
+            out.append(solve_fixed_eps(problem, dt_policy, seed=seed))
+        except OnewaveError as err:
+            out.append(err)
+    return out
+
+
+def assert_same_solves(stacked, serial):
+    assert len(stacked) == len(serial)
+    for got, want in zip(stacked, serial):
+        assert type(got) is type(want)
+        if isinstance(want, OnewaveError):
+            assert str(got) == str(want)
+            continue
+        for name in ("times", "u_norm_sq", "f_norm_sq"):
+            assert np.array_equal(getattr(got.ledger, name),
+                                  getattr(want.ledger, name))
+        for name in ("skew_norm", "a0_norm", "c_measured", "dt",
+                     "initial_norm_sq", "converged_norms"):
+            assert getattr(got.ledger, name) == getattr(want.ledger, name)
+        assert got.dt == want.dt and np.array_equal(got.times, want.times)
+        assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
+        for (_, a), (_, b) in zip(got.snapshots, want.snapshots):
+            assert np.array_equal(a.values, b.values)
+
+
+def xi_term(coeff, axis=0):
+    return ex.mul(ex.Const(coeff), ex.CoordXi(axis))
+
+
+class TestStackedSolve:
+    """The members of one sweep advance as one stack; each member's
+    arithmetic must equal its one-member solve exactly."""
+
+    H = 2.0
+
+    def speed(self, steps):
+        # automatic dt takes ceil(H sup|a| / (CFL_SAFETY CFL_MARGIN)) steps;
+        # max|xi| = 32 on the M=64 grid
+        return CFL_SAFETY * CFL_MARGIN * (steps - 0.5) / (self.H * 32.0)
+
+    def mixed_family(self):
+        """423/424/425 steps over two table layouts and a t-dependent
+        symbol; eps 0.3 fails to build."""
+        sin_x = ex.Sin(ex.CoordX(0))
+        members = {
+            0.5: HyperbolicSymbol(
+                SymbolExpr(xi_term(self.speed(423)), 1.0, 1)),
+            0.4: HyperbolicSymbol(SymbolExpr(ex.add(
+                xi_term(self.speed(424) - 0.1),
+                ex.mul(ex.Const(0.1), sin_x, ex.CoordXi(0))), 1.0, 1)),
+            0.2: HyperbolicSymbol(SymbolExpr(ex.mul(
+                ex.add(ex.Const(1.0), ex.mul(ex.Const(0.25), ex.CoordT())),
+                xi_term(self.speed(425) / (1.0 + self.H / 4.0))), 1.0, 1)),
+            0.1: HyperbolicSymbol(
+                SymbolExpr(xi_term(self.speed(424)), 1.0, 1),
+                a0=SymbolExpr(ex.mul(ex.Const(0.3), ex.Cos(ex.CoordX(0))),
+                              0.0, 1)),
+        }
+
+        def member(eps):
+            if eps not in members:
+                raise BadEps(f"no member at eps={eps}")
+            return members[eps]
+        return GenSymbolFamily(member, [0.5, 0.4, 0.3, 0.2, 0.1])
+
+    def sweep_pair(self, monkeypatch, plan):
+        stacked = run_sweep(plan)
+        with monkeypatch.context() as patch:
+            patch.setattr(asymptotics, "solve_stack", one_member_solves)
+            serial = run_sweep(plan)
+        assert stacked.incomplete == serial.incomplete
+        assert stacked.eps == serial.eps and stacked.norms == serial.norms
+        assert stacked.c_measured == serial.c_measured
+        assert stacked.energy_ok == serial.energy_ok
+        assert len(stacked.finals) == len(serial.finals)
+        for a, b in zip(stacked.finals, serial.finals):
+            assert np.array_equal(a.values, b.values)
+        return stacked
+
+    def test_unequal_steps_layouts_forcing_and_failed_build(self,
+                                                            monkeypatch):
+        grid = Grid(1, 64, TWO_PI)
+        forcing = Forcing.separable(TimeProfile(amp=0.5, freq=3.0),
+                                    GridFunction(grid, np.cos(grid.x_axis())))
+        plan = SweepPlan(family=self.mixed_family(), data=DataBuilder(
+            kind="fixed", g=smooth_g(grid), forcing=forcing), grid=grid,
+            horizon=self.H, orders=((0, (0,)), (1, (0,))))
+        report = self.sweep_pair(monkeypatch, plan)
+        assert report.eps == [0.5, 0.4, 0.2, 0.1]
+        assert report.incomplete == {0.3: "BadEps: no member at eps=0.3"}
+        problems = [CauchyProblem(plan.family.member(eps), smooth_g(grid),
+                                  self.H, forcing) for eps in report.eps]
+        stacked = solve_stack(problems)
+        assert [len(r.times) - 1 for r in stacked] == [423, 424, 425, 424]
+        assert_same_solves(stacked, one_member_solves(problems))
+
+    def test_member_fails_mid_stack(self, monkeypatch):
+        # dt |a| = 3.5 > 2.8 is outside RK4's stability interval: that member
+        # blows up within the horizon and leaves the stack; the rest go on
+        grid = Grid(1, 64, TWO_PI)
+        family = GenSymbolFamily(lambda eps: HyperbolicSymbol(SymbolExpr(
+            xi_term(3.5 if eps == 0.3 else 1.0 / eps / 10), 1.0, 1)),
+            [0.5, 0.3, 0.1])
+        policy = DtPolicy(dt=1.0 / 32.0, override=True)
+        plan = SweepPlan(family=family, data=DataBuilder(
+            kind="fixed", g=smooth_g(grid)), grid=grid, horizon=100 / 32.0,
+            dt_policy=policy)
+        report = self.sweep_pair(monkeypatch, plan)
+        assert report.eps == [0.5, 0.1]
+        reason = report.incomplete[0.3]
+        assert reason.startswith("UnstableStep: norm^2")
+        assert 0.0 < float(re.search(r"at t=(\S+) ", reason).group(1)) < 3.0
+        problems = [CauchyProblem(family.member(eps), smooth_g(grid),
+                                  100 / 32.0) for eps in family.eps_grid]
+        assert_same_solves(solve_stack(problems, policy),
+                           one_member_solves(problems, policy))
+
+    def test_two_dimensional_stack(self):
+        # M=16: one- and two-term separable members and a dense one
+        grid = Grid(2, 16, TWO_PI)
+        x0, x1 = grid.x_mesh()
+        g = GridFunction(grid, np.sin(x0) * np.cos(x1) + 0.2 * np.sin(3 * x1))
+        roots = [xi_term(1.0), ex.add(xi_term(0.7), xi_term(0.9, 1)),
+                 ex.add(xi_term(1.3), ex.mul(ex.Const(0.01), ex.Sin(
+                     ex.mul(ex.CoordX(0), ex.CoordXi(0))))),
+                 xi_term(1.9)]
+        problems = [CauchyProblem(HyperbolicSymbol(SymbolExpr(r, 1.0, 2)), g,
+                                  2.0) for r in roots]
+        stacked = solve_stack(problems, seed=2)
+        assert len({len(r.times) for r in stacked}) == 4
+        assert_same_solves(stacked, one_member_solves(problems, seed=2))
+
+    def test_stacked_norm_estimates_equal_one_member_estimates(self):
+        grid = Grid(1, 32, TWO_PI)
+        sin_x = ex.Sin(ex.CoordX(0))
+        pairs = [
+            (SymbolExpr(ex.CoordXi(0), 1.0, 1), 0.0),
+            (SymbolExpr(ex.mul(ex.add(ex.Const(2.0), sin_x), ex.CoordXi(0)),
+                        1.0, 1), 0.0),
+            (SymbolExpr(ex.add(ex.mul(sin_x, ex.CoordXi(0)),
+                               ex.Cos(ex.CoordX(0))), 1.0, 1), 0.3),
+            (SymbolExpr(ex.mul(ex.CoordT(), sin_x, ex.CoordXi(0)), 1.0, 1),
+             0.5),
+            (SymbolExpr(ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(0))), 1.0, 1),
+             0.0),
+        ]
+        for stacked, single in ((adjoint_defect_norms, adjoint_defect_norm),
+                                (operator_norms, operator_norm)):
+            got = stacked(pairs, grid, seed=4)
+            assert got == [single(s, t, grid, seed=4) for s, t in pairs]
+        # the rows leave the stack at different iterations
+        assert len({e.iterations for e in adjoint_defect_norms(
+            pairs, grid, seed=4)}) > 1

@@ -1,5 +1,11 @@
 """Fixed-eps solves: exactness, stability policy, energy bookkeeping."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +16,7 @@ from onewave.cauchy import (CauchyProblem, DtPolicy, Forcing, TimeProfile,
                             derivative_cascade, seminorm_constant,
                             solve_fixed_eps)
 from onewave.config import CFL_MARGIN, CFL_SAFETY
-from onewave.errors import UnstableStep
+from onewave.errors import NonFinite, UnstableStep
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
 from onewave.quantization import PeriodicOperator
@@ -119,6 +125,12 @@ class TestInvariants:
         with pytest.raises(UnstableStep, match="Gronwall"):
             solve_fixed_eps(prob, DtPolicy(dt=0.1, override=True), seed=0)
 
+    def test_non_finite_sup_is_a_runtime_error(self):
+        # a NaN sup|a| would otherwise reach math.ceil as a ValueError
+        for policy in (DtPolicy(), DtPolicy(dt=1e-3, override=True)):
+            with pytest.raises(NonFinite, match="sup"):
+                policy.resolve(1.0, math.nan)
+
 
 class TestSolveNeeds:
     """A solve computes dt, the guard norms and the Gronwall constant; the
@@ -167,6 +179,32 @@ class TestSolveNeeds:
             for i in range(0, grid.size, 256))
         assert sup == pytest.approx(48.0, rel=1e-3)
         assert dt * sup <= CFL_SAFETY * CFL_MARGIN * (1.0 + 1e-12)
+
+
+    def test_dense_table_peaks_below_400_mb(self):
+        # the dense table of the case above, built in a fresh interpreter:
+        # 4096^2 complex entries are 268 MB, and filling the phase and the
+        # symbol a block of rows at a time keeps the peak near that
+        child = """
+import resource
+import numpy as np
+from onewave import expr as ex
+from onewave.grid import Grid
+from onewave.quantization import PeriodicOperator
+from onewave.symbols import SymbolExpr
+speed = ex.add(ex.Const(1.0), ex.mul(ex.Const(-0.5), ex.Cos(
+    ex.mul(ex.Const(32.0), ex.CoordX(1)))))
+root = ex.add(ex.mul(speed, ex.CoordXi(0)), ex.mul(
+    ex.Const(0.001), ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(0)))))
+op = PeriodicOperator(SymbolExpr(root, 1.0, 2), Grid(2, 64, 2.0 * np.pi))
+assert not op.separable and op.sup_abs(0.0) > 0.0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", child], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert int(done.stdout) / 1024 <= 400.0     # ru_maxrss is in KiB
 
 
 class TestEnergy:

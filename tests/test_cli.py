@@ -1,6 +1,10 @@
 """CLI surface: presets, schema validation, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -242,6 +246,15 @@ CONFIG_PROBES = {
         ["orders"], [[0, [0]], [0, [1]]]), []),
     "probe_axis_beyond_grid": ("delta_association", _set(
         ["checks", 0, "probes"], [{"node": "coord_x", "axis": 1}]), []),
+    "symbol_axis_beyond_grid": ("variable_speed_smooth", _set(
+        ["symbol", "a0", "expr", "child", "axis"], 1), []),
+    "ginf_orders_without_base": ("ginf_regularity",
+                                 _set(["orders", 0, 0], 1), []),
+    "negative_seed": ("transport_smoke", _set(["seed"], -1), []),
+    "null_breakpoint": ("piecewise_speed_logtype", _set(
+        ["symbol", "speeds", 0, "breakpoints", 0], None), []),
+    "seed_flag_negative": ("ginf_regularity", lambda cfg: None,
+                           ["--seed", "-1"]),
     "grid_M_odd": ("transport_smoke", lambda cfg: None, ["--grid-M", "127"]),
     "eps_count_one": ("negligible_uniqueness", lambda cfg: None,
                       ["--eps-count", "1"]),
@@ -279,6 +292,17 @@ class TestRunPhaseExits:
         cfg["data"]["g"]["node"] = [64.0]
         assert self._run(cfg, tmp_path) == 0
         assert capsys.readouterr().out == expected
+
+    def test_zero_dense_remainder_fails(self, tmp_path, capsys):
+        # a bump centred off the grid leaves an x-independent symbol, whose
+        # dense adjoint remainder is zero
+        cfg = get_preset("adjoint_remainder_desk")
+        cfg["symbol"]["a1"]["expr"]["children"][0]["center"] = -3.0
+        cfg["checks"] = [cfg["checks"][1]]
+        assert self._run(cfg, tmp_path) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL   remainder_oracle")
+        assert "zero dense remainder" in out
 
     def test_zero_defect_norm_fails_naming_m(self, tmp_path, capsys):
         cfg = get_preset("adjoint_remainder_desk")
@@ -326,6 +350,13 @@ LEAF_VALUES = st.one_of(st.integers(-3, 300), st.floats(-10.0, 10.0),
                         st.just({}))
 
 
+# Small values keep every run that builds cheap: no long horizon, no high
+# derivative order, no large grid.
+RUN_VALUES = st.one_of(st.integers(-3, 8), st.floats(-4.0, 4.0),
+                       st.text(max_size=3), st.none(), st.just([]),
+                       st.just({}))
+
+
 class TestBuildFuzz:
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -338,3 +369,26 @@ class TestBuildFuzz:
             ScenarioContext(cfg)
         except ConfigInvalid:
             pass
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(leaf=st.sampled_from(LEAVES), value=RUN_VALUES)
+    def test_built_config_runs_to_a_documented_exit(self, leaf, value):
+        # a config that builds runs its checks to exit 0, 2 or 4; an error
+        # escaping main would be a traceback and fails the example
+        name, path = leaf
+        cfg = get_preset(name)
+        _set(list(path), value)(cfg)
+        try:
+            ScenarioContext(cfg)
+        except ConfigInvalid:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["run", str(path), "--out", str(out)])
+        assert code in (0, 2, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -187,7 +187,8 @@ class TestOperatorNorm:
         assert s1 == pytest.approx(s2, rel=1e-10)
 
     def test_power_iteration_zero_operator(self, rng):
-        lam, ok, _ = power_iteration(lambda v: np.zeros_like(v), (16,), rng)
+        [(lam, ok, _)] = power_iteration(lambda rows, v: np.zeros_like(v),
+                                         (16,), [rng])
         assert lam == 0.0 and ok
 
 
