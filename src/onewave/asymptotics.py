@@ -25,11 +25,10 @@ from .cauchy import (CauchyProblem, DtPolicy, Forcing,
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
-from .quantization import PeriodicOperator
+from .quantization import apply_symbol_derivative
 from .regularization import embed_data
-from .symbols import (GenSymbolFamily, SampleBox, SymbolExpr,
-                      classify_log_type, classify_slow_scale, log_fit,
-                      multi_indices)
+from .symbols import (GenSymbolFamily, SampleBox, classify_log_type,
+                      classify_slow_scale, log_fit, multi_indices)
 
 __all__ = [
     "DataBuilder", "SweepPlan", "SweepReport", "run_sweep",
@@ -116,40 +115,28 @@ def fit_exponent(eps, values):
 
 
 def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max):
-    """Norms of d_t^d d_x^alpha u at the stored snapshots via the equation.
+    """max over the stored snapshots of ||d_t^d d_x^alpha u||, via the
+    equation, over the stack of the snapshots:
 
     d_t^d u = -i sum_i C(d-1, i) op(d_t^i a) d_t^(d-1-i) u + d_t^(d-1) f.
     """
-    from math import comb
-    dim = grid.dim
     full = symbol.full()
-    out = {order: 0.0 for order in orders}
-    op_cache = {}
-    f_derivs = [forcing]
-    for _ in range(d_max):
-        f_derivs.append(f_derivs[-1].t_derivative())
-
-    def op_t(i):
-        key = ("t", i)
-        if key not in op_cache:
-            op_cache[key] = PeriodicOperator(
-                SymbolExpr(full.derivative_root(i, (0,) * dim, (0,) * dim),
-                           1.0, dim), grid)
-        return op_cache[key]
-
-    for t, snap in snapshots:
-        layers = [snap.values]
-        for d in range(1, d_max + 1):
-            acc = np.zeros(grid.shape, dtype=complex)
-            for i in range(d):
-                acc = acc - 1j * comb(d - 1, i) * op_t(i).apply(t, layers[d - 1 - i])
-            if not f_derivs[d - 1].is_zero:
-                acc = acc + f_derivs[d - 1].value(t)
-            layers.append(acc)
-        for (d, alpha) in orders:
-            gf = GridFunction(grid, layers[d])
-            val = gf.spectral_derivative(alpha).norm() if sum(alpha) else gf.norm()
-            out[(d, alpha)] = max(out[(d, alpha)], val)
+    ts = np.array([t for t, _ in snapshots])
+    layers = [np.stack([snap.values for _, snap in snapshots])]
+    for d in range(1, d_max + 1):
+        acc = np.zeros(layers[0].shape, dtype=complex)
+        for i in range(d):
+            acc -= 1j * math.comb(d - 1, i) * apply_symbol_derivative(
+                full, i, (0,) * grid.dim, grid, ts, layers[d - 1 - i])
+        if not forcing.is_zero:
+            acc += forcing.values(ts)
+        forcing = forcing.t_derivative()
+        layers.append(acc)
+    out = {}
+    for d, alpha in orders:
+        v = grid.spectral_derivative(layers[d], alpha) if sum(alpha) \
+            else layers[d]
+        out[(d, alpha)] = max(0.0, *np.sqrt(grid.norm_sq(v)).tolist())
     return out
 
 

@@ -16,6 +16,7 @@ one band-norm iteration over the stack; solve_fixed_eps is one member.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,9 @@ from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
 from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
                      UnstableStep)
 from .grid import Grid, GridFunction
-from .quantization import (PeriodicOperator, adjoint_defect_norm,
-                           adjoint_defect_norms, operator_norms, stacks)
-from .symbols import HyperbolicSymbol, SampleBox, SymbolExpr, multi_indices, seminorm_Q
+from .quantization import (adjoint_defect_norm, adjoint_defect_norms,
+                           apply_symbol_derivative, operator_norms, stacks)
+from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 
 __all__ = [
     "TimeProfile", "Forcing", "CauchyProblem", "DtPolicy", "EnergyLedger",
@@ -82,15 +83,19 @@ class Forcing:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def value(self, t: float) -> np.ndarray:
-        out = np.zeros(self.grid.shape, dtype=complex)
+    def values(self, ts) -> np.ndarray:
+        """f at each time of ts, stacked as (len(ts), *grid.shape)."""
+        out = np.zeros((len(ts),) + self.grid.shape, dtype=complex)
         for prof, vals in self.terms:
-            out = out + prof.value(t) * vals
+            out += np.array([prof.value(t) for t in ts]).reshape(
+                (-1,) + (1,) * self.grid.dim) * vals
         return out
 
+    def value(self, t: float) -> np.ndarray:
+        return self.values([t])[0]
+
     def norm(self, t: float) -> float:
-        return float(np.sqrt(self.grid.cell_volume *
-                             np.sum(np.abs(self.value(t)) ** 2)))
+        return float(np.sqrt(self.grid.norm_sq(self.value(t))))
 
     def t_derivative(self) -> "Forcing":
         new_terms = []
@@ -100,8 +105,7 @@ class Forcing:
         return Forcing(self.grid, new_terms)
 
     def x_derivative(self, alpha) -> "Forcing":
-        new_terms = [(prof, GridFunction(self.grid, vals)
-                      .spectral_derivative(alpha).values)
+        new_terms = [(prof, self.grid.spectral_derivative(vals, alpha))
                      for prof, vals in self.terms]
         return Forcing(self.grid, new_terms)
 
@@ -335,7 +339,6 @@ class _Member:
 def _rk4(stack, members, out):
     """The RK4 loop: the live members take each step at once, as the rows
     of a stack over a leading member axis, each with its own dt and times."""
-    cell = stack.grid.cell_volume
     if members:
         u = np.stack([m.snapshots[0][1] for m in members])
         dt = np.array([m.dt for m in members]).reshape(
@@ -358,10 +361,9 @@ def _rk4(stack, members, out):
         k3 = rhs(th, u + dt / 2.0 * k2)
         k4 = rhs([t + m.dt for t, m in zip(t0, members)], u + dt * k3)
         u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sq = np.abs(u) ** 2
-        keep = []
+        nsq, keep = stack.grid.norm_sq(u), []
         for row, m in enumerate(members):
-            done = m.advance(step, u[row], float(cell * np.sum(sq[row])))
+            done = m.advance(step, u[row], float(nsq[row]))
             if done is None:
                 keep.append(row)
             out[m.slot] = done
@@ -457,22 +459,6 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
     return report
 
 
-def _binomial_indices(alpha):
-    """Nonzero beta <= alpha with multinomial coefficients C(alpha, beta)."""
-    from math import comb
-    axes_ranges = [range(a + 1) for a in alpha]
-    out = []
-    import itertools
-    for beta in itertools.product(*axes_ranges):
-        if sum(beta) == 0:
-            continue
-        coeff = 1
-        for a_i, b_i in zip(alpha, beta):
-            coeff *= comb(a_i, b_i)
-        out.append((beta, coeff))
-    return out
-
-
 def derivative_cascade(problem: CauchyProblem, result: SolveResult,
                        max_order: int = 2) -> dict:
     """Energy ledgers for spatial derivatives of the solution.
@@ -483,48 +469,33 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
     so the base energy estimate applies verbatim with forcing F_alpha:
     ||d^alpha u(t)||^2 <= (||d^alpha g||^2 + int_0^T ||F_alpha||^2)
                            * exp(c_meas * t), evaluated on the stored
-    snapshots.
+    snapshots, which are taken as one stack.
     """
     grid = problem.grid
-    dim = grid.dim
     full = problem.symbol.full()
     snap_t = np.array([t for t, _ in result.snapshots])
     c_meas = result.ledger.c_measured
-
-    deriv_ops = {}
-
-    def op_for(beta):
-        if beta not in deriv_ops:
-            deriv_ops[beta] = PeriodicOperator(
-                SymbolExpr(full.derivative_root(0, (0,) * dim, beta),
-                           1.0, dim), grid)
-        return deriv_ops[beta]
-
-    # spectral derivatives of all snapshots up to max_order
-    derivs = {}
-    for alpha in multi_indices(dim, max_order):
-        derivs[alpha] = [snap.spectral_derivative(alpha)
-                         for _, snap in result.snapshots]
+    snaps = np.stack([snap.values for _, snap in result.snapshots])
+    derivs = {alpha: grid.spectral_derivative(snaps, alpha)
+              for alpha in multi_indices(grid.dim, max_order)}
+    del snaps       # beta = alpha reads the alpha = 0 round trip
 
     report = {}
-    for alpha in multi_indices(dim, max_order):
+    for alpha, v_alpha in derivs.items():
         if sum(alpha) == 0:
             continue
-        v_norm_sq = np.array([d.norm_sq() for d in derivs[alpha]])
-        h_vals = []
-        for idx, (t, _) in enumerate(result.snapshots):
-            forcing_term = problem.forcing.x_derivative(alpha).value(t) \
-                if not problem.forcing.is_zero else 0.0
-            acc = np.zeros(grid.shape, dtype=complex) + forcing_term
-            for beta, coeff in _binomial_indices(alpha):
-                low = tuple(a - b for a, b in zip(alpha, beta))
-                acc = acc - 1j * coeff * op_for(beta).apply(
-                    t, derivs[low][idx].values)
-            h_vals.append(float(grid.cell_volume * np.sum(np.abs(acc) ** 2)))
-        h_vals = np.array(h_vals)
+        v_norm_sq = grid.norm_sq(v_alpha)
+        acc = problem.forcing.x_derivative(alpha).values(snap_t)
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            if sum(beta) == 0:
+                continue
+            coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+            low = tuple(a - b for a, b in zip(alpha, beta))
+            acc -= 1j * coeff * apply_symbol_derivative(
+                full, 0, beta, grid, snap_t, derivs[low])
+        h_vals = grid.norm_sq(acc)
         h_int = float(np.trapezoid(h_vals, snap_t))
-        g_alpha_sq = derivs[alpha][0].norm_sq()
-        bound = (g_alpha_sq + h_int) * np.exp(c_meas * snap_t)
+        bound = (v_norm_sq[0] + h_int) * np.exp(c_meas * snap_t)
         report[alpha] = {
             "times": snap_t, "v_norm_sq": v_norm_sq, "H": h_vals,
             "H_integral": h_int, "bound": bound,

@@ -51,6 +51,11 @@ class Grid:
     def cell_volume(self) -> float:
         return self.dx ** self.dim
 
+    @property
+    def axes(self):
+        """The grid axes of a stack of grid functions (..., *shape)."""
+        return tuple(range(-self.dim, 0))
+
     def x_axis(self) -> np.ndarray:
         return np.arange(self.points) * self.dx
 
@@ -84,6 +89,24 @@ class Grid:
         """All nodes as an (size, dim) array (row-major like the values)."""
         mesh = self.x_mesh()
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def norm_sq(self, values: np.ndarray) -> np.ndarray:
+        """dx^n * sum |u|^2 of each grid function in values (..., *shape)."""
+        return self.cell_volume * np.sum(np.abs(values) ** 2, axis=self.axes)
+
+    def spectral_derivative(self, values: np.ndarray, alpha) -> np.ndarray:
+        """Exact derivative of the trigonometric interpolant of each grid
+        function in values (..., *shape), per axis order alpha."""
+        coeffs = np.fft.fftn(values, self.shape, self.axes)
+        coeffs /= self.size
+        for axis, order in enumerate(alpha):
+            if order:
+                shape = [1] * self.dim
+                shape[axis] = self.points
+                coeffs *= (1j * self.xi_axis().reshape(shape)) ** order
+        out = np.fft.ifftn(coeffs, self.shape, self.axes)
+        out *= self.size
+        return out
 
 
 class GridFunction:
@@ -144,10 +167,10 @@ class GridFunction:
     # -- analysis ------------------------------------------------------------
     def norm(self) -> float:
         """Discrete L2 norm: sqrt(dx^n * sum |u|^2)."""
-        return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
+        return float(np.sqrt(self.norm_sq()))
 
     def norm_sq(self) -> float:
-        return float(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2))
+        return float(self.grid.norm_sq(self.values))
 
     def inner(self, other: "GridFunction") -> complex:
         self._compat(other)
@@ -162,19 +185,13 @@ class GridFunction:
         return GridFunction(grid, np.fft.ifftn(coeffs) * grid.size)
 
     def spectral_derivative(self, alpha) -> "GridFunction":
-        """Exact derivative of the trigonometric interpolant, per axis order."""
+        """Exact derivative of the trigonometric interpolant, per axis order:
+        the one-row Grid.spectral_derivative."""
         if isinstance(alpha, (int, np.integer)):
             if self.grid.dim != 1:
                 raise ValueError("alpha must be a multi-index in dimension > 1")
             alpha = (int(alpha),)
         if len(alpha) != self.grid.dim:
             raise ValueError("alpha must be a multi-index matching dim")
-        coeffs = self.dft()
-        for axis, order in enumerate(alpha):
-            if order == 0:
-                continue
-            xi = self.grid.xi_axis()
-            shape = [1] * self.grid.dim
-            shape[axis] = self.grid.points
-            coeffs = coeffs * (1j * xi.reshape(shape)) ** order
-        return GridFunction.from_dft(self.grid, coeffs)
+        return GridFunction(self.grid,
+                            self.grid.spectral_derivative(self.values, alpha))

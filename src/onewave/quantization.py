@@ -27,7 +27,8 @@ from .profiles import plateau
 from .symbols import SampleBox, SymbolExpr, seminorm_Q
 
 __all__ = [
-    "PeriodicOperator", "OperatorStack", "stacks", "apply_op", "op_matrix",
+    "PeriodicOperator", "OperatorStack", "stacks", "apply_symbol_derivative",
+    "apply_op", "op_matrix",
     "symbol_from_matrix", "power_iteration", "adjoint_defect_norm",
     "adjoint_defect_norms", "operator_norm", "operator_norms",
     "OscIntConfig", "adjoint_symbol_remainder", "check_remainder_estimate",
@@ -146,14 +147,15 @@ def _apply(tables, values: np.ndarray, grid: Grid, adjoint=False):
     """op(s), or its adjoint, on values of shape (..., *grid.shape): the
     FFTs (lengths given, which spares numpy a lookup) run over the grid axes
     only, so each row of a stack meets its row of stacked separable tables
-    with its one-member arithmetic, bitwise.  A dense table takes one row."""
-    shape, axes = grid.shape, tuple(range(-grid.dim, 0))
+    with its one-member arithmetic, bitwise.  A dense table takes one
+    matrix-vector product per row, as a one-row apply does."""
+    shape, axes = grid.shape, grid.axes
     if tables[0] == "dense":
-        if adjoint:
-            return (tables[1].conj().T @ values.ravel()).reshape(
-                values.shape) / grid.size
-        u_hat = np.fft.fftn(values, shape, axes).ravel() / grid.size
-        return (tables[1] @ u_hat).reshape(values.shape)
+        mat = tables[1].conj().T if adjoint else tables[1]
+        rows = values if adjoint else \
+            np.fft.fftn(values, shape, axes) / grid.size
+        out = np.stack([mat @ row for row in rows.reshape(-1, grid.size)])
+        return (out / grid.size if adjoint else out).reshape(values.shape)
     out = np.zeros(values.shape, dtype=complex)
     u_hat = None if adjoint else np.fft.fftn(values, shape, axes)
     for f_m, g_m in zip(tables[1], tables[2]):
@@ -194,6 +196,22 @@ class OperatorStack:
                     *(tb[k] for tb in tabs))] for k in (1, 2)))]
             self._times, self._stacked = times, tabs[0]
         return _apply(self._stacked, values, self.grid, adjoint)
+
+
+def apply_symbol_derivative(symbol: SymbolExpr, d: int, beta, grid: Grid,
+                            ts, values: np.ndarray) -> np.ndarray:
+    """op(d_t^d d_x^beta s) at time ts[k] on row k of the stack ``values``
+    (len(ts), *grid.shape).  A t-independent operator's tables broadcast
+    over the rows; a t-dependent one stacks its separable tables per row
+    time, as OperatorStack does, and builds a dense table per row, so one
+    is alive at a time."""
+    op = PeriodicOperator(SymbolExpr(symbol.derivative_root(
+        d, (0,) * grid.dim, beta), 1.0, grid.dim), grid)
+    if op._t_independent:
+        return op.apply(0.0, values)
+    if op.separable:
+        return OperatorStack([op] * len(ts)).apply(ts, values)
+    return np.stack([op.apply(t, row) for t, row in zip(ts, values)])
 
 
 def stacks(symbols, grid: Grid):
@@ -304,11 +322,10 @@ def band_projector(grid: Grid):
     xi = grid.xi_mesh()
     mag = np.sqrt(sum(np.asarray(c) ** 2 for c in xi))
     mask = mag <= 0.5 * grid.max_abs_xi() + 1e-12
-    axes = tuple(range(-grid.dim, 0))
 
     def project(v):
-        return np.fft.ifftn(np.fft.fftn(v, grid.shape, axes) * mask,
-                            grid.shape, axes)
+        return np.fft.ifftn(np.fft.fftn(v, grid.shape, grid.axes) * mask,
+                            grid.shape, grid.axes)
 
     return project
 

@@ -27,7 +27,7 @@ from .asymptotics import (DataBuilder, SweepPlan, check_association,
 from .cauchy import (CauchyProblem, DtPolicy, Forcing, TimeProfile,
                      check_case_variants, check_energy_estimate,
                      derivative_cascade, seminorm_constant, solve_fixed_eps)
-from .config import Thresholds
+from .config import MAX_DIFF_ORDER, Thresholds
 from .errors import ConfigInvalid, OnewaveError
 from .grid import Grid, GridFunction
 from .quantization import (OscIntConfig, adjoint_defect_norm,
@@ -394,6 +394,8 @@ _NUMBER = {"type": "number"}
 _INT_THRESHOLDS = {f.name for f in fields(Thresholds) if f.type is int}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _MULTI_INDEX = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+# A derivative order a run takes; capped, as its work grows with it.
+_ORDER = {"type": "integer", "minimum": 0, "maximum": MAX_DIFF_ORDER}
 
 _EXPR = {"type": "object",
          "properties": {"node": {"type": "string"}},
@@ -447,7 +449,7 @@ _DATA = {
 _CHECK_PARAMS = {
     **dict.fromkeys(("speed", "tol", "rel_tol", "rel_change", "max_ratio",
                      "terminal_tol"), _NUMBER),
-    "max_order": {"type": "integer", "minimum": 0},
+    "max_order": _ORDER,
     "expect": {"type": "boolean"},
     "points": {"type": "array", "minItems": 1,
                "items": {"type": "integer", "minimum": 2, "multipleOf": 2}},
@@ -503,9 +505,9 @@ CONFIG_SCHEMA = {
         },
         "orders": {"type": "array",
                    "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                             "prefixItems": [{"type": "integer", "minimum": 0},
-                                             _MULTI_INDEX]}},
-        "cascade_max_order": {"type": "integer", "minimum": 0},
+                             "prefixItems": [_ORDER, {"type": "array",
+                                                      "items": _ORDER}]}},
+        "cascade_max_order": _ORDER,
         "checks": {
             "type": "array", "minItems": 1,
             "items": {"if": {"type": "string"},

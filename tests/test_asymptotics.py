@@ -1,5 +1,7 @@
 """Sweep classification: moderateness, negligibility, association, regularity."""
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -11,17 +13,19 @@ from onewave.asymptotics import (DataBuilder, SweepPlan, check_association,
                                  check_ginf, check_negligible, fit_exponent,
                                  run_sweep, spectral_extend)
 from onewave.cauchy import (CauchyProblem, DtPolicy, Forcing, TimeProfile,
-                            solve_fixed_eps, solve_stack)
+                            derivative_cascade, solve_fixed_eps, solve_stack)
 from onewave.config import CFL_MARGIN, CFL_SAFETY
 from onewave.errors import BadEps, OnewaveError, UnstableStep
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
-from onewave.quantization import (adjoint_defect_norm, adjoint_defect_norms,
-                                  operator_norm, operator_norms)
+from onewave.quantization import (PeriodicOperator, adjoint_defect_norm,
+                                  adjoint_defect_norms, operator_norm,
+                                  operator_norms)
 from onewave.regularization import (RoughCoefficient, RoughTransport,
                                     regularized_family)
 from onewave.scenario import run_scenario
-from onewave.symbols import GenSymbolFamily, HyperbolicSymbol, SymbolExpr
+from onewave.symbols import (GenSymbolFamily, HyperbolicSymbol, SymbolExpr,
+                             multi_indices)
 
 TWO_PI = 2.0 * np.pi
 EPS6 = [0.1 * 0.2 ** i for i in range(6)]
@@ -449,3 +453,161 @@ class TestStackedSolve:
         # the rows leave the stack at different iterations
         assert len({e.iterations for e in adjoint_defect_norms(
             pairs, grid, seed=4)}) > 1
+
+
+def forcing_at(forcing, t):
+    """f(t), summed term by term as a one-time evaluation does."""
+    out = np.zeros(forcing.grid.shape, dtype=complex)
+    for prof, vals in forcing.terms:
+        out = out + prof.value(t) * vals
+    return out
+
+
+def derivative_op(full, d, beta, grid):
+    return PeriodicOperator(SymbolExpr(full.derivative_root(
+        d, (0,) * grid.dim, beta), 1.0, grid.dim), grid)
+
+
+def t_derivative_norms_per_snapshot(symbol, forcing, snapshots, grid, orders,
+                                    d_max):
+    """Snapshot-by-snapshot reference of asymptotics._t_derivative_norms."""
+    full = symbol.full()
+    ops = [derivative_op(full, i, (0,) * grid.dim, grid) for i in range(d_max)]
+    f_derivs = [forcing]
+    for _ in range(d_max):
+        f_derivs.append(f_derivs[-1].t_derivative())
+    out = {order: 0.0 for order in orders}
+    for t, snap in snapshots:
+        layers = [snap.values]
+        for d in range(1, d_max + 1):
+            acc = np.zeros(grid.shape, dtype=complex)
+            for i in range(d):
+                acc = acc - 1j * math.comb(d - 1, i) * ops[i].apply(
+                    t, layers[d - 1 - i])
+            if not f_derivs[d - 1].is_zero:
+                acc = acc + forcing_at(f_derivs[d - 1], t)
+            layers.append(acc)
+        for d, alpha in orders:
+            gf = GridFunction(grid, layers[d])
+            val = gf.spectral_derivative(alpha).norm() if sum(alpha) \
+                else gf.norm()
+            out[(d, alpha)] = max(out[(d, alpha)], val)
+    return out
+
+
+def cascade_per_snapshot(problem, result, max_order):
+    """Snapshot-by-snapshot reference of cauchy.derivative_cascade: per
+    alpha, (||d^alpha u||^2, H) at the snapshots, beta in product order."""
+    grid = problem.grid
+    full = problem.symbol.full()
+    derivs = {alpha: [snap.spectral_derivative(alpha)
+                      for _, snap in result.snapshots]
+              for alpha in multi_indices(grid.dim, max_order)}
+    out = {}
+    for alpha in derivs:
+        if sum(alpha) == 0:
+            continue
+        f_alpha = problem.forcing.x_derivative(alpha)
+        h_vals = []
+        for k, (t, _) in enumerate(result.snapshots):
+            acc = np.zeros(grid.shape, dtype=complex) + forcing_at(f_alpha, t)
+            for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                if sum(beta) == 0:
+                    continue
+                coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                low = tuple(a - b for a, b in zip(alpha, beta))
+                acc = acc - 1j * coeff * derivative_op(
+                    full, 0, beta, grid).apply(t, derivs[low][k].values)
+            h_vals.append(float(grid.cell_volume * np.sum(np.abs(acc) ** 2)))
+        out[alpha] = (np.array([v.norm_sq() for v in derivs[alpha]]),
+                      np.array(h_vals))
+    return out
+
+
+class TestStackedPostProcessing:
+    """The t-derivative norms and the cascade run over the stack of a
+    solve's snapshots; each row must equal its snapshot-by-snapshot value
+    exactly."""
+
+    def forced_problem(self, grid, a1, horizon=0.6):
+        x = grid.x_mesh()
+        g = GridFunction(grid, np.sin(x[0]) * np.cos(x[-1]) +
+                         0.3 * np.cos(2.0 * x[-1]))
+        shape = GridFunction(grid, np.cos(x[0] + x[-1]))
+        forcing = Forcing.separable(
+            TimeProfile(amp=0.5 + 0.2j, power=1, freq=3.0), shape)
+        return CauchyProblem(HyperbolicSymbol(SymbolExpr(a1, 1.0, grid.dim)),
+                             g, horizon, forcing)
+
+    # (1 + t/4)(2 + sin x) xi: separable; xi + 0.01 (1 + t) sin(x xi): dense
+    T_DEPENDENT = {
+        "separable": ex.mul(
+            ex.add(ex.Const(1.0), ex.mul(ex.Const(0.25), ex.CoordT())),
+            ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0))), ex.CoordXi(0)),
+        "dense": ex.add(ex.CoordXi(0), ex.mul(
+            ex.Const(0.01), ex.add(ex.Const(1.0), ex.CoordT()),
+            ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(0))))),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(T_DEPENDENT))
+    def test_t_derivative_norms_equal_per_snapshot(self, layout):
+        grid = Grid(1, 32, TWO_PI)
+        problem = self.forced_problem(grid, self.T_DEPENDENT[layout])
+        assert problem.symbol.full().depends_t()
+        result = solve_fixed_eps(problem, seed=0)
+        orders = ((0, (0,)), (0, (2,)), (1, (0,)), (1, (1,)), (2, (0,)),
+                  (2, (3,)))
+        got = asymptotics._t_derivative_norms(
+            problem.symbol, problem.forcing, result.snapshots, grid, orders, 2)
+        want = t_derivative_norms_per_snapshot(
+            problem.symbol, problem.forcing, result.snapshots, grid, orders, 2)
+        assert got == want
+
+    @pytest.mark.parametrize("layout", sorted(T_DEPENDENT))
+    def test_cascade_equals_per_snapshot(self, layout):
+        grid = Grid(1, 32, TWO_PI)
+        problem = self.forced_problem(grid, self.T_DEPENDENT[layout])
+        result = solve_fixed_eps(problem, seed=0)
+        self.assert_cascade_exact(problem, result, 3)
+
+    def test_two_dimensional_cascade_equals_per_snapshot(self):
+        # alpha = (1, 2) sums over five betas: their order shows in the bits
+        grid = Grid(2, 16, TWO_PI)
+        x0, x1 = ex.CoordX(0), ex.CoordX(1)
+        a1 = ex.add(
+            ex.mul(ex.add(ex.Const(2.0), ex.mul(ex.Sin(x0), ex.Cos(x1))),
+                   ex.CoordXi(0)),
+            ex.mul(ex.add(ex.Const(1.0), ex.mul(ex.Const(0.5), ex.Cos(x0))),
+                   ex.CoordXi(1)))
+        problem = self.forced_problem(grid, a1, horizon=0.4)
+        result = solve_fixed_eps(problem, seed=0)
+        rep = self.assert_cascade_exact(problem, result, 3)
+        assert (1, 2) in rep and np.max(rep[(1, 2)]["H"]) > 0.0
+
+    def assert_cascade_exact(self, problem, result, max_order):
+        rep = derivative_cascade(problem, result, max_order=max_order)
+        want = cascade_per_snapshot(problem, result, max_order)
+        assert list(rep) == list(want)
+        for alpha, (v_norm_sq, h_vals) in want.items():
+            assert np.array_equal(rep[alpha]["v_norm_sq"], v_norm_sq)
+            assert np.array_equal(rep[alpha]["H"], h_vals)
+            assert rep[alpha]["H_integral"] == float(
+                np.trapezoid(h_vals, rep[alpha]["times"]))
+        return rep
+
+    def test_constant_transport_oracle(self):
+        # a = c xi: d_t u = -c d_x u, so
+        # ||d_t^d d_x^a u|| = c^d ||d_x^(d+a) u||
+        grid, c = Grid(1, 64, TWO_PI), 1.7
+        symbol = HyperbolicSymbol(SymbolExpr(xi_term(c), 1.0, 1))
+        problem = CauchyProblem(symbol, smooth_g(grid), 0.5)
+        result = solve_fixed_eps(problem, seed=0)
+        orders = [(d, (a,)) for d in range(3) for a in range(3)] + \
+            [(0, (a,)) for a in range(3, 5)]
+        for snap in result.snapshots:
+            norms = asymptotics._t_derivative_norms(
+                symbol, problem.forcing, [snap], grid, orders, 2)
+            for d in (1, 2):
+                for a in range(3):
+                    assert norms[(d, (a,))] == pytest.approx(
+                        c ** d * norms[(0, (d + a,))], rel=1e-12)

@@ -258,6 +258,15 @@ CONFIG_PROBES = {
     "grid_M_odd": ("transport_smoke", lambda cfg: None, ["--grid-M", "127"]),
     "eps_count_one": ("negligible_uniqueness", lambda cfg: None,
                       ["--eps-count", "1"]),
+    # every derivative order is capped at config.MAX_DIFF_ORDER
+    "t_order_above_cap": ("ginf_regularity", _set(["orders", 1], [234, [1]]),
+                          []),
+    "x_order_above_cap": ("ginf_regularity", _set(["orders", 1], [0, [7]]),
+                          []),
+    "cascade_order_above_cap": ("piecewise_speed_logtype",
+                                _set(["cascade_max_order"], 7), []),
+    "max_order_above_cap": ("variable_speed_smooth",
+                            _set(["checks", 2, "max_order"], 7), []),
 }
 
 
@@ -292,6 +301,23 @@ class TestRunPhaseExits:
         cfg["data"]["g"]["node"] = [64.0]
         assert self._run(cfg, tmp_path) == 0
         assert capsys.readouterr().out == expected
+
+    def test_dense_symbol_sweep_runs(self, tmp_path, capsys):
+        # a non-separable symbol sends every member and every snapshot
+        # stack of the sweep through the dense table
+        cfg = get_preset("ginf_regularity")
+        cfg["grid"]["points"] = 32
+        xi = {"node": "coord_xi", "axis": 0}
+        cfg["symbol"]["a1"]["expr"] = {"node": "sum", "children": [xi, {
+            "node": "product", "children": [
+                {"node": "constant", "re": 0.01, "im": 0.0},
+                {"node": "sin", "child": {"node": "product", "children": [
+                    {"node": "coord_x", "axis": 0}, xi]}}]}]}
+        # the oscillating-data check needs more than 32 points to resolve
+        # its carrier, so only the regular check runs
+        cfg["checks"] = cfg["checks"][:1]
+        assert self._run(cfg, tmp_path) == 0
+        assert capsys.readouterr().out.startswith("PASS   ginf_regular")
 
     def test_zero_dense_remainder_fails(self, tmp_path, capsys):
         # a bump centred off the grid leaves an x-independent symbol, whose

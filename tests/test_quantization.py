@@ -64,6 +64,23 @@ class TestApplyOp:
         via_matrix = (op.matrix(0.0) @ u.values.ravel()).reshape(grid32.shape)
         assert np.max(np.abs(via_apply - via_matrix)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dense_stack_applies_row_by_row(self, dim, rng):
+        # a stack of grid functions meets a dense table one row at a time,
+        # each row bitwise its one-row apply
+        grid = Grid(dim, 8, TWO_PI)
+        mixed = SymbolExpr(ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(dim - 1))),
+                           0.0, dim)
+        op = PeriodicOperator(mixed, grid)
+        assert not op.separable
+        stack = np.stack([random_grid_function(grid, rng).values
+                          for _ in range(3)])
+        for apply in (op.apply, op.apply_adjoint):
+            got = apply(0.0, stack)
+            assert got.shape == stack.shape
+            for row, want in zip(got, stack):
+                assert np.array_equal(row, apply(0.0, want))
+
     def test_two_dimensional_consistency(self, rng):
         g = Grid(2, 8, TWO_PI)
         s = SymbolExpr(
