@@ -7,12 +7,12 @@ from .symbols import (GenSymbolFamily, HyperbolicSymbol, SampleBox,
                       SymbolExpr, classify_log_type, classify_slow_scale,
                       eval_symbol, seminorm_Q, seminorm_c, seminorm_q)
 from .regularization import (Mollifier, MollifiedCoefficient,
-                             RoughCoefficient, RoughTransport, ScaledMollifier,
-                             embed_data, omega_of_eps, regularize_symbol,
+                             RoughCoefficient, RoughTransport, embed_data,
+                             omega_of_eps, regularize_symbol,
                              regularized_family)
 from .quantization import (OscIntConfig, PeriodicOperator,
                            adjoint_defect_norm, adjoint_symbol_remainder,
-                           apply_op, check_remainder_estimate, op_matrix,
+                           check_remainder_estimate, op_matrix,
                            operator_norm, symbol_from_matrix)
 from .cauchy import (CauchyProblem, DtPolicy, EnergyLedger, Forcing,
                      SolveResult, TimeProfile, check_case_variants,

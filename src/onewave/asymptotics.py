@@ -25,7 +25,7 @@ from .cauchy import (CauchyProblem, DtPolicy, Forcing,
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
-from .quantization import apply_symbol_derivative
+from .quantization import PeriodicOperator
 from .regularization import embed_data
 from .symbols import (GenSymbolFamily, SampleBox, classify_log_type,
                       classify_slow_scale, log_fit, multi_indices)
@@ -47,7 +47,8 @@ class DataBuilder:
       fixed        eps-independent g (and optional forcing)
       mollified    g_eps = embed_data(g, eps)
       scaled       g_eps = scale(eps) * g, scale in {exp_neg_inv, power}
-      oscillating  g_eps = g * cos(round((1/eps)^gamma) * 2 pi x / L)
+      oscillating  g_eps = g * cos(round((1/eps)^gamma) * 2 pi x / L); a
+                   carrier mode at or above the Nyquist mode M/2 is refused
     """
 
     kind: str = "fixed"
@@ -75,6 +76,10 @@ class DataBuilder:
             return (eps ** self.power) * g, f
         if self.kind == "oscillating":
             k_eps = max(1, int(round((1.0 / eps) ** self.gamma)))
+            if 2 * k_eps >= grid.points:
+                raise OnewaveError(
+                    f"oscillating carrier mode {k_eps} at eps={eps:.3g} "
+                    f"reaches the Nyquist mode {grid.points // 2}")
             mesh = grid.x_mesh()
             carrier = np.cos(k_eps * 2.0 * np.pi * mesh[0] / grid.length)
             return GridFunction(grid, g.values * carrier), f
@@ -125,9 +130,10 @@ def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max):
     layers = [np.stack([snap.values for _, snap in snapshots])]
     for d in range(1, d_max + 1):
         acc = np.zeros(layers[0].shape, dtype=complex)
-        for i in range(d):
-            acc -= 1j * math.comb(d - 1, i) * apply_symbol_derivative(
-                full, i, (0,) * grid.dim, grid, ts, layers[d - 1 - i])
+        # d_t^i a = 0 for i >= 1 when a does not depend on t
+        for i in range(d if full.depends_t() else 1):
+            op = PeriodicOperator(full.derivative(i, None, None), grid)
+            acc -= 1j * math.comb(d - 1, i) * op.apply(ts, layers[d - 1 - i])
         if not forcing.is_zero:
             acc += forcing.values(ts)
         forcing = forcing.t_derivative()

@@ -10,8 +10,10 @@ constant belongs to the symbol: seminorm_constant computes it for the
 verdicts that compare against it.
 
 One RK4 stepper, solve_stack, advances the members of a stack on one grid
-(a sweep's eps members) as rows, each with its own dt and step count, after
-one band-norm iteration over the stack; solve_fixed_eps is one member.
+(a sweep's eps members) as rows of one PeriodicOperator per table layout,
+each with its own dt and step count, after one band-norm iteration over the
+stack; solve_fixed_eps is one member.  derivative_cascade applies each
+op(d_x^beta a) to a solve's snapshots as one stack.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
 from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
                      UnstableStep)
 from .grid import Grid, GridFunction
-from .quantization import (adjoint_defect_norm, adjoint_defect_norms,
-                           apply_symbol_derivative, operator_norms, stacks)
+from .quantization import (PeriodicOperator, adjoint_defect_norm,
+                           adjoint_defect_norms, operator_norms, stacks)
 from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 
 __all__ = [
@@ -274,8 +276,7 @@ def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
         members = []
         for k, i in enumerate(rows):
             try:
-                members.append(_Member(k, i, problems[i], stack.ops[k],
-                                       dt_policy))
+                members.append(_Member(k, i, problems[i], stack, dt_policy))
             except OnewaveError as err:
                 out[i] = err
         for m, norms in zip(members, _measure_norms(
@@ -291,8 +292,8 @@ class _Member:
     def __init__(self, row, slot, problem: CauchyProblem, op, dt_policy):
         self.row, self.slot, self.problem = row, slot, problem
         sup_times = (np.linspace(0.0, problem.horizon, 5)
-                     if op.symbol.depends_t() else [0.0])
-        self.sup = max(op.sup_abs(float(t)) for t in sup_times)
+                     if op.symbols[row].depends_t() else [0.0])
+        self.sup = max(op.sup_abs(float(t), row) for t in sup_times)
         self.dt = dt_policy.resolve(problem.horizon, self.sup)
         self.n_steps = int(round(problem.horizon / self.dt))
         self.forcing = None if problem.forcing.is_zero else problem.forcing
@@ -491,8 +492,8 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
                 continue
             coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
             low = tuple(a - b for a, b in zip(alpha, beta))
-            acc -= 1j * coeff * apply_symbol_derivative(
-                full, 0, beta, grid, snap_t, derivs[low])
+            op = PeriodicOperator(full.derivative(0, None, beta), grid)
+            acc -= 1j * coeff * op.apply(snap_t, derivs[low])
         h_vals = grid.norm_sq(acc)
         h_int = float(np.trapezoid(h_vals, snap_t))
         bound = (v_norm_sq[0] + h_int) * np.exp(c_meas * snap_t)

@@ -7,9 +7,8 @@ horizon.
 
 Conventions: nodes x_j = j*dx with dx = L/M; frequencies xi_k = 2*pi*k/L for
 k in [-M/2, M/2) in FFT ordering; Fourier coefficients u_hat = fftn(u)/M^n so
-that u(x) = sum_k u_hat_k exp(i x.xi_k).  The unpaired Nyquist mode k = -M/2
-is flagged by ``nyquist_mask``; scenarios keep data band-limited below half
-the Nyquist frequency.
+that u(x) = sum_k u_hat_k exp(i x.xi_k).  The Nyquist mode k = -M/2 has no
+partner; scenarios keep data band-limited below half the Nyquist frequency.
 """
 
 from __future__ import annotations
@@ -73,14 +72,6 @@ class Grid:
         if self.dim == 1:
             return (ax,)
         return tuple(np.meshgrid(ax, ax, indexing="ij"))
-
-    def nyquist_mask(self):
-        """Boolean mask of modes containing the unpaired Nyquist frequency."""
-        ax = np.zeros(self.points, dtype=bool)
-        ax[self.points // 2] = True
-        if self.dim == 1:
-            return ax
-        return ax[:, None] | ax[None, :]
 
     def max_abs_xi(self) -> float:
         return np.pi * self.points / self.length

@@ -4,10 +4,11 @@ The operator acts as v(x_j) = sum_k s(t, x_j, xi_k) u_hat_k exp(i x_j xi_k)
 (left quantization).  Symbols that split into sums of separable terms
 f_m(x) g_m(xi) ride an FFT fast path costing O(R M^n log M); everything else
 goes through a dense per-node symbol table costing O(M^(2n)), guarded at desk
-scale.  The adjoint used in production is the exact conjugate transpose with
-respect to the discrete L2 inner product; the oscillatory-integral machinery
-below exists to verify it against the symbol-calculus remainder at desk
-scale, not to replace it.
+scale.  PeriodicOperator is the one operator type: one symbol, or one per
+row, applied to a stack of grid functions.  The adjoint used in production
+is the exact conjugate transpose with respect to the discrete L2 inner
+product; the oscillatory-integral machinery below exists to verify it
+against the symbol-calculus remainder at desk scale, not to replace it.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import numpy as np
 from . import expr as ex
 from .config import POWER_ITERS, POWER_RTOL
 from .errors import BoxTooSmall, DimensionMismatch, TooLarge
-from .grid import Grid, GridFunction
+from .grid import Grid
 from .profiles import plateau
 from .symbols import SampleBox, SymbolExpr, seminorm_Q
 
 __all__ = [
-    "PeriodicOperator", "OperatorStack", "stacks", "apply_symbol_derivative",
-    "apply_op", "op_matrix",
+    "PeriodicOperator", "stacks", "op_matrix",
     "symbol_from_matrix", "power_iteration", "adjoint_defect_norm",
     "adjoint_defect_norms", "operator_norm", "operator_norms",
     "OscIntConfig", "adjoint_symbol_remainder", "check_remainder_estimate",
@@ -39,35 +39,63 @@ _ROWS = 128      # dense-table rows filled or scanned at a time
 
 
 class PeriodicOperator:
-    """A quantized symbol bound to a grid, with per-time evaluation caches."""
+    """Quantized symbols bound to a grid, applied to a stack of rows.
 
-    def __init__(self, symbol: SymbolExpr, grid: Grid):
-        if symbol.dim != grid.dim:
-            raise DimensionMismatch(
-                f"symbol dim {symbol.dim} != grid dim {grid.dim}")
-        self.symbol = symbol
+    ``symbols`` is one SymbolExpr, for every row, or a list of symbols of
+    one table layout, one per row (a one-symbol list serves every row).
+    ``apply(t, values)`` applies every row at the scalar time t, or row k at
+    t[k] for per-row times.  Each symbol caches its tables at the last time
+    asked; separable tables of several rows are stacked, once while no live
+    symbol depends on t and per call otherwise, rows that share one tables
+    object broadcast them, and a dense table applies row by row, so one
+    t-dependent dense symbol keeps one table alive at a time.
+    """
+
+    def __init__(self, symbols, grid: Grid):
+        self.symbols = [symbols] if isinstance(symbols, SymbolExpr) \
+            else list(symbols)
+        for s in self.symbols:
+            if s.dim != grid.dim:
+                raise DimensionMismatch(
+                    f"symbol dim {s.dim} != grid dim {grid.dim}")
         self.grid = grid
-        self.terms = ex.separable_terms(symbol.root)
-        self._t_independent = not symbol.depends_t()
-        self._cache_t = None
-        self._cache = None
+        self.rows = list(range(len(self.symbols)))
+        self._terms = [ex.separable_terms(s.root) for s in self.symbols]
+        if len({None if t is None else len(t) for t in self._terms}) > 1:
+            raise ValueError("an operator's symbols must share a table layout")
+        self._t_dep = [s.depends_t() for s in self.symbols]
+        self._cache = [(None, None)] * len(self.symbols)
+        self._stacked = (None, None)
 
     @property
     def separable(self) -> bool:
-        return self.terms is not None
+        return self._terms[0] is not None
+
+    def narrow(self, rows):
+        """Keep ``rows``, indices into the symbols the operator was built
+        with, and drop the others and their tables; returns the operator."""
+        if rows != self.rows:
+            for r in set(self.rows) - set(rows):
+                self._cache[r] = (None, None)
+            self.rows, self._stacked = list(rows), (None, None)
+        return self
 
     # -- symbol tables --------------------------------------------------------
-    def _tables(self, t: float):
-        key = 0.0 if self._t_independent else float(t)
-        if self._cache_t == key and self._cache is not None:
-            return self._cache
+    def _key(self, i: int, t: float) -> float:
+        """The time symbol i's tables are taken at: 0 if it ignores t."""
+        return float(t) if self._t_dep[i] else 0.0
+
+    def _tables(self, i: int, key: float):
+        """Tables of symbol i at time ``key`` (see _key)."""
+        if self._cache[i][0] == key:
+            return self._cache[i][1]
         g = self.grid
-        if self.separable:
+        if self._terms[i] is not None:
             xm = g.x_mesh()
             xim = g.xi_mesh()
             zeros_x = tuple(np.zeros(g.shape) for _ in range(g.dim))
             fx, gxi = [], []
-            for x_part, xi_part in self.terms:
+            for x_part, xi_part in self._terms[i]:
                 fx.append(np.asarray(x_part.eval(key, xm, zeros_x), dtype=complex)
                           * np.ones(g.shape))
                 gxi.append(np.asarray(xi_part.eval(key, zeros_x, xim), dtype=complex)
@@ -78,16 +106,15 @@ class PeriodicOperator:
                 raise TooLarge(
                     f"dense quantization path guarded at {DENSE_GUARD} nodes; "
                     f"grid has {g.size} (use a separable symbol)")
-            tables = ("dense", self._symbol_table(key))
-        self._cache_t = key
-        self._cache = tables
+            tables = ("dense", self._symbol_table(i, key))
+        self._cache[i] = (key, tables)
         return tables
 
-    def sup_abs(self, t: float) -> float:
-        """sup |s(t, x_j, xi_k)| over the grid's nodes and frequencies, read
-        from the tables: the bound sum_m max|f_m| max|g_m| for separable
-        terms, the max over the full table on the dense path."""
-        tables = self._tables(t)
+    def sup_abs(self, t: float, i: int = 0) -> float:
+        """sup |s(t, x_j, xi_k)| of symbol i over the grid's nodes and
+        frequencies, read from the tables: the bound sum_m max|f_m| max|g_m|
+        for separable terms, the max over the full table on the dense path."""
+        tables = self._tables(i, self._key(i, t))
         if tables[0] == "sep":
             acc = 0.0
             for f_m, g_m in zip(tables[1], tables[2]):
@@ -97,8 +124,8 @@ class PeriodicOperator:
         return float(max(np.max(np.abs(table[lo:lo + _ROWS]))
                          for lo in range(0, len(table), _ROWS)))
 
-    def _symbol_table(self, t: float) -> np.ndarray:
-        """S o E with S[j, k] = s(t, x_j, xi_k) and E[j, k] = exp(i x_j.xi_k).
+    def _symbol_table(self, i: int, t: float) -> np.ndarray:
+        """S o E, S[j, k] = s_i(t, x_j, xi_k) and E[j, k] = exp(i x_j.xi_k).
 
         2-D M=64 is 4096^2 entries, so no second table is ever alive: the
         real phase x_j.xi_k is computed by one BLAS call (row blocks would
@@ -116,7 +143,7 @@ class PeriodicOperator:
         for lo in reversed(range(0, g.size, _ROWS)):
             block = 1j * phase[lo:lo + _ROWS]
             np.exp(block, out=block)
-            s = np.asarray(self.symbol.root.eval(t, tuple(
+            s = np.asarray(self.symbols[i].root.eval(t, tuple(
                 pts[lo:lo + _ROWS, a][:, None] for a in range(g.dim)), xi),
                 dtype=complex)
             out[lo:lo + _ROWS] = np.multiply(
@@ -124,12 +151,32 @@ class PeriodicOperator:
         return out
 
     # -- application -----------------------------------------------------------
-    def apply(self, t: float, values: np.ndarray) -> np.ndarray:
-        return _apply(self._tables(t), values, self.grid)
+    def apply(self, t, values: np.ndarray) -> np.ndarray:
+        return self._apply(t, values, False)
 
-    def apply_adjoint(self, t: float, values: np.ndarray) -> np.ndarray:
+    def apply_adjoint(self, t, values: np.ndarray) -> np.ndarray:
         """Exact conjugate transpose w.r.t. the discrete L2 inner product."""
-        return _apply(self._tables(t), values, self.grid, adjoint=True)
+        return self._apply(t, values, True)
+
+    def _apply(self, t, values: np.ndarray, adjoint: bool) -> np.ndarray:
+        """The one path of apply and apply_adjoint, each public call one
+        trace span."""
+        if np.ndim(t) == 0:
+            t = [t] * len(self.rows)
+        syms = [0] * len(t) if len(self.symbols) == 1 else self.rows
+        keys = tuple((i, self._key(i, tk)) for i, tk in zip(syms, t))
+        if len(set(keys)) == 1:
+            return _apply_tables(self._tables(*keys[0]), values, self.grid,
+                                 adjoint)
+        if not self.separable:
+            return np.stack([_apply_tables(self._tables(*key), row, self.grid,
+                                           adjoint)
+                             for key, row in zip(keys, values)])
+        if self._stacked[0] != keys:
+            tabs = [self._tables(*key) for key in keys]
+            self._stacked = (keys, ("sep", *([np.stack(part) for part in zip(
+                *(tb[k] for tb in tabs))] for k in (1, 2))))
+        return _apply_tables(self._stacked[1], values, self.grid, adjoint)
 
     def matrix(self, t: float = 0.0) -> np.ndarray:
         """Dense nodal-basis matrix (S o E) E^H / N (small-scale oracle).
@@ -140,10 +187,11 @@ class PeriodicOperator:
         g = self.grid
         if g.size > DENSE_GUARD:
             raise TooLarge(f"matrix oracle guarded at {DENSE_GUARD} nodes")
-        return self._symbol_table(float(t)) @ _fourier_matrix(g).conj().T / g.size
+        return self._symbol_table(0, float(t)) @ \
+            _fourier_matrix(g).conj().T / g.size
 
 
-def _apply(tables, values: np.ndarray, grid: Grid, adjoint=False):
+def _apply_tables(tables, values: np.ndarray, grid: Grid, adjoint=False):
     """op(s), or its adjoint, on values of shape (..., *grid.shape): the
     FFTs (lengths given, which spares numpy a lookup) run over the grid axes
     only, so each row of a stack meets its row of stacked separable tables
@@ -167,56 +215,9 @@ def _apply(tables, values: np.ndarray, grid: Grid, adjoint=False):
     return out
 
 
-class OperatorStack:
-    """PeriodicOperators of one table layout on one grid, one per row of a
-    stack of grid functions, row i applied at its own time ts[i].  The
-    separable tables are stacked once for t-independent symbols and per
-    row-time otherwise."""
-
-    def __init__(self, ops):
-        self.ops, self.rows = ops, list(range(len(ops)))
-        self.grid = ops[0].grid
-        self._fixed = all(op._t_independent for op in ops)
-        self._times = self._stacked = None
-
-    def narrow(self, rows):
-        """Keep ``rows``, indices into the operators the stack was built
-        from, and drop the others; returns the stack."""
-        if rows != self.rows:
-            self.ops = [self.ops[self.rows.index(r)] for r in rows]
-            self.rows, self._stacked = list(rows), None
-        return self
-
-    def apply(self, ts, values: np.ndarray, adjoint=False) -> np.ndarray:
-        times = None if self._fixed else tuple(ts)
-        if self._stacked is None or times != self._times:
-            tabs = [op._tables(t) for op, t in zip(self.ops, ts)]
-            if tabs[0][0] == "sep":
-                tabs = [("sep", *([np.stack(part) for part in zip(
-                    *(tb[k] for tb in tabs))] for k in (1, 2)))]
-            self._times, self._stacked = times, tabs[0]
-        return _apply(self._stacked, values, self.grid, adjoint)
-
-
-def apply_symbol_derivative(symbol: SymbolExpr, d: int, beta, grid: Grid,
-                            ts, values: np.ndarray) -> np.ndarray:
-    """op(d_t^d d_x^beta s) at time ts[k] on row k of the stack ``values``
-    (len(ts), *grid.shape).  A t-independent operator's tables broadcast
-    over the rows; a t-dependent one stacks its separable tables per row
-    time, as OperatorStack does, and builds a dense table per row, so one
-    is alive at a time."""
-    op = PeriodicOperator(SymbolExpr(symbol.derivative_root(
-        d, (0,) * grid.dim, beta), 1.0, grid.dim), grid)
-    if op._t_independent:
-        return op.apply(0.0, values)
-    if op.separable:
-        return OperatorStack([op] * len(ts)).apply(ts, values)
-    return np.stack([op.apply(t, row) for t, row in zip(ts, values)])
-
-
 def stacks(symbols, grid: Grid):
-    """(rows, OperatorStack) per table layout of ``symbols`` on ``grid``, in
-    first-row order.  Separable symbols stack by term count, never padded
+    """(rows, PeriodicOperator) per table layout of ``symbols`` on
+    ``grid``, in first-row order.  Separable symbols stack by term count, never padded
     with zero terms (which could flip signed zeros); a dense one stacks
     alone, so one dense table is alive at a time."""
     layouts = {}
@@ -225,8 +226,7 @@ def stacks(symbols, grid: Grid):
         layouts.setdefault(-1 - i if terms is None else len(terms),
                            []).append(i)
     for rows in layouts.values():
-        yield rows, OperatorStack([PeriodicOperator(symbols[i], grid)
-                                   for i in rows])
+        yield rows, PeriodicOperator([symbols[i] for i in rows], grid)
 
 
 def _flat_frequencies(grid: Grid) -> np.ndarray:
@@ -237,15 +237,6 @@ def _fourier_matrix(grid: Grid) -> np.ndarray:
     """E[j, k] = exp(i x_j.xi_k) over the flattened nodes and frequencies."""
     phase = 1j * (grid.flat_points() @ _flat_frequencies(grid).T)
     return np.exp(phase, out=phase)
-
-
-def apply_op(s: SymbolExpr, t: float, u: GridFunction) -> GridFunction:
-    """One-shot operator application (solver paths hold PeriodicOperator)."""
-    u.check_finite()
-    out = PeriodicOperator(s, u.grid).apply(t, u.values)
-    result = GridFunction(u.grid, out)
-    result.check_finite()
-    return result
 
 
 def op_matrix(s: SymbolExpr, t: float, grid: Grid) -> np.ndarray:
@@ -353,7 +344,7 @@ def adjoint_defect_norms(pairs, grid: Grid, seed=None) -> list:
     so B*B needs two B applications per iteration."""
     def b_apply(stack, ts, proj, v):
         pv = proj(v)
-        return proj(stack.apply(ts, pv) - stack.apply(ts, pv, adjoint=True))
+        return proj(stack.apply(ts, pv) - stack.apply_adjoint(ts, pv))
 
     return _band_norms(pairs, grid, seed, lambda stack, ts, proj, v:
                        -b_apply(stack, ts, proj, b_apply(stack, ts, proj, v)))
@@ -363,7 +354,7 @@ def operator_norms(pairs, grid: Grid, seed=None) -> list:
     """L2 operator norm of P op(s) P at t, per (s, t) in ``pairs``, by power
     iteration on its Gram product."""
     return _band_norms(pairs, grid, seed, lambda stack, ts, proj, v: proj(
-        stack.apply(ts, proj(stack.apply(ts, proj(v))), adjoint=True)))
+        stack.apply_adjoint(ts, proj(stack.apply(ts, proj(v))))))
 
 
 def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,

@@ -30,7 +30,7 @@ from .grid import Grid, GridFunction
 from .symbols import GenSymbolFamily, HyperbolicSymbol, SymbolExpr
 
 __all__ = [
-    "Mollifier", "ScaledMollifier", "RoughCoefficient", "MollifiedCoefficient",
+    "Mollifier", "RoughCoefficient", "MollifiedCoefficient",
     "omega_of_eps", "embed_data", "regularize_symbol", "regularized_family",
     "verify_log_type_of_regularization",
 ]
@@ -53,9 +53,6 @@ class Mollifier:
         """rho_hat as a function of radial frequency (vectorized)."""
         return profiles.plateau(np.asarray(r, dtype=float),
                                 self.plateau_radius, self.cutoff_radius, deriv)
-
-    def scaled(self, omega: float) -> "ScaledMollifier":
-        return ScaledMollifier(self, omega)
 
     def kernel_samples(self, y_max: float = 2048.0, pad: float = 16.0):
         """Sample the 1-D kernel rho on a uniform grid via a padded FFT.
@@ -88,23 +85,6 @@ class Mollifier:
         round trip (see the regularization tests)."""
         y, rho = self.kernel_samples(y_max=y_max, pad=16.0)
         return float(np.trapezoid(y ** alpha * rho, y))
-
-
-@dataclass(frozen=True)
-class ScaledMollifier:
-    """rho_omega(y) = omega^n rho(omega y); scaling preserves unit integral."""
-
-    base: Mollifier
-    omega: float
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-
-    def profile(self, xi, deriv: int = 0):
-        """Transform of the scaled kernel: rho_hat(xi / omega)."""
-        scale = 1.0 / self.omega
-        return self.base.profile(np.asarray(xi) * scale, deriv) * scale ** deriv
 
 
 def omega_of_eps(eps: float, k: int = 1) -> float:
@@ -334,7 +314,7 @@ def regularize_symbol(rough, k: int, eps: float,
 def regularized_family(rough, k: int, eps_grid,
                        mollifier: Mollifier | None = None) -> GenSymbolFamily:
     builder = lambda eps: regularize_symbol(rough, k, eps, mollifier)
-    return GenSymbolFamily(builder, eps_grid, mollification_k=k)
+    return GenSymbolFamily(builder, eps_grid)
 
 
 def verify_log_type_of_regularization(rough, k: int, eps_grid, box,

@@ -648,9 +648,13 @@ class ScenarioContext:
                 freq=float(prof.get("freq", 0.0)),
                 phase=float(prof.get("phase", 0.0)))
             forcing = Forcing.separable(profile, on_grid(fspec["shape"]))
-        return DataBuilder(kind=dc.get("builder", "fixed"), g=initial,
-                           forcing=forcing, power=float(dc.get("power", 1.0)),
-                           gamma=float(dc.get("gamma", 0.5)))
+        builder = DataBuilder(
+            kind=dc.get("builder", "fixed"), g=initial, forcing=forcing,
+            power=float(dc.get("power", 1.0)),
+            gamma=float(dc.get("gamma", 0.5)))
+        if self.eps_grid:   # the smallest eps has the finest data scale
+            builder.build(min(self.eps_grid), self.grid)
+        return builder
 
     def _bind(self, entry):
         params = dict(entry) if isinstance(entry, dict) else {"check": entry}

@@ -74,24 +74,9 @@ class SymbolExpr:
         return {"dim": self.dim, "declared_order": self.declared_order,
                 "expr": self.root.to_json()}
 
-    def conj(self) -> "SymbolExpr":
-        return SymbolExpr(ex.Conj(self.root), self.declared_order, self.dim)
-
-    def __add__(self, other: "SymbolExpr") -> "SymbolExpr":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in symbol sum")
-        order = max(self.declared_order, other.declared_order)
-        return SymbolExpr(ex.add(self.root, other.root), order, self.dim)
-
     # -- dependence flags ----------------------------------------------------
     def depends_t(self):
         return self.root.depends_t()
-
-    def depends_x(self):
-        return self.root.depends_x()
-
-    def depends_xi(self):
-        return self.root.depends_xi()
 
     # -- differentiation -----------------------------------------------------
     def derivative_root(self, d: int, alpha, beta) -> ex.Expr:
@@ -301,14 +286,6 @@ class HyperbolicSymbol:
             x_lo=(0.0,) * self.dim, x_hi=(2.0 * math.pi,) * self.dim,
             x_count=33, xi_uniform_count=9, xi_max=64.0))
 
-    def to_json(self) -> dict:
-        out = {"a1": self.a1.to_json()}
-        if self.a0 is not None:
-            out["a0"] = self.a0.to_json()
-        if self.x_independent_outside is not None:
-            out["x_independent_outside"] = self.x_independent_outside
-        return out
-
 
 def check_real_valued(s: SymbolExpr, box: SampleBox) -> bool:
     """Sampled reality check at t = 0: |Im| <= 1e-14 * (1 + |value|)."""
@@ -320,14 +297,13 @@ def check_real_valued(s: SymbolExpr, box: SampleBox) -> bool:
 class GenSymbolFamily:
     """eps-indexed family of hyperbolic symbols sharing dim and orders."""
 
-    def __init__(self, base, eps_grid, mollification_k: int | None = None):
+    def __init__(self, base, eps_grid):
         self.base = base
         self.eps_grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
         if not self.eps_grid:
             raise InsufficientSweep("empty eps grid")
         if any(e <= 0 or e > 1 for e in self.eps_grid):
             raise InsufficientSweep("eps grid entries must lie in (0, 1]")
-        self.mollification_k = mollification_k
         self._members = {}
         first = self.member(self.eps_grid[0])
         last = self.member(self.eps_grid[-1])

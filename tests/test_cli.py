@@ -267,6 +267,12 @@ CONFIG_PROBES = {
                                 _set(["cascade_max_order"], 7), []),
     "max_order_above_cap": ("variable_speed_smooth",
                             _set(["checks", 2, "max_order"], 7), []),
+    # the oscillating data's carrier reaches mode 61 at the smallest eps: at
+    # or above the Nyquist mode M/2 it would alias
+    "carrier_above_nyquist_M32": ("ginf_regularity", lambda cfg: None,
+                                  ["--grid-M", "32"]),
+    "carrier_above_nyquist_M64": ("ginf_regularity", lambda cfg: None,
+                                  ["--grid-M", "64"]),
 }
 
 

@@ -1,10 +1,12 @@
 """Operator application, adjoints, norms, and the oscillatory remainder."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from onewave import asymptotics, cauchy
 from onewave import expr as ex
 from onewave.config import CV_CONSTANT
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
@@ -13,15 +15,20 @@ from onewave.profiles import plateau
 from onewave.quantization import (OscIntConfig, PeriodicOperator, _kernel,
                                   _r_theta, _remainder_integrand_trees,
                                   adjoint_defect_norm,
-                                  adjoint_symbol_remainder, apply_op,
+                                  adjoint_symbol_remainder,
                                   band_projector, check_remainder_estimate,
                                   op_matrix, operator_norm, power_iteration,
                                   symbol_from_matrix)
-from onewave.symbols import SampleBox, SymbolExpr, eval_symbol, seminorm_Q
+from onewave.symbols import (HyperbolicSymbol, SampleBox, SymbolExpr,
+                             eval_symbol, seminorm_Q)
 
 from conftest import random_grid_function
 
 TWO_PI = 2.0 * np.pi
+
+
+def apply_op(s, t, u):
+    return GridFunction(u.grid, PeriodicOperator(s, u.grid).apply(t, u.values))
 
 
 class TestApplyOp:
@@ -116,6 +123,105 @@ class TestApplyOp:
         op = PeriodicOperator(mixed, g)
         with pytest.raises(TooLarge):
             op.apply(0.0, np.zeros(g.shape, dtype=complex))
+
+
+class TestRows:
+    """Row k of a stack applies its own symbol at its own time, bitwise its
+    one-symbol apply."""
+
+    # (1 + t)(2 + sin x) xi and cos(x) xi^2 / 8: separable, one term each;
+    # xi + 0.01 (1 + t) sin(x xi): dense
+    T_SEP = ex.mul(ex.add(ex.Const(1.0), ex.CoordT()),
+                   ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0))), ex.CoordXi(0))
+    FIXED_SEP = ex.mul(ex.Const(0.125), ex.Cos(ex.CoordX(0)),
+                       ex.CoordXi(0), ex.CoordXi(0))
+    T_DENSE = ex.add(ex.CoordXi(0), ex.mul(
+        ex.Const(0.01), ex.add(ex.Const(1.0), ex.CoordT()),
+        ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(0)))))
+
+    def test_symbol_per_row(self, grid32, rng):
+        syms = [SymbolExpr(root, 1.0, 1) for root in
+                (self.T_SEP, self.FIXED_SEP, self.T_SEP)]
+        ts = [0.0, 0.5, 0.25]
+        stack = np.stack([random_grid_function(grid32, rng).values
+                          for _ in syms])
+        op = PeriodicOperator(syms, grid32)
+        for name in ("apply", "apply_adjoint"):
+            got = getattr(op, name)(ts, stack)
+            for s, t, row, out in zip(syms, ts, stack, got):
+                want = getattr(PeriodicOperator(s, grid32), name)(t, row)
+                assert np.array_equal(out, want)
+        got = op.narrow([0, 2]).apply(ts[::2], stack[::2])
+        assert np.array_equal(got[1], PeriodicOperator(syms[2], grid32).apply(
+            ts[2], stack[2]))
+
+    @pytest.mark.parametrize("root", [T_SEP, FIXED_SEP, T_DENSE])
+    def test_one_symbol_time_per_row(self, root, grid32, rng):
+        s = SymbolExpr(root, 1.0, 1)
+        ts = np.array([0.0, 0.3, 0.6])
+        stack = np.stack([random_grid_function(grid32, rng).values
+                          for _ in ts])
+        got = PeriodicOperator(s, grid32).apply(ts, stack)
+        for t, row, out in zip(ts, stack, got):
+            want = PeriodicOperator(s, grid32).apply(t, row)
+            assert np.array_equal(out, want)
+
+    def test_rows_share_one_table_layout(self, grid32):
+        two_terms = ex.add(ex.CoordXi(0), ex.Sin(ex.CoordX(0)))
+        with pytest.raises(ValueError):
+            PeriodicOperator([SymbolExpr(self.FIXED_SEP, 1.0, 1),
+                              SymbolExpr(two_terms, 1.0, 1)], grid32)
+
+
+class TestApplyRoute:
+    """Every operator application is a call of PeriodicOperator.apply or
+    apply_adjoint, the names the benchmark's trace counts."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("apply", "apply_adjoint"):
+            def counted(self, t, values, _name=name,
+                        _fn=getattr(PeriodicOperator, name)):
+                counts[_name] += 1
+                return _fn(self, t, values)
+            monkeypatch.setattr(PeriodicOperator, name, counted)
+        return counts
+
+    def test_solve_applies_four_times_per_step(self, calls, monkeypatch,
+                                               variable_speed_symbol, grid32):
+        monkeypatch.setattr(cauchy, "_measure_norms", lambda problems, grid,
+                            seed: [(0.0, 0.0, 1.0, True)] * len(problems))
+        x = grid32.x_axis()
+        problem = cauchy.CauchyProblem(
+            HyperbolicSymbol(variable_speed_symbol),
+            GridFunction(grid32, np.sin(x)), 0.5)
+        result = cauchy.solve_fixed_eps(problem)
+        assert calls == {"apply": 4 * (len(result.times) - 1)}
+
+    def test_norms_apply_per_iteration(self, calls, variable_speed_symbol,
+                                       grid32):
+        est = adjoint_defect_norm(variable_speed_symbol, 0.0, grid32, seed=1)
+        assert calls == {"apply": 2 * est.iterations,
+                         "apply_adjoint": 2 * est.iterations}
+        calls.clear()
+        est = operator_norm(SymbolExpr(ex.Sin(ex.CoordX(0)), 0.0, 1), 0.0,
+                            grid32, seed=1)
+        assert calls == {"apply": est.iterations,
+                         "apply_adjoint": est.iterations}
+
+    @pytest.mark.parametrize("root, want", [
+        (TestRows.FIXED_SEP, 2), (TestRows.T_SEP, 3)])
+    def test_t_derivative_norms_skip_zero_derivatives(self, calls, root, want,
+                                                      grid32):
+        # d_t^2 u = -i op(a) d_t u - i op(d_t a) u: op(d_t a) = 0 is skipped
+        # when a does not depend on t
+        u = GridFunction(grid32, np.cos(grid32.x_axis()))
+        asymptotics._t_derivative_norms(
+            HyperbolicSymbol(SymbolExpr(root, 1.0, 1)),
+            cauchy.Forcing.zero(grid32), [(0.0, u), (0.1, u)], grid32,
+            [(2, (0,))], 2)
+        assert calls == {"apply": want}
 
 
 class TestAdjoint:

@@ -9,7 +9,7 @@ from onewave.errors import BadEps, UnsupportedRoughKind
 from onewave.grid import Grid, GridFunction
 from onewave.regularization import (Mollifier, MollifiedCoefficient,
                                     RoughCoefficient, RoughTransport,
-                                    ScaledMollifier, embed_data, omega_of_eps,
+                                    embed_data, omega_of_eps,
                                     regularize_symbol, regularized_family,
                                     verify_log_type_of_regularization)
 from onewave.symbols import SampleBox
@@ -93,10 +93,6 @@ class TestMollifierMoments:
         y, rho = m.kernel_samples(y_max=50.0)
         sym = np.interp(-y, y, rho)
         assert np.max(np.abs(rho - sym)) <= 1e-12
-
-    def test_scaled_preserves_unit_profile_at_zero(self):
-        sm = ScaledMollifier(Mollifier(), omega=3.7)
-        assert sm.profile(np.array([0.0]))[0] == 1.0
 
 
 class TestEmbedData:
@@ -236,7 +232,6 @@ class TestRegularizeSymbol:
                               breakpoints=[2.0, 4.3], values=[2.0, 1.0])
         fam = regularized_family(RoughTransport(speeds=(pc,)), 1,
                                  [0.1 * 0.2 ** i for i in range(6)])
-        assert fam.mollification_k == 1
         assert fam.member(0.1).dim == 1
 
     def test_log_type_verification(self):
