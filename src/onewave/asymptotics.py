@@ -1,7 +1,8 @@
 """Epsilon sweeps and asymptotic classification of solution families.
 
 A sweep solves the Cauchy problem for every eps on a geometric grid (the
-members advance as one stack through cauchy.solve_stack), tracks
+members advance as one stack through cauchy.solve_stack, and members that
+share one result are post-processed once), tracks
 max_t ||d_t^d d_x^alpha u_eps(t)|| for requested orders, and fits growth
 exponents against log(1/eps).  Verdicts (moderate, negligible, regular,
 slow-scale, associated) are finite-sweep regressions with explicit
@@ -128,11 +129,12 @@ def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max):
     full = symbol.full()
     ts = np.array([t for t, _ in snapshots])
     layers = [np.stack([snap.values for _, snap in snapshots])]
+    # d_t^i a = 0 for i >= 1 when a does not depend on t
+    ops = [PeriodicOperator(full.derivative(i, None, None), grid)
+           for i in range(d_max if full.depends_t() else min(d_max, 1))]
     for d in range(1, d_max + 1):
         acc = np.zeros(layers[0].shape, dtype=complex)
-        # d_t^i a = 0 for i >= 1 when a does not depend on t
-        for i in range(d if full.depends_t() else 1):
-            op = PeriodicOperator(full.derivative(i, None, None), grid)
+        for i, op in enumerate(ops[:d]):
             acc -= 1j * math.comb(d - 1, i) * op.apply(ts, layers[d - 1 - i])
         if not forcing.is_zero:
             acc += forcing.values(ts)
@@ -211,6 +213,10 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
     for eps, result in zip(problems, solved):
         if isinstance(result, OnewaveError):
             failed[eps] = result
+            continue
+        shared = [e for e in results if results[e][1] is result]
+        if shared:      # identical problems: post-processed once
+            results[eps] = results[shared[0]]
             continue
         problem = problems[eps]
         try:

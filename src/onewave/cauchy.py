@@ -12,8 +12,9 @@ verdicts that compare against it.
 One RK4 stepper, solve_stack, advances the members of a stack on one grid
 (a sweep's eps members) as rows of one PeriodicOperator per table layout,
 each with its own dt and step count, after one band-norm iteration over the
-stack; solve_fixed_eps is one member.  derivative_cascade applies each
-op(d_x^beta a) to a solve's snapshots as one stack.
+stack; solve_fixed_eps is one member.  Identical problems step as one row,
+and zero data with zero forcing is not stepped.  derivative_cascade builds
+each op(d_x^beta a) once and applies it to a solve's snapshots as one stack.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
                      UnstableStep)
 from .grid import Grid, GridFunction
 from .quantization import (PeriodicOperator, adjoint_defect_norm,
-                           adjoint_defect_norms, operator_norms, stacks)
+                           adjoint_defect_norms, distinct, operator_norms,
+                           stacks)
 from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 
 __all__ = [
@@ -266,24 +268,40 @@ def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
     its own sup|a|, and leave it after their last step, so each member's
     arithmetic is its one-member solve's.  A member aborts with UnstableStep
     when its norm exceeds INSTABILITY_FACTOR times its Gronwall bound.
+    Identical problems step as one member and share its read-only result;
+    zero data with zero forcing stays exactly zero, so it is not stepped.
     """
     dt_policy = dt_policy or DtPolicy()
-    out = [None] * len(problems)
     grid = problems[0].grid if problems else None
     if any(p.grid != grid for p in problems):
         raise GridMismatch("stacked problems on different grids")
-    for rows, stack in stacks([p.symbol.full() for p in problems], grid):
+    # identical: one symbol, horizon and forcing object; bitwise-equal data
+    once, slots = distinct(problems, lambda p: (
+        id(p.symbol), p.horizon, None if p.forcing.is_zero else id(p.forcing),
+        p.initial.values.astype(complex).tobytes()))
+    out = [None] * len(once)
+    # one full symbol object per HyperbolicSymbol, so its rows share tables
+    symbols, of = distinct([p.symbol for p in once], id)
+    full = [symbol.full() for symbol in symbols]
+    for rows, stack in stacks([full[j] for j in of], grid):
         members = []
         for k, i in enumerate(rows):
             try:
-                members.append(_Member(k, i, problems[i], stack, dt_policy))
+                members.append(_Member(k, i, once[i], stack, dt_policy))
             except OnewaveError as err:
                 out[i] = err
         for m, norms in zip(members, _measure_norms(
                 [m.problem for m in members], stack.grid, seed)):
             m.norms = norms
-        _rk4(stack.narrow([m.row for m in members]), members, out)
-    return out
+        live, zero = [], np.zeros(grid.shape, dtype=complex)
+        for m in members:
+            if m.forcing is not None or np.any(m.snapshots[0][1]):
+                live.append(m)
+                continue
+            for step in range(1, m.n_steps + 1):    # zero stays exactly zero
+                out[m.slot] = m.advance(step, zero, 0.0)
+        _rk4(stack.narrow([m.row for m in live]), live, out)
+    return [out[k] for k in slots]
 
 
 class _Member:
@@ -328,6 +346,8 @@ class _Member:
         if step < self.n_steps:
             return None
         times, u_norms, f_norms = map(np.array, zip(*self.ledger))
+        for v in (times, u_norms, f_norms, *(v for _, v in self.snapshots)):
+            v.flags.writeable = False       # identical problems share them
         ledger = EnergyLedger(
             times=times, u_norm_sq=u_norms, f_norm_sq=f_norms,
             skew_norm=skew, a0_norm=a0n, c_measured=c_meas, dt=self.dt,
@@ -480,6 +500,8 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
     derivs = {alpha: grid.spectral_derivative(snaps, alpha)
               for alpha in multi_indices(grid.dim, max_order)}
     del snaps       # beta = alpha reads the alpha = 0 round trip
+    ops = {beta: PeriodicOperator(full.derivative(0, None, beta), grid)
+           for beta in derivs if sum(beta)}
 
     report = {}
     for alpha, v_alpha in derivs.items():
@@ -492,8 +514,7 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
                 continue
             coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
             low = tuple(a - b for a, b in zip(alpha, beta))
-            op = PeriodicOperator(full.derivative(0, None, beta), grid)
-            acc -= 1j * coeff * op.apply(snap_t, derivs[low])
+            acc -= 1j * coeff * ops[beta].apply(snap_t, derivs[low])
         h_vals = grid.norm_sq(acc)
         h_int = float(np.trapezoid(h_vals, snap_t))
         bound = (v_norm_sq[0] + h_int) * np.exp(c_meas * snap_t)

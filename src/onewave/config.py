@@ -41,11 +41,6 @@ TRAJECTORY_STRIDE = 8
 # 1.25 safety factor.
 CALIBRATED_C = {1: 1.0, 2: 1.17}
 
-# Operator-norm calibration: measured L2 norm of an order-0 symbol
-# <= CV_CONSTANT * Q^0_{0,f,f} with f = floor(n/2)+1.  Corpus maxima were
-# 0.995 (n=1) and 0.865 (n=2); frozen with the same 1.25 safety factor.
-CV_CONSTANT = {1: 1.25, 2: 1.25}
-
 
 @dataclass
 class Thresholds:

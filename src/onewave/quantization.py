@@ -5,7 +5,9 @@ The operator acts as v(x_j) = sum_k s(t, x_j, xi_k) u_hat_k exp(i x_j xi_k)
 f_m(x) g_m(xi) ride an FFT fast path costing O(R M^n log M); everything else
 goes through a dense per-node symbol table costing O(M^(2n)), guarded at desk
 scale.  PeriodicOperator is the one operator type: one symbol, or one per
-row, applied to a stack of grid functions.  The adjoint used in production
+row, applied to a stack of grid functions; rows of one symbol object share
+its tables, and a norm request list estimates each distinct (symbol object,
+t) pair once.  The adjoint used in production
 is the exact conjugate transpose with respect to the discrete L2 inner
 product; the oscillatory-integral machinery below exists to verify it
 against the symbol-calculus remainder at desk scale, not to replace it.
@@ -28,7 +30,7 @@ from .profiles import plateau
 from .symbols import SampleBox, SymbolExpr, seminorm_Q
 
 __all__ = [
-    "PeriodicOperator", "stacks", "op_matrix",
+    "PeriodicOperator", "stacks", "distinct", "op_matrix",
     "symbol_from_matrix", "power_iteration", "adjoint_defect_norm",
     "adjoint_defect_norms", "operator_norm", "operator_norms",
     "OscIntConfig", "adjoint_symbol_remainder", "check_remainder_estimate",
@@ -38,17 +40,28 @@ DENSE_GUARD = 4096
 _ROWS = 128      # dense-table rows filled or scanned at a time
 
 
+def distinct(items, key) -> tuple[list, list]:
+    """(items of distinct key, first seen first; each item's index there)"""
+    first, once, slots = {}, [], []
+    for item in items:
+        slots.append(first.setdefault(key(item), len(once)))
+        if slots[-1] == len(once):
+            once.append(item)
+    return once, slots
+
+
 class PeriodicOperator:
     """Quantized symbols bound to a grid, applied to a stack of rows.
 
     ``symbols`` is one SymbolExpr, for every row, or a list of symbols of
     one table layout, one per row (a one-symbol list serves every row).
     ``apply(t, values)`` applies every row at the scalar time t, or row k at
-    t[k] for per-row times.  Each symbol caches its tables at the last time
-    asked; separable tables of several rows are stacked, once while no live
-    symbol depends on t and per call otherwise, rows that share one tables
-    object broadcast them, and a dense table applies row by row, so one
-    t-dependent dense symbol keeps one table alive at a time.
+    t[k] for per-row times.  Each distinct symbol object caches one tables
+    object at the last time asked; separable tables of several rows are
+    stacked, once while no live symbol depends on t and per call otherwise,
+    rows that all read one tables object broadcast it, and a dense table
+    applies row by row, so one t-dependent dense symbol keeps one table
+    alive at a time.
     """
 
     def __init__(self, symbols, grid: Grid):
@@ -60,11 +73,12 @@ class PeriodicOperator:
                     f"symbol dim {s.dim} != grid dim {grid.dim}")
         self.grid = grid
         self.rows = list(range(len(self.symbols)))
-        self._terms = [ex.separable_terms(s.root) for s in self.symbols]
+        self._distinct, self._of = distinct(self.symbols, id)
+        self._terms = [ex.separable_terms(s.root) for s in self._distinct]
         if len({None if t is None else len(t) for t in self._terms}) > 1:
             raise ValueError("an operator's symbols must share a table layout")
-        self._t_dep = [s.depends_t() for s in self.symbols]
-        self._cache = [(None, None)] * len(self.symbols)
+        self._t_dep = [s.depends_t() for s in self._distinct]
+        self._cache = [(None, None)] * len(self._distinct)
         self._stacked = (None, None)
 
     @property
@@ -75,18 +89,19 @@ class PeriodicOperator:
         """Keep ``rows``, indices into the symbols the operator was built
         with, and drop the others and their tables; returns the operator."""
         if rows != self.rows:
-            for r in set(self.rows) - set(rows):
-                self._cache[r] = (None, None)
+            for j in {self._of[r] for r in self.rows} - \
+                    {self._of[r] for r in rows}:
+                self._cache[j] = (None, None)
             self.rows, self._stacked = list(rows), (None, None)
         return self
 
     # -- symbol tables --------------------------------------------------------
     def _key(self, i: int, t: float) -> float:
-        """The time symbol i's tables are taken at: 0 if it ignores t."""
+        """The time distinct symbol i's tables are taken at: 0 if no t."""
         return float(t) if self._t_dep[i] else 0.0
 
     def _tables(self, i: int, key: float):
-        """Tables of symbol i at time ``key`` (see _key)."""
+        """Tables of distinct symbol i at time ``key`` (see _key)."""
         if self._cache[i][0] == key:
             return self._cache[i][1]
         g = self.grid
@@ -110,10 +125,11 @@ class PeriodicOperator:
         self._cache[i] = (key, tables)
         return tables
 
-    def sup_abs(self, t: float, i: int = 0) -> float:
-        """sup |s(t, x_j, xi_k)| of symbol i over the grid's nodes and
+    def sup_abs(self, t: float, row: int = 0) -> float:
+        """sup |s(t, x_j, xi_k)| of symbol ``row`` over the grid's nodes and
         frequencies, read from the tables: the bound sum_m max|f_m| max|g_m|
         for separable terms, the max over the full table on the dense path."""
+        i = self._of[row]
         tables = self._tables(i, self._key(i, t))
         if tables[0] == "sep":
             acc = 0.0
@@ -143,7 +159,7 @@ class PeriodicOperator:
         for lo in reversed(range(0, g.size, _ROWS)):
             block = 1j * phase[lo:lo + _ROWS]
             np.exp(block, out=block)
-            s = np.asarray(self.symbols[i].root.eval(t, tuple(
+            s = np.asarray(self._distinct[i].root.eval(t, tuple(
                 pts[lo:lo + _ROWS, a][:, None] for a in range(g.dim)), xi),
                 dtype=complex)
             out[lo:lo + _ROWS] = np.multiply(
@@ -163,7 +179,8 @@ class PeriodicOperator:
         trace span."""
         if np.ndim(t) == 0:
             t = [t] * len(self.rows)
-        syms = [0] * len(t) if len(self.symbols) == 1 else self.rows
+        syms = [0] * len(t) if len(self.symbols) == 1 else \
+            [self._of[r] for r in self.rows]
         keys = tuple((i, self._key(i, tk)) for i, tk in zip(syms, t))
         if len(set(keys)) == 1:
             return _apply_tables(self._tables(*keys[0]), values, self.grid,
@@ -288,7 +305,7 @@ def power_iteration(apply_hermitian, shape, rngs):
             for i in range(len(lam))]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormEstimate:
     value: float
     converged: bool
@@ -325,17 +342,20 @@ def _band_norms(pairs, grid: Grid, seed, gram) -> list:
     """Square root of the top eigenvalue of gram(stack, ts, proj, v), a
     Hermitian PSD product of op(s) at time t and the band projector, per
     (s, t) in ``pairs``: one power iteration over the stack of each table
-    layout, every row seeded like a one-member estimate."""
+    layout, every row seeded like a one-member estimate.  Each distinct
+    (symbol object, t) pair is estimated once, and the pairs that repeat it
+    share its estimate, which equals theirs bitwise."""
     proj = band_projector(grid)
-    out = [None] * len(pairs)
-    for rows, stack in stacks([s for s, _ in pairs], grid):
-        ts = [pairs[i][1] for i in rows]
+    once, slot = distinct(pairs, lambda pair: (id(pair[0]), float(pair[1])))
+    out = [None] * len(once)
+    for rows, stack in stacks([s for s, _ in once], grid):
+        ts = [once[i][1] for i in rows]
         found = power_iteration(lambda live, v: gram(
             stack.narrow(live), [ts[k] for k in live], proj, v),
             grid.shape, [_rng_from(seed) for _ in rows])
         for i, (lam, ok, used) in zip(rows, found):
             out[i] = NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
-    return out
+    return [out[k] for k in slot]
 
 
 def adjoint_defect_norms(pairs, grid: Grid, seed=None) -> list:

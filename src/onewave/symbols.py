@@ -10,6 +10,7 @@ consistent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -140,7 +141,7 @@ def eval_symbol(s: SymbolExpr, t, x, xi, d: int = 0, alpha=None, beta=None):
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleBox:
     """Sampling region for semi-norm maxima.
 
@@ -148,7 +149,8 @@ class SampleBox:
     count by powers of two only adds points, keeping the reported maximum
     monotone); xi combines a uniform low-frequency band with the dyadic
     ladder {0, +-2^j <= xi_max} along the grid directions, plus xi_max
-    itself; t is sampled uniformly on [0, t_max].
+    itself; t is sampled uniformly on [0, t_max].  Frozen: the x and xi
+    points are computed once per box and returned read-only.
     """
 
     x_lo: tuple = (0.0,)
@@ -161,8 +163,9 @@ class SampleBox:
     t_samples: int = 33
 
     def __post_init__(self):
-        self.x_lo = tuple(float(v) for v in np.atleast_1d(self.x_lo))
-        self.x_hi = tuple(float(v) for v in np.atleast_1d(self.x_hi))
+        for name in ("x_lo", "x_hi"):
+            object.__setattr__(self, name, tuple(
+                float(v) for v in np.atleast_1d(getattr(self, name))))
         if len(self.x_lo) != len(self.x_hi):
             raise EmptyBox("x_lo and x_hi lengths differ")
         if self.x_count < 1 or self.xi_uniform_count < 1 or self.t_samples < 1:
@@ -175,12 +178,17 @@ class SampleBox:
         return len(self.x_lo)
 
     def x_points(self) -> np.ndarray:
+        return self._points[0]
+
+    def xi_points(self) -> np.ndarray:
+        return self._points[1]
+
+    @functools.cached_property
+    def _points(self) -> tuple:
         axes = [np.linspace(lo, hi, self.x_count)
                 for lo, hi in zip(self.x_lo, self.x_hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def xi_points(self) -> np.ndarray:
+        x = np.stack([m.ravel() for m in mesh], axis=-1)
         mags = set(np.linspace(0.0, self.xi_uniform_max, self.xi_uniform_count))
         j = 0
         while 2.0 ** j <= self.xi_max:
@@ -189,13 +197,15 @@ class SampleBox:
         mags.add(self.xi_max)
         mags = np.array(sorted(mags))
         if self.dim == 1:
-            vals = np.concatenate([-mags[::-1], mags])
-            return np.unique(vals)[:, None]
-        root2 = 1.0 / math.sqrt(2.0)
-        dirs = np.array([(1, 0), (0, 1), (-1, 0), (0, -1),
-                         (root2, root2), (-root2, -root2)])
-        pts = (mags[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        return np.unique(np.round(pts, 12), axis=0)
+            xi = np.unique(np.concatenate([-mags[::-1], mags]))[:, None]
+        else:
+            root2 = 1.0 / math.sqrt(2.0)
+            dirs = np.array([(1, 0), (0, 1), (-1, 0), (0, -1),
+                             (root2, root2), (-root2, -root2)])
+            pts = (mags[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
+            xi = np.unique(np.round(pts, 12), axis=0)
+        x.flags.writeable = xi.flags.writeable = False
+        return x, xi
 
     def t_points(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.t_samples)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from onewave import asymptotics
+from onewave import asymptotics, cauchy, quantization
 from onewave import expr as ex
 from onewave.asymptotics import (DataBuilder, SweepPlan, check_association,
                                  check_ginf, check_negligible, fit_exponent,
@@ -453,6 +453,152 @@ class TestStackedSolve:
         # the rows leave the stack at different iterations
         assert len({e.iterations for e in adjoint_defect_norms(
             pairs, grid, seed=4)}) > 1
+
+
+class TestSharedWork:
+    """Work whose result is already known is not done again: identical
+    problems step as one row, zero problems are not stepped, and a repeated
+    (symbol, t) norm request is estimated once.  Every result stays bitwise
+    the one the full work gives."""
+
+    H = 0.5
+
+    @staticmethod
+    def symbol():
+        """(2 + sin x) xi + 0.3 cos x: a fresh object per call."""
+        return HyperbolicSymbol(
+            SymbolExpr(ex.mul(ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0))),
+                              ex.CoordXi(0)), 1.0, 1),
+            a0=SymbolExpr(ex.mul(ex.Const(0.3), ex.Cos(ex.CoordX(0))), 0.0, 1))
+
+    @staticmethod
+    def forcing(grid):
+        return Forcing.separable(TimeProfile(amp=0.5, freq=3.0),
+                                 GridFunction(grid, np.cos(grid.x_axis())))
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """The number of rows each RK4 loop steps."""
+        rows = []
+
+        def counted(stack, members, out, _rk4=cauchy._rk4):
+            rows.append(len(members))
+            return _rk4(stack, members, out)
+        monkeypatch.setattr(cauchy, "_rk4", counted)
+        return rows
+
+    def shared_and_fresh(self, data, grid, stepped):
+        """(report, rows stepped) of the sweep with one symbol object for
+        every eps, then of the sweep with a fresh equal symbol per eps."""
+        shared, out = self.symbol(), []
+        for member in (lambda eps: shared, lambda eps: self.symbol()):
+            stepped.clear()
+            out.append((run_sweep(SweepPlan(
+                family=GenSymbolFamily(member, EPS6), data=data, grid=grid,
+                horizon=self.H, orders=((0, (0,)), (1, (1,))))), sum(stepped)))
+        (got, got_rows), (want, want_rows) = out
+        assert got.incomplete == want.incomplete == {}
+        assert got.eps == want.eps and got.norms == want.norms
+        assert got.c_measured == want.c_measured
+        assert got.energy_ok == want.energy_ok
+        for a, b in zip(got.finals, want.finals, strict=True):
+            assert np.array_equal(a.values, b.values)
+        assert want_rows == len(EPS6)
+        return got, got_rows
+
+    def test_shared_symbol_and_data_step_one_row(self, stepped):
+        grid = Grid(1, 64, TWO_PI)
+        data = DataBuilder(kind="fixed", g=smooth_g(grid),
+                           forcing=self.forcing(grid))
+        _, rows = self.shared_and_fresh(data, grid, stepped)
+        assert rows == 1
+        shared, forcing = self.symbol(), self.forcing(grid)
+        results = solve_stack([CauchyProblem(shared, smooth_g(grid), self.H,
+                                             forcing) for _ in EPS6])
+        assert all(r is results[0] for r in results)
+        assert not results[0].final().values.flags.writeable
+        assert not results[0].ledger.u_norm_sq.flags.writeable
+        assert_same_solves(results, solve_stack([CauchyProblem(
+            self.symbol(), smooth_g(grid), self.H, forcing) for _ in EPS6]))
+        # other data, zero data with forcing among them, step on their own
+        others = [CauchyProblem(shared, g, self.H, forcing) for g in (
+            smooth_g(grid), 0.5 * smooth_g(grid), GridFunction.zeros(grid))]
+        got = solve_stack(others)
+        assert_same_solves(got, one_member_solves(others))
+        assert got[2].ledger.u_norm_sq[-1] > 0.0
+
+    def test_shared_symbol_distinct_data_and_forced_zero_data(self, stepped):
+        # exp(-1/eps) g: nonzero at the three largest eps, exactly 0 g at
+        # the three smallest, whose forced solves are identical
+        grid = Grid(1, 64, TWO_PI)
+        data = DataBuilder(kind="scaled_exp", g=smooth_g(grid),
+                           forcing=self.forcing(grid))
+        assert [bool(np.any(data.build(eps, grid)[0].values))
+                for eps in EPS6] == [True] * 3 + [False] * 3
+        report, rows = self.shared_and_fresh(data, grid, stepped)
+        assert rows == 4
+        assert min(report.norms[(0, (0,))]) > 0.0
+
+    def test_zero_members_leave_the_stack(self, monkeypatch):
+        grid = Grid(1, 64, TWO_PI)
+        x = grid.x_axis()
+        sym, zero = self.symbol(), GridFunction.zeros(grid)
+        problems = [
+            CauchyProblem(sym, smooth_g(grid), self.H),
+            CauchyProblem(sym, zero, self.H),
+            CauchyProblem(self.symbol(), zero.copy(), self.H),
+            CauchyProblem(sym, GridFunction(grid, 0.5 * np.cos(3 * x)),
+                          self.H)]
+        # a zero-valued forcing term is not zero forcing: these step
+        zero_term = Forcing(grid, [(TimeProfile(), np.zeros(grid.shape))])
+        stepped_zeros = one_member_solves([CauchyProblem(
+            p.symbol, p.initial, self.H, zero_term) for p in problems[1:3]])
+        rows = []
+
+        def apply(op, t, values, _apply=PeriodicOperator.apply):
+            rows.extend(values.reshape(-1, grid.points))
+            return _apply(op, t, values)
+        with monkeypatch.context() as patch:
+            patch.setattr(PeriodicOperator, "apply", apply)
+            got = solve_stack(problems)
+        assert rows and all(np.any(row) for row in rows)
+        assert_same_solves(got[::3], one_member_solves(problems[::3]))
+        assert_same_solves(got[1:3], stepped_zeros)
+        for r in got[1:3]:
+            assert np.array_equal(r.times, got[0].times)
+            assert [t for t, _ in r.snapshots] == \
+                [t for t, _ in got[0].snapshots]
+            assert not np.any(r.ledger.u_norm_sq)
+            assert not any(np.any(snap.values) for _, snap in r.snapshots)
+        # zero data with nonzero forcing is stepped
+        forced = solve_stack([CauchyProblem(sym, zero, self.H,
+                                            self.forcing(grid))])[0]
+        assert forced.ledger.u_norm_sq[-1] > 0.0
+
+    def test_repeated_norm_pairs_estimated_once(self, monkeypatch):
+        grid = Grid(1, 32, TWO_PI)
+        sin_x = ex.Sin(ex.CoordX(0))
+        a = SymbolExpr(ex.mul(ex.add(ex.Const(2.0), sin_x), ex.CoordXi(0)),
+                       1.0, 1)
+        b = SymbolExpr(ex.mul(ex.CoordT(), sin_x, ex.CoordXi(0)), 1.0, 1)
+        pairs = [(a, 0.0), (b, 0.5), (a, 0.0), (b, 0.25), (b, 0.5), (a, 0.0)]
+        once = [0, 1, 3]
+        runs = []
+
+        def counted(apply_hermitian, shape, rngs,
+                    _power=quantization.power_iteration):
+            found = _power(apply_hermitian, shape, rngs)
+            runs.append((len(rngs), sum(used for _, _, used in found)))
+            return found
+        monkeypatch.setattr(quantization, "power_iteration", counted)
+        for stacked, single in ((adjoint_defect_norms, adjoint_defect_norm),
+                                (operator_norms, operator_norm)):
+            want = [single(s, t, grid, seed=4) for s, t in pairs]
+            runs.clear()
+            assert stacked(pairs, grid, seed=4) == want
+            assert sum(n for n, _ in runs) == len(once)
+            assert sum(it for _, it in runs) == \
+                sum(want[i].iterations for i in once)
 
 
 def forcing_at(forcing, t):

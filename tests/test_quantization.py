@@ -8,7 +8,6 @@ import pytest
 
 from onewave import asymptotics, cauchy
 from onewave import expr as ex
-from onewave.config import CV_CONSTANT
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
 from onewave.profiles import plateau
@@ -25,6 +24,11 @@ from onewave.symbols import (HyperbolicSymbol, SampleBox, SymbolExpr,
 from conftest import random_grid_function
 
 TWO_PI = 2.0 * np.pi
+
+# Operator-norm calibration: measured L2 norm of an order-0 symbol
+# <= CV_CONSTANT * Q^0_{0,f,f} with f = floor(n/2)+1.  Corpus maxima were
+# 0.995 (n=1) and 0.865 (n=2); frozen with a 1.25 safety factor.
+CV_CONSTANT = {1: 1.25, 2: 1.25}
 
 
 def apply_op(s, t, u):
@@ -166,6 +170,27 @@ class TestRows:
             want = PeriodicOperator(s, grid32).apply(t, row)
             assert np.array_equal(out, want)
 
+    def test_rows_of_one_symbol_share_its_tables(self, grid32, rng):
+        a, b = (SymbolExpr(root, 1.0, 1) for root in (self.T_SEP,
+                                                      self.FIXED_SEP))
+        syms, ts = [a, b, a, a], [0.5, 0.5, 0.5, 0.25]
+        stack = np.stack([random_grid_function(grid32, rng).values
+                          for _ in syms])
+        op = PeriodicOperator(syms, grid32)
+        for name in ("apply", "apply_adjoint"):
+            for s, t, row, out in zip(syms, ts, stack,
+                                      getattr(op, name)(ts, stack)):
+                want = getattr(PeriodicOperator(s, grid32), name)(t, row)
+                assert np.array_equal(out, want)
+        assert op._of == [0, 1, 0, 0]     # two tables objects, not four
+        # narrowing to row 3 keeps the tables of its symbol a
+        tables = op._tables(op._of[3], 0.25)
+        assert op.narrow([1, 3])._tables(op._of[3], 0.25) is tables
+        # rows that all read one tables object broadcast it
+        got = PeriodicOperator([b, b, b], grid32).apply(0.0, stack[:3])
+        want = PeriodicOperator(b, grid32).apply(0.0, stack[:3])
+        assert np.array_equal(got, want)
+
     def test_rows_share_one_table_layout(self, grid32):
         two_terms = ex.add(ex.CoordXi(0), ex.Sin(ex.CoordX(0)))
         with pytest.raises(ValueError):
@@ -223,6 +248,28 @@ class TestApplyRoute:
             [(2, (0,))], 2)
         assert calls == {"apply": want}
 
+
+    def test_derivative_operators_built_once(self, monkeypatch, grid32):
+        # one op(d_t^i a) per i and one op(d_x^beta a) per beta, however
+        # many (d, i) and (alpha, beta) pairs apply them
+        built = []
+
+        def init(op, symbols, grid, _init=PeriodicOperator.__init__):
+            built.append(symbols)
+            _init(op, symbols, grid)
+        x = grid32.x_axis()
+        problem = cauchy.CauchyProblem(
+            HyperbolicSymbol(SymbolExpr(TestRows.T_SEP, 1.0, 1)),
+            GridFunction(grid32, np.sin(x)), 0.2)
+        result = cauchy.solve_fixed_eps(problem)
+        monkeypatch.setattr(PeriodicOperator, "__init__", init)
+        asymptotics._t_derivative_norms(
+            problem.symbol, problem.forcing, result.snapshots, grid32,
+            [(3, (0,))], 3)
+        assert len(built) == 3
+        built.clear()
+        cauchy.derivative_cascade(problem, result, max_order=3)
+        assert len(built) == 3
 
 class TestAdjoint:
     def test_pairing_identity(self, variable_speed_symbol, grid32, rng):

@@ -1,5 +1,7 @@
 """Expression trees, semi-norms, and the asymptotic classifiers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,18 @@ class TestSeminorms:
         with pytest.raises(EmptyBox):
             SampleBox(x_lo=(0.0,), x_hi=(1.0,), x_count=0)
 
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_box_points_computed_once_read_only(self, dim):
+        box = SampleBox(x_lo=(0.0,) * dim, x_hi=(TWO_PI,) * dim, x_count=9,
+                        xi_max=64.0, xi_uniform_count=5)
+        for points in (box.x_points, box.xi_points):
+            assert points() is points() and not points().flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.x_count = 17
+        assert box == SampleBox(x_lo=[0.0] * dim, x_hi=[TWO_PI] * dim,
+                                x_count=9, xi_max=64.0, xi_uniform_count=5)
+        assert box.x_points().shape == (9 ** dim, dim)
 
 class TestRealityCheck:
     def test_real_a1_tagged(self, variable_speed_symbol):
