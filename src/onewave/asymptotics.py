@@ -2,11 +2,11 @@
 
 A sweep solves the Cauchy problem for every eps on a geometric grid (the
 members advance as one stack through cauchy.solve_stack, and members that
-share one result are post-processed once), tracks
-max_t ||d_t^d d_x^alpha u_eps(t)|| for requested orders, and fits growth
-exponents against log(1/eps).  Verdicts (moderate, negligible, regular,
-slow-scale, associated) are finite-sweep regressions with explicit
-thresholds; reports never claim asymptotic proof.
+share one result are post-processed once), tracks max_t ||d_t^d d_x^alpha
+u_eps(t)|| for requested orders, and fits growth exponents against
+log(1/eps).  Verdicts (moderate, negligible, regular, slow-scale,
+associated) are finite-sweep regressions with explicit thresholds; reports
+never claim asymptotic proof.
 
 t-derivatives are obtained from the equation itself (substituted
 recursively), never by finite differencing the trajectory, so dt-order error

@@ -19,7 +19,6 @@ each op(d_x^beta a) once and applies it to a solve's snapshots as one stack.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,9 +29,8 @@ from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
 from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
                      UnstableStep)
 from .grid import Grid, GridFunction
-from .quantization import (PeriodicOperator, adjoint_defect_norm,
-                           adjoint_defect_norms, distinct, operator_norms,
-                           stacks)
+from .quantization import (PeriodicOperator, _distinct, adjoint_defect_norm,
+                           adjoint_defect_norms, operator_norms, stacks)
 from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 
 __all__ = [
@@ -268,22 +266,19 @@ def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
     its own sup|a|, and leave it after their last step, so each member's
     arithmetic is its one-member solve's.  A member aborts with UnstableStep
     when its norm exceeds INSTABILITY_FACTOR times its Gronwall bound.
-    Identical problems step as one member and share its read-only result;
-    zero data with zero forcing stays exactly zero, so it is not stepped.
+    Identical problems (one symbol and forcing object and horizon, bitwise
+    equal data) step as one member and share its read-only result; zero
+    data with zero forcing stays exactly zero, so it is not stepped.
     """
     dt_policy = dt_policy or DtPolicy()
     grid = problems[0].grid if problems else None
     if any(p.grid != grid for p in problems):
         raise GridMismatch("stacked problems on different grids")
-    # identical: one symbol, horizon and forcing object; bitwise-equal data
-    once, slots = distinct(problems, lambda p: (
+    once, slots = _distinct(problems, lambda p: (
         id(p.symbol), p.horizon, None if p.forcing.is_zero else id(p.forcing),
         p.initial.values.astype(complex).tobytes()))
     out = [None] * len(once)
-    # one full symbol object per HyperbolicSymbol, so its rows share tables
-    symbols, of = distinct([p.symbol for p in once], id)
-    full = [symbol.full() for symbol in symbols]
-    for rows, stack in stacks([full[j] for j in of], grid):
+    for rows, stack in stacks([p.symbol.full() for p in once], grid):
         members = []
         for k, i in enumerate(rows):
             try:
@@ -293,12 +288,11 @@ def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
         for m, norms in zip(members, _measure_norms(
                 [m.problem for m in members], stack.grid, seed)):
             m.norms = norms
-        live, zero = [], np.zeros(grid.shape, dtype=complex)
-        for m in members:
-            if m.forcing is not None or np.any(m.snapshots[0][1]):
-                live.append(m)
-                continue
-            for step in range(1, m.n_steps + 1):    # zero stays exactly zero
+        zero = np.zeros(grid.shape, dtype=complex)
+        live = [m for m in members
+                if m.forcing is not None or np.any(m.snapshots[0][1])]
+        for m in (m for m in members if m not in live):     # stays zero
+            for step in range(1, m.n_steps + 1):
                 out[m.slot] = m.advance(step, zero, 0.0)
         _rk4(stack.narrow([m.row for m in live]), live, out)
     return [out[k] for k in slots]
@@ -504,17 +498,14 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
            for beta in derivs if sum(beta)}
 
     report = {}
-    for alpha, v_alpha in derivs.items():
-        if sum(alpha) == 0:
-            continue
-        v_norm_sq = grid.norm_sq(v_alpha)
+    for alpha in (a for a in derivs if sum(a)):
+        v_norm_sq = grid.norm_sq(derivs[alpha])
         acc = problem.forcing.x_derivative(alpha).values(snap_t)
-        for beta in itertools.product(*(range(a + 1) for a in alpha)):
-            if sum(beta) == 0:
-                continue
-            coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
-            low = tuple(a - b for a, b in zip(alpha, beta))
-            acc -= 1j * coeff * ops[beta].apply(snap_t, derivs[low])
+        for beta in sorted(ops):        # lexicographic order of the sum
+            if all(b <= a for a, b in zip(alpha, beta)):
+                coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                low = tuple(a - b for a, b in zip(alpha, beta))
+                acc -= 1j * coeff * ops[beta].apply(snap_t, derivs[low])
         h_vals = grid.norm_sq(acc)
         h_int = float(np.trapezoid(h_vals, snap_t))
         bound = (v_norm_sq[0] + h_int) * np.exp(c_meas * snap_t)

@@ -6,11 +6,10 @@ f_m(x) g_m(xi) ride an FFT fast path costing O(R M^n log M); everything else
 goes through a dense per-node symbol table costing O(M^(2n)), guarded at desk
 scale.  PeriodicOperator is the one operator type: one symbol, or one per
 row, applied to a stack of grid functions; rows of one symbol object share
-its tables, and a norm request list estimates each distinct (symbol object,
-t) pair once.  The adjoint used in production
-is the exact conjugate transpose with respect to the discrete L2 inner
-product; the oscillatory-integral machinery below exists to verify it
-against the symbol-calculus remainder at desk scale, not to replace it.
+its tables, and norms are estimated once per distinct (symbol object, t)
+pair.  The adjoint used in production is the exact conjugate transpose with
+respect to the discrete L2 inner product; the oscillatory-integral machinery
+below verifies it against the symbol-calculus remainder at desk scale.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .profiles import plateau
 from .symbols import SampleBox, SymbolExpr, seminorm_Q
 
 __all__ = [
-    "PeriodicOperator", "stacks", "distinct", "op_matrix",
+    "PeriodicOperator", "stacks", "op_matrix",
     "symbol_from_matrix", "power_iteration", "adjoint_defect_norm",
     "adjoint_defect_norms", "operator_norm", "operator_norms",
     "OscIntConfig", "adjoint_symbol_remainder", "check_remainder_estimate",
@@ -40,14 +39,11 @@ DENSE_GUARD = 4096
 _ROWS = 128      # dense-table rows filled or scanned at a time
 
 
-def distinct(items, key) -> tuple[list, list]:
+def _distinct(items, key) -> tuple[list, list]:
     """(items of distinct key, first seen first; each item's index there)"""
-    first, once, slots = {}, [], []
-    for item in items:
-        slots.append(first.setdefault(key(item), len(once)))
-        if slots[-1] == len(once):
-            once.append(item)
-    return once, slots
+    first = {}
+    slots = [first.setdefault(key(it), (len(first), it))[0] for it in items]
+    return [it for _, it in first.values()], slots
 
 
 class PeriodicOperator:
@@ -56,12 +52,11 @@ class PeriodicOperator:
     ``symbols`` is one SymbolExpr, for every row, or a list of symbols of
     one table layout, one per row (a one-symbol list serves every row).
     ``apply(t, values)`` applies every row at the scalar time t, or row k at
-    t[k] for per-row times.  Each distinct symbol object caches one tables
-    object at the last time asked; separable tables of several rows are
-    stacked, once while no live symbol depends on t and per call otherwise,
-    rows that all read one tables object broadcast it, and a dense table
-    applies row by row, so one t-dependent dense symbol keeps one table
-    alive at a time.
+    t[k] for per-row times.  Each distinct symbol object caches its tables at
+    the last time asked, and its rows share them; separable tables of several
+    rows are stacked, once while no live symbol depends on t and per call
+    otherwise; dense tables apply row by row, one alive at a time, and are
+    not kept after an apply at several per-row times.
     """
 
     def __init__(self, symbols, grid: Grid):
@@ -73,11 +68,11 @@ class PeriodicOperator:
                     f"symbol dim {s.dim} != grid dim {grid.dim}")
         self.grid = grid
         self.rows = list(range(len(self.symbols)))
-        self._distinct, self._of = distinct(self.symbols, id)
+        self._distinct, self._of = _distinct(self.symbols, id)
         self._terms = [ex.separable_terms(s.root) for s in self._distinct]
         if len({None if t is None else len(t) for t in self._terms}) > 1:
             raise ValueError("an operator's symbols must share a table layout")
-        self._t_dep = [s.depends_t() for s in self._distinct]
+        self._t_dep = [s.depends_t() for s in self.symbols]
         self._cache = [(None, None)] * len(self._distinct)
         self._stacked = (None, None)
 
@@ -96,14 +91,15 @@ class PeriodicOperator:
         return self
 
     # -- symbol tables --------------------------------------------------------
-    def _key(self, i: int, t: float) -> float:
-        """The time distinct symbol i's tables are taken at: 0 if no t."""
-        return float(t) if self._t_dep[i] else 0.0
+    def _key(self, r: int, t: float) -> float:
+        """The time row r's tables are taken at: 0 if its symbol ignores t."""
+        return float(t) if self._t_dep[r] else 0.0
 
     def _tables(self, i: int, key: float):
         """Tables of distinct symbol i at time ``key`` (see _key)."""
         if self._cache[i][0] == key:
             return self._cache[i][1]
+        self._cache[i] = (None, None)   # a stale dense table is freed first
         g = self.grid
         if self._terms[i] is not None:
             xm = g.x_mesh()
@@ -129,8 +125,7 @@ class PeriodicOperator:
         """sup |s(t, x_j, xi_k)| of symbol ``row`` over the grid's nodes and
         frequencies, read from the tables: the bound sum_m max|f_m| max|g_m|
         for separable terms, the max over the full table on the dense path."""
-        i = self._of[row]
-        tables = self._tables(i, self._key(i, t))
+        tables = self._tables(self._of[row], self._key(row, t))
         if tables[0] == "sep":
             acc = 0.0
             for f_m, g_m in zip(tables[1], tables[2]):
@@ -179,16 +174,17 @@ class PeriodicOperator:
         trace span."""
         if np.ndim(t) == 0:
             t = [t] * len(self.rows)
-        syms = [0] * len(t) if len(self.symbols) == 1 else \
-            [self._of[r] for r in self.rows]
-        keys = tuple((i, self._key(i, tk)) for i, tk in zip(syms, t))
-        if len(set(keys)) == 1:
+        rs = [0] * len(t) if len(self.symbols) == 1 else self.rows
+        keys = tuple((self._of[r], self._key(r, tk)) for r, tk in zip(rs, t))
+        if len(set(keys)) == 1 and (self.separable or len(keys) == 1):
             return _apply_tables(self._tables(*keys[0]), values, self.grid,
                                  adjoint)
-        if not self.separable:
-            return np.stack([_apply_tables(self._tables(*key), row, self.grid,
-                                           adjoint)
-                             for key, row in zip(keys, values)])
+        if not self.separable:      # row by row, and no table is kept
+            out = np.stack([_apply_tables(self._tables(*key), row, self.grid,
+                                          adjoint)
+                            for key, row in zip(keys, values)])
+            self._cache = [(None, None)] * len(self._distinct)
+            return out
         if self._stacked[0] != keys:
             tabs = [self._tables(*key) for key in keys]
             self._stacked = (keys, ("sep", *([np.stack(part) for part in zip(
@@ -342,11 +338,10 @@ def _band_norms(pairs, grid: Grid, seed, gram) -> list:
     """Square root of the top eigenvalue of gram(stack, ts, proj, v), a
     Hermitian PSD product of op(s) at time t and the band projector, per
     (s, t) in ``pairs``: one power iteration over the stack of each table
-    layout, every row seeded like a one-member estimate.  Each distinct
-    (symbol object, t) pair is estimated once, and the pairs that repeat it
-    share its estimate, which equals theirs bitwise."""
+    layout, every row seeded like a one-member estimate, each distinct
+    (symbol object, t) pair once and shared by the pairs that repeat it."""
     proj = band_projector(grid)
-    once, slot = distinct(pairs, lambda pair: (id(pair[0]), float(pair[1])))
+    once, slot = _distinct(pairs, lambda pair: (id(pair[0]), float(pair[1])))
     out = [None] * len(once)
     for rows, stack in stacks([s for s, _ in once], grid):
         ts = [once[i][1] for i in rows]

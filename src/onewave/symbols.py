@@ -149,8 +149,7 @@ class SampleBox:
     count by powers of two only adds points, keeping the reported maximum
     monotone); xi combines a uniform low-frequency band with the dyadic
     ladder {0, +-2^j <= xi_max} along the grid directions, plus xi_max
-    itself; t is sampled uniformly on [0, t_max].  Frozen: the x and xi
-    points are computed once per box and returned read-only.
+    itself; t is sampled uniformly on [0, t_max].
     """
 
     x_lo: tuple = (0.0,)
@@ -277,15 +276,16 @@ class HyperbolicSymbol:
     def __post_init__(self):
         if self.a0 is not None and self.a0.dim != self.a1.dim:
             raise ValueError("a1/a0 dimension mismatch")
+        # one full symbol, so its users share its derivatives and tables
+        self._full = self.a1 if self.a0 is None else SymbolExpr(
+            ex.add(self.a1.root, self.a0.root), 1.0, self.a1.dim)
 
     @property
     def dim(self):
         return self.a1.dim
 
     def full(self) -> SymbolExpr:
-        if self.a0 is None:
-            return self.a1
-        return SymbolExpr(ex.add(self.a1.root, self.a0.root), 1.0, self.dim)
+        return self._full
 
     def is_real(self) -> bool:
         """Sampled reality check of the full symbol (a1 is checked on

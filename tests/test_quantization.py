@@ -1,6 +1,7 @@
 """Operator application, adjoints, norms, and the oscillatory remainder."""
 
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -270,6 +271,31 @@ class TestApplyRoute:
         built.clear()
         cauchy.derivative_cascade(problem, result, max_order=3)
         assert len(built) == 3
+
+    def test_one_dense_table_alive(self, monkeypatch, grid32):
+        # op(d_t^i a) and op(d_x^beta a) of a t-dependent dense symbol are
+        # each built once, yet no table outlives its use: the post-processing
+        # keeps at most one dense table alive at a time
+        tables, peak = [], []
+
+        def table(op, i, t, _table=PeriodicOperator._symbol_table):
+            peak.append(1 + sum(ref() is not None for ref in tables))
+            out = _table(op, i, t)
+            tables.append(weakref.ref(out))
+            return out
+        x = grid32.x_axis()
+        problem = cauchy.CauchyProblem(
+            HyperbolicSymbol(SymbolExpr(TestRows.T_DENSE, 1.0, 1)),
+            GridFunction(grid32, np.sin(x)), 0.2)
+        result = cauchy.solve_fixed_eps(problem)
+        monkeypatch.setattr(PeriodicOperator, "_symbol_table", table)
+        asymptotics._t_derivative_norms(
+            problem.symbol, problem.forcing, result.snapshots, grid32,
+            [(3, (0,))], 3)
+        cauchy.derivative_cascade(problem, result, max_order=3)
+        assert len(tables) > 3 * len(result.snapshots)
+        assert max(peak) == 1
+
 
 class TestAdjoint:
     def test_pairing_identity(self, variable_speed_symbol, grid32, rng):

@@ -199,6 +199,19 @@ class TestSeminorms:
                                 x_count=9, xi_max=64.0, xi_uniform_count=5)
         assert box.x_points().shape == (9 ** dim, dim)
 
+
+class TestFullSymbol:
+    def test_full_symbol_built_once(self, variable_speed_symbol):
+        # every caller shares one a1 + a0 object and its derivative cache
+        a0 = SymbolExpr(ex.Sin(ex.CoordX(0)), 0.0, 1)
+        h = HyperbolicSymbol(a1=variable_speed_symbol, a0=a0)
+        assert h.full() is h.full()
+        assert h.full().derivative_root(0, None, (1,)) is \
+            h.full().derivative_root(0, None, (1,))
+        plain = HyperbolicSymbol(a1=variable_speed_symbol)
+        assert plain.full() is variable_speed_symbol
+
+
 class TestRealityCheck:
     def test_real_a1_tagged(self, variable_speed_symbol):
         h = HyperbolicSymbol(a1=variable_speed_symbol)
