@@ -22,7 +22,8 @@ import numpy as np
 
 from .cauchy import (CauchyProblem, DtPolicy, Forcing,
                      check_energy_estimate, derivative_cascade,
-                     seminorm_constant, solve_fixed_eps, solve_stack)
+                     seminorm_constant, snapshot_derivatives, solve_fixed_eps,
+                     solve_stack)
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
@@ -120,11 +121,16 @@ def fit_exponent(eps, values):
     return float(coeffs[0]), float(np.sqrt(max(cov[0, 0], 0.0))), resid
 
 
-def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max):
+def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max,
+                        derivs: dict | None = None):
     """max over the stored snapshots of ||d_t^d d_x^alpha u||, via the
     equation, over the stack of the snapshots:
 
     d_t^d u = -i sum_i C(d-1, i) op(d_t^i a) d_t^(d-1-i) u + d_t^(d-1) f.
+
+    ``derivs`` maps alpha to d_x^alpha of the snapshot stack for the
+    (0, alpha) orders when the caller already has them; the x-derivatives
+    of each layer d that are still needed take one forward transform.
     """
     full = symbol.full()
     ts = np.array([t for t, _ in snapshots])
@@ -140,11 +146,15 @@ def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max):
             acc += forcing.values(ts)
         forcing = forcing.t_derivative()
         layers.append(acc)
-    out = {}
-    for d, alpha in orders:
-        v = grid.spectral_derivative(layers[d], alpha) if sum(alpha) \
-            else layers[d]
-        out[(d, alpha)] = max(0.0, *np.sqrt(grid.norm_sq(v)).tolist())
+    out = dict.fromkeys(orders)
+    for d, layer in enumerate(layers):
+        mine = [alpha for e, alpha in orders if e == d]
+        have = dict(derivs or {}) if d == 0 else {}
+        new = [a for a in dict.fromkeys(mine) if sum(a) and a not in have]
+        have.update(zip(new, grid.spectral_derivative(layer, *new)))
+        for alpha in mine:
+            v = have[alpha] if sum(alpha) else layer
+            out[(d, alpha)] = max(0.0, *np.sqrt(grid.norm_sq(v)).tolist())
     return out
 
 
@@ -198,6 +208,11 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
     an OnewaveError in any phase is recorded for its eps."""
     orders = list(plan.orders)
     d_max = max(d for d, _ in orders)
+    # the snapshots' x-derivatives that the norms and the cascade both read
+    x_alphas = [alpha for d, alpha in orders if d == 0 and sum(alpha)]
+    if plan.cascade_max_order > 0:
+        x_alphas += multi_indices(plan.grid.dim, plan.cascade_max_order)
+    x_alphas = list(dict.fromkeys(x_alphas))
     eps_list = list(plan.family.eps_grid)
     failed, problems, results = {}, {}, {}
     for eps in eps_list:
@@ -220,14 +235,15 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
             continue
         problem = problems[eps]
         try:
+            derivs = snapshot_derivatives(result, x_alphas)
             norms = _t_derivative_norms(problem.symbol, problem.forcing,
                                         result.snapshots, plan.grid, orders,
-                                        d_max)
+                                        d_max, derivs)
             energy = check_energy_estimate(result.ledger)
             cascade, c_sem = {}, math.nan
             if plan.cascade_max_order > 0:
                 cascade = derivative_cascade(problem, result,
-                                             max_order=plan.cascade_max_order)
+                                             plan.cascade_max_order, derivs)
                 c_sem, _ = seminorm_constant(problem.symbol, plan.grid,
                                              plan.horizon)
             results[eps] = norms, result, energy, cascade, c_sem

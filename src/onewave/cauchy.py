@@ -36,7 +36,8 @@ from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 __all__ = [
     "TimeProfile", "Forcing", "CauchyProblem", "DtPolicy", "EnergyLedger",
     "SolveResult", "solve_fixed_eps", "solve_stack", "check_energy_estimate",
-    "check_case_variants", "derivative_cascade", "case_orders",
+    "check_case_variants", "derivative_cascade", "snapshot_derivatives",
+    "case_orders",
 ]
 
 
@@ -107,7 +108,7 @@ class Forcing:
         return Forcing(self.grid, new_terms)
 
     def x_derivative(self, alpha) -> "Forcing":
-        new_terms = [(prof, self.grid.spectral_derivative(vals, alpha))
+        new_terms = [(prof, self.grid.spectral_derivative(vals, alpha)[0])
                      for prof, vals in self.terms]
         return Forcing(self.grid, new_terms)
 
@@ -285,6 +286,8 @@ def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
                 members.append(_Member(k, i, once[i], stack, dt_policy))
             except OnewaveError as err:
                 out[i] = err
+        if not stack.separable:     # the norm step builds its own table
+            stack.narrow([])
         for m, norms in zip(members, _measure_norms(
                 [m.problem for m in members], stack.grid, seed)):
             m.norms = norms
@@ -353,38 +356,49 @@ class _Member:
 
 def _rk4(stack, members, out):
     """The RK4 loop: the live members take each step at once, as the rows
-    of a stack over a leading member axis, each with its own dt and times."""
+    of a stack over a leading member axis, each with its own dt and times.
+    The loop owns u, the stages k1..k4 and the stage argument, allocated
+    once per narrowing of the stack, and forms every sum in place with the
+    operations, operands and order of u + dt/2 k1, u + dt/2 k2, u + dt k3
+    and u + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
     if members:
         u = np.stack([m.snapshots[0][1] for m in members])
-        dt = np.array([m.dt for m in members]).reshape(
-            (-1,) + (1,) * stack.grid.dim)
 
-    def rhs(ts, v):
-        k = -1j * stack.apply(ts, v)
+    def rhs(ts, v, k):
+        stack.apply(ts, v, out=k)
+        np.multiply(-1j, k, out=k)
         for row, (m, t) in enumerate(zip(members, ts)):
             if m.forcing is not None:
                 k[row] += m.forcing.value(t)
-        return k
 
     step = 0
     while members:
-        step += 1
-        t0 = [(step - 1) * m.dt for m in members]
-        th = [t + m.dt / 2.0 for t, m in zip(t0, members)]
-        k1 = rhs(t0, u)
-        k2 = rhs(th, u + dt / 2.0 * k1)
-        k3 = rhs(th, u + dt / 2.0 * k2)
-        k4 = rhs([t + m.dt for t, m in zip(t0, members)], u + dt * k3)
-        u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nsq, keep = stack.grid.norm_sq(u), []
-        for row, m in enumerate(members):
-            done = m.advance(step, u[row], float(nsq[row]))
-            if done is None:
-                keep.append(row)
-            out[m.slot] = done
-        if len(keep) < len(members):
-            members, u, dt = [members[r] for r in keep], u[keep], dt[keep]
-            stack.narrow([m.row for m in members])
+        dt = np.array([m.dt for m in members]).reshape(
+            (-1,) + (1,) * stack.grid.dim)
+        half, sixth = dt / 2.0, dt / 6.0
+        k1, k2, k3, k4, v = (np.empty_like(u) for _ in range(5))
+        keep = range(len(members))
+        while len(keep) == len(members):
+            step += 1
+            t0 = [(step - 1) * m.dt for m in members]
+            th = [t + m.dt / 2.0 for t, m in zip(t0, members)]
+            rhs(t0, u, k1)
+            rhs(th, np.add(u, np.multiply(half, k1, out=v), out=v), k2)
+            rhs(th, np.add(u, np.multiply(half, k2, out=v), out=v), k3)
+            rhs([t + m.dt for t, m in zip(t0, members)],
+                np.add(u, np.multiply(dt, k3, out=v), out=v), k4)
+            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            np.add(u, np.multiply(sixth, k1, out=k1), out=u)
+            nsq, keep = stack.grid.norm_sq(u), []
+            for row, m in enumerate(members):
+                done = m.advance(step, u[row], float(nsq[row]))
+                if done is None:
+                    keep.append(row)
+                out[m.slot] = done
+        members, u = [members[r] for r in keep], u[keep]
+        stack.narrow([m.row for m in members])
 
 
 def _under_bound(values, bound) -> bool:
@@ -475,7 +489,8 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
 
 
 def derivative_cascade(problem: CauchyProblem, result: SolveResult,
-                       max_order: int = 2) -> dict:
+                       max_order: int = 2,
+                       derivs: dict | None = None) -> dict:
     """Energy ledgers for spatial derivatives of the solution.
 
     d_x^alpha u solves the same equation with commutator forcing
@@ -484,21 +499,22 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
     so the base energy estimate applies verbatim with forcing F_alpha:
     ||d^alpha u(t)||^2 <= (||d^alpha g||^2 + int_0^T ||F_alpha||^2)
                            * exp(c_meas * t), evaluated on the stored
-    snapshots, which are taken as one stack.
+    snapshots, which are taken as one stack.  ``derivs`` maps each alpha of
+    order <= max_order to d_x^alpha of that stack when the caller already
+    has them (see snapshot_derivatives); by default they are computed here.
     """
     grid = problem.grid
     full = problem.symbol.full()
     snap_t = np.array([t for t, _ in result.snapshots])
     c_meas = result.ledger.c_measured
-    snaps = np.stack([snap.values for _, snap in result.snapshots])
-    derivs = {alpha: grid.spectral_derivative(snaps, alpha)
-              for alpha in multi_indices(grid.dim, max_order)}
-    del snaps       # beta = alpha reads the alpha = 0 round trip
+    alphas = multi_indices(grid.dim, max_order)
+    if derivs is None:      # beta = alpha reads the alpha = 0 round trip
+        derivs = snapshot_derivatives(result, alphas)
     ops = {beta: PeriodicOperator(full.derivative(0, None, beta), grid)
-           for beta in derivs if sum(beta)}
+           for beta in alphas if sum(beta)}
 
     report = {}
-    for alpha in (a for a in derivs if sum(a)):
+    for alpha in (a for a in alphas if sum(a)):
         v_norm_sq = grid.norm_sq(derivs[alpha])
         acc = problem.forcing.x_derivative(alpha).values(snap_t)
         for beta in sorted(ops):        # lexicographic order of the sum
@@ -516,3 +532,11 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
             "c_tilde": c_meas,
         }
     return report
+
+
+def snapshot_derivatives(result: SolveResult, alphas) -> dict:
+    """d_x^alpha of the stack of a solve's snapshots per alpha in
+    ``alphas``, from one forward transform."""
+    grid = result.snapshots[0][1].grid
+    snaps = np.stack([snap.values for _, snap in result.snapshots])
+    return dict(zip(alphas, grid.spectral_derivative(snaps, *alphas)))

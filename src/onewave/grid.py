@@ -83,20 +83,30 @@ class Grid:
 
     def norm_sq(self, values: np.ndarray) -> np.ndarray:
         """dx^n * sum |u|^2 of each grid function in values (..., *shape)."""
-        return self.cell_volume * np.sum(np.abs(values) ** 2, axis=self.axes)
+        sq = np.abs(values)
+        sq **= 2
+        return self.cell_volume * np.sum(sq, axis=self.axes)
 
-    def spectral_derivative(self, values: np.ndarray, alpha) -> np.ndarray:
-        """Exact derivative of the trigonometric interpolant of each grid
-        function in values (..., *shape), per axis order alpha."""
+    def spectral_derivative(self, values: np.ndarray, *alphas) -> list:
+        """Exact derivatives of the trigonometric interpolant of each grid
+        function in values (..., *shape), one array per axis-order
+        multi-index in ``alphas``, all from one forward transform; each is
+        bitwise the one-alpha call's; no alpha takes no transform."""
+        if not alphas:
+            return []
         coeffs = np.fft.fftn(values, self.shape, self.axes)
         coeffs /= self.size
-        for axis, order in enumerate(alpha):
-            if order:
-                shape = [1] * self.dim
-                shape[axis] = self.points
-                coeffs *= (1j * self.xi_axis().reshape(shape)) ** order
-        out = np.fft.ifftn(coeffs, self.shape, self.axes)
-        out *= self.size
+        out = []
+        for k, alpha in enumerate(alphas):
+            d = coeffs if k == len(alphas) - 1 else coeffs.copy()
+            for axis, order in enumerate(alpha):
+                if order:
+                    shape = [1] * self.dim
+                    shape[axis] = self.points
+                    d *= (1j * self.xi_axis().reshape(shape)) ** order
+            np.fft.ifftn(d, self.shape, self.axes, out=d)
+            d *= self.size
+            out.append(d)
         return out
 
 
@@ -184,5 +194,5 @@ class GridFunction:
             alpha = (int(alpha),)
         if len(alpha) != self.grid.dim:
             raise ValueError("alpha must be a multi-index matching dim")
-        return GridFunction(self.grid,
-                            self.grid.spectral_derivative(self.values, alpha))
+        [deriv] = self.grid.spectral_derivative(self.values, alpha)
+        return GridFunction(self.grid, deriv)

@@ -81,8 +81,9 @@ class PeriodicOperator:
         return self._terms[0] is not None
 
     def narrow(self, rows):
-        """Keep ``rows``, indices into the symbols the operator was built
-        with, and drop the others and their tables; returns the operator."""
+        """Make ``rows``, indices into the symbols the operator was built
+        with, the rows it applies, and drop the tables that no row of them
+        reads; returns the operator."""
         if rows != self.rows:
             for j in {self._of[r] for r in self.rows} - \
                     {self._of[r] for r in rows}:
@@ -111,13 +112,13 @@ class PeriodicOperator:
                           * np.ones(g.shape))
                 gxi.append(np.asarray(xi_part.eval(key, zeros_x, xim), dtype=complex)
                            * np.ones(g.shape))
-            tables = ("sep", fx, gxi)
+            tables = _Terms(fx, gxi)
         else:
             if g.size > DENSE_GUARD:
                 raise TooLarge(
                     f"dense quantization path guarded at {DENSE_GUARD} nodes; "
                     f"grid has {g.size} (use a separable symbol)")
-            tables = ("dense", self._symbol_table(i, key))
+            tables = self._symbol_table(i, key)
         self._cache[i] = (key, tables)
         return tables
 
@@ -126,14 +127,13 @@ class PeriodicOperator:
         frequencies, read from the tables: the bound sum_m max|f_m| max|g_m|
         for separable terms, the max over the full table on the dense path."""
         tables = self._tables(self._of[row], self._key(row, t))
-        if tables[0] == "sep":
+        if isinstance(tables, _Terms):
             acc = 0.0
-            for f_m, g_m in zip(tables[1], tables[2]):
+            for f_m, g_m in zip(tables.f, tables.g):
                 acc += np.max(np.abs(f_m)) * np.max(np.abs(g_m))
             return float(acc)
-        table = tables[1]
-        return float(max(np.max(np.abs(table[lo:lo + _ROWS]))
-                         for lo in range(0, len(table), _ROWS)))
+        return float(max(np.max(np.abs(tables[lo:lo + _ROWS]))
+                         for lo in range(0, len(tables), _ROWS)))
 
     def _symbol_table(self, i: int, t: float) -> np.ndarray:
         """S o E, S[j, k] = s_i(t, x_j, xi_k) and E[j, k] = exp(i x_j.xi_k).
@@ -162,34 +162,42 @@ class PeriodicOperator:
         return out
 
     # -- application -----------------------------------------------------------
-    def apply(self, t, values: np.ndarray) -> np.ndarray:
-        return self._apply(t, values, False)
+    def apply(self, t, values: np.ndarray, out=None) -> np.ndarray:
+        """op(s) on the rows of ``values`` (..., *grid.shape): at the scalar
+        time t, or row k at t[k].  Writes the result into ``out`` (complex,
+        the shape of values) and returns it, or into a new array when out is
+        None; never writes ``values``, which out must not overlap."""
+        return self._apply(t, values, False, out)
 
-    def apply_adjoint(self, t, values: np.ndarray) -> np.ndarray:
-        """Exact conjugate transpose w.r.t. the discrete L2 inner product."""
-        return self._apply(t, values, True)
+    def apply_adjoint(self, t, values: np.ndarray, out=None) -> np.ndarray:
+        """Exact conjugate transpose w.r.t. the discrete L2 inner product;
+        ``out`` as in apply."""
+        return self._apply(t, values, True, out)
 
-    def _apply(self, t, values: np.ndarray, adjoint: bool) -> np.ndarray:
+    def _apply(self, t, values: np.ndarray, adjoint: bool, out) -> np.ndarray:
         """The one path of apply and apply_adjoint, each public call one
         trace span."""
+        if out is None:
+            out = np.empty(np.shape(values), dtype=complex)
         if np.ndim(t) == 0:
             t = [t] * len(self.rows)
         rs = [0] * len(t) if len(self.symbols) == 1 else self.rows
         keys = tuple((self._of[r], self._key(r, tk)) for r, tk in zip(rs, t))
         if len(set(keys)) == 1 and (self.separable or len(keys) == 1):
             return _apply_tables(self._tables(*keys[0]), values, self.grid,
-                                 adjoint)
+                                 adjoint, out)
         if not self.separable:      # row by row, and no table is kept
-            out = np.stack([_apply_tables(self._tables(*key), row, self.grid,
-                                          adjoint)
-                            for key, row in zip(keys, values)])
+            for key, row, row_out in zip(keys, values, out):
+                _apply_tables(self._tables(*key), row, self.grid, adjoint,
+                              row_out)
             self._cache = [(None, None)] * len(self._distinct)
             return out
         if self._stacked[0] != keys:
             tabs = [self._tables(*key) for key in keys]
-            self._stacked = (keys, ("sep", *([np.stack(part) for part in zip(
-                *(tb[k] for tb in tabs))] for k in (1, 2))))
-        return _apply_tables(self._stacked[1], values, self.grid, adjoint)
+            self._stacked = (keys, _Terms(
+                [np.stack(f) for f in zip(*(tb.f for tb in tabs))],
+                [np.stack(g) for g in zip(*(tb.g for tb in tabs))]))
+        return _apply_tables(self._stacked[1], values, self.grid, adjoint, out)
 
     def matrix(self, t: float = 0.0) -> np.ndarray:
         """Dense nodal-basis matrix (S o E) E^H / N (small-scale oracle).
@@ -204,27 +212,53 @@ class PeriodicOperator:
             _fourier_matrix(g).conj().T / g.size
 
 
-def _apply_tables(tables, values: np.ndarray, grid: Grid, adjoint=False):
-    """op(s), or its adjoint, on values of shape (..., *grid.shape): the
-    FFTs (lengths given, which spares numpy a lookup) run over the grid axes
-    only, so each row of a stack meets its row of stacked separable tables
-    with its one-member arithmetic, bitwise.  A dense table takes one
-    matrix-vector product per row, as a one-row apply does."""
+class _Terms:
+    """Tables f_m(x_j) and g_m(xi_k) of a separable symbol's terms, one
+    list entry per term, and their conjugates, which the adjoint reads,
+    built on its first use."""
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+
+    @functools.cached_property
+    def conj(self):
+        return ([np.conjugate(f_m) for f_m in self.f],
+                [np.conjugate(g_m) for g_m in self.g])
+
+
+def _apply_tables(tables, values: np.ndarray, grid: Grid, adjoint, out):
+    """op(s), or its adjoint, on values of shape (..., *grid.shape), written
+    into ``out`` (values' shape): the FFTs (lengths given, which spares numpy
+    a lookup) run over the grid axes only, so each row of a stack meets its
+    row of stacked separable tables with its one-member arithmetic, bitwise.
+    The separable route transforms in place in one scratch array and sums
+    the terms into out from zero, as 0 + x, which keeps the signs of zeros.
+    A dense table takes one matrix-vector product per row, as a one-row
+    apply does."""
     shape, axes = grid.shape, grid.axes
-    if tables[0] == "dense":
-        mat = tables[1].conj().T if adjoint else tables[1]
+    if not isinstance(tables, _Terms):
+        mat = tables.conj().T if adjoint else tables
         rows = values if adjoint else \
             np.fft.fftn(values, shape, axes) / grid.size
-        out = np.stack([mat @ row for row in rows.reshape(-1, grid.size)])
-        return (out / grid.size if adjoint else out).reshape(values.shape)
-    out = np.zeros(values.shape, dtype=complex)
-    u_hat = None if adjoint else np.fft.fftn(values, shape, axes)
-    for f_m, g_m in zip(tables[1], tables[2]):
-        if adjoint:
-            out += np.fft.ifftn(np.conjugate(g_m) * np.fft.fftn(
-                np.conjugate(f_m) * values, shape, axes), shape, axes)
-        else:
-            out += f_m * np.fft.ifftn(g_m * u_hat, shape, axes)
+        dense = np.stack([mat @ row for row in rows.reshape(-1, grid.size)])
+        out[...] = (dense / grid.size if adjoint else dense).reshape(out.shape)
+        return out
+    out.fill(0.0)
+    w = np.empty(out.shape, dtype=complex)
+    if adjoint:
+        for cf_m, cg_m in zip(*tables.conj):
+            np.multiply(cf_m, values, out=w)
+            np.fft.fftn(w, shape, axes, out=w)
+            np.multiply(cg_m, w, out=w)
+            np.fft.ifftn(w, shape, axes, out=w)
+            np.add(out, w, out=out)
+        return out
+    u_hat = np.fft.fftn(values, shape, axes)
+    for f_m, g_m in zip(tables.f, tables.g):
+        np.multiply(g_m, u_hat, out=w)
+        np.fft.ifftn(w, shape, axes, out=w)
+        np.multiply(f_m, w, out=w)
+        np.add(out, w, out=out)
     return out
 
 
@@ -312,8 +346,12 @@ class NormEstimate:
 
 
 def _rng_from(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
+    """A fresh generator from ``seed``, an int or None (for 0).  A generator
+    object is refused: the rows of a stacked estimate would share its state,
+    so no row would start like its one-member estimate."""
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise TypeError("a norm estimate's seed is an int or None, "
+                        f"not a {type(seed).__name__}")
     return np.random.default_rng(0 if seed is None else seed)
 
 
@@ -328,8 +366,9 @@ def band_projector(grid: Grid):
     mask = mag <= 0.5 * grid.max_abs_xi() + 1e-12
 
     def project(v):
-        return np.fft.ifftn(np.fft.fftn(v, grid.shape, grid.axes) * mask,
-                            grid.shape, grid.axes)
+        w = np.fft.fftn(v, grid.shape, grid.axes)
+        np.multiply(w, mask, out=w)
+        return np.fft.ifftn(w, grid.shape, grid.axes, out=w)
 
     return project
 
@@ -359,10 +398,15 @@ def adjoint_defect_norms(pairs, grid: Grid, seed=None) -> list:
     so B*B needs two B applications per iteration."""
     def b_apply(stack, ts, proj, v):
         pv = proj(v)
-        return proj(stack.apply(ts, pv) - stack.apply_adjoint(ts, pv))
+        bv = stack.apply(ts, pv)
+        np.subtract(bv, stack.apply_adjoint(ts, pv), out=bv)
+        return proj(bv)
 
-    return _band_norms(pairs, grid, seed, lambda stack, ts, proj, v:
-                       -b_apply(stack, ts, proj, b_apply(stack, ts, proj, v)))
+    def gram(stack, ts, proj, v):
+        bbv = b_apply(stack, ts, proj, b_apply(stack, ts, proj, v))
+        return np.negative(bbv, out=bbv)
+
+    return _band_norms(pairs, grid, seed, gram)
 
 
 def operator_norms(pairs, grid: Grid, seed=None) -> list:

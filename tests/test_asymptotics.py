@@ -555,9 +555,9 @@ class TestSharedWork:
             p.symbol, p.initial, self.H, zero_term) for p in problems[1:3]])
         rows = []
 
-        def apply(op, t, values, _apply=PeriodicOperator.apply):
+        def apply(op, t, values, _apply=PeriodicOperator.apply, **kwargs):
             rows.extend(values.reshape(-1, grid.points))
-            return _apply(op, t, values)
+            return _apply(op, t, values, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(PeriodicOperator, "apply", apply)
             got = solve_stack(problems)

@@ -208,9 +208,9 @@ class TestApplyRoute:
         counts = Counter()
         for name in ("apply", "apply_adjoint"):
             def counted(self, t, values, _name=name,
-                        _fn=getattr(PeriodicOperator, name)):
+                        _fn=getattr(PeriodicOperator, name), **kwargs):
                 counts[_name] += 1
-                return _fn(self, t, values)
+                return _fn(self, t, values, **kwargs)
             monkeypatch.setattr(PeriodicOperator, name, counted)
         return counts
 
@@ -273,9 +273,10 @@ class TestApplyRoute:
         assert len(built) == 3
 
     def test_one_dense_table_alive(self, monkeypatch, grid32):
-        # op(d_t^i a) and op(d_x^beta a) of a t-dependent dense symbol are
-        # each built once, yet no table outlives its use: the post-processing
-        # keeps at most one dense table alive at a time
+        # the solve's op(a) (its sup|a| and its steps), the norm step's
+        # operators, and op(d_t^i a) and op(d_x^beta a), each built once,
+        # of a dense symbol with or without t: no table outlives its use, so
+        # at most one dense table is alive at a time
         tables, peak = [], []
 
         def table(op, i, t, _table=PeriodicOperator._symbol_table):
@@ -283,18 +284,22 @@ class TestApplyRoute:
             out = _table(op, i, t)
             tables.append(weakref.ref(out))
             return out
-        x = grid32.x_axis()
-        problem = cauchy.CauchyProblem(
-            HyperbolicSymbol(SymbolExpr(TestRows.T_DENSE, 1.0, 1)),
-            GridFunction(grid32, np.sin(x)), 0.2)
-        result = cauchy.solve_fixed_eps(problem)
         monkeypatch.setattr(PeriodicOperator, "_symbol_table", table)
-        asymptotics._t_derivative_norms(
-            problem.symbol, problem.forcing, result.snapshots, grid32,
-            [(3, (0,))], 3)
-        cauchy.derivative_cascade(problem, result, max_order=3)
-        assert len(tables) > 3 * len(result.snapshots)
-        assert max(peak) == 1
+        x = grid32.x_axis()
+        for root in (TestRows.T_DENSE, ex.add(ex.CoordXi(0), ex.mul(
+                ex.Const(0.01), ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(0)))))):
+            tables.clear()
+            peak.clear()
+            problem = cauchy.CauchyProblem(
+                HyperbolicSymbol(SymbolExpr(root, 1.0, 1)),
+                GridFunction(grid32, np.sin(x)), 0.2)
+            result = cauchy.solve_fixed_eps(problem)
+            asymptotics._t_derivative_norms(
+                problem.symbol, problem.forcing, result.snapshots, grid32,
+                [(3, (0,))], 3)
+            cauchy.derivative_cascade(problem, result, max_order=3)
+            assert len(tables) > 3 * len(result.snapshots)
+            assert max(peak) == 1
 
 
 class TestAdjoint:
@@ -381,6 +386,14 @@ class TestOperatorNorm:
         s1 = np.linalg.norm(mat, 2)
         s2 = np.linalg.norm(conjugated, 2)
         assert s1 == pytest.approx(s2, rel=1e-10)
+
+    def test_generator_seed_refused(self, variable_speed_symbol, grid32):
+        # the rows of a stacked estimate would share one generator's state,
+        # so no row would start like its one-member estimate
+        for seed in (np.random.default_rng(5), np.random.PCG64(5)):
+            with pytest.raises(TypeError, match="int or None"):
+                adjoint_defect_norm(variable_speed_symbol, 0.0, grid32,
+                                    seed=seed)
 
     def test_power_iteration_zero_operator(self, rng):
         [(lam, ok, _)] = power_iteration(lambda rows, v: np.zeros_like(v),
