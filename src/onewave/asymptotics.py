@@ -108,8 +108,6 @@ def fit_exponent(eps, values):
     """
     eps = np.asarray(eps, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.all(values < 1e-280):
-        return None, 0.0, 0.0
     mask = values > 1e-280
     if mask.sum() < 3:
         return None, 0.0, 0.0
@@ -121,10 +119,10 @@ def fit_exponent(eps, values):
     return float(coeffs[0]), float(np.sqrt(max(cov[0, 0], 0.0))), resid
 
 
-def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max,
+def _t_derivative_norms(symbol, forcing, snapshots, orders,
                         derivs: dict | None = None):
-    """max over the stored snapshots of ||d_t^d d_x^alpha u||, via the
-    equation, over the stack of the snapshots:
+    """max over the snapshots of ||d_t^d d_x^alpha u|| per (d, alpha) in
+    ``orders``, via the equation, over the stack of the snapshots:
 
     d_t^d u = -i sum_i C(d-1, i) op(d_t^i a) d_t^(d-1-i) u + d_t^(d-1) f.
 
@@ -133,6 +131,8 @@ def _t_derivative_norms(symbol, forcing, snapshots, grid, orders, d_max,
     of each layer d that are still needed take one forward transform.
     """
     full = symbol.full()
+    grid = snapshots[0][1].grid
+    d_max = max(d for d, _ in orders)
     ts = np.array([t for t, _ in snapshots])
     layers = [np.stack([snap.values for _, snap in snapshots])]
     # d_t^i a = 0 for i >= 1 when a does not depend on t
@@ -207,7 +207,6 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
     member, solve them as one stack, then post-process each eps in order;
     an OnewaveError in any phase is recorded for its eps."""
     orders = list(plan.orders)
-    d_max = max(d for d, _ in orders)
     # the snapshots' x-derivatives that the norms and the cascade both read
     x_alphas = [alpha for d, alpha in orders if d == 0 and sum(alpha)]
     if plan.cascade_max_order > 0:
@@ -237,8 +236,7 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
         try:
             derivs = snapshot_derivatives(result, x_alphas)
             norms = _t_derivative_norms(problem.symbol, problem.forcing,
-                                        result.snapshots, plan.grid, orders,
-                                        d_max, derivs)
+                                        result.snapshots, orders, derivs)
             energy = check_energy_estimate(result.ledger)
             cascade, c_sem = {}, math.nan
             if plan.cascade_max_order > 0:

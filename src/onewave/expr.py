@@ -102,6 +102,7 @@ class Const(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+SEPARABLE_CAP = 64     # most terms of a decomposition separable_terms returns
 
 
 class CoordT(Expr):
@@ -458,12 +459,12 @@ class Conj(Expr):
         return {"node": "conj", "child": self.child.to_json()}
 
 
-def separable_terms(e: Expr, cap: int = 64):
+def separable_terms(e: Expr):
     """Decompose e into a list of (x_part, xi_part) factor pairs, or None.
 
     Time dependence may sit in either factor (t is a scalar parameter at
     application time).  Returns None when no decomposition with at most
-    ``cap`` terms was found; callers then fall back to the dense path.
+    SEPARABLE_CAP terms was found; callers then fall back to the dense path.
     """
     if not e.depends_x():
         return [(ONE, e)]
@@ -472,11 +473,11 @@ def separable_terms(e: Expr, cap: int = 64):
     if isinstance(e, Sum):
         out = []
         for term in e.terms:
-            sub = separable_terms(term, cap)
+            sub = separable_terms(term)
             if sub is None:
                 return None
             out.extend(sub)
-            if len(out) > cap:
+            if len(out) > SEPARABLE_CAP:
                 return None
         return out
     if isinstance(e, Product):
@@ -492,22 +493,22 @@ def separable_terms(e: Expr, cap: int = 64):
         terms = [(mul(*x_only) if x_only else ONE,
                   mul(*xi_only) if xi_only else ONE)]
         for f in mixed:
-            sub = separable_terms(f, cap)
+            sub = separable_terms(f)
             if sub is None:
                 return None
             terms = [(mul(ax, bx), mul(ay, by))
                      for ax, ay in terms for bx, by in sub]
-            if len(terms) > cap:
+            if len(terms) > SEPARABLE_CAP:
                 return None
         return terms
     if isinstance(e, Power):
-        sub = separable_terms(e.base, cap)
+        sub = separable_terms(e.base)
         if sub is not None and len(sub) == 1:
             bx, bxi = sub[0]
             return [(Power(bx, e.exponent), Power(bxi, e.exponent))]
         return None
     if isinstance(e, Conj):
-        sub = separable_terms(e.child, cap)
+        sub = separable_terms(e.child)
         if sub is None:
             return None
         return [(Conj(a), Conj(b)) for a, b in sub]
@@ -515,10 +516,10 @@ def separable_terms(e: Expr, cap: int = 64):
 
 
 _LEAF_PARSERS = {
-    "coord_t": lambda d, ctx: CoordT(),
-    "coord_x": lambda d, ctx: CoordX(d.get("axis", 0)),
-    "coord_xi": lambda d, ctx: CoordXi(d.get("axis", 0)),
-    "japanese_bracket": lambda d, ctx: JapaneseBracket(d["order"]),
+    "coord_t": lambda d: CoordT(),
+    "coord_x": lambda d: CoordX(d.get("axis", 0)),
+    "coord_xi": lambda d: CoordXi(d.get("axis", 0)),
+    "japanese_bracket": lambda d: JapaneseBracket(d["order"]),
 }
 
 
@@ -536,7 +537,7 @@ def from_json(data: dict, mollifier_factory=None) -> Expr:
     if node == "constant":
         return Const(complex(data.get("re", 0.0), data.get("im", 0.0)))
     if node in _LEAF_PARSERS:
-        return _LEAF_PARSERS[node](data, None)
+        return _LEAF_PARSERS[node](data)
     if node == "sum":
         return add(*(from_json(c, mollifier_factory) for c in data["children"]))
     if node == "product":

@@ -131,11 +131,10 @@ class GridFunction:
         return GridFunction(grid, np.zeros(grid.shape, dtype=complex))
 
     @staticmethod
-    def delta(grid: Grid, node=None) -> "GridFunction":
-        """Discrete delta: 1/dx^n at one node (unit discrete mass)."""
+    def delta(grid: Grid, node) -> "GridFunction":
+        """Unit discrete mass: 1/dx^n at the grid index tuple ``node``."""
         vals = np.zeros(grid.shape, dtype=complex)
-        idx = tuple([0] * grid.dim) if node is None else tuple(node)
-        vals[idx] = 1.0 / grid.cell_volume
+        vals[tuple(node)] = 1.0 / grid.cell_volume
         return GridFunction(grid, vals)
 
     def copy(self) -> "GridFunction":

@@ -38,7 +38,7 @@ def write_csv(path, header, rows):
     return path
 
 
-def write_ledger_csv(path, ledger, check) -> Path:
+def write_ledger_csv(path, ledger) -> Path:
     """Energy ledger rows: (t, u_norm_sq, f_norm_sq, bound_rhs, margin)."""
     t = ledger.times
     usq = ledger.u_norm_sq
@@ -67,8 +67,8 @@ def write_json(path, payload) -> Path:
     return path
 
 
-def write_trajectory(path, result, grid: Grid) -> Path:
-    """Flat binary snapshot dump (little-endian, 64-bit floats).
+def write_trajectory(path, result) -> Path:
+    """Flat binary dump of a solve's snapshots (little-endian, 64-bit floats).
 
     Layout: magic "OWTRAJ01"; uint32 dim; uint32 points per axis; float64
     domain length; float64 dt; uint32 stride; uint32 snapshot count; then per
@@ -78,6 +78,7 @@ def write_trajectory(path, result, grid: Grid) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     snaps = result.snapshots
+    grid = snaps[0][1].grid
     stride = 0
     if len(result.times) > 2 and len(snaps) > 1:
         stride = int(round((snaps[1][0] - snaps[0][0]) / result.dt))

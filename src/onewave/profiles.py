@@ -109,34 +109,10 @@ def step(v, order: int = 0):
     return -(2.0 ** order) / _bump_mass() * bump(2.0 * v - 1.0, order - 1)
 
 
-def plateau(u, lo: float, hi: float, order: int = 0):
-    """Even plateau in u: 1 on |u| <= lo, 0 on |u| >= hi, smooth via u^2.
-
-    Returns the order-th derivative with respect to u.  Built as
-    S((u^2 - lo^2)/(hi^2 - lo^2)), differentiated by the chain rule, so it is
-    smooth across u = 0 despite the |u| plateau description.
-    """
+def plateau(u, lo: float, hi: float):
+    """Even plateau in u: 1 on |u| <= lo, 0 on |u| >= hi, built as
+    S((u^2 - lo^2)/(hi^2 - lo^2)), so smooth across u = 0."""
     if hi <= lo or lo < 0:
         raise ValueError("plateau needs 0 <= lo < hi")
     u = np.asarray(u, dtype=float)
-    den = hi * hi - lo * lo
-    arg = (u * u - lo * lo) / den
-    if order == 0:
-        return step(arg, 0)
-    if order == 1:
-        return step(arg, 1) * (2.0 * u / den)
-    if order == 2:
-        return step(arg, 2) * (2.0 * u / den) ** 2 + step(arg, 1) * (2.0 / den)
-    # Higher u-derivatives via Faa di Bruno on the quadratic inner map:
-    # only first and second inner derivatives are nonzero.
-    total = np.zeros(u.shape, dtype=float)
-    from math import factorial
-
-    # Partition order = j1 * 1 + j2 * 2 over counts of first/second inner
-    # derivative factors; standard Bell-polynomial coefficients.
-    for j2 in range(order // 2 + 1):
-        j1 = order - 2 * j2
-        k = j1 + j2
-        coeff = factorial(order) / (factorial(j1) * factorial(j2) * 2.0 ** j2)
-        total += coeff * step(arg, k) * (2.0 * u / den) ** j1 * (2.0 / den) ** j2
-    return total
+    return step((u * u - lo * lo) / (hi * hi - lo * lo), 0)

@@ -234,14 +234,18 @@ def _apply_tables(tables, values: np.ndarray, grid: Grid, adjoint, out):
     The separable route transforms in place in one scratch array and sums
     the terms into out from zero, as 0 + x, which keeps the signs of zeros.
     A dense table takes one matrix-vector product per row, as a one-row
-    apply does."""
+    apply does; the adjoint's, conj(conj(row) @ S), copies no table."""
     shape, axes = grid.shape, grid.axes
     if not isinstance(tables, _Terms):
-        mat = tables.conj().T if adjoint else tables
-        rows = values if adjoint else \
-            np.fft.fftn(values, shape, axes) / grid.size
-        dense = np.stack([mat @ row for row in rows.reshape(-1, grid.size)])
-        out[...] = (dense / grid.size if adjoint else dense).reshape(out.shape)
+        if adjoint:     # S^H @ row bitwise, once conj's -0 are +0 again
+            dense = np.stack([np.conjugate(np.conjugate(row) @ tables)
+                              for row in values.reshape(-1, grid.size)])
+            dense.imag += 0.0
+            dense /= grid.size
+        else:
+            dense = np.stack([tables @ row for row in (np.fft.fftn(
+                values, shape, axes) / grid.size).reshape(-1, grid.size)])
+        out[...] = dense.reshape(out.shape)
         return out
     out.fill(0.0)
     w = np.empty(out.shape, dtype=complex)
@@ -456,7 +460,9 @@ class OscIntConfig:
         if 2 * self.l_order <= dim + alpha_total:
             raise ValueError("OscIntConfig needs 2*l_order > n + |alpha|")
 
-    def refined(self, factor: float = 1.5) -> "OscIntConfig":
+    def refined(self) -> "OscIntConfig":
+        """2n + 1 theta nodes; the (y, eta) box and point counts (odd) x1.4."""
+        factor = 1.4
         return replace(
             self, theta_nodes=2 * self.theta_nodes + 1,
             y_half=self.y_half * factor, eta_half=self.eta_half * factor,
@@ -600,14 +606,14 @@ def adjoint_symbol_remainder(s: SymbolExpr, t: float, x, xi,
 
 
 def check_remainder_estimate(s: SymbolExpr, alpha, beta,
-                             cfg: OscIntConfig | None = None,
-                             box: SampleBox | None = None) -> dict:
+                             cfg: OscIntConfig | None = None) -> dict:
     """Compare weighted remainder derivatives against the semi-norm side.
 
     lhs = max over sampled (x, xi, theta) at t = 0 of
           |d_xi^alpha d_x^beta r_theta| * (1+|xi|)^{|alpha|};
-    rhs = Q^1_{0, n+2+|alpha|, n+2+|alpha|+|beta|}(s).  The ratio is
-    reported; theta-uniformity shows up as stability under refinement.
+    rhs = Q^1_{0, n+2+|alpha|, n+2+|alpha|+|beta|}(s), both sampled on
+    [0, 2 pi]^n x {|xi| <= 64}; theta-uniformity shows up as stability of
+    the reported ratio under refinement.
     """
     cfg = cfg or OscIntConfig()
     dim = s.dim
@@ -615,8 +621,8 @@ def check_remainder_estimate(s: SymbolExpr, alpha, beta,
     beta = tuple(int(v) for v in np.atleast_1d(beta))
     a_tot, b_tot = sum(alpha), sum(beta)
     cfg.validate(dim, a_tot)
-    box = box or SampleBox(x_lo=(0.0,) * dim, x_hi=(2 * math.pi,) * dim,
-                           x_count=9, xi_max=64.0, xi_uniform_count=5)
+    box = SampleBox(x_lo=(0.0,) * dim, x_hi=(2 * math.pi,) * dim,
+                    x_count=9, xi_max=64.0, xi_uniform_count=5)
     x_probes = box.x_points()[:: max(1, box.x_points().shape[0] // 7)]
     ladder = [0.0, 1.0, 4.0, 16.0, 64.0]
     xi_probes = np.array([[v] + [0.0] * (dim - 1) for v in ladder])

@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as ex
 from . import profiles
 from .errors import BadEps, GridMismatch, UnsupportedRoughKind
-from .grid import Grid, GridFunction
+from .grid import GridFunction
 from .symbols import GenSymbolFamily, HyperbolicSymbol, SymbolExpr
 
 __all__ = [
@@ -37,32 +37,29 @@ __all__ = [
 
 
 class Mollifier:
-    """Even real mollifier defined by its frequency-space plateau profile."""
+    """Even real mollifier defined by its frequency-space plateau profile,
+    radial, so one serves every dimension."""
 
-    def __init__(self, dim: int = 1, transition_width: float = 1.0):
-        if dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
+    def __init__(self, transition_width: float = 1.0):
         if transition_width <= 0:
             raise ValueError("transition width must be positive")
-        self.dim = dim
-        self.plateau_radius = 1.0
         self.cutoff_radius = 1.0 + transition_width
         self._kernel_cache = None
 
-    def profile(self, r, deriv: int = 0):
+    def profile(self, r):
         """rho_hat as a function of radial frequency (vectorized)."""
-        return profiles.plateau(np.asarray(r, dtype=float),
-                                self.plateau_radius, self.cutoff_radius, deriv)
+        return profiles.plateau(np.asarray(r, dtype=float), 1.0,
+                                self.cutoff_radius)
 
-    def kernel_samples(self, y_max: float = 2048.0, pad: float = 16.0):
-        """Sample the 1-D kernel rho on a uniform grid via a padded FFT.
+    def kernel_samples(self, y_max: float):
+        """Sample the 1-D kernel rho uniformly via an FFT over |xi| <= 16.
 
         Returns (y, rho(y)); used as the independent y-space route for moment
         and convolution oracles (the production path never needs rho itself).
         """
         if self._kernel_cache is None:
             n = 1 << 20
-            dxi = 2.0 * pad / n
+            dxi = 2.0 * 16.0 / n
             xi = (np.arange(n) - n // 2) * dxi
             prof = self.profile(np.abs(xi))
             # continuous FT convention: rho(y) = (1/2pi) int rho_hat e^{iy xi} dxi
@@ -74,16 +71,16 @@ class Mollifier:
         keep = np.abs(y) <= y_max
         return y[keep], vals[keep]
 
-    def moment(self, alpha: int, y_max: float = 3000.0) -> float:
+    def moment(self, alpha: int) -> float:
         """Numerical moment integral of y^alpha rho(y) dy over the sampled
-        kernel (trapezoid over a symmetric window).
+        kernel (trapezoid over |y| <= 3000).
 
         The window balances the superpolynomial kernel tail against the
         y^alpha amplification of sampling noise; moments of order >= 3 sit at
         the double-precision cancellation limit, which is why the moment
         property is additionally verified through the flat-plateau transform
         round trip (see the regularization tests)."""
-        y, rho = self.kernel_samples(y_max=y_max, pad=16.0)
+        y, rho = self.kernel_samples(y_max=3000.0)
         return float(np.trapezoid(y ** alpha * rho, y))
 
 
@@ -248,8 +245,9 @@ class MollifiedCoefficient:
         return out.real.reshape(y.shape)
 
 
-def embed_data(w, eps: float, mollifier: Mollifier | None = None) -> GridFunction:
-    """Spectral embedding w * rho_eps computed as w_hat(xi) * rho_hat(eps xi).
+def embed_data(w, eps: float) -> GridFunction:
+    """Spectral embedding w * rho_eps computed as w_hat(xi) * rho_hat(eps xi),
+    rho the default Mollifier.
 
     Exact on the grid for band-limited w; a contraction in L2 because the
     profile is bounded by 1.
@@ -258,11 +256,10 @@ def embed_data(w, eps: float, mollifier: Mollifier | None = None) -> GridFunctio
         raise GridMismatch("embed_data expects a GridFunction on the target grid")
     if eps <= 0:
         raise BadEps("eps must be positive")
-    mollifier = mollifier or Mollifier(dim=w.grid.dim)
     coeffs = w.dft()
     xi = w.grid.xi_mesh()
     mag = np.sqrt(sum(np.asarray(c) ** 2 for c in xi))
-    return GridFunction.from_dft(w.grid, coeffs * mollifier.profile(eps * mag))
+    return GridFunction.from_dft(w.grid, coeffs * Mollifier().profile(eps * mag))
 
 
 @dataclass
@@ -293,7 +290,7 @@ def regularize_symbol(rough, k: int, eps: float,
     if isinstance(rough, RoughCoefficient):
         rough = RoughTransport((rough,))
     dim = rough.dim
-    mollifier = mollifier or Mollifier(dim=dim)
+    mollifier = mollifier or Mollifier()
     omega = omega_of_eps(eps, k)
 
     def mollified_node(coeff: RoughCoefficient, axis: int) -> ex.Expr:
@@ -317,16 +314,14 @@ def regularized_family(rough, k: int, eps_grid,
     return GenSymbolFamily(builder, eps_grid)
 
 
-def verify_log_type_of_regularization(rough, k: int, eps_grid, box,
-                                      mollifier: Mollifier | None = None,
+def verify_log_type_of_regularization(fam: GenSymbolFamily, k: int, box,
                                       thresholds=None) -> dict:
-    """Build the mollified family and classify log-type growth for every
-    x-derivative order l <= k (the orders the mollification rate protects)."""
+    """Classify log-type growth of ``fam`` = regularized_family(rough, k, ...)
+    for every x-derivative order l <= k (the orders its rate protects)."""
     from .config import DEFAULT_THRESHOLDS
     from .symbols import classify_log_type
 
     thresholds = thresholds or DEFAULT_THRESHOLDS
-    fam = regularized_family(rough, k, eps_grid, mollifier)
     per_order = {}
     all_ok = True
     for l in range(k + 1):

@@ -106,17 +106,16 @@ class SymbolExpr:
         return SymbolExpr(self.derivative_root(d, alpha, beta), order, self.dim)
 
     # -- evaluation ------------------------------------------------------------
-    def eval(self, t, x, xi, d: int = 0, alpha=None, beta=None):
-        """Vectorized evaluation of the (d, alpha, beta)-derivative.
+    def eval(self, t, x, xi):
+        """Vectorized evaluation (eval_symbol evaluates derivatives).
 
         x and xi are tuples of arrays shaped to broadcast against each other.
         """
-        node = self.derivative_root(d, alpha, beta)
         x = tuple(np.asarray(c) for c in (x if isinstance(x, (tuple, list)) else (x,)))
         xi = tuple(np.asarray(c) for c in (xi if isinstance(xi, (tuple, list)) else (xi,)))
         if len(x) != self.dim or len(xi) != self.dim:
             raise ValueError("coordinate tuple length must equal dim")
-        out = node.eval(t, x, xi)
+        out = self.root.eval(t, x, xi)
         shape = np.broadcast_shapes(*(c.shape for c in x + xi)) if x + xi else ()
         return np.broadcast_to(np.asarray(out), shape) if shape else out
 
@@ -132,7 +131,7 @@ def eval_symbol(s: SymbolExpr, t, x, xi, d: int = 0, alpha=None, beta=None):
         raise UnsupportedDerivativeOrder(
             f"orders (d={d}, |alpha|={sum(alpha_t)}, |beta|={sum(beta_t)}) exceed "
             f"the configured maximum {MAX_DIFF_ORDER}")
-    out = s.eval(t, x, xi, d, alpha_t, beta_t)
+    out = s.derivative(d, alpha_t, beta_t).eval(t, x, xi)
     arr = np.asarray(out)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise NonFinite("symbol evaluation produced a non-finite value")
@@ -147,9 +146,9 @@ class SampleBox:
 
     x is sampled uniformly per axis with endpoints included (refining the
     count by powers of two only adds points, keeping the reported maximum
-    monotone); xi combines a uniform low-frequency band with the dyadic
+    monotone); xi combines a uniform band on |xi| <= 4 with the dyadic
     ladder {0, +-2^j <= xi_max} along the grid directions, plus xi_max
-    itself; t is sampled uniformly on [0, t_max].
+    itself; t takes 33 uniform samples on [0, t_max].
     """
 
     x_lo: tuple = (0.0,)
@@ -157,9 +156,7 @@ class SampleBox:
     x_count: int = 129
     xi_max: float = 1024.0
     xi_uniform_count: int = 33
-    xi_uniform_max: float = 4.0
     t_max: float = 1.0
-    t_samples: int = 33
 
     def __post_init__(self):
         for name in ("x_lo", "x_hi"):
@@ -167,7 +164,7 @@ class SampleBox:
                 float(v) for v in np.atleast_1d(getattr(self, name))))
         if len(self.x_lo) != len(self.x_hi):
             raise EmptyBox("x_lo and x_hi lengths differ")
-        if self.x_count < 1 or self.xi_uniform_count < 1 or self.t_samples < 1:
+        if self.x_count < 1 or self.xi_uniform_count < 1:
             raise EmptyBox("sample counts must be positive")
         if self.xi_max <= 0:
             raise EmptyBox("xi_max must be positive")
@@ -188,7 +185,7 @@ class SampleBox:
                 for lo, hi in zip(self.x_lo, self.x_hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         x = np.stack([m.ravel() for m in mesh], axis=-1)
-        mags = set(np.linspace(0.0, self.xi_uniform_max, self.xi_uniform_count))
+        mags = set(np.linspace(0.0, 4.0, self.xi_uniform_count))
         j = 0
         while 2.0 ** j <= self.xi_max:
             mags.add(2.0 ** j)
@@ -207,7 +204,7 @@ class SampleBox:
         return x, xi
 
     def t_points(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.t_samples)
+        return np.linspace(0.0, self.t_max, 33)
 
 
 def _eval_on_box(node: ex.Expr, t, xpts: np.ndarray, xipts: np.ndarray, dim: int):

@@ -704,7 +704,7 @@ class TestStackedPostProcessing:
         orders = ((0, (0,)), (0, (2,)), (1, (0,)), (1, (1,)), (2, (0,)),
                   (2, (3,)))
         got = asymptotics._t_derivative_norms(
-            problem.symbol, problem.forcing, result.snapshots, grid, orders, 2)
+            problem.symbol, problem.forcing, result.snapshots, orders)
         want = t_derivative_norms_per_snapshot(
             problem.symbol, problem.forcing, result.snapshots, grid, orders, 2)
         assert got == want
@@ -752,7 +752,7 @@ class TestStackedPostProcessing:
             [(0, (a,)) for a in range(3, 5)]
         for snap in result.snapshots:
             norms = asymptotics._t_derivative_norms(
-                symbol, problem.forcing, [snap], grid, orders, 2)
+                symbol, problem.forcing, [snap], orders)
             for d in (1, 2):
                 for a in range(3):
                     assert norms[(d, (a,))] == pytest.approx(

@@ -11,12 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+from onewave import asymptotics, symbols
 from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
                          load_config, main, validate_config)
 from onewave.config import Thresholds
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
-from onewave.scenario import ScenarioContext
+from onewave.scenario import ScenarioContext, run_scenario
 
 
 class TestPresets:
@@ -200,6 +201,26 @@ class TestScenarioDataPaths:
         assert ctx.mollifier.cutoff_radius == 3.0
         member = ctx.family.member(0.01)
         assert member.dim == 1
+
+    def test_log_type_reads_the_sweep_family(self, monkeypatch):
+        # the log_type check classifies the very symbols the sweep solves:
+        # the mollified family is built once per scenario
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 64
+        seen = {}
+
+        def classify(fam, *args, _classify=symbols.classify_log_type):
+            seen.setdefault("log_type", [fam.member(e) for e in fam.eps_grid])
+            return _classify(fam, *args)
+
+        def solve(problems, *args, _solve=asymptotics.solve_stack, **kw):
+            seen.setdefault("sweep", [p.symbol for p in problems])
+            return _solve(problems, *args, **kw)
+        monkeypatch.setattr(symbols, "classify_log_type", classify)
+        monkeypatch.setattr(asymptotics, "solve_stack", solve)
+        run_scenario(cfg, echo=lambda line: None)
+        assert len(seen["log_type"]) == len(seen["sweep"]) == 6
+        assert all(a is b for a, b in zip(seen["log_type"], seen["sweep"]))
 
 
 def _set(path, value):

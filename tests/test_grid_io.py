@@ -53,7 +53,7 @@ class TestTrajectoryFormat:
                              initial=GridFunction(grid32, np.sin(x)),
                              horizon=0.25)
         res = solve_fixed_eps(prob, DtPolicy(dt=0.01), seed=0)
-        path = owio.write_trajectory(tmp_path / "traj.bin", res, grid32)
+        path = owio.write_trajectory(tmp_path / "traj.bin", res)
         grid_back, dt, stride, snaps = owio.read_trajectory(path)
         assert grid_back == grid32
         assert dt == pytest.approx(res.dt)
@@ -86,7 +86,6 @@ class TestCsvDeterminism:
                              initial=GridFunction(grid32, np.sin(x)),
                              horizon=0.25)
         res = solve_fixed_eps(prob, DtPolicy(dt=0.01), seed=0)
-        path = owio.write_ledger_csv(tmp_path / "ledger.csv", res.ledger,
-                                     "energy")
+        path = owio.write_ledger_csv(tmp_path / "ledger.csv", res.ledger)
         header = path.read_text().splitlines()[0]
         assert header == "t,u_norm_sq,f_norm_sq,bound_rhs,margin"

@@ -63,20 +63,6 @@ class TestPlateau:
         assert profiles.plateau(np.array([-0.99]), 1.0, 2.0)[0] == 1.0
         assert profiles.plateau(np.array([2.3]), 1.0, 2.0)[0] == 0.0
 
-    def test_smooth_across_zero(self):
-        u = np.linspace(-0.5, 0.5, 11)
-        for k in (1, 2, 3):
-            assert np.max(np.abs(profiles.plateau(u, 1.0, 2.0, k))) == 0.0
-
-    @pytest.mark.parametrize("order", range(1, 6))
-    def test_derivatives(self, order):
-        u = np.linspace(-2.5, 2.5, 81)
-        h = 1e-6
-        fd = (profiles.plateau(u + h, 1.0, 2.0, order - 1) -
-              profiles.plateau(u - h, 1.0, 2.0, order - 1)) / (2 * h)
-        an = profiles.plateau(u, 1.0, 2.0, order)
-        assert np.max(np.abs(fd - an)) <= 1e-7 * np.max(np.abs(an))
-
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
             profiles.plateau(np.array([0.0]), 2.0, 1.0)

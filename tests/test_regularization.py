@@ -239,7 +239,8 @@ class TestRegularizeSymbol:
                               breakpoints=[2.0, 4.3], values=[2.0, 1.0])
         box = SampleBox(x_lo=(0.0,), x_hi=(TWO_PI,), xi_max=128.0)
         eps = list(np.geomspace(1e-1, 1e-6, 6))
-        rep = verify_log_type_of_regularization(pc, 1, eps, box)
+        rep = verify_log_type_of_regularization(
+            regularized_family(pc, 1, eps), 1, box)
         assert rep["is_log_type"]
         # l = 0 is trivially log-type (mollification preserves the sup bound)
         assert rep["orders"][0]["is_log_type"]
@@ -253,6 +254,7 @@ class TestRegularizeSymbol:
                               breakpoints=[2.0, 4.3], values=[2.0, 1.0])
         box = SampleBox(x_lo=(0.0,), x_hi=(TWO_PI,), xi_max=128.0)
         eps = list(np.geomspace(1e-1, 1e-6, 6))
-        rep = verify_log_type_of_regularization(pc, 2, eps, box)
+        rep = verify_log_type_of_regularization(
+            regularized_family(pc, 2, eps), 2, box)
         assert rep["is_log_type"]
         assert rep["orders"][2]["is_log_type"]

@@ -105,7 +105,7 @@ class TestTreeDifferentiation:
             lo = s.eval(t0, x0, xi0 - h)
             hi = s.eval(t0, x0, xi0 + h)
         fd = (np.asarray(hi) - np.asarray(lo)) / (2 * h)
-        an = s.eval(t0, x0, xi0, d=d, alpha=alpha, beta=beta)
+        an = s.derivative(d, alpha, beta).eval(t0, x0, xi0)
         scale = max(abs(complex(np.asarray(an).item())), 1.0)
         assert abs(complex(np.asarray(an).item()) -
                    complex(np.asarray(fd).item())) <= 1e-6 * scale
