@@ -36,8 +36,7 @@ from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 __all__ = [
     "TimeProfile", "Forcing", "CauchyProblem", "DtPolicy", "EnergyLedger",
     "SolveResult", "solve_fixed_eps", "solve_stack", "check_energy_estimate",
-    "check_case_variants", "derivative_cascade", "snapshot_derivatives",
-    "case_orders",
+    "check_case_variants", "derivative_cascade", "case_orders",
 ]
 
 
@@ -177,8 +176,6 @@ class EnergyLedger:
     skew_norm: float
     a0_norm: float
     c_measured: float       # the measured Gronwall constant 1 + skew + 2*a0
-    dt: float = 0.0
-    initial_norm_sq: float = 0.0
     converged_norms: bool = True
 
     def forcing_integral(self) -> float:
@@ -187,7 +184,7 @@ class EnergyLedger:
 
     def gronwall_bound(self, c: float | None = None) -> np.ndarray:
         c = self.c_measured if c is None else c
-        base = self.initial_norm_sq + self.forcing_integral()
+        base = self.u_norm_sq[0] + self.forcing_integral()
         return base * np.exp(c * self.times)
 
     def validate(self):
@@ -198,13 +195,21 @@ class EnergyLedger:
 
 @dataclass
 class SolveResult:
+    """A solve's ledger and its snapshots: states[k] is u at snap_times[k],
+    one read-only array (n_snap, *grid.shape) that the RK4 loop fills."""
+
+    grid: Grid
     times: np.ndarray
-    snapshots: list
+    snap_times: np.ndarray
+    states: np.ndarray
     ledger: EnergyLedger
     dt: float
 
     def final(self) -> GridFunction:
-        return self.snapshots[-1][1]
+        """u(T) as a read-only copy, so it does not keep states alive."""
+        values = self.states[-1].copy()
+        values.flags.writeable = False
+        return GridFunction(self.grid, values)
 
 
 def _measure_norms(problems, grid: Grid, seed) -> list:
@@ -238,8 +243,8 @@ def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
     C = CALIBRATED_C[dim]
     # 2-D sampling thins the x grid: the derivative-order set is ~16x larger
     # and the sampled sup is a lower bound either way.
-    box = SampleBox(x_lo=(0.0,) * dim, x_hi=(grid.length,) * dim,
-                    x_count=129 if dim == 1 else 17, xi_max=grid.max_abs_xi(),
+    box = SampleBox(dim, grid.length, x_count=129 if dim == 1 else 17,
+                    xi_max=grid.max_abs_xi(),
                     xi_uniform_count=33 if dim == 1 else 9, t_max=horizon)
     q1 = seminorm_Q(symbol.a1, 1.0, 0, orders["k"], orders["l"], box)
     q0 = 0.0
@@ -293,7 +298,7 @@ def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
             m.norms = norms
         zero = np.zeros(grid.shape, dtype=complex)
         live = [m for m in members
-                if m.forcing is not None or np.any(m.snapshots[0][1])]
+                if m.forcing is not None or np.any(m.states[0])]
         for m in (m for m in members if m not in live):     # stays zero
             for step in range(1, m.n_steps + 1):
                 out[m.slot] = m.advance(step, zero, 0.0)
@@ -318,7 +323,11 @@ class _Member:
         self.guard_base = self.g_norm_sq + float(np.trapezoid(
             [self.f_norm_sq(t) for t in guard_t], guard_t))
         self.ledger = [(0.0, self.g_norm_sq, self.f_norm_sq(0.0))]
-        self.snapshots = [(0.0, problem.initial.values.astype(complex))]
+        # step 0, every TRAJECTORY_STRIDE-th step and the last one
+        rows = 2 + (self.n_steps - 1) // TRAJECTORY_STRIDE
+        self.snap_times = np.zeros(rows)
+        self.states = np.empty((rows,) + problem.grid.shape, dtype=complex)
+        self.states[0] = problem.initial.values
 
     def f_norm_sq(self, t: float) -> float:
         return 0.0 if self.forcing is None else self.forcing.norm(t) ** 2
@@ -339,19 +348,20 @@ class _Member:
                 f"sup|a|={self.sup:.3e})")
         self.ledger.append((tn, nsq, self.f_norm_sq(tn)))
         if step % TRAJECTORY_STRIDE == 0 or step == self.n_steps:
-            self.snapshots.append((tn, u.copy()))
+            row = -(-step // TRAJECTORY_STRIDE)     # ceil(step / stride)
+            self.snap_times[row], self.states[row] = tn, u
         if step < self.n_steps:
             return None
         times, u_norms, f_norms = map(np.array, zip(*self.ledger))
-        for v in (times, u_norms, f_norms, *(v for _, v in self.snapshots)):
+        for v in (times, u_norms, f_norms, self.snap_times, self.states):
             v.flags.writeable = False       # identical problems share them
         ledger = EnergyLedger(
             times=times, u_norm_sq=u_norms, f_norm_sq=f_norms,
-            skew_norm=skew, a0_norm=a0n, c_measured=c_meas, dt=self.dt,
-            initial_norm_sq=self.g_norm_sq, converged_norms=ok)
-        grid = self.problem.grid
-        return SolveResult(times=times, ledger=ledger, dt=self.dt, snapshots=[
-            (t, GridFunction(grid, v)) for t, v in self.snapshots])
+            skew_norm=skew, a0_norm=a0n, c_measured=c_meas,
+            converged_norms=ok)
+        return SolveResult(grid=self.problem.grid, times=times,
+                           snap_times=self.snap_times, states=self.states,
+                           ledger=ledger, dt=self.dt)
 
 
 def _rk4(stack, members, out):
@@ -362,7 +372,7 @@ def _rk4(stack, members, out):
     operations, operands and order of u + dt/2 k1, u + dt/2 k2, u + dt k3
     and u + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
     if members:
-        u = np.stack([m.snapshots[0][1] for m in members])
+        u = np.stack([m.states[0] for m in members])
 
     def rhs(ts, v, k):
         stack.apply(ts, v, out=k)
@@ -424,14 +434,11 @@ def check_energy_estimate(ledger: EnergyLedger,
     rhs = fsq + c * usq + ENERGY_SLACK * (1.0 + usq)
     margins = rhs - dsq
     pointwise_ok = bool(np.all(margins >= 0.0))
-    bound = ledger.gronwall_bound()
-    gr_margin = bound - usq
-    gronwall_ok = _under_bound(usq, bound)
+    gronwall_ok = _under_bound(usq, ledger.gronwall_bound())
     return {
         "pointwise_ok": pointwise_ok,
         "gronwall_ok": gronwall_ok,
         "pointwise_margin_min": float(np.min(margins)),
-        "gronwall_margin_min": float(np.min(gr_margin)),
         "c_measured": c,
         "c_seminorm": c_seminorm,
         "seminorm_dominates": bool(c_seminorm >= c)
@@ -456,20 +463,19 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
         return _under_bound(ledger.u_norm_sq, ledger.gronwall_bound(c))
 
     if problem.symbol.x_independent_outside is not None:
-        c_b, parts_b = seminorm_constant(problem.symbol, grid, problem.horizon,
-                                         case="b")
+        c_b, _ = seminorm_constant(problem.symbol, grid, problem.horizon,
+                                   case="b")
         report["case_b"] = {"applicable": True, "c_seminorm": c_b,
                             "dominates_measured": c_b >= ledger.c_measured,
-                            "gronwall_ok": gronwall_ok(c_b),
-                            "parts": parts_b}
+                            "gronwall_ok": gronwall_ok(c_b)}
     else:
         report["case_b"] = {"applicable": False,
                             "reason": "x_independent_outside tag missing"}
 
     if problem.symbol.is_real():
         base_case = "b" if problem.symbol.x_independent_outside is not None else "a"
-        c_c, parts_c = seminorm_constant(problem.symbol, grid, problem.horizon,
-                                         case=base_case, drop_a0=True)
+        c_c, _ = seminorm_constant(problem.symbol, grid, problem.horizon,
+                                   case=base_case, drop_a0=True)
         # real a0 contributes only through its adjoint defect (zero for a
         # real multiplication part), so the measured side drops 2||a0|| too
         defect_a0 = 0.0
@@ -480,8 +486,7 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
         report["case_c"] = {"applicable": True, "c_seminorm": c_c,
                             "c_measured_reduced": c_meas_c,
                             "dominates_measured": c_c >= c_meas_c,
-                            "gronwall_ok": gronwall_ok(c_c),
-                            "parts": parts_c}
+                            "gronwall_ok": gronwall_ok(c_c)}
     else:
         report["case_c"] = {"applicable": False,
                             "reason": "a0 is not real-valued"}
@@ -500,16 +505,17 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
     ||d^alpha u(t)||^2 <= (||d^alpha g||^2 + int_0^T ||F_alpha||^2)
                            * exp(c_meas * t), evaluated on the stored
     snapshots, which are taken as one stack.  ``derivs`` maps each alpha of
-    order <= max_order to d_x^alpha of that stack when the caller already
-    has them (see snapshot_derivatives); by default they are computed here.
+    order <= max_order to d_x^alpha of result.states when the caller already
+    has them; by default they are computed here, from one forward transform.
     """
     grid = problem.grid
     full = problem.symbol.full()
-    snap_t = np.array([t for t, _ in result.snapshots])
+    snap_t = result.snap_times
     c_meas = result.ledger.c_measured
     alphas = multi_indices(grid.dim, max_order)
     if derivs is None:      # beta = alpha reads the alpha = 0 round trip
-        derivs = snapshot_derivatives(result, alphas)
+        derivs = dict(zip(alphas, grid.spectral_derivative(result.states,
+                                                            *alphas)))
     ops = {beta: PeriodicOperator(full.derivative(0, None, beta), grid)
            for beta in alphas if sum(beta)}
 
@@ -529,14 +535,6 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
             "times": snap_t, "v_norm_sq": v_norm_sq, "H": h_vals,
             "H_integral": h_int, "bound": bound,
             "ok": _under_bound(v_norm_sq, bound),
-            "c_tilde": c_meas,
         }
     return report
 
-
-def snapshot_derivatives(result: SolveResult, alphas) -> dict:
-    """d_x^alpha of the stack of a solve's snapshots per alpha in
-    ``alphas``, from one forward transform."""
-    grid = result.snapshots[0][1].grid
-    snaps = np.stack([snap.values for _, snap in result.snapshots])
-    return dict(zip(alphas, grid.spectral_derivative(snaps, *alphas)))

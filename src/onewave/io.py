@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid
 
 _MAGIC = b"OWTRAJ01"
 
@@ -67,6 +67,12 @@ def write_json(path, payload) -> Path:
     return path
 
 
+def _records(grid: Grid) -> np.dtype:
+    """One snapshot record: float64 t, then the values as <c16, which are
+    the interleaved re/im float64 of the format, in row-major node order."""
+    return np.dtype([("t", "<f8"), ("u", "<c16", grid.shape)])
+
+
 def write_trajectory(path, result) -> Path:
     """Flat binary dump of a solve's snapshots (little-endian, 64-bit floats).
 
@@ -77,39 +83,28 @@ def write_trajectory(path, result) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    snaps = result.snapshots
-    grid = snaps[0][1].grid
+    grid, snap_t = result.grid, result.snap_times
     stride = 0
-    if len(result.times) > 2 and len(snaps) > 1:
-        stride = int(round((snaps[1][0] - snaps[0][0]) / result.dt))
+    if len(result.times) > 2 and len(snap_t) > 1:
+        stride = int(round((snap_t[1] - snap_t[0]) / result.dt))
+    records = np.empty(len(snap_t), dtype=_records(grid))
+    records["t"], records["u"] = snap_t, result.states
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIddII", grid.dim, grid.points,
-                             grid.length, result.dt, stride, len(snaps)))
-        for t, snap in snaps:
-            fh.write(struct.pack("<d", t))
-            inter = np.empty(2 * snap.values.size, dtype="<f8")
-            inter[0::2] = snap.values.real.ravel()
-            inter[1::2] = snap.values.imag.ravel()
-            fh.write(inter.tobytes())
+                             grid.length, result.dt, stride, len(snap_t)))
+        fh.write(records.tobytes())
     return path
 
 
 def read_trajectory(path):
-    """Inverse of write_trajectory: returns (grid, dt, stride, snapshots)."""
+    """Inverse of write_trajectory: returns (grid, dt, stride, snap_times,
+    states), states of shape (count, *grid.shape)."""
     raw = Path(path).read_bytes()
     if raw[:8] != _MAGIC:
         raise ValueError("not a trajectory file (bad magic)")
     dim, points, length, dt, stride, count = struct.unpack_from("<IIddII", raw, 8)
     grid = Grid(dim, points, length)
-    offset = 8 + struct.calcsize("<IIddII")
-    snaps = []
-    n_vals = grid.size
-    for _ in range(count):
-        (t,) = struct.unpack_from("<d", raw, offset)
-        offset += 8
-        inter = np.frombuffer(raw, dtype="<f8", count=2 * n_vals, offset=offset)
-        offset += 16 * n_vals
-        values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-        snaps.append((t, GridFunction(grid, values)))
-    return grid, dt, stride, snaps
+    records = np.frombuffer(raw, dtype=_records(grid), count=count,
+                            offset=8 + struct.calcsize("<IIddII"))
+    return grid, dt, stride, records["t"], records["u"]

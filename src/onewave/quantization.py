@@ -621,8 +621,8 @@ def check_remainder_estimate(s: SymbolExpr, alpha, beta,
     beta = tuple(int(v) for v in np.atleast_1d(beta))
     a_tot, b_tot = sum(alpha), sum(beta)
     cfg.validate(dim, a_tot)
-    box = SampleBox(x_lo=(0.0,) * dim, x_hi=(2 * math.pi,) * dim,
-                    x_count=9, xi_max=64.0, xi_uniform_count=5)
+    box = SampleBox(dim, 2 * math.pi, x_count=9, xi_max=64.0,
+                    xi_uniform_count=5)
     x_probes = box.x_points()[:: max(1, box.x_points().shape[0] // 7)]
     ladder = [0.0, 1.0, 4.0, 16.0, 64.0]
     xi_probes = np.array([[v] + [0.0] * (dim - 1) for v in ladder])

@@ -25,9 +25,11 @@ import numpy as np
 
 from . import expr as ex
 from . import profiles
+from .config import DEFAULT_THRESHOLDS
 from .errors import BadEps, GridMismatch, UnsupportedRoughKind
 from .grid import GridFunction
-from .symbols import GenSymbolFamily, HyperbolicSymbol, SymbolExpr
+from .symbols import (GenSymbolFamily, HyperbolicSymbol, SymbolExpr,
+                      classify_log_type)
 
 __all__ = [
     "Mollifier", "RoughCoefficient", "MollifiedCoefficient",
@@ -315,13 +317,9 @@ def regularized_family(rough, k: int, eps_grid,
 
 
 def verify_log_type_of_regularization(fam: GenSymbolFamily, k: int, box,
-                                      thresholds=None) -> dict:
+                                      thresholds=DEFAULT_THRESHOLDS) -> dict:
     """Classify log-type growth of ``fam`` = regularized_family(rough, k, ...)
     for every x-derivative order l <= k (the orders its rate protects)."""
-    from .config import DEFAULT_THRESHOLDS
-    from .symbols import classify_log_type
-
-    thresholds = thresholds or DEFAULT_THRESHOLDS
     per_order = {}
     all_ok = True
     for l in range(k + 1):

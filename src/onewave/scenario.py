@@ -173,8 +173,7 @@ def _check_cascade_bounds(ctx: ScenarioContext, max_order=2) -> CheckOutcome:
 
 def _check_log_type(ctx: ScenarioContext) -> CheckOutcome:
     k = ctx.mollification_k
-    box = SampleBox(x_lo=(0.0,) * ctx.grid.dim,
-                    x_hi=(ctx.grid.length,) * ctx.grid.dim,
+    box = SampleBox(ctx.grid.dim, ctx.grid.length,
                     xi_max=ctx.grid.max_abs_xi())
     # the sweep's family: its members and their derivatives are built once
     rep = verify_log_type_of_regularization(ctx.family, k, box,
@@ -192,7 +191,7 @@ def _check_log_type(ctx: ScenarioContext) -> CheckOutcome:
 
 def _check_gronwall_fit(ctx: ScenarioContext) -> CheckOutcome:
     tol = ctx.thresholds.log_type_residual
-    _, rep = ctx.sweep(cascade=ctx.cascade_max_order)
+    _, rep = ctx.sweep()
     fit = rep.c_log_fit
     energy_all = all(rep.energy_ok)
     dominate_all = all(cs >= cm for cs, cm in
@@ -207,7 +206,7 @@ def _check_gronwall_fit(ctx: ScenarioContext) -> CheckOutcome:
 
 
 def _check_moderateness(ctx: ScenarioContext) -> CheckOutcome:
-    _, rep = ctx.sweep(cascade=ctx.cascade_max_order)
+    _, rep = ctx.sweep()
     slack = ctx.thresholds.exponent_fit_slack
     ok = not rep.incomplete
     worst = None
@@ -677,27 +676,29 @@ class ScenarioContext:
 
     # -- cached runs --------------------------------------------------------
     def solve(self, dt=None):
+        """(problem, result) of the fixed-symbol solve, run once per
+        effective dt (None: the config's dt, or the automatic step)."""
+        dt = self.dt_policy.dt if dt is None else dt
         if dt not in self._solve_cache:
             problem = CauchyProblem(symbol=self.fixed_symbol,
                                     initial=self.initial_data,
                                     horizon=self.horizon, forcing=self.forcing)
-            policy = self.dt_policy if dt is None else DtPolicy(dt=dt)
             self._solve_cache[dt] = (problem, solve_fixed_eps(
-                problem, policy, seed=self.seed))
+                problem, DtPolicy(dt=dt), seed=self.seed))
         return self._solve_cache[dt]
 
-    def sweep(self, data: DataBuilder | None = None, cascade: int = 0):
-        """(plan, report) of the eps sweep, run once per data and cascade."""
+    def sweep(self, data: DataBuilder | None = None):
+        """(plan, report) of the eps sweep, run once per data."""
         data = data or self.data_builder
-        key = (id(data), cascade)
-        if key not in self._sweep_cache:
+        if id(data) not in self._sweep_cache:
             plan = SweepPlan(
                 family=self.family, data=data, grid=self.grid,
                 horizon=self.horizon, orders=self.orders,
                 dt_policy=self.dt_policy, seed=self.seed,
-                cascade_max_order=cascade)
-            self._sweep_cache[key] = (plan, run_sweep(plan, self.thresholds))
-        return self._sweep_cache[key]
+                cascade_max_order=self.cascade_max_order)
+            self._sweep_cache[id(data)] = (plan, run_sweep(plan,
+                                                           self.thresholds))
+        return self._sweep_cache[id(data)]
 
     def artifact(self, name: str):
         if self.outdir is None:

@@ -142,7 +142,7 @@ def eval_symbol(s: SymbolExpr, t, x, xi, d: int = 0, alpha=None, beta=None):
 
 @dataclass(frozen=True)
 class SampleBox:
-    """Sampling region for semi-norm maxima.
+    """Sampling region for semi-norm maxima on [0, length]^dim.
 
     x is sampled uniformly per axis with endpoints included (refining the
     count by powers of two only adds points, keeping the reported maximum
@@ -151,27 +151,18 @@ class SampleBox:
     itself; t takes 33 uniform samples on [0, t_max].
     """
 
-    x_lo: tuple = (0.0,)
-    x_hi: tuple = (2.0 * math.pi,)
+    dim: int
+    length: float
     x_count: int = 129
     xi_max: float = 1024.0
     xi_uniform_count: int = 33
     t_max: float = 1.0
 
     def __post_init__(self):
-        for name in ("x_lo", "x_hi"):
-            object.__setattr__(self, name, tuple(
-                float(v) for v in np.atleast_1d(getattr(self, name))))
-        if len(self.x_lo) != len(self.x_hi):
-            raise EmptyBox("x_lo and x_hi lengths differ")
         if self.x_count < 1 or self.xi_uniform_count < 1:
             raise EmptyBox("sample counts must be positive")
         if self.xi_max <= 0:
             raise EmptyBox("xi_max must be positive")
-
-    @property
-    def dim(self):
-        return len(self.x_lo)
 
     def x_points(self) -> np.ndarray:
         return self._points[0]
@@ -181,8 +172,7 @@ class SampleBox:
 
     @functools.cached_property
     def _points(self) -> tuple:
-        axes = [np.linspace(lo, hi, self.x_count)
-                for lo, hi in zip(self.x_lo, self.x_hi)]
+        axes = [np.linspace(0.0, self.length, self.x_count)] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         x = np.stack([m.ravel() for m in mesh], axis=-1)
         mags = set(np.linspace(0.0, 4.0, self.xi_uniform_count))
@@ -290,8 +280,8 @@ class HyperbolicSymbol:
         if self.a0 is None:
             return True
         return check_real_valued(self.a0, SampleBox(
-            x_lo=(0.0,) * self.dim, x_hi=(2.0 * math.pi,) * self.dim,
-            x_count=33, xi_uniform_count=9, xi_max=64.0))
+            self.dim, 2.0 * math.pi, x_count=33, xi_uniform_count=9,
+            xi_max=64.0))
 
 
 def check_real_valued(s: SymbolExpr, box: SampleBox) -> bool:

@@ -72,7 +72,7 @@ class TestAcceptance:
         # sweep scenarios: per-eps pointwise/Gronwall flags plus calibrated
         # domination where the semi-norm constant is measured
         ctx = ScenarioContext(get_preset("piecewise_speed_logtype"))
-        _, rep = ctx.sweep(cascade=3)
+        _, rep = ctx.sweep()
         if not all(rep.energy_ok):
             failures.append("piecewise_speed_logtype(energy)")
         if not all(cs >= cm for cs, cm in zip(rep.c_seminorm, rep.c_measured)):

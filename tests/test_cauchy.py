@@ -68,6 +68,14 @@ class TestTransport:
         drift = np.max(np.abs(norms - norms[0])) / norms[0]
         assert drift <= 1e-10
 
+    def test_final_is_a_read_only_copy(self, grid32):
+        # a view of states would keep the whole snapshot stack alive
+        res = solve_fixed_eps(transport_problem(grid32, horizon=0.1), seed=0)
+        final = res.final().values
+        assert final.base is None and not final.flags.writeable
+        assert np.array_equal(final, res.states[-1])
+        assert res.states.shape == (len(res.snap_times),) + grid32.shape
+
     def test_zero_data_stays_zero(self, grid32):
         a1 = SymbolExpr(ex.mul(ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0))),
                                ex.CoordXi(0)), 1.0, 1)
@@ -157,6 +165,30 @@ class TestSolveNeeds:
                                       echo=lambda line: None)
         assert ok
         assert len(calls) == 3
+
+    def test_each_solve_and_sweep_runs_once(self, monkeypatch):
+        # rk4_convergence's factor-1 dt is transport_smoke's own dt; every
+        # sweep check of a scenario reads one sweep, cascade included
+        calls = []
+
+        def counted(name, fn):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return run
+        monkeypatch.setattr(scenario, "solve_fixed_eps", counted(
+            "solve", scenario.solve_fixed_eps))
+        monkeypatch.setattr(scenario, "run_sweep", counted(
+            "sweep", scenario.run_sweep))
+        scenario.run_scenario(get_preset("transport_smoke"),
+                              echo=lambda line: None)
+        assert calls == ["solve"] * 3
+        calls.clear()
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 64
+        cfg["checks"] = ["gronwall_fit", "moderateness", "negligible"]
+        scenario.run_scenario(cfg, echo=lambda line: None)
+        assert calls == ["sweep"]
 
     def test_automatic_dt_meets_cfl_on_full_grid(self):
         # (1 - 0.5 cos 32 x1) xi0 + 0.001 sin(x0 xi0) on a 2-D M=64 grid: a

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from onewave import asymptotics, symbols
+from onewave import asymptotics, regularization, symbols
 from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
                          load_config, main, validate_config)
 from onewave.config import Thresholds
@@ -216,7 +216,7 @@ class TestScenarioDataPaths:
         def solve(problems, *args, _solve=asymptotics.solve_stack, **kw):
             seen.setdefault("sweep", [p.symbol for p in problems])
             return _solve(problems, *args, **kw)
-        monkeypatch.setattr(symbols, "classify_log_type", classify)
+        monkeypatch.setattr(regularization, "classify_log_type", classify)
         monkeypatch.setattr(asymptotics, "solve_stack", solve)
         run_scenario(cfg, echo=lambda line: None)
         assert len(seen["log_type"]) == len(seen["sweep"]) == 6

@@ -54,13 +54,12 @@ class TestTrajectoryFormat:
                              horizon=0.25)
         res = solve_fixed_eps(prob, DtPolicy(dt=0.01), seed=0)
         path = owio.write_trajectory(tmp_path / "traj.bin", res)
-        grid_back, dt, stride, snaps = owio.read_trajectory(path)
+        grid_back, dt, stride, snap_times, states = owio.read_trajectory(path)
         assert grid_back == grid32
         assert dt == pytest.approx(res.dt)
-        assert len(snaps) == len(res.snapshots)
-        for (t0, s0), (t1, s1) in zip(res.snapshots, snaps):
-            assert t0 == pytest.approx(t1)
-            assert np.array_equal(s0.values, s1.values)
+        assert len(snap_times) == len(res.snap_times)
+        assert snap_times == pytest.approx(res.snap_times)
+        assert np.array_equal(states, res.states)
 
     def test_magic_guard(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,9 +245,11 @@ class TestApplyRoute:
         # d_t^2 u = -i op(a) d_t u - i op(d_t a) u: op(d_t a) = 0 is skipped
         # when a does not depend on t
         u = GridFunction(grid32, np.cos(grid32.x_axis()))
-        asymptotics._t_derivative_norms(
-            HyperbolicSymbol(SymbolExpr(root, 1.0, 1)),
-            cauchy.Forcing.zero(grid32), [(0.0, u), (0.1, u)], [(2, (0,))])
+        problem = cauchy.CauchyProblem(
+            HyperbolicSymbol(SymbolExpr(root, 1.0, 1)), u, 0.1)
+        snaps = SimpleNamespace(snap_times=np.array([0.0, 0.1]),
+                                states=np.stack([u.values, u.values]))
+        asymptotics._t_derivative_norms(problem, snaps, [(2, (0,))])
         assert calls == {"apply": want}
 
 
@@ -264,8 +267,7 @@ class TestApplyRoute:
             GridFunction(grid32, np.sin(x)), 0.2)
         result = cauchy.solve_fixed_eps(problem)
         monkeypatch.setattr(PeriodicOperator, "__init__", init)
-        asymptotics._t_derivative_norms(
-            problem.symbol, problem.forcing, result.snapshots, [(3, (0,))])
+        asymptotics._t_derivative_norms(problem, result, [(3, (0,))])
         assert len(built) == 3
         built.clear()
         cauchy.derivative_cascade(problem, result, max_order=3)
@@ -293,11 +295,9 @@ class TestApplyRoute:
                 HyperbolicSymbol(SymbolExpr(root, 1.0, 1)),
                 GridFunction(grid32, np.sin(x)), 0.2)
             result = cauchy.solve_fixed_eps(problem)
-            asymptotics._t_derivative_norms(
-                problem.symbol, problem.forcing, result.snapshots,
-                [(3, (0,))])
+            asymptotics._t_derivative_norms(problem, result, [(3, (0,))])
             cauchy.derivative_cascade(problem, result, max_order=3)
-            assert len(tables) > 3 * len(result.snapshots)
+            assert len(tables) > 3 * len(result.snap_times)
             assert max(peak) == 1
 
     def test_dense_adjoint_copies_no_table(self, rng):
@@ -391,7 +391,7 @@ class TestOperatorNorm:
         s = SymbolExpr(ex.mul(ex.Sin(ex.CoordX(0)),
                               ex.SmoothStep(ex.JapaneseBracket(1.0), 4.0, 4.0)),
                        0.0, 1)
-        box = SampleBox(x_hi=(grid32.length,), xi_max=grid32.max_abs_xi())
+        box = SampleBox(1, grid32.length, xi_max=grid32.max_abs_xi())
         cv_bound = CV_CONSTANT[1] * seminorm_Q(s, 0.0, 0, 1, 1, box)
         assert operator_norm(s, 0.0, grid32, seed=1).value <= cv_bound
 

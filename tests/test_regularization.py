@@ -222,8 +222,8 @@ class TestRegularizeSymbol:
         pc = RoughCoefficient("piecewise_constant", TWO_PI,
                               breakpoints=[2.0, 4.3], values=[2.0, 1.0])
         sym = regularize_symbol(RoughTransport(speeds=(pc,)), 1, 0.01)
-        box = SampleBox(x_lo=(0.0,), x_hi=(TWO_PI,), x_count=33,
-                        xi_max=64.0, xi_uniform_count=9)
+        box = SampleBox(1, TWO_PI, x_count=33, xi_max=64.0,
+                        xi_uniform_count=9)
         from onewave.symbols import check_real_valued
         assert check_real_valued(sym.a1, box)
 
@@ -237,7 +237,7 @@ class TestRegularizeSymbol:
     def test_log_type_verification(self):
         pc = RoughCoefficient("piecewise_constant", TWO_PI,
                               breakpoints=[2.0, 4.3], values=[2.0, 1.0])
-        box = SampleBox(x_lo=(0.0,), x_hi=(TWO_PI,), xi_max=128.0)
+        box = SampleBox(1, TWO_PI, xi_max=128.0)
         eps = list(np.geomspace(1e-1, 1e-6, 6))
         rep = verify_log_type_of_regularization(
             regularized_family(pc, 1, eps), 1, box)
@@ -252,7 +252,7 @@ class TestRegularizeSymbol:
         # x-derivatives grow like its square, i.e. log(1/eps)
         pc = RoughCoefficient("piecewise_constant", TWO_PI,
                               breakpoints=[2.0, 4.3], values=[2.0, 1.0])
-        box = SampleBox(x_lo=(0.0,), x_hi=(TWO_PI,), xi_max=128.0)
+        box = SampleBox(1, TWO_PI, xi_max=128.0)
         eps = list(np.geomspace(1e-1, 1e-6, 6))
         rep = verify_log_type_of_regularization(
             regularized_family(pc, 2, eps), 2, box)

@@ -19,7 +19,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def box_1d(**kw):
-    defaults = dict(x_lo=(0.0,), x_hi=(TWO_PI,), xi_max=1000.0)
+    defaults = dict(dim=1, length=TWO_PI, xi_max=1000.0)
     defaults.update(kw)
     return SampleBox(**defaults)
 
@@ -184,19 +184,17 @@ class TestSeminorms:
 
     def test_empty_box_rejected(self):
         with pytest.raises(EmptyBox):
-            SampleBox(x_lo=(0.0,), x_hi=(1.0,), x_count=0)
+            SampleBox(1, 1.0, x_count=0)
 
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_box_points_computed_once_read_only(self, dim):
-        box = SampleBox(x_lo=(0.0,) * dim, x_hi=(TWO_PI,) * dim, x_count=9,
-                        xi_max=64.0, xi_uniform_count=5)
+        box = SampleBox(dim, TWO_PI, x_count=9, xi_max=64.0,
+                        xi_uniform_count=5)
         for points in (box.x_points, box.xi_points):
             assert points() is points() and not points().flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
             box.x_count = 17
-        assert box == SampleBox(x_lo=[0.0] * dim, x_hi=[TWO_PI] * dim,
-                                x_count=9, xi_max=64.0, xi_uniform_count=5)
         assert box.x_points().shape == (9 ** dim, dim)
 
 

@@ -36,8 +36,8 @@ class TestSymbols2D:
         assert val == pytest.approx(np.sqrt(26.0))
 
     def test_seminorm_order_one(self):
-        box = SampleBox(x_lo=(0.0, 0.0), x_hi=(TWO_PI, TWO_PI), x_count=17,
-                        xi_max=64.0, xi_uniform_count=9)
+        box = SampleBox(2, TWO_PI, x_count=17, xi_max=64.0,
+                        xi_uniform_count=9)
         v = seminorm_c(plane_symbol(), 1.0, (0, 0), (0, 0), box)
         # the diagonal xi direction dominates: (max c1 + max c2)/sqrt(2) ~ 3.04
         assert 2.8 <= v <= 3.1
