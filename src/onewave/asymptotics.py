@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchyProblem, DtPolicy, Forcing, SolveResult,
-                     check_energy_estimate, derivative_cascade,
-                     seminorm_constant, solve_fixed_eps, solve_stack)
+from .cauchy import (CauchyProblem, Forcing, SolveResult, check_energy_estimate,
+                     derivative_cascade, seminorm_constant, solve_fixed_eps,
+                     solve_stack)
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
@@ -94,7 +94,7 @@ class SweepPlan:
     grid: Grid
     horizon: float
     orders: tuple = ((0, (0,)),)   # (d, alpha), len(alpha) == grid.dim
-    dt_policy: DtPolicy | None = None
+    dt: float | None = None     # None: the automatic step
     seed: int = 0
     cascade_max_order: int = 0
 
@@ -220,8 +220,7 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
                                           horizon=plan.horizon, forcing=f_eps)
         except OnewaveError as err:
             failed[eps] = err
-    solved = solve_stack(list(problems.values()), plan.dt_policy,
-                         seed=plan.seed)
+    solved = solve_stack(list(problems.values()), plan.dt, seed=plan.seed)
     for eps, result in zip(problems, solved):
         if isinstance(result, OnewaveError):
             failed[eps] = result
@@ -348,10 +347,8 @@ def check_association(plan: SweepPlan, report: SweepReport, probes, reference,
                              initial=g_f, horizon=plan.horizon, forcing=f_f)
         # refine time along with space so the reference's step error sits
         # below the sweep's
-        ref_policy = None
-        if plan.dt_policy is not None and plan.dt_policy.dt is not None:
-            ref_policy = DtPolicy(dt=plan.dt_policy.dt / REFERENCE_REFINEMENT)
-        res = solve_fixed_eps(prob, ref_policy, seed=plan.seed)
+        ref_dt = None if plan.dt is None else plan.dt / REFERENCE_REFINEMENT
+        res = solve_fixed_eps(prob, ref_dt, seed=plan.seed)
         fine_phis = [np.asarray(phi(*fine.x_mesh()), dtype=complex)
                      for phi in probes]
         ref_pairings = [pairing(res.final(), pv) for pv in fine_phis]

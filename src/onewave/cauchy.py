@@ -34,9 +34,9 @@ from .quantization import (PeriodicOperator, _distinct, adjoint_defect_norm,
 from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 
 __all__ = [
-    "TimeProfile", "Forcing", "CauchyProblem", "DtPolicy", "EnergyLedger",
+    "TimeProfile", "Forcing", "CauchyProblem", "step_size", "EnergyLedger",
     "SolveResult", "solve_fixed_eps", "solve_stack", "check_energy_estimate",
-    "check_case_variants", "derivative_cascade", "case_orders",
+    "check_case_variants", "derivative_cascade",
 ]
 
 
@@ -134,27 +134,19 @@ class CauchyProblem:
         return self.initial.grid
 
 
-@dataclass
-class DtPolicy:
-    """Step control: explicit dt must satisfy dt * sup|a| <= CFL_MARGIN
-    unless overridden; automatic steps use CFL_SAFETY on top."""
-
-    dt: float | None = None
-    override: bool = False
-
-    def resolve(self, horizon: float, symbol_sup: float) -> float:
-        if not math.isfinite(symbol_sup):
-            raise NonFinite(f"sup|a| = {symbol_sup} is not finite")
-        if self.dt is not None:
-            if not self.override and symbol_sup * self.dt > CFL_MARGIN * (1 + 1e-12):
-                raise UnstableStep(
-                    f"dt*sup|a| = {self.dt * symbol_sup:.3f} exceeds margin "
-                    f"{CFL_MARGIN} (pass override=True to force)")
-            dt = self.dt
-        else:
-            dt = CFL_SAFETY * CFL_MARGIN / max(symbol_sup, 1e-30)
-        steps = max(1, math.ceil(horizon / dt - 1e-12))
-        return horizon / steps
+def step_size(dt: float | None, horizon: float, symbol_sup: float) -> float:
+    """The step that divides ``horizon`` evenly: an explicit ``dt`` must
+    satisfy dt * sup|a| <= CFL_MARGIN; None steps automatically at
+    CFL_SAFETY * CFL_MARGIN / sup|a|."""
+    if not math.isfinite(symbol_sup):
+        raise NonFinite(f"sup|a| = {symbol_sup} is not finite")
+    if dt is None:
+        dt = CFL_SAFETY * CFL_MARGIN / max(symbol_sup, 1e-30)
+    elif symbol_sup * dt > CFL_MARGIN * (1 + 1e-12):
+        raise UnstableStep(f"dt*sup|a| = {dt * symbol_sup:.3f} exceeds "
+                           f"margin {CFL_MARGIN}")
+    steps = max(1, math.ceil(horizon / dt - 1e-12))
+    return horizon / steps
 
 
 def case_orders(dim: int, case: str) -> dict:
@@ -174,9 +166,7 @@ class EnergyLedger:
     u_norm_sq: np.ndarray
     f_norm_sq: np.ndarray
     skew_norm: float
-    a0_norm: float
     c_measured: float       # the measured Gronwall constant 1 + skew + 2*a0
-    converged_norms: bool = True
 
     def forcing_integral(self) -> float:
         """Trapezoid of ||f(t)||^2 over the full horizon."""
@@ -213,7 +203,7 @@ class SolveResult:
 
 
 def _measure_norms(problems, grid: Grid, seed) -> list:
-    """Per problem, (skew, a0 norm, Gronwall constant, converged): the max
+    """Per problem, (skew, Gronwall constant 1 + skew + 2 a0 norm): the max
     over sampled t of its a1 skew-defect norm and of its a0 norm, each
     estimator run once over the stack of all problems and sample times."""
     syms = [p.symbol for p in problems]
@@ -221,7 +211,6 @@ def _measure_norms(problems, grid: Grid, seed) -> list:
         np.linspace(0.0, p.horizon, 3) if syms[i].a1.depends_t() or (
             syms[i].a0 is not None and syms[i].a0.depends_t()) else [0.0])]
     norms = {"a1": [0.0] * len(syms), "a0": [0.0] * len(syms)}
-    ok = [True] * len(syms)
     for part, estimate in (("a1", adjoint_defect_norms),
                            ("a0", operator_norms)):
         used = [(i, t) for i, t in pairs
@@ -229,9 +218,8 @@ def _measure_norms(problems, grid: Grid, seed) -> list:
         for (i, _), est in zip(used, estimate(
                 [(getattr(syms[i], part), t) for i, t in used], grid, seed)):
             norms[part][i] = max(norms[part][i], est.value)
-            ok[i] = ok[i] and est.converged
-    return [(skew, a0n, 1.0 + skew + 2.0 * a0n, conv)
-            for skew, a0n, conv in zip(norms["a1"], norms["a0"], ok)]
+    return [(skew, 1.0 + skew + 2.0 * a0n)
+            for skew, a0n in zip(norms["a1"], norms["a0"])]
 
 
 def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
@@ -256,27 +244,27 @@ def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
     return value, parts
 
 
-def solve_fixed_eps(problem: CauchyProblem, dt_policy: DtPolicy | None = None,
+def solve_fixed_eps(problem: CauchyProblem, dt: float | None = None,
                     seed=0) -> SolveResult:
     """The one-member solve_stack; raises the error that stopped it."""
-    [result] = solve_stack([problem], dt_policy, seed)
+    [result] = solve_stack([problem], dt, seed)
     if isinstance(result, OnewaveError):
         raise result
     return result
 
 
-def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
+def solve_stack(problems, dt: float | None = None, seed=0) -> list:
     """Classical RK4 with full energy bookkeeping for problems on one grid;
     per problem, its SolveResult or the OnewaveError that stopped it.  The
-    members of one table layout step as one stack, each with its dt from
-    its own sup|a|, and leave it after their last step, so each member's
-    arithmetic is its one-member solve's.  A member aborts with UnstableStep
-    when its norm exceeds INSTABILITY_FACTOR times its Gronwall bound.
+    members of one table layout step as one stack, each with its step from
+    ``dt`` and its own sup|a| (step_size), and leave it after their last
+    step, so each member's arithmetic is its one-member solve's.  A member
+    aborts with UnstableStep when its norm exceeds INSTABILITY_FACTOR times
+    its Gronwall bound.
     Identical problems (one symbol and forcing object and horizon, bitwise
     equal data) step as one member and share its read-only result; zero
     data with zero forcing stays exactly zero, so it is not stepped.
     """
-    dt_policy = dt_policy or DtPolicy()
     grid = problems[0].grid if problems else None
     if any(p.grid != grid for p in problems):
         raise GridMismatch("stacked problems on different grids")
@@ -288,7 +276,7 @@ def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
         members = []
         for k, i in enumerate(rows):
             try:
-                members.append(_Member(k, i, once[i], stack, dt_policy))
+                members.append(_Member(k, i, once[i], stack, dt))
             except OnewaveError as err:
                 out[i] = err
         if not stack.separable:     # the norm step builds its own table
@@ -309,12 +297,12 @@ def solve_stack(problems, dt_policy: DtPolicy | None = None, seed=0) -> list:
 class _Member:
     """One row of a solve stack: its step, its guard and its ledger."""
 
-    def __init__(self, row, slot, problem: CauchyProblem, op, dt_policy):
+    def __init__(self, row, slot, problem: CauchyProblem, op, dt):
         self.row, self.slot, self.problem = row, slot, problem
         sup_times = (np.linspace(0.0, problem.horizon, 5)
                      if op.symbols[row].depends_t() else [0.0])
         self.sup = max(op.sup_abs(float(t), row) for t in sup_times)
-        self.dt = dt_policy.resolve(problem.horizon, self.sup)
+        self.dt = step_size(dt, problem.horizon, self.sup)
         self.n_steps = int(round(problem.horizon / self.dt))
         self.forcing = None if problem.forcing.is_zero else problem.forcing
         self.g_norm_sq = problem.initial.norm_sq()
@@ -338,7 +326,7 @@ class _Member:
         tn = step * self.dt
         if not math.isfinite(nsq):
             return NonFinite(f"solution norm non-finite at t={tn:.4g}")
-        skew, a0n, c_meas, ok = self.norms
+        skew, c_meas = self.norms
         bound = INSTABILITY_FACTOR * max(self.guard_base, 1e-300) * \
             math.exp(c_meas * tn)
         if self.guard_base > 0 and nsq > bound:
@@ -357,8 +345,7 @@ class _Member:
             v.flags.writeable = False       # identical problems share them
         ledger = EnergyLedger(
             times=times, u_norm_sq=u_norms, f_norm_sq=f_norms,
-            skew_norm=skew, a0_norm=a0n, c_measured=c_meas,
-            converged_norms=ok)
+            skew_norm=skew, c_measured=c_meas)
         return SolveResult(grid=self.problem.grid, times=times,
                            snap_times=self.snap_times, states=self.states,
                            ledger=ledger, dt=self.dt)

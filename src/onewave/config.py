@@ -8,8 +8,9 @@ verdict tolerates.
 
 from dataclasses import dataclass
 
-# Maximum derivative order accepted by the user-facing evaluation entry
-# points (internal machinery may differentiate further).
+# Maximum derivative order a scenario config may ask for (the schema caps
+# `orders`, `cascade_max_order` and the `cascade_bounds` `max_order`);
+# internal machinery may differentiate further.
 MAX_DIFF_ORDER = 6
 
 # Power iteration defaults (deterministic start vector from the run seed).
@@ -35,7 +36,7 @@ TRAJECTORY_STRIDE = 8
 
 # Energy-estimate calibration constants, one per spatial dimension: the
 # semi-norm bound C * (1 + Q0(a0) + Q1(a1)) must dominate the measured
-# constant 1 + skew_norm + 2*a0_norm on a corpus of hyperbolic symbols.  C is
+# constant 1 + skew_norm + 2 ||a0|| on a corpus of hyperbolic symbols.  C is
 # the largest ratio of measured constant to case-a semi-norm sum
 # 1 + Q0 + Q1 over the corpus: 0.795 (n=1) and 0.929 (n=2), frozen with a
 # 1.25 safety factor.

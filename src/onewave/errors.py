@@ -5,10 +5,6 @@ class OnewaveError(Exception):
     """Base class for all package errors."""
 
 
-class UnsupportedDerivativeOrder(OnewaveError):
-    """Requested derivative order exceeds the configured maximum."""
-
-
 class NonFinite(OnewaveError):
     """An evaluation produced inf or nan."""
 

@@ -80,9 +80,6 @@ class Expr:
     def depends_xi(self):
         return self.deps()[2]
 
-    def to_json(self):
-        raise NotImplementedError
-
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -95,9 +92,6 @@ class Const(Expr):
 
     def d(self, var):
         return ZERO
-
-    def to_json(self):
-        return {"node": "constant", "re": self.value.real, "im": self.value.imag}
 
 
 ZERO = Const(0.0)
@@ -117,9 +111,6 @@ class CoordT(Expr):
     def d(self, var):
         return ONE if var[0] == "t" else ZERO
 
-    def to_json(self):
-        return {"node": "coord_t"}
-
 
 class CoordX(Expr):
     __slots__ = ("axis",)
@@ -136,9 +127,6 @@ class CoordX(Expr):
     def d(self, var):
         return ONE if var == ("x", self.axis) else ZERO
 
-    def to_json(self):
-        return {"node": "coord_x", "axis": self.axis}
-
 
 class CoordXi(Expr):
     __slots__ = ("axis",)
@@ -154,9 +142,6 @@ class CoordXi(Expr):
 
     def d(self, var):
         return ONE if var == ("xi", self.axis) else ZERO
-
-    def to_json(self):
-        return {"node": "coord_xi", "axis": self.axis}
 
 
 def _is_zero(e):
@@ -223,9 +208,6 @@ class Sum(Expr):
     def d(self, var):
         return add(*(c.d(var) for c in self.terms))
 
-    def to_json(self):
-        return {"node": "sum", "children": [c.to_json() for c in self.terms]}
-
 
 class Product(Expr):
     __slots__ = ("factors",)
@@ -251,9 +233,6 @@ class Product(Expr):
             terms.append(mul(*self.factors[:i], df, *self.factors[i + 1:]))
         return add(*terms)
 
-    def to_json(self):
-        return {"node": "product", "children": [c.to_json() for c in self.factors]}
-
 
 class Power(Expr):
     """Integer power with exponent >= 0."""
@@ -278,9 +257,6 @@ class Power(Expr):
             return ZERO
         return mul(Const(self.exponent), Power(self.base, self.exponent - 1), db)
 
-    def to_json(self):
-        return {"node": "power", "base": self.base.to_json(), "exponent": self.exponent}
-
 
 class Sin(Expr):
     __slots__ = ("child",)
@@ -297,9 +273,6 @@ class Sin(Expr):
     def d(self, var):
         return mul(Cos(self.child), self.child.d(var))
 
-    def to_json(self):
-        return {"node": "sin", "child": self.child.to_json()}
-
 
 class Cos(Expr):
     __slots__ = ("child",)
@@ -315,9 +288,6 @@ class Cos(Expr):
 
     def d(self, var):
         return mul(Const(-1), Sin(self.child), self.child.d(var))
-
-    def to_json(self):
-        return {"node": "cos", "child": self.child.to_json()}
 
 
 class _ProfileNode(Expr):
@@ -348,13 +318,6 @@ class _ProfileNode(Expr):
             return ZERO
         higher = type(self)(self.child, self.loc, self.width, self.order + 1)
         return mul(Const(1.0 / self.width), higher, dc)
-
-    def to_json(self):
-        out = {"node": self.node, "child": self.child.to_json(),
-               self.loc_key: self.loc, "width": self.width}
-        if self.order:
-            out["order"] = self.order
-        return out
 
 
 class SmoothBump(_ProfileNode):
@@ -403,9 +366,6 @@ class JapaneseBracket(Expr):
         return mul(Const(self.order), CoordXi(var[1]),
                    JapaneseBracket(self.order - 2.0))
 
-    def to_json(self):
-        return {"node": "japanese_bracket", "order": self.order}
-
 
 class MollifiedCoeff(Expr):
     """Rough spatial coefficient convolved with a scaled mollifier along one
@@ -430,13 +390,6 @@ class MollifiedCoeff(Expr):
             return ZERO
         return MollifiedCoeff(self.coeff, self.axis, self.order + 1)
 
-    def to_json(self):
-        out = {"node": "mollified_in_x", "axis": self.axis,
-               "omega": self.coeff.omega, "rough": self.coeff.rough.to_json()}
-        if self.order:
-            out["order"] = self.order
-        return out
-
 
 class Conj(Expr):
     """Complex conjugate; commutes with real-coordinate differentiation."""
@@ -454,9 +407,6 @@ class Conj(Expr):
 
     def d(self, var):
         return Conj(self.child.d(var))
-
-    def to_json(self):
-        return {"node": "conj", "child": self.child.to_json()}
 
 
 def separable_terms(e: Expr):

@@ -123,16 +123,16 @@ class GridFunction:
         self.values = values
 
     @staticmethod
-    def from_callable(grid: Grid, f) -> "GridFunction":
-        return GridFunction(grid, np.asarray(f(*grid.x_mesh()), dtype=complex))
-
-    @staticmethod
     def zeros(grid: Grid) -> "GridFunction":
         return GridFunction(grid, np.zeros(grid.shape, dtype=complex))
 
     @staticmethod
     def delta(grid: Grid, node) -> "GridFunction":
-        """Unit discrete mass: 1/dx^n at the grid index tuple ``node``."""
+        """Unit discrete mass: 1/dx^n at the grid index tuple ``node``, one
+        index per axis (fewer would index a whole row)."""
+        if len(node) != grid.dim:
+            raise ValueError(f"delta node {list(node)} needs one index per "
+                             f"axis of a {grid.dim}-D grid")
         vals = np.zeros(grid.shape, dtype=complex)
         vals[tuple(node)] = 1.0 / grid.cell_volume
         return GridFunction(grid, vals)
@@ -146,36 +146,13 @@ class GridFunction:
             raise NonFinite("grid function contains non-finite values")
         return self
 
-    # -- algebra -------------------------------------------------------------
-    def _compat(self, other):
-        if self.grid != other.grid:
-            raise GridMismatch("grid functions live on different grids")
-
-    def __add__(self, other):
-        self._compat(other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return GridFunction(self.grid, self.values - other.values)
-
     def __mul__(self, scalar):
         return GridFunction(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 
-    # -- analysis ------------------------------------------------------------
-    def norm(self) -> float:
-        """Discrete L2 norm: sqrt(dx^n * sum |u|^2)."""
-        return float(np.sqrt(self.norm_sq()))
-
     def norm_sq(self) -> float:
         return float(self.grid.norm_sq(self.values))
-
-    def inner(self, other: "GridFunction") -> complex:
-        self._compat(other)
-        return complex(self.grid.cell_volume *
-                       np.sum(self.values * np.conjugate(other.values)))
 
     def dft(self) -> np.ndarray:
         return np.fft.fftn(self.values) / self.grid.size
@@ -183,15 +160,3 @@ class GridFunction:
     @staticmethod
     def from_dft(grid: Grid, coeffs: np.ndarray) -> "GridFunction":
         return GridFunction(grid, np.fft.ifftn(coeffs) * grid.size)
-
-    def spectral_derivative(self, alpha) -> "GridFunction":
-        """Exact derivative of the trigonometric interpolant, per axis order:
-        the one-row Grid.spectral_derivative."""
-        if isinstance(alpha, (int, np.integer)):
-            if self.grid.dim != 1:
-                raise ValueError("alpha must be a multi-index in dimension > 1")
-            alpha = (int(alpha),)
-        if len(alpha) != self.grid.dim:
-            raise ValueError("alpha must be a multi-index matching dim")
-        [deriv] = self.grid.spectral_derivative(self.values, alpha)
-        return GridFunction(self.grid, deriv)

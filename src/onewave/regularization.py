@@ -190,18 +190,6 @@ class RoughCoefficient:
         frac = np.mod(y - b[idx], self.period) / widths[idx]
         return self.values[idx] * (1 - frac) + v_next[idx] * frac
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "period": self.period}
-        if self.kind == "fourier":
-            out["modes"] = self.modes.tolist()
-            out["coeffs"] = [[c.real, c.imag] for c in self.coeffs]
-        elif self.kind == "table":
-            out["values"] = self.values.tolist()
-        else:
-            out["breakpoints"] = self.breakpoints.tolist()
-            out["values"] = self.values.tolist()
-        return out
-
     @staticmethod
     def from_json(data: dict) -> "RoughCoefficient":
         kind = data["kind"]
@@ -221,9 +209,6 @@ class MollifiedCoefficient:
 
     def __init__(self, rough: RoughCoefficient, mollifier: Mollifier,
                  omega: float):
-        self.rough = rough
-        self.mollifier = mollifier
-        self.omega = float(omega)
         kmax = int(math.floor(mollifier.cutoff_radius * omega *
                               rough.period / (2.0 * math.pi)))
         if rough.kind == "fourier":
@@ -234,7 +219,6 @@ class MollifiedCoefficient:
         coeffs = rough.fourier_coeff(k) * damp
         keep = np.abs(coeffs) > 0
         keep[k == 0] = True
-        self.k = k[keep]
         self.xi = xi[keep]
         self.coeffs = coeffs[keep]
 

@@ -24,9 +24,9 @@ from . import io as owio
 from .asymptotics import (DataBuilder, SweepPlan, check_association,
                           check_ginf, check_negligible, require_ginf_orders,
                           run_sweep)
-from .cauchy import (CauchyProblem, DtPolicy, Forcing, TimeProfile,
-                     check_case_variants, check_energy_estimate,
-                     derivative_cascade, seminorm_constant, solve_fixed_eps)
+from .cauchy import (CauchyProblem, Forcing, TimeProfile, check_case_variants,
+                     check_energy_estimate, derivative_cascade,
+                     seminorm_constant, solve_fixed_eps)
 from .config import MAX_DIFF_ORDER, Thresholds
 from .errors import ConfigInvalid, OnewaveError
 from .grid import Grid, GridFunction
@@ -100,7 +100,7 @@ def _check_transport_exactness(ctx: ScenarioContext, speed=1.0,
 
 
 def _check_rk4_convergence(ctx: ScenarioContext, speed=1.0) -> CheckOutcome:
-    base_dt = ctx.dt_policy.dt or 1e-3
+    base_dt = ctx.dt or 1e-3
     exact = _transported_data(ctx, speed)
     errs = []
     for factor in (4, 2, 1):
@@ -569,7 +569,7 @@ class ScenarioContext:
         self.thresholds = Thresholds(**{
             key: int(v) if key in _INT_THRESHOLDS else v
             for key, v in cfg.get("thresholds", {}).items()})
-        self.dt_policy = DtPolicy(dt=cfg.get("dt"))
+        self.dt = cfg.get("dt")
         self.cascade_max_order = cfg.get("cascade_max_order", 0)
 
         sc = cfg["symbol"]
@@ -663,6 +663,9 @@ class ScenarioContext:
                 raise ValueError(f"check {name!r} needs {_NEEDS[need]}")
         if name == "ginf":      # InsufficientOrders, before any sweep runs
             require_ginf_orders(self.orders, self.thresholds.ginf_order_cap)
+        if name == "association" and "speed" in params and \
+                self.grid.dim != 1:     # the exact reference is 1-D only
+            raise ValueError("association's speed needs a 1-D grid")
         if "data" in params:
             params["data"] = self._data_builder(params["data"])
         if "probes" in params:
@@ -678,13 +681,13 @@ class ScenarioContext:
     def solve(self, dt=None):
         """(problem, result) of the fixed-symbol solve, run once per
         effective dt (None: the config's dt, or the automatic step)."""
-        dt = self.dt_policy.dt if dt is None else dt
+        dt = self.dt if dt is None else dt
         if dt not in self._solve_cache:
             problem = CauchyProblem(symbol=self.fixed_symbol,
                                     initial=self.initial_data,
                                     horizon=self.horizon, forcing=self.forcing)
-            self._solve_cache[dt] = (problem, solve_fixed_eps(
-                problem, DtPolicy(dt=dt), seed=self.seed))
+            self._solve_cache[dt] = (
+                problem, solve_fixed_eps(problem, dt, seed=self.seed))
         return self._solve_cache[dt]
 
     def sweep(self, data: DataBuilder | None = None):
@@ -694,7 +697,7 @@ class ScenarioContext:
             plan = SweepPlan(
                 family=self.family, data=data, grid=self.grid,
                 horizon=self.horizon, orders=self.orders,
-                dt_policy=self.dt_policy, seed=self.seed,
+                dt=self.dt, seed=self.seed,
                 cascade_max_order=self.cascade_max_order)
             self._sweep_cache[id(data)] = (plan, run_sweep(plan,
                                                            self.thresholds))

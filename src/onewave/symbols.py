@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .config import DEFAULT_THRESHOLDS, MAX_DIFF_ORDER
-from .errors import (EmptyBox, InsufficientSweep, NonFinite,
-                     UnsupportedDerivativeOrder)
+from .config import DEFAULT_THRESHOLDS
+from .errors import EmptyBox, InsufficientSweep
 
 __all__ = [
     "SymbolExpr", "HyperbolicSymbol", "GenSymbolFamily", "SampleBox",
-    "eval_symbol", "seminorm_c", "seminorm_q", "seminorm_Q",
+    "seminorm_c", "seminorm_q", "seminorm_Q",
     "classify_log_type", "classify_slow_scale", "multi_indices",
 ]
 
@@ -71,10 +70,6 @@ class SymbolExpr:
         return SymbolExpr(ex.from_json(data["expr"], mollifier_factory),
                           data["declared_order"], data["dim"])
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "declared_order": self.declared_order,
-                "expr": self.root.to_json()}
-
     # -- dependence flags ----------------------------------------------------
     def depends_t(self):
         return self.root.depends_t()
@@ -107,10 +102,8 @@ class SymbolExpr:
 
     # -- evaluation ------------------------------------------------------------
     def eval(self, t, x, xi):
-        """Vectorized evaluation (eval_symbol evaluates derivatives).
-
-        x and xi are tuples of arrays shaped to broadcast against each other.
-        """
+        """Vectorized evaluation; x and xi are tuples of arrays shaped to
+        broadcast against each other."""
         x = tuple(np.asarray(c) for c in (x if isinstance(x, (tuple, list)) else (x,)))
         xi = tuple(np.asarray(c) for c in (xi if isinstance(xi, (tuple, list)) else (xi,)))
         if len(x) != self.dim or len(xi) != self.dim:
@@ -118,26 +111,6 @@ class SymbolExpr:
         out = self.root.eval(t, x, xi)
         shape = np.broadcast_shapes(*(c.shape for c in x + xi)) if x + xi else ()
         return np.broadcast_to(np.asarray(out), shape) if shape else out
-
-
-def eval_symbol(s: SymbolExpr, t, x, xi, d: int = 0, alpha=None, beta=None):
-    """Point evaluation of a mixed derivative; the user-facing entry point.
-
-    Enforces the configured maximum differentiation order and finiteness.
-    """
-    alpha_t = _as_multi(alpha, s.dim)
-    beta_t = _as_multi(beta, s.dim)
-    if d > MAX_DIFF_ORDER or sum(alpha_t) > MAX_DIFF_ORDER or sum(beta_t) > MAX_DIFF_ORDER:
-        raise UnsupportedDerivativeOrder(
-            f"orders (d={d}, |alpha|={sum(alpha_t)}, |beta|={sum(beta_t)}) exceed "
-            f"the configured maximum {MAX_DIFF_ORDER}")
-    out = s.derivative(d, alpha_t, beta_t).eval(t, x, xi)
-    arr = np.asarray(out)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise NonFinite("symbol evaluation produced a non-finite value")
-    if arr.ndim == 0:
-        return complex(arr)
-    return arr
 
 
 @dataclass(frozen=True)

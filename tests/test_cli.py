@@ -234,6 +234,21 @@ def _set(path, value):
 
 
 _XI = {"node": "coord_xi", "axis": 0}
+_X = {"node": "coord_x", "axis": 0}
+
+
+def _plane(node, checks=None):
+    """delta_association on a 2-D M=16 grid with its delta at `node`, and
+    `checks` in place of its own when given."""
+    def mutate(cfg):
+        cfg["grid"].update(dim=2, points=16)
+        cfg["symbol"]["a1"]["dim"] = 2
+        cfg["data"]["g"]["node"] = node
+        if checks is not None:
+            cfg["checks"] = checks
+            cfg["orders"] = [[0, [0, 0]], [0, [4, 0]]]
+    return mutate
+
 
 # (preset, config mutation, run flags): each config must be rejected with
 # exit 3 before any check runs, by `run` and by `validate` alike.
@@ -247,6 +262,14 @@ CONFIG_PROBES = {
         {"node": "power", "base": _XI, "exponent": -1}), []),
     "delta_out_of_grid": ("delta_association",
                           _set(["data", "g", "node"], [999]), []),
+    # a 2-D delta node needs two indices: one would put mass on a whole row
+    "delta_node_short_2d": ("delta_association", _plane([5], [
+        {"check": "association", "probes": [_X]}]), []),
+    "check_delta_node_short_2d": ("delta_association", _plane([5, 5], [
+        {"check": "ginf", "data": {"g": {"kind": "delta", "node": [5]}}}]),
+        []),
+    # association's exact transported reference (speed) is 1-D only
+    "association_speed_2d": ("delta_association", _plane([5, 5]), []),
     "tol_not_number": ("transport_smoke",
                        _set(["checks", 0, "tol"], "abc"), []),
     "max_order_not_int": ("variable_speed_smooth",

@@ -131,8 +131,7 @@ def assert_same_bits(got, want):
     for g, w in zip(got, want):
         for name in ("times", "u_norm_sq", "f_norm_sq"):
             assert same_bits(getattr(g.ledger, name), getattr(w.ledger, name))
-        for name in ("skew_norm", "a0_norm", "c_measured",
-                     "converged_norms"):
+        for name in ("skew_norm", "c_measured"):
             assert same_bits(getattr(g.ledger, name), getattr(w.ledger, name))
         assert same_bits(g.dt, w.dt)
         assert same_bits(g.snap_times, w.snap_times)

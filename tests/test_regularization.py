@@ -98,7 +98,7 @@ class TestMollifierMoments:
 class TestEmbedData:
     def test_band_limited_identity(self):
         g = Grid(1, 128, TWO_PI)
-        w = GridFunction.from_callable(g, lambda x: np.exp(np.sin(x)))
+        w = GridFunction(g, np.exp(np.sin(g.x_axis())))
         out = embed_data(w, 0.005)
         assert np.max(np.abs(out.values - w.values)) <= 1e-13
 
@@ -118,12 +118,13 @@ class TestEmbedData:
         g = Grid(1, 64, TWO_PI)
         w = GridFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
         for eps in (0.01, 0.1, 0.5):
-            assert embed_data(w, eps).norm() <= w.norm() + 1e-12
+            assert np.sqrt(embed_data(w, eps).norm_sq()) <= \
+                np.sqrt(w.norm_sq()) + 1e-12
 
     def test_error_monotone_decreasing(self, rng):
         g = Grid(1, 64, TWO_PI)
         w = GridFunction(g, rng.standard_normal(64))
-        errs = [(w - embed_data(w, eps)).norm()
+        errs = [np.sqrt(g.norm_sq(w.values - embed_data(w, eps).values))
                 for eps in np.geomspace(0.5, 1e-3, 12)]
         assert all(a >= b - 1e-14 for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= 1e-12
@@ -141,13 +142,34 @@ class TestRoughCoefficients:
         assert c.eval_raw(np.array([5.0]))[0] == 1.0
         assert c.eval_raw(np.array([0.5]))[0] == 1.0  # wraps below b_0
 
-    def test_json_round_trip(self):
-        c = RoughCoefficient("piecewise_linear", TWO_PI,
-                             breakpoints=[0.0, 2.0, 4.0],
-                             values=[1.0, 2.0, 0.5])
-        c2 = RoughCoefficient.from_json(c.to_json())
-        y = np.linspace(0, TWO_PI, 37)
-        assert np.allclose(c.eval_raw(y), c2.eval_raw(y))
+    def test_parse_every_kind(self):
+        # each `rough` production of docs/symbol_schema.md, hand-written,
+        # against the coefficient built in code
+        cases = [
+            ({"kind": "piecewise_constant", "period": TWO_PI,
+              "breakpoints": [1.0, 4.0], "values": [2.0, 1.0]},
+             RoughCoefficient("piecewise_constant", TWO_PI,
+                              breakpoints=[1.0, 4.0], values=[2.0, 1.0])),
+            ({"kind": "piecewise_linear", "period": TWO_PI,
+              "breakpoints": [0.0, 2.0, 4.0], "values": [1.0, 2.0, 0.5]},
+             RoughCoefficient("piecewise_linear", TWO_PI,
+                              breakpoints=[0.0, 2.0, 4.0],
+                              values=[1.0, 2.0, 0.5])),
+            ({"kind": "table", "period": 3.0, "values": [0.5, 1.5, -1.0]},
+             RoughCoefficient("table", 3.0, values=[0.5, 1.5, -1.0])),
+            ({"kind": "fourier", "period": TWO_PI, "modes": [1, -1, 2],
+              "coeffs": [[0.0, -0.5], [0.0, 0.5], [0.25, 0.0]]},
+             RoughCoefficient("fourier", TWO_PI, modes=[1, -1, 2],
+                              coeffs=[-0.5j, 0.5j, 0.25])),
+        ]
+        y = np.linspace(-1.0, 2.0 * TWO_PI, 53)
+        k = np.arange(-8, 9)
+        for data, built in cases:
+            parsed = RoughCoefficient.from_json(data)
+            assert parsed.kind == built.kind == data["kind"]
+            assert np.array_equal(parsed.eval_raw(y), built.eval_raw(y))
+            assert np.array_equal(parsed.fourier_coeff(k),
+                                  built.fourier_coeff(k))
 
     def test_fourier_kind(self):
         c = RoughCoefficient("fourier", TWO_PI, modes=[1, -1],

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from onewave import expr as ex
-from onewave.cauchy import CauchyProblem, DtPolicy, check_case_variants, \
+from onewave.cauchy import CauchyProblem, check_case_variants, \
     check_energy_estimate, solve_fixed_eps
 from onewave.grid import Grid, GridFunction
 from onewave.quantization import adjoint_defect_norm
-from onewave.symbols import (HyperbolicSymbol, SampleBox, SymbolExpr,
-                             eval_symbol, seminorm_c)
+from onewave.symbols import HyperbolicSymbol, SampleBox, SymbolExpr, seminorm_c
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,13 +25,13 @@ class TestSymbols2D:
     def test_mixed_partial(self):
         s = plane_symbol()
         # d_xi1 d_x1 a = 0.5 cos(x1)
-        got = eval_symbol(s, 0.0, (1.0, 2.0), (3.0, -1.0),
-                          alpha=(1, 0), beta=(1, 0))
+        got = s.derivative(0, (1, 0), (1, 0)).eval(0.0, (1.0, 2.0),
+                                                   (3.0, -1.0))
         assert got == pytest.approx(0.5 * np.cos(1.0))
 
     def test_japanese_bracket_radial(self):
         s = SymbolExpr(ex.JapaneseBracket(1.0), 1.0, 2)
-        val = eval_symbol(s, 0.0, (0.0, 0.0), (3.0, 4.0))
+        val = s.eval(0.0, (0.0, 0.0), (3.0, 4.0))
         assert val == pytest.approx(np.sqrt(26.0))
 
     def test_seminorm_order_one(self):
@@ -52,7 +51,7 @@ class TestSolve2D:
         x1, x2 = grid.x_mesh()
         g0 = GridFunction(grid, np.sin(x1) + np.cos(2 * x2))
         prob = CauchyProblem(symbol=sym, initial=g0, horizon=0.5)
-        res = solve_fixed_eps(prob, DtPolicy(dt=2e-3), seed=0)
+        res = solve_fixed_eps(prob, 2e-3, seed=0)
         exact = np.sin(x1 - 0.5) + np.cos(2 * (x2 - 0.25))
         assert np.max(np.abs(res.final().values - exact)) <= 1e-8
 
