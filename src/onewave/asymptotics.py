@@ -239,8 +239,8 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
             if plan.cascade_max_order > 0:
                 cascade = derivative_cascade(problem, result,
                                              plan.cascade_max_order, derivs)
-                c_sem, _ = seminorm_constant(problem.symbol, plan.grid,
-                                             plan.horizon)
+                c_sem = seminorm_constant(problem.symbol, plan.grid,
+                                          plan.horizon)
             results[eps] = norms, result, energy, cascade, c_sem
         except OnewaveError as err:
             failed[eps] = err
@@ -424,7 +424,7 @@ def check_ginf(plan: SweepPlan, report: SweepReport,
                     xi_max=min(plan.grid.max_abs_xi(), 256.0),
                     xi_uniform_count=9, t_max=plan.horizon)
     gate_slow = classify_slow_scale(plan.family, 0, 1, 1, box, thresholds)
-    gate_log = classify_log_type(plan.family, 1.0, 0, 1, box, thresholds)
+    gate_log = classify_log_type(plan.family, 0, 1, box, thresholds)
     gate_passed = gate_slow["is_slow_scale"] and gate_log["is_log_type"]
     base = report.fits[(0, (0,) * dim)]["N_hat"]
     base = 0.0 if base is None else base

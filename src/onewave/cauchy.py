@@ -223,25 +223,23 @@ def _measure_norms(problems, grid: Grid, seed) -> list:
 
 
 def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
-                      case: str = "a",
-                      drop_a0: bool = False) -> tuple[float, dict]:
-    """C * (1 + Q^0_{0,k',l'}(a0) + Q^1_{0,k,l}(a1)) at the case's orders."""
+                      case: str = "a") -> float:
+    """C * (1 + Q^0_{0,k',l'}(a0) + Q^1_{0,k,l}(a1)) at the orders of
+    estimate case "a" or "b"; the a0 term is 0 without an a0."""
     dim = symbol.dim
-    orders = case_orders(dim, "b" if case == "b" else "a")
+    orders = case_orders(dim, case)
     C = CALIBRATED_C[dim]
     # 2-D sampling thins the x grid: the derivative-order set is ~16x larger
     # and the sampled sup is a lower bound either way.
     box = SampleBox(dim, grid.length, x_count=129 if dim == 1 else 17,
                     xi_max=grid.max_abs_xi(),
                     xi_uniform_count=33 if dim == 1 else 9, t_max=horizon)
-    q1 = seminorm_Q(symbol.a1, 1.0, 0, orders["k"], orders["l"], box)
+    q1 = seminorm_Q(symbol.a1, 0, orders["k"], orders["l"], box)
     q0 = 0.0
-    if symbol.a0 is not None and not drop_a0:
-        q0 = seminorm_Q(symbol.a0, 0.0, 0, orders["k_prime"],
-                        orders["l_prime"], box)
-    value = C * (1.0 + q0 + q1)
-    parts = {"case": case, "C": C, "q1": q1, "q0": q0, **orders}
-    return value, parts
+    if symbol.a0 is not None:
+        q0 = seminorm_Q(symbol.a0, 0, orders["k_prime"], orders["l_prime"],
+                        box)
+    return C * (1.0 + q0 + q1)
 
 
 def solve_fixed_eps(problem: CauchyProblem, dt: float | None = None,
@@ -450,8 +448,8 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
         return _under_bound(ledger.u_norm_sq, ledger.gronwall_bound(c))
 
     if problem.symbol.x_independent_outside is not None:
-        c_b, _ = seminorm_constant(problem.symbol, grid, problem.horizon,
-                                   case="b")
+        c_b = seminorm_constant(problem.symbol, grid, problem.horizon,
+                                case="b")
         report["case_b"] = {"applicable": True, "c_seminorm": c_b,
                             "dominates_measured": c_b >= ledger.c_measured,
                             "gronwall_ok": gronwall_ok(c_b)}
@@ -461,8 +459,8 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
 
     if problem.symbol.is_real():
         base_case = "b" if problem.symbol.x_independent_outside is not None else "a"
-        c_c, _ = seminorm_constant(problem.symbol, grid, problem.horizon,
-                                   case=base_case, drop_a0=True)
+        c_c = seminorm_constant(HyperbolicSymbol(problem.symbol.a1), grid,
+                                problem.horizon, case=base_case)
         # real a0 contributes only through its adjoint defect (zero for a
         # real multiplication part), so the measured side drops 2||a0|| too
         defect_a0 = 0.0

@@ -85,7 +85,7 @@ def write_trajectory(path, result) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     grid, snap_t = result.grid, result.snap_times
     stride = 0
-    if len(result.times) > 2 and len(snap_t) > 1:
+    if len(snap_t) > 1:
         stride = int(round((snap_t[1] - snap_t[0]) / result.dt))
     records = np.empty(len(snap_t), dtype=_records(grid))
     records["t"], records["u"] = snap_t, result.states

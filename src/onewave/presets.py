@@ -76,8 +76,8 @@ PRESETS = {
         "data": {"g": {"kind": "expression", "expr": _TRIG_G},
                  "builder": "fixed"},
         "checks": [
-            {"check": "transport_exactness", "speed": 1.0, "tol": 1e-6},
-            {"check": "rk4_convergence", "speed": 1.0},
+            {"check": "transport_exactness", "tol": 1e-6},
+            {"check": "rk4_convergence"},
             {"check": "unitarity", "tol": 1e-10},
             {"check": "energy"},
             {"check": "case_variants"},
@@ -166,7 +166,7 @@ PRESETS = {
                  "builder": "mollified"},
         "sweep": {"eps0": 0.3, "ratio": 0.55, "count": 6},
         "checks": [
-            {"check": "association", "speed": 1.0, "probes": _BUMP_PROBES,
+            {"check": "association", "probes": _BUMP_PROBES,
              "terminal_tol": 1e-6},
         ],
     },

@@ -605,9 +605,9 @@ def check_remainder_estimate(s: SymbolExpr, alpha, beta,
 
     lhs = max over sampled (x, xi, theta) at t = 0 of
           |d_xi^alpha d_x^beta r_theta| * (1+|xi|)^{|alpha|};
-    rhs = Q^1_{0, n+2+|alpha|, n+2+|alpha|+|beta|}(s), both sampled on
-    [0, 2 pi]^n x {|xi| <= 64}; theta-uniformity shows up as stability of
-    the reported ratio under refinement.
+    rhs = Q^m_{0, n+2+|alpha|, n+2+|alpha|+|beta|}(s), m the declared order
+    of s, both sampled on [0, 2 pi]^n x {|xi| <= 64}; theta-uniformity shows
+    up as stability of the reported ratio under refinement.
     """
     cfg = cfg or OscIntConfig()
     dim = s.dim
@@ -630,6 +630,6 @@ def check_remainder_estimate(s: SymbolExpr, alpha, beta,
                 val = _r_theta(trees, 0.0, tuple(xp), tuple(xip),
                                float(theta), cfg)
                 lhs = max(lhs, abs(val) * weight)
-    rhs = seminorm_Q(s, 1.0, 0, dim + 2 + a_tot, dim + 2 + a_tot + b_tot, box)
+    rhs = seminorm_Q(s, 0, dim + 2 + a_tot, dim + 2 + a_tot + b_tot, box)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": ratio}

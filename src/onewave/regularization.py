@@ -307,7 +307,7 @@ def verify_log_type_of_regularization(fam: GenSymbolFamily, k: int, box,
     per_order = {}
     all_ok = True
     for l in range(k + 1):
-        verdict = classify_log_type(fam, 1.0, 0, l, box, thresholds)
+        verdict = classify_log_type(fam, 0, l, box, thresholds)
         per_order[l] = verdict
         all_ok = all_ok and verdict["is_log_type"]
     return {"is_log_type": all_ok, "orders": per_order,

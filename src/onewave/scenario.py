@@ -80,15 +80,17 @@ class CheckOutcome:
 # -- check implementations ----------------------------------------------------
 # Each check takes the built context and its config parameters as keywords.
 
-def _transported_data(ctx: ScenarioContext, speed: float):
-    """Exact constant-speed transport g(x - c T) of the 1-D expression data."""
-    shifted = np.mod(ctx.grid.x_axis() - speed * ctx.horizon, ctx.grid.length)
+def _transported_data(ctx: ScenarioContext):
+    """Exact constant-speed transport g(x - c T) of the 1-D expression data,
+    c the symbol's speed."""
+    shifted = np.mod(ctx.grid.x_axis() - ctx.speed * ctx.horizon,
+                     ctx.grid.length)
     return ctx.g_1d(shifted)
 
 
-def _check_transport_exactness(ctx: ScenarioContext, speed=1.0,
+def _check_transport_exactness(ctx: ScenarioContext,
                                tol=1e-6) -> CheckOutcome:
-    exact = _transported_data(ctx, speed)
+    exact = _transported_data(ctx)
     _, result = ctx.solve()
     err = float(np.max(np.abs(result.final().values - exact)))
     if ctx.artifact("ledger.csv"):
@@ -99,9 +101,9 @@ def _check_transport_exactness(ctx: ScenarioContext, speed=1.0,
                         f"max-norm error vs g(x - ct), tol {tol:g}")
 
 
-def _check_rk4_convergence(ctx: ScenarioContext, speed=1.0) -> CheckOutcome:
+def _check_rk4_convergence(ctx: ScenarioContext) -> CheckOutcome:
     base_dt = ctx.dt or 1e-3
-    exact = _transported_data(ctx, speed)
+    exact = _transported_data(ctx)
     errs = []
     for factor in (4, 2, 1):
         _, res = ctx.solve(dt=base_dt * factor)
@@ -129,7 +131,7 @@ def _check_unitarity(ctx: ScenarioContext, tol=1e-10) -> CheckOutcome:
 
 def _check_energy(ctx: ScenarioContext) -> CheckOutcome:
     problem, result = ctx.solve()
-    c_sem, _ = seminorm_constant(problem.symbol, ctx.grid, ctx.horizon)
+    c_sem = seminorm_constant(problem.symbol, ctx.grid, ctx.horizon)
     rep = check_energy_estimate(result.ledger, c_sem)
     ok = rep["pointwise_ok"] and rep["gronwall_ok"] and \
         (rep["seminorm_dominates"] is not False)
@@ -243,12 +245,13 @@ def _check_negligible(ctx: ScenarioContext) -> CheckOutcome:
                         f"max passed q of q_max={ctx.thresholds.q_max}")
 
 
-def _check_association(ctx: ScenarioContext, probes, speed=None,
+def _check_association(ctx: ScenarioContext, probes,
                        terminal_tol=math.inf) -> CheckOutcome:
+    # the exact reference: a delta moves with the symbol's speed
     reference = "solve"
-    if ctx.delta_node is not None and speed is not None:
+    if ctx.delta_node is not None and ctx.speed is not None:
         x0 = ctx.grid.x_axis()[ctx.delta_node[0]]
-        target = x0 + float(speed) * ctx.horizon
+        target = x0 + ctx.speed * ctx.horizon
 
         def exact_reference(phi):
             pt = np.mod(np.array([target]), ctx.grid.length)
@@ -356,11 +359,12 @@ def _check_defect_stability(ctx: ScenarioContext, points=(64, 128, 256),
 # CHECKS: name -> (check, the ScenarioContext attributes it needs).  The build
 # rejects a check whose needs the config does not meet; _NEEDS says why.
 _NEEDS = {"fixed_symbol": "symbol.kind 'expr'",
+          "speed": "a constant-speed symbol a1 = c xi (no a0) on a 1-D grid",
           "rough_transport": "symbol.kind 'rough_transport'",
           "family": "a sweep section",
           "g_1d": "expression data g on a 1-D grid"}
 
-_TRANSPORT = ("fixed_symbol", "g_1d")
+_TRANSPORT = ("speed", "g_1d")
 CHECKS = {
     "transport_exactness": (_check_transport_exactness, _TRANSPORT),
     "rk4_convergence": (_check_rk4_convergence, _TRANSPORT),
@@ -399,15 +403,15 @@ _EXPR = {"type": "object",
          "properties": {"node": {"type": "string"}},
          "required": ["node"]}
 
+# A symbol document by its declared order, which the semi-norms read.
 _SYMBOL_EXPR = {
-    "type": "object",
-    "properties": {
-        "dim": {"type": "integer", "enum": [1, 2]},
-        "declared_order": _NUMBER,
-        "expr": _EXPR,
-    },
-    "required": ["dim", "declared_order", "expr"],
-}
+    order: {"type": "object",
+            "properties": {"dim": {"type": "integer", "enum": [1, 2]},
+                           "declared_order": {"type": "number",
+                                              "const": order},
+                           "expr": _EXPR},
+            "required": ["dim", "declared_order", "expr"]}
+    for order in (0, 1)}
 
 _ROUGH = {
     "type": "object",
@@ -436,7 +440,10 @@ _DATA = {
               "properties": {
                   "kind": {"enum": ["zero", "separable"]},
                   "profile": {"type": "object", "properties": {
-                      "power": {"type": "integer", "minimum": 0}}},
+                      "power": {"type": "integer", "minimum": 0},
+                      **dict.fromkeys(("amp_re", "amp_im", "freq", "phase"),
+                                      _NUMBER)},
+                      "additionalProperties": False},
                   "shape": _EXPR},
               **_requires("kind", "separable", "shape")},
     },
@@ -445,7 +452,7 @@ _DATA = {
 
 # Every check parameter, once; which check takes which is its signature.
 _CHECK_PARAMS = {
-    **dict.fromkeys(("speed", "tol", "rel_tol", "rel_change", "max_ratio",
+    **dict.fromkeys(("tol", "rel_tol", "rel_change", "max_ratio",
                      "terminal_tol"), _NUMBER),
     "max_order": _ORDER,
     "expect": {"type": "boolean"},
@@ -477,8 +484,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["expr", "rough_transport"]},
-                "a1": _SYMBOL_EXPR,
-                "a0": {**_SYMBOL_EXPR, "type": ["object", "null"]},
+                "a1": _SYMBOL_EXPR[1],
+                "a0": {**_SYMBOL_EXPR[0], "type": ["object", "null"]},
                 "x_independent_outside": {"type": ["number", "null"]},
                 "speeds": {"type": "array", "items": _ROUGH, "minItems": 1},
                 "zero_order": {**_ROUGH, "type": ["object", "null"]},
@@ -594,6 +601,8 @@ class ScenarioContext:
         symbol_dim = (self.fixed_symbol or self.rough_transport).dim
         if symbol_dim != dim:
             raise ValueError(f"symbol dimension {symbol_dim} != grid.dim {dim}")
+        self.speed = (self.fixed_symbol.transport_speed(self.grid)
+                      if self.fixed_symbol else None)
 
         self.eps_grid = self.family = None
         sw = cfg.get("sweep")
@@ -663,9 +672,6 @@ class ScenarioContext:
                 raise ValueError(f"check {name!r} needs {_NEEDS[need]}")
         if name == "ginf":      # InsufficientOrders, before any sweep runs
             require_ginf_orders(self.orders, self.thresholds.ginf_order_cap)
-        if name == "association" and "speed" in params and \
-                self.grid.dim != 1:     # the exact reference is 1-D only
-            raise ValueError("association's speed needs a 1-D grid")
         if "data" in params:
             params["data"] = self._data_builder(params["data"])
         if "probes" in params:

@@ -20,6 +20,7 @@ import numpy as np
 from . import expr as ex
 from .config import DEFAULT_THRESHOLDS
 from .errors import EmptyBox, InsufficientSweep
+from .grid import Grid
 
 __all__ = [
     "SymbolExpr", "HyperbolicSymbol", "GenSymbolFamily", "SampleBox",
@@ -177,9 +178,10 @@ def _eval_on_box(node: ex.Expr, t, xpts: np.ndarray, xipts: np.ndarray, dim: int
     return np.broadcast_to(out, (xpts.shape[0], xipts.shape[0]))
 
 
-def seminorm_c(s: SymbolExpr, m: float, alpha, beta, box: SampleBox,
+def seminorm_c(s: SymbolExpr, alpha, beta, box: SampleBox,
                t: float = 0.0) -> float:
-    """Sampled maximum of (1+|xi|)^(-m+|alpha|) |d_xi^alpha d_x^beta s|.
+    """Sampled maximum of (1+|xi|)^(-m+|alpha|) |d_xi^alpha d_x^beta s|,
+    m the declared order of s.
 
     A lower bound of the true supremum, monotone nondecreasing under sample
     refinement of the box.
@@ -192,31 +194,31 @@ def seminorm_c(s: SymbolExpr, m: float, alpha, beta, box: SampleBox,
         raise EmptyBox("sampling box produced no points")
     vals = np.abs(_eval_on_box(node, t, xpts, xipts, s.dim))
     ximag = np.linalg.norm(xipts, axis=1)
-    weight = (1.0 + ximag) ** (-m + sum(alpha_t))
+    weight = (1.0 + ximag) ** (-s.declared_order + sum(alpha_t))
     return float(np.max(vals * weight[None, :]))
 
 
-def seminorm_q(s: SymbolExpr, m: float, k: int, l: int, box: SampleBox,
+def seminorm_q(s: SymbolExpr, k: int, l: int, box: SampleBox,
                t: float = 0.0) -> float:
     """max of seminorm_c over |alpha| <= k, |beta| <= l."""
     best = 0.0
     for alpha in multi_indices(s.dim, k):
         for beta in multi_indices(s.dim, l):
-            best = max(best, seminorm_c(s, m, alpha, beta, box, t))
+            best = max(best, seminorm_c(s, alpha, beta, box, t))
     return best
 
 
-def seminorm_Q(s: SymbolExpr, m: float, j: int, k: int, l: int,
+def seminorm_Q(s: SymbolExpr, j: int, k: int, l: int,
                box: SampleBox) -> float:
     """max over t-derivative orders i <= j and uniform t samples of
     seminorm_q applied to d_t^i s."""
     if not s.depends_t():
-        return seminorm_q(s, m, k, l, box, t=0.0)
+        return seminorm_q(s, k, l, box, t=0.0)
     best = 0.0
     for i in range(j + 1):
         si = SymbolExpr(s.derivative_root(i, None, None), s.declared_order, s.dim)
         for t in box.t_points():
-            best = max(best, seminorm_q(si, m, k, l, box, t=float(t)))
+            best = max(best, seminorm_q(si, k, l, box, t=float(t)))
     return best
 
 
@@ -238,7 +240,8 @@ class HyperbolicSymbol:
             raise ValueError("a1/a0 dimension mismatch")
         # one full symbol, so its users share its derivatives and tables
         self._full = self.a1 if self.a0 is None else SymbolExpr(
-            ex.add(self.a1.root, self.a0.root), 1.0, self.a1.dim)
+            ex.add(self.a1.root, self.a0.root), self.a1.declared_order,
+            self.a1.dim)
 
     @property
     def dim(self):
@@ -246,6 +249,25 @@ class HyperbolicSymbol:
 
     def full(self) -> SymbolExpr:
         return self._full
+
+    def transport_speed(self, grid: Grid) -> float | None:
+        """c when the symbol is a1 = c xi on the 1-D ``grid``: no a0,
+        independent of t and x, real c, and a1(xi) = c xi to 1e-12 relative
+        at every grid frequency; None for any other symbol."""
+        a1 = self.a1
+        if grid.dim != 1 or self.a0 is not None or a1.depends_t() or \
+                a1.root.depends_x():
+            return None
+        xi = grid.xi_axis()
+        values = a1.eval(0.0, (np.zeros(1),), (xi,))
+        top = int(np.argmax(np.abs(xi)))
+        speed = values[top] / xi[top]
+        exact = speed.real * xi
+        # written so that NaN and inf fail the comparison
+        if speed.imag != 0.0 or not np.all(
+                np.abs(values - exact) <= 1e-12 * np.abs(exact)):
+            return None
+        return float(speed.real)
 
     def is_real(self) -> bool:
         """Sampled reality check of the full symbol (a1 is checked on
@@ -292,11 +314,11 @@ class GenSymbolFamily:
                 "regression verdicts need >= 5 eps points spanning >= 3 decades")
 
 
-def _family_Q_values(fam: GenSymbolFamily, m, j, k, l, box):
+def _family_Q_values(fam: GenSymbolFamily, j, k, l, box):
     vals = []
     for eps in fam.eps_grid:
         member = fam.member(eps)
-        vals.append(seminorm_Q(member.full(), m, j, k, l, box))
+        vals.append(seminorm_Q(member.full(), j, k, l, box))
     return np.array(vals)
 
 
@@ -313,15 +335,16 @@ def log_fit(eps, values) -> tuple[float, float, float]:
     return float(coeffs[0]), float(coeffs[1]), residual
 
 
-def classify_log_type(fam: GenSymbolFamily, m: float, k: int, l: int,
+def classify_log_type(fam: GenSymbolFamily, k: int, l: int,
                       box: SampleBox, thresholds=DEFAULT_THRESHOLDS) -> dict:
-    """Least-squares fit Q^m_{0,k,l}(a_eps) ~ c*log(1/eps) + b over the sweep.
+    """Least-squares fit Q^m_{0,k,l}(a_eps) ~ c*log(1/eps) + b over the sweep,
+    m the members' declared order.
 
     Verdict requires relative fit residual below the configured threshold
     and a nonnegative fitted coefficient.
     """
     fam.require_regression_sweep()
-    q_vals = _family_Q_values(fam, m, 0, k, l, box)
+    q_vals = _family_Q_values(fam, 0, k, l, box)
     c, intercept, residual = log_fit(fam.eps_grid, q_vals)
     # "nonnegative" up to fit noise: 1% of the semi-norm level counts as zero
     c_floor = -0.01 * (float(np.mean(np.abs(q_vals))) + 1e-300)
@@ -345,7 +368,7 @@ def classify_slow_scale(fam: GenSymbolFamily, j: int, k: int, l: int,
     every power p up to the configured maximum.  Reports the largest p
     satisfied."""
     fam.require_regression_sweep()
-    q_vals = _family_Q_values(fam, 1.0, j, k, l, box)
+    q_vals = _family_Q_values(fam, j, k, l, box)
     logs = np.log(1.0 / np.array(fam.eps_grid))
     p_max = thresholds.slow_scale_p_max
     if np.all(q_vals < 1e-280):

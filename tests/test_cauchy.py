@@ -15,7 +15,7 @@ from onewave.cauchy import (CauchyProblem, Forcing, TimeProfile,
                             check_case_variants, check_energy_estimate,
                             derivative_cascade, seminorm_constant,
                             solve_fixed_eps)
-from onewave.config import CFL_MARGIN, CFL_SAFETY
+from onewave.config import CALIBRATED_C, CFL_MARGIN, CFL_SAFETY
 from onewave.errors import NonFinite, UnstableStep
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
@@ -247,7 +247,7 @@ class TestEnergy:
     def test_constant_transport_pointwise(self, grid256):
         prob = transport_problem(grid256)
         res = solve_fixed_eps(prob, 1e-3, seed=0)
-        c_sem, _ = seminorm_constant(prob.symbol, grid256, prob.horizon)
+        c_sem = seminorm_constant(prob.symbol, grid256, prob.horizon)
         rep = check_energy_estimate(res.ledger, c_sem)
         assert rep["pointwise_ok"] and rep["gronwall_ok"]
         assert rep["seminorm_dominates"]
@@ -257,11 +257,13 @@ class TestEnergy:
         # calibration C rescales the constant passed in
         prob = transport_problem(grid256)
         res = solve_fixed_eps(prob, 1e-3, seed=0)
-        c_sem, parts = seminorm_constant(prob.symbol, grid256, prob.horizon)
+        c_sem = seminorm_constant(prob.symbol, grid256, prob.horizon)
         base = check_energy_estimate(res.ledger, c_sem)
-        huge = check_energy_estimate(res.ledger, c_sem * 100.0 / parts["C"])
+        huge = check_energy_estimate(res.ledger,
+                                     c_sem * 100.0 / CALIBRATED_C[1])
         assert huge["c_seminorm"] > base["c_seminorm"]
-        tiny = check_energy_estimate(res.ledger, c_sem * 1e-6 / parts["C"])
+        tiny = check_energy_estimate(res.ledger,
+                                     c_sem * 1e-6 / CALIBRATED_C[1])
         assert tiny["seminorm_dominates"] is False
         assert check_energy_estimate(res.ledger)["seminorm_dominates"] is None
 
@@ -327,6 +329,22 @@ class TestCaseVariants:
         assert not rep["case_c"]["applicable"]
         assert "reason" in rep["case_c"]
 
+    def test_case_c_constant_leaves_out_a0(self, grid32):
+        # a real a0 enters case c only through its adjoint defect
+        a1 = SymbolExpr(ex.CoordXi(0), 1.0, 1)
+        a0 = SymbolExpr(ex.Sin(ex.CoordX(0)), 0.0, 1)
+        prob = CauchyProblem(symbol=HyperbolicSymbol(a1=a1, a0=a0),
+                             initial=GridFunction.zeros(grid32), horizon=0.25)
+        rep = check_case_variants(prob, solve_fixed_eps(prob, seed=0), seed=0)
+        without_a0 = seminorm_constant(HyperbolicSymbol(a1=a1), grid32, 0.25)
+        assert rep["case_c"]["c_seminorm"] == without_a0
+        assert seminorm_constant(prob.symbol, grid32, 0.25) > without_a0
+
+    def test_unknown_case_rejected(self, grid32):
+        # not case a under another label
+        prob = transport_problem(grid32)
+        with pytest.raises(ValueError, match="unknown case 'x'"):
+            seminorm_constant(prob.symbol, grid32, prob.horizon, case="x")
 
 
 class TestCascade:

@@ -120,8 +120,7 @@ class TestExitCodes:
     def test_check_failure_is_2(self, tmp_path, capsys):
         cfg = get_preset("transport_smoke")
         # an unpassable tolerance forces a FAIL line and exit code 2
-        cfg["checks"] = [{"check": "transport_exactness", "speed": 1.0,
-                          "tol": 1e-30}]
+        cfg["checks"] = [{"check": "transport_exactness", "tol": 1e-30}]
         path = tmp_path / "strict.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 2
@@ -129,15 +128,26 @@ class TestExitCodes:
     def test_transport_checks_need_1d_expression_data(self, tmp_path, capsys):
         delta = get_preset("transport_smoke")
         delta["data"]["g"] = {"kind": "delta", "node": [0]}
-        delta["checks"] = [{"check": "rk4_convergence", "speed": 1.0}]
+        delta["checks"] = ["rk4_convergence"]
         plane = get_preset("transport_smoke")
         plane["grid"].update(dim=2, points=16)
         plane["symbol"]["a1"]["dim"] = 2
-        plane["checks"] = [{"check": "transport_exactness", "speed": 1.0}]
+        plane["checks"] = ["transport_exactness"]
         for i, cfg in enumerate((delta, plane)):
             path = tmp_path / f"cfg{i}.json"
             path.write_text(json.dumps(cfg))
             assert main(["run", str(path)]) == 3
+
+    def test_transport_checks_need_a_constant_speed(self, tmp_path, capsys):
+        cfg = get_preset("transport_smoke")
+        cfg["symbol"]["a1"] = get_preset("variable_speed_smooth")[
+            "symbol"]["a1"]        # (2 + sin x) xi
+        cfg["checks"] = ["transport_exactness"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 3
+        assert "needs a constant-speed symbol a1 = c xi" in \
+            capsys.readouterr().err
 
     def test_unknown_check_rejected_before_any_check_runs(self, tmp_path,
                                                           capsys):
@@ -154,8 +164,8 @@ class TestExitCodes:
 class TestDeterminism:
     def test_identical_artifacts(self, tmp_path, capsys):
         cfg = get_preset("transport_smoke")
-        cfg["checks"] = [{"check": "transport_exactness", "speed": 1.0,
-                          "tol": 1e-6}, {"check": "energy"}]
+        cfg["checks"] = [{"check": "transport_exactness", "tol": 1e-6},
+                         {"check": "energy"}]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out1 = tmp_path / "run1"
@@ -193,6 +203,26 @@ class TestScenarioDataPaths:
         assert forcing.norm(0.0) > 0
         outcome = ctx.checks[0](ctx)
         assert outcome.ok
+
+    def test_transport_speed_read_from_the_symbol(self):
+        # a1 = 2 xi: the exact solution is g(x - 2t), with no speed given
+        cfg = get_preset("transport_smoke")
+        cfg["symbol"]["a1"]["expr"] = {"node": "product", "children": [
+            {"node": "constant", "re": 2.0, "im": 0.0}, _XI]}
+        cfg["checks"] = ["transport_exactness", "rk4_convergence"]
+        ok, outcomes = run_scenario(cfg, echo=lambda line: None)
+        assert ok, [o.line() for o in outcomes]
+
+    def test_association_reference_is_exact_for_a_delta(self):
+        cfg = get_preset("delta_association")
+        cfg["grid"]["points"] = 64
+        cfg["data"]["g"]["node"] = [16]
+        cfg["checks"] = [{"check": "association",
+                          "probes": cfg["checks"][0]["probes"]}]
+        lines = []
+        run_scenario(cfg, echo=lines.append)
+        [line] = lines
+        assert "reference=exact" in line
 
     def test_transition_width_from_config(self):
         cfg = get_preset("piecewise_speed_logtype")
@@ -268,8 +298,13 @@ CONFIG_PROBES = {
     "check_delta_node_short_2d": ("delta_association", _plane([5, 5], [
         {"check": "ginf", "data": {"g": {"kind": "delta", "node": [5]}}}]),
         []),
-    # association's exact transported reference (speed) is 1-D only
-    "association_speed_2d": ("delta_association", _plane([5, 5]), []),
+    # the speed is the symbol's: a check entry cannot set it
+    "check_speed": ("transport_smoke", _set(["checks", 0, "speed"], 1.0), []),
+    # the semi-norms weight a1 with order 1 and a0 with order 0
+    "a1_order_two": ("transport_smoke",
+                     _set(["symbol", "a1", "declared_order"], 2), []),
+    "forcing_profile_misspelled": ("transport_smoke", _set(["data", "f"], {
+        "kind": "separable", "profile": {"frq": 2.0}, "shape": _X}), []),
     "tol_not_number": ("transport_smoke",
                        _set(["checks", 0, "tol"], "abc"), []),
     "max_order_not_int": ("variable_speed_smooth",

@@ -59,6 +59,18 @@ class TestTrajectoryFormat:
         assert snap_times == pytest.approx(res.snap_times)
         assert np.array_equal(states, res.states)
 
+    def test_one_step_solve_has_stride_one(self, grid32, tmp_path):
+        # two snapshots, t = 0 and t = dt, one step apart
+        prob = CauchyProblem(symbol=HyperbolicSymbol(
+            a1=SymbolExpr(ex.CoordXi(0), 1.0, 1)),
+            initial=GridFunction(grid32, np.sin(grid32.x_axis())),
+            horizon=0.1)
+        res = solve_fixed_eps(prob, 0.1, seed=0)
+        path = owio.write_trajectory(tmp_path / "traj.bin", res)
+        _, dt, stride, snap_times, _ = owio.read_trajectory(path)
+        assert len(snap_times) == 2 and dt == 0.1
+        assert stride == 1
+
     def test_magic_guard(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

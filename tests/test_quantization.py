@@ -393,7 +393,7 @@ class TestOperatorNorm:
                               ex.SmoothStep(ex.JapaneseBracket(1.0), 4.0, 4.0)),
                        0.0, 1)
         box = SampleBox(1, grid32.length, xi_max=grid32.max_abs_xi())
-        cv_bound = CV_CONSTANT[1] * seminorm_Q(s, 0.0, 0, 1, 1, box)
+        cv_bound = CV_CONSTANT[1] * seminorm_Q(s, 0, 1, 1, box)
         assert operator_norm(s, 0.0, grid32, seed=1).value <= cv_bound
 
     def test_invariant_under_dft_conjugation(self, variable_speed_symbol, grid32):

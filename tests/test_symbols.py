@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from onewave import expr as ex
 from onewave.errors import EmptyBox, InsufficientSweep
+from onewave.grid import Grid
 from onewave.regularization import (Mollifier, MollifiedCoefficient,
                                     RoughCoefficient)
 from onewave.symbols import (GenSymbolFamily, HyperbolicSymbol, SampleBox,
@@ -172,14 +173,14 @@ class TestParse:
 
 class TestSeminorms:
     def test_linear_symbol_value(self, xi_symbol):
-        v = seminorm_c(xi_symbol, 1.0, (0,), (0,), box_1d())
+        v = seminorm_c(xi_symbol, (0,), (0,), box_1d())
         assert 0.99 <= v < 1.0
 
     def test_linear_symbol_xi_derivative_exact(self, xi_symbol):
-        assert seminorm_c(xi_symbol, 1.0, (1,), (0,), box_1d()) == 1.0
+        assert seminorm_c(xi_symbol, (1,), (0,), box_1d()) == 1.0
 
     def test_sin_speed_derivative(self, variable_speed_symbol):
-        v = seminorm_c(variable_speed_symbol, 1.0, (0,), (1,), box_1d())
+        v = seminorm_c(variable_speed_symbol, (0,), (1,), box_1d())
         assert 0.99 <= v < 1.0
         # dense-grid maximization oracle at 10x resolution
         x = np.linspace(0, TWO_PI, 1290)
@@ -189,46 +190,46 @@ class TestSeminorms:
         assert v == pytest.approx(oracle, abs=1e-3)
 
     def test_q_max_of_c(self, xi_symbol):
-        assert seminorm_q(xi_symbol, 1.0, 1, 1, box_1d()) == 1.0
+        assert seminorm_q(xi_symbol, 1, 1, box_1d()) == 1.0
 
     def test_q_zero_symbol(self):
         z = SymbolExpr(ex.Const(0.0), 0.0, 1)
-        assert seminorm_q(z, 0.0, 2, 2, box_1d()) == 0.0
+        assert seminorm_q(z, 2, 2, box_1d()) == 0.0
 
     def test_q_monotone_in_orders(self, variable_speed_symbol):
         box = box_1d()
-        q01 = seminorm_q(variable_speed_symbol, 1.0, 0, 1, box)
-        q11 = seminorm_q(variable_speed_symbol, 1.0, 1, 1, box)
+        q01 = seminorm_q(variable_speed_symbol, 0, 1, box)
+        q11 = seminorm_q(variable_speed_symbol, 1, 1, box)
         assert q11 >= q01
 
     def test_Q_t_independent_collapses(self, variable_speed_symbol):
         box = box_1d()
         for j in (0, 1, 3):
-            assert seminorm_Q(variable_speed_symbol, 1.0, j, 1, 1, box) == \
-                seminorm_q(variable_speed_symbol, 1.0, 1, 1, box)
+            assert seminorm_Q(variable_speed_symbol, j, 1, 1, box) == \
+                seminorm_q(variable_speed_symbol, 1, 1, box)
 
     def test_Q_t_linear(self):
         s = SymbolExpr(ex.mul(ex.CoordT(), ex.CoordXi(0)), 1.0, 1)
-        v = seminorm_Q(s, 1.0, 1, 0, 0, box_1d(t_max=1.0))
+        v = seminorm_Q(s, 1, 0, 0, box_1d(t_max=1.0))
         assert 0.99 <= v < 1.0
 
     def test_Q_sin_t_sin_x(self):
         s = SymbolExpr(ex.mul(ex.Sin(ex.CoordT()), ex.Sin(ex.CoordX(0))),
                        0.0, 1)
-        v = seminorm_Q(s, 0.0, 2, 0, 0, box_1d(t_max=np.pi))
+        v = seminorm_Q(s, 2, 0, 0, box_1d(t_max=np.pi))
         assert v == pytest.approx(1.0, abs=1e-4)
 
     def test_monotone_in_box_refinement(self, variable_speed_symbol):
-        coarse = seminorm_c(variable_speed_symbol, 1.0, (0,), (1,),
+        coarse = seminorm_c(variable_speed_symbol, (0,), (1,),
                             box_1d(x_count=65))
-        fine = seminorm_c(variable_speed_symbol, 1.0, (0,), (1,),
+        fine = seminorm_c(variable_speed_symbol, (0,), (1,),
                           box_1d(x_count=129))
         assert fine >= coarse
 
     def test_declared_order_bounded_under_xi_doubling(self, variable_speed_symbol):
-        prev = seminorm_c(variable_speed_symbol, 1.0, (0,), (0,),
+        prev = seminorm_c(variable_speed_symbol, (0,), (0,),
                           box_1d(xi_max=512.0))
-        last = seminorm_c(variable_speed_symbol, 1.0, (0,), (0,),
+        last = seminorm_c(variable_speed_symbol, (0,), (0,),
                           box_1d(xi_max=1024.0))
         assert last / prev <= 1.05
 
@@ -260,6 +261,40 @@ class TestFullSymbol:
         assert plain.full() is variable_speed_symbol
 
 
+class TestTransportSpeed:
+    def test_constant_speed_read_from_the_symbol(self, grid32):
+        two_xi = SymbolExpr(ex.mul(ex.Const(2.0), ex.CoordXi(0)), 1.0, 1)
+        assert HyperbolicSymbol(a1=two_xi).transport_speed(grid32) == 2.0
+        still = SymbolExpr(ex.mul(ex.Const(0.0), ex.CoordXi(0)), 1.0, 1)
+        assert HyperbolicSymbol(a1=still).transport_speed(grid32) == 0.0
+
+    @pytest.mark.parametrize("symbol", [
+        # (2 + sin x) xi depends on x; t xi on t
+        HyperbolicSymbol(a1=SymbolExpr(ex.mul(ex.add(ex.Const(2.0), ex.Sin(
+            ex.CoordX(0))), ex.CoordXi(0)), 1.0, 1)),
+        HyperbolicSymbol(a1=SymbolExpr(ex.mul(ex.CoordT(), ex.CoordXi(0)),
+                                       1.0, 1)),
+        # an a0, even a zero one
+        HyperbolicSymbol(a1=SymbolExpr(ex.CoordXi(0), 1.0, 1),
+                         a0=SymbolExpr(ex.Const(0.0), 0.0, 1)),
+        # complex c; xi + 0.3 <xi> is not linear in xi
+        HyperbolicSymbol(a1=SymbolExpr(ex.mul(ex.Const(1j), ex.CoordXi(0)),
+                                       1.0, 1)),
+        HyperbolicSymbol(a1=SymbolExpr(ex.add(ex.CoordXi(0), ex.mul(
+            ex.Const(0.3), ex.JapaneseBracket(1.0))), 1.0, 1)),
+        # c xi + 1e-9 misses by more than 1e-12 relative at xi = 0
+        HyperbolicSymbol(a1=SymbolExpr(ex.add(ex.CoordXi(0), ex.Const(1e-9)),
+                                       1.0, 1)),
+    ])
+    def test_no_speed(self, symbol, grid32):
+        assert symbol.transport_speed(grid32) is None
+
+    def test_no_speed_in_two_dimensions(self):
+        a1 = SymbolExpr(ex.CoordXi(0), 1.0, 2)
+        assert HyperbolicSymbol(a1=a1).transport_speed(
+            Grid(2, 16, TWO_PI)) is None
+
+
 class TestRealityCheck:
     def test_real_a1_tagged(self, variable_speed_symbol):
         h = HyperbolicSymbol(a1=variable_speed_symbol)
@@ -281,7 +316,7 @@ EPS6 = [0.1 * 0.2 ** i for i in range(6)]
 class TestClassifiers:
     def test_log_type_constant_family(self, variable_speed_symbol):
         fam = _const_family(variable_speed_symbol, EPS6)
-        verdict = classify_log_type(fam, 1.0, 0, 1, box_1d(xi_max=128.0))
+        verdict = classify_log_type(fam, 0, 1, box_1d(xi_max=128.0))
         assert verdict["is_log_type"]
         # eps-independent family: fitted coefficient below 1% of the level
         level = np.mean(verdict["q_values"])
@@ -294,7 +329,7 @@ class TestClassifiers:
                             1.0, 1)
             return HyperbolicSymbol(a1=a1)
         fam = GenSymbolFamily(member, EPS6)
-        verdict = classify_log_type(fam, 1.0, 0, 0, box_1d(xi_max=128.0))
+        verdict = classify_log_type(fam, 0, 0, box_1d(xi_max=128.0))
         assert not verdict["is_log_type"]
 
     def test_slow_scale_constant_family(self, variable_speed_symbol):
@@ -325,4 +360,4 @@ class TestClassifiers:
     def test_insufficient_sweep_rejected(self, variable_speed_symbol):
         fam = _const_family(variable_speed_symbol, [0.1, 0.05, 0.02])
         with pytest.raises(InsufficientSweep):
-            classify_log_type(fam, 1.0, 0, 0, box_1d())
+            classify_log_type(fam, 0, 0, box_1d())
