@@ -25,7 +25,7 @@ from . import expr as ex
 from .config import POWER_ITERS, POWER_RTOL
 from .errors import BoxTooSmall, DimensionMismatch, TooLarge
 from .grid import Grid
-from .profiles import plateau
+from .profiles import _gl_nodes, plateau
 from .symbols import SampleBox, SymbolExpr, seminorm_Q
 
 __all__ = [
@@ -486,6 +486,10 @@ class _Kernel(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _kernel(cfg: OscIntConfig, dim: int) -> _Kernel:
+    if (cfg.y_points * cfg.eta_points) ** dim > DENSE_GUARD ** 2:
+        raise TooLarge(f"remainder kernel guarded at {DENSE_GUARD}^2 entries; "
+                       f"{dim}-D has {cfg.y_points}^{dim} y nodes x "
+                       f"{cfg.eta_points}^{dim} eta nodes")
     y_nodes, y_w, y_raw = _axis_quad(cfg.y_half, cfg.y_points)
     e_nodes, e_w, _ = _axis_quad(cfg.eta_half, cfg.eta_points)
 
@@ -521,12 +525,17 @@ def _contract(k: _Kernel, v: np.ndarray) -> complex:
     return complex(np.sum(k.K * v))
 
 
-def _remainder_integrand_trees(s: SymbolExpr, lam: int, extra_alpha=None,
-                               extra_beta=None):
+def _remainder_integrand_trees(s: SymbolExpr, lam: int, extra_alpha=(),
+                               extra_beta=()):
     """Per axis j, the trees of Laplacian_xi^i applied to d_xi_j d_x_j conj(s),
-    i = 0..lam, with optional extra derivatives for the estimate check."""
+    i = 0..lam, with optional extra derivatives for the estimate check; a
+    tuple of tuples, built once per (lam, alpha, beta) and kept on ``s``."""
+    key = (lam, tuple(extra_alpha), tuple(extra_beta))
+    cached = s._remainder_trees.get(key)
+    if cached is not None:
+        return cached
     root = ex.Conj(s.root)
-    for var, counts in (("xi", extra_alpha or ()), ("x", extra_beta or ())):
+    for var, counts in (("xi", extra_alpha), ("x", extra_beta)):
         for a, cnt in enumerate(counts):
             for _ in range(cnt):
                 root = root.d((var, a))
@@ -535,38 +544,56 @@ def _remainder_integrand_trees(s: SymbolExpr, lam: int, extra_alpha=None,
         for _ in range(lam):
             trees.append(ex.add(*(trees[-1].d_xi(a).d_xi(a)
                                   for a in range(s.dim))))
-    return per_axis
+    s._remainder_trees[key] = tuple(map(tuple, per_axis))
+    return s._remainder_trees[key]
 
 
-def _r_theta(trees, t: float, x, xi, theta: float, cfg: OscIntConfig,
-             tail_report=None):
-    """r_theta summed over axes at one (t, x, xi, theta) point.
+def _r_theta(trees, t: float, x, pairs, cfg: OscIntConfig, tail_report=None):
+    """r_theta summed over axes at one (t, x) point, one value per
+    (xi, theta) in ``pairs``.
 
     ``trees`` comes from _remainder_integrand_trees.  The weighted kernel K is
     cached per (cfg, dim); each tree is evaluated at its natural broadcast
     shape over the (y, eta) grid, and that shape picks the contraction with K
     (_contract): a constant uses sum(K), a y-column the row sums, an
     eta-row the column sums, and only a full-grid integrand the whole K.
+    A tree that reads no xi is evaluated and contracted once, at the first
+    pair, and serves every pair; only the others are evaluated per pair.
     """
     k = _kernel(cfg, len(trees))
     x_args = tuple(np.asarray(xa) + ym for xa, ym in zip(x, k.y_mesh))
-    xi_args = tuple(np.asarray(xa) + theta * em for xa, em in zip(xi, k.e_mesh))
-    # (1 - Lap_eta)^lam = sum_i C(lam,i) (-Lap_eta)^i and Lap_eta = theta^2
-    # Lap_xi, so each term carries (-theta^2)^i.
-    coeffs = [math.comb(cfg.lam, i) * (-theta * theta) ** i
-              for i in range(cfg.lam + 1)]
-    total = 0.0 + 0.0j
-    for axis_trees in trees:
-        vals = [np.asarray(tr.eval(t, x_args, xi_args)) for tr in axis_trees]
-        total += sum(c * _contract(k, v) for c, v in zip(coeffs, vals))
-        if tail_report is not None:
-            # raw trapezoid weights, so the smooth roll-off cannot hide
-            # boundary mass; sums count mag broadcast over the full grid
-            mag = k.tail_w * np.abs(sum(c * v for c, v in zip(coeffs, vals)))
-            scale = k.K.size // mag.size
-            tail_report.append((float(np.sum(mag * k.shell)) * scale,
-                                float(np.sum(mag)) * scale))
-    return total
+    xi_free = {}    # id of a tree that reads no xi -> (value, contraction)
+    totals = []
+    for xi, theta in pairs:
+        xi_args = None      # built when a tree first reads it
+        # (1 - Lap_eta)^lam = sum_i C(lam,i) (-Lap_eta)^i and Lap_eta =
+        # theta^2 Lap_xi, so each term carries (-theta^2)^i.
+        coeffs = [math.comb(cfg.lam, i) * (-theta * theta) ** i
+                  for i in range(cfg.lam + 1)]
+        total = 0.0 + 0.0j
+        for axis_trees in trees:
+            terms = []
+            for tr in axis_trees:
+                term = xi_free.get(id(tr))
+                if term is None:
+                    xi_args = xi_args or tuple(np.asarray(xa) + theta * em
+                                               for xa, em in zip(xi, k.e_mesh))
+                    v = np.asarray(tr.eval(t, x_args, xi_args))
+                    term = (v, _contract(k, v))
+                    if not tr.depends_xi():
+                        xi_free[id(tr)] = term
+                terms.append(term)
+            total += sum(c * kv for c, (_, kv) in zip(coeffs, terms))
+            if tail_report is not None:
+                # raw trapezoid weights, so the smooth roll-off cannot hide
+                # boundary mass; sums count mag broadcast over the full grid
+                mag = k.tail_w * np.abs(sum(c * v for c, (v, _)
+                                            in zip(coeffs, terms)))
+                scale = k.K.size // mag.size
+                tail_report.append((float(np.sum(mag * k.shell)) * scale,
+                                    float(np.sum(mag)) * scale))
+        totals.append(total)
+    return totals
 
 
 def adjoint_symbol_remainder(s: SymbolExpr, t: float, x, xi,
@@ -580,17 +607,18 @@ def adjoint_symbol_remainder(s: SymbolExpr, t: float, x, xi,
     """
     cfg = cfg or OscIntConfig()
     cfg.validate(s.dim)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.theta_nodes)
+    x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
+    xi = tuple(np.atleast_1d(np.asarray(xi, dtype=float)))
+    nodes, weights = _gl_nodes(cfg.theta_nodes)
     thetas = 0.5 * (nodes + 1.0)
     tw = 0.5 * weights
-    trees = _remainder_integrand_trees(s, cfg.lam)
     tails = []
+    values = _r_theta(_remainder_integrand_trees(s, cfg.lam), t, x,
+                      [(xi, float(theta)) for theta in thetas], cfg,
+                      tail_report=tails)
     acc = 0.0 + 0.0j
-    for theta, w in zip(thetas, tw):
-        acc += w * _r_theta(trees, t, tuple(x), tuple(xi), float(theta), cfg,
-                            tail_report=tails)
+    for w, value in zip(tw, values):
+        acc += w * value
     shell = sum(a for a, _ in tails)
     total = sum(b for _, b in tails)
     if total > 0 and shell / total > cfg.tail_tol:
@@ -621,15 +649,15 @@ def check_remainder_estimate(s: SymbolExpr, alpha, beta,
     ladder = [0.0, 1.0, 4.0, 16.0, 64.0]
     xi_probes = np.array([[v] + [0.0] * (dim - 1) for v in ladder])
     thetas = np.linspace(0.0, 1.0, 5)
+    pairs = [(tuple(xip), float(theta)) for xip in xi_probes
+             for theta in thetas]
+    weights = [(1.0 + float(np.linalg.norm(xi))) ** a_tot for xi, _ in pairs]
     trees = _remainder_integrand_trees(s, cfg.lam, alpha, beta)
     lhs = 0.0
     for xp in x_probes:
-        for xip in xi_probes:
-            weight = (1.0 + float(np.linalg.norm(xip))) ** a_tot
-            for theta in thetas:
-                val = _r_theta(trees, 0.0, tuple(xp), tuple(xip),
-                               float(theta), cfg)
-                lhs = max(lhs, abs(val) * weight)
+        for val, weight in zip(_r_theta(trees, 0.0, tuple(xp), pairs, cfg),
+                               weights):
+            lhs = max(lhs, abs(val) * weight)
     rhs = seminorm_Q(s, 0, dim + 2 + a_tot, dim + 2 + a_tot + b_tot, box)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": ratio}

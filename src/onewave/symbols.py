@@ -64,6 +64,7 @@ class SymbolExpr:
         self.declared_order = float(declared_order)
         self.dim = int(dim)
         self._deriv_cache = {}
+        self._remainder_trees = {}     # quantization's integrand trees
 
     # -- construction helpers ----------------------------------------------
     @staticmethod

@@ -149,6 +149,16 @@ class TestExitCodes:
         assert "needs a constant-speed symbol a1 = c xi" in \
             capsys.readouterr().err
 
+    def test_remainder_checks_need_a_1d_grid(self, tmp_path, capsys):
+        for name in ("remainder_oracle", "remainder_stability"):
+            cfg = get_preset("delta_association")
+            _plane([5, 5], [name])(cfg)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["run", str(path)]) == 3
+            assert f"check '{name}' needs symbol.kind 'expr' on a 1-D grid" \
+                in capsys.readouterr().err
+
     def test_unknown_check_rejected_before_any_check_runs(self, tmp_path,
                                                           capsys):
         cfg = get_preset("transport_smoke")
@@ -298,6 +308,11 @@ CONFIG_PROBES = {
     "check_delta_node_short_2d": ("delta_association", _plane([5, 5], [
         {"check": "ginf", "data": {"g": {"kind": "delta", "node": [5]}}}]),
         []),
+    # the remainder quadrature's 2-D (y, eta) kernel would need 253 GiB
+    "remainder_oracle_2d": ("delta_association",
+                            _plane([5, 5], ["remainder_oracle"]), []),
+    "remainder_stability_2d": ("delta_association",
+                               _plane([5, 5], ["remainder_stability"]), []),
     # the speed is the symbol's: a check entry cannot set it
     "check_speed": ("transport_smoke", _set(["checks", 0, "speed"], 1.0), []),
     # the semi-norms weight a1 with order 1 and a0 with order 0

@@ -14,8 +14,8 @@ from onewave import expr as ex
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
 from onewave.profiles import plateau
-from onewave.quantization import (OscIntConfig, PeriodicOperator, _kernel,
-                                  _r_theta, _remainder_integrand_trees,
+from onewave.quantization import (OscIntConfig, PeriodicOperator, _contract,
+                                  _kernel, _r_theta, _remainder_integrand_trees,
                                   adjoint_defect_norm,
                                   adjoint_symbol_remainder,
                                   band_projector, check_remainder_estimate,
@@ -540,7 +540,7 @@ class TestRemainderKernelOracle:
         s = SHAPE_SYMBOLS[name]
         trees = _remainder_integrand_trees(s, cfg.lam, (alpha,))
         for x, xi, theta in ((np.pi + 0.7, 1.0, 0.0), (2.0, 3.0, 0.6)):
-            got = _r_theta(trees, 0.0, (x,), (xi,), theta, cfg)
+            [got] = _r_theta(trees, 0.0, (x,), [((xi,), theta)], cfg)
             want = _reference_r_theta(s, 0.0, x, xi, theta, cfg, alpha)
             assert abs(want) > 1e-6
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -563,6 +563,133 @@ class TestRemainderKernelOracle:
         info = _kernel.cache_info()
         assert info.misses == 2
         assert info.currsize == 2
+
+
+def _r_theta_per_pair(trees, t, x, xi, theta, cfg, tail_report=None):
+    """r_theta at one (t, x, xi, theta) point, every tree evaluated and
+    contracted afresh: the quadrature as it was before the trees that read
+    no xi were shared across (xi, theta) pairs, kept as the bitwise
+    reference."""
+    k = _kernel(cfg, len(trees))
+    x_args = tuple(np.asarray(xa) + ym for xa, ym in zip(x, k.y_mesh))
+    xi_args = tuple(np.asarray(xa) + theta * em for xa, em in zip(xi, k.e_mesh))
+    coeffs = [math.comb(cfg.lam, i) * (-theta * theta) ** i
+              for i in range(cfg.lam + 1)]
+    total = 0.0 + 0.0j
+    for axis_trees in trees:
+        vals = [np.asarray(tr.eval(t, x_args, xi_args)) for tr in axis_trees]
+        total += sum(c * _contract(k, v) for c, v in zip(coeffs, vals))
+        if tail_report is not None:
+            mag = k.tail_w * np.abs(sum(c * v for c, v in zip(coeffs, vals)))
+            scale = k.K.size // mag.size
+            tail_report.append((float(np.sum(mag * k.shell)) * scale,
+                                float(np.sum(mag)) * scale))
+    return total
+
+
+def _estimate_per_pair(s, alpha, beta, cfg):
+    """check_remainder_estimate's dict from one _r_theta_per_pair call per
+    (x, xi, theta) probe, in the same order."""
+    dim = s.dim
+    box = SampleBox(dim, 2 * math.pi, x_count=9, xi_max=64.0,
+                    xi_uniform_count=5)
+    x_probes = box.x_points()[:: max(1, box.x_points().shape[0] // 7)]
+    xi_probes = np.array([[v] + [0.0] * (dim - 1)
+                          for v in [0.0, 1.0, 4.0, 16.0, 64.0]])
+    trees = _remainder_integrand_trees(s, cfg.lam, alpha, beta)
+    lhs = 0.0
+    for xp in x_probes:
+        for xip in xi_probes:
+            weight = (1.0 + float(np.linalg.norm(xip))) ** sum(alpha)
+            for theta in np.linspace(0.0, 1.0, 5):
+                val = _r_theta_per_pair(trees, 0.0, tuple(xp), tuple(xip),
+                                        float(theta), cfg)
+                lhs = max(lhs, abs(val) * weight)
+    rhs = seminorm_Q(s, 0, dim + 2 + sum(alpha),
+                     dim + 2 + sum(alpha) + sum(beta), box)
+    return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": lhs / rhs}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values).tobytes()
+
+
+def _expr_classes(cls=ex.Expr):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _expr_classes(sub)
+
+
+class TestRemainderSharing:
+    """The trees that read no xi are evaluated and contracted once per x
+    point and shared by its (xi, theta) pairs, bitwise as a fresh per-pair
+    evaluation; the trees themselves are built once per symbol."""
+
+    PAIRS = [((xi,), theta) for xi in (0.0, 3.0, 16.0)
+             for theta in (0.0, 0.6, 1.0)]
+
+    def test_cases_cover_xi_free_and_xi_reading_trees(self):
+        def reads_xi(name):
+            return [tr.depends_xi() for axis in _remainder_integrand_trees(
+                SHAPE_SYMBOLS[name], 2) for tr in axis]
+        assert not any(reads_xi("bump_xi"))
+        assert any(reads_xi("bump_xi2")) and any(reads_xi("x_xi3"))
+
+    @pytest.mark.parametrize("name, alpha, cfg",
+                             TestRemainderKernelOracle.CASES)
+    def test_r_theta_bitwise_per_pair(self, name, alpha, cfg):
+        trees = _remainder_integrand_trees(SHAPE_SYMBOLS[name], cfg.lam,
+                                           (alpha,))
+        got_tails, want_tails = [], []
+        got = _r_theta(trees, 0.0, (2.0,), self.PAIRS, cfg, got_tails)
+        want = [_r_theta_per_pair(trees, 0.0, (2.0,), xi, theta, cfg,
+                                  want_tails) for xi, theta in self.PAIRS]
+        assert _bits(got) == _bits(want)
+        assert len(got_tails) == len(want_tails) == len(self.PAIRS)
+        for got_entry, want_entry in zip(got_tails, want_tails):
+            assert _bits(got_entry) == _bits(want_entry)
+
+    @pytest.mark.parametrize("name, alpha, beta", [
+        ("bump_xi", (0,), (0,)), ("bump_xi2", (1,), (0,)),
+        ("x_xi3", (1,), (0,))])
+    def test_estimate_bitwise_per_pair(self, name, alpha, beta):
+        s = SHAPE_SYMBOLS[name]
+        got = check_remainder_estimate(s, alpha, beta)
+        want = _estimate_per_pair(s, alpha, beta, OscIntConfig())
+        assert got["lhs"] > 0
+        assert {k: _bits(v) for k, v in got.items()} == \
+            {k: _bits(v) for k, v in want.items()}
+
+    def test_trees_built_once_per_symbol(self, monkeypatch):
+        s = SymbolExpr(ex.mul(_BUMP, _XI, _XI), 2.0, 1)
+        first = adjoint_symbol_remainder(s, 0.0, [2.0], [3.0])
+        built = []
+        for cls in _expr_classes():
+            if "d" in vars(cls):
+                monkeypatch.setattr(cls, "d", lambda node, var, _d=vars(cls)[
+                    "d"]: built.append(var) or _d(node, var))
+        assert adjoint_symbol_remainder(s, 0.0, [2.0], [3.0]) == first
+        assert built == []
+        # the count sees the nodes a symbol without cached trees builds
+        adjoint_symbol_remainder(SymbolExpr(s.root, 2.0, 1), 0.0, [2.0],
+                                 [3.0])
+        assert built
+
+    def test_cached_trees_are_immutable(self):
+        s = SymbolExpr(ex.mul(_BUMP, _XI, _XI), 2.0, 1)
+        trees = _remainder_integrand_trees(s, 2)
+        assert _remainder_integrand_trees(s, 2) is trees
+        with pytest.raises(TypeError):
+            trees[0] = ()
+        with pytest.raises(AttributeError):
+            trees[0].append(ex.ZERO)
+        with pytest.raises(TypeError):
+            trees[0][0] = ex.ZERO
+
+    def test_kernel_guarded_before_it_allocates(self):
+        # 2-D: 361^2 y nodes x 361^2 eta nodes would be 253 GiB of K
+        with pytest.raises(TooLarge, match="4096"):
+            _kernel(OscIntConfig(), 2)
 
 
 class TestBandProjector:
