@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import (CauchyProblem, Forcing, SolveResult, check_energy_estimate,
-                     derivative_cascade, seminorm_constant, solve_fixed_eps,
-                     solve_stack)
+                     derivative_cascade, solve_fixed_eps, solve_stack)
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
@@ -163,7 +162,6 @@ class SweepReport:
     norms: dict
     fits: dict
     c_measured: list
-    c_seminorm: list
     c_log_fit: dict
     energy_ok: list
     predicted_exponents: dict
@@ -171,31 +169,21 @@ class SweepReport:
     finals: list            # u_eps(T) per completed eps; not serialized
 
     def to_json(self) -> dict:
-        def clean(v):
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            if isinstance(v, np.ndarray):
-                return [clean(x) for x in v.tolist()]
-            if isinstance(v, dict):
-                return {str(k): clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            if isinstance(v, (bool, int, float, str)) or v is None:
-                return v
-            return str(v)
+        def keyed(d):
+            # str keys: json would sort the float keys of `incomplete` by
+            # value, and cannot write the tuple keys of the others
+            return {str(k): v for k, v in d.items()}
 
         return {
-            "eps": clean(self.eps),
+            "eps": self.eps,
             "orders": [[d, list(alpha)] for d, alpha in self.orders],
-            "norms": {str(k): clean(v) for k, v in self.norms.items()},
-            "fits": {str(k): clean(v) for k, v in self.fits.items()},
-            "c_measured": clean(self.c_measured),
-            "c_seminorm": clean(self.c_seminorm),
-            "c_log_fit": clean(self.c_log_fit),
-            "energy_ok": clean(self.energy_ok),
-            "predicted_exponents": {str(k): clean(v) for k, v in
-                                    self.predicted_exponents.items()},
-            "incomplete": clean(self.incomplete),
+            "norms": keyed(self.norms),
+            "fits": keyed(self.fits),
+            "c_measured": self.c_measured,
+            "c_log_fit": self.c_log_fit,
+            "energy_ok": self.energy_ok,
+            "predicted_exponents": keyed(self.predicted_exponents),
+            "incomplete": keyed(self.incomplete),
         }
 
 
@@ -235,13 +223,11 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
                 result.states, *x_alphas)))
             norms = _t_derivative_norms(problem, result, orders, derivs)
             energy = check_energy_estimate(result.ledger)
-            cascade, c_sem = {}, math.nan
+            cascade = {}
             if plan.cascade_max_order > 0:
                 cascade = derivative_cascade(problem, result,
                                              plan.cascade_max_order, derivs)
-                c_sem = seminorm_constant(problem.symbol, plan.grid,
-                                          plan.horizon)
-            results[eps] = norms, result, energy, cascade, c_sem
+            results[eps] = norms, result, energy, cascade
         except OnewaveError as err:
             failed[eps] = err
     incomplete = {eps: f"{type(failed[eps]).__name__}: {failed[eps]}"
@@ -257,7 +243,6 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
                        "moderate": (n_hat is None or
                                     n_hat <= thresholds.moderate_exponent_cap)}
     c_measured = [results[eps][1].ledger.c_measured for eps in done]
-    c_seminorm = [results[eps][4] for eps in done]
     c_log_fit = {}
     if len(done) >= 3:
         c_log_fit = dict(zip(("coeff", "intercept", "residual"),
@@ -280,7 +265,7 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
 
     return SweepReport(
         eps=done, orders=orders, norms=norms, fits=fits,
-        c_measured=c_measured, c_seminorm=c_seminorm, c_log_fit=c_log_fit,
+        c_measured=c_measured, c_log_fit=c_log_fit,
         energy_ok=energy_ok, predicted_exponents=predicted, incomplete=incomplete,
         finals=[results[eps][1].final() for eps in done])
 

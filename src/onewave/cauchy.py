@@ -457,7 +457,7 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
         report["case_b"] = {"applicable": False,
                             "reason": "x_independent_outside tag missing"}
 
-    if problem.symbol.is_real():
+    if problem.symbol.is_real(grid):
         base_case = "b" if problem.symbol.x_independent_outside is not None else "a"
         c_c = seminorm_constant(HyperbolicSymbol(problem.symbol.a1), grid,
                                 problem.horizon, case=base_case)

@@ -428,31 +428,29 @@ def operator_norm(s: SymbolExpr, t: float, grid: Grid,
 
 
 # -- oscillatory-integral adjoint remainder (desk-scale verification) --------
+# The quadrature is 1-D: a symbol of any other dimension is refused.
+
+LAM = 2             # integration-by-parts order in y (2 LAM > n = 1)
+TAIL_TOL = 0.05     # largest y-shell fraction of the integrand's mass
+
 
 @dataclass(frozen=True)
 class OscIntConfig:
     """Regularized oscillatory integral parameters.
 
-    lam is the integration-by-parts order in y (needs 2*lam > n); there is
-    none in eta.  The (y, eta) integral is truncated to a box with smooth
-    roll-off on the outer 40% of each axis; eta-convergence is oscillatory
-    and is therefore checked by refinement stability rather than a shell
-    estimate, while the y-tail (with its (1+|y|^2)^(-lam) decay) is
-    monitored directly.  Frozen: the weighted quadrature kernel is cached
-    per (config, dim) by _kernel.
+    The y integral is integrated by parts LAM times; there is none in eta.
+    The (y, eta) integral is truncated to a box with smooth roll-off on the
+    outer 40% of each axis; eta-convergence is oscillatory and is therefore
+    checked by refinement stability rather than a shell estimate, while the
+    y-tail (with its (1+y^2)^(-LAM) decay) is monitored directly.  Frozen:
+    the weighted quadrature kernel is cached per config by _kernel.
     """
 
-    lam: int = 2
     theta_nodes: int = 7
     y_half: float = 14.0
     eta_half: float = 40.0
     y_points: int = 361
     eta_points: int = 361
-    tail_tol: float = 0.05
-
-    def validate(self, dim: int):
-        if 2 * self.lam <= dim:
-            raise ValueError("OscIntConfig needs 2*lam > n")
 
     def refined(self) -> "OscIntConfig":
         """2n + 1 theta nodes; the (y, eta) box and point counts (odd) x1.4."""
@@ -474,9 +472,9 @@ def _axis_quad(half: float, points: int):
 
 
 class _Kernel(NamedTuple):
-    y_mesh: tuple           # dim arrays (Ny, 1): rows run over the y tensor grid
-    e_mesh: tuple           # dim arrays (1, Ne): columns run over the eta grid
-    K: np.ndarray           # exp(-i y.eta) * damp * w_y * w_eta / (2 pi)^n
+    y: np.ndarray           # y nodes, shape (Ny, 1)
+    eta: np.ndarray         # eta nodes, shape (1, Ne)
+    K: np.ndarray           # exp(-i y eta) * damp * w_y * w_eta / (2 pi)
     rows: np.ndarray        # K.sum(1)
     cols: np.ndarray        # K.sum(0)
     total: complex          # K.sum()
@@ -485,32 +483,20 @@ class _Kernel(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel(cfg: OscIntConfig, dim: int) -> _Kernel:
-    if (cfg.y_points * cfg.eta_points) ** dim > DENSE_GUARD ** 2:
-        raise TooLarge(f"remainder kernel guarded at {DENSE_GUARD}^2 entries; "
-                       f"{dim}-D has {cfg.y_points}^{dim} y nodes x "
-                       f"{cfg.eta_points}^{dim} eta nodes")
+def _kernel(cfg: OscIntConfig) -> _Kernel:
     y_nodes, y_w, y_raw = _axis_quad(cfg.y_half, cfg.y_points)
     e_nodes, e_w, _ = _axis_quad(cfg.eta_half, cfg.eta_points)
-
-    def tensor(axis):
-        return np.stack([m.ravel() for m in
-                         np.meshgrid(*(axis,) * dim, indexing="ij")])
-
-    ys, es = tensor(y_nodes), tensor(e_nodes)
-    ys.flags.writeable = es.flags.writeable = False     # and their views
-    w_y = tensor(y_w).prod(axis=0)[:, None]
-    w_e = (tensor(e_w).prod(axis=0) / (2.0 * np.pi) ** dim)[None, :]
-    y_sq = (ys ** 2).sum(axis=0)[:, None]
-    phase = np.exp(-1j * (ys[:, :, None] * es[:, None, :]).sum(axis=0))
-    damp = (1.0 + y_sq) ** (-cfg.lam)
-    K = phase * damp * w_y * w_e
-    kernel = _Kernel(tuple(ys[:, :, None]), tuple(es[:, None, :]), K,
-                     K.sum(axis=1), K.sum(axis=0), complex(K.sum()),
-                     damp * tensor(y_raw).prod(axis=0)[:, None],
+    y, eta = y_nodes[:, None], e_nodes[None, :]
+    y_sq = y ** 2
+    phase = np.exp(-1j * (y * eta))
+    damp = (1.0 + y_sq) ** (-LAM)
+    K = phase * damp * y_w[:, None] * (e_w / (2.0 * np.pi))[None, :]
+    kernel = _Kernel(y, eta, K, K.sum(axis=1), K.sum(axis=0),
+                     complex(K.sum()), damp * y_raw[:, None],
                      y_sq > (0.8 * cfg.y_half) ** 2)
-    for arr in (K, kernel.rows, kernel.cols, kernel.tail_w, kernel.shell):
-        arr.flags.writeable = False     # one kernel serves every caller
+    for arr in kernel:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False     # one kernel serves every caller
     return kernel
 
 
@@ -525,139 +511,126 @@ def _contract(k: _Kernel, v: np.ndarray) -> complex:
     return complex(np.sum(k.K * v))
 
 
-def _remainder_integrand_trees(s: SymbolExpr, lam: int, extra_alpha=(),
-                               extra_beta=()):
-    """Per axis j, the trees of Laplacian_xi^i applied to d_xi_j d_x_j conj(s),
-    i = 0..lam, with optional extra derivatives for the estimate check; a
-    tuple of tuples, built once per (lam, alpha, beta) and kept on ``s``."""
-    key = (lam, tuple(extra_alpha), tuple(extra_beta))
+def _remainder_integrand_trees(s: SymbolExpr, alpha: int = 0, beta: int = 0):
+    """The trees of Laplacian_xi^i applied to d_xi d_x conj(s), i = 0..LAM,
+    after alpha extra xi- and beta extra x-derivatives (the estimate
+    check's); a tuple, built once per (alpha, beta) and kept on ``s``."""
+    if s.dim != 1:
+        raise DimensionMismatch(
+            f"the remainder quadrature is 1-D; symbol dim is {s.dim}")
+    key = (alpha, beta)
     cached = s._remainder_trees.get(key)
     if cached is not None:
         return cached
     root = ex.Conj(s.root)
-    for var, counts in (("xi", extra_alpha), ("x", extra_beta)):
-        for a, cnt in enumerate(counts):
-            for _ in range(cnt):
-                root = root.d((var, a))
-    per_axis = [[root.d_xi(axis).d_x(axis)] for axis in range(s.dim)]
-    for trees in per_axis:
-        for _ in range(lam):
-            trees.append(ex.add(*(trees[-1].d_xi(a).d_xi(a)
-                                  for a in range(s.dim))))
-    s._remainder_trees[key] = tuple(map(tuple, per_axis))
+    for var, cnt in (("xi", alpha), ("x", beta)):
+        for _ in range(cnt):
+            root = root.d((var, 0))
+    trees = [root.d_xi(0).d_x(0)]
+    for _ in range(LAM):
+        trees.append(ex.add(trees[-1].d_xi(0).d_xi(0)))
+    s._remainder_trees[key] = tuple(trees)
     return s._remainder_trees[key]
 
 
-def _r_theta(trees, t: float, x, pairs, cfg: OscIntConfig, tail_report=None):
-    """r_theta summed over axes at one (t, x) point, one value per
-    (xi, theta) in ``pairs``.
+def _r_theta(trees, t: float, x: float, pairs, cfg: OscIntConfig,
+             tail_report=None):
+    """r_theta at one (t, x) point, one value per (xi, theta) in ``pairs``.
 
     ``trees`` comes from _remainder_integrand_trees.  The weighted kernel K is
-    cached per (cfg, dim); each tree is evaluated at its natural broadcast
-    shape over the (y, eta) grid, and that shape picks the contraction with K
+    cached per cfg; each tree is evaluated at its natural broadcast shape
+    over the (y, eta) grid, and that shape picks the contraction with K
     (_contract): a constant uses sum(K), a y-column the row sums, an
     eta-row the column sums, and only a full-grid integrand the whole K.
     A tree that reads no xi is evaluated and contracted once, at the first
     pair, and serves every pair; only the others are evaluated per pair.
     """
-    k = _kernel(cfg, len(trees))
-    x_args = tuple(np.asarray(xa) + ym for xa, ym in zip(x, k.y_mesh))
+    k = _kernel(cfg)
+    x_args = (x + k.y,)
     xi_free = {}    # id of a tree that reads no xi -> (value, contraction)
     totals = []
     for xi, theta in pairs:
         xi_args = None      # built when a tree first reads it
-        # (1 - Lap_eta)^lam = sum_i C(lam,i) (-Lap_eta)^i and Lap_eta =
+        # (1 - Lap_eta)^LAM = sum_i C(LAM,i) (-Lap_eta)^i and Lap_eta =
         # theta^2 Lap_xi, so each term carries (-theta^2)^i.
-        coeffs = [math.comb(cfg.lam, i) * (-theta * theta) ** i
-                  for i in range(cfg.lam + 1)]
-        total = 0.0 + 0.0j
-        for axis_trees in trees:
-            terms = []
-            for tr in axis_trees:
-                term = xi_free.get(id(tr))
-                if term is None:
-                    xi_args = xi_args or tuple(np.asarray(xa) + theta * em
-                                               for xa, em in zip(xi, k.e_mesh))
-                    v = np.asarray(tr.eval(t, x_args, xi_args))
-                    term = (v, _contract(k, v))
-                    if not tr.depends_xi():
-                        xi_free[id(tr)] = term
-                terms.append(term)
-            total += sum(c * kv for c, (_, kv) in zip(coeffs, terms))
-            if tail_report is not None:
-                # raw trapezoid weights, so the smooth roll-off cannot hide
-                # boundary mass; sums count mag broadcast over the full grid
-                mag = k.tail_w * np.abs(sum(c * v for c, (v, _)
-                                            in zip(coeffs, terms)))
-                scale = k.K.size // mag.size
-                tail_report.append((float(np.sum(mag * k.shell)) * scale,
-                                    float(np.sum(mag)) * scale))
-        totals.append(total)
+        coeffs = [math.comb(LAM, i) * (-theta * theta) ** i
+                  for i in range(LAM + 1)]
+        terms = []
+        for tr in trees:
+            term = xi_free.get(id(tr))
+            if term is None:
+                xi_args = xi_args or (xi + theta * k.eta,)
+                v = np.asarray(tr.eval(t, x_args, xi_args))
+                term = (v, _contract(k, v))
+                if not tr.depends_xi():
+                    xi_free[id(tr)] = term
+            terms.append(term)
+        totals.append(0.0 + 0.0j +
+                      sum(c * kv for c, (_, kv) in zip(coeffs, terms)))
+        if tail_report is not None:
+            # raw trapezoid weights, so the smooth roll-off cannot hide
+            # boundary mass; sums count mag broadcast over the full grid
+            mag = k.tail_w * np.abs(sum(c * v for c, (v, _)
+                                        in zip(coeffs, terms)))
+            scale = k.K.size // mag.size
+            tail_report.append((float(np.sum(mag * k.shell)) * scale,
+                                float(np.sum(mag)) * scale))
     return totals
 
 
-def adjoint_symbol_remainder(s: SymbolExpr, t: float, x, xi,
+def adjoint_symbol_remainder(s: SymbolExpr, t: float, x: float, xi: float,
                              cfg: OscIntConfig | None = None) -> complex:
     """Symbol-level adjoint correction: op(s)^dagger has symbol
-    conj(s) + remainder, with the remainder evaluated here by regularized
-    tensor quadrature over (y, eta) and Gauss-Legendre in theta.
+    conj(s) + remainder, with the remainder of the 1-D symbol s evaluated
+    here by regularized quadrature over (y, eta) and Gauss-Legendre in
+    theta.
 
     Verified convention (matches the dense-matrix adjoint oracle): for
     s = c(x) xi the remainder equals -i c'(x).
     """
     cfg = cfg or OscIntConfig()
-    cfg.validate(s.dim)
-    x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
-    xi = tuple(np.atleast_1d(np.asarray(xi, dtype=float)))
+    trees = _remainder_integrand_trees(s)
     nodes, weights = _gl_nodes(cfg.theta_nodes)
     thetas = 0.5 * (nodes + 1.0)
     tw = 0.5 * weights
     tails = []
-    values = _r_theta(_remainder_integrand_trees(s, cfg.lam), t, x,
-                      [(xi, float(theta)) for theta in thetas], cfg,
+    values = _r_theta(trees, t, float(x),
+                      [(float(xi), float(theta)) for theta in thetas], cfg,
                       tail_report=tails)
     acc = 0.0 + 0.0j
     for w, value in zip(tw, values):
         acc += w * value
     shell = sum(a for a, _ in tails)
     total = sum(b for _, b in tails)
-    if total > 0 and shell / total > cfg.tail_tol:
+    if total > 0 and shell / total > TAIL_TOL:
         raise BoxTooSmall(
-            f"y-shell fraction {shell / total:.3f} exceeds {cfg.tail_tol}")
+            f"y-shell fraction {shell / total:.3f} exceeds {TAIL_TOL}")
     return complex(-1j * acc)
 
 
-def check_remainder_estimate(s: SymbolExpr, alpha, beta,
+def check_remainder_estimate(s: SymbolExpr, alpha: int, beta: int,
                              cfg: OscIntConfig | None = None) -> dict:
-    """Compare weighted remainder derivatives against the semi-norm side.
+    """Compare weighted remainder derivatives of the 1-D symbol s against
+    the semi-norm side.
 
     lhs = max over sampled (x, xi, theta) at t = 0 of
-          |d_xi^alpha d_x^beta r_theta| * (1+|xi|)^{|alpha|};
-    rhs = Q^m_{0, n+2+|alpha|, n+2+|alpha|+|beta|}(s), m the declared order
-    of s, both sampled on [0, 2 pi]^n x {|xi| <= 64}; theta-uniformity shows
-    up as stability of the reported ratio under refinement.
+          |d_xi^alpha d_x^beta r_theta| * (1+|xi|)^alpha;
+    rhs = Q^m_{0, 3+alpha, 3+alpha+beta}(s), m the declared order of s,
+    both sampled on [0, 2 pi] x {|xi| <= 64}; theta-uniformity shows up as
+    stability of the reported ratio under refinement.
     """
     cfg = cfg or OscIntConfig()
-    dim = s.dim
-    alpha = tuple(int(v) for v in np.atleast_1d(alpha))
-    beta = tuple(int(v) for v in np.atleast_1d(beta))
-    a_tot, b_tot = sum(alpha), sum(beta)
-    cfg.validate(dim)
-    box = SampleBox(dim, 2 * math.pi, x_count=9, xi_max=64.0,
+    trees = _remainder_integrand_trees(s, alpha, beta)
+    box = SampleBox(1, 2 * math.pi, x_count=9, xi_max=64.0,
                     xi_uniform_count=5)
-    x_probes = box.x_points()[:: max(1, box.x_points().shape[0] // 7)]
-    ladder = [0.0, 1.0, 4.0, 16.0, 64.0]
-    xi_probes = np.array([[v] + [0.0] * (dim - 1) for v in ladder])
-    thetas = np.linspace(0.0, 1.0, 5)
-    pairs = [(tuple(xip), float(theta)) for xip in xi_probes
-             for theta in thetas]
-    weights = [(1.0 + float(np.linalg.norm(xi))) ** a_tot for xi, _ in pairs]
-    trees = _remainder_integrand_trees(s, cfg.lam, alpha, beta)
+    pairs = [(xi, float(theta)) for xi in (0.0, 1.0, 4.0, 16.0, 64.0)
+             for theta in np.linspace(0.0, 1.0, 5)]
+    weights = [(1.0 + xi) ** alpha for xi, _ in pairs]
     lhs = 0.0
-    for xp in x_probes:
-        for val, weight in zip(_r_theta(trees, 0.0, tuple(xp), pairs, cfg),
+    for xp in box.x_points()[:, 0]:
+        for val, weight in zip(_r_theta(trees, 0.0, float(xp), pairs, cfg),
                                weights):
             lhs = max(lhs, abs(val) * weight)
-    rhs = seminorm_Q(s, 0, dim + 2 + a_tot, dim + 2 + a_tot + b_tot, box)
+    rhs = seminorm_Q(s, 0, 3 + alpha, 3 + alpha + beta, box)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": ratio}

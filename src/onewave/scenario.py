@@ -193,12 +193,20 @@ def _check_log_type(ctx: ScenarioContext) -> CheckOutcome:
 
 def _check_gronwall_fit(ctx: ScenarioContext) -> CheckOutcome:
     tol = ctx.thresholds.log_type_residual
-    _, rep = ctx.sweep()
+    plan, rep = ctx.sweep()
     fit = rep.c_log_fit
     energy_all = all(rep.energy_ok)
-    dominate_all = all(cs >= cm for cs, cm in
-                       zip(rep.c_seminorm, rep.c_measured)
-                       if math.isfinite(cs))
+    # each completed member's semi-norm constant, once per distinct symbol,
+    # must be finite and dominate its measured constant
+    members = [plan.family.member(eps) for eps in rep.eps]
+    c_sem = {}
+    for symbol in members:
+        if id(symbol) not in c_sem:
+            c_sem[id(symbol)] = seminorm_constant(symbol, ctx.grid,
+                                                  ctx.horizon)
+    dominate_all = all(math.isfinite(c_sem[id(symbol)]) and
+                       c_sem[id(symbol)] >= cm
+                       for symbol, cm in zip(members, rep.c_measured))
     ok = bool(fit) and fit["residual"] < tol and fit["coeff"] >= 0 and \
         energy_all and dominate_all and not rep.incomplete
     return CheckOutcome("gronwall_fit", "PASS" if ok else "FAIL",
@@ -289,7 +297,7 @@ def _check_remainder_xindep(ctx: ScenarioContext, tol=1e-10) -> CheckOutcome:
     worst = 0.0
     for xp in (0.5, 2.0, 4.0):
         for xip in (0.0, 2.0, 8.0):
-            worst = max(worst, abs(adjoint_symbol_remainder(s, 0.0, [xp], [xip])))
+            worst = max(worst, abs(adjoint_symbol_remainder(s, 0.0, xp, xip)))
     return CheckOutcome("remainder_xindep", "PASS" if worst <= tol else "FAIL",
                         worst, f"|remainder| of x-independent symbol, tol {tol:g}")
 
@@ -306,7 +314,7 @@ def _check_remainder_oracle(ctx: ScenarioContext, rel_tol=5e-2) -> CheckOutcome:
         (grid.points, grid.points)))
     rem_matrix = astar - conj_table
     k0 = int(np.where(xis == 0.0)[0][0])
-    quad = np.array([adjoint_symbol_remainder(symbol, 0.0, [x], [0.0])
+    quad = np.array([adjoint_symbol_remainder(symbol, 0.0, x, 0.0)
                      for x in pts])
     scale = float(np.max(np.abs(rem_matrix[:, k0])))
     # a zero dense remainder leaves the relative deviation undefined: FAIL
@@ -323,9 +331,8 @@ def _check_remainder_stability(ctx: ScenarioContext,
                                rel_change=0.2) -> CheckOutcome:
     symbol = ctx.symbol_1d.full()
     base_cfg = OscIntConfig()
-    base = check_remainder_estimate(symbol, (0,), (0,), cfg=base_cfg)
-    refined = check_remainder_estimate(symbol, (0,), (0,),
-                                       cfg=base_cfg.refined())
+    base = check_remainder_estimate(symbol, 0, 0, cfg=base_cfg)
+    refined = check_remainder_estimate(symbol, 0, 0, cfg=base_cfg.refined())
     change = abs(refined["ratio"] - base["ratio"]) / max(base["ratio"], 1e-300)
     ok = change <= rel_change and base["ratio"] > 0
     if ctx.artifact("remainder_checks.csv"):
@@ -400,9 +407,13 @@ _MULTI_INDEX = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 # A derivative order a run takes; capped, as its work grows with it.
 _ORDER = {"type": "integer", "minimum": 0, "maximum": MAX_DIFF_ORDER}
 
+# Expression nodes stay open: each node kind reads its own fields.  Every
+# other object schema closes with additionalProperties false, so a
+# misspelled key is refused rather than replaced by its default.
 _EXPR = {"type": "object",
          "properties": {"node": {"type": "string"}},
          "required": ["node"]}
+_NUMBERS = {"type": "array", "items": _NUMBER}
 
 # A symbol document by its declared order, which the semi-norms read.
 _SYMBOL_EXPR = {
@@ -411,7 +422,8 @@ _SYMBOL_EXPR = {
                            "declared_order": {"type": "number",
                                               "const": order},
                            "expr": _EXPR},
-            "required": ["dim", "declared_order", "expr"]}
+            "required": ["dim", "declared_order", "expr"],
+            "additionalProperties": False}
     for order in (0, 1)}
 
 _ROUGH = {
@@ -419,8 +431,14 @@ _ROUGH = {
     "properties": {
         "kind": {"enum": list(RoughCoefficient.KINDS)},
         "period": _POSITIVE,
+        "breakpoints": _NUMBERS,
+        "values": _NUMBERS,
+        "modes": {"type": "array", "items": {"type": "integer"}},
+        "coeffs": {"type": "array", "items": {**_NUMBERS, "minItems": 2,
+                                              "maxItems": 2}},
     },
     "required": ["kind", "period"],
+    "additionalProperties": False,
 }
 
 _DATA = {
@@ -431,6 +449,7 @@ _DATA = {
                              "node": _MULTI_INDEX,
                              "expr": _EXPR},
               "required": ["kind"],
+              "additionalProperties": False,
               "allOf": [_requires("kind", "delta", "node"),
                         _requires("kind", "expression", "expr")]},
         "builder": {"enum": ["fixed", "mollified", "scaled_exp",
@@ -446,9 +465,11 @@ _DATA = {
                                       _NUMBER)},
                       "additionalProperties": False},
                   "shape": _EXPR},
+              "additionalProperties": False,
               **_requires("kind", "separable", "shape")},
     },
     "required": ["g"],
+    "additionalProperties": False,
 }
 
 # Every check parameter, once; which check takes which is its signature.
@@ -477,6 +498,7 @@ CONFIG_SCHEMA = {
                 "length": _POSITIVE,
             },
             "required": ["dim", "points", "length"],
+            "additionalProperties": False,
         },
         "horizon": _POSITIVE,
         "dt": {"type": ["number", "null"], "exclusiveMinimum": 0},
@@ -494,6 +516,7 @@ CONFIG_SCHEMA = {
                 "transition_width": _POSITIVE,
             },
             "required": ["kind"],
+            "additionalProperties": False,
             "allOf": [_requires("kind", "expr", "a1"),
                       _requires("kind", "rough_transport", "speeds")],
         },
@@ -505,9 +528,11 @@ CONFIG_SCHEMA = {
                 "eps_min": _POSITIVE,
                 "ratio": {"type": "number", "exclusiveMinimum": 0,
                           "exclusiveMaximum": 1},
-                "count": {"type": "integer", "minimum": 2},
+                # a fitted exponent and a trend need three points
+                "count": {"type": "integer", "minimum": 3},
             },
             "required": ["eps0", "count"],
+            "additionalProperties": False,
         },
         "orders": {"type": "array",
                    "items": {"type": "array", "minItems": 2, "maxItems": 2,
@@ -535,6 +560,7 @@ CONFIG_SCHEMA = {
     },
     "required": ["name", "grid", "horizon", "seed", "symbol", "data",
                  "checks"],
+    "additionalProperties": False,
 }
 
 # Compiled once: jsonschema.validate re-checks the schema on every call.
@@ -604,7 +630,7 @@ class ScenarioContext:
             raise ValueError(f"symbol dimension {symbol_dim} != grid.dim {dim}")
         self.speed = (self.fixed_symbol.transport_speed(self.grid)
                       if self.fixed_symbol else None)
-        # the remainder quadrature's 2-D (y, eta) kernel would be 253 GiB
+        # the remainder quadrature is 1-D
         self.symbol_1d = self.fixed_symbol if dim == 1 else None
 
         self.eps_grid = self.family = None
@@ -673,7 +699,10 @@ class ScenarioContext:
         for need in needs:
             if getattr(self, need) is None:
                 raise ValueError(f"check {name!r} needs {_NEEDS[need]}")
-        if name == "ginf":      # InsufficientOrders, before any sweep runs
+        # InsufficientSweep and InsufficientOrders, before any sweep runs
+        if name in ("log_type", "negligible", "ginf"):
+            self.family.require_regression_sweep()
+        if name == "ginf":
             require_ginf_orders(self.orders, self.thresholds.ginf_order_cap)
         if "data" in params:
             params["data"] = self._data_builder(params["data"])

@@ -270,14 +270,15 @@ class HyperbolicSymbol:
             return None
         return float(speed.real)
 
-    def is_real(self) -> bool:
-        """Sampled reality check of the full symbol (a1 is checked on
+    def is_real(self, grid: Grid) -> bool:
+        """Sampled reality check of the full symbol over ``grid``'s domain
+        and frequencies |xi| <= grid.max_abs_xi() (a1 is checked on
         construction paths; case analysis also needs a0 real)."""
         if self.a0 is None:
             return True
         return check_real_valued(self.a0, SampleBox(
-            self.dim, 2.0 * math.pi, x_count=33, xi_uniform_count=9,
-            xi_max=64.0))
+            self.dim, grid.length, x_count=33, xi_uniform_count=9,
+            xi_max=grid.max_abs_xi()))
 
 
 def check_real_valued(s: SymbolExpr, box: SampleBox) -> bool:

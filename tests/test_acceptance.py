@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from onewave import expr as ex
-from onewave.cauchy import CauchyProblem, solve_fixed_eps
+from onewave.cauchy import CauchyProblem, seminorm_constant, solve_fixed_eps
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
 from onewave.quantization import PeriodicOperator, op_matrix
@@ -72,10 +72,12 @@ class TestAcceptance:
         # sweep scenarios: per-eps pointwise/Gronwall flags plus calibrated
         # domination where the semi-norm constant is measured
         ctx = ScenarioContext(get_preset("piecewise_speed_logtype"))
-        _, rep = ctx.sweep()
+        plan, rep = ctx.sweep()
         if not all(rep.energy_ok):
             failures.append("piecewise_speed_logtype(energy)")
-        if not all(cs >= cm for cs, cm in zip(rep.c_seminorm, rep.c_measured)):
+        if not all(seminorm_constant(plan.family.member(eps), ctx.grid,
+                                     ctx.horizon) >= cm
+                   for eps, cm in zip(rep.eps, rep.c_measured)):
             failures.append("piecewise_speed_logtype(domination)")
         elapsed = time.time() - t0
         report("3 energy", not failures and elapsed <= 120.0,

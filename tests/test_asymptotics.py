@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from onewave import asymptotics, cauchy, quantization
+from onewave import asymptotics, cauchy, quantization, scenario
 from onewave import expr as ex
 from onewave.asymptotics import (DataBuilder, SweepPlan, check_association,
                                  check_ginf, check_negligible, fit_exponent,
@@ -87,12 +87,54 @@ class TestRunSweep:
         rep = run_sweep(plan)
         assert all(rep.energy_ok)
         assert (1,) in rep.predicted_exponents
-        # the cascade's sweep compares against the semi-norm constant
-        assert all(cs >= cm for cs, cm in zip(rep.c_seminorm, rep.c_measured))
+        # the semi-norm constant dominates every member's measured constant
+        assert all(cauchy.seminorm_constant(plan.family.member(eps), grid256,
+                                            0.5) >= cm
+                   for eps, cm in zip(rep.eps, rep.c_measured))
 
     def test_fit_exponent_of_vanishing_sequence(self):
         n, _, _ = fit_exponent([0.1, 0.01, 0.001], [0.0, 0.0, 0.0])
         assert n is None
+
+
+class TestGronwallFitDominance:
+    """gronwall_fit compares each completed member's semi-norm constant
+    with its measured constant, whatever the cascade order."""
+
+    def _run(self, cfg, monkeypatch, constant=None):
+        calls = []
+
+        def patched(symbol, grid, horizon):
+            calls.append(symbol)
+            if constant is None:
+                return cauchy.seminorm_constant(symbol, grid, horizon)
+            return constant
+        monkeypatch.setattr(scenario, "seminorm_constant", patched)
+        cfg["checks"] = ["gronwall_fit"]
+        _, [outcome] = run_scenario(cfg, echo=lambda line: None)
+        return outcome, calls
+
+    @pytest.mark.parametrize("constant", [0.5, math.nan, math.inf])
+    def test_low_or_non_finite_constant_fails_without_cascade(
+            self, constant, monkeypatch):
+        # every measured constant is 1 + skew + 2||a0|| >= 1
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["cascade_max_order"] = 0
+        outcome, calls = self._run(cfg, monkeypatch, constant)
+        assert outcome.status == "FAIL"
+        assert calls
+
+    def test_constant_once_per_distinct_member(self, monkeypatch):
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["cascade_max_order"] = 0
+        outcome, calls = self._run(cfg, monkeypatch)
+        assert outcome.status == "PASS"
+        assert len(calls) == 6 == len({id(c) for c in calls})
+        # a fixed symbol is one member for every eps
+        cfg = get_preset("ginf_regularity")
+        cfg["grid"]["points"] = 64
+        _, calls = self._run(cfg, monkeypatch)
+        assert len(calls) == 1
 
 
 class TestNegligible:

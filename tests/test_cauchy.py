@@ -329,6 +329,31 @@ class TestCaseVariants:
         assert not rep["case_c"]["applicable"]
         assert "reason" in rep["case_c"]
 
+    @pytest.mark.parametrize("grid, a0", [
+        # imaginary only on x in (3 pi - 1, 3 pi + 1), beyond [0, 2 pi]
+        ({"length": 4 * np.pi}, {"node": "product", "children": [
+            {"node": "constant", "re": 0.0, "im": 1.0},
+            {"node": "smooth_bump", "child": {"node": "coord_x", "axis": 0},
+             "center": 3 * np.pi, "width": 1.0}]}),
+        # 0.3i for |xi| > 91, which M=256 resolves (max |xi| 128)
+        ({"points": 256}, {"node": "product", "children": [
+            {"node": "constant", "re": 0.0, "im": 0.3},
+            {"node": "smooth_step", "edge": -91.0, "width": 1.0,
+             "child": {"node": "product", "children": [
+                 {"node": "constant", "re": -1.0, "im": 0.0},
+                 {"node": "japanese_bracket", "order": 1.0}]}}]})],
+        ids=["length_4pi", "xi_above_90"])
+    def test_complex_a0_beyond_default_box_not_case_c(self, grid, a0):
+        # the reality test samples the grid's domain and frequencies
+        cfg = get_preset("variable_speed_smooth")
+        cfg["grid"].update(grid)
+        cfg["symbol"]["a0"]["expr"] = a0
+        cfg["checks"] = ["case_variants"]
+        lines = []
+        ok, _ = scenario.run_scenario(cfg, echo=lines.append)
+        assert "case_c: n/a (a0 is not real-valued)" in lines[0]
+        assert ok
+
     def test_case_c_constant_leaves_out_a0(self, grid32):
         # a real a0 enters case c only through its adjoint defect
         a1 = SymbolExpr(ex.CoordXi(0), 1.0, 1)

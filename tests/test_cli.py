@@ -17,7 +17,7 @@ from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
 from onewave.config import Thresholds
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
-from onewave.scenario import ScenarioContext, run_scenario
+from onewave.scenario import _EXPR, ScenarioContext, run_scenario
 
 
 class TestPresets:
@@ -47,6 +47,22 @@ class TestPresets:
         for name in PRESETS:
             cfg = get_preset(name)
             assert json.loads(json.dumps(cfg)) == cfg
+
+    def test_every_object_schema_but_expressions_is_closed(self):
+        # a key an object schema does not list must be refused; expression
+        # nodes stay open, and `if` conditions only test a key
+        def open_objects(node, path):
+            if isinstance(node, list):
+                for i, child in enumerate(node):
+                    yield from open_objects(child, f"{path}/{i}")
+            elif isinstance(node, dict) and node is not _EXPR:
+                if "properties" in node and \
+                        node.get("additionalProperties") is not False:
+                    yield path
+                for key, child in node.items():
+                    if key != "if":
+                        yield from open_objects(child, f"{path}/{key}")
+        assert list(open_objects(CONFIG_SCHEMA, "")) == []
 
     def test_schema_is_a_valid_draft_2020_12_schema(self):
         # validate_config uses a precompiled validator, which never checks
@@ -308,7 +324,7 @@ CONFIG_PROBES = {
     "check_delta_node_short_2d": ("delta_association", _plane([5, 5], [
         {"check": "ginf", "data": {"g": {"kind": "delta", "node": [5]}}}]),
         []),
-    # the remainder quadrature's 2-D (y, eta) kernel would need 253 GiB
+    # the remainder quadrature is 1-D
     "remainder_oracle_2d": ("delta_association",
                             _plane([5, 5], ["remainder_oracle"]), []),
     "remainder_stability_2d": ("delta_association",
@@ -367,6 +383,39 @@ CONFIG_PROBES = {
                                   ["--grid-M", "32"]),
     "carrier_above_nyquist_M64": ("ginf_regularity", lambda cfg: None,
                                   ["--grid-M", "64"]),
+    # a fitted exponent and a residual trend need three eps points
+    "sweep_count_two_moderateness": ("piecewise_speed_logtype", _set(
+        ["sweep", "count"], 2), []),
+    "sweep_count_two_association": ("delta_association", _set(
+        ["sweep", "count"], 2), []),
+    # the regression verdicts need >= 5 eps points over >= 3 decades, and
+    # say so before the sweep runs
+    "negligible_eps_count_four": ("negligible_uniqueness", lambda cfg: None,
+                                  ["--eps-count", "4"]),
+    "log_type_eps_count_four": ("piecewise_speed_logtype", lambda cfg: None,
+                                ["--eps-count", "4"]),
+    "ginf_eps_count_four": ("ginf_regularity", lambda cfg: None,
+                            ["--eps-count", "4"]),
+    "ginf_sweep_below_three_decades": ("ginf_regularity", _set(
+        ["sweep", "ratio"], 0.5), []),
+    # a misspelled key is refused, not replaced by its default
+    "unknown_root_key": ("piecewise_speed_logtype",
+                         _set(["cascade_max_ordr"], 1), []),
+    "unknown_grid_key": ("transport_smoke", _set(["grid", "point"], 64), []),
+    "unknown_symbol_key": ("piecewise_speed_logtype",
+                           _set(["symbol", "mollification_K"], 2), []),
+    "unknown_a1_key": ("transport_smoke",
+                       _set(["symbol", "a1", "order"], 1.0), []),
+    "unknown_rough_key": ("piecewise_speed_logtype",
+                          _set(["symbol", "speeds", 0, "value"], [1.0]), []),
+    "unknown_data_key": ("negligible_uniqueness",
+                         _set(["data", "gama"], 0.5), []),
+    "unknown_g_key": ("delta_association",
+                      _set(["data", "g", "nodes"], [3]), []),
+    "unknown_f_key": ("transport_smoke", _set(["data", "f"], {
+        "kind": "separable", "shape": _X, "shap": _X}), []),
+    "unknown_sweep_key": ("piecewise_speed_logtype",
+                          _set(["sweep", "eps_mn"], 1e-3), []),
 }
 
 

@@ -14,8 +14,9 @@ from onewave import expr as ex
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
 from onewave.profiles import plateau
-from onewave.quantization import (OscIntConfig, PeriodicOperator, _contract,
-                                  _kernel, _r_theta, _remainder_integrand_trees,
+from onewave.quantization import (LAM, OscIntConfig, PeriodicOperator,
+                                  _contract, _kernel, _r_theta,
+                                  _remainder_integrand_trees,
                                   adjoint_defect_norm,
                                   adjoint_symbol_remainder,
                                   band_projector, check_remainder_estimate,
@@ -359,7 +360,7 @@ class TestAdjoint:
         route1 = mat.conj().T
         pts = grid32.x_axis()
         rem = np.array([adjoint_symbol_remainder(bump_speed_symbol, 0.0,
-                                                 [x], [0.0]) for x in pts])
+                                                 x, 0.0) for x in pts])
         xis = grid32.xi_axis()
         conj_table = np.conj(np.broadcast_to(np.asarray(
             bump_speed_symbol.root.eval(0.0, (pts[:, None],),
@@ -433,13 +434,13 @@ class TestSymbolRecovery:
 class TestOscillatoryRemainder:
     def test_x_independent_vanishes(self, xi_symbol):
         for xi in (0.0, 2.0, 16.0):
-            val = adjoint_symbol_remainder(xi_symbol, 0.0, [1.0], [xi])
+            val = adjoint_symbol_remainder(xi_symbol, 0.0, 1.0, xi)
             assert abs(val) <= 1e-10
 
     def test_matches_closed_form(self, bump_speed_symbol):
         # for a = c(x) xi the full adjoint symbol is conj(a) - i c'(x)
         xp = np.pi + 0.7
-        got = adjoint_symbol_remainder(bump_speed_symbol, 0.0, [xp], [0.0])
+        got = adjoint_symbol_remainder(bump_speed_symbol, 0.0, xp, 0.0)
         cprime = SymbolExpr(bump_speed_symbol.root, 1.0, 1).derivative(
             0, (0,), (1,)).eval(0.0, xp, 1.0)
         # derivative of c(x) xi in x, evaluated at xi = 1, equals c'(x)
@@ -447,8 +448,7 @@ class TestOscillatoryRemainder:
 
     def test_bounded_along_xi_ladder(self, bump_speed_symbol):
         xp = np.pi + 0.7
-        vals = [abs(adjoint_symbol_remainder(bump_speed_symbol, 0.0, [xp],
-                                             [xi]))
+        vals = [abs(adjoint_symbol_remainder(bump_speed_symbol, 0.0, xp, xi))
                 for xi in (0.0, 1.0, 4.0, 16.0)]
         assert max(vals) / max(min(vals), 1e-300) <= 1.2
 
@@ -456,20 +456,15 @@ class TestOscillatoryRemainder:
         tiny = OscIntConfig(y_half=1.0, y_points=41, eta_half=8.0,
                             eta_points=41)
         with pytest.raises(BoxTooSmall):
-            adjoint_symbol_remainder(bump_speed_symbol, 0.0, [np.pi], [0.0],
-                                     tiny)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OscIntConfig(lam=0).validate(dim=1)
+            adjoint_symbol_remainder(bump_speed_symbol, 0.0, np.pi, 0.0, tiny)
 
     def test_estimate_x_independent(self, xi_symbol):
-        rep = check_remainder_estimate(xi_symbol, (0,), (0,))
+        rep = check_remainder_estimate(xi_symbol, 0, 0)
         assert rep["lhs"] == 0.0 and rep["ratio"] == 0.0
 
     def test_estimate_stable_under_refinement(self, bump_speed_symbol):
-        base = check_remainder_estimate(bump_speed_symbol, (0,), (0,))
-        refined = check_remainder_estimate(bump_speed_symbol, (0,), (0,),
+        base = check_remainder_estimate(bump_speed_symbol, 0, 0)
+        refined = check_remainder_estimate(bump_speed_symbol, 0, 0,
                                            cfg=OscIntConfig().refined())
         assert base["ratio"] > 0
         change = abs(refined["ratio"] - base["ratio"]) / base["ratio"]
@@ -498,12 +493,12 @@ def _reference_r_theta(s, t, x, xi, theta, cfg, alpha=0):
         tree = tree.d_xi(0)
     tree = tree.d_xi(0).d_x(0)
     integrand = np.zeros((y.size, eta.size), dtype=complex)
-    for i in range(cfg.lam + 1):
-        integrand += math.comb(cfg.lam, i) * (-theta * theta) ** i * \
+    for i in range(LAM + 1):
+        integrand += math.comb(LAM, i) * (-theta * theta) ** i * \
             tree.eval(t, (x + y[:, None],), (xi + theta * eta[None, :],))
         tree = tree.d_xi(0).d_xi(0)
     phase = np.exp(-1j * np.outer(y, eta))
-    damp = ((1.0 + y ** 2) ** (-cfg.lam))[:, None]
+    damp = ((1.0 + y ** 2) ** (-LAM))[:, None]
     return np.sum(phase * damp * integrand * w_y[:, None] * w_e[None, :]) / \
         (2.0 * np.pi)
 
@@ -538,9 +533,9 @@ class TestRemainderKernelOracle:
     @pytest.mark.parametrize("name, alpha, cfg", CASES)
     def test_r_theta_matches_full_phase_sum(self, name, alpha, cfg):
         s = SHAPE_SYMBOLS[name]
-        trees = _remainder_integrand_trees(s, cfg.lam, (alpha,))
+        trees = _remainder_integrand_trees(s, alpha)
         for x, xi, theta in ((np.pi + 0.7, 1.0, 0.0), (2.0, 3.0, 0.6)):
-            [got] = _r_theta(trees, 0.0, (x,), [((xi,), theta)], cfg)
+            [got] = _r_theta(trees, 0.0, x, [(xi, theta)], cfg)
             want = _reference_r_theta(s, 0.0, x, xi, theta, cfg, alpha)
             assert abs(want) > 1e-6
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -550,16 +545,16 @@ class TestRemainderKernelOracle:
         ("bump_xi2", OscIntConfig().refined())])
     def test_remainder_matches_full_phase_sum(self, name, cfg):
         s = SHAPE_SYMBOLS[name]
-        got = adjoint_symbol_remainder(s, 0.0, [2.0], [3.0], cfg)
+        got = adjoint_symbol_remainder(s, 0.0, 2.0, 3.0, cfg)
         want = _reference_remainder(s, 2.0, 3.0, cfg)
         assert abs(got - want) <= 1e-12 * abs(want)
 
-    def test_kernel_built_once_per_config_and_dim(self):
+    def test_kernel_built_once_per_config(self):
         s = SHAPE_SYMBOLS["bump_xi"]
         _kernel.cache_clear()
         for cfg in (OscIntConfig(), OscIntConfig(), OscIntConfig().refined()):
-            adjoint_symbol_remainder(s, 0.0, [2.0], [0.0], cfg)
-        check_remainder_estimate(s, (0,), (0,))
+            adjoint_symbol_remainder(s, 0.0, 2.0, 0.0, cfg)
+        check_remainder_estimate(s, 0, 0)
         info = _kernel.cache_info()
         assert info.misses == 2
         assert info.currsize == 2
@@ -570,43 +565,37 @@ def _r_theta_per_pair(trees, t, x, xi, theta, cfg, tail_report=None):
     contracted afresh: the quadrature as it was before the trees that read
     no xi were shared across (xi, theta) pairs, kept as the bitwise
     reference."""
-    k = _kernel(cfg, len(trees))
-    x_args = tuple(np.asarray(xa) + ym for xa, ym in zip(x, k.y_mesh))
-    xi_args = tuple(np.asarray(xa) + theta * em for xa, em in zip(xi, k.e_mesh))
-    coeffs = [math.comb(cfg.lam, i) * (-theta * theta) ** i
-              for i in range(cfg.lam + 1)]
+    k = _kernel(cfg)
+    x_args = (x + k.y,)
+    xi_args = (xi + theta * k.eta,)
+    coeffs = [math.comb(LAM, i) * (-theta * theta) ** i
+              for i in range(LAM + 1)]
+    vals = [np.asarray(tr.eval(t, x_args, xi_args)) for tr in trees]
     total = 0.0 + 0.0j
-    for axis_trees in trees:
-        vals = [np.asarray(tr.eval(t, x_args, xi_args)) for tr in axis_trees]
-        total += sum(c * _contract(k, v) for c, v in zip(coeffs, vals))
-        if tail_report is not None:
-            mag = k.tail_w * np.abs(sum(c * v for c, v in zip(coeffs, vals)))
-            scale = k.K.size // mag.size
-            tail_report.append((float(np.sum(mag * k.shell)) * scale,
-                                float(np.sum(mag)) * scale))
+    total += sum(c * _contract(k, v) for c, v in zip(coeffs, vals))
+    if tail_report is not None:
+        mag = k.tail_w * np.abs(sum(c * v for c, v in zip(coeffs, vals)))
+        scale = k.K.size // mag.size
+        tail_report.append((float(np.sum(mag * k.shell)) * scale,
+                            float(np.sum(mag)) * scale))
     return total
 
 
 def _estimate_per_pair(s, alpha, beta, cfg):
     """check_remainder_estimate's dict from one _r_theta_per_pair call per
     (x, xi, theta) probe, in the same order."""
-    dim = s.dim
-    box = SampleBox(dim, 2 * math.pi, x_count=9, xi_max=64.0,
+    box = SampleBox(1, 2 * math.pi, x_count=9, xi_max=64.0,
                     xi_uniform_count=5)
-    x_probes = box.x_points()[:: max(1, box.x_points().shape[0] // 7)]
-    xi_probes = np.array([[v] + [0.0] * (dim - 1)
-                          for v in [0.0, 1.0, 4.0, 16.0, 64.0]])
-    trees = _remainder_integrand_trees(s, cfg.lam, alpha, beta)
+    trees = _remainder_integrand_trees(s, alpha, beta)
     lhs = 0.0
-    for xp in x_probes:
-        for xip in xi_probes:
-            weight = (1.0 + float(np.linalg.norm(xip))) ** sum(alpha)
+    for xp in np.linspace(0.0, 2 * math.pi, 9):
+        for xip in (0.0, 1.0, 4.0, 16.0, 64.0):
+            weight = (1.0 + xip) ** alpha
             for theta in np.linspace(0.0, 1.0, 5):
-                val = _r_theta_per_pair(trees, 0.0, tuple(xp), tuple(xip),
+                val = _r_theta_per_pair(trees, 0.0, float(xp), xip,
                                         float(theta), cfg)
                 lhs = max(lhs, abs(val) * weight)
-    rhs = seminorm_Q(s, 0, dim + 2 + sum(alpha),
-                     dim + 2 + sum(alpha) + sum(beta), box)
+    rhs = seminorm_Q(s, 0, 3 + alpha, 3 + alpha + beta, box)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": lhs / rhs}
 
 
@@ -625,24 +614,23 @@ class TestRemainderSharing:
     point and shared by its (xi, theta) pairs, bitwise as a fresh per-pair
     evaluation; the trees themselves are built once per symbol."""
 
-    PAIRS = [((xi,), theta) for xi in (0.0, 3.0, 16.0)
+    PAIRS = [(xi, theta) for xi in (0.0, 3.0, 16.0)
              for theta in (0.0, 0.6, 1.0)]
 
     def test_cases_cover_xi_free_and_xi_reading_trees(self):
         def reads_xi(name):
-            return [tr.depends_xi() for axis in _remainder_integrand_trees(
-                SHAPE_SYMBOLS[name], 2) for tr in axis]
+            return [tr.depends_xi()
+                    for tr in _remainder_integrand_trees(SHAPE_SYMBOLS[name])]
         assert not any(reads_xi("bump_xi"))
         assert any(reads_xi("bump_xi2")) and any(reads_xi("x_xi3"))
 
     @pytest.mark.parametrize("name, alpha, cfg",
                              TestRemainderKernelOracle.CASES)
     def test_r_theta_bitwise_per_pair(self, name, alpha, cfg):
-        trees = _remainder_integrand_trees(SHAPE_SYMBOLS[name], cfg.lam,
-                                           (alpha,))
+        trees = _remainder_integrand_trees(SHAPE_SYMBOLS[name], alpha)
         got_tails, want_tails = [], []
-        got = _r_theta(trees, 0.0, (2.0,), self.PAIRS, cfg, got_tails)
-        want = [_r_theta_per_pair(trees, 0.0, (2.0,), xi, theta, cfg,
+        got = _r_theta(trees, 0.0, 2.0, self.PAIRS, cfg, got_tails)
+        want = [_r_theta_per_pair(trees, 0.0, 2.0, xi, theta, cfg,
                                   want_tails) for xi, theta in self.PAIRS]
         assert _bits(got) == _bits(want)
         assert len(got_tails) == len(want_tails) == len(self.PAIRS)
@@ -650,8 +638,10 @@ class TestRemainderSharing:
             assert _bits(got_entry) == _bits(want_entry)
 
     @pytest.mark.parametrize("name, alpha, beta", [
-        ("bump_xi", (0,), (0,)), ("bump_xi2", (1,), (0,)),
-        ("x_xi3", (1,), (0,))])
+        ("bump_xi", 0, 0), ("bump_xi2", 1, 0), ("x_xi3", 1, 0)],
+        # the ids number the cases, as pytest named the tuple orders
+        ids=["bump_xi-alpha0-beta0", "bump_xi2-alpha1-beta1",
+             "x_xi3-alpha2-beta2"])
     def test_estimate_bitwise_per_pair(self, name, alpha, beta):
         s = SHAPE_SYMBOLS[name]
         got = check_remainder_estimate(s, alpha, beta)
@@ -662,34 +652,38 @@ class TestRemainderSharing:
 
     def test_trees_built_once_per_symbol(self, monkeypatch):
         s = SymbolExpr(ex.mul(_BUMP, _XI, _XI), 2.0, 1)
-        first = adjoint_symbol_remainder(s, 0.0, [2.0], [3.0])
+        first = adjoint_symbol_remainder(s, 0.0, 2.0, 3.0)
         built = []
         for cls in _expr_classes():
             if "d" in vars(cls):
                 monkeypatch.setattr(cls, "d", lambda node, var, _d=vars(cls)[
                     "d"]: built.append(var) or _d(node, var))
-        assert adjoint_symbol_remainder(s, 0.0, [2.0], [3.0]) == first
+        assert adjoint_symbol_remainder(s, 0.0, 2.0, 3.0) == first
         assert built == []
         # the count sees the nodes a symbol without cached trees builds
-        adjoint_symbol_remainder(SymbolExpr(s.root, 2.0, 1), 0.0, [2.0],
-                                 [3.0])
+        adjoint_symbol_remainder(SymbolExpr(s.root, 2.0, 1), 0.0, 2.0, 3.0)
         assert built
 
     def test_cached_trees_are_immutable(self):
         s = SymbolExpr(ex.mul(_BUMP, _XI, _XI), 2.0, 1)
-        trees = _remainder_integrand_trees(s, 2)
-        assert _remainder_integrand_trees(s, 2) is trees
+        trees = _remainder_integrand_trees(s)
+        assert len(trees) == LAM + 1
+        assert _remainder_integrand_trees(s) is trees
         with pytest.raises(TypeError):
-            trees[0] = ()
+            trees[0] = ex.ZERO
         with pytest.raises(AttributeError):
-            trees[0].append(ex.ZERO)
-        with pytest.raises(TypeError):
-            trees[0][0] = ex.ZERO
+            trees.append(ex.ZERO)
 
     def test_kernel_guarded_before_it_allocates(self):
-        # 2-D: 361^2 y nodes x 361^2 eta nodes would be 253 GiB of K
-        with pytest.raises(TooLarge, match="4096"):
-            _kernel(OscIntConfig(), 2)
+        # the quadrature is 1-D: a 2-D symbol is refused at both entry
+        # points before any kernel is built
+        plane = SymbolExpr(ex.mul(ex.CoordX(1), _XI), 1.0, 2)
+        _kernel.cache_clear()
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            adjoint_symbol_remainder(plane, 0.0, 2.0, 3.0)
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            check_remainder_estimate(plane, 0, 0)
+        assert _kernel.cache_info().currsize == 0
 
 
 class TestBandProjector:

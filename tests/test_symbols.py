@@ -298,12 +298,12 @@ class TestTransportSpeed:
 class TestRealityCheck:
     def test_real_a1_tagged(self, variable_speed_symbol):
         h = HyperbolicSymbol(a1=variable_speed_symbol)
-        assert h.is_real()
+        assert h.is_real(Grid(1, 128, TWO_PI))
 
     def test_complex_a0_flagged(self, variable_speed_symbol):
         a0 = SymbolExpr(ex.mul(ex.Const(1j), ex.Sin(ex.CoordX(0))), 0.0, 1)
         h = HyperbolicSymbol(a1=variable_speed_symbol, a0=a0)
-        assert not h.is_real()
+        assert not h.is_real(Grid(1, 128, TWO_PI))
 
 
 def _const_family(symbol, eps_grid):
