@@ -475,6 +475,17 @@ _LEAF_PARSERS = {
 
 _PROFILE_NODES = {cls.node: cls for cls in (SmoothBump, SmoothStep)}
 
+# The keys each node kind reads besides "node"; any other key is refused.
+_NODE_KEYS = {
+    "constant": {"re", "im"}, "coord_t": set(), "coord_x": {"axis"},
+    "coord_xi": {"axis"}, "japanese_bracket": {"order"},
+    "sum": {"children"}, "product": {"children"},
+    "power": {"base", "exponent"}, "sin": {"child"}, "cos": {"child"},
+    "conj": {"child"}, "mollified_in_x": {"rough", "omega", "axis", "order"},
+    **{name: {"child", cls.loc_key, "width", "order"}
+       for name, cls in _PROFILE_NODES.items()},
+}
+
 
 def from_json(data: dict, mollifier_factory=None) -> Expr:
     """Parse the tagged-union JSON form back into a tree.
@@ -484,6 +495,12 @@ def from_json(data: dict, mollifier_factory=None) -> Expr:
     free of convolution machinery.
     """
     node = data["node"]
+    if node not in _NODE_KEYS:
+        raise ValueError(f"unknown expression node {node!r}")
+    unread = sorted(set(data) - _NODE_KEYS[node] - {"node"})
+    if unread:
+        raise ValueError(f"expression node {node!r} does not read "
+                         f"{', '.join(map(repr, unread))}")
     if node == "constant":
         return Const(complex(data.get("re", 0.0), data.get("im", 0.0)))
     if node in _LEAF_PARSERS:
@@ -504,9 +521,8 @@ def from_json(data: dict, mollifier_factory=None) -> Expr:
         cls = _PROFILE_NODES[node]
         kwargs = {k: data[k] for k in (cls.loc_key, "width", "order") if k in data}
         return cls(from_json(data["child"], mollifier_factory), **kwargs)
-    if node == "mollified_in_x":
-        if mollifier_factory is None:
-            raise ValueError("mollified_in_x nodes need a mollifier factory")
-        coeff = mollifier_factory(data["rough"], data["omega"])
-        return MollifiedCoeff(coeff, data.get("axis", 0), data.get("order", 0))
-    raise ValueError(f"unknown expression node {node!r}")
+    # mollified_in_x, the one node kind left
+    if mollifier_factory is None:
+        raise ValueError("mollified_in_x nodes need a mollifier factory")
+    coeff = mollifier_factory(data["rough"], data["omega"])
+    return MollifiedCoeff(coeff, data.get("axis", 0), data.get("order", 0))

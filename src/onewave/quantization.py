@@ -10,6 +10,14 @@ its tables, and norms are estimated once per distinct (symbol object, t)
 pair.  The adjoint used in production is the exact conjugate transpose with
 respect to the discrete L2 inner product; the oscillatory-integral machinery
 below verifies it against the symbol-calculus remainder at desk scale.
+
+op(s) has two halves: _synth takes a spectrum (fftn of grid values) to the
+grid values of op(s) ifftn(spectrum), and _analyse takes grid values to the
+spectrum of op(s)^dagger on them.  apply is _synth after fftn, apply_adjoint
+ifftn after _analyse.  The norm estimators iterate on band-limited spectra:
+the band projector is an exact boolean mask multiply, and one application
+of A - A^dagger, or of A and then A^dagger, takes one batched ifftn and one
+batched fftn call.
 """
 
 from __future__ import annotations
@@ -179,25 +187,37 @@ class PeriodicOperator:
         trace span."""
         if out is None:
             out = np.empty(np.shape(values), dtype=complex)
+        keys = self._keys(t)
+        tables = self._joint_tables(keys)
+        if tables is not None:
+            return _apply_tables(tables, values, self.grid, adjoint, out)
+        for key, row, row_out in zip(keys, values, out):    # dense, row by row
+            _apply_tables(self._tables(*key), row, self.grid, adjoint, row_out)
+        self._cache = [(None, None)] * len(self._distinct)  # no table is kept
+        return out
+
+    def _keys(self, t) -> tuple:
+        """(distinct symbol, table time) of each row at the scalar time t, or
+        of row k at t[k]."""
         if np.ndim(t) == 0:
             t = [t] * len(self.rows)
         rs = [0] * len(t) if len(self.symbols) == 1 else self.rows
-        keys = tuple((self._of[r], self._key(r, tk)) for r, tk in zip(rs, t))
+        return tuple((self._of[r], self._key(r, tk)) for r, tk in zip(rs, t))
+
+    def _joint_tables(self, keys):
+        """Tables that serve every row at once at ``keys``: one symbol's,
+        or separable tables stacked per row; None for dense rows whose keys
+        differ, which take their tables one at a time."""
         if len(set(keys)) == 1 and (self.separable or len(keys) == 1):
-            return _apply_tables(self._tables(*keys[0]), values, self.grid,
-                                 adjoint, out)
-        if not self.separable:      # row by row, and no table is kept
-            for key, row, row_out in zip(keys, values, out):
-                _apply_tables(self._tables(*key), row, self.grid, adjoint,
-                              row_out)
-            self._cache = [(None, None)] * len(self._distinct)
-            return out
+            return self._tables(*keys[0])
+        if not self.separable:
+            return None
         if self._stacked[0] != keys:
             tabs = [self._tables(*key) for key in keys]
             self._stacked = (keys, _Terms(
                 [np.stack(f) for f in zip(*(tb.f for tb in tabs))],
                 [np.stack(g) for g in zip(*(tb.g for tb in tabs))]))
-        return _apply_tables(self._stacked[1], values, self.grid, adjoint, out)
+        return self._stacked[1]
 
     def matrix(self, t: float = 0.0) -> np.ndarray:
         """Dense nodal-basis matrix (S o E) E^H / N (small-scale oracle).
@@ -227,42 +247,69 @@ class _Terms:
 
 
 def _apply_tables(tables, values: np.ndarray, grid: Grid, adjoint, out):
-    """op(s), or its adjoint, on values of shape (..., *grid.shape), written
-    into ``out`` (values' shape): the FFTs (lengths given, which spares numpy
-    a lookup) run over the grid axes only, so each row of a stack meets its
-    row of stacked separable tables with its one-member arithmetic, bitwise.
-    The separable route transforms in place in one scratch array and sums
-    the terms into out from zero, as 0 + x, which keeps the signs of zeros.
-    A dense table takes one matrix-vector product per row, as a one-row
-    apply does; the adjoint's, conj(conj(row) @ S), copies no table."""
+    """op(s) = _synth o fftn, or its adjoint ifftn o _analyse, on values of
+    shape (..., *grid.shape), written into ``out`` (values' shape)."""
     shape, axes = grid.shape, grid.axes
-    if not isinstance(tables, _Terms):
-        if adjoint:     # S^H @ row bitwise, once conj's -0 are +0 again
-            dense = np.stack([np.conjugate(np.conjugate(row) @ tables)
-                              for row in values.reshape(-1, grid.size)])
-            dense.imag += 0.0
-            dense /= grid.size
-        else:
-            dense = np.stack([tables @ row for row in (np.fft.fftn(
-                values, shape, axes) / grid.size).reshape(-1, grid.size)])
-        out[...] = dense.reshape(out.shape)
-        return out
-    out.fill(0.0)
-    w = np.empty(out.shape, dtype=complex)
     if adjoint:
-        for cf_m, cg_m in zip(*tables.conj):
-            np.multiply(cf_m, values, out=w)
-            np.fft.fftn(w, shape, axes, out=w)
-            np.multiply(cg_m, w, out=w)
-            np.fft.ifftn(w, shape, axes, out=w)
-            np.add(out, w, out=out)
-        return out
-    u_hat = np.fft.fftn(values, shape, axes)
-    for f_m, g_m in zip(tables.f, tables.g):
-        np.multiply(g_m, u_hat, out=w)
-        np.fft.ifftn(w, shape, axes, out=w)
-        np.multiply(f_m, w, out=w)
-        np.add(out, w, out=out)
+        return np.fft.ifftn(_analyse(tables, values, grid, out), shape, axes,
+                            out=out)
+    return _synth(tables, np.fft.fftn(values, shape, axes), grid, out)
+
+
+# The FFTs (lengths given, which spares numpy a lookup) run over the grid
+# axes only, so each row of a stack meets its row of stacked separable tables
+# with its one-member arithmetic, bitwise.  A dense table T = S o E takes one
+# matrix-vector product per row.
+
+def _synth(tables, hat: np.ndarray, grid: Grid, out, carry=None):
+    """op(s) ifftn(hat), grid values, into ``out``: sum_m f_m ifftn(g_m hat)
+    for separable terms, T (hat / N) per row for a dense table.  ``carry``,
+    when given, is inverse-transformed in place (see _sum_terms)."""
+    if isinstance(tables, _Terms):
+        return _sum_terms(tables.g, tables.f, hat, np.fft.ifftn, grid, out,
+                          carry)
+    out[...] = np.stack([tables @ row for row in (
+        hat / grid.size).reshape(-1, grid.size)]).reshape(out.shape)
+    if carry is not None:
+        np.fft.ifftn(carry, grid.shape, grid.axes, out=carry)
+    return out
+
+
+def _analyse(tables, values: np.ndarray, grid: Grid, out, carry=None):
+    """fftn(op(s)^dagger values), a spectrum, into ``out``:
+    sum_m conj(g_m) fftn(conj(f_m) values) for separable terms, T^H values
+    per row for a dense table (as conj(conj(row) @ T), which copies no
+    table, with conj's -0 made +0 again, so bitwise T^H @ row).  ``carry``,
+    when given, is transformed in place (see _sum_terms)."""
+    if isinstance(tables, _Terms):
+        return _sum_terms(*tables.conj, values, np.fft.fftn, grid, out, carry)
+    dense = np.stack([np.conjugate(np.conjugate(row) @ tables)
+                      for row in values.reshape(-1, grid.size)])
+    dense.imag += 0.0
+    out[...] = dense.reshape(out.shape)
+    if carry is not None:
+        np.fft.fftn(carry, grid.shape, grid.axes, out=carry)
+    return out
+
+
+def _sum_terms(inner, outer, v, transform, grid: Grid, out, carry):
+    """sum_m outer_m transform(inner_m v) into ``out``, summed from zero, as
+    0 + x, which keeps the signs of zeros.  The R products are transformed
+    in place in one call, and so is ``carry`` (an array of v's shape, or
+    None) as one more row, its transform written back into it: a caller
+    that needs it pays no transform call of its own."""
+    w = np.empty((len(inner) + (carry is not None),) + v.shape, dtype=complex)
+    for in_m, w_m in zip(inner, w):
+        np.multiply(in_m, v, out=w_m)
+    if carry is not None:
+        w[-1] = carry
+    transform(w, grid.shape, grid.axes, out=w)
+    out.fill(0.0)
+    for out_m, w_m in zip(outer, w):
+        np.multiply(out_m, w_m, out=w_m)
+        np.add(out, w_m, out=out)
+    if carry is not None:
+        carry[...] = w[-1]
     return out
 
 
@@ -305,15 +352,19 @@ def symbol_from_matrix(matrix: np.ndarray, grid: Grid) -> np.ndarray:
     return (matrix @ E) / E
 
 
-def power_iteration(apply_hermitian, shape, rngs):
+def power_iteration(apply_hermitian, shape, rngs, start=None):
     """Largest eigenvalues of a stack of Hermitian PSD operators by one power
     iteration; ``apply_hermitian(rows, v)`` applies those of ``rows``
     (indices into ``rngs``) to the rows of v.  Each row starts from its own
-    generator and stops on its own test, then leaves the stack.  Returns a
-    deterministic (eigenvalue_estimate, converged, iterations_used) per row.
+    generator's complex normal draw of ``shape``, mapped by ``start`` when
+    given (a function of the stack of draws) and normalized, and stops on
+    its own test, then leaves the stack.  Returns a deterministic
+    (eigenvalue_estimate, converged, iterations_used) per row.
     """
     v = np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                   for rng in rngs])
+    if start is not None:
+        v = start(v)
     for row in v:
         row /= np.linalg.norm(row.ravel())
     rows, lam, out = list(range(len(v))), [None] * len(v), {}
@@ -356,65 +407,79 @@ def _rng_from(seed):
     return np.random.default_rng(0 if seed is None else seed)
 
 
-def band_projector(grid: Grid):
-    """Spectral projector onto modes with |xi| <= Nyquist / 2.
-
-    Discrete quantization aliases products near the unpaired Nyquist mode, so
-    operator norms are measured on the resolved band the scenarios use.
-    """
-    xi = grid.xi_mesh()
-    mag = np.sqrt(sum(np.asarray(c) ** 2 for c in xi))
-    mask = mag <= 0.5 * grid.max_abs_xi() + 1e-12
-
-    def project(v):
-        w = np.fft.fftn(v, grid.shape, grid.axes)
-        np.multiply(w, mask, out=w)
-        return np.fft.ifftn(w, grid.shape, grid.axes, out=w)
-
-    return project
+def _band_mask(grid: Grid) -> np.ndarray:
+    """The modes with |xi| <= Nyquist / 2.  Discrete quantization aliases
+    products near the unpaired Nyquist mode, so norms are measured on the
+    resolved band the scenarios use; the band projector is the exact
+    multiply of a spectrum by this mask."""
+    mag = np.sqrt(sum(np.asarray(c) ** 2 for c in grid.xi_mesh()))
+    return mag <= 0.5 * grid.max_abs_xi() + 1e-12
 
 
 def _band_norms(pairs, grid: Grid, seed, gram) -> list:
-    """Square root of the top eigenvalue of gram(stack, ts, proj, v), a
-    Hermitian PSD product of op(s) at time t and the band projector, per
-    (s, t) in ``pairs``: one power iteration over the stack of each table
-    layout, every row seeded like a one-member estimate, each distinct
-    (symbol object, t) pair once and shared by the pairs that repeat it."""
-    proj = band_projector(grid)
+    """Square root of the top eigenvalue of gram(tables, hat, grid, mask), a
+    Hermitian PSD product of op(s) at time t and the band projector, acting
+    on a stack of spectra ``hat`` (fftn of grid values), per (s, t) in
+    ``pairs``.  One power iteration runs over the stack of each table
+    layout, from the spectra of the seeded draws, every row seeded like a
+    one-member estimate; each distinct (symbol object, t) pair is estimated
+    once and shared by the pairs that repeat it."""
+    mask = _band_mask(grid)
     once, slot = _distinct(pairs, lambda pair: (id(pair[0]), float(pair[1])))
     out = [None] * len(once)
     for rows, stack in stacks([s for s, _ in once], grid):
         ts = [once[i][1] for i in rows]
-        found = power_iteration(lambda live, v: gram(
-            stack.narrow(live), [ts[k] for k in live], proj, v),
-            grid.shape, [_rng_from(seed) for _ in rows])
+        found = power_iteration(
+            lambda live, hat: gram(stack.narrow(live)._joint_tables(
+                stack._keys([ts[k] for k in live])), hat, grid, mask),
+            grid.shape, [_rng_from(seed) for _ in rows],
+            start=lambda v: np.fft.fftn(v, grid.shape, grid.axes, out=v))
         for i, (lam, ok, used) in zip(rows, found):
             out[i] = NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
     return [out[k] for k in slot]
 
 
+def _skew_spectrum(tables, hat, grid: Grid, mask):
+    """P B P on the spectra ``hat``, B = op(s) - op(s)^dagger, as a new
+    array: v rides along with the terms of A v, and A v with those of
+    A^dagger v, so B takes one ifftn and one fftn call."""
+    p = hat * mask
+    av = np.empty(p.shape, dtype=complex)
+    _synth(tables, p, grid, av, carry=p)            # A v and v, grid values
+    out = _analyse(tables, p, grid, np.empty_like(p),
+                   carry=av)                        # (A^dagger v)^ and (A v)^
+    np.subtract(av, out, out=out)
+    return np.multiply(out, mask, out=out)
+
+
+def _skew_gram(tables, hat, grid: Grid, mask):
+    """-(P B P)^2 = (P B P)^dagger P B P, as B^dagger = -B."""
+    bbv = _skew_spectrum(tables, _skew_spectrum(tables, hat, grid, mask),
+                         grid, mask)
+    return np.negative(bbv, out=bbv)
+
+
+def _operator_gram(tables, hat, grid: Grid, mask):
+    """P A^dagger P A P on the spectra ``hat``, A = op(s)."""
+    shape, axes = grid.shape, grid.axes
+    av = _synth(tables, hat * mask, grid, np.empty(hat.shape, dtype=complex))
+    np.fft.fftn(av, shape, axes, out=av)
+    np.multiply(av, mask, out=av)
+    np.fft.ifftn(av, shape, axes, out=av)
+    out = _analyse(tables, av, grid, np.empty_like(av))
+    return np.multiply(out, mask, out=out)
+
+
 def adjoint_defect_norms(pairs, grid: Grid, seed=None) -> list:
     """L2 operator norm of P(op(s) - op(s)^dagger)P at t, per (s, t) in
-    ``pairs``.  B = A - A^dagger satisfies B^dagger = -B, and so does PBP,
-    so B*B needs two B applications per iteration."""
-    def b_apply(stack, ts, proj, v):
-        pv = proj(v)
-        bv = stack.apply(ts, pv)
-        np.subtract(bv, stack.apply_adjoint(ts, pv), out=bv)
-        return proj(bv)
-
-    def gram(stack, ts, proj, v):
-        bbv = b_apply(stack, ts, proj, b_apply(stack, ts, proj, v))
-        return np.negative(bbv, out=bbv)
-
-    return _band_norms(pairs, grid, seed, gram)
+    ``pairs``, by power iteration on its Gram product."""
+    return _band_norms(pairs, grid, seed, _skew_gram)
 
 
 def operator_norms(pairs, grid: Grid, seed=None) -> list:
     """L2 operator norm of P op(s) P at t, per (s, t) in ``pairs``, by power
     iteration on its Gram product."""
-    return _band_norms(pairs, grid, seed, lambda stack, ts, proj, v: proj(
-        stack.apply_adjoint(ts, proj(stack.apply(ts, proj(v))))))
+    return _band_norms(pairs, grid, seed, _operator_gram)
 
 
 def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,
@@ -609,6 +674,7 @@ def adjoint_symbol_remainder(s: SymbolExpr, t: float, x: float, xi: float,
 
 
 def check_remainder_estimate(s: SymbolExpr, alpha: int, beta: int,
+                             length: float,
                              cfg: OscIntConfig | None = None) -> dict:
     """Compare weighted remainder derivatives of the 1-D symbol s against
     the semi-norm side.
@@ -616,13 +682,13 @@ def check_remainder_estimate(s: SymbolExpr, alpha: int, beta: int,
     lhs = max over sampled (x, xi, theta) at t = 0 of
           |d_xi^alpha d_x^beta r_theta| * (1+|xi|)^alpha;
     rhs = Q^m_{0, 3+alpha, 3+alpha+beta}(s), m the declared order of s,
-    both sampled on [0, 2 pi] x {|xi| <= 64}; theta-uniformity shows up as
-    stability of the reported ratio under refinement.
+    both sampled on [0, length] x {|xi| <= 64}, length that of the grid s
+    lives on; theta-uniformity shows up as stability of the reported ratio
+    under refinement.
     """
     cfg = cfg or OscIntConfig()
     trees = _remainder_integrand_trees(s, alpha, beta)
-    box = SampleBox(1, 2 * math.pi, x_count=9, xi_max=64.0,
-                    xi_uniform_count=5)
+    box = SampleBox(1, length, x_count=9, xi_max=64.0, xi_uniform_count=5)
     pairs = [(xi, float(theta)) for xi in (0.0, 1.0, 4.0, 16.0, 64.0)
              for theta in np.linspace(0.0, 1.0, 5)]
     weights = [(1.0 + xi) ** alpha for xi, _ in pairs]

@@ -105,7 +105,11 @@ class RoughCoefficient:
       fourier             finite series sum_k coeff_k e^(2 pi i k y / P)
     """
 
-    KINDS = ("piecewise_constant", "piecewise_linear", "table", "fourier")
+    # the JSON keys each kind reads besides "kind" and "period"
+    FIELDS = {"piecewise_constant": {"breakpoints", "values"},
+              "piecewise_linear": {"breakpoints", "values"},
+              "table": {"values"}, "fourier": {"modes", "coeffs"}}
+    KINDS = tuple(FIELDS)
 
     def __init__(self, kind: str, period: float, breakpoints=None, values=None,
                  modes=None, coeffs=None):
@@ -192,7 +196,16 @@ class RoughCoefficient:
 
     @staticmethod
     def from_json(data: dict) -> "RoughCoefficient":
+        """Parse a rough coefficient; a key its kind does not read is
+        refused, also inside an expression node, which the config schema
+        leaves open."""
         kind = data["kind"]
+        if kind in RoughCoefficient.FIELDS:
+            unread = sorted(set(data) - {"kind", "period"}
+                            - RoughCoefficient.FIELDS[kind])
+            if unread:
+                raise ValueError(f"rough coefficient of kind {kind!r} does "
+                                 f"not read {', '.join(map(repr, unread))}")
         if kind == "fourier":
             coeffs = [complex(c[0], c[1]) for c in data["coeffs"]]
             return RoughCoefficient(kind, data["period"], modes=data["modes"],

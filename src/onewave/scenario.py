@@ -331,8 +331,10 @@ def _check_remainder_stability(ctx: ScenarioContext,
                                rel_change=0.2) -> CheckOutcome:
     symbol = ctx.symbol_1d.full()
     base_cfg = OscIntConfig()
-    base = check_remainder_estimate(symbol, 0, 0, cfg=base_cfg)
-    refined = check_remainder_estimate(symbol, 0, 0, cfg=base_cfg.refined())
+    length = ctx.grid.length
+    base = check_remainder_estimate(symbol, 0, 0, length, cfg=base_cfg)
+    refined = check_remainder_estimate(symbol, 0, 0, length,
+                                       cfg=base_cfg.refined())
     change = abs(refined["ratio"] - base["ratio"]) / max(base["ratio"], 1e-300)
     ok = change <= rel_change and base["ratio"] > 0
     if ctx.artifact("remainder_checks.csv"):
@@ -407,9 +409,10 @@ _MULTI_INDEX = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 # A derivative order a run takes; capped, as its work grows with it.
 _ORDER = {"type": "integer", "minimum": 0, "maximum": MAX_DIFF_ORDER}
 
-# Expression nodes stay open: each node kind reads its own fields.  Every
-# other object schema closes with additionalProperties false, so a
-# misspelled key is refused rather than replaced by its default.
+# Expression nodes stay open here: each node kind reads its own fields, and
+# expr.from_json refuses any other key at build.  Every other object schema
+# closes with additionalProperties false, so a misspelled key is refused
+# rather than replaced by its default.
 _EXPR = {"type": "object",
          "properties": {"node": {"type": "string"}},
          "required": ["node"]}

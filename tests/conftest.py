@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from onewave import expr as ex
+from onewave import quantization
 from onewave.grid import Grid, GridFunction
 from onewave.symbols import SymbolExpr
 
@@ -46,3 +47,14 @@ def bump_speed_symbol():
 def random_grid_function(grid, rng):
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return GridFunction(grid, vals)
+
+
+def band_projector(grid):
+    """The norm estimators' band projector on grid values:
+    ifftn(mask * fftn(v)), with the mask they multiply spectra by."""
+    mask = quantization._band_mask(grid)
+
+    def project(v):
+        return np.fft.ifftn(np.fft.fftn(v, grid.shape, grid.axes) * mask,
+                            grid.shape, grid.axes)
+    return project

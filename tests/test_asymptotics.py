@@ -625,9 +625,9 @@ class TestSharedWork:
         once = [0, 1, 3]
         runs = []
 
-        def counted(apply_hermitian, shape, rngs,
+        def counted(apply_hermitian, shape, rngs, start=None,
                     _power=quantization.power_iteration):
-            found = _power(apply_hermitian, shape, rngs)
+            found = _power(apply_hermitian, shape, rngs, start)
             runs.append((len(rngs), sum(used for _, _, used in found)))
             return found
         monkeypatch.setattr(quantization, "power_iteration", counted)

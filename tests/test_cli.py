@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -416,6 +417,11 @@ CONFIG_PROBES = {
         "kind": "separable", "shape": _X, "shap": _X}), []),
     "unknown_sweep_key": ("piecewise_speed_logtype",
                           _set(["sweep", "eps_mn"], 1e-3), []),
+    # an expression node refuses the keys its kind does not read
+    "unknown_expr_key_misspelled": ("adjoint_remainder_desk", _set(
+        ["symbol", "a1", "expr", "children", 0, "ordr"], 3), []),
+    "unknown_expr_key_extra": ("adjoint_remainder_desk", _set(
+        ["symbol", "a1", "expr", "children", 0, "widht"], 0.1), []),
 }
 
 
@@ -479,6 +485,19 @@ class TestRunPhaseExits:
         assert out.startswith("FAIL   remainder_oracle")
         assert "zero dense remainder" in out
 
+    def test_remainder_estimate_samples_the_grid(self, tmp_path, capsys):
+        # a 4 pi grid with the bump centred at 3 pi: the estimate samples
+        # [0, 4 pi] and so sees the bump, and its ratio is as stable under
+        # refinement as on the shipped 2 pi grid with the bump at pi
+        cfg = get_preset("adjoint_remainder_desk")
+        cfg["grid"]["length"] = 4 * math.pi
+        cfg["symbol"]["a1"]["expr"]["children"][0]["center"] = 3 * math.pi
+        cfg["checks"] = [cfg["checks"][2]]
+        assert cfg["checks"][0]["check"] == "remainder_stability"
+        assert self._run(cfg, tmp_path) == 0
+        assert capsys.readouterr().out.startswith(
+            "PASS   remainder_stability 3.1")
+
     def test_zero_defect_norm_fails_naming_m(self, tmp_path, capsys):
         cfg = get_preset("adjoint_remainder_desk")
         cfg["checks"] = [{"check": "defect_stability", "points": [2, 4]}]
@@ -504,6 +523,13 @@ class TestConfigContract:
         args = build_parser().parse_args(["run", str(path), *flags])
         path.write_text(json.dumps(_apply_overrides(cfg, args)))
         assert main(["validate", str(path)]) == 3
+
+    def test_unread_expression_key_is_named(self):
+        cfg = get_preset("adjoint_remainder_desk")
+        cfg["symbol"]["a1"]["expr"]["children"][0]["ordr"] = 3
+        with pytest.raises(ConfigInvalid,
+                           match="'smooth_bump' does not read 'ordr'"):
+            ScenarioContext(cfg)
 
 
 def _leaf_paths(node, path=()):

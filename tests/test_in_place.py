@@ -23,25 +23,57 @@ TWO_PI = 2.0 * np.pi
 # -- the allocating references ----------------------------------------------
 
 def reference_apply_tables(tables, values, grid, adjoint, out):
-    """_apply_tables with one new array per expression, written into out."""
+    """_apply_tables with one new array per expression, written into out:
+    op(s) = synth o fftn and op(s)^dagger = ifftn o analyse."""
     shape, axes = grid.shape, grid.axes
-    if not isinstance(tables, quantization._Terms):
-        mat = tables.conj().T if adjoint else tables
-        rows = values if adjoint else \
-            np.fft.fftn(values, shape, axes) / grid.size
-        res = np.stack([mat @ row for row in rows.reshape(-1, grid.size)])
-        res = (res / grid.size if adjoint else res).reshape(values.shape)
+    if adjoint:
+        res = np.fft.ifftn(reference_analyse(tables, values, grid), shape,
+                           axes)
     else:
-        res = np.zeros(values.shape, dtype=complex)
-        u_hat = None if adjoint else np.fft.fftn(values, shape, axes)
-        for f_m, g_m in zip(tables.f, tables.g):
-            if adjoint:
-                res += np.fft.ifftn(np.conjugate(g_m) * np.fft.fftn(
-                    np.conjugate(f_m) * values, shape, axes), shape, axes)
-            else:
-                res += f_m * np.fft.ifftn(g_m * u_hat, shape, axes)
+        res = reference_synth(tables, np.fft.fftn(values, shape, axes), grid)
     out[...] = res
     return out
+
+
+def reference_synth(tables, hat, grid):
+    """op(s) ifftn(hat): T (hat / N) per row for a dense table T = S o E."""
+    if not isinstance(tables, quantization._Terms):
+        return np.stack([tables @ row for row in (
+            hat / grid.size).reshape(-1, grid.size)]).reshape(hat.shape)
+    res = np.zeros(hat.shape, dtype=complex)
+    for f_m, g_m in zip(tables.f, tables.g):
+        res += f_m * np.fft.ifftn(g_m * hat, grid.shape, grid.axes)
+    return res
+
+
+def reference_analyse(tables, values, grid):
+    """fftn(op(s)^dagger values): T^H values per row for a dense table."""
+    if not isinstance(tables, quantization._Terms):
+        return np.stack([tables.conj().T @ row for row in values.reshape(
+            -1, grid.size)]).reshape(values.shape)
+    res = np.zeros(values.shape, dtype=complex)
+    for f_m, g_m in zip(tables.f, tables.g):
+        res += np.conjugate(g_m) * np.fft.fftn(np.conjugate(f_m) * values,
+                                               grid.shape, grid.axes)
+    return res
+
+
+def reference_skew_gram(tables, hat, grid, mask):
+    def b_apply(v_hat):
+        p = v_hat * mask
+        av = np.fft.fftn(reference_synth(tables, p, grid), grid.shape,
+                         grid.axes)
+        adj = reference_analyse(
+            tables, np.fft.ifftn(p, grid.shape, grid.axes), grid)
+        return (av - adj) * mask
+    return -b_apply(b_apply(hat))
+
+
+def reference_operator_gram(tables, hat, grid, mask):
+    shape, axes = grid.shape, grid.axes
+    av = np.fft.fftn(reference_synth(tables, hat * mask, grid), shape, axes)
+    v = np.fft.ifftn(av * mask, shape, axes)
+    return reference_analyse(tables, v, grid) * mask
 
 
 def reference_rk4(stack, members, out):
@@ -90,6 +122,36 @@ def reference_band_projector(grid):
     return project
 
 
+def x_space_norms(pairs, grid, seed, defect):
+    """The referee of the spectral norm estimators (adjoint_defect_norms if
+    ``defect``, else operator_norms): the same power iteration on grid
+    values, each Gram product projecting, applying, adjoint-applying and
+    projecting again in x space, every step its own transforms."""
+    proj = reference_band_projector(grid)
+
+    def b_apply(stack, ts, v):
+        pv = proj(v)
+        return proj(stack.apply(ts, pv) - stack.apply_adjoint(ts, pv))
+
+    def gram(stack, ts, v):
+        if defect:
+            return -b_apply(stack, ts, b_apply(stack, ts, v))
+        return proj(stack.apply_adjoint(ts, proj(stack.apply(ts, proj(v)))))
+
+    once, slot = quantization._distinct(
+        pairs, lambda pair: (id(pair[0]), float(pair[1])))
+    out = [None] * len(once)
+    for rows, stack in quantization.stacks([s for s, _ in once], grid):
+        ts = [once[i][1] for i in rows]
+        found = quantization.power_iteration(
+            lambda live, v: gram(stack.narrow(live), [ts[k] for k in live],
+                                 v),
+            grid.shape, [np.random.default_rng(seed) for _ in rows])
+        for i, (lam, ok, used) in zip(rows, found):
+            out[i] = quantization.NormEstimate(np.sqrt(lam), ok, used)
+    return [out[k] for k in slot]
+
+
 def reference_norm_sq(grid, values):
     return grid.cell_volume * np.sum(np.abs(values) ** 2, axis=grid.axes)
 
@@ -114,8 +176,9 @@ def allocating(monkeypatch):
         monkeypatch.setattr(cauchy, "_rk4", reference_rk4)
         monkeypatch.setattr(quantization, "_apply_tables",
                             reference_apply_tables)
-        monkeypatch.setattr(quantization, "band_projector",
-                            reference_band_projector)
+        monkeypatch.setattr(quantization, "_skew_gram", reference_skew_gram)
+        monkeypatch.setattr(quantization, "_operator_gram",
+                            reference_operator_gram)
         monkeypatch.setattr(Grid, "norm_sq", reference_norm_sq)
     return use
 
@@ -193,7 +256,10 @@ class TestInPlaceEqualsAllocating:
         allocating()
         assert_same_bits(got, solve_stack(problems(grid), seed=3))
 
-    def test_norm_estimates(self, allocating):
+    @staticmethod
+    def norm_runs():
+        """(estimator, pairs, grid): one- and two-term, t-dependent and
+        dense symbols, 1-D and 2-D, stacked, at per-row times."""
         runs = []
         for grid, problems in ((Grid(1, 32, TWO_PI), one_d_problems),
                                (Grid(2, 16, TWO_PI), two_d_problems)):
@@ -201,10 +267,46 @@ class TestInPlaceEqualsAllocating:
                 (p.symbol.full(), 0.0), (p.symbol.a1, 0.3))]
             runs += [(estimate, pairs, grid)
                      for estimate in (adjoint_defect_norms, operator_norms)]
+        return runs
+
+    def test_norm_estimates(self, allocating):
+        runs = self.norm_runs()
         got = [estimate(pairs, grid, seed=2) for estimate, pairs, grid in runs]
         allocating()
         assert got == [estimate(pairs, grid, seed=2)
                        for estimate, pairs, grid in runs]
+
+    def test_norm_estimates_equal_x_space_estimates(self):
+        # the spectral iterate, its exact mask and its batched transforms
+        # against the x-space Gram products: rounding apart, the same
+        # iteration
+        for estimate, pairs, grid in self.norm_runs():
+            got = estimate(pairs, grid, seed=2)
+            want = x_space_norms(pairs, grid, 2,
+                                 estimate is adjoint_defect_norms)
+            for g, w in zip(got, want):
+                assert (g.iterations, g.converged) == \
+                    (w.iterations, w.converged)
+                assert abs(g.value - w.value) <= 1e-12 * w.value
+
+    @pytest.mark.parametrize("gram", ["_skew_gram", "_operator_gram"])
+    def test_spectral_grams(self, gram, rng):
+        # one symbol's tables, separable tables stacked per row at
+        # per-row times, and a dense table; the input is not written
+        for grid, problems in ((Grid(1, 32, TWO_PI), one_d_problems),
+                               (Grid(2, 16, TWO_PI), two_d_problems)):
+            mask = quantization._band_mask(grid)
+            syms = [p.symbol.full() for p in problems(grid)]
+            for op, ts in [(PeriodicOperator(s, grid), 0.4) for s in syms] + [
+                    (PeriodicOperator(syms[:2], grid), [0.1, 0.7])]:
+                tables = op._joint_tables(op._keys(ts))
+                hat = np.stack([np.fft.fftn(random_grid_function(
+                    grid, rng).values) for _ in range(2)])
+                kept = hat.copy()
+                got = getattr(quantization, gram)(tables, hat, grid, mask)
+                assert same_bits(hat, kept)
+                want = globals()["reference" + gram](tables, hat, grid, mask)
+                assert same_bits(got, want)
 
     @pytest.mark.parametrize("name", ["apply", "apply_adjoint"])
     def test_applies(self, name, rng):

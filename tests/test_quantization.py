@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from onewave import asymptotics, cauchy
+from onewave import asymptotics, cauchy, quantization
 from onewave import expr as ex
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
@@ -19,13 +19,13 @@ from onewave.quantization import (LAM, OscIntConfig, PeriodicOperator,
                                   _remainder_integrand_trees,
                                   adjoint_defect_norm,
                                   adjoint_symbol_remainder,
-                                  band_projector, check_remainder_estimate,
-                                  op_matrix, operator_norm, power_iteration,
+                                  check_remainder_estimate, op_matrix,
+                                  operator_norm, power_iteration,
                                   symbol_from_matrix)
 from onewave.symbols import (HyperbolicSymbol, SampleBox, SymbolExpr,
                              seminorm_Q)
 
-from conftest import random_grid_function
+from conftest import band_projector, random_grid_function
 
 TWO_PI = 2.0 * np.pi
 
@@ -203,8 +203,9 @@ class TestRows:
 
 
 class TestApplyRoute:
-    """Every operator application is a call of PeriodicOperator.apply or
-    apply_adjoint, the names the benchmark's trace counts."""
+    """Every operator application on grid values is a call of
+    PeriodicOperator.apply or apply_adjoint, the names the benchmark's trace
+    counts; the norm estimators iterate on spectra and call neither."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -229,15 +230,23 @@ class TestApplyRoute:
         assert calls == {"apply": 4 * (len(result.times) - 1)}
 
     def test_norms_apply_per_iteration(self, calls, variable_speed_symbol,
-                                       grid32):
+                                       grid32, monkeypatch):
+        # per iteration, one ifftn and one fftn call per B = A - A^dagger,
+        # or per A and per A^dagger; one fftn more starts the iteration
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _name=name, _fn=getattr(np.fft, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
         est = adjoint_defect_norm(variable_speed_symbol, 0.0, grid32, seed=1)
-        assert calls == {"apply": 2 * est.iterations,
-                         "apply_adjoint": 2 * est.iterations}
+        assert calls == {"fftn": 2 * est.iterations + 1,
+                         "ifftn": 2 * est.iterations}
         calls.clear()
         est = operator_norm(SymbolExpr(ex.Sin(ex.CoordX(0)), 0.0, 1), 0.0,
                             grid32, seed=1)
-        assert calls == {"apply": est.iterations,
-                         "apply_adjoint": est.iterations}
+        assert calls == {"fftn": 2 * est.iterations + 1,
+                         "ifftn": 2 * est.iterations}
 
     @pytest.mark.parametrize("root, want", [
         (TestRows.FIXED_SEP, 2), (TestRows.T_SEP, 3)])
@@ -321,7 +330,51 @@ class TestApplyRoute:
         assert peak < 0.1 * table.nbytes
 
 
+# sin(x xi) in 1-D and xi0 + sin(x0 xi0) + cos(x1 xi1) in 2-D: not
+# separable, so they take the dense table
+DENSE_1D = SymbolExpr(ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(0))), 1.0, 1)
+DENSE_2D = SymbolExpr(ex.add(
+    ex.CoordXi(0), ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(0))),
+    ex.Cos(ex.mul(ex.CoordX(1), ex.CoordXi(1)))), 1.0, 2)
+DENSE_CASES = [(DENSE_1D, Grid(1, 16, TWO_PI)),
+               (DENSE_1D, Grid(1, 32, TWO_PI)),
+               (DENSE_2D, Grid(2, 8, TWO_PI))]
+
+
 class TestAdjoint:
+    @pytest.mark.parametrize("s, grid", DENSE_CASES)
+    def test_dense_pairing_identity(self, s, grid, rng):
+        op = PeriodicOperator(s, grid)
+        assert not op.separable
+        u = random_grid_function(grid, rng).values
+        w = random_grid_function(grid, rng).values
+        lhs = np.vdot(w, op.apply(0.0, u))
+        rhs = np.vdot(op.apply_adjoint(0.0, w), u)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("s, grid", DENSE_CASES)
+    def test_dense_adjoint_is_matrix_conjugate_transpose(self, s, grid, rng):
+        # the adjoint apply against matrix().conj().T, and both norm
+        # estimates against the 2-norms of the band-projected dense matrices
+        # (to the power iteration's tolerance, POWER_RTOL = 1e-6 on the
+        # squared norm)
+        op = PeriodicOperator(s, grid)
+        mat = op.matrix(0.0)
+        w = random_grid_function(grid, rng).values
+        want = (mat.conj().T @ w.ravel()).reshape(grid.shape)
+        got = op.apply_adjoint(0.0, w)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        proj = band_projector(grid)
+        pmat = np.stack([proj(col.reshape(grid.shape)).ravel()
+                         for col in np.eye(grid.size)], axis=1)
+        for estimate, exact in (
+                (adjoint_defect_norm, pmat @ (mat - mat.conj().T) @ pmat),
+                (operator_norm, pmat @ mat @ pmat)):
+            est = estimate(s, 0.0, grid, seed=1)
+            assert est.converged
+            assert est.value == pytest.approx(np.linalg.norm(exact, 2),
+                                              rel=1e-5)
+
     def test_pairing_identity(self, variable_speed_symbol, grid32, rng):
         op = PeriodicOperator(variable_speed_symbol, grid32)
         u = random_grid_function(grid32, rng)
@@ -459,12 +512,12 @@ class TestOscillatoryRemainder:
             adjoint_symbol_remainder(bump_speed_symbol, 0.0, np.pi, 0.0, tiny)
 
     def test_estimate_x_independent(self, xi_symbol):
-        rep = check_remainder_estimate(xi_symbol, 0, 0)
+        rep = check_remainder_estimate(xi_symbol, 0, 0, TWO_PI)
         assert rep["lhs"] == 0.0 and rep["ratio"] == 0.0
 
     def test_estimate_stable_under_refinement(self, bump_speed_symbol):
-        base = check_remainder_estimate(bump_speed_symbol, 0, 0)
-        refined = check_remainder_estimate(bump_speed_symbol, 0, 0,
+        base = check_remainder_estimate(bump_speed_symbol, 0, 0, TWO_PI)
+        refined = check_remainder_estimate(bump_speed_symbol, 0, 0, TWO_PI,
                                            cfg=OscIntConfig().refined())
         assert base["ratio"] > 0
         change = abs(refined["ratio"] - base["ratio"]) / base["ratio"]
@@ -554,7 +607,7 @@ class TestRemainderKernelOracle:
         _kernel.cache_clear()
         for cfg in (OscIntConfig(), OscIntConfig(), OscIntConfig().refined()):
             adjoint_symbol_remainder(s, 0.0, 2.0, 0.0, cfg)
-        check_remainder_estimate(s, 0, 0)
+        check_remainder_estimate(s, 0, 0, TWO_PI)
         info = _kernel.cache_info()
         assert info.misses == 2
         assert info.currsize == 2
@@ -644,7 +697,7 @@ class TestRemainderSharing:
              "x_xi3-alpha2-beta2"])
     def test_estimate_bitwise_per_pair(self, name, alpha, beta):
         s = SHAPE_SYMBOLS[name]
-        got = check_remainder_estimate(s, alpha, beta)
+        got = check_remainder_estimate(s, alpha, beta, TWO_PI)
         want = _estimate_per_pair(s, alpha, beta, OscIntConfig())
         assert got["lhs"] > 0
         assert {k: _bits(v) for k, v in got.items()} == \
@@ -682,12 +735,16 @@ class TestRemainderSharing:
         with pytest.raises(DimensionMismatch, match="1-D"):
             adjoint_symbol_remainder(plane, 0.0, 2.0, 3.0)
         with pytest.raises(DimensionMismatch, match="1-D"):
-            check_remainder_estimate(plane, 0, 0)
+            check_remainder_estimate(plane, 0, 0, TWO_PI)
         assert _kernel.cache_info().currsize == 0
 
 
 class TestBandProjector:
     def test_idempotent(self, grid32, rng):
+        # on spectra the projector is the mask multiply, exactly idempotent
+        mask = quantization._band_mask(grid32)
+        hat = np.fft.fftn(random_grid_function(grid32, rng).values)
+        assert np.array_equal(hat * mask * mask, hat * mask)
         proj = band_projector(grid32)
         u = random_grid_function(grid32, rng)
         once = proj(u.values)

@@ -171,6 +171,13 @@ class TestRoughCoefficients:
             assert np.array_equal(parsed.fourier_coeff(k),
                                   built.fourier_coeff(k))
 
+    def test_unread_key_refused(self):
+        # a misspelled or another kind's key is named, not ignored
+        for extra in ({"valuez": [9.0]}, {"modes": [1]}):
+            with pytest.raises(ValueError, match=repr(next(iter(extra)))):
+                RoughCoefficient.from_json(
+                    {"kind": "table", "period": 3.0, "values": [0.5], **extra})
+
     def test_fourier_kind(self):
         c = RoughCoefficient("fourier", TWO_PI, modes=[1, -1],
                              coeffs=[-0.5j, 0.5j])
