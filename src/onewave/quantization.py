@@ -17,7 +17,9 @@ spectrum of op(s)^dagger on them.  apply is _synth after fftn, apply_adjoint
 ifftn after _analyse.  The norm estimators iterate on band-limited spectra:
 the band projector is an exact boolean mask multiply, and one application
 of A - A^dagger, or of A and then A^dagger, takes one batched ifftn and one
-batched fftn call.
+batched fftn call.  A - A^dagger takes a separable symbol's Fourier
+multiplier share (its terms at the first node) exactly and transforms only
+the rest, so a real x-free symbol's defect is exactly 0.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class PeriodicOperator:
                           * np.ones(g.shape))
                 gxi.append(np.asarray(xi_part.eval(key, zeros_x, xim), dtype=complex)
                            * np.ones(g.shape))
-            tables = _Terms(fx, gxi)
+            tables = _Terms(fx, gxi, g.dim)
         else:
             if g.size > DENSE_GUARD:
                 raise TooLarge(
@@ -216,7 +218,8 @@ class PeriodicOperator:
             tabs = [self._tables(*key) for key in keys]
             self._stacked = (keys, _Terms(
                 [np.stack(f) for f in zip(*(tb.f for tb in tabs))],
-                [np.stack(g) for g in zip(*(tb.g for tb in tabs))]))
+                [np.stack(g) for g in zip(*(tb.g for tb in tabs))],
+                self.grid.dim))
         return self._stacked[1]
 
     def matrix(self, t: float = 0.0) -> np.ndarray:
@@ -234,16 +237,30 @@ class PeriodicOperator:
 
 class _Terms:
     """Tables f_m(x_j) and g_m(xi_k) of a separable symbol's terms, one
-    list entry per term, and their conjugates, which the adjoint reads,
-    built on its first use."""
+    list entry per term, on the last ``dim`` axes (a stack of rows before
+    them), and, each built on its first use, their conjugates, which the
+    adjoint reads, and the split the adjoint defect reads."""
 
-    def __init__(self, f, g):
-        self.f, self.g = f, g
+    def __init__(self, f, g, dim):
+        self.f, self.g, self.dim = f, g, dim
 
     @functools.cached_property
     def conj(self):
         return ([np.conjugate(f_m) for f_m in self.f],
                 [np.conjugate(g_m) for g_m in self.g])
+
+    @functools.cached_property
+    def split(self):
+        """(the terms (f_m - f_m(x_0)) g_m, the multiplier d - conj(d)):
+        x_0 is each row's first node and d = sum_m f_m(x_0) g_m, so op(s)
+        is the Fourier multiplier d plus the quantized rest, and d's share
+        of op(s) - op(s)^dagger is exact: 0 for a real x-free symbol, whose
+        rest is 0 too."""
+        first = (Ellipsis,) + (slice(0, 1),) * self.dim
+        at_x0 = [f_m[first] for f_m in self.f]
+        d = sum(c * g_m for c, g_m in zip(at_x0, self.g))
+        return (_Terms([f_m - c for f_m, c in zip(self.f, at_x0)], self.g,
+                       self.dim), d - np.conjugate(d))
 
 
 def _apply_tables(tables, values: np.ndarray, grid: Grid, adjoint, out):
@@ -352,19 +369,13 @@ def symbol_from_matrix(matrix: np.ndarray, grid: Grid) -> np.ndarray:
     return (matrix @ E) / E
 
 
-def power_iteration(apply_hermitian, shape, rngs, start=None):
+def power_iteration(apply_hermitian, v):
     """Largest eigenvalues of a stack of Hermitian PSD operators by one power
-    iteration; ``apply_hermitian(rows, v)`` applies those of ``rows``
-    (indices into ``rngs``) to the rows of v.  Each row starts from its own
-    generator's complex normal draw of ``shape``, mapped by ``start`` when
-    given (a function of the stack of draws) and normalized, and stops on
-    its own test, then leaves the stack.  Returns a deterministic
-    (eigenvalue_estimate, converged, iterations_used) per row.
+    iteration; ``apply_hermitian(rows, w)`` applies those of ``rows``
+    (indices into the stack) to the rows of w.  Row k starts from v[k],
+    normalized in place, and stops on its own test, then leaves the stack.
+    Returns (eigenvalue_estimate, converged, iterations_used) per row.
     """
-    v = np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                  for rng in rngs])
-    if start is not None:
-        v = start(v)
     for row in v:
         row /= np.linalg.norm(row.ravel())
     rows, lam, out = list(range(len(v))), [None] * len(v), {}
@@ -397,14 +408,17 @@ class NormEstimate:
     iterations: int
 
 
-def _rng_from(seed):
-    """A fresh generator from ``seed``, an int or None (for 0).  A generator
-    object is refused: the rows of a stacked estimate would share its state,
-    so no row would start like its one-member estimate."""
+def _start(seed, grid: Grid) -> np.ndarray:
+    """The spectrum of a complex normal draw on ``grid`` from a fresh
+    generator of ``seed``, an int or None (for 0).  A generator object is
+    refused: its state would advance with every estimate, so a pair
+    estimated alone and in a stack would start from different draws."""
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         raise TypeError("a norm estimate's seed is an int or None, "
                         f"not a {type(seed).__name__}")
-    return np.random.default_rng(0 if seed is None else seed)
+    rng = np.random.default_rng(0 if seed is None else seed)
+    return np.fft.fftn(rng.standard_normal(grid.shape)
+                       + 1j * rng.standard_normal(grid.shape))
 
 
 def _band_mask(grid: Grid) -> np.ndarray:
@@ -421,9 +435,10 @@ def _band_norms(pairs, grid: Grid, seed, gram) -> list:
     Hermitian PSD product of op(s) at time t and the band projector, acting
     on a stack of spectra ``hat`` (fftn of grid values), per (s, t) in
     ``pairs``.  One power iteration runs over the stack of each table
-    layout, from the spectra of the seeded draws, every row seeded like a
-    one-member estimate; each distinct (symbol object, t) pair is estimated
-    once and shared by the pairs that repeat it."""
+    layout, every row starting from the spectrum of one complex normal draw
+    from ``seed``, as a one-member estimate does; each distinct (symbol
+    object, t) pair is estimated once and shared by the pairs that repeat
+    it."""
     mask = _band_mask(grid)
     once, slot = _distinct(pairs, lambda pair: (id(pair[0]), float(pair[1])))
     out = [None] * len(once)
@@ -432,8 +447,7 @@ def _band_norms(pairs, grid: Grid, seed, gram) -> list:
         found = power_iteration(
             lambda live, hat: gram(stack.narrow(live)._joint_tables(
                 stack._keys([ts[k] for k in live])), hat, grid, mask),
-            grid.shape, [_rng_from(seed) for _ in rows],
-            start=lambda v: np.fft.fftn(v, grid.shape, grid.axes, out=v))
+            np.stack([_start(seed, grid)] * len(rows)))
         for i, (lam, ok, used) in zip(rows, found):
             out[i] = NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
     return [out[k] for k in slot]
@@ -441,14 +455,22 @@ def _band_norms(pairs, grid: Grid, seed, gram) -> list:
 
 def _skew_spectrum(tables, hat, grid: Grid, mask):
     """P B P on the spectra ``hat``, B = op(s) - op(s)^dagger, as a new
-    array: v rides along with the terms of A v, and A v with those of
-    A^dagger v, so B takes one ifftn and one fftn call."""
+    array.  A separable symbol's multiplier share is exact (see
+    _Terms.split) and its rest R is quantized: v rides along with the terms
+    of R v, and R v with those of R^dagger v, so B takes one ifftn and one
+    fftn call."""
     p = hat * mask
+    share = None
+    if isinstance(tables, _Terms):
+        tables, skew = tables.split
+        share = skew * p                            # before p is transformed
     av = np.empty(p.shape, dtype=complex)
-    _synth(tables, p, grid, av, carry=p)            # A v and v, grid values
+    _synth(tables, p, grid, av, carry=p)            # R v and v, grid values
     out = _analyse(tables, p, grid, np.empty_like(p),
-                   carry=av)                        # (A^dagger v)^ and (A v)^
+                   carry=av)                        # (R^dagger v)^ and (R v)^
     np.subtract(av, out, out=out)
+    if share is not None:
+        np.add(out, share, out=out)
     return np.multiply(out, mask, out=out)
 
 

@@ -625,10 +625,9 @@ class TestSharedWork:
         once = [0, 1, 3]
         runs = []
 
-        def counted(apply_hermitian, shape, rngs, start=None,
-                    _power=quantization.power_iteration):
-            found = _power(apply_hermitian, shape, rngs, start)
-            runs.append((len(rngs), sum(used for _, _, used in found)))
+        def counted(apply_hermitian, v, _power=quantization.power_iteration):
+            found = _power(apply_hermitian, v)
+            runs.append((len(v), sum(used for _, _, used in found)))
             return found
         monkeypatch.setattr(quantization, "power_iteration", counted)
         for stacked, single in ((adjoint_defect_norms, adjoint_defect_norm),

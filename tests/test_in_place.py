@@ -15,7 +15,7 @@ from onewave.quantization import (PeriodicOperator, adjoint_defect_norms,
                                   operator_norms)
 from onewave.symbols import HyperbolicSymbol, SymbolExpr
 
-from conftest import random_grid_function
+from conftest import band_projector, random_grid_function
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,14 +58,32 @@ def reference_analyse(tables, values, grid):
     return res
 
 
+def reference_split(tables, grid):
+    """_Terms.split: the terms less their values at the first node, and
+    d - conj(d) of the multiplier d those values make."""
+    first = (Ellipsis,) + (slice(0, 1),) * grid.dim
+    d = 0
+    for f_m, g_m in zip(tables.f, tables.g):
+        d = d + f_m[first] * g_m
+    rest = quantization._Terms([f_m - f_m[first] for f_m in tables.f],
+                               tables.g, grid.dim)
+    return rest, d - np.conjugate(d)
+
+
 def reference_skew_gram(tables, hat, grid, mask):
+    skew = None
+    if isinstance(tables, quantization._Terms):
+        tables, skew = reference_split(tables, grid)
+
     def b_apply(v_hat):
         p = v_hat * mask
         av = np.fft.fftn(reference_synth(tables, p, grid), grid.shape,
                          grid.axes)
-        adj = reference_analyse(
+        res = av - reference_analyse(
             tables, np.fft.ifftn(p, grid.shape, grid.axes), grid)
-        return (av - adj) * mask
+        if skew is not None:
+            res = res + skew * p
+        return res * mask
     return -b_apply(b_apply(hat))
 
 
@@ -111,23 +129,16 @@ def reference_rk4(stack, members, out):
             stack.narrow([m.row for m in members])
 
 
-def reference_band_projector(grid):
-    xi = grid.xi_mesh()
-    mag = np.sqrt(sum(np.asarray(c) ** 2 for c in xi))
-    mask = mag <= 0.5 * grid.max_abs_xi() + 1e-12
-
-    def project(v):
-        return np.fft.ifftn(np.fft.fftn(v, grid.shape, grid.axes) * mask,
-                            grid.shape, grid.axes)
-    return project
-
-
 def x_space_norms(pairs, grid, seed, defect):
     """The referee of the spectral norm estimators (adjoint_defect_norms if
     ``defect``, else operator_norms): the same power iteration on grid
-    values, each Gram product projecting, applying, adjoint-applying and
-    projecting again in x space, every step its own transforms."""
-    proj = reference_band_projector(grid)
+    values, from the same seeded draw, each Gram product projecting,
+    applying, adjoint-applying and projecting again in x space, every step
+    its own transforms."""
+    proj = band_projector(grid)
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(grid.shape) + \
+        1j * rng.standard_normal(grid.shape)
 
     def b_apply(stack, ts, v):
         pv = proj(v)
@@ -146,7 +157,7 @@ def x_space_norms(pairs, grid, seed, defect):
         found = quantization.power_iteration(
             lambda live, v: gram(stack.narrow(live), [ts[k] for k in live],
                                  v),
-            grid.shape, [np.random.default_rng(seed) for _ in rows])
+            np.stack([start] * len(rows)))
         for i, (lam, ok, used) in zip(rows, found):
             out[i] = quantization.NormEstimate(np.sqrt(lam), ok, used)
     return [out[k] for k in slot]
@@ -258,13 +269,15 @@ class TestInPlaceEqualsAllocating:
 
     @staticmethod
     def norm_runs():
-        """(estimator, pairs, grid): one- and two-term, t-dependent and
-        dense symbols, 1-D and 2-D, stacked, at per-row times."""
+        """(estimator, pairs, grid): one- and two-term, x-independent real,
+        t-dependent and dense symbols, 1-D and 2-D, stacked, at per-row
+        times."""
         runs = []
         for grid, problems in ((Grid(1, 32, TWO_PI), one_d_problems),
                                (Grid(2, 16, TWO_PI), two_d_problems)):
+            xi = SymbolExpr(ex.CoordXi(grid.dim - 1), 1.0, grid.dim)
             pairs = [pair for p in problems(grid) for pair in (
-                (p.symbol.full(), 0.0), (p.symbol.a1, 0.3))]
+                (p.symbol.full(), 0.0), (p.symbol.a1, 0.3))] + [(xi, 0.0)]
             runs += [(estimate, pairs, grid)
                      for estimate in (adjoint_defect_norms, operator_norms)]
         return runs

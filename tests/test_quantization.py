@@ -470,7 +470,7 @@ class TestOperatorNorm:
 
     def test_power_iteration_zero_operator(self, rng):
         [(lam, ok, _)] = power_iteration(lambda rows, v: np.zeros_like(v),
-                                         (16,), [rng])
+                                         rng.standard_normal((1, 16)) + 0j)
         assert lam == 0.0 and ok
 
 
