@@ -10,10 +10,9 @@ from .regularization import (Mollifier, MollifiedCoefficient,
                              RoughCoefficient, RoughTransport, embed_data,
                              omega_of_eps, regularize_symbol,
                              regularized_family)
-from .quantization import (OscIntConfig, PeriodicOperator,
-                           adjoint_defect_norm, adjoint_symbol_remainder,
-                           check_remainder_estimate, op_matrix,
-                           operator_norm, symbol_from_matrix)
+from .quantization import (PeriodicOperator, adjoint_defect_norm,
+                           adjoint_symbol_remainder, check_remainder_estimate,
+                           op_matrix, operator_norm, symbol_from_matrix)
 from .cauchy import (CauchyProblem, EnergyLedger, Forcing, SolveResult,
                      TimeProfile, check_case_variants, check_energy_estimate,
                      derivative_cascade, solve_fixed_eps)

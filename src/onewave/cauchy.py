@@ -204,12 +204,12 @@ class SolveResult:
 
 def _measure_norms(problems, grid: Grid, seed) -> list:
     """Per problem, (skew, Gronwall constant 1 + skew + 2 a0 norm): the max
-    over sampled t of its a1 skew-defect norm and of its a0 norm, each
-    estimator run once over the stack of all problems and sample times."""
+    over its symbol's sample times of its a1 skew-defect norm and of its a0
+    norm, each estimator run once over the stack of all problems and
+    sample times."""
     syms = [p.symbol for p in problems]
-    pairs = [(i, float(t)) for i, p in enumerate(problems) for t in (
-        np.linspace(0.0, p.horizon, 3) if syms[i].a1.depends_t() or (
-            syms[i].a0 is not None and syms[i].a0.depends_t()) else [0.0])]
+    pairs = [(i, t) for i, p in enumerate(problems)
+             for t in p.symbol.sample_times(p.horizon)]
     norms = {"a1": [0.0] * len(syms), "a0": [0.0] * len(syms)}
     for part, estimate in (("a1", adjoint_defect_norms),
                            ("a0", operator_norms)):
@@ -401,8 +401,14 @@ def _under_bound(values, bound) -> bool:
     return bool(np.all(values <= bound * (1.0 + 1e-9) + 1e-300))
 
 
+def seminorm_dominates(c_seminorm: float, c_measured: float) -> bool:
+    """The one dominance rule: a semi-norm constant dominates a measured
+    one when it is finite and at least as large."""
+    return bool(math.isfinite(c_seminorm) and c_seminorm >= c_measured)
+
+
 def check_energy_estimate(ledger: EnergyLedger,
-                          c_seminorm: float = math.nan) -> dict:
+                          c_seminorm: float | None = None) -> dict:
     """Pointwise differential inequality and Gronwall bound from the ledger.
 
     pointwise:  d/dt ||u||^2 <= ||f||^2 + (1 + skew + 2*a0) ||u||^2
@@ -410,7 +416,7 @@ def check_energy_estimate(ledger: EnergyLedger,
     time-discretization error of the derivative estimate).
     gronwall:   ||u(t)||^2 <= (||g||^2 + int_0^T ||f||^2) exp(c_meas * t).
     ``c_seminorm`` is the semi-norm constant to compare with c_meas (from
-    seminorm_constant); NaN skips the comparison.
+    seminorm_constant, by seminorm_dominates); None skips the comparison.
     """
     ledger.validate()
     t, usq, fsq = ledger.times, ledger.u_norm_sq, ledger.f_norm_sq
@@ -426,8 +432,8 @@ def check_energy_estimate(ledger: EnergyLedger,
         "pointwise_margin_min": float(np.min(margins)),
         "c_measured": c,
         "c_seminorm": c_seminorm,
-        "seminorm_dominates": bool(c_seminorm >= c)
-        if math.isfinite(c_seminorm) else None,
+        "seminorm_dominates": None if c_seminorm is None
+        else seminorm_dominates(c_seminorm, c),
     }
 
 
@@ -444,33 +450,38 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
     grid = problem.grid
     report = {"c_measured": ledger.c_measured}
 
-    def gronwall_ok(c):
-        return _under_bound(ledger.u_norm_sq, ledger.gronwall_bound(c))
+    def gronwall_ok(c):     # an infinite constant bounds nothing
+        return math.isfinite(c) and _under_bound(ledger.u_norm_sq,
+                                                 ledger.gronwall_bound(c))
 
     if problem.symbol.x_independent_outside is not None:
         c_b = seminorm_constant(problem.symbol, grid, problem.horizon,
                                 case="b")
         report["case_b"] = {"applicable": True, "c_seminorm": c_b,
-                            "dominates_measured": c_b >= ledger.c_measured,
+                            "dominates_measured": seminorm_dominates(
+                                c_b, ledger.c_measured),
                             "gronwall_ok": gronwall_ok(c_b)}
     else:
         report["case_b"] = {"applicable": False,
                             "reason": "x_independent_outside tag missing"}
 
-    if problem.symbol.is_real(grid):
+    if problem.symbol.is_real(grid, problem.horizon):
         base_case = "b" if problem.symbol.x_independent_outside is not None else "a"
         c_c = seminorm_constant(HyperbolicSymbol(problem.symbol.a1), grid,
                                 problem.horizon, case=base_case)
         # real a0 contributes only through its adjoint defect (zero for a
-        # real multiplication part), so the measured side drops 2||a0|| too
+        # real multiplication part), so the measured side drops 2||a0|| too;
+        # the defect is the max over the times the ledger's norms sample
         defect_a0 = 0.0
         if problem.symbol.a0 is not None:
-            defect_a0 = adjoint_defect_norm(problem.symbol.a0, 0.0, grid,
-                                            seed=seed).value
+            defect_a0 = max(
+                adjoint_defect_norm(problem.symbol.a0, t, grid, seed=seed).value
+                for t in problem.symbol.sample_times(problem.horizon))
         c_meas_c = 1.0 + ledger.skew_norm + defect_a0
         report["case_c"] = {"applicable": True, "c_seminorm": c_c,
                             "c_measured_reduced": c_meas_c,
-                            "dominates_measured": c_c >= c_meas_c,
+                            "dominates_measured": seminorm_dominates(
+                                c_c, c_meas_c),
                             "gronwall_ok": gronwall_ok(c_c)}
     else:
         report["case_c"] = {"applicable": False,

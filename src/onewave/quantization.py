@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,7 @@ __all__ = [
     "PeriodicOperator", "stacks", "op_matrix",
     "symbol_from_matrix", "power_iteration", "adjoint_defect_norm",
     "adjoint_defect_norms", "operator_norm", "operator_norms",
-    "OscIntConfig", "adjoint_symbol_remainder", "check_remainder_estimate",
+    "adjoint_symbol_remainder", "check_remainder_estimate",
 ]
 
 DENSE_GUARD = 4096
@@ -515,38 +515,19 @@ def operator_norm(s: SymbolExpr, t: float, grid: Grid,
 
 
 # -- oscillatory-integral adjoint remainder (desk-scale verification) --------
-# The quadrature is 1-D: a symbol of any other dimension is refused.
+# The quadrature is 1-D: a symbol of any other dimension is refused.  The y
+# integral is integrated by parts LAM times; there is none in eta.  The
+# (y, eta) integral is truncated to a box with smooth roll-off on the outer
+# 40% of each axis; eta-convergence is oscillatory and is therefore checked
+# by refinement stability of the box (REFINE) rather than a shell estimate,
+# while the y-tail (with its (1+y^2)^(-LAM) decay) is monitored directly.
 
 LAM = 2             # integration-by-parts order in y (2 LAM > n = 1)
 TAIL_TOL = 0.05     # largest y-shell fraction of the integrand's mass
-
-
-@dataclass(frozen=True)
-class OscIntConfig:
-    """Regularized oscillatory integral parameters.
-
-    The y integral is integrated by parts LAM times; there is none in eta.
-    The (y, eta) integral is truncated to a box with smooth roll-off on the
-    outer 40% of each axis; eta-convergence is oscillatory and is therefore
-    checked by refinement stability rather than a shell estimate, while the
-    y-tail (with its (1+y^2)^(-LAM) decay) is monitored directly.  Frozen:
-    the weighted quadrature kernel is cached per config by _kernel.
-    """
-
-    theta_nodes: int = 7
-    y_half: float = 14.0
-    eta_half: float = 40.0
-    y_points: int = 361
-    eta_points: int = 361
-
-    def refined(self) -> "OscIntConfig":
-        """2n + 1 theta nodes; the (y, eta) box and point counts (odd) x1.4."""
-        factor = 1.4
-        return replace(
-            self, theta_nodes=2 * self.theta_nodes + 1,
-            y_half=self.y_half * factor, eta_half=self.eta_half * factor,
-            y_points=int(self.y_points * factor) | 1,
-            eta_points=int(self.eta_points * factor) | 1)
+THETA_NODES = 7     # Gauss-Legendre nodes in theta
+Y_HALF, ETA_HALF = 14.0, 40.0   # the box's half-widths
+BOX_POINTS = 361    # nodes per box axis, odd
+REFINE = 1.4        # the refined box: half-widths and point counts (kept odd)
 
 
 def _axis_quad(half: float, points: int):
@@ -569,10 +550,17 @@ class _Kernel(NamedTuple):
     shell: np.ndarray       # |y| > 0.8 y_half, shape (Ny, 1)
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel(cfg: OscIntConfig) -> _Kernel:
-    y_nodes, y_w, y_raw = _axis_quad(cfg.y_half, cfg.y_points)
-    e_nodes, e_w, _ = _axis_quad(cfg.eta_half, cfg.eta_points)
+@functools.lru_cache(maxsize=2)
+def _kernel(refined: bool) -> _Kernel:
+    """The weighted quadrature kernel of the base box, or of the refined
+    one."""
+    if refined:
+        y_half, eta_half = Y_HALF * REFINE, ETA_HALF * REFINE
+        points = int(BOX_POINTS * REFINE) | 1
+    else:
+        y_half, eta_half, points = Y_HALF, ETA_HALF, BOX_POINTS
+    y_nodes, y_w, y_raw = _axis_quad(y_half, points)
+    e_nodes, e_w, _ = _axis_quad(eta_half, points)
     y, eta = y_nodes[:, None], e_nodes[None, :]
     y_sq = y ** 2
     phase = np.exp(-1j * (y * eta))
@@ -580,7 +568,7 @@ def _kernel(cfg: OscIntConfig) -> _Kernel:
     K = phase * damp * y_w[:, None] * (e_w / (2.0 * np.pi))[None, :]
     kernel = _Kernel(y, eta, K, K.sum(axis=1), K.sum(axis=0),
                      complex(K.sum()), damp * y_raw[:, None],
-                     y_sq > (0.8 * cfg.y_half) ** 2)
+                     y_sq > (0.8 * y_half) ** 2)
     for arr in kernel:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False     # one kernel serves every caller
@@ -598,41 +586,34 @@ def _contract(k: _Kernel, v: np.ndarray) -> complex:
     return complex(np.sum(k.K * v))
 
 
-def _remainder_integrand_trees(s: SymbolExpr, alpha: int = 0, beta: int = 0):
-    """The trees of Laplacian_xi^i applied to d_xi d_x conj(s), i = 0..LAM,
-    after alpha extra xi- and beta extra x-derivatives (the estimate
-    check's); a tuple, built once per (alpha, beta) and kept on ``s``."""
+def _remainder_integrand_trees(s: SymbolExpr):
+    """The trees of Laplacian_xi^i applied to d_xi d_x conj(s), i = 0..LAM;
+    a tuple, built once and kept on ``s``."""
     if s.dim != 1:
         raise DimensionMismatch(
             f"the remainder quadrature is 1-D; symbol dim is {s.dim}")
-    key = (alpha, beta)
-    cached = s._remainder_trees.get(key)
-    if cached is not None:
-        return cached
-    root = ex.Conj(s.root)
-    for var, cnt in (("xi", alpha), ("x", beta)):
-        for _ in range(cnt):
-            root = root.d((var, 0))
-    trees = [root.d_xi(0).d_x(0)]
-    for _ in range(LAM):
-        trees.append(ex.add(trees[-1].d_xi(0).d_xi(0)))
-    s._remainder_trees[key] = tuple(trees)
-    return s._remainder_trees[key]
+    if s._remainder_trees is None:
+        trees = [ex.Conj(s.root).d_xi(0).d_x(0)]
+        for _ in range(LAM):
+            trees.append(ex.add(trees[-1].d_xi(0).d_xi(0)))
+        s._remainder_trees = tuple(trees)
+    return s._remainder_trees
 
 
-def _r_theta(trees, t: float, x: float, pairs, cfg: OscIntConfig,
+def _r_theta(trees, t: float, x: float, pairs, refined: bool,
              tail_report=None):
-    """r_theta at one (t, x) point, one value per (xi, theta) in ``pairs``.
+    """r_theta at one (t, x) point, one value per (xi, theta) in ``pairs``,
+    on the base box or the refined one.
 
     ``trees`` comes from _remainder_integrand_trees.  The weighted kernel K is
-    cached per cfg; each tree is evaluated at its natural broadcast shape
+    cached per box; each tree is evaluated at its natural broadcast shape
     over the (y, eta) grid, and that shape picks the contraction with K
     (_contract): a constant uses sum(K), a y-column the row sums, an
     eta-row the column sums, and only a full-grid integrand the whole K.
     A tree that reads no xi is evaluated and contracted once, at the first
     pair, and serves every pair; only the others are evaluated per pair.
     """
-    k = _kernel(cfg)
+    k = _kernel(refined)
     x_args = (x + k.y,)
     xi_free = {}    # id of a tree that reads no xi -> (value, contraction)
     totals = []
@@ -665,24 +646,23 @@ def _r_theta(trees, t: float, x: float, pairs, cfg: OscIntConfig,
     return totals
 
 
-def adjoint_symbol_remainder(s: SymbolExpr, t: float, x: float, xi: float,
-                             cfg: OscIntConfig | None = None) -> complex:
+def adjoint_symbol_remainder(s: SymbolExpr, t: float, x: float,
+                             xi: float) -> complex:
     """Symbol-level adjoint correction: op(s)^dagger has symbol
     conj(s) + remainder, with the remainder of the 1-D symbol s evaluated
-    here by regularized quadrature over (y, eta) and Gauss-Legendre in
-    theta.
+    here by regularized quadrature over the base (y, eta) box and
+    Gauss-Legendre in theta.
 
     Verified convention (matches the dense-matrix adjoint oracle): for
     s = c(x) xi the remainder equals -i c'(x).
     """
-    cfg = cfg or OscIntConfig()
     trees = _remainder_integrand_trees(s)
-    nodes, weights = _gl_nodes(cfg.theta_nodes)
+    nodes, weights = _gl_nodes(THETA_NODES)
     thetas = 0.5 * (nodes + 1.0)
     tw = 0.5 * weights
     tails = []
     values = _r_theta(trees, t, float(x),
-                      [(float(xi), float(theta)) for theta in thetas], cfg,
+                      [(float(xi), float(theta)) for theta in thetas], False,
                       tail_report=tails)
     acc = 0.0 + 0.0j
     for w, value in zip(tw, values):
@@ -695,30 +675,25 @@ def adjoint_symbol_remainder(s: SymbolExpr, t: float, x: float, xi: float,
     return complex(-1j * acc)
 
 
-def check_remainder_estimate(s: SymbolExpr, alpha: int, beta: int,
-                             length: float,
-                             cfg: OscIntConfig | None = None) -> dict:
-    """Compare weighted remainder derivatives of the 1-D symbol s against
-    the semi-norm side.
+def check_remainder_estimate(s: SymbolExpr, length: float,
+                             refined: bool = False) -> dict:
+    """Compare the remainder of the 1-D symbol s against the semi-norm side.
 
-    lhs = max over sampled (x, xi, theta) at t = 0 of
-          |d_xi^alpha d_x^beta r_theta| * (1+|xi|)^alpha;
-    rhs = Q^m_{0, 3+alpha, 3+alpha+beta}(s), m the declared order of s,
+    lhs = max over sampled (x, xi, theta) at t = 0 of |r_theta|, on the
+          base (y, eta) box or the refined one;
+    rhs = Q^m_{0,3,3}(s), m the declared order of s,
     both sampled on [0, length] x {|xi| <= 64}, length that of the grid s
-    lives on; theta-uniformity shows up as stability of the reported ratio
+    lives on; box-uniformity shows up as stability of the reported ratio
     under refinement.
     """
-    cfg = cfg or OscIntConfig()
-    trees = _remainder_integrand_trees(s, alpha, beta)
+    trees = _remainder_integrand_trees(s)
     box = SampleBox(1, length, x_count=9, xi_max=64.0, xi_uniform_count=5)
     pairs = [(xi, float(theta)) for xi in (0.0, 1.0, 4.0, 16.0, 64.0)
              for theta in np.linspace(0.0, 1.0, 5)]
-    weights = [(1.0 + xi) ** alpha for xi, _ in pairs]
     lhs = 0.0
     for xp in box.x_points()[:, 0]:
-        for val, weight in zip(_r_theta(trees, 0.0, float(xp), pairs, cfg),
-                               weights):
-            lhs = max(lhs, abs(val) * weight)
-    rhs = seminorm_Q(s, 0, 3 + alpha, 3 + alpha + beta, box)
+        for val in _r_theta(trees, 0.0, float(xp), pairs, refined):
+            lhs = max(lhs, abs(val))
+    rhs = seminorm_Q(s, 0, 3, 3, box)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": ratio}

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .config import DEFAULT_THRESHOLDS
-from .errors import EmptyBox, InsufficientSweep
+from .errors import EmptyBox, InsufficientSweep, NonFinite
 from .grid import Grid
 
 __all__ = [
@@ -64,7 +64,7 @@ class SymbolExpr:
         self.declared_order = float(declared_order)
         self.dim = int(dim)
         self._deriv_cache = {}
-        self._remainder_trees = {}     # quantization's integrand trees
+        self._remainder_trees = None   # quantization's integrand trees
 
     # -- construction helpers ----------------------------------------------
     @staticmethod
@@ -185,7 +185,8 @@ def seminorm_c(s: SymbolExpr, alpha, beta, box: SampleBox,
     m the declared order of s.
 
     A lower bound of the true supremum, monotone nondecreasing under sample
-    refinement of the box.
+    refinement of the box.  A NaN sample raises NonFinite, naming alpha,
+    beta and t: the maxima over orders and times would drop it.
     """
     alpha_t = _as_multi(alpha, s.dim)
     beta_t = _as_multi(beta, s.dim)
@@ -196,7 +197,11 @@ def seminorm_c(s: SymbolExpr, alpha, beta, box: SampleBox,
     vals = np.abs(_eval_on_box(node, t, xpts, xipts, s.dim))
     ximag = np.linalg.norm(xipts, axis=1)
     weight = (1.0 + ximag) ** (-s.declared_order + sum(alpha_t))
-    return float(np.max(vals * weight[None, :]))
+    best = float(np.max(vals * weight[None, :]))
+    if math.isnan(best):
+        raise NonFinite(f"semi-norm sample is NaN at alpha={alpha_t}, "
+                        f"beta={beta_t}, t={t:g}")
+    return best
 
 
 def seminorm_q(s: SymbolExpr, k: int, l: int, box: SampleBox,
@@ -270,20 +275,30 @@ class HyperbolicSymbol:
             return None
         return float(speed.real)
 
-    def is_real(self, grid: Grid) -> bool:
+    def sample_times(self, horizon: float) -> list:
+        """The times on [0, horizon] that the measured norms and the
+        reality check sample: 0, horizon / 2 and horizon when a1 or a0
+        depends on t, else 0 alone."""
+        if self._full.depends_t():
+            return [float(t) for t in np.linspace(0.0, horizon, 3)]
+        return [0.0]
+
+    def is_real(self, grid: Grid, horizon: float) -> bool:
         """Sampled reality check of the full symbol over ``grid``'s domain
-        and frequencies |xi| <= grid.max_abs_xi() (a1 is checked on
-        construction paths; case analysis also needs a0 real)."""
+        and frequencies |xi| <= grid.max_abs_xi(), at the sample times on
+        [0, horizon] (a1 is checked on construction paths; case analysis
+        also needs a0 real)."""
         if self.a0 is None:
             return True
-        return check_real_valued(self.a0, SampleBox(
-            self.dim, grid.length, x_count=33, xi_uniform_count=9,
-            xi_max=grid.max_abs_xi()))
+        box = SampleBox(self.dim, grid.length, x_count=33,
+                        xi_uniform_count=9, xi_max=grid.max_abs_xi())
+        return all(check_real_valued(self.a0, box, t)
+                   for t in self.sample_times(horizon))
 
 
-def check_real_valued(s: SymbolExpr, box: SampleBox) -> bool:
-    """Sampled reality check at t = 0: |Im| <= 1e-14 * (1 + |value|)."""
-    vals = _eval_on_box(s.root, 0.0, box.x_points(), box.xi_points(), s.dim)
+def check_real_valued(s: SymbolExpr, box: SampleBox, t: float) -> bool:
+    """Sampled reality check at time t: |Im| <= 1e-14 * (1 + |value|)."""
+    vals = _eval_on_box(s.root, t, box.x_points(), box.xi_points(), s.dim)
     return not (np.max(np.abs(vals.imag)) >
                 1e-14 * (1.0 + np.max(np.abs(vals))))
 

@@ -19,7 +19,7 @@ from onewave.config import CALIBRATED_C, CFL_MARGIN, CFL_SAFETY
 from onewave.errors import NonFinite, UnstableStep
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
-from onewave.quantization import PeriodicOperator
+from onewave.quantization import PeriodicOperator, adjoint_defect_norm
 from onewave.symbols import HyperbolicSymbol, SymbolExpr
 
 TWO_PI = 2.0 * np.pi
@@ -300,6 +300,30 @@ class TestEnergy:
         assert res.ledger.u_norm_sq[-1] > 0
 
 
+class TestDominanceRule:
+    def test_infinite_constant_fails_every_check(self, monkeypatch):
+        # energy, case_variants and gronwall_fit share one rule: a semi-norm
+        # constant dominates when it is finite and at least the measured one
+        contexts = []
+        for preset, checks in (("variable_speed_smooth",
+                                 ["energy", "case_variants"]),
+                                ("piecewise_speed_logtype", ["gronwall_fit"])):
+            cfg = get_preset(preset)
+            cfg["checks"] = checks
+            contexts.append(scenario.ScenarioContext(cfg))
+
+        def outcomes():
+            return [check(ctx).line() for ctx in contexts
+                    for check in ctx.checks]
+        assert all(line.startswith("PASS") for line in outcomes())
+        for module in (cauchy, scenario):
+            monkeypatch.setattr(module, "seminorm_constant",
+                                lambda *args, **kwargs: math.inf)
+        lines = outcomes()
+        assert len(lines) == 3
+        assert all(line.startswith("FAIL") for line in lines), lines
+
+
 class TestCaseVariants:
     def test_x_independent_qualifies_for_case_b(self, grid256):
         prob = transport_problem(grid256, extra_mode=False)
@@ -319,6 +343,37 @@ class TestCaseVariants:
         assert rep["case_c"]["applicable"]
         assert rep["case_c"]["dominates_measured"]
         assert rep["case_c"]["gronwall_ok"]
+
+    @staticmethod
+    def _t_dependent_a0(grid, a0_root):
+        """variable_speed_smooth's solve with a0 = a0_root, which reads t."""
+        c = ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0)))
+        a1 = SymbolExpr(ex.mul(c, ex.CoordXi(0)), 1.0, 1)
+        a0 = SymbolExpr(a0_root, 0.0, 1)
+        prob = CauchyProblem(symbol=HyperbolicSymbol(a1=a1, a0=a0),
+                             initial=GridFunction(grid, np.sin(grid.x_axis())),
+                             horizon=0.75)
+        result = solve_fixed_eps(prob, seed=0)
+        return prob, result, check_case_variants(prob, result, seed=0)
+
+    def test_a0_complex_after_t0_not_case_c(self, grid256):
+        # a0 = 4i t sin x is real at t = 0 only
+        _, _, rep = self._t_dependent_a0(grid256, ex.mul(
+            ex.Const(4j), ex.CoordT(), ex.Sin(ex.CoordX(0))))
+        assert not rep["case_c"]["applicable"]
+
+    def test_case_c_a0_defect_over_the_horizon(self, grid256):
+        # real a0 = 3 t sin(x) xi <xi>^-1: its defect is 0 at t = 0 and
+        # largest at T, where the ledger's norms also sample it
+        a0_root = ex.mul(ex.Const(3.0), ex.CoordT(), ex.Sin(ex.CoordX(0)),
+                         ex.CoordXi(0), ex.JapaneseBracket(-1.0))
+        prob, result, rep = self._t_dependent_a0(grid256, a0_root)
+        defect = adjoint_defect_norm(SymbolExpr(a0_root, 0.0, 1), 0.75,
+                                     grid256, seed=0).value
+        assert defect > 1.0
+        assert rep["case_c"]["applicable"]
+        assert rep["case_c"]["c_measured_reduced"] == \
+            1.0 + result.ledger.skew_norm + defect
 
     def test_complex_a0_not_case_c(self, grid32):
         a1 = SymbolExpr(ex.CoordXi(0), 1.0, 1)

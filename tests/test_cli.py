@@ -251,6 +251,18 @@ class TestScenarioDataPaths:
         [line] = lines
         assert "reference=exact" in line
 
+    def test_association_reference_conjugates_the_probe(self):
+        # <u, phi> conjugates phi, so a complex probe must pass as its real
+        # part does: the exact reference is conj(phi(x0 + cT))
+        cfg = get_preset("delta_association")
+        scale = {"node": "constant", "re": 1.0, "im": 0.5}
+        cfg["checks"][0]["probes"] = [
+            {"node": "product", "children": [scale, probe]}
+            for probe in cfg["checks"][0]["probes"]]
+        ok, [outcome] = run_scenario(cfg, echo=lambda line: None)
+        assert ok, outcome.line()
+        assert outcome.number <= 1e-6
+
     def test_transition_width_from_config(self):
         cfg = get_preset("piecewise_speed_logtype")
         cfg["symbol"]["transition_width"] = 2.0

@@ -14,7 +14,7 @@ from onewave import expr as ex
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
 from onewave.profiles import plateau
-from onewave.quantization import (LAM, OscIntConfig, PeriodicOperator,
+from onewave.quantization import (LAM, PeriodicOperator,
                                   _contract, _kernel, _r_theta,
                                   _remainder_integrand_trees,
                                   adjoint_defect_norm,
@@ -505,26 +505,33 @@ class TestOscillatoryRemainder:
                 for xi in (0.0, 1.0, 4.0, 16.0)]
         assert max(vals) / max(min(vals), 1e-300) <= 1.2
 
-    def test_box_too_small(self, bump_speed_symbol):
-        tiny = OscIntConfig(y_half=1.0, y_points=41, eta_half=8.0,
-                            eta_points=41)
-        with pytest.raises(BoxTooSmall):
-            adjoint_symbol_remainder(bump_speed_symbol, 0.0, np.pi, 0.0, tiny)
+    def test_box_too_small(self):
+        # d_x of x^6 xi grows like y^5 across the box, so at x = 1 the y
+        # shell holds 0.312 of the integrand's mass, above TAIL_TOL
+        s = SymbolExpr(ex.mul(ex.Power(_X, 6), _XI), 1.0, 1)
+        with pytest.raises(BoxTooSmall, match="0.312"):
+            adjoint_symbol_remainder(s, 0.0, 1.0, 0.0)
 
     def test_estimate_x_independent(self, xi_symbol):
-        rep = check_remainder_estimate(xi_symbol, 0, 0, TWO_PI)
+        rep = check_remainder_estimate(xi_symbol, TWO_PI)
         assert rep["lhs"] == 0.0 and rep["ratio"] == 0.0
 
     def test_estimate_stable_under_refinement(self, bump_speed_symbol):
-        base = check_remainder_estimate(bump_speed_symbol, 0, 0, TWO_PI)
-        refined = check_remainder_estimate(bump_speed_symbol, 0, 0, TWO_PI,
-                                           cfg=OscIntConfig().refined())
+        base = check_remainder_estimate(bump_speed_symbol, TWO_PI)
+        refined = check_remainder_estimate(bump_speed_symbol, TWO_PI,
+                                           refined=True)
         assert base["ratio"] > 0
         change = abs(refined["ratio"] - base["ratio"]) / base["ratio"]
         assert change <= 0.2
 
 
-def _reference_r_theta(s, t, x, xi, theta, cfg, alpha=0):
+# (y half-width, y points, eta half-width, eta points) of the base box and
+# of the refined one, written out for the references below
+BOXES = {False: (14.0, 361, 40.0, 361),
+         True: (14.0 * 1.4, 505, 40.0 * 1.4, 505)}
+
+
+def _reference_r_theta(s, t, x, xi, theta, refined):
     """r_theta of a 1-D symbol as one full phase-matrix sum, rebuilt per call.
 
     The oracle for the cached kernel and its shape-chosen contractions:
@@ -539,12 +546,10 @@ def _reference_r_theta(s, t, x, xi, theta, cfg, alpha=0):
         w[-1] *= 0.5
         return nodes, w * plateau(nodes, 0.6 * half, half)
 
-    y, w_y = axis(cfg.y_half, cfg.y_points)
-    eta, w_e = axis(cfg.eta_half, cfg.eta_points)
-    tree = ex.Conj(s.root)
-    for _ in range(alpha):
-        tree = tree.d_xi(0)
-    tree = tree.d_xi(0).d_x(0)
+    y_half, y_points, eta_half, eta_points = BOXES[refined]
+    y, w_y = axis(y_half, y_points)
+    eta, w_e = axis(eta_half, eta_points)
+    tree = ex.Conj(s.root).d_xi(0).d_x(0)
     integrand = np.zeros((y.size, eta.size), dtype=complex)
     for i in range(LAM + 1):
         integrand += math.comb(LAM, i) * (-theta * theta) ** i * \
@@ -556,10 +561,10 @@ def _reference_r_theta(s, t, x, xi, theta, cfg, alpha=0):
         (2.0 * np.pi)
 
 
-def _reference_remainder(s, x, xi, cfg):
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.theta_nodes)
+def _reference_remainder(s, x, xi):
+    nodes, weights = np.polynomial.legendre.leggauss(7)
     return -1j * sum(0.5 * w * _reference_r_theta(s, 0.0, x, xi,
-                                                  0.5 * (th + 1.0), cfg)
+                                                  0.5 * (th + 1.0), False)
                      for th, w in zip(nodes, weights))
 
 
@@ -568,57 +573,60 @@ _X, _XI = ex.CoordX(0), ex.CoordXi(0)
 # Integrand shapes over the (y, eta) grid: the trees Lap_xi^i d_xi d_x conj(s)
 # are bump'(x) (a y column); 2 bump'(x) xi (the full grid); 3 xi^2 (an eta
 # row, quadratic so that its theta^2 moment counts) and 6 (a constant).
+# bump_xi2_dxi = d_xi bump_xi2 gives 2 bump'(x) (a y column) and zeros.
 SHAPE_SYMBOLS = {
     "bump_xi": SymbolExpr(ex.mul(_BUMP, _XI), 1.0, 1),
     "bump_xi2": SymbolExpr(ex.mul(_BUMP, _XI, _XI), 2.0, 1),
     "x_xi3": SymbolExpr(ex.mul(_X, _XI, _XI, _XI), 3.0, 1),
+    "bump_xi2_dxi": SymbolExpr(ex.mul(_BUMP, _XI, _XI).d_xi(0), 1.0, 1),
 }
 
 
 class TestRemainderKernelOracle:
-    CASES = [("bump_xi", 0, OscIntConfig()),
-             ("bump_xi2", 0, OscIntConfig()),
-             ("x_xi3", 0, OscIntConfig()),
-             ("bump_xi2", 1, OscIntConfig()),
-             ("bump_xi", 0, OscIntConfig().refined()),
-             ("bump_xi2", 0, OscIntConfig().refined())]
+    # (symbol, refined box); the ids number the cases
+    CASES = [("bump_xi", False), ("bump_xi2", False), ("x_xi3", False),
+             ("bump_xi2_dxi", False), ("bump_xi", True), ("bump_xi2", True)]
+    IDS = ["bump_xi-0-cfg0", "bump_xi2-0-cfg1", "x_xi3-0-cfg2",
+           "bump_xi2-1-cfg3", "bump_xi-0-cfg4", "bump_xi2-0-cfg5"]
 
-    @pytest.mark.parametrize("name, alpha, cfg", CASES)
-    def test_r_theta_matches_full_phase_sum(self, name, alpha, cfg):
+    @pytest.mark.parametrize("name, refined", CASES, ids=IDS)
+    def test_r_theta_matches_full_phase_sum(self, name, refined):
         s = SHAPE_SYMBOLS[name]
-        trees = _remainder_integrand_trees(s, alpha)
+        trees = _remainder_integrand_trees(s)
         for x, xi, theta in ((np.pi + 0.7, 1.0, 0.0), (2.0, 3.0, 0.6)):
-            [got] = _r_theta(trees, 0.0, x, [(xi, theta)], cfg)
-            want = _reference_r_theta(s, 0.0, x, xi, theta, cfg, alpha)
+            [got] = _r_theta(trees, 0.0, x, [(xi, theta)], refined)
+            want = _reference_r_theta(s, 0.0, x, xi, theta, refined)
             assert abs(want) > 1e-6
             assert abs(got - want) <= 1e-12 * abs(want)
 
-    @pytest.mark.parametrize("name, cfg", [
-        ("bump_xi", OscIntConfig()), ("bump_xi2", OscIntConfig()),
-        ("bump_xi2", OscIntConfig().refined())])
-    def test_remainder_matches_full_phase_sum(self, name, cfg):
+    @pytest.mark.parametrize("name, x, xi", [
+        ("bump_xi", 2.0, 3.0), ("bump_xi2", 2.0, 3.0),
+        ("bump_xi2", np.pi + 0.7, 16.0)],
+        ids=["bump_xi-cfg0", "bump_xi2-cfg1", "bump_xi2-cfg2"])
+    def test_remainder_matches_full_phase_sum(self, name, x, xi):
         s = SHAPE_SYMBOLS[name]
-        got = adjoint_symbol_remainder(s, 0.0, 2.0, 3.0, cfg)
-        want = _reference_remainder(s, 2.0, 3.0, cfg)
+        got = adjoint_symbol_remainder(s, 0.0, x, xi)
+        want = _reference_remainder(s, x, xi)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_kernel_built_once_per_config(self):
+        # one kernel per box, and the cache holds no more than the two boxes
         s = SHAPE_SYMBOLS["bump_xi"]
         _kernel.cache_clear()
-        for cfg in (OscIntConfig(), OscIntConfig(), OscIntConfig().refined()):
-            adjoint_symbol_remainder(s, 0.0, 2.0, 0.0, cfg)
-        check_remainder_estimate(s, 0, 0, TWO_PI)
+        for refined in (False, False, True):
+            check_remainder_estimate(s, TWO_PI, refined)
+        adjoint_symbol_remainder(s, 0.0, 2.0, 0.0)
         info = _kernel.cache_info()
         assert info.misses == 2
-        assert info.currsize == 2
+        assert info.currsize == info.maxsize == 2
 
 
-def _r_theta_per_pair(trees, t, x, xi, theta, cfg, tail_report=None):
+def _r_theta_per_pair(trees, t, x, xi, theta, refined, tail_report=None):
     """r_theta at one (t, x, xi, theta) point, every tree evaluated and
     contracted afresh: the quadrature as it was before the trees that read
     no xi were shared across (xi, theta) pairs, kept as the bitwise
     reference."""
-    k = _kernel(cfg)
+    k = _kernel(refined)
     x_args = (x + k.y,)
     xi_args = (xi + theta * k.eta,)
     coeffs = [math.comb(LAM, i) * (-theta * theta) ** i
@@ -634,21 +642,20 @@ def _r_theta_per_pair(trees, t, x, xi, theta, cfg, tail_report=None):
     return total
 
 
-def _estimate_per_pair(s, alpha, beta, cfg):
-    """check_remainder_estimate's dict from one _r_theta_per_pair call per
-    (x, xi, theta) probe, in the same order."""
+def _estimate_per_pair(s):
+    """check_remainder_estimate's dict on the base box from one
+    _r_theta_per_pair call per (x, xi, theta) probe, in the same order."""
     box = SampleBox(1, 2 * math.pi, x_count=9, xi_max=64.0,
                     xi_uniform_count=5)
-    trees = _remainder_integrand_trees(s, alpha, beta)
+    trees = _remainder_integrand_trees(s)
     lhs = 0.0
     for xp in np.linspace(0.0, 2 * math.pi, 9):
         for xip in (0.0, 1.0, 4.0, 16.0, 64.0):
-            weight = (1.0 + xip) ** alpha
             for theta in np.linspace(0.0, 1.0, 5):
                 val = _r_theta_per_pair(trees, 0.0, float(xp), xip,
-                                        float(theta), cfg)
-                lhs = max(lhs, abs(val) * weight)
-    rhs = seminorm_Q(s, 0, 3 + alpha, 3 + alpha + beta, box)
+                                        float(theta), False)
+                lhs = max(lhs, abs(val))
+    rhs = seminorm_Q(s, 0, 3, 3, box)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": lhs / rhs}
 
 
@@ -677,28 +684,28 @@ class TestRemainderSharing:
         assert not any(reads_xi("bump_xi"))
         assert any(reads_xi("bump_xi2")) and any(reads_xi("x_xi3"))
 
-    @pytest.mark.parametrize("name, alpha, cfg",
-                             TestRemainderKernelOracle.CASES)
-    def test_r_theta_bitwise_per_pair(self, name, alpha, cfg):
-        trees = _remainder_integrand_trees(SHAPE_SYMBOLS[name], alpha)
+    @pytest.mark.parametrize("name, refined", TestRemainderKernelOracle.CASES,
+                             ids=TestRemainderKernelOracle.IDS)
+    def test_r_theta_bitwise_per_pair(self, name, refined):
+        trees = _remainder_integrand_trees(SHAPE_SYMBOLS[name])
         got_tails, want_tails = [], []
-        got = _r_theta(trees, 0.0, 2.0, self.PAIRS, cfg, got_tails)
-        want = [_r_theta_per_pair(trees, 0.0, 2.0, xi, theta, cfg,
+        got = _r_theta(trees, 0.0, 2.0, self.PAIRS, refined, got_tails)
+        want = [_r_theta_per_pair(trees, 0.0, 2.0, xi, theta, refined,
                                   want_tails) for xi, theta in self.PAIRS]
         assert _bits(got) == _bits(want)
         assert len(got_tails) == len(want_tails) == len(self.PAIRS)
         for got_entry, want_entry in zip(got_tails, want_tails):
             assert _bits(got_entry) == _bits(want_entry)
 
-    @pytest.mark.parametrize("name, alpha, beta", [
-        ("bump_xi", 0, 0), ("bump_xi2", 1, 0), ("x_xi3", 1, 0)],
-        # the ids number the cases, as pytest named the tuple orders
-        ids=["bump_xi-alpha0-beta0", "bump_xi2-alpha1-beta1",
-             "x_xi3-alpha2-beta2"])
-    def test_estimate_bitwise_per_pair(self, name, alpha, beta):
+    @pytest.mark.parametrize("name", ["bump_xi", "bump_xi2", "x_xi3"],
+                             # the ids number the cases
+                             ids=["bump_xi-alpha0-beta0",
+                                  "bump_xi2-alpha1-beta1",
+                                  "x_xi3-alpha2-beta2"])
+    def test_estimate_bitwise_per_pair(self, name):
         s = SHAPE_SYMBOLS[name]
-        got = check_remainder_estimate(s, alpha, beta, TWO_PI)
-        want = _estimate_per_pair(s, alpha, beta, OscIntConfig())
+        got = check_remainder_estimate(s, TWO_PI)
+        want = _estimate_per_pair(s)
         assert got["lhs"] > 0
         assert {k: _bits(v) for k, v in got.items()} == \
             {k: _bits(v) for k, v in want.items()}
@@ -735,7 +742,7 @@ class TestRemainderSharing:
         with pytest.raises(DimensionMismatch, match="1-D"):
             adjoint_symbol_remainder(plane, 0.0, 2.0, 3.0)
         with pytest.raises(DimensionMismatch, match="1-D"):
-            check_remainder_estimate(plane, 0, 0, TWO_PI)
+            check_remainder_estimate(plane, TWO_PI)
         assert _kernel.cache_info().currsize == 0
 
 

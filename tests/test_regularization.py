@@ -254,7 +254,7 @@ class TestRegularizeSymbol:
         box = SampleBox(1, TWO_PI, x_count=33, xi_max=64.0,
                         xi_uniform_count=9)
         from onewave.symbols import check_real_valued
-        assert check_real_valued(sym.a1, box)
+        assert check_real_valued(sym.a1, box, 0.0)
 
     def test_family_members_share_structure(self):
         pc = RoughCoefficient("piecewise_constant", TWO_PI,

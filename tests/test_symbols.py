@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onewave import expr as ex
-from onewave.errors import EmptyBox, InsufficientSweep
+from onewave.errors import EmptyBox, InsufficientSweep, NonFinite
 from onewave.grid import Grid
 from onewave.regularization import (Mollifier, MollifiedCoefficient,
                                     RoughCoefficient)
@@ -237,6 +237,17 @@ class TestSeminorms:
         with pytest.raises(EmptyBox):
             SampleBox(1, 1.0, x_count=0)
 
+    def test_nan_sample_raises(self):
+        # a bump of width 1e-60 has NaN high x-derivatives, which the max
+        # over orders would drop, leaving q = 2 from the constant speed
+        bump = ex.SmoothBump(ex.CoordX(0), 1.0, 1e-60)
+        s = SymbolExpr(ex.mul(ex.add(ex.Const(2.0), bump), ex.CoordXi(0)),
+                       1.0, 1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFinite, match=r"alpha=\(0,\), "
+                               r"beta=\(6,\), t=0"):
+                seminorm_q(s, 6, 6, SampleBox(1, TWO_PI))
+
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_box_points_computed_once_read_only(self, dim):
@@ -298,12 +309,12 @@ class TestTransportSpeed:
 class TestRealityCheck:
     def test_real_a1_tagged(self, variable_speed_symbol):
         h = HyperbolicSymbol(a1=variable_speed_symbol)
-        assert h.is_real(Grid(1, 128, TWO_PI))
+        assert h.is_real(Grid(1, 128, TWO_PI), 1.0)
 
     def test_complex_a0_flagged(self, variable_speed_symbol):
         a0 = SymbolExpr(ex.mul(ex.Const(1j), ex.Sin(ex.CoordX(0))), 0.0, 1)
         h = HyperbolicSymbol(a1=variable_speed_symbol, a0=a0)
-        assert not h.is_real(Grid(1, 128, TWO_PI))
+        assert not h.is_real(Grid(1, 128, TWO_PI), 1.0)
 
 
 def _const_family(symbol, eps_grid):
