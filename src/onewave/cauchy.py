@@ -1,15 +1,20 @@
-"""Fixed-eps Cauchy solves: spectral in space, classical RK4 in time.
+"""Fixed-eps Cauchy solves: spectral in space, Lawson RK4 in time.
 
 du/dt = -i a(t,x,D_x) u + f(t),  u(0) = g  on the periodic grid, with an
-energy ledger recording ||u(t)||^2, ||f(t)||^2 and the measured skew-defect
-and order-0 operator norms.  The step obeys dt * sup|a| <= CFL margin
-(imaginary-axis stability of RK4), with sup|a| read from the operator's
-tables; the pointwise energy inequality is checked with centered differences
-plus a slack term absorbing time-discretization error.  The semi-norm
-constant belongs to the symbol: seminorm_constant computes it for the
-verdicts that compare against it.
+energy ledger recording ||u(t)||^2 (by Parseval), ||f(t)||^2 and the
+measured skew-defect and order-0 operator norms.  The state is a spectrum.
+A t-free separable symbol is the Fourier multiplier d plus the quantized
+rest R (quantization's _Terms.split): the integrating-factor (Lawson) step
+takes d exactly, by diagonal multiplies, and RK4 only R, so the step obeys
+dt * sup|R| <= CFL margin (imaginary-axis stability of RK4), read from the
+tables; a forced member, whose stages rotate f by e^(-i d s), reads sup|a|,
+and a t-dependent or dense one takes d = 0 (R = a) in the same loop.  The
+pointwise energy inequality is checked with centered differences plus a
+slack term absorbing time-discretization error.  The semi-norm constant
+belongs to the symbol: seminorm_constant computes it for the verdicts that
+compare against it.
 
-One RK4 stepper, solve_stack, advances the members of a stack on one grid
+One stepper, solve_stack, advances the members of a stack on one grid
 (a sweep's eps members) as rows of one PeriodicOperator per table layout,
 each with its own dt and step count, after one band-norm iteration over the
 stack; solve_fixed_eps is one member.  Identical problems step as one row,
@@ -29,7 +34,7 @@ from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
 from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
                      UnstableStep)
 from .grid import Grid, GridFunction
-from .quantization import (PeriodicOperator, _distinct, adjoint_defect_norm,
+from .quantization import (PeriodicOperator, _distinct, _synth,
                            adjoint_defect_norms, operator_norms, stacks)
 from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 
@@ -136,15 +141,17 @@ class CauchyProblem:
 
 def step_size(dt: float | None, horizon: float, symbol_sup: float) -> float:
     """The step that divides ``horizon`` evenly: an explicit ``dt`` must
-    satisfy dt * sup|a| <= CFL_MARGIN; None steps automatically at
-    CFL_SAFETY * CFL_MARGIN / sup|a|."""
+    satisfy dt * sup <= CFL_MARGIN; None steps automatically at
+    CFL_SAFETY * CFL_MARGIN / sup, for ``symbol_sup`` the sup the RK4
+    stages see: sup|R|, or sup|a| if forced, t-dependent or dense."""
     if not math.isfinite(symbol_sup):
-        raise NonFinite(f"sup|a| = {symbol_sup} is not finite")
+        raise NonFinite(f"sup|R| or sup|a| = {symbol_sup} is not finite")
     if dt is None:
         dt = CFL_SAFETY * CFL_MARGIN / max(symbol_sup, 1e-30)
     elif symbol_sup * dt > CFL_MARGIN * (1 + 1e-12):
-        raise UnstableStep(f"dt*sup|a| = {dt * symbol_sup:.3f} exceeds "
-                           f"margin {CFL_MARGIN}")
+        raise UnstableStep(f"dt*sup = {dt * symbol_sup:.3f} exceeds margin "
+                           f"{CFL_MARGIN} (sup|R|, or sup|a| if forced, "
+                           "t-dependent or dense)")
     steps = max(1, math.ceil(horizon / dt - 1e-12))
     return horizon / steps
 
@@ -186,7 +193,7 @@ class EnergyLedger:
 @dataclass
 class SolveResult:
     """A solve's ledger and its snapshots: states[k] is u at snap_times[k],
-    one read-only array (n_snap, *grid.shape) that the RK4 loop fills."""
+    one read-only array (n_snap, *grid.shape) that the stepping loop fills."""
 
     grid: Grid
     times: np.ndarray
@@ -252,10 +259,10 @@ def solve_fixed_eps(problem: CauchyProblem, dt: float | None = None,
 
 
 def solve_stack(problems, dt: float | None = None, seed=0) -> list:
-    """Classical RK4 with full energy bookkeeping for problems on one grid;
+    """Lawson RK4 with full energy bookkeeping for problems on one grid;
     per problem, its SolveResult or the OnewaveError that stopped it.  The
     members of one table layout step as one stack, each with its step from
-    ``dt`` and its own sup|a| (step_size), and leave it after their last
+    ``dt`` and its own sup (step_size), and leave it after their last
     step, so each member's arithmetic is its one-member solve's.  A member
     aborts with UnstableStep when its norm exceeds INSTABILITY_FACTOR times
     its Gronwall bound.
@@ -293,16 +300,22 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
 
 
 class _Member:
-    """One row of a solve stack: its step, its guard and its ledger."""
+    """One row of a solve stack: its step, factors, guard and ledger."""
 
     def __init__(self, row, slot, problem: CauchyProblem, op, dt):
         self.row, self.slot, self.problem = row, slot, problem
-        sup_times = (np.linspace(0.0, problem.horizon, 5)
-                     if op.symbols[row].depends_t() else [0.0])
-        self.sup = max(op.sup_abs(float(t), row) for t in sup_times)
+        self.forcing = None if problem.forcing.is_zero else problem.forcing
+        t_dep = op.symbols[row].depends_t()
+        frozen = op.separable and not t_dep     # else d = 0 and R = a
+        d = (op._tables(op._of[row], 0.0).split[1] if frozen
+             else np.zeros(problem.grid.shape))
+        pick = frozen and self.forcing is None      # sup|R|, else sup|a|
+        self.sup = max(op.sup_abs(float(t), row)[pick] for t in (
+            np.linspace(0.0, problem.horizon, 5) if t_dep else [0.0]))
         self.dt = step_size(dt, problem.horizon, self.sup)
         self.n_steps = int(round(problem.horizon / self.dt))
-        self.forcing = None if problem.forcing.is_zero else problem.forcing
+        self.factors = (np.exp(-1j * self.dt * d),
+                        np.exp(-1j * (self.dt / 2.0) * d))
         self.g_norm_sq = problem.initial.norm_sq()
         # forcing integral over the horizon for the instability guard
         guard_t = np.linspace(0.0, problem.horizon, 65)
@@ -331,7 +344,7 @@ class _Member:
             return UnstableStep(
                 f"norm^2 {nsq:.3e} exceeds {INSTABILITY_FACTOR}x Gronwall "
                 f"prediction {bound:.3e} at t={tn:.4g} (dt={self.dt:.3e}, "
-                f"sup|a|={self.sup:.3e})")
+                f"step sup={self.sup:.3e})")
         self.ledger.append((tn, nsq, self.f_norm_sq(tn)))
         if step % TRAJECTORY_STRIDE == 0 or step == self.n_steps:
             row = -(-step // TRAJECTORY_STRIDE)     # ceil(step / stride)
@@ -350,45 +363,58 @@ class _Member:
 
 
 def _rk4(stack, members, out):
-    """The RK4 loop: the live members take each step at once, as the rows
-    of a stack over a leading member axis, each with its own dt and times.
-    The loop owns u, the stages k1..k4 and the stage argument, allocated
-    once per narrowing of the stack, and forms every sum in place with the
-    operations, operands and order of u + dt/2 k1, u + dt/2 k2, u + dt k3
-    and u + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    """The Lawson RK4 loop on spectra u: the live members take each step
+    at once, as the rows of a stack over a leading member axis, each with
+    its own dt, times and factors E = e^(-i d dt), E2 = e^(-i d dt/2).  For
+    N(t, v) = fftn(-i R ifftn(v) + f(t)): k1 = N(t, u), k2 = N(t + dt/2,
+    E2 (u + dt/2 k1)), k3 = N(t + dt/2, E2 u + dt/2 k2), k4 = N(t + dt,
+    E u + dt E2 k3) and u <- E u + dt/6 (E k1 + 2 E2 (k2 + k3) + k4), each
+    sum formed in place, in arrays allocated once per narrowing."""
+    grid = stack.grid
+    shape, axes = grid.shape, grid.axes
+    frozen = stack.separable and not any(stack._t_dep)
     if members:
-        u = np.stack([m.states[0] for m in members])
+        u = np.fft.fftn(np.stack([m.states[0] for m in members]), shape, axes)
 
     def rhs(ts, v, k):
-        stack.apply(ts, v, out=k)
+        tables = stack._joint_tables(stack._keys(ts))
+        _synth(tables.split[0] if frozen else tables, v, grid, k)
         np.multiply(-1j, k, out=k)
         for row, (m, t) in enumerate(zip(members, ts)):
             if m.forcing is not None:
                 k[row] += m.forcing.value(t)
+        np.fft.fftn(k, shape, axes, out=k)
 
     step = 0
     while members:
         dt = np.array([m.dt for m in members]).reshape(
-            (-1,) + (1,) * stack.grid.dim)
+            (-1,) + (1,) * grid.dim)
         half, sixth = dt / 2.0, dt / 6.0
-        k1, k2, k3, k4, v = (np.empty_like(u) for _ in range(5))
+        e, e2 = (np.stack(f) for f in zip(*(m.factors for m in members)))
+        k1, k2, k3, k4, v, w = (np.empty_like(u) for _ in range(6))
         keep = range(len(members))
         while len(keep) == len(members):
             step += 1
             t0 = [(step - 1) * m.dt for m in members]
             th = [t + m.dt / 2.0 for t, m in zip(t0, members)]
             rhs(t0, u, k1)
-            rhs(th, np.add(u, np.multiply(half, k1, out=v), out=v), k2)
-            rhs(th, np.add(u, np.multiply(half, k2, out=v), out=v), k3)
+            np.add(u, np.multiply(half, k1, out=v), out=v)
+            rhs(th, np.multiply(e2, v, out=v), k2)
+            np.multiply(e2, u, out=w)
+            rhs(th, np.add(w, np.multiply(half, k2, out=v), out=v), k3)
+            np.multiply(dt, np.multiply(e2, k3, out=v), out=v)
             rhs([t + m.dt for t, m in zip(t0, members)],
-                np.add(u, np.multiply(dt, k3, out=v), out=v), k4)
-            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+                np.add(np.multiply(e, u, out=w), v, out=v), k4)
+            np.multiply(e2, np.add(k2, k3, out=k2), out=k2)
+            np.add(np.multiply(e, k1, out=k1), np.multiply(2.0, k2, out=k2),
+                   out=k1)
             np.add(k1, k4, out=k1)
-            np.add(u, np.multiply(sixth, k1, out=k1), out=u)
-            nsq, keep = stack.grid.norm_sq(u), []
+            np.add(w, np.multiply(sixth, k1, out=k1), out=u)
+            nsq, keep = grid.norm_sq(u) / grid.size, []      # Parseval
+            x = np.fft.ifftn(u, shape, axes) if step % TRAJECTORY_STRIDE == 0 \
+                or any(step == m.n_steps for m in members) else [None] * len(u)
             for row, m in enumerate(members):
-                done = m.advance(step, u[row], float(nsq[row]))
+                done = m.advance(step, x[row], float(nsq[row]))
                 if done is None:
                     keep.append(row)
                 out[m.slot] = done
@@ -474,9 +500,10 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
         # the defect is the max over the times the ledger's norms sample
         defect_a0 = 0.0
         if problem.symbol.a0 is not None:
-            defect_a0 = max(
-                adjoint_defect_norm(problem.symbol.a0, t, grid, seed=seed).value
-                for t in problem.symbol.sample_times(problem.horizon))
+            defect_a0 = max(est.value for est in adjoint_defect_norms(
+                [(problem.symbol.a0, t)
+                 for t in problem.symbol.sample_times(problem.horizon)],
+                grid, seed))
         c_meas_c = 1.0 + ledger.skew_norm + defect_a0
         report["case_c"] = {"applicable": True, "c_seminorm": c_c,
                             "c_measured_reduced": c_meas_c,

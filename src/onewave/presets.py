@@ -9,9 +9,8 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-# g(x) = sin x + 0.6 cos 2x + 0.1 sin 20x: smooth, band-limited, with enough
-# mode-20 content to expose the RK4 convergence order before the spectral
-# floor.
+# g(x) = sin x + 0.6 cos 2x + 0.1 sin 20x: smooth and band-limited, with
+# mode-20 content that the constant-speed checks must carry exactly.
 _TRIG_G = {"node": "sum", "children": [
     {"node": "sin", "child": {"node": "coord_x", "axis": 0}},
     {"node": "product", "children": [
@@ -65,7 +64,7 @@ PRESETS = {
     "transport_smoke": {
         "name": "transport_smoke",
         "description": "Constant-speed transport: closed-form exactness, "
-                       "RK4 order, unitarity, energy ledger.",
+                       "unitarity, energy ledger.",
         "grid": {"dim": 1, "points": 256, "length": TWO_PI},
         "horizon": 1.0,
         "dt": 1e-3,
@@ -77,7 +76,6 @@ PRESETS = {
                  "builder": "fixed"},
         "checks": [
             {"check": "transport_exactness", "tol": 1e-6},
-            {"check": "rk4_convergence"},
             {"check": "unitarity", "tol": 1e-10},
             {"check": "energy"},
             {"check": "case_variants"},
@@ -107,7 +105,8 @@ PRESETS = {
     "variable_speed_smooth": {
         "name": "variable_speed_smooth",
         "description": "Smooth variable speed (2+sin x) xi with real order-0 "
-                       "part: energy estimate, case variants, cascade.",
+                       "part: RK4 order, energy estimate, case variants, "
+                       "cascade.",
         "grid": {"dim": 1, "points": 256, "length": TWO_PI},
         "horizon": 0.75,
         "dt": None,
@@ -120,6 +119,7 @@ PRESETS = {
         "data": {"g": {"kind": "expression", "expr": _LOW_G},
                  "builder": "fixed"},
         "checks": [
+            {"check": "rk4_convergence"},
             {"check": "energy"},
             {"check": "case_variants"},
             {"check": "cascade_bounds", "max_order": 2},

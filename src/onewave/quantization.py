@@ -18,8 +18,9 @@ ifftn after _analyse.  The norm estimators iterate on band-limited spectra:
 the band projector is an exact boolean mask multiply, and one application
 of A - A^dagger, or of A and then A^dagger, takes one batched ifftn and one
 batched fftn call.  A - A^dagger takes a separable symbol's Fourier
-multiplier share (its terms at the first node) exactly and transforms only
-the rest, so a real x-free symbol's defect is exactly 0.
+multiplier share d (_Terms.split, the one split of op(s), which the time
+stepper reads too) exactly and transforms only the rest, so a real x-free
+symbol's defect is exactly 0.
 """
 
 from __future__ import annotations
@@ -132,18 +133,21 @@ class PeriodicOperator:
         self._cache[i] = (key, tables)
         return tables
 
-    def sup_abs(self, t: float, row: int = 0) -> float:
-        """sup |s(t, x_j, xi_k)| of symbol ``row`` over the grid's nodes and
-        frequencies, read from the tables: the bound sum_m max|f_m| max|g_m|
-        for separable terms, the max over the full table on the dense path."""
+    def sup_abs(self, t: float, row: int = 0) -> tuple:
+        """(sup|s|, sup|R|) of symbol ``row`` at t over the grid's nodes and
+        frequencies, R the rest of _Terms.split, read from the tables: the
+        bounds sum_m max|f_m| max|g_m| and sum_m max|f_m - c_m| max|g_m|
+        for separable terms; on the dense path, where R = s, the max over
+        the full table, twice."""
         tables = self._tables(self._of[row], self._key(row, t))
         if isinstance(tables, _Terms):
-            acc = 0.0
-            for f_m, g_m in zip(tables.f, tables.g):
-                acc += np.max(np.abs(f_m)) * np.max(np.abs(g_m))
-            return float(acc)
-        return float(max(np.max(np.abs(tables[lo:lo + _ROWS]))
-                         for lo in range(0, len(tables), _ROWS)))
+            return tuple(float(sum(
+                np.max(np.abs(f_m)) * np.max(np.abs(g_m))
+                for f_m, g_m in zip(tb.f, tb.g)))
+                for tb in (tables, tables.split[0]))
+        sup = float(max(np.max(np.abs(tables[lo:lo + _ROWS]))
+                        for lo in range(0, len(tables), _ROWS)))
+        return sup, sup
 
     def _symbol_table(self, i: int, t: float) -> np.ndarray:
         """S o E, S[j, k] = s_i(t, x_j, xi_k) and E[j, k] = exp(i x_j.xi_k).
@@ -239,7 +243,7 @@ class _Terms:
     """Tables f_m(x_j) and g_m(xi_k) of a separable symbol's terms, one
     list entry per term, on the last ``dim`` axes (a stack of rows before
     them), and, each built on its first use, their conjugates, which the
-    adjoint reads, and the split the adjoint defect reads."""
+    adjoint reads, and the split the adjoint defect and the stepper read."""
 
     def __init__(self, f, g, dim):
         self.f, self.g, self.dim = f, g, dim
@@ -251,16 +255,21 @@ class _Terms:
 
     @functools.cached_property
     def split(self):
-        """(the terms (f_m - f_m(x_0)) g_m, the multiplier d - conj(d)):
-        x_0 is each row's first node and d = sum_m f_m(x_0) g_m, so op(s)
-        is the Fourier multiplier d plus the quantized rest, and d's share
-        of op(s) - op(s)^dagger is exact: 0 for a real x-free symbol, whose
-        rest is 0 too."""
-        first = (Ellipsis,) + (slice(0, 1),) * self.dim
-        at_x0 = [f_m[first] for f_m in self.f]
-        d = sum(c * g_m for c, g_m in zip(at_x0, self.g))
-        return (_Terms([f_m - c for f_m, c in zip(self.f, at_x0)], self.g,
-                       self.dim), d - np.conjugate(d))
+        """(the terms (f_m - c_m) g_m of the rest R, the multiplier d =
+        sum_m c_m g_m): c_m is the centre of f_m's bounding box on each row
+        (the midrange of its real part plus i times that of its imaginary
+        part), so op(s) is the Fourier multiplier d plus the quantized R,
+        and max|f_m - c_m| is least for real f_m.  A real x-free symbol's
+        R is 0 and its d real."""
+        axes = tuple(range(-self.dim, 0))
+
+        def mid(p):
+            return (np.max(p, axes, keepdims=True)
+                    + np.min(p, axes, keepdims=True)) / 2.0
+        centres = [mid(f_m.real) + 1j * mid(f_m.imag) for f_m in self.f]
+        d = sum(c * g_m for c, g_m in zip(centres, self.g))
+        return (_Terms([f_m - c for f_m, c in zip(self.f, centres)], self.g,
+                       self.dim), d)
 
 
 def _apply_tables(tables, values: np.ndarray, grid: Grid, adjoint, out):
@@ -332,14 +341,15 @@ def _sum_terms(inner, outer, v, transform, grid: Grid, out, carry):
 
 def stacks(symbols, grid: Grid):
     """(rows, PeriodicOperator) per table layout of ``symbols`` on
-    ``grid``, in first-row order.  Separable symbols stack by term count, never padded
-    with zero terms (which could flip signed zeros); a dense one stacks
-    alone, so one dense table is alive at a time."""
+    ``grid``, in first-row order.  Separable symbols stack by term count
+    and dependence on t, never padded with zero terms (which could flip
+    signed zeros); a dense one stacks alone, so one dense table is alive at
+    a time."""
     layouts = {}
     for i, s in enumerate(symbols):
         terms = ex.separable_terms(s.root)
-        layouts.setdefault(-1 - i if terms is None else len(terms),
-                           []).append(i)
+        layouts.setdefault(-1 - i if terms is None else (
+            len(terms), s.depends_t()), []).append(i)
     for rows in layouts.values():
         yield rows, PeriodicOperator([symbols[i] for i in rows], grid)
 
@@ -462,8 +472,8 @@ def _skew_spectrum(tables, hat, grid: Grid, mask):
     p = hat * mask
     share = None
     if isinstance(tables, _Terms):
-        tables, skew = tables.split
-        share = skew * p                            # before p is transformed
+        tables, d = tables.split
+        share = (d - np.conjugate(d)) * p           # before p is transformed
     av = np.empty(p.shape, dtype=complex)
     _synth(tables, p, grid, av, carry=p)            # R v and v, grid values
     out = _analyse(tables, p, grid, np.empty_like(p),

@@ -277,10 +277,11 @@ class HyperbolicSymbol:
 
     def sample_times(self, horizon: float) -> list:
         """The times on [0, horizon] that the measured norms and the
-        reality check sample: 0, horizon / 2 and horizon when a1 or a0
-        depends on t, else 0 alone."""
+        reality check sample: the semi-norms' SampleBox.t_points when a1
+        or a0 depends on t, else 0 alone."""
         if self._full.depends_t():
-            return [float(t) for t in np.linspace(0.0, horizon, 3)]
+            return [float(t) for t in SampleBox(
+                self.dim, 1.0, t_max=horizon).t_points()]
         return [0.0]
 
     def is_real(self, grid: Grid, horizon: float) -> bool:

@@ -38,9 +38,13 @@ def report(criterion, ok, detail):
 
 class TestAcceptance:
     def test_01_transport_exactness(self):
-        ok, oc, elapsed = run_preset("transport_smoke", 10.0)
+        # the RK4 order is measured where the symbol has an x-dependent
+        # rest: the exact multiplier steps transport without step error
+        _, oc, elapsed = run_preset("transport_smoke", 10.0)
         t_err = oc["transport_exactness"]
+        _, oc, more = run_preset("variable_speed_smooth", 10.0)
         conv = oc["rk4_convergence"]
+        elapsed += more
         good = t_err.ok and conv.ok and elapsed <= 10.0
         report("1 transport", good,
                f"max-norm error {t_err.number:.2e} (tol 1e-6); "

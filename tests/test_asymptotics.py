@@ -369,6 +369,13 @@ def xi_term(coeff, axis=0):
     return ex.mul(ex.Const(coeff), ex.CoordXi(axis))
 
 
+def varying_xi_term(coeff, axis=0, amp=1.0):
+    """coeff (1 + amp sin x_0) xi_axis: the multiplier coeff xi_axis and
+    the rest coeff amp sin(x_0) xi_axis."""
+    return ex.mul(ex.Const(coeff), ex.add(ex.Const(1.0), ex.mul(
+        ex.Const(amp), ex.Sin(ex.CoordX(0)))), ex.CoordXi(axis))
+
+
 class TestStackedSolve:
     """The members of one sweep advance as one stack; each member's
     arithmetic must equal its one-member solve exactly."""
@@ -437,11 +444,11 @@ class TestStackedSolve:
         assert_same_solves(stacked, one_member_solves(problems))
 
     def test_member_fails_mid_stack(self, monkeypatch):
-        # dt |a| = 3.5 > 2.8 is outside RK4's stability interval: that member
+        # dt |R| = 3.5 > 2.8 is outside RK4's stability interval: that member
         # blows up within the horizon and leaves the stack; the rest go on
         grid = Grid(1, 64, TWO_PI)
         family = GenSymbolFamily(lambda eps: HyperbolicSymbol(SymbolExpr(
-            xi_term(3.5 if eps == 0.3 else 1.0 / eps / 10), 1.0, 1)),
+            varying_xi_term(3.5 if eps == 0.3 else 1.0 / eps / 10), 1.0, 1)),
             [0.5, 0.3, 0.1])
         monkeypatch.setattr(cauchy, "CFL_MARGIN", math.inf)
         dt = 1.0 / 32.0
@@ -463,10 +470,13 @@ class TestStackedSolve:
         grid = Grid(2, 16, TWO_PI)
         x0, x1 = grid.x_mesh()
         g = GridFunction(grid, np.sin(x0) * np.cos(x1) + 0.2 * np.sin(3 * x1))
-        roots = [xi_term(1.0), ex.add(xi_term(0.7), xi_term(0.9, 1)),
-                 ex.add(xi_term(1.3), ex.mul(ex.Const(0.01), ex.Sin(
-                     ex.mul(ex.CoordX(0), ex.CoordXi(0))))),
-                 xi_term(1.9)]
+        roots = [varying_xi_term(1.0, amp=0.5),
+                 ex.add(varying_xi_term(0.7, amp=0.5),
+                        varying_xi_term(0.9, 1, amp=0.5)),
+                 ex.add(varying_xi_term(1.3, amp=0.5), ex.mul(
+                     ex.Const(0.01), ex.Sin(
+                         ex.mul(ex.CoordX(0), ex.CoordXi(0))))),
+                 varying_xi_term(1.9, amp=0.5)]
         problems = [CauchyProblem(HyperbolicSymbol(SymbolExpr(r, 1.0, 2)), g,
                                   2.0) for r in roots]
         stacked = solve_stack(problems, seed=2)
@@ -494,6 +504,29 @@ class TestStackedSolve:
         # the rows leave the stack at different iterations
         assert len({e.iterations for e in adjoint_defect_norms(
             pairs, grid, seed=4)}) > 1
+
+
+class TestLawsonSteps:
+    """The exact multiplier leaves the automatic step to the rest R:
+    sup|R| of c(x) xi is half the range of c times max|xi| (128 at M=256),
+    where sup|a| is the largest |c| times it."""
+
+    @pytest.mark.parametrize("preset, steps", [
+        ("piecewise_speed_logtype", 30),    # sup|a| took 106 or 107
+        ("ginf_regularity", 26)])           # sup|a| took 77
+    def test_automatic_steps_per_member(self, preset, steps, monkeypatch):
+        seen = []
+
+        def counted(problems, *args, _solve=asymptotics.solve_stack,
+                    **kwargs):
+            out = _solve(problems, *args, **kwargs)
+            seen.extend(len(r.times) - 1 for r in out)
+            return out
+        monkeypatch.setattr(asymptotics, "solve_stack", counted)
+        ctx = scenario.ScenarioContext(get_preset(preset))
+        assert ctx.grid.points == 256
+        ctx.sweep()
+        assert seen == [steps] * len(ctx.eps_grid)
 
 
 class TestSharedWork:
@@ -590,19 +623,24 @@ class TestSharedWork:
             CauchyProblem(self.symbol(), zero.copy(), self.H),
             CauchyProblem(sym, GridFunction(grid, 0.5 * np.cos(3 * x)),
                           self.H)]
-        # a zero-valued forcing term is not zero forcing: these step
-        zero_term = Forcing(grid, [(TimeProfile(), np.zeros(grid.shape))])
-        stepped_zeros = one_member_solves([CauchyProblem(
-            p.symbol, p.initial, self.H, zero_term) for p in problems[1:3]])
         rows = []
 
-        def apply(op, t, values, _apply=PeriodicOperator.apply, **kwargs):
-            rows.extend(values.reshape(-1, grid.points))
-            return _apply(op, t, values, **kwargs)
+        def synth(tables, hat, *args, _synth=cauchy._synth, **kwargs):
+            rows.extend(hat.reshape(-1, grid.points))
+            return _synth(tables, hat, *args, **kwargs)
         with monkeypatch.context() as patch:
-            patch.setattr(PeriodicOperator, "apply", apply)
+            patch.setattr(cauchy, "_synth", synth)
             got = solve_stack(problems)
         assert rows and all(np.any(row) for row in rows)
+        # a zero-valued forcing term is not zero forcing: these step.  A
+        # forced member's step reads sup|a|, so they take the unforced
+        # members' dt, past that margin: zero stays zero at any step
+        zero_term = Forcing(grid, [(TimeProfile(), np.zeros(grid.shape))])
+        with monkeypatch.context() as patch:
+            patch.setattr(cauchy, "CFL_MARGIN", math.inf)
+            stepped_zeros = one_member_solves([CauchyProblem(
+                p.symbol, p.initial, self.H, zero_term)
+                for p in problems[1:3]], got[0].dt)
         assert_same_solves(got[::3], one_member_solves(problems[::3]))
         assert_same_solves(got[1:3], stepped_zeros)
         for r in got[1:3]:

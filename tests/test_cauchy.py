@@ -19,7 +19,8 @@ from onewave.config import CALIBRATED_C, CFL_MARGIN, CFL_SAFETY
 from onewave.errors import NonFinite, UnstableStep
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
-from onewave.quantization import PeriodicOperator, adjoint_defect_norm
+from onewave.quantization import (PeriodicOperator, adjoint_defect_norm,
+                                  operator_norms)
 from onewave.symbols import HyperbolicSymbol, SymbolExpr
 
 TWO_PI = 2.0 * np.pi
@@ -34,6 +35,35 @@ def transport_problem(grid, horizon=1.0, extra_mode=True):
         vals = vals + 0.1 * np.sin(20 * x)
     return CauchyProblem(symbol=sym, initial=GridFunction(grid, vals),
                          horizon=horizon)
+
+
+SPEED = ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0)))
+# (2 + sin x) xi, then with the factor 1 + t/4 (a t-dependent symbol steps
+# with d = 0), then plus 0.05 sin(x xi) (not separable: the dense table)
+ORDER_ROOTS = {
+    "lawson": ex.mul(SPEED, ex.CoordXi(0)),
+    "t_dependent": ex.mul(ex.add(ex.Const(1.0), ex.mul(
+        ex.Const(0.25), ex.CoordT())), SPEED, ex.CoordXi(0)),
+    "dense": ex.add(ex.mul(SPEED, ex.CoordXi(0)), ex.mul(ex.Const(0.05), ex.Sin(
+        ex.mul(ex.CoordX(0), ex.CoordXi(0))))),
+}
+
+
+def variable_speed_problem(grid, root=ORDER_ROOTS["lawson"], horizon=0.5):
+    x = grid.x_axis()
+    return CauchyProblem(
+        symbol=HyperbolicSymbol(SymbolExpr(root, 1.0, 1)),
+        initial=GridFunction(grid, np.sin(x) + 0.5 * np.sin(10 * x)),
+        horizon=horizon)
+
+
+def halving_ratios(problem, dts=(4e-3, 2e-3, 1e-3)):
+    """Error ratios of successive dt halvings against the solve at the
+    last dt / 4, as the rk4_convergence check takes them."""
+    ref = solve_fixed_eps(problem, dts[-1] / 4, seed=0).states[-1]
+    errs = [np.max(np.abs(solve_fixed_eps(problem, dt, seed=0).states[-1]
+                          - ref)) for dt in dts]
+    return [a / b for a, b in zip(errs, errs[1:])]
 
 
 def transport_exact(grid, t, extra_mode=True):
@@ -52,14 +82,27 @@ class TestTransport:
         assert err <= 1e-6
 
     def test_rk4_order(self, grid256):
-        prob = transport_problem(grid256)
-        errs = []
-        for dt in (4e-3, 2e-3, 1e-3):
-            res = solve_fixed_eps(prob, dt, seed=0)
-            errs.append(np.max(np.abs(res.final().values -
-                                      transport_exact(grid256, 1.0))))
-        for a, b in zip(errs, errs[1:]):
-            assert 16.0 * 0.8 <= a / b <= 16.0 * 1.2
+        # the exact multiplier leaves transport no step error, so the order
+        # is measured on a variable speed against a refined solve
+        for ratio in halving_ratios(variable_speed_problem(grid256)):
+            assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
+
+    @pytest.mark.parametrize("kind", ["t_dependent", "dense"])
+    def test_rk4_order_with_zero_multiplier(self, kind):
+        # these rows take d = 0: the loop is classical RK4
+        grid = Grid(1, 64, TWO_PI)
+        for ratio in halving_ratios(variable_speed_problem(
+                grid, ORDER_ROOTS[kind])):
+            assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
+
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    def test_x_free_symbol_is_stepped_exactly(self, grid256, dt):
+        # a1 = xi is all multiplier: its rest is 0, any dt is stable, and
+        # the automatic step is the whole horizon
+        res = solve_fixed_eps(transport_problem(grid256), dt, seed=0)
+        err = np.max(np.abs(res.final().values - transport_exact(grid256, 1.0)))
+        assert err <= 1e-12
+        assert len(res.times) - 1 == (1 if dt is None else 1000)
 
     def test_unitarity_drift(self, grid256):
         prob = transport_problem(grid256, extra_mode=False)
@@ -125,7 +168,7 @@ class TestInvariants:
         assert np.max(np.abs(back.final().values - g0.values)) <= 1e-8
 
     def test_cfl_policy_rejects_large_dt(self, grid256):
-        prob = transport_problem(grid256)
+        prob = variable_speed_problem(grid256)
         with pytest.raises(UnstableStep, match="exceeds margin"):
             solve_fixed_eps(prob, 0.1, seed=0)
 
@@ -133,7 +176,7 @@ class TestInvariants:
                                                    monkeypatch):
         # with no CFL margin, the growth guard stops the unstable step
         monkeypatch.setattr(cauchy, "CFL_MARGIN", math.inf)
-        prob = transport_problem(grid256)
+        prob = variable_speed_problem(grid256, horizon=1.0)
         with pytest.raises(UnstableStep, match="Gronwall"):
             solve_fixed_eps(prob, 0.1, seed=0)
 
@@ -171,8 +214,10 @@ class TestSolveNeeds:
         assert len(calls) == 3
 
     def test_each_solve_and_sweep_runs_once(self, monkeypatch):
-        # rk4_convergence's factor-1 dt is transport_smoke's own dt; every
-        # sweep check of a scenario reads one sweep, cascade included
+        # every transport_smoke check reads its one solve; rk4_convergence
+        # adds its reference and its dt * 4 and dt * 2 solves, its factor-1
+        # dt being the config's own; every sweep check of a scenario reads
+        # one sweep, cascade included
         calls = []
 
         def counted(name, fn):
@@ -186,7 +231,13 @@ class TestSolveNeeds:
             "sweep", scenario.run_sweep))
         scenario.run_scenario(get_preset("transport_smoke"),
                               echo=lambda line: None)
-        assert calls == ["solve"] * 3
+        assert calls == ["solve"]
+        calls.clear()
+        cfg = get_preset("variable_speed_smooth")
+        cfg["dt"] = 1e-3
+        cfg["checks"] = ["rk4_convergence", "energy"]
+        scenario.run_scenario(cfg, echo=lambda line: None)
+        assert calls == ["solve"] * 4
         calls.clear()
         cfg = get_preset("piecewise_speed_logtype")
         cfg["grid"]["points"] = 64
@@ -205,7 +256,9 @@ class TestSolveNeeds:
         symbol = SymbolExpr(root, 1.0, 2)
         op = PeriodicOperator(symbol, grid)
         assert not op.separable
-        dt = cauchy.step_size(None, 1.0, op.sup_abs(0.0))
+        sup_a, sup_r = op.sup_abs(0.0)
+        assert sup_r == sup_a       # a dense table has no multiplier share
+        dt = cauchy.step_size(None, 1.0, sup_a)
         del op      # the dense table holds 4096^2 complex entries
         # reference: max|a| over every (x_j, xi_k), a block of rows at a time
         pts = grid.flat_points()
@@ -233,7 +286,7 @@ speed = ex.add(ex.Const(1.0), ex.mul(ex.Const(-0.5), ex.Cos(
 root = ex.add(ex.mul(speed, ex.CoordXi(0)), ex.mul(
     ex.Const(0.001), ex.Sin(ex.mul(ex.CoordX(0), ex.CoordXi(0)))))
 op = PeriodicOperator(SymbolExpr(root, 1.0, 2), Grid(2, 64, 2.0 * np.pi))
-assert not op.separable and op.sup_abs(0.0) > 0.0
+assert not op.separable and op.sup_abs(0.0)[0] > 0.0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -374,6 +427,33 @@ class TestCaseVariants:
         assert rep["case_c"]["applicable"]
         assert rep["case_c"]["c_measured_reduced"] == \
             1.0 + result.ledger.skew_norm + defect
+
+    def test_a0_vanishing_at_0_half_and_end_is_sampled(self):
+        # variable_speed_smooth with a0 = 4i sin(2 pi t / T) sin x, which is
+        # 0 at t = 0, T/2 and T: the norms and the reality check sample the
+        # semi-norms' 33 times, so c_measured carries 2 sup_t ||a0|| and
+        # case c does not apply
+        cfg = get_preset("variable_speed_smooth")
+        horizon = cfg["horizon"]
+        cfg["symbol"]["a0"]["expr"] = {"node": "product", "children": [
+            {"node": "constant", "re": 0.0, "im": 4.0},
+            {"node": "sin", "child": {"node": "product", "children": [
+                {"node": "constant", "re": 2 * np.pi / horizon, "im": 0.0},
+                {"node": "coord_t"}]}},
+            {"node": "sin", "child": {"node": "coord_x", "axis": 0}}]}
+        cfg["checks"] = ["case_variants"]
+        ctx = scenario.ScenarioContext(cfg)
+        [variants] = [check(ctx) for check in ctx.checks]
+        problem, result = ctx.solve()
+        a0_norm = max(est.value for est in operator_norms(
+            [(problem.symbol.a0, t) for t in np.linspace(0.0, horizon, 33)],
+            ctx.grid, seed=ctx.seed))
+        assert a0_norm > 3.9
+        assert result.ledger.c_measured == \
+            1.0 + result.ledger.skew_norm + 2.0 * a0_norm
+        assert variants.number == result.ledger.c_measured
+        assert "case_c: n/a (a0 is not real-valued)" in variants.message
+        assert variants.ok
 
     def test_complex_a0_not_case_c(self, grid32):
         a1 = SymbolExpr(ex.CoordXi(0), 1.0, 1)

@@ -145,7 +145,7 @@ class TestExitCodes:
     def test_transport_checks_need_1d_expression_data(self, tmp_path, capsys):
         delta = get_preset("transport_smoke")
         delta["data"]["g"] = {"kind": "delta", "node": [0]}
-        delta["checks"] = ["rk4_convergence"]
+        delta["checks"] = ["transport_exactness"]
         plane = get_preset("transport_smoke")
         plane["grid"].update(dim=2, points=16)
         plane["symbol"]["a1"]["dim"] = 2
@@ -236,7 +236,7 @@ class TestScenarioDataPaths:
         cfg = get_preset("transport_smoke")
         cfg["symbol"]["a1"]["expr"] = {"node": "product", "children": [
             {"node": "constant", "re": 2.0, "im": 0.0}, _XI]}
-        cfg["checks"] = ["transport_exactness", "rk4_convergence"]
+        cfg["checks"] = ["transport_exactness"]
         ok, outcomes = run_scenario(cfg, echo=lambda line: None)
         assert ok, [o.line() for o in outcomes]
 

@@ -11,6 +11,7 @@ import pytest
 
 from onewave import asymptotics, cauchy, quantization
 from onewave import expr as ex
+from onewave.config import TRAJECTORY_STRIDE
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
 from onewave.profiles import plateau
@@ -205,7 +206,8 @@ class TestRows:
 class TestApplyRoute:
     """Every operator application on grid values is a call of
     PeriodicOperator.apply or apply_adjoint, the names the benchmark's trace
-    counts; the norm estimators iterate on spectra and call neither."""
+    counts; the norm estimators and the solve's stepping loop work on
+    spectra and call neither."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -220,14 +222,26 @@ class TestApplyRoute:
 
     def test_solve_applies_four_times_per_step(self, calls, monkeypatch,
                                                variable_speed_symbol, grid32):
+        # each of a step's four stages applies the rest R to a spectrum: one
+        # ifftn and one fftn call; one fftn takes g to its spectrum, and
+        # each stored snapshot after it takes one ifftn
         monkeypatch.setattr(cauchy, "_measure_norms", lambda problems, grid,
                             seed: [(0.0, 1.0)] * len(problems))
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _name=name, _fn=getattr(np.fft, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
         x = grid32.x_axis()
         problem = cauchy.CauchyProblem(
             HyperbolicSymbol(variable_speed_symbol),
-            GridFunction(grid32, np.sin(x)), 0.5)
+            GridFunction(grid32, np.sin(x)), 2.0)
         result = cauchy.solve_fixed_eps(problem)
-        assert calls == {"apply": 4 * (len(result.times) - 1)}
+        steps = len(result.times) - 1
+        assert steps > TRAJECTORY_STRIDE
+        assert calls == {"fftn": 4 * steps + 1,
+                         "ifftn": 4 * steps + len(result.snap_times) - 1}
 
     def test_norms_apply_per_iteration(self, calls, variable_speed_symbol,
                                        grid32, monkeypatch):
