@@ -3,7 +3,8 @@
 A sweep solves the Cauchy problem for every eps on a geometric grid (the
 members advance as one stack through cauchy.solve_stack, and members that
 share one result are post-processed once), tracks max_t ||d_t^d d_x^alpha
-u_eps(t)|| for requested orders, and fits growth exponents against
+u_eps(t)|| for requested orders on the solves' snapshot spectra (d_x^alpha
+a multiply, each norm by Parseval), and fits growth exponents against
 log(1/eps).  Verdicts (moderate, negligible, regular, slow-scale,
 associated) are finite-sweep regressions with explicit thresholds; reports
 never claim asymptotic proof.
@@ -117,42 +118,33 @@ def fit_exponent(eps, values):
     return float(coeffs[0]), float(np.sqrt(max(cov[0, 0], 0.0))), resid
 
 
-def _t_derivative_norms(problem: CauchyProblem, result: SolveResult, orders,
-                        derivs: dict | None = None):
+def _t_derivative_norms(problem: CauchyProblem, result: SolveResult, orders):
     """max over the snapshots of ||d_t^d d_x^alpha u|| per (d, alpha) in
-    ``orders``, via the equation, over the stack result.states:
+    ``orders``, via the equation, over the stack of snapshot spectra:
 
     d_t^d u = -i sum_i C(d-1, i) op(d_t^i a) d_t^(d-1-i) u + d_t^(d-1) f.
 
-    ``derivs`` maps alpha to d_x^alpha of result.states for the (0, alpha)
-    orders when the caller already has them; the x-derivatives of each
-    layer d that are still needed take one forward transform.
+    Every layer is kept as spectra: one forward transform for each d >= 1.
     """
     full, forcing, grid = problem.symbol.full(), problem.forcing, problem.grid
     d_max = max(d for d, _ in orders)
     ts = result.snap_times
-    layers = [result.states]
+    layers = [result.spectra]
     # d_t^i a = 0 for i >= 1 when a does not depend on t
     ops = [PeriodicOperator(full.derivative(i, None, None), grid)
            for i in range(d_max if full.depends_t() else min(d_max, 1))]
     for d in range(1, d_max + 1):
         acc = np.zeros(layers[0].shape, dtype=complex)
         for i, op in enumerate(ops[:d]):
-            acc -= 1j * math.comb(d - 1, i) * op.apply(ts, layers[d - 1 - i])
+            acc -= 1j * math.comb(d - 1, i) * op.apply_spectrum(
+                ts, layers[d - 1 - i])
         if not forcing.is_zero:
             acc += forcing.values(ts)
         forcing = forcing.t_derivative()
-        layers.append(acc)
-    out = dict.fromkeys(orders)
-    for d, layer in enumerate(layers):
-        mine = [alpha for e, alpha in orders if e == d]
-        have = dict(derivs or {}) if d == 0 else {}
-        new = [a for a in dict.fromkeys(mine) if sum(a) and a not in have]
-        have.update(zip(new, grid.spectral_derivative(layer, *new)))
-        for alpha in mine:
-            v = have[alpha] if sum(alpha) else layer
-            out[(d, alpha)] = max(0.0, *np.sqrt(grid.norm_sq(v)).tolist())
-    return out
+        layers.append(np.fft.fftn(acc, grid.shape, grid.axes, out=acc))
+    return {(d, alpha): max(0.0, *np.sqrt(grid.spectral_norm_sq(
+        grid.derivative_spectra(layers[d], alpha))).tolist())
+        for d, alpha in orders}
 
 
 @dataclass
@@ -193,11 +185,6 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
     member, solve them as one stack, then post-process each eps in order;
     an OnewaveError in any phase is recorded for its eps."""
     orders = list(plan.orders)
-    # the snapshots' x-derivatives that the norms and the cascade both read
-    x_alphas = [alpha for d, alpha in orders if d == 0 and sum(alpha)]
-    if plan.cascade_max_order > 0:
-        x_alphas += multi_indices(plan.grid.dim, plan.cascade_max_order)
-    x_alphas = list(dict.fromkeys(x_alphas))
     eps_list = list(plan.family.eps_grid)
     failed, problems, results = {}, {}, {}
     for eps in eps_list:
@@ -219,14 +206,12 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
             continue
         problem = problems[eps]
         try:
-            derivs = dict(zip(x_alphas, plan.grid.spectral_derivative(
-                result.states, *x_alphas)))
-            norms = _t_derivative_norms(problem, result, orders, derivs)
+            norms = _t_derivative_norms(problem, result, orders)
             energy = check_energy_estimate(result.ledger)
             cascade = {}
             if plan.cascade_max_order > 0:
                 cascade = derivative_cascade(problem, result,
-                                             plan.cascade_max_order, derivs)
+                                             plan.cascade_max_order)
             results[eps] = norms, result, energy, cascade
         except OnewaveError as err:
             failed[eps] = err
@@ -333,10 +318,10 @@ def check_association(plan: SweepPlan, report: SweepReport, probes, reference,
         # refine time along with space so the reference's step error sits
         # below the sweep's
         ref_dt = None if plan.dt is None else plan.dt / REFERENCE_REFINEMENT
-        res = solve_fixed_eps(prob, ref_dt, seed=plan.seed)
+        u_ref = solve_fixed_eps(prob, ref_dt, seed=plan.seed).final()
         fine_phis = [np.asarray(phi(*fine.x_mesh()), dtype=complex)
                      for phi in probes]
-        ref_pairings = [pairing(res.final(), pv) for pv in fine_phis]
+        ref_pairings = [pairing(u_ref, pv) for pv in fine_phis]
 
     residuals = np.array([[abs(pairing(final, pv) - rp)
                            for pv, rp in zip(coarse_phis, ref_pairings)]

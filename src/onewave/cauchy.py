@@ -18,12 +18,15 @@ One stepper, solve_stack, advances the members of a stack on one grid
 (a sweep's eps members) as rows of one PeriodicOperator per table layout,
 each with its own dt and step count, after one band-norm iteration over the
 stack; solve_fixed_eps is one member.  Identical problems step as one row,
-and zero data with zero forcing is not stepped.  derivative_cascade builds
-each op(d_x^beta a) once and applies it to a solve's snapshots as one stack.
+and zero data with zero forcing is not stepped.  A SolveResult keeps the
+loop's snapshot spectra; its grid values are derived from them.
+derivative_cascade builds each op(d_x^beta a) once and applies it to the
+snapshot spectra as one stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,7 +115,7 @@ class Forcing:
         return Forcing(self.grid, new_terms)
 
     def x_derivative(self, alpha) -> "Forcing":
-        new_terms = [(prof, self.grid.spectral_derivative(vals, alpha)[0])
+        new_terms = [(prof, self.grid.spectral_derivative(vals, alpha))
                      for prof, vals in self.terms]
         return Forcing(self.grid, new_terms)
 
@@ -192,21 +195,32 @@ class EnergyLedger:
 
 @dataclass
 class SolveResult:
-    """A solve's ledger and its snapshots: states[k] is u at snap_times[k],
-    one read-only array (n_snap, *grid.shape) that the stepping loop fills."""
+    """A solve's ledger and its snapshots: spectra[k] is fftn(u) at
+    snap_times[k], one read-only array (n_snap, *grid.shape) that the
+    stepping loop fills; the grid values are derived from it."""
 
     grid: Grid
     times: np.ndarray
     snap_times: np.ndarray
-    states: np.ndarray
+    spectra: np.ndarray
     ledger: EnergyLedger
     dt: float
 
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """The snapshots' grid values, read-only, made on first read."""
+        return _read_only(np.fft.ifftn(self.spectra, self.grid.shape,
+                                       self.grid.axes))
+
     def final(self) -> GridFunction:
-        """u(T) as a read-only copy, so it does not keep states alive."""
-        values = self.states[-1].copy()
-        values.flags.writeable = False
-        return GridFunction(self.grid, values)
+        """u(T), read-only, from the last spectrum alone."""
+        return GridFunction(self.grid, _read_only(np.fft.ifftn(
+            self.spectra[-1], self.grid.shape, self.grid.axes)))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def _measure_norms(problems, grid: Grid, seed) -> list:
@@ -291,7 +305,7 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
             m.norms = norms
         zero = np.zeros(grid.shape, dtype=complex)
         live = [m for m in members
-                if m.forcing is not None or np.any(m.states[0])]
+                if m.forcing is not None or np.any(m.problem.initial.values)]
         for m in (m for m in members if m not in live):     # stays zero
             for step in range(1, m.n_steps + 1):
                 out[m.slot] = m.advance(step, zero, 0.0)
@@ -305,13 +319,13 @@ class _Member:
     def __init__(self, row, slot, problem: CauchyProblem, op, dt):
         self.row, self.slot, self.problem = row, slot, problem
         self.forcing = None if problem.forcing.is_zero else problem.forcing
-        t_dep = op.symbols[row].depends_t()
-        frozen = op.separable and not t_dep     # else d = 0 and R = a
+        # else d = 0 and R = a
+        frozen = op.separable and not op.symbols[row].depends_t()
         d = (op._tables(op._of[row], 0.0).split[1] if frozen
              else np.zeros(problem.grid.shape))
         pick = frozen and self.forcing is None      # sup|R|, else sup|a|
-        self.sup = max(op.sup_abs(float(t), row)[pick] for t in (
-            np.linspace(0.0, problem.horizon, 5) if t_dep else [0.0]))
+        self.sup = max(op.sup_abs(t, row)[pick]
+                       for t in problem.symbol.sample_times(problem.horizon))
         self.dt = step_size(dt, problem.horizon, self.sup)
         self.n_steps = int(round(problem.horizon / self.dt))
         self.factors = (np.exp(-1j * self.dt * d),
@@ -322,18 +336,18 @@ class _Member:
         self.guard_base = self.g_norm_sq + float(np.trapezoid(
             [self.f_norm_sq(t) for t in guard_t], guard_t))
         self.ledger = [(0.0, self.g_norm_sq, self.f_norm_sq(0.0))]
-        # step 0, every TRAJECTORY_STRIDE-th step and the last one
+        # step 0 (set by the loop), every TRAJECTORY_STRIDE-th step, the last
         rows = 2 + (self.n_steps - 1) // TRAJECTORY_STRIDE
         self.snap_times = np.zeros(rows)
-        self.states = np.empty((rows,) + problem.grid.shape, dtype=complex)
-        self.states[0] = problem.initial.values
+        self.spectra = np.zeros((rows,) + problem.grid.shape, dtype=complex)
 
     def f_norm_sq(self, t: float) -> float:
         return 0.0 if self.forcing is None else self.forcing.norm(t) ** 2
 
     def advance(self, step: int, u: np.ndarray, nsq: float):
-        """Record step ``step``, which left u with norm^2 nsq; returns the
-        SolveResult after the last step, the error that stops it, or None."""
+        """Record step ``step``, which left the spectrum u with norm^2 nsq;
+        returns the SolveResult after the last step, the error that stops
+        it, or None."""
         tn = step * self.dt
         if not math.isfinite(nsq):
             return NonFinite(f"solution norm non-finite at t={tn:.4g}")
@@ -348,17 +362,17 @@ class _Member:
         self.ledger.append((tn, nsq, self.f_norm_sq(tn)))
         if step % TRAJECTORY_STRIDE == 0 or step == self.n_steps:
             row = -(-step // TRAJECTORY_STRIDE)     # ceil(step / stride)
-            self.snap_times[row], self.states[row] = tn, u
+            self.snap_times[row], self.spectra[row] = tn, u
         if step < self.n_steps:
             return None
         times, u_norms, f_norms = map(np.array, zip(*self.ledger))
-        for v in (times, u_norms, f_norms, self.snap_times, self.states):
+        for v in (times, u_norms, f_norms, self.snap_times, self.spectra):
             v.flags.writeable = False       # identical problems share them
         ledger = EnergyLedger(
             times=times, u_norm_sq=u_norms, f_norm_sq=f_norms,
             skew_norm=skew, c_measured=c_meas)
         return SolveResult(grid=self.problem.grid, times=times,
-                           snap_times=self.snap_times, states=self.states,
+                           snap_times=self.snap_times, spectra=self.spectra,
                            ledger=ledger, dt=self.dt)
 
 
@@ -374,7 +388,10 @@ def _rk4(stack, members, out):
     shape, axes = grid.shape, grid.axes
     frozen = stack.separable and not any(stack._t_dep)
     if members:
-        u = np.fft.fftn(np.stack([m.states[0] for m in members]), shape, axes)
+        u = np.fft.fftn(np.stack([m.problem.initial.values for m in members]),
+                        shape, axes)
+        for m, u0 in zip(members, u):
+            m.spectra[0] = u0
 
     def rhs(ts, v, k):
         tables = stack._joint_tables(stack._keys(ts))
@@ -410,11 +427,9 @@ def _rk4(stack, members, out):
                    out=k1)
             np.add(k1, k4, out=k1)
             np.add(w, np.multiply(sixth, k1, out=k1), out=u)
-            nsq, keep = grid.norm_sq(u) / grid.size, []      # Parseval
-            x = np.fft.ifftn(u, shape, axes) if step % TRAJECTORY_STRIDE == 0 \
-                or any(step == m.n_steps for m in members) else [None] * len(u)
+            nsq, keep = grid.spectral_norm_sq(u), []
             for row, m in enumerate(members):
-                done = m.advance(step, x[row], float(nsq[row]))
+                done = m.advance(step, u[row], float(nsq[row]))
                 if done is None:
                     keep.append(row)
                 out[m.slot] = done
@@ -517,8 +532,7 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
 
 
 def derivative_cascade(problem: CauchyProblem, result: SolveResult,
-                       max_order: int = 2,
-                       derivs: dict | None = None) -> dict:
+                       max_order: int = 2) -> dict:
     """Energy ledgers for spatial derivatives of the solution.
 
     d_x^alpha u solves the same equation with commutator forcing
@@ -527,30 +541,29 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
     so the base energy estimate applies verbatim with forcing F_alpha:
     ||d^alpha u(t)||^2 <= (||d^alpha g||^2 + int_0^T ||F_alpha||^2)
                            * exp(c_meas * t), evaluated on the stored
-    snapshots, which are taken as one stack.  ``derivs`` maps each alpha of
-    order <= max_order to d_x^alpha of result.states when the caller already
-    has them; by default they are computed here, from one forward transform.
+    snapshots, which are taken as one stack of spectra: d^alpha is a
+    multiply, ||d^alpha u||^2 comes by Parseval, and op(d_x^beta a) applies
+    to the spectra.
     """
     grid = problem.grid
     full = problem.symbol.full()
     snap_t = result.snap_times
     c_meas = result.ledger.c_measured
     alphas = multi_indices(grid.dim, max_order)
-    if derivs is None:      # beta = alpha reads the alpha = 0 round trip
-        derivs = dict(zip(alphas, grid.spectral_derivative(result.states,
-                                                            *alphas)))
+    hats = {alpha: grid.derivative_spectra(result.spectra, alpha)
+            for alpha in alphas}
     ops = {beta: PeriodicOperator(full.derivative(0, None, beta), grid)
            for beta in alphas if sum(beta)}
 
     report = {}
     for alpha in (a for a in alphas if sum(a)):
-        v_norm_sq = grid.norm_sq(derivs[alpha])
+        v_norm_sq = grid.spectral_norm_sq(hats[alpha])
         acc = problem.forcing.x_derivative(alpha).values(snap_t)
         for beta in sorted(ops):        # lexicographic order of the sum
             if all(b <= a for a, b in zip(alpha, beta)):
                 coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
                 low = tuple(a - b for a, b in zip(alpha, beta))
-                acc -= 1j * coeff * ops[beta].apply(snap_t, derivs[low])
+                acc -= 1j * coeff * ops[beta].apply_spectrum(snap_t, hats[low])
         h_vals = grid.norm_sq(acc)
         h_int = float(np.trapezoid(h_vals, snap_t))
         bound = (v_norm_sq[0] + h_int) * np.exp(c_meas * snap_t)
@@ -560,4 +573,3 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
             "ok": _under_bound(v_norm_sq, bound),
         }
     return report
-

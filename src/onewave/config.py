@@ -17,9 +17,11 @@ MAX_DIFF_ORDER = 6
 POWER_ITERS = 50
 POWER_RTOL = 1e-6
 
-# RK4 stability policy: dt * sup|a| <= CFL_MARGIN, with SAFETY applied when
-# the step is chosen automatically.  2.8 sits just inside the imaginary-axis
-# stability limit 2*sqrt(2) of classical RK4.
+# RK4 stability policy: dt * sup|R| <= CFL_MARGIN, R the rest after the
+# Lawson step's exact multiplier, or dt * sup|a| for a forced, t-dependent
+# (max over the symbol's sample times) or dense member, with SAFETY applied
+# when the step is chosen automatically.  2.8 sits just inside the
+# imaginary-axis stability limit 2*sqrt(2) of classical RK4.
 CFL_MARGIN = 2.8
 CFL_SAFETY = 0.9
 

@@ -13,6 +13,7 @@ partner; scenarios keep data band-limited below half the Nyquist frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,27 +88,26 @@ class Grid:
         sq **= 2
         return self.cell_volume * np.sum(sq, axis=self.axes)
 
-    def spectral_derivative(self, values: np.ndarray, *alphas) -> list:
-        """Exact derivatives of the trigonometric interpolant of each grid
-        function in values (..., *shape), one array per axis-order
-        multi-index in ``alphas``, all from one forward transform; each is
-        bitwise the one-alpha call's; no alpha takes no transform."""
-        if not alphas:
-            return []
-        coeffs = np.fft.fftn(values, self.shape, self.axes)
-        coeffs /= self.size
-        out = []
-        for k, alpha in enumerate(alphas):
-            d = coeffs if k == len(alphas) - 1 else coeffs.copy()
-            for axis, order in enumerate(alpha):
-                if order:
-                    shape = [1] * self.dim
-                    shape[axis] = self.points
-                    d *= (1j * self.xi_axis().reshape(shape)) ** order
-            np.fft.ifftn(d, self.shape, self.axes, out=d)
-            d *= self.size
-            out.append(d)
-        return out
+    def derivative_spectra(self, spectra: np.ndarray, alpha) -> np.ndarray:
+        """The spectra (fftn of grid values) of d_x^alpha of the grid
+        functions whose spectra are in spectra (..., *shape): the multiply
+        by (i xi)^alpha, alpha one order per axis; spectra for alpha = 0."""
+        if not any(alpha):
+            return spectra
+        return math.prod((1j * xi) ** order
+                         for xi, order in zip(self.xi_mesh(), alpha)) * spectra
+
+    def spectral_norm_sq(self, spectra: np.ndarray) -> np.ndarray:
+        """norm_sq of each grid function whose spectrum (fftn of its values)
+        is in spectra (..., *shape), by Parseval: dx^n sum |u^|^2 / M^n."""
+        return self.norm_sq(spectra) / self.size
+
+    def spectral_derivative(self, values: np.ndarray, alpha) -> np.ndarray:
+        """d_x^alpha of the trigonometric interpolant of each grid function
+        in values (..., *shape), alpha one order per axis."""
+        hat = self.derivative_spectra(
+            np.fft.fftn(values, self.shape, self.axes), alpha)
+        return np.fft.ifftn(hat, self.shape, self.axes, out=hat)
 
 
 class GridFunction:

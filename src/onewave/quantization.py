@@ -13,7 +13,8 @@ below verifies it against the symbol-calculus remainder at desk scale.
 
 op(s) has two halves: _synth takes a spectrum (fftn of grid values) to the
 grid values of op(s) ifftn(spectrum), and _analyse takes grid values to the
-spectrum of op(s)^dagger on them.  apply is _synth after fftn, apply_adjoint
+spectrum of op(s)^dagger on them.  apply_spectrum is _synth, for the
+spectra a solve keeps; apply is apply_spectrum after fftn, apply_adjoint
 ifftn after _analyse.  The norm estimators iterate on band-limited spectra:
 the band projector is an exact boolean mask multiply, and one application
 of A - A^dagger, or of A and then A^dagger, takes one batched ifftn and one
@@ -181,24 +182,31 @@ class PeriodicOperator:
         time t, or row k at t[k].  Writes the result into ``out`` (complex,
         the shape of values) and returns it, or into a new array when out is
         None; never writes ``values``, which out must not overlap."""
-        return self._apply(t, values, False, out)
+        g = self.grid
+        return self.apply_spectrum(t, np.fft.fftn(values, g.shape, g.axes), out)
+
+    def apply_spectrum(self, t, hat: np.ndarray, out=None) -> np.ndarray:
+        """op(s) ifftn(hat), grid values, for the spectra (fftn of grid
+        values) in the rows of ``hat``; t and ``out`` as in apply."""
+        return self._rows(t, hat, _synth, out)
 
     def apply_adjoint(self, t, values: np.ndarray, out=None) -> np.ndarray:
         """Exact conjugate transpose w.r.t. the discrete L2 inner product;
         ``out`` as in apply."""
-        return self._apply(t, values, True, out)
+        out = self._rows(t, values, _analyse, out)
+        return np.fft.ifftn(out, self.grid.shape, self.grid.axes, out=out)
 
-    def _apply(self, t, values: np.ndarray, adjoint: bool, out) -> np.ndarray:
-        """The one path of apply and apply_adjoint, each public call one
-        trace span."""
+    def _rows(self, t, v: np.ndarray, half, out) -> np.ndarray:
+        """``half`` (_synth or _analyse) of op(s) on the rows of v, into
+        ``out``: all at once, or dense rows at several times one by one."""
         if out is None:
-            out = np.empty(np.shape(values), dtype=complex)
+            out = np.empty(np.shape(v), dtype=complex)
         keys = self._keys(t)
         tables = self._joint_tables(keys)
         if tables is not None:
-            return _apply_tables(tables, values, self.grid, adjoint, out)
-        for key, row, row_out in zip(keys, values, out):    # dense, row by row
-            _apply_tables(self._tables(*key), row, self.grid, adjoint, row_out)
+            return half(tables, v, self.grid, out)
+        for key, row, row_out in zip(keys, v, out):     # dense, row by row
+            half(self._tables(*key), row, self.grid, row_out)
         self._cache = [(None, None)] * len(self._distinct)  # no table is kept
         return out
 
@@ -270,16 +278,6 @@ class _Terms:
         d = sum(c * g_m for c, g_m in zip(centres, self.g))
         return (_Terms([f_m - c for f_m, c in zip(self.f, centres)], self.g,
                        self.dim), d)
-
-
-def _apply_tables(tables, values: np.ndarray, grid: Grid, adjoint, out):
-    """op(s) = _synth o fftn, or its adjoint ifftn o _analyse, on values of
-    shape (..., *grid.shape), written into ``out`` (values' shape)."""
-    shape, axes = grid.shape, grid.axes
-    if adjoint:
-        return np.fft.ifftn(_analyse(tables, values, grid, out), shape, axes,
-                            out=out)
-    return _synth(tables, np.fft.fftn(values, shape, axes), grid, out)
 
 
 # The FFTs (lengths given, which spares numpy a lookup) run over the grid

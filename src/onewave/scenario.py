@@ -105,10 +105,11 @@ def _check_rk4_convergence(ctx: ScenarioContext) -> CheckOutcome:
     # symbol leaves g(x - cT) no step error to measure
     base_dt = ctx.dt or 1e-3
     _, ref = ctx.solve(dt=base_dt / REFERENCE_REFINEMENT)
+    ref_final = ref.final().values
     errs = []
     for factor in (4, 2, 1):
         _, res = ctx.solve(dt=base_dt * factor)
-        errs.append(float(np.max(np.abs(res.states[-1] - ref.states[-1]))))
+        errs.append(float(np.max(np.abs(res.final().values - ref_final))))
     floor = 1e-12
     ratios = []
     for i in range(2):

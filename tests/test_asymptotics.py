@@ -362,7 +362,7 @@ def assert_same_solves(stacked, serial):
             assert getattr(got.ledger, name) == getattr(want.ledger, name)
         assert got.dt == want.dt and np.array_equal(got.times, want.times)
         assert np.array_equal(got.snap_times, want.snap_times)
-        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.spectra, want.spectra)
 
 
 def xi_term(coeff, axis=0):
@@ -693,41 +693,42 @@ def derivative_op(full, d, beta, grid):
 
 def t_derivative_norms_per_snapshot(symbol, forcing, result, grid, orders,
                                     d_max):
-    """Snapshot-by-snapshot reference of asymptotics._t_derivative_norms."""
+    """Snapshot-by-snapshot reference of asymptotics._t_derivative_norms,
+    on each snapshot's spectrum."""
     full = symbol.full()
     ops = [derivative_op(full, i, (0,) * grid.dim, grid) for i in range(d_max)]
     f_derivs = [forcing]
     for _ in range(d_max):
         f_derivs.append(f_derivs[-1].t_derivative())
     out = {order: 0.0 for order in orders}
-    for t, values in zip(result.snap_times, result.states):
-        layers = [values]
+    for t, hat in zip(result.snap_times, result.spectra):
+        layers = [hat]
         for d in range(1, d_max + 1):
             acc = np.zeros(grid.shape, dtype=complex)
             for i in range(d):
-                acc = acc - 1j * math.comb(d - 1, i) * ops[i].apply(
+                acc = acc - 1j * math.comb(d - 1, i) * ops[i].apply_spectrum(
                     t, layers[d - 1 - i])
             if not f_derivs[d - 1].is_zero:
                 acc = acc + forcing_at(f_derivs[d - 1], t)
-            layers.append(acc)
+            layers.append(np.fft.fftn(acc))
         for d, alpha in orders:
-            layer = grid.spectral_derivative(layers[d], alpha)[0] \
-                if sum(alpha) else layers[d]
-            val = float(np.sqrt(grid.norm_sq(layer)))
+            layer = grid.derivative_spectra(layers[d], alpha)
+            val = float(np.sqrt(grid.spectral_norm_sq(layer)))
             out[(d, alpha)] = max(out[(d, alpha)], val)
     return out
 
 
 def cascade_per_snapshot(problem, result, max_order):
-    """Snapshot-by-snapshot reference of cauchy.derivative_cascade: per
-    alpha, (||d^alpha u||^2, H) at the snapshots, beta in product order."""
+    """Snapshot-by-snapshot reference of cauchy.derivative_cascade, on
+    each snapshot's spectrum: per alpha, (||d^alpha u||^2, H) at the
+    snapshots, beta in product order."""
     grid = problem.grid
     full = problem.symbol.full()
-    derivs = {alpha: [grid.spectral_derivative(values, alpha)[0]
-                      for values in result.states]
-              for alpha in multi_indices(grid.dim, max_order)}
+    hats = {alpha: [grid.derivative_spectra(hat, alpha)
+                    for hat in result.spectra]
+            for alpha in multi_indices(grid.dim, max_order)}
     out = {}
-    for alpha in derivs:
+    for alpha in hats:
         if sum(alpha) == 0:
             continue
         f_alpha = problem.forcing.x_derivative(alpha)
@@ -740,17 +741,70 @@ def cascade_per_snapshot(problem, result, max_order):
                 coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
                 low = tuple(a - b for a, b in zip(alpha, beta))
                 acc = acc - 1j * coeff * derivative_op(
-                    full, 0, beta, grid).apply(t, derivs[low][k])
+                    full, 0, beta, grid).apply_spectrum(t, hats[low][k])
             h_vals.append(float(grid.cell_volume * np.sum(np.abs(acc) ** 2)))
-        out[alpha] = (np.array([float(grid.norm_sq(v)) for v in derivs[alpha]]),
-                      np.array(h_vals))
+        out[alpha] = (np.array([float(grid.spectral_norm_sq(v))
+                                for v in hats[alpha]]), np.array(h_vals))
     return out
+
+
+def t_derivative_norms_on_grid_values(problem, result, orders):
+    """The referee of the spectral post-processing: the t-derivative norms
+    on the snapshots' grid values, every derivative and every apply taking
+    its own forward transform and every norm summed in x space."""
+    grid, full, forcing = problem.grid, problem.symbol.full(), problem.forcing
+    d_max = max(d for d, _ in orders)
+    ops = [derivative_op(full, i, (0,) * grid.dim, grid) for i in range(d_max)]
+    ts = result.snap_times
+    layers = [result.states]
+    for d in range(1, d_max + 1):
+        acc = np.zeros(layers[0].shape, dtype=complex)
+        for i in range(d):
+            acc = acc - 1j * math.comb(d - 1, i) * ops[i].apply(
+                ts, layers[d - 1 - i])
+        if not forcing.is_zero:
+            acc = acc + forcing.values(ts)
+        forcing = forcing.t_derivative()
+        layers.append(acc)
+    return {(d, alpha): float(np.max(np.sqrt(grid.norm_sq(
+        grid.spectral_derivative(layers[d], alpha)
+        if sum(alpha) else layers[d])))) for d, alpha in orders}
+
+
+def cascade_on_grid_values(problem, result, max_order):
+    """The referee of derivative_cascade on the snapshots' grid values:
+    per alpha, (||d^alpha u||^2, H) at the snapshots."""
+    grid, full, ts = problem.grid, problem.symbol.full(), result.snap_times
+    derivs = {alpha: grid.spectral_derivative(result.states, alpha)
+              for alpha in multi_indices(grid.dim, max_order)}
+    out = {}
+    for alpha in (a for a in derivs if sum(a)):
+        acc = problem.forcing.x_derivative(alpha).values(ts)
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            if sum(beta):
+                coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                low = tuple(a - b for a, b in zip(alpha, beta))
+                acc = acc - 1j * coeff * derivative_op(
+                    full, 0, beta, grid).apply(ts, derivs[low])
+        out[alpha] = (grid.norm_sq(derivs[alpha]), grid.norm_sq(acc))
+    return out
+
+
+def assert_close(got, want, rel=1e-12):
+    """Equal within rel times the largest |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 class TestStackedPostProcessing:
     """The t-derivative norms and the cascade run over the stack of a
-    solve's snapshots; each row must equal its snapshot-by-snapshot value
-    exactly."""
+    solve's snapshot spectra; each row must equal its snapshot-by-snapshot
+    value exactly, and the whole must match the grid-value route within
+    rounding."""
+
+    ORDERS = ((0, (0,)), (0, (2,)), (1, (0,)), (1, (1,)), (2, (0,)),
+              (2, (3,)))
 
     def forced_problem(self, grid, a1, horizon=0.6):
         x = grid.x_mesh()
@@ -778,11 +832,9 @@ class TestStackedPostProcessing:
         problem = self.forced_problem(grid, self.T_DEPENDENT[layout])
         assert problem.symbol.full().depends_t()
         result = solve_fixed_eps(problem, seed=0)
-        orders = ((0, (0,)), (0, (2,)), (1, (0,)), (1, (1,)), (2, (0,)),
-                  (2, (3,)))
-        got = asymptotics._t_derivative_norms(problem, result, orders)
+        got = asymptotics._t_derivative_norms(problem, result, self.ORDERS)
         want = t_derivative_norms_per_snapshot(
-            problem.symbol, problem.forcing, result, grid, orders, 2)
+            problem.symbol, problem.forcing, result, grid, self.ORDERS, 2)
         assert got == want
 
     @pytest.mark.parametrize("layout", sorted(T_DEPENDENT))
@@ -792,8 +844,7 @@ class TestStackedPostProcessing:
         result = solve_fixed_eps(problem, seed=0)
         self.assert_cascade_exact(problem, result, 3)
 
-    def test_two_dimensional_cascade_equals_per_snapshot(self):
-        # alpha = (1, 2) sums over five betas: their order shows in the bits
+    def two_dimensional_problem(self):
         grid = Grid(2, 16, TWO_PI)
         x0, x1 = ex.CoordX(0), ex.CoordX(1)
         a1 = ex.add(
@@ -801,7 +852,11 @@ class TestStackedPostProcessing:
                    ex.CoordXi(0)),
             ex.mul(ex.add(ex.Const(1.0), ex.mul(ex.Const(0.5), ex.Cos(x0))),
                    ex.CoordXi(1)))
-        problem = self.forced_problem(grid, a1, horizon=0.4)
+        return self.forced_problem(grid, a1, horizon=0.4)
+
+    def test_two_dimensional_cascade_equals_per_snapshot(self):
+        # alpha = (1, 2) sums over five betas: their order shows in the bits
+        problem = self.two_dimensional_problem()
         result = solve_fixed_eps(problem, seed=0)
         rep = self.assert_cascade_exact(problem, result, 3)
         assert (1, 2) in rep and np.max(rep[(1, 2)]["H"]) > 0.0
@@ -817,6 +872,46 @@ class TestStackedPostProcessing:
                 np.trapezoid(h_vals, rep[alpha]["times"]))
         return rep
 
+    @staticmethod
+    def assert_matches_grid_values(problem, result, orders, max_order):
+        got = asymptotics._t_derivative_norms(problem, result, orders)
+        want = t_derivative_norms_on_grid_values(problem, result, orders)
+        assert list(got) == list(want)
+        for order in orders:
+            assert_close(got[order], want[order])
+        rep = derivative_cascade(problem, result, max_order)
+        want = cascade_on_grid_values(problem, result, max_order)
+        assert list(rep) == list(want)
+        for alpha, (v_norm_sq, h_vals) in want.items():
+            assert_close(rep[alpha]["v_norm_sq"], v_norm_sq)
+            assert_close(rep[alpha]["H"], h_vals)
+
+    @pytest.mark.parametrize("layout", sorted(T_DEPENDENT))
+    def test_spectra_match_grid_values(self, layout):
+        grid = Grid(1, 32, TWO_PI)
+        problem = self.forced_problem(grid, self.T_DEPENDENT[layout])
+        self.assert_matches_grid_values(
+            problem, solve_fixed_eps(problem, seed=0), self.ORDERS, 3)
+
+    def test_two_dimensional_spectra_match_grid_values(self):
+        problem = self.two_dimensional_problem()
+        orders = ((0, (0, 0)), (0, (1, 2)), (1, (0, 0)), (2, (1, 0)))
+        self.assert_matches_grid_values(
+            problem, solve_fixed_eps(problem, seed=0), orders, 3)
+
+    def test_piecewise_member_spectra_match_grid_values(self):
+        # the smallest eps of piecewise_speed_logtype at M=256, with its
+        # x-derivative orders, two t-derivative orders and its cascade
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 256
+        ctx = scenario.ScenarioContext(cfg)
+        eps = min(ctx.eps_grid)
+        g, f = ctx.data_builder.build(eps, ctx.grid)
+        problem = CauchyProblem(ctx.family.member(eps), g, ctx.horizon, f)
+        self.assert_matches_grid_values(
+            problem, solve_fixed_eps(problem, seed=ctx.seed),
+            ctx.orders + ((1, (1,)), (2, (0,))), ctx.cascade_max_order)
+
     def test_constant_transport_oracle(self):
         # a = c xi: d_t u = -c d_x u, so
         # ||d_t^d d_x^a u|| = c^d ||d_x^(d+a) u||
@@ -829,7 +924,7 @@ class TestStackedPostProcessing:
         for k in range(len(result.snap_times)):
             snap = dataclasses.replace(
                 result, snap_times=result.snap_times[k:k + 1],
-                states=result.states[k:k + 1])
+                spectra=result.spectra[k:k + 1])
             norms = asymptotics._t_derivative_norms(problem, snap, orders)
             for d in (1, 2):
                 for a in range(3):

@@ -112,12 +112,18 @@ class TestTransport:
         assert drift <= 1e-10
 
     def test_final_is_a_read_only_copy(self, grid32):
-        # a view of states would keep the whole snapshot stack alive
+        # u(T) comes from the last spectrum alone, so it keeps no snapshot
+        # alive; the grid values are the spectra inverse-transformed
         res = solve_fixed_eps(transport_problem(grid32, horizon=0.1), seed=0)
         final = res.final().values
         assert final.base is None and not final.flags.writeable
         assert np.array_equal(final, res.states[-1])
-        assert res.states.shape == (len(res.snap_times),) + grid32.shape
+        assert res.states.shape == res.spectra.shape == \
+            (len(res.snap_times),) + grid32.shape
+        assert not res.states.flags.writeable
+        assert not res.spectra.flags.writeable
+        assert np.array_equal(res.states, np.fft.ifftn(res.spectra,
+                                                       axes=(-1,)))
 
     def test_zero_data_stays_zero(self, grid32):
         a1 = SymbolExpr(ex.mul(ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0))),
@@ -179,6 +185,30 @@ class TestInvariants:
         prob = variable_speed_problem(grid256, horizon=1.0)
         with pytest.raises(UnstableStep, match="Gronwall"):
             solve_fixed_eps(prob, 0.1, seed=0)
+
+    def test_t_dependent_step_reads_every_sample_time(self):
+        # (1 + 9 sin^2(4 pi t / T)) (2 + sin x) xi with T = 1: sup|a| is 96
+        # at t = 0, T/4, T/2, 3T/4 and T, but 960 at T/8, one of the
+        # symbol's sample times; the step reads the sup over all of them
+        grid, horizon = Grid(1, 64, TWO_PI), 1.0
+        wave = ex.Sin(ex.mul(ex.Const(4.0 * math.pi / horizon), ex.CoordT()))
+        pulse = ex.add(ex.Const(1.0), ex.mul(ex.Const(9.0), wave, wave))
+        symbol = HyperbolicSymbol(SymbolExpr(
+            ex.mul(pulse, SPEED, ex.CoordXi(0)), 1.0, 1))
+        x = grid.x_axis()
+        problem = CauchyProblem(symbol, GridFunction(grid, np.sin(x)),
+                                horizon)
+        op = PeriodicOperator(symbol.full(), grid)
+        sups = [op.sup_abs(t)[0] for t in symbol.sample_times(horizon)]
+        assert max(sups[::8]) == pytest.approx(96.0)
+        assert max(sups) == pytest.approx(960.0)
+        result = solve_fixed_eps(problem, seed=0)
+        assert result.dt * max(sups) <= CFL_MARGIN
+        assert len(result.times) - 1 == 381     # ceil(960 / 2.52)
+        assert np.isfinite(result.ledger.u_norm_sq[-1])
+        # an explicit step stable at the five times alone is refused
+        with pytest.raises(UnstableStep, match="exceeds margin"):
+            solve_fixed_eps(problem, CFL_SAFETY * CFL_MARGIN / 96.0, seed=0)
 
     def test_non_finite_sup_is_a_runtime_error(self):
         # a NaN sup|a| would otherwise reach math.ceil as a ValueError
@@ -516,7 +546,7 @@ class TestCascade:
         rep = derivative_cascade(prob, result, max_order=2)
         for alpha, entry in rep.items():
             assert np.max(entry["H"]) <= 1e-20
-            [g_alpha] = grid256.spectral_derivative(prob.initial.values, alpha)
+            g_alpha = grid256.spectral_derivative(prob.initial.values, alpha)
             fresh = solve_fixed_eps(
                 CauchyProblem(symbol=prob.symbol,
                               initial=GridFunction(grid256, g_alpha),

@@ -31,7 +31,7 @@ class TestGrid:
 
     def test_spectral_derivative(self, grid32):
         x = grid32.x_axis()
-        [du] = grid32.spectral_derivative(np.sin(3 * x), (1,))
+        du = grid32.spectral_derivative(np.sin(3 * x), (1,))
         assert np.max(np.abs(du - 3 * np.cos(3 * x))) <= 1e-11
 
     def test_grid_mismatch(self, grid32):

@@ -8,8 +8,7 @@ import pytest
 
 from onewave import cauchy, quantization
 from onewave import expr as ex
-from onewave.cauchy import (CauchyProblem, Forcing, TimeProfile,
-                            derivative_cascade, solve_stack)
+from onewave.cauchy import CauchyProblem, Forcing, TimeProfile, solve_stack
 from onewave.grid import Grid, GridFunction
 from onewave.quantization import (PeriodicOperator, adjoint_defect_norms,
                                   operator_norms)
@@ -22,15 +21,18 @@ TWO_PI = 2.0 * np.pi
 
 # -- the allocating references ----------------------------------------------
 
-def reference_apply_tables(tables, values, grid, adjoint, out):
-    """_apply_tables with one new array per expression, written into out:
-    op(s) = synth o fftn and op(s)^dagger = ifftn o analyse."""
+def reference_apply(tables, values, grid, name, out):
+    """PeriodicOperator's ``name`` on one row, with one new array per
+    expression, written into out: apply_spectrum = synth, apply = synth o
+    fftn and apply_adjoint = ifftn o analyse."""
     shape, axes = grid.shape, grid.axes
-    if adjoint:
+    if name == "apply_adjoint":
         res = np.fft.ifftn(reference_analyse(tables, values, grid), shape,
                            axes)
-    else:
+    elif name == "apply":
         res = reference_synth(tables, np.fft.fftn(values, shape, axes), grid)
+    else:
+        res = reference_synth(tables, values, grid)
     out[...] = res
     return out
 
@@ -100,12 +102,15 @@ def reference_operator_gram(tables, hat, grid, mask):
 
 def reference_rk4(stack, members, out):
     """cauchy._rk4, the Lawson loop on spectra, with new stage arrays every
-    step."""
+    step; it stores the snapshots' spectra."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
     frozen = stack.separable and not any(stack._t_dep)
     if members:
-        u = np.fft.fftn(np.stack([m.states[0] for m in members]), shape, axes)
+        u = np.fft.fftn(np.stack([m.problem.initial.values
+                                  for m in members]), shape, axes)
+        for m, u0 in zip(members, u):
+            m.spectra[0] = u0
         dt = np.array([m.dt for m in members]).reshape(
             (-1,) + (1,) * grid.dim)
         e = np.stack([m.factors[0] for m in members])
@@ -133,9 +138,8 @@ def reference_rk4(stack, members, out):
                  e * u + dt * (e2 * k3))
         u = e * u + dt / 6.0 * (e * k1 + 2.0 * (e2 * (k2 + k3)) + k4)
         nsq, keep = reference_norm_sq(grid, u) / grid.size, []
-        x = np.fft.ifftn(u, shape, axes)
         for row, m in enumerate(members):
-            done = m.advance(step, x[row], float(nsq[row]))
+            done = m.advance(step, u[row], float(nsq[row]))
             if done is None:
                 keep.append(row)
             out[m.slot] = done
@@ -203,15 +207,8 @@ def reference_norm_sq(grid, values):
 
 def reference_spectral_derivative(grid, values, alpha):
     coeffs = np.fft.fftn(values, grid.shape, grid.axes)
-    coeffs /= grid.size
-    for axis, order in enumerate(alpha):
-        if order:
-            shape = [1] * grid.dim
-            shape[axis] = grid.points
-            coeffs *= (1j * grid.xi_axis().reshape(shape)) ** order
-    out = np.fft.ifftn(coeffs, grid.shape, grid.axes)
-    out *= grid.size
-    return out
+    return np.fft.ifftn(grid.derivative_spectra(coeffs, alpha), grid.shape,
+                        grid.axes)
 
 
 @pytest.fixture
@@ -219,8 +216,6 @@ def allocating(monkeypatch):
     """Run what follows on the allocating references."""
     def use():
         monkeypatch.setattr(cauchy, "_rk4", reference_rk4)
-        monkeypatch.setattr(quantization, "_apply_tables",
-                            reference_apply_tables)
         monkeypatch.setattr(quantization, "_skew_gram", reference_skew_gram)
         monkeypatch.setattr(quantization, "_operator_gram",
                             reference_operator_gram)
@@ -243,7 +238,7 @@ def assert_same_bits(got, want):
             assert same_bits(getattr(g.ledger, name), getattr(w.ledger, name))
         assert same_bits(g.dt, w.dt)
         assert same_bits(g.snap_times, w.snap_times)
-        assert same_bits(g.states, w.states)
+        assert same_bits(g.spectra, w.spectra)
 
 
 # -- symbols ----------------------------------------------------------------
@@ -356,12 +351,13 @@ class TestInPlaceEqualsAllocating:
                 want = globals()["reference" + gram](tables, hat, grid, mask)
                 assert same_bits(got, want)
 
-    @pytest.mark.parametrize("name", ["apply", "apply_adjoint"])
+    @pytest.mark.parametrize("name", ["apply", "apply_spectrum",
+                                      "apply_adjoint"])
     def test_applies(self, name, rng):
         # one symbol, a symbol per row at per-row times (stacked tables),
         # and the dense table; a given out is overwritten and returned.  A
         # zero row meets cos(x) xi, whose terms are signed zeros: the sum
-        # starts from +0.
+        # starts from +0.  apply_spectrum reads the rows as spectra.
         for grid, problems in ((Grid(1, 32, TWO_PI), one_d_problems),
                                (Grid(2, 16, TWO_PI), two_d_problems)):
             signed = SymbolExpr(ex.mul(ex.Cos(ex.CoordX(0)),
@@ -383,9 +379,8 @@ class TestInPlaceEqualsAllocating:
                     t = ts[k] if isinstance(ts, list) else ts
                     one = PeriodicOperator(
                         op.symbols[k % len(op.symbols)], grid)
-                    reference_apply_tables(
-                        one._tables(0, one._key(0, t)), row, grid,
-                        name == "apply_adjoint", want[k])
+                    reference_apply(one._tables(0, one._key(0, t)), row,
+                                    grid, name, want[k])
                 assert same_bits(out, want)
                 assert same_bits(getattr(op, name)(ts, values), want)
 
@@ -410,36 +405,14 @@ class TestLawsonAgainstXSpaceRK4:
 
 class TestSpectralDerivatives:
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_several_alphas_equal_one_alpha_calls(self, dim, rng):
+    def test_derivative_equals_allocating_reference(self, dim, rng):
         grid = Grid(dim, 32 if dim == 1 else 16, TWO_PI)
         stack = np.stack([random_grid_function(grid, rng).values
                           for _ in range(3)])
-        alphas = [(0,) * dim, (1,) * dim, (3,) + (0,) * (dim - 1),
-                  (0,) * (dim - 1) + (2,), (1,) * dim]
         kept = stack.copy()
-        several = grid.spectral_derivative(stack, *alphas)
-        assert same_bits(stack, kept)
-        assert len(several) == len(alphas)
-        for alpha, got in zip(alphas, several):
-            [one] = grid.spectral_derivative(stack, alpha)
-            assert same_bits(got, one)
+        for alpha in [(0,) * dim, (1,) * dim, (3,) + (0,) * (dim - 1),
+                      (0,) * (dim - 1) + (2,)]:
+            got = grid.spectral_derivative(stack, alpha)
+            assert same_bits(stack, kept)
             assert same_bits(got, reference_spectral_derivative(
                 grid, stack, alpha))
-        assert grid.spectral_derivative(stack) == []
-
-    def test_cascade_reads_given_derivatives(self):
-        # the sweep hands the cascade the snapshot derivatives it computed
-        # for the norms; the report is bitwise the one computed here
-        grid = Grid(1, 32, TWO_PI)
-        problem = one_d_problems(grid)[3]
-        [result] = solve_stack([problem])
-        alphas = [(3,), (1,), (0,), (2,), (4,)]
-        shared = dict(zip(alphas, grid.spectral_derivative(result.states,
-                                                           *alphas)))
-        got = derivative_cascade(problem, result, 3, shared)
-        want = derivative_cascade(problem, result, 3)
-        assert list(got) == list(want) == [(1,), (2,), (3,)]
-        for alpha in want:
-            for key in ("v_norm_sq", "H", "bound"):
-                assert same_bits(got[alpha][key], want[alpha][key])
-            assert got[alpha]["H_integral"] == want[alpha]["H_integral"]

@@ -207,12 +207,13 @@ class TestApplyRoute:
     """Every operator application on grid values is a call of
     PeriodicOperator.apply or apply_adjoint, the names the benchmark's trace
     counts; the norm estimators and the solve's stepping loop work on
-    spectra and call neither."""
+    spectra and call neither, and the post-processing reads a solve's
+    spectra through apply_spectrum."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
-        for name in ("apply", "apply_adjoint"):
+        for name in ("apply", "apply_spectrum", "apply_adjoint"):
             def counted(self, t, values, _name=name,
                         _fn=getattr(PeriodicOperator, name), **kwargs):
                 counts[_name] += 1
@@ -223,8 +224,8 @@ class TestApplyRoute:
     def test_solve_applies_four_times_per_step(self, calls, monkeypatch,
                                                variable_speed_symbol, grid32):
         # each of a step's four stages applies the rest R to a spectrum: one
-        # ifftn and one fftn call; one fftn takes g to its spectrum, and
-        # each stored snapshot after it takes one ifftn
+        # ifftn and one fftn call; one fftn takes g to its spectrum, and the
+        # snapshots are stored as spectra, with no transform
         monkeypatch.setattr(cauchy, "_measure_norms", lambda problems, grid,
                             seed: [(0.0, 1.0)] * len(problems))
         for name in ("fftn", "ifftn"):
@@ -240,8 +241,12 @@ class TestApplyRoute:
         result = cauchy.solve_fixed_eps(problem)
         steps = len(result.times) - 1
         assert steps > TRAJECTORY_STRIDE
-        assert calls == {"fftn": 4 * steps + 1,
-                         "ifftn": 4 * steps + len(result.snap_times) - 1}
+        assert calls == {"fftn": 4 * steps + 1, "ifftn": 4 * steps}
+        # the grid values take one ifftn call on their first read, u(T) one
+        states, final = result.states, result.final().values
+        assert result.states is states
+        assert calls == {"fftn": 4 * steps + 1, "ifftn": 4 * steps + 2}
+        assert np.array_equal(final, states[-1])
 
     def test_norms_apply_per_iteration(self, calls, variable_speed_symbol,
                                        grid32, monkeypatch):
@@ -272,9 +277,10 @@ class TestApplyRoute:
         problem = cauchy.CauchyProblem(
             HyperbolicSymbol(SymbolExpr(root, 1.0, 1)), u, 0.1)
         snaps = SimpleNamespace(snap_times=np.array([0.0, 0.1]),
-                                states=np.stack([u.values, u.values]))
+                                spectra=np.fft.fftn(np.stack([u.values] * 2),
+                                                    axes=(-1,)))
         asymptotics._t_derivative_norms(problem, snaps, [(2, (0,))])
-        assert calls == {"apply": want}
+        assert calls == {"apply_spectrum": want}
 
 
     def test_derivative_operators_built_once(self, monkeypatch, grid32):
