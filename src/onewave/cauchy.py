@@ -26,7 +26,6 @@ snapshot spectra as one stack.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -206,9 +205,9 @@ class SolveResult:
     ledger: EnergyLedger
     dt: float
 
-    @functools.cached_property
+    @property
     def states(self) -> np.ndarray:
-        """The snapshots' grid values, read-only, made on first read."""
+        """The snapshots' grid values, read-only, transformed on each read."""
         return _read_only(np.fft.ifftn(self.spectra, self.grid.shape,
                                        self.grid.axes))
 
@@ -298,8 +297,6 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
                 members.append(_Member(k, i, once[i], stack, dt))
             except OnewaveError as err:
                 out[i] = err
-        if not stack.separable:     # the norm step builds its own table
-            stack.narrow([])
         for m, norms in zip(members, _measure_norms(
                 [m.problem for m in members], stack.grid, seed)):
             m.norms = norms
@@ -319,8 +316,7 @@ class _Member:
     def __init__(self, row, slot, problem: CauchyProblem, op, dt):
         self.row, self.slot, self.problem = row, slot, problem
         self.forcing = None if problem.forcing.is_zero else problem.forcing
-        # else d = 0 and R = a
-        frozen = op.separable and not op.symbols[row].depends_t()
+        frozen = op.separable and not op.symbols[row].depends_t()  # else R = a
         d = (op._tables(op._of[row], 0.0).split[1] if frozen
              else np.zeros(problem.grid.shape))
         pick = frozen and self.forcing is None      # sup|R|, else sup|a|
@@ -346,8 +342,7 @@ class _Member:
 
     def advance(self, step: int, u: np.ndarray, nsq: float):
         """Record step ``step``, which left the spectrum u with norm^2 nsq;
-        returns the SolveResult after the last step, the error that stops
-        it, or None."""
+        returns the SolveResult after the last step, an error or None."""
         tn = step * self.dt
         if not math.isfinite(nsq):
             return NonFinite(f"solution norm non-finite at t={tn:.4g}")

@@ -126,10 +126,6 @@ class PeriodicOperator:
                            * np.ones(g.shape))
             tables = _Terms(fx, gxi, g.dim)
         else:
-            if g.size > DENSE_GUARD:
-                raise TooLarge(
-                    f"dense quantization path guarded at {DENSE_GUARD} nodes; "
-                    f"grid has {g.size} (use a separable symbol)")
             tables = self._symbol_table(i, key)
         self._cache[i] = (key, tables)
         return tables
@@ -138,17 +134,32 @@ class PeriodicOperator:
         """(sup|s|, sup|R|) of symbol ``row`` at t over the grid's nodes and
         frequencies, R the rest of _Terms.split, read from the tables: the
         bounds sum_m max|f_m| max|g_m| and sum_m max|f_m - c_m| max|g_m|
-        for separable terms; on the dense path, where R = s, the max over
-        the full table, twice."""
-        tables = self._tables(self._of[row], self._key(row, t))
-        if isinstance(tables, _Terms):
-            return tuple(float(sum(
-                np.max(np.abs(f_m)) * np.max(np.abs(g_m))
-                for f_m, g_m in zip(tb.f, tb.g)))
-                for tb in (tables, tables.split[0]))
-        sup = float(max(np.max(np.abs(tables[lo:lo + _ROWS]))
-                        for lo in range(0, len(tables), _ROWS)))
-        return sup, sup
+        for separable terms; on the dense path, where R = s, max|s| twice,
+        read from the symbol's values (|E| = 1), so no table is built."""
+        i, key = self._of[row], self._key(row, t)
+        if self._terms[i] is None:
+            sup = float(max(np.max(np.abs(s))
+                            for _, s in self._symbol_rows(i, key)))
+            return sup, sup
+        tables = self._tables(i, key)
+        return tuple(float(sum(
+            np.max(np.abs(f_m)) * np.max(np.abs(g_m))
+            for f_m, g_m in zip(tb.f, tb.g)))
+            for tb in (tables, tables.split[0]))
+
+    def _symbol_rows(self, i: int, t: float):
+        """(lo, s_i(t, x_j, xi_k) for nodes j in lo:lo + _ROWS and every k)
+        per block of rows, last block first; guards the dense path's size."""
+        g = self.grid
+        if g.size > DENSE_GUARD:
+            raise TooLarge(
+                f"dense quantization path guarded at {DENSE_GUARD} nodes; "
+                f"grid has {g.size} (use a separable symbol)")
+        pts, xi_flat = g.flat_points(), _flat_frequencies(g)
+        xi = tuple(xi_flat[:, a][None, :] for a in range(g.dim))
+        return ((lo, np.asarray(self._distinct[i].root.eval(t, tuple(
+            pts[lo:lo + _ROWS, a][:, None] for a in range(g.dim)), xi),
+            dtype=complex)) for lo in reversed(range(0, g.size, _ROWS)))
 
     def _symbol_table(self, i: int, t: float) -> np.ndarray:
         """S o E, S[j, k] = s_i(t, x_j, xi_k) and E[j, k] = exp(i x_j.xi_k).
@@ -160,18 +171,13 @@ class PeriodicOperator:
         block down, each block read before complex rows are written over it.
         """
         g = self.grid
-        pts = g.flat_points()
-        xi_flat = _flat_frequencies(g)
-        xi = tuple(xi_flat[:, a][None, :] for a in range(g.dim))
+        rows = self._symbol_rows(i, t)
         out = np.empty((g.size, g.size), dtype=complex)
         phase = out.view(float).reshape(-1)[:g.size ** 2].reshape(out.shape)
-        np.matmul(pts, xi_flat.T, out=phase)
-        for lo in reversed(range(0, g.size, _ROWS)):
+        np.matmul(g.flat_points(), _flat_frequencies(g).T, out=phase)
+        for lo, s in rows:
             block = 1j * phase[lo:lo + _ROWS]
             np.exp(block, out=block)
-            s = np.asarray(self._distinct[i].root.eval(t, tuple(
-                pts[lo:lo + _ROWS, a][:, None] for a in range(g.dim)), xi),
-                dtype=complex)
             out[lo:lo + _ROWS] = np.multiply(
                 np.broadcast_to(s, block.shape), block, out=block)
         return out

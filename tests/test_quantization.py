@@ -242,9 +242,8 @@ class TestApplyRoute:
         steps = len(result.times) - 1
         assert steps > TRAJECTORY_STRIDE
         assert calls == {"fftn": 4 * steps + 1, "ifftn": 4 * steps}
-        # the grid values take one ifftn call on their first read, u(T) one
+        # the grid values take one ifftn call per read, u(T) one
         states, final = result.states, result.final().values
-        assert result.states is states
         assert calls == {"fftn": 4 * steps + 1, "ifftn": 4 * steps + 2}
         assert np.array_equal(final, states[-1])
 
@@ -304,10 +303,10 @@ class TestApplyRoute:
         assert len(built) == 3
 
     def test_one_dense_table_alive(self, monkeypatch, grid32):
-        # the solve's op(a) (its sup|a| and its steps), the norm step's
-        # operators, and op(d_t^i a) and op(d_x^beta a), each built once,
-        # of a dense symbol with or without t: no table outlives its use, so
-        # at most one dense table is alive at a time
+        # the solve's op(a) (its steps; its sup|a| builds none), the norm
+        # step's operators, and op(d_t^i a) and op(d_x^beta a), each built
+        # once, of a dense symbol with or without t: no table outlives its
+        # use, so at most one dense table is alive at a time
         tables, peak = [], []
 
         def table(op, i, t, _table=PeriodicOperator._symbol_table):
@@ -329,6 +328,21 @@ class TestApplyRoute:
             cauchy.derivative_cascade(problem, result, max_order=3)
             assert len(tables) > 3 * len(result.snap_times)
             assert max(peak) == 1
+
+    def test_dense_sup_builds_no_table(self, monkeypatch, grid32):
+        # |E| = 1, so sup|s| is read from the symbol's values: it matches
+        # the max over the table S o E within rounding, and builds none
+        op = PeriodicOperator(SymbolExpr(TestRows.T_DENSE, 1.0, 1), grid32)
+        want = [float(np.max(np.abs(op._symbol_table(0, t))))
+                for t in (0.0, 0.5, 1.0)]
+
+        def table(*args):
+            raise AssertionError("sup_abs built a dense table")
+        monkeypatch.setattr(PeriodicOperator, "_symbol_table", table)
+        for t, w in zip((0.0, 0.5, 1.0), want):
+            sup_a, sup_r = op.sup_abs(t)
+            assert sup_r == sup_a
+            assert sup_a == pytest.approx(w, rel=1e-15)
 
     def test_dense_adjoint_copies_no_table(self, rng):
         # conj(conj(row) @ S) per row: a dense adjoint apply allocates rows,
