@@ -339,16 +339,15 @@ def check_association(plan: SweepPlan, report: SweepReport, probes, reference,
 
 
 def spectral_extend(coarse: GridFunction, fine: Grid) -> GridFunction:
-    """Trigonometric-interpolant extension of a grid function to a finer grid."""
-    coeffs = coarse.dft()
+    """Trigonometric-interpolant extension of a grid function to a finer
+    grid: its spectrum, scaled by the ratio of the grid sizes, at the same
+    frequencies of the finer grid's."""
     out = np.zeros(fine.shape, dtype=complex)
     m = coarse.grid.points
     idx = np.fft.fftfreq(m, 1.0 / m).astype(int)
-    if fine.dim == 1:
-        out[idx] = coeffs
-    else:
-        out[np.ix_(idx, idx)] = coeffs
-    return GridFunction.from_dft(fine, out)
+    out[np.ix_(*[idx] * fine.dim)] = np.fft.fftn(coarse.values) * (
+        fine.size / coarse.grid.size)
+    return GridFunction(fine, np.fft.ifftn(out))
 
 
 def _rebuild_on(data: DataBuilder, fine: Grid, eps: float):

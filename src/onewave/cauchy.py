@@ -306,7 +306,7 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
         for m in (m for m in members if m not in live):     # stays zero
             for step in range(1, m.n_steps + 1):
                 out[m.slot] = m.advance(step, zero, 0.0)
-        _rk4(stack.narrow([m.row for m in live]), live, out)
+        _rk4(stack, live, out)
     return [out[k] for k in slots]
 
 
@@ -316,10 +316,9 @@ class _Member:
     def __init__(self, row, slot, problem: CauchyProblem, op, dt):
         self.row, self.slot, self.problem = row, slot, problem
         self.forcing = None if problem.forcing.is_zero else problem.forcing
-        frozen = op.separable and not op.symbols[row].depends_t()  # else R = a
-        d = (op._tables(op._of[row], 0.0).split[1] if frozen
+        d = (op.tables(0.0, [row]).split[1] if op.frozen     # else R = a
              else np.zeros(problem.grid.shape))
-        pick = frozen and self.forcing is None      # sup|R|, else sup|a|
+        pick = op.frozen and self.forcing is None   # sup|R|, else sup|a|
         self.sup = max(op.sup_abs(t, row)[pick]
                        for t in problem.symbol.sample_times(problem.horizon))
         self.dt = step_size(dt, problem.horizon, self.sup)
@@ -374,14 +373,14 @@ class _Member:
 def _rk4(stack, members, out):
     """The Lawson RK4 loop on spectra u: the live members take each step
     at once, as the rows of a stack over a leading member axis, each with
-    its own dt, times and factors E = e^(-i d dt), E2 = e^(-i d dt/2).  For
+    its own dt, times and factors E = e^(-i d dt), E2 = e^(-i d dt/2), and
+    each stage reads the live rows' tables from stack.tables.  For
     N(t, v) = fftn(-i R ifftn(v) + f(t)): k1 = N(t, u), k2 = N(t + dt/2,
     E2 (u + dt/2 k1)), k3 = N(t + dt/2, E2 u + dt/2 k2), k4 = N(t + dt,
     E u + dt E2 k3) and u <- E u + dt/6 (E k1 + 2 E2 (k2 + k3) + k4), each
-    sum formed in place, in arrays allocated once per narrowing."""
+    sum formed in place, in arrays allocated again when a member leaves."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
-    frozen = stack.separable and not any(stack._t_dep)
     if members:
         u = np.fft.fftn(np.stack([m.problem.initial.values for m in members]),
                         shape, axes)
@@ -389,8 +388,8 @@ def _rk4(stack, members, out):
             m.spectra[0] = u0
 
     def rhs(ts, v, k):
-        tables = stack._joint_tables(stack._keys(ts))
-        _synth(tables.split[0] if frozen else tables, v, grid, k)
+        tables = stack.tables(ts, [m.row for m in members])
+        _synth(tables.split[0] if stack.frozen else tables, v, grid, k)
         np.multiply(-1j, k, out=k)
         for row, (m, t) in enumerate(zip(members, ts)):
             if m.forcing is not None:
@@ -429,7 +428,6 @@ def _rk4(stack, members, out):
                     keep.append(row)
                 out[m.slot] = done
         members, u = [members[r] for r in keep], u[keep]
-        stack.narrow([m.row for m in members])
 
 
 def _under_bound(values, bound) -> bool:

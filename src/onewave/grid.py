@@ -6,9 +6,10 @@ Scenarios keep supports at least L/4 away from the seam over the whole time
 horizon.
 
 Conventions: nodes x_j = j*dx with dx = L/M; frequencies xi_k = 2*pi*k/L for
-k in [-M/2, M/2) in FFT ordering; Fourier coefficients u_hat = fftn(u)/M^n so
-that u(x) = sum_k u_hat_k exp(i x.xi_k).  The Nyquist mode k = -M/2 has no
-partner; scenarios keep data band-limited below half the Nyquist frequency.
+k in [-M/2, M/2) in FFT ordering; a spectrum is the plain u_hat = fftn(u), so
+that u(x_j) = M^-n sum_k u_hat_k exp(i x_j.xi_k).  The Nyquist mode k = -M/2
+has no partner; scenarios keep data band-limited below half the Nyquist
+frequency.
 """
 
 from __future__ import annotations
@@ -153,10 +154,3 @@ class GridFunction:
 
     def norm_sq(self) -> float:
         return float(self.grid.norm_sq(self.values))
-
-    def dft(self) -> np.ndarray:
-        return np.fft.fftn(self.values) / self.grid.size
-
-    @staticmethod
-    def from_dft(grid: Grid, coeffs: np.ndarray) -> "GridFunction":
-        return GridFunction(grid, np.fft.ifftn(coeffs) * grid.size)

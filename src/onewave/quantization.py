@@ -1,15 +1,17 @@
 """Discrete Kohn-Nirenberg quantization on periodic grids.
 
-The operator acts as v(x_j) = sum_k s(t, x_j, xi_k) u_hat_k exp(i x_j xi_k)
-(left quantization).  Symbols that split into sums of separable terms
-f_m(x) g_m(xi) ride an FFT fast path costing O(R M^n log M); everything else
-goes through a dense per-node symbol table costing O(M^(2n)), guarded at desk
-scale.  PeriodicOperator is the one operator type: one symbol, or one per
-row, applied to a stack of grid functions; rows of one symbol object share
-its tables, and norms are estimated once per distinct (symbol object, t)
-pair.  The adjoint used in production is the exact conjugate transpose with
-respect to the discrete L2 inner product; the oscillatory-integral machinery
-below verifies it against the symbol-calculus remainder at desk scale.
+The operator acts as v(x_j) = M^-n sum_k s(t, x_j, xi_k) u_hat_k
+exp(i x_j.xi_k), u_hat = fftn(u) (left quantization).  Symbols that split
+into sums of separable terms f_m(x) g_m(xi) ride an FFT fast path costing
+O(R M^n log M); everything else goes through a dense per-node symbol table
+costing O(M^(2n)), guarded at desk scale.  PeriodicOperator is the one
+operator type: one symbol, or one per row, applied to a stack of grid
+functions, with no row state; its tables(t, rows) is the one read of the
+tables that serve some of its rows.  Norms are estimated once per distinct
+(symbol object, t) pair.  The adjoint used in production is the exact
+conjugate transpose with respect to the discrete L2 inner product; the
+oscillatory-integral machinery below verifies it against the
+symbol-calculus remainder at desk scale.
 
 op(s) has two halves: _synth takes a spectrum (fftn of grid values) to the
 grid values of op(s) ifftn(spectrum), and _analyse takes grid values to the
@@ -64,11 +66,12 @@ class PeriodicOperator:
     ``symbols`` is one SymbolExpr, for every row, or a list of symbols of
     one table layout, one per row (a one-symbol list serves every row).
     ``apply(t, values)`` applies every row at the scalar time t, or row k at
-    t[k] for per-row times.  Each distinct symbol object caches its tables at
-    the last time asked, and its rows share them; separable tables of several
-    rows are stacked, once while no live symbol depends on t and per call
-    otherwise; dense tables apply row by row, one alive at a time, and are
-    not kept after an apply at several per-row times.
+    t[k] for per-row times.  The operator holds no row state: ``tables(t,
+    rows)`` is the one read of the tables that serve some of its rows, which
+    the stepper and the norm estimators call with their live rows.  Each
+    distinct symbol object caches its tables at the last time asked, and
+    its rows share them; dense tables of rows at several times apply one at
+    a time and are not kept.
     """
 
     def __init__(self, symbols, grid: Grid):
@@ -79,7 +82,6 @@ class PeriodicOperator:
                 raise DimensionMismatch(
                     f"symbol dim {s.dim} != grid dim {grid.dim}")
         self.grid = grid
-        self.rows = list(range(len(self.symbols)))
         self._distinct, self._of = _distinct(self.symbols, id)
         self._terms = [ex.separable_terms(s.root) for s in self._distinct]
         if len({None if t is None else len(t) for t in self._terms}) > 1:
@@ -92,16 +94,11 @@ class PeriodicOperator:
     def separable(self) -> bool:
         return self._terms[0] is not None
 
-    def narrow(self, rows):
-        """Make ``rows``, indices into the symbols the operator was built
-        with, the rows it applies, and drop the tables that no row of them
-        reads; returns the operator."""
-        if rows != self.rows:
-            for j in {self._of[r] for r in self.rows} - \
-                    {self._of[r] for r in rows}:
-                self._cache[j] = (None, None)
-            self.rows, self._stacked = list(rows), (None, None)
-        return self
+    @property
+    def frozen(self) -> bool:
+        """Separable, and no row depends on t: the Lawson step takes the
+        multiplier d of the tables' split exactly (see _Terms.split)."""
+        return self.separable and not any(self._t_dep)
 
     # -- symbol tables --------------------------------------------------------
     def _key(self, r: int, t: float) -> float:
@@ -207,27 +204,30 @@ class PeriodicOperator:
         ``out``: all at once, or dense rows at several times one by one."""
         if out is None:
             out = np.empty(np.shape(v), dtype=complex)
-        keys = self._keys(t)
-        tables = self._joint_tables(keys)
+        tables = self.tables(t)
         if tables is not None:
             return half(tables, v, self.grid, out)
-        for key, row, row_out in zip(keys, v, out):     # dense, row by row
+        for key, row, row_out in zip(self._keys(t), v, out):  # dense, by row
             half(self._tables(*key), row, self.grid, row_out)
         self._cache = [(None, None)] * len(self._distinct)  # no table is kept
         return out
 
-    def _keys(self, t) -> tuple:
-        """(distinct symbol, table time) of each row at the scalar time t, or
-        of row k at t[k]."""
+    def _keys(self, t, rows=None) -> tuple:
+        """(distinct symbol, table time) of each of ``rows`` (see tables)."""
+        if rows is None:
+            rows = range(len(self.symbols))
         if np.ndim(t) == 0:
-            t = [t] * len(self.rows)
-        rs = [0] * len(t) if len(self.symbols) == 1 else self.rows
-        return tuple((self._of[r], self._key(r, tk)) for r, tk in zip(rs, t))
+            t = [t] * len(rows)
+        if len(self.symbols) == 1:
+            rows = [0] * len(t)
+        return tuple((self._of[r], self._key(r, tk)) for r, tk in zip(rows, t))
 
-    def _joint_tables(self, keys):
-        """Tables that serve every row at once at ``keys``: one symbol's,
-        or separable tables stacked per row; None for dense rows whose keys
-        differ, which take their tables one at a time."""
+    def tables(self, t, rows=None):
+        """The tables that serve ``rows`` (indices into the symbols; all of
+        them by default) at the scalar time t, or rows[k] at t[k]: one
+        symbol's, or separable tables stacked per row; None for dense rows
+        whose tables differ, which apply one at a time."""
+        keys = self._keys(t, rows)
         if len(set(keys)) == 1 and (self.separable or len(keys) == 1):
             return self._tables(*keys[0])
         if not self.separable:
@@ -459,8 +459,8 @@ def _band_norms(pairs, grid: Grid, seed, gram) -> list:
     for rows, stack in stacks([s for s, _ in once], grid):
         ts = [once[i][1] for i in rows]
         found = power_iteration(
-            lambda live, hat: gram(stack.narrow(live)._joint_tables(
-                stack._keys([ts[k] for k in live])), hat, grid, mask),
+            lambda live, hat: gram(stack.tables([ts[k] for k in live], live),
+                                   hat, grid, mask),
             np.stack([_start(seed, grid)] * len(rows)))
         for i, (lam, ok, used) in zip(rows, found):
             out[i] = NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)

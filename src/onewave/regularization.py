@@ -255,10 +255,9 @@ def embed_data(w, eps: float) -> GridFunction:
         raise GridMismatch("embed_data expects a GridFunction on the target grid")
     if eps <= 0:
         raise BadEps("eps must be positive")
-    coeffs = w.dft()
-    xi = w.grid.xi_mesh()
-    mag = np.sqrt(sum(np.asarray(c) ** 2 for c in xi))
-    return GridFunction.from_dft(w.grid, coeffs * Mollifier().profile(eps * mag))
+    mag = np.sqrt(sum(np.asarray(c) ** 2 for c in w.grid.xi_mesh()))
+    return GridFunction(w.grid, np.fft.ifftn(
+        np.fft.fftn(w.values) * Mollifier().profile(eps * mag)))
 
 
 @dataclass

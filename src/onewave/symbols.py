@@ -333,11 +333,13 @@ class GenSymbolFamily:
 
 
 def _family_Q_values(fam: GenSymbolFamily, j, k, l, box):
-    vals = []
-    for eps in fam.eps_grid:
-        member = fam.member(eps)
-        vals.append(seminorm_Q(member.full(), j, k, l, box))
-    return np.array(vals)
+    """Q_{j,k,l} of each eps's member, sampled once per member object (a
+    fixed symbol is one member for every eps)."""
+    members, once = [fam.member(eps) for eps in fam.eps_grid], {}
+    for m in members:
+        if id(m) not in once:
+            once[id(m)] = seminorm_Q(m.full(), j, k, l, box)
+    return np.array([once[id(m)] for m in members])
 
 
 def log_fit(eps, values) -> tuple[float, float, float]:

@@ -21,7 +21,7 @@ from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
 from onewave.quantization import (PeriodicOperator, adjoint_defect_norm,
                                   adjoint_defect_norms, operator_norm,
-                                  operator_norms)
+                                  operator_norms, stacks)
 from onewave.regularization import (RoughCoefficient, RoughTransport,
                                     regularized_family)
 from onewave.scenario import run_scenario
@@ -411,6 +411,22 @@ class TestStackedSolve:
                 raise BadEps(f"no member at eps={eps}")
             return members[eps]
         return GenSymbolFamily(member, [0.5, 0.4, 0.3, 0.2, 0.1])
+
+    def test_stacks_split_rows_by_t_dependence(self):
+        # the stepper reads one Lawson rule per stack,
+        # PeriodicOperator.frozen: it is each row's rule because the rows
+        # of a stack share their dependence on t
+        fam, syms = self.mixed_family(), []
+        for eps in (0.5, 0.4, 0.2, 0.1):
+            syms += [fam.member(eps).full(), fam.member(eps).a1]
+        ops = list(stacks(syms, Grid(1, 64, TWO_PI)))
+        assert sorted(r for rows, _ in ops for r in rows) == \
+            list(range(len(syms)))
+        assert {op.frozen for _, op in ops} == {True, False}
+        for rows, op in ops:
+            assert len({syms[r].depends_t() for r in rows}) == 1
+            assert op.frozen == (op.separable and
+                                 not syms[rows[0]].depends_t())
 
     def sweep_pair(self, monkeypatch, plan):
         stacked = run_sweep(plan)

@@ -105,7 +105,6 @@ def reference_rk4(stack, members, out):
     step; it stores the snapshots' spectra."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
-    frozen = stack.separable and not any(stack._t_dep)
     if members:
         u = np.fft.fftn(np.stack([m.problem.initial.values
                                   for m in members]), shape, axes)
@@ -117,8 +116,8 @@ def reference_rk4(stack, members, out):
         e2 = np.stack([m.factors[1] for m in members])
 
     def rhs(ts, v):
-        tables = stack._joint_tables(stack._keys(ts))
-        if frozen:
+        tables = stack.tables(ts, [m.row for m in members])
+        if stack.frozen:
             tables = reference_split(tables, grid)[0]
         k = -1j * reference_synth(tables, v, grid)
         for row, (m, t) in enumerate(zip(members, ts)):
@@ -146,7 +145,6 @@ def reference_rk4(stack, members, out):
         if len(keep) < len(members):
             members, u, dt = [members[r] for r in keep], u[keep], dt[keep]
             e, e2 = e[keep], e2[keep]
-            stack.narrow([m.row for m in members])
 
 
 def x_space_rk4(problem, dt, steps):
@@ -172,29 +170,29 @@ def x_space_norms(pairs, grid, seed, defect):
     ``defect``, else operator_norms): the same power iteration on grid
     values, from the same seeded draw, each Gram product projecting,
     applying, adjoint-applying and projecting again in x space, every step
-    its own transforms."""
+    its own transforms, every row its own operator."""
     proj = band_projector(grid)
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(grid.shape) + \
         1j * rng.standard_normal(grid.shape)
 
-    def b_apply(stack, ts, v):
+    def b_apply(op, t, v):
         pv = proj(v)
-        return proj(stack.apply(ts, pv) - stack.apply_adjoint(ts, pv))
+        return proj(op.apply(t, pv) - op.apply_adjoint(t, pv))
 
-    def gram(stack, ts, v):
+    def gram(op, t, v):
         if defect:
-            return -b_apply(stack, ts, b_apply(stack, ts, v))
-        return proj(stack.apply_adjoint(ts, proj(stack.apply(ts, proj(v)))))
+            return -b_apply(op, t, b_apply(op, t, v))
+        return proj(op.apply_adjoint(t, proj(op.apply(t, proj(v)))))
 
     once, slot = quantization._distinct(
         pairs, lambda pair: (id(pair[0]), float(pair[1])))
     out = [None] * len(once)
-    for rows, stack in quantization.stacks([s for s, _ in once], grid):
-        ts = [once[i][1] for i in rows]
+    for rows, _ in quantization.stacks([s for s, _ in once], grid):
+        ops = [(PeriodicOperator(once[i][0], grid), once[i][1]) for i in rows]
         found = quantization.power_iteration(
-            lambda live, v: gram(stack.narrow(live), [ts[k] for k in live],
-                                 v),
+            lambda live, v: np.stack([gram(*ops[k], row)
+                                      for k, row in zip(live, v)]),
             np.stack([start] * len(rows)))
         for i, (lam, ok, used) in zip(rows, found):
             out[i] = quantization.NormEstimate(np.sqrt(lam), ok, used)
@@ -349,7 +347,7 @@ class TestInPlaceEqualsAllocating:
             syms = [p.symbol.full() for p in problems(grid)]
             for op, ts in [(PeriodicOperator(s, grid), 0.4) for s in syms] + [
                     (PeriodicOperator(syms[:2], grid), [0.1, 0.7])]:
-                tables = op._joint_tables(op._keys(ts))
+                tables = op.tables(ts)
                 hat = np.stack([np.fft.fftn(random_grid_function(
                     grid, rng).values) for _ in range(2)])
                 kept = hat.copy()
@@ -386,8 +384,7 @@ class TestInPlaceEqualsAllocating:
                     t = ts[k] if isinstance(ts, list) else ts
                     one = PeriodicOperator(
                         op.symbols[k % len(op.symbols)], grid)
-                    reference_apply(one._tables(0, one._key(0, t)), row,
-                                    grid, name, want[k])
+                    reference_apply(one.tables(t), row, grid, name, want[k])
                 assert same_bits(out, want)
                 assert same_bits(getattr(op, name)(ts, values), want)
 

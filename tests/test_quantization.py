@@ -160,9 +160,27 @@ class TestRows:
             for s, t, row, out in zip(syms, ts, stack, got):
                 want = getattr(PeriodicOperator(s, grid32), name)(t, row)
                 assert np.array_equal(out, want)
-        got = op.narrow([0, 2]).apply(ts[::2], stack[::2])
-        assert np.array_equal(got[1], PeriodicOperator(syms[2], grid32).apply(
-            ts[2], stack[2]))
+
+    def test_tables_of_some_rows_are_their_own(self, grid32):
+        # some rows of a t-dependent stack at their own times, as the
+        # stepper and the norm estimators read them: bitwise each row's
+        # one-symbol tables, split included
+        t_cos = ex.mul(ex.add(ex.Const(1.0), ex.CoordT()),
+                       ex.Cos(ex.CoordX(0)), ex.CoordXi(0))
+        syms = [SymbolExpr(root, 1.0, 1)
+                for root in (self.T_SEP, t_cos, self.T_SEP, t_cos)]
+        ts = [0.1, 0.5, 0.25, 0.75]
+        op = PeriodicOperator(syms, grid32)
+        op.tables(ts)                       # every row first
+        for rows in ([0, 2], [1, 2, 3]):
+            got = op.tables([ts[r] for r in rows], rows)
+            for k, r in enumerate(rows):
+                want = PeriodicOperator(syms[r], grid32).tables(ts[r])
+                pairs = [(got.split[1][k], want.split[1])] + [
+                    (a[k], b) for name in ("f", "g")
+                    for a, b in zip(getattr(got, name), getattr(want, name))]
+                for a, b in pairs:
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("root", [T_SEP, FIXED_SEP, T_DENSE])
     def test_one_symbol_time_per_row(self, root, grid32, rng):
@@ -187,10 +205,9 @@ class TestRows:
                                       getattr(op, name)(ts, stack)):
                 want = getattr(PeriodicOperator(s, grid32), name)(t, row)
                 assert np.array_equal(out, want)
-        assert op._of == [0, 1, 0, 0]     # two tables objects, not four
-        # narrowing to row 3 keeps the tables of its symbol a
-        tables = op._tables(op._of[3], 0.25)
-        assert op.narrow([1, 3])._tables(op._of[3], 0.25) is tables
+        # rows 0 and 2 read one tables object, row 1 another
+        assert op.tables(0.5, [0]) is op.tables(0.5, [2])
+        assert op.tables(0.5, [1]) is not op.tables(0.5, [0])
         # rows that all read one tables object broadcast it
         got = PeriodicOperator([b, b, b], grid32).apply(0.0, stack[:3])
         want = PeriodicOperator(b, grid32).apply(0.0, stack[:3])
@@ -353,7 +370,7 @@ class TestApplyRoute:
         values = np.stack([random_grid_function(grid, rng).values
                            for _ in range(2)])
         op.apply_adjoint(0.0, values)       # builds the table, which stays
-        table = op._tables(0, 0.0)
+        table = op.tables(0.0)
         assert not op.separable and table.nbytes == 16 * grid.size ** 2
         tracemalloc.start()
         try:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onewave import expr as ex
+from onewave import symbols
 from onewave.errors import EmptyBox, InsufficientSweep, NonFinite
 from onewave.grid import Grid
 from onewave.regularization import (Mollifier, MollifiedCoefficient,
@@ -332,6 +333,21 @@ class TestClassifiers:
         # eps-independent family: fitted coefficient below 1% of the level
         level = np.mean(verdict["q_values"])
         assert abs(verdict["fitted_coeff"]) <= 0.01 * level
+
+    def test_fixed_symbol_family_samples_its_seminorm_once(
+            self, variable_speed_symbol, monkeypatch):
+        # one member object serves every eps, so Q is sampled once
+        calls = []
+
+        def counted(*args, _q=symbols.seminorm_Q):
+            calls.append(args)
+            return _q(*args)
+        monkeypatch.setattr(symbols, "seminorm_Q", counted)
+        member = HyperbolicSymbol(a1=variable_speed_symbol)
+        verdict = classify_log_type(GenSymbolFamily(lambda eps: member, EPS6),
+                                    0, 1, box_1d(xi_max=128.0))
+        assert len(calls) == 1
+        assert verdict["q_values"] == [verdict["q_values"][0]] * len(EPS6)
 
     def test_log_type_rejects_power_growth(self):
         def member(eps):
