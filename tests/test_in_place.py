@@ -105,6 +105,7 @@ def reference_rk4(stack, members, out):
     step; it stores the snapshots' spectra."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
+    frozen = stack.separable and not any(s.depends_t() for s in stack.symbols)
     if members:
         u = np.fft.fftn(np.stack([m.problem.initial.values
                                   for m in members]), shape, axes)
@@ -117,7 +118,7 @@ def reference_rk4(stack, members, out):
 
     def rhs(ts, v):
         tables = stack.tables(ts, [m.row for m in members])
-        if stack.frozen:
+        if frozen:
             tables = reference_split(tables, grid)[0]
         k = -1j * reference_synth(tables, v, grid)
         for row, (m, t) in enumerate(zip(members, ts)):

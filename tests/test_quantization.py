@@ -205,9 +205,12 @@ class TestRows:
                                       getattr(op, name)(ts, stack)):
                 want = getattr(PeriodicOperator(s, grid32), name)(t, row)
                 assert np.array_equal(out, want)
-        # rows 0 and 2 read one tables object, row 1 another
-        assert op.tables(0.5, [0]) is op.tables(0.5, [2])
-        assert op.tables(0.5, [1]) is not op.tables(0.5, [0])
+        assert op._of == [0, 1, 0, 0]     # two tables objects, not four
+        # rows 0, 2 and 3 (symbol a) read one tables object, row 1 another
+        at = [op.tables(0.5, [r]) for r in range(4)]
+        assert at[0] is at[2] is at[3] and at[1] is not at[0]
+        # row 3 at its own time keeps the tables of its symbol a
+        assert op.tables(0.25, [3]) is op.tables(0.25, [0])
         # rows that all read one tables object broadcast it
         got = PeriodicOperator([b, b, b], grid32).apply(0.0, stack[:3])
         want = PeriodicOperator(b, grid32).apply(0.0, stack[:3])
