@@ -48,7 +48,7 @@ class DataBuilder:
       fixed        eps-independent g (and optional forcing)
       mollified    g_eps = embed_data(g, eps)
       scaled       g_eps = scale(eps) * g, scale in {exp_neg_inv, power}
-      oscillating  g_eps = g * cos(round((1/eps)^gamma) * 2 pi x / L); a
+      oscillating  g_eps = g * cos(round((1/eps)^(1/2)) * 2 pi x / L); a
                    carrier mode at or above the Nyquist mode M/2 is refused
     """
 
@@ -56,7 +56,6 @@ class DataBuilder:
     g: GridFunction | None = None
     forcing: Forcing | None = None
     power: float = 1.0
-    gamma: float = 0.5
 
     def build(self, eps: float, grid: Grid):
         if self.g is None:
@@ -76,7 +75,7 @@ class DataBuilder:
         if self.kind == "scaled_power":
             return (eps ** self.power) * g, f
         if self.kind == "oscillating":
-            k_eps = max(1, int(round((1.0 / eps) ** self.gamma)))
+            k_eps = max(1, int(round((1.0 / eps) ** 0.5)))
             if 2 * k_eps >= grid.points:
                 raise OnewaveError(
                     f"oscillating carrier mode {k_eps} at eps={eps:.3g} "
@@ -360,7 +359,7 @@ def _rebuild_on(data: DataBuilder, fine: Grid, eps: float):
                  for prof, vals in src.terms]
         f_fine = Forcing(fine, terms)
     rebuilt = DataBuilder(kind=data.kind, g=g_fine, forcing=f_fine,
-                          power=data.power, gamma=data.gamma)
+                          power=data.power)
     return rebuilt.build(eps, fine)
 
 

@@ -180,30 +180,27 @@ class PeriodicOperator:
         return out
 
     # -- application -----------------------------------------------------------
-    def apply(self, t, values: np.ndarray, out=None) -> np.ndarray:
-        """op(s) on the rows of ``values`` (..., *grid.shape): at the scalar
-        time t, or row k at t[k].  Writes the result into ``out`` (complex,
-        the shape of values) and returns it, or into a new array when out is
-        None; never writes ``values``, which out must not overlap."""
+    def apply(self, t, values: np.ndarray) -> np.ndarray:
+        """op(s) on the rows of ``values`` (..., *grid.shape), in a new
+        array: at the scalar time t, or row k at t[k]."""
         g = self.grid
-        return self.apply_spectrum(t, np.fft.fftn(values, g.shape, g.axes), out)
+        return self.apply_spectrum(t, np.fft.fftn(values, g.shape, g.axes))
 
-    def apply_spectrum(self, t, hat: np.ndarray, out=None) -> np.ndarray:
+    def apply_spectrum(self, t, hat: np.ndarray) -> np.ndarray:
         """op(s) ifftn(hat), grid values, for the spectra (fftn of grid
-        values) in the rows of ``hat``; t and ``out`` as in apply."""
-        return self._rows(t, hat, _synth, out)
+        values) in the rows of ``hat``; t as in apply."""
+        return self._rows(t, hat, _synth)
 
-    def apply_adjoint(self, t, values: np.ndarray, out=None) -> np.ndarray:
+    def apply_adjoint(self, t, values: np.ndarray) -> np.ndarray:
         """Exact conjugate transpose w.r.t. the discrete L2 inner product;
-        ``out`` as in apply."""
-        out = self._rows(t, values, _analyse, out)
+        t as in apply."""
+        out = self._rows(t, values, _analyse)
         return np.fft.ifftn(out, self.grid.shape, self.grid.axes, out=out)
 
-    def _rows(self, t, v: np.ndarray, half, out) -> np.ndarray:
-        """``half`` (_synth or _analyse) of op(s) on the rows of v, into
-        ``out``: all at once, or dense rows at several times one by one."""
-        if out is None:
-            out = np.empty(np.shape(v), dtype=complex)
+    def _rows(self, t, v: np.ndarray, half) -> np.ndarray:
+        """``half`` (_synth or _analyse) of op(s) on the rows of v, in a new
+        array: all at once, or dense rows at several times one by one."""
+        out = np.empty(np.shape(v), dtype=complex)
         tables = self.tables(t)
         if tables is not None:
             return half(tables, v, self.grid, out)

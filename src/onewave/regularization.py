@@ -1,10 +1,9 @@
 """Moment-vanishing mollifiers and eps-regularization of rough data/symbols.
 
 The mollifier is built in frequency space: its transform is an even smooth
-plateau, identically 1 on |xi| <= 1 and 0 on |xi| >= 1 + transition width
-(default 1).  A flat plateau at the origin makes every moment of order >= 1
-vanish exactly, and spectral embedding of grid data becomes an exact
-multiplier.
+plateau, identically 1 on |xi| <= 1 and 0 on |xi| >= 2.  A flat plateau at
+the origin makes every moment of order >= 1 vanish exactly, and spectral
+embedding of grid data becomes an exact multiplier.
 
 Rough spatial coefficients are stored analytically (breakpoints and values)
 and treated as periodic on their stated period.  Their mollification then has
@@ -42,10 +41,9 @@ class Mollifier:
     """Even real mollifier defined by its frequency-space plateau profile,
     radial, so one serves every dimension."""
 
-    def __init__(self, transition_width: float = 1.0):
-        if transition_width <= 0:
-            raise ValueError("transition width must be positive")
-        self.cutoff_radius = 1.0 + transition_width
+    cutoff_radius = 2.0     # rho_hat is 0 from here on
+
+    def __init__(self):
         self._kernel_cache = None
 
     def profile(self, r):
@@ -220,15 +218,14 @@ class RoughCoefficient:
 class MollifiedCoefficient:
     """Exact finite Fourier series of the omega-mollified rough coefficient."""
 
-    def __init__(self, rough: RoughCoefficient, mollifier: Mollifier,
-                 omega: float):
-        kmax = int(math.floor(mollifier.cutoff_radius * omega *
+    def __init__(self, rough: RoughCoefficient, omega: float):
+        kmax = int(math.floor(Mollifier.cutoff_radius * omega *
                               rough.period / (2.0 * math.pi)))
         if rough.kind == "fourier":
             kmax = min(kmax, int(np.max(np.abs(rough.modes))) if rough.modes.size else 0)
         k = np.arange(-kmax, kmax + 1)
         xi = 2.0 * np.pi * k / rough.period
-        damp = mollifier.profile(np.abs(xi) / omega)
+        damp = Mollifier().profile(np.abs(xi) / omega)
         coeffs = rough.fourier_coeff(k) * damp
         keep = np.abs(coeffs) > 0
         keep[k == 0] = True
@@ -246,7 +243,7 @@ class MollifiedCoefficient:
 
 def embed_data(w, eps: float) -> GridFunction:
     """Spectral embedding w * rho_eps computed as w_hat(xi) * rho_hat(eps xi),
-    rho the default Mollifier.
+    rho the Mollifier.
 
     Exact on the grid for band-limited w; a contraction in L2 because the
     profile is bounded by 1.
@@ -280,19 +277,17 @@ class RoughTransport:
         return len(self.speeds)
 
 
-def regularize_symbol(rough, k: int, eps: float,
-                      mollifier: Mollifier | None = None) -> HyperbolicSymbol:
+def regularize_symbol(rough, k: int, eps: float) -> HyperbolicSymbol:
     """Mollify each rough coefficient at rate omega_of_eps(eps, k) and
     assemble the hyperbolic symbol; x-derivatives stay exact via the
     mollified expression node."""
     if isinstance(rough, RoughCoefficient):
         rough = RoughTransport((rough,))
     dim = rough.dim
-    mollifier = mollifier or Mollifier()
     omega = omega_of_eps(eps, k)
 
     def mollified_node(coeff: RoughCoefficient, axis: int) -> ex.Expr:
-        return ex.MollifiedCoeff(MollifiedCoefficient(coeff, mollifier, omega),
+        return ex.MollifiedCoeff(MollifiedCoefficient(coeff, omega),
                                  axis=axis)
 
     terms = []
@@ -306,9 +301,8 @@ def regularize_symbol(rough, k: int, eps: float,
                             x_independent_outside=rough.x_independent_outside)
 
 
-def regularized_family(rough, k: int, eps_grid,
-                       mollifier: Mollifier | None = None) -> GenSymbolFamily:
-    builder = lambda eps: regularize_symbol(rough, k, eps, mollifier)
+def regularized_family(rough, k: int, eps_grid) -> GenSymbolFamily:
+    builder = lambda eps: regularize_symbol(rough, k, eps)
     return GenSymbolFamily(builder, eps_grid)
 
 

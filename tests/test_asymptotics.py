@@ -248,7 +248,7 @@ class TestGinf:
         envelope = GridFunction(grid256, np.sin(x))
         plan = SweepPlan(
             family=const_family(eps_grid),
-            data=DataBuilder(kind="oscillating", g=envelope, gamma=0.5),
+            data=DataBuilder(kind="oscillating", g=envelope),
             grid=grid256, horizon=0.5,
             orders=((0, (0,)), (0, (1,)), (0, (2,)), (0, (3,)), (0, (4,))))
         rep = check_ginf(plan, run_sweep(plan))

@@ -87,9 +87,9 @@ class TestValidation:
         assert "points" in str(err.value)
 
     def test_field_at_fault_named_inside_check_entry(self):
-        cfg = get_preset("transport_smoke")
-        cfg["checks"][0]["tol"] = "abc"
-        with pytest.raises(ConfigInvalid, match="'checks/0/tol'"):
+        cfg = get_preset("delta_association")
+        cfg["checks"][0]["terminal_tol"] = "abc"
+        with pytest.raises(ConfigInvalid, match="'checks/0/terminal_tol'"):
             validate_config(cfg)
 
     def test_expr_symbol_requires_a1(self):
@@ -136,8 +136,9 @@ class TestExitCodes:
 
     def test_check_failure_is_2(self, tmp_path, capsys):
         cfg = get_preset("transport_smoke")
-        # an unpassable tolerance forces a FAIL line and exit code 2
-        cfg["checks"] = [{"check": "transport_exactness", "tol": 1e-30}]
+        # an x-free symbol has zero defect norms, which defect_stability
+        # FAILs: a FAIL line and exit code 2
+        cfg["checks"] = ["defect_stability"]
         path = tmp_path / "strict.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 2
@@ -191,7 +192,7 @@ class TestExitCodes:
 class TestDeterminism:
     def test_identical_artifacts(self, tmp_path, capsys):
         cfg = get_preset("transport_smoke")
-        cfg["checks"] = [{"check": "transport_exactness", "tol": 1e-6},
+        cfg["checks"] = [{"check": "transport_exactness"},
                          {"check": "energy"}]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -262,14 +263,6 @@ class TestScenarioDataPaths:
         ok, [outcome] = run_scenario(cfg, echo=lambda line: None)
         assert ok, outcome.line()
         assert outcome.number <= 1e-6
-
-    def test_transition_width_from_config(self):
-        cfg = get_preset("piecewise_speed_logtype")
-        cfg["symbol"]["transition_width"] = 2.0
-        ctx = ScenarioContext(cfg)
-        assert ctx.mollifier.cutoff_radius == 3.0
-        member = ctx.family.member(0.01)
-        assert member.dim == 1
 
     def test_log_type_reads_the_sweep_family(self, monkeypatch):
         # the log_type check classifies the very symbols the sweep solves:
@@ -349,8 +342,8 @@ CONFIG_PROBES = {
                      _set(["symbol", "a1", "declared_order"], 2), []),
     "forcing_profile_misspelled": ("transport_smoke", _set(["data", "f"], {
         "kind": "separable", "profile": {"frq": 2.0}, "shape": _X}), []),
-    "tol_not_number": ("transport_smoke",
-                       _set(["checks", 0, "tol"], "abc"), []),
+    "tol_not_number": ("delta_association",
+                       _set(["checks", 0, "terminal_tol"], "abc"), []),
     "max_order_not_int": ("variable_speed_smooth",
                           _set(["checks", 2, "max_order"], "x"), []),
     "expression_without_expr": ("transport_smoke", _set(
@@ -511,12 +504,15 @@ class TestRunPhaseExits:
             "PASS   remainder_stability 3.1")
 
     def test_zero_defect_norm_fails_naming_m(self, tmp_path, capsys):
+        # the bump centred off the grid leaves a zero symbol, whose defect
+        # norm is zero at every M
         cfg = get_preset("adjoint_remainder_desk")
-        cfg["checks"] = [{"check": "defect_stability", "points": [2, 4]}]
+        cfg["symbol"]["a1"]["expr"]["children"][0]["center"] = -3.0
+        cfg["checks"] = ["defect_stability"]
         assert self._run(cfg, tmp_path) == 2
         out = capsys.readouterr().out
         assert out.startswith("FAIL   defect_stability")
-        assert "zero at M=[2" in out
+        assert "zero at M=[64, 128, 256]" in out
 
 
 class TestConfigContract:
@@ -535,6 +531,27 @@ class TestConfigContract:
         args = build_parser().parse_args(["run", str(path), *flags])
         path.write_text(json.dumps(_apply_overrides(cfg, args)))
         assert main(["validate", str(path)]) == 3
+
+    # values that no shipped config changed are constants now: a config
+    # that still sets one is refused, naming the key
+    @pytest.mark.parametrize("preset, path", [
+        ("transport_smoke", ["checks", 0, "tol"]),
+        ("transport_smoke", ["checks", 1, "tol"]),
+        ("adjoint_remainder_desk", ["checks", 0, "tol"]),
+        ("adjoint_remainder_desk", ["checks", 1, "rel_tol"]),
+        ("adjoint_remainder_desk", ["checks", 2, "rel_change"]),
+        ("adjoint_remainder_desk", ["checks", 3, "points"]),
+        ("adjoint_remainder_desk", ["checks", 3, "max_ratio"]),
+        ("piecewise_speed_logtype", ["symbol", "transition_width"]),
+        ("ginf_regularity", ["data", "gamma"]),
+        ("ginf_regularity", ["checks", 1, "data", "gamma"])])
+    def test_deleted_key_is_named(self, preset, path, tmp_path, capsys):
+        cfg = get_preset(preset)
+        _set(path, 1.0)(cfg)
+        source = tmp_path / "cfg.json"
+        source.write_text(json.dumps(cfg))
+        assert main(["run", str(source)]) == 3
+        assert f"'{path[-1]}' was unexpected" in capsys.readouterr().err
 
     def test_unread_expression_key_is_named(self):
         cfg = get_preset("adjoint_remainder_desk")

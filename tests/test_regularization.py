@@ -187,7 +187,6 @@ class TestRoughCoefficients:
 
 class TestMollifiedCoefficient:
     def setup_method(self):
-        self.moll = Mollifier()
         self.pc = RoughCoefficient("piecewise_constant", TWO_PI,
                                    breakpoints=[1.0, 4.0], values=[2.0, 1.0])
 
@@ -205,14 +204,14 @@ class TestMollifiedCoefficient:
 
     def test_value_matches_convolution_oracle(self):
         omega = 4.0
-        mc = MollifiedCoefficient(self.pc, self.moll, omega)
+        mc = MollifiedCoefficient(self.pc, omega)
         xf, conv = self._conv_oracle(self.pc, omega)
         x = np.linspace(0, TWO_PI, 257, endpoint=False)
         assert np.max(np.abs(mc.eval(x) - np.interp(x, xf, conv))) <= 5e-4
 
     def test_derivative_matches_convolution_oracle(self):
         omega = 4.0
-        mc = MollifiedCoefficient(self.pc, self.moll, omega)
+        mc = MollifiedCoefficient(self.pc, omega)
         xf, conv = self._conv_oracle(self.pc, omega, order=1)
         x = np.linspace(0, TWO_PI, 257, endpoint=False)
         scale = np.max(np.abs(conv))
@@ -221,7 +220,7 @@ class TestMollifiedCoefficient:
     def test_derivative_sup_grows_linearly_in_omega(self):
         y = np.linspace(0.0, self.pc.period, 4096, endpoint=False)
         sups = {om: np.max(np.abs(
-                    MollifiedCoefficient(self.pc, self.moll, om).eval(y, 1)))
+                    MollifiedCoefficient(self.pc, om).eval(y, 1)))
                 for om in (2.0, 4.0, 8.0)}
         for om, s in sups.items():
             assert s / om == pytest.approx(0.5, abs=0.05)
@@ -231,7 +230,7 @@ class TestMollifiedCoefficient:
                                breakpoints=[0.0], values=[3.0])
         x = np.linspace(0, TWO_PI, 97)
         for om in (0.7, 2.0, 9.0):
-            mc = MollifiedCoefficient(cst, self.moll, om)
+            mc = MollifiedCoefficient(cst, om)
             assert np.max(np.abs(mc.eval(x) - 3.0)) <= 1e-12
 
     def test_smooth_coefficient_converges(self):
@@ -241,7 +240,7 @@ class TestMollifiedCoefficient:
                                  coeffs=[-0.5j, 0.5j])
         x = np.linspace(0, TWO_PI, 257, endpoint=False)
         for om, bound in ((0.6, 10.0 / 0.6 ** 2), (1.5, 1e-12), (4.0, 1e-12)):
-            diff = np.max(np.abs(MollifiedCoefficient(sin_c, self.moll, om)
+            diff = np.max(np.abs(MollifiedCoefficient(sin_c, om)
                                  .eval(x) - np.sin(x)))
             assert diff <= bound
 

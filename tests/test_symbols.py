@@ -11,8 +11,7 @@ from onewave import expr as ex
 from onewave import symbols
 from onewave.errors import EmptyBox, InsufficientSweep, NonFinite
 from onewave.grid import Grid
-from onewave.regularization import (Mollifier, MollifiedCoefficient,
-                                    RoughCoefficient)
+from onewave.regularization import MollifiedCoefficient, RoughCoefficient
 from onewave.symbols import (GenSymbolFamily, HyperbolicSymbol, SampleBox,
                              SymbolExpr, classify_log_type,
                              classify_slow_scale, seminorm_Q,
@@ -105,8 +104,7 @@ class TestTreeDifferentiation:
 
 
 def _mollified(rough_json, omega):
-    return MollifiedCoefficient(RoughCoefficient.from_json(rough_json),
-                                Mollifier(), omega)
+    return MollifiedCoefficient(RoughCoefficient.from_json(rough_json), omega)
 
 
 class TestParse:
