@@ -183,8 +183,8 @@ class EnergyLedger:
 
     def gronwall_bound(self, c: float | None = None) -> np.ndarray:
         c = self.c_measured if c is None else c
-        base = self.u_norm_sq[0] + self.forcing_integral()
-        return base * np.exp(c * self.times)
+        return _gronwall(self.u_norm_sq[0] + self.forcing_integral(), c,
+                         self.times)
 
     def validate(self):
         n = len(self.times)
@@ -215,6 +215,15 @@ class SolveResult:
         """u(T), read-only, from the last spectrum alone."""
         return GridFunction(self.grid, _read_only(np.fft.ifftn(
             self.spectra[-1], self.grid.shape, self.grid.axes)))
+
+
+def _gronwall(base: float, c: float, times) -> np.ndarray:
+    """base * e^(c t) at each of ``times``; +inf, without a warning, where
+    e^(c t) overflows and base > 0: a bound past the float range is true
+    but vacuous, not an error."""
+    with np.errstate(over="ignore"):
+        growth = np.exp(c * np.asarray(times))
+    return base * growth if base else np.zeros_like(growth)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -346,8 +355,11 @@ class _Member:
         if not math.isfinite(nsq):
             return NonFinite(f"solution norm non-finite at t={tn:.4g}")
         skew, c_meas = self.norms
-        bound = INSTABILITY_FACTOR * max(self.guard_base, 1e-300) * \
-            math.exp(c_meas * tn)
+        try:
+            growth = math.exp(c_meas * tn)
+        except OverflowError:       # the guard bounds nothing
+            growth = math.inf
+        bound = INSTABILITY_FACTOR * max(self.guard_base, 1e-300) * growth
         if self.guard_base > 0 and nsq > bound:
             return UnstableStep(
                 f"norm^2 {nsq:.3e} exceeds {INSTABILITY_FACTOR}x Gronwall "
@@ -475,10 +487,12 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
                         seed=0) -> dict:
     """Reduced-order semi-norm constants for the tagged special cases.
 
-    case b (multiplier outside a radius) uses k=1, l=n+2, k'=0, l'=n+1;
-    case c (real symbol) drops the a0 term.  Each applicable case must still
-    dominate the measured constant and the measured trajectory growth.
-    Inapplicable cases are reported with a reason.
+    case b (multiplier outside a radius: the x_independent_outside tag,
+    checked on samples by outside_tag_refusal) uses k=1, l=n+2, k'=0,
+    l'=n+1; case c (real symbol) drops the a0 term, at case b's orders if
+    case b applies.  Each applicable case must still dominate the measured
+    constant and the measured trajectory growth.  Inapplicable cases are
+    reported with a reason.
     """
     ledger = result.ledger
     grid = problem.grid
@@ -488,7 +502,8 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
         return math.isfinite(c) and _under_bound(ledger.u_norm_sq,
                                                  ledger.gronwall_bound(c))
 
-    if problem.symbol.x_independent_outside is not None:
+    refusal = problem.symbol.outside_tag_refusal(grid, problem.horizon)
+    if refusal is None:
         c_b = seminorm_constant(problem.symbol, grid, problem.horizon,
                                 case="b")
         report["case_b"] = {"applicable": True, "c_seminorm": c_b,
@@ -496,11 +511,10 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
                                 c_b, ledger.c_measured),
                             "gronwall_ok": gronwall_ok(c_b)}
     else:
-        report["case_b"] = {"applicable": False,
-                            "reason": "x_independent_outside tag missing"}
+        report["case_b"] = {"applicable": False, "reason": refusal}
 
     if problem.symbol.is_real(grid, problem.horizon):
-        base_case = "b" if problem.symbol.x_independent_outside is not None else "a"
+        base_case = "b" if refusal is None else "a"
         c_c = seminorm_constant(HyperbolicSymbol(problem.symbol.a1), grid,
                                 problem.horizon, case=base_case)
         # real a0 contributes only through its adjoint defect (zero for a
@@ -559,7 +573,7 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
                 acc -= 1j * coeff * ops[beta].apply_spectrum(snap_t, hats[low])
         h_vals = grid.norm_sq(acc)
         h_int = float(np.trapezoid(h_vals, snap_t))
-        bound = (v_norm_sq[0] + h_int) * np.exp(c_meas * snap_t)
+        bound = _gronwall(v_norm_sq[0] + h_int, c_meas, snap_t)
         report[alpha] = {
             "times": snap_t, "v_norm_sq": v_norm_sq, "H": h_vals,
             "H_integral": h_int, "bound": bound,

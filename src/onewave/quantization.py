@@ -701,10 +701,10 @@ def check_remainder_estimate(s: SymbolExpr, length: float,
     box = SampleBox(1, length, x_count=9, xi_max=64.0, xi_uniform_count=5)
     pairs = [(xi, float(theta)) for xi in (0.0, 1.0, 4.0, 16.0, 64.0)
              for theta in np.linspace(0.0, 1.0, 5)]
-    lhs = 0.0
-    for xp in box.x_points()[:, 0]:
-        for val in _r_theta(trees, 0.0, float(xp), pairs, refined):
-            lhs = max(lhs, abs(val))
+    # np.max keeps a NaN; max(0.0, nan) is 0.0
+    lhs = float(np.max([abs(val) for xp in box.x_points()[:, 0]
+                        for val in _r_theta(trees, 0.0, float(xp), pairs,
+                                            refined)]))
     rhs = seminorm_Q(s, 0, 3, 3, box)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": ratio}

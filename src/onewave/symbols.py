@@ -3,9 +3,9 @@
 A :class:`SymbolExpr` wraps a differentiable expression tree with its declared
 growth order m and spatial dimension.  Semi-norm suprema over (x, xi) are
 approximated by sampled maxima (uniform x grid, uniform + dyadic xi ladder)
-and are therefore reported as lower bounds of the true suprema; every
-downstream check uses the same sampling recipe so comparisons stay
-consistent.
+and are therefore reported as lower bounds of the true suprema.  The recipe
+is shared, but each verdict samples its own box (docs/symbol_schema.md lists
+them), so two verdicts compare lower bounds at different resolutions.
 """
 
 from __future__ import annotations
@@ -291,10 +291,43 @@ class HyperbolicSymbol:
         also needs a0 real)."""
         if self.a0 is None:
             return True
-        box = SampleBox(self.dim, grid.length, x_count=33,
-                        xi_uniform_count=9, xi_max=grid.max_abs_xi())
+        box = _grid_box(grid)
         return all(check_real_valued(self.a0, box, t)
                    for t in self.sample_times(horizon))
+
+    def outside_tag_refusal(self, grid: Grid, horizon: float) -> str | None:
+        """None when the ``x_independent_outside`` tag r0 holds on is_real's
+        samples, else why not: some sample x lies at least r0 from the
+        domain midpoint, and there every first x-derivative of the full
+        symbol vanishes, |d_x a| <= 1e-14 (1 + max|a|) (check_real_valued's
+        rule), at the sample times on [0, horizon]."""
+        r0 = self.x_independent_outside
+        if r0 is None:
+            return "x_independent_outside tag missing"
+        box = _grid_box(grid)
+        x, xi = box.x_points(), box.xi_points()
+        far = x[np.linalg.norm(x - grid.length / 2.0, axis=1) >= r0]
+        if far.size == 0:
+            return f"no sample x lies {r0:g} or more from the midpoint"
+        dx = [self._full.derivative_root(0, None, beta)
+              for beta in multi_indices(self.dim, 1) if sum(beta)]
+
+        def sup(node, t):
+            return np.max(np.abs(_eval_on_box(node, t, far, xi, self.dim)))
+        for t in self.sample_times(horizon):
+            tol = 1e-14 * (1.0 + sup(self._full.root, t))
+            # written so that NaN fails the comparison
+            if not all(sup(node, t) <= tol for node in dx):
+                return (f"the symbol varies in x {r0:g} or more from the "
+                        "midpoint")
+        return None
+
+
+def _grid_box(grid: Grid) -> SampleBox:
+    """The sample box of is_real and outside_tag_refusal: 33 x points per
+    axis on the grid's domain, the grid's frequencies up to its largest."""
+    return SampleBox(grid.dim, grid.length, x_count=33, xi_uniform_count=9,
+                     xi_max=grid.max_abs_xi())
 
 
 def check_real_valued(s: SymbolExpr, box: SampleBox, t: float) -> bool:

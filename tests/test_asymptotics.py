@@ -22,7 +22,8 @@ from onewave.presets import get_preset
 from onewave.quantization import (PeriodicOperator, adjoint_defect_norm,
                                   adjoint_defect_norms, operator_norm,
                                   operator_norms, stacks)
-from onewave.regularization import (RoughCoefficient, RoughTransport,
+from onewave.regularization import (MollifiedCoefficient, RoughCoefficient,
+                                    RoughTransport, omega_of_eps,
                                     regularized_family)
 from onewave.scenario import run_scenario
 from onewave.symbols import (GenSymbolFamily, HyperbolicSymbol, SymbolExpr,
@@ -135,6 +136,30 @@ class TestGronwallFitDominance:
         cfg["grid"]["points"] = 64
         _, calls = self._run(cfg, monkeypatch)
         assert len(calls) == 1
+
+
+class TestRoughZeroOrder:
+    def test_piecewise_zero_order_runs_the_sweep_checks(self):
+        # no preset builds symbol.zero_order: each member's a0 is the
+        # mollified coefficient along x0, and the sweep checks pass on it
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 64
+        cfg["symbol"]["zero_order"] = {
+            "kind": "piecewise_constant", "period": TWO_PI,
+            "breakpoints": [1.0, 3.0], "values": [0.5, -0.25]}
+        ctx = scenario.ScenarioContext(cfg)
+        outcomes = [check(ctx) for check in ctx.checks]
+        assert [o.name for o in outcomes if o.ok] == [
+            "log_type", "gronwall_fit", "moderateness"]
+        _, report = ctx.sweep()
+        assert report.eps == ctx.eps_grid and not report.incomplete
+        x = ctx.grid.x_axis()
+        rough = ctx.rough_transport.zero_order
+        for eps in ctx.eps_grid:
+            a0 = ctx.family.member(eps).a0
+            want = MollifiedCoefficient(rough, omega_of_eps(eps, 1)).eval(x)
+            assert np.array_equal(a0.eval(0.0, (x,), (np.zeros_like(x),)),
+                                  want)
 
 
 class TestNegligible:

@@ -1,5 +1,6 @@
 """Fixed-eps solves: exactness, stability policy, energy bookkeeping."""
 
+import json
 import math
 import os
 import subprocess
@@ -21,6 +22,8 @@ from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
 from onewave.quantization import (PeriodicOperator, adjoint_defect_norm,
                                   operator_norms)
+from onewave.regularization import (RoughCoefficient, RoughTransport,
+                                    regularize_symbol)
 from onewave.symbols import HyperbolicSymbol, SymbolExpr
 
 TWO_PI = 2.0 * np.pi
@@ -415,6 +418,31 @@ class TestCaseVariants:
         assert rep["case_b"]["dominates_measured"]
         assert rep["case_b"]["gronwall_ok"]
 
+    @pytest.mark.parametrize("tag, reason", [
+        (0.0, "the symbol varies in x 0 or more from the midpoint"),
+        (1e9, "no sample x lies 1e+09 or more from the midpoint")],
+        ids=["radius_0", "radius_1e9"])
+    def test_false_tag_not_case_b(self, tag, reason):
+        # (2 + sin x) xi is a multiplier nowhere: the tag is checked on
+        # samples, so case b does not apply whatever its radius
+        cfg = get_preset("variable_speed_smooth")
+        cfg["grid"]["points"] = 128
+        cfg["symbol"]["x_independent_outside"] = tag
+        cfg["checks"] = ["case_variants"]
+        ok, [outcome] = scenario.run_scenario(cfg, echo=lambda line: None)
+        assert ok, outcome.line()
+        assert f"case_b: n/a ({reason})" in outcome.message
+
+    def test_tagged_rough_family_not_case_b(self, grid32):
+        # a mollified member is a trigonometric polynomial in x, so it is
+        # constant on no interval
+        pc = RoughCoefficient("piecewise_constant", TWO_PI,
+                              breakpoints=[2.0, 4.3], values=[2.0, 1.0])
+        member = regularize_symbol(RoughTransport(
+            speeds=(pc,), x_independent_outside=0.0), 1, 1e-3)
+        assert member.outside_tag_refusal(grid32, 1.0) == \
+            "the symbol varies in x 0 or more from the midpoint"
+
     def test_real_symbol_case_c(self, grid256):
         c = ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0)))
         a1 = SymbolExpr(ex.mul(c, ex.CoordXi(0)), 1.0, 1)
@@ -535,6 +563,60 @@ class TestCaseVariants:
         prob = transport_problem(grid32)
         with pytest.raises(ValueError, match="unknown case 'x'"):
             seminorm_constant(prob.symbol, grid32, prob.horizon, case="x")
+
+
+# a forced member with a t-dependent, non-separable symbol, which CI runs
+# too: its case-c semi-norm constant is ~1e13
+STEPPER_PATHS = Path(__file__).resolve().parent / "forced_dense_t_dependent.json"
+
+
+class TestGronwallOverflow:
+    """A Gronwall bound past the float range is +inf, true but vacuous: the
+    run ends in a verdict, with no warning (an error under the suite's
+    filter) and no exception."""
+
+    def test_bound_overflows_to_inf_and_zero_stays_zero(self):
+        times = np.array([0.0, 400.0, 800.0])
+        ledger = cauchy.EnergyLedger(times, np.array([2.0, 2.0, 2.0]),
+                                     np.zeros(3), 0.0, 1.0)
+        assert ledger.gronwall_bound().tolist() == [2.0, 2.0 * math.exp(400),
+                                                    math.inf]
+        zero = cauchy.EnergyLedger(times, np.zeros(3), np.zeros(3), 0.0, 1.0)
+        assert zero.gronwall_bound().tolist() == [0.0, 0.0, 0.0]
+
+    def test_long_horizon_transport(self):
+        # one automatic step of 800: the solve's guard, the ledger's bound
+        # and the cascade's bound each reach e^800
+        cfg = get_preset("transport_smoke")
+        cfg.update(horizon=800.0, dt=None)
+        cfg["checks"].append({"check": "cascade_bounds", "max_order": 1})
+        ok, outcomes = scenario.run_scenario(cfg, echo=lambda line: None)
+        assert ok, [o.line() for o in outcomes]
+        problem, result = scenario.ScenarioContext(cfg).solve()
+        assert result.ledger.gronwall_bound()[-1] == math.inf
+        cascade = derivative_cascade(problem, result, max_order=1)
+        assert cascade[(1,)]["bound"][-1] == math.inf
+
+    def test_case_c_constant_of_1e10(self):
+        # the checked-in config without its t factor, at M=32: one semi-norm
+        # time, so the run stays short
+        cfg = json.loads(STEPPER_PATHS.read_text())
+        cfg["grid"]["points"] = 32
+        cfg["symbol"]["a1"]["expr"]["children"][0]["children"].pop(0)
+        cfg["checks"] = ["case_variants"]
+        ctx = scenario.ScenarioContext(cfg)
+        [outcome] = [check(ctx) for check in ctx.checks]
+        assert outcome.ok, outcome.line()
+        problem, result = ctx.solve()
+        case_c = check_case_variants(problem, result)["case_c"]
+        assert case_c["c_seminorm"] > 1e10
+        assert case_c["gronwall_ok"]
+
+    def test_checked_in_config_builds(self):
+        ctx = scenario.ScenarioContext(json.loads(STEPPER_PATHS.read_text()))
+        symbol = ctx.fixed_symbol.full()
+        assert ctx.forcing.terms and symbol.depends_t()
+        assert not PeriodicOperator(symbol, ctx.grid).separable
 
 
 class TestCascade:

@@ -14,6 +14,7 @@ from onewave import expr as ex
 from onewave.config import TRAJECTORY_STRIDE
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
+from onewave.presets import get_preset
 from onewave.profiles import plateau
 from onewave.quantization import (LAM, PeriodicOperator,
                                   _contract, _kernel, _r_theta,
@@ -23,6 +24,7 @@ from onewave.quantization import (LAM, PeriodicOperator,
                                   check_remainder_estimate, op_matrix,
                                   operator_norm, power_iteration,
                                   symbol_from_matrix)
+from onewave.scenario import run_scenario
 from onewave.symbols import (HyperbolicSymbol, SampleBox, SymbolExpr,
                              seminorm_Q)
 
@@ -569,6 +571,25 @@ class TestOscillatoryRemainder:
     def test_estimate_x_independent(self, xi_symbol):
         rep = check_remainder_estimate(xi_symbol, TWO_PI)
         assert rep["lhs"] == 0.0 and rep["ratio"] == 0.0
+
+    @pytest.fixture
+    def nan_total(self, monkeypatch):
+        """The kernel with sum(K) NaN: xi's integrand trees are constant
+        zeros, whose contraction is 0 * sum(K)."""
+        def kernel(refined):
+            return _kernel(refined)._replace(total=complex(math.nan))
+        monkeypatch.setattr(quantization, "_kernel", kernel)
+
+    def test_nan_remainder_is_kept(self, xi_symbol, nan_total):
+        assert math.isnan(abs(adjoint_symbol_remainder(xi_symbol, 0.0, 1.0,
+                                                       0.0)))
+        assert math.isnan(check_remainder_estimate(xi_symbol, TWO_PI)["lhs"])
+
+    def test_nan_remainder_fails_remainder_xindep(self, nan_total):
+        cfg = get_preset("adjoint_remainder_desk")
+        cfg["checks"] = ["remainder_xindep"]
+        ok, [outcome] = run_scenario(cfg, echo=lambda line: None)
+        assert not ok and math.isnan(outcome.number)
 
     def test_estimate_stable_under_refinement(self, bump_speed_symbol):
         base = check_remainder_estimate(bump_speed_symbol, TWO_PI)
