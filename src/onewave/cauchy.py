@@ -231,11 +231,17 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _upper_end(est) -> float:
+    """What a Gronwall constant reads of a NormEstimate: its certified
+    upper end where one is known, else its Rayleigh estimate."""
+    return est.value if est.upper is None else est.upper
+
+
 def _measure_norms(problems, grid: Grid, seed) -> list:
     """Per problem, (skew, Gronwall constant 1 + skew + 2 a0 norm): the max
-    over its symbol's sample times of its a1 skew-defect norm and of its a0
-    norm, each estimator run once over the stack of all problems and
-    sample times."""
+    over its symbol's sample times of the upper end (_upper_end) of its a1
+    skew-defect norm and of its a0 norm, each estimator run once over the
+    stack of all problems and sample times."""
     syms = [p.symbol for p in problems]
     pairs = [(i, t) for i, p in enumerate(problems)
              for t in p.symbol.sample_times(p.horizon)]
@@ -246,7 +252,7 @@ def _measure_norms(problems, grid: Grid, seed) -> list:
                 if getattr(syms[i], part) is not None]
         for (i, _), est in zip(used, estimate(
                 [(getattr(syms[i], part), t) for i, t in used], grid, seed)):
-            norms[part][i] = max(norms[part][i], est.value)
+            norms[part][i] = max(norms[part][i], _upper_end(est))
     return [(skew, 1.0 + skew + 2.0 * a0n)
             for skew, a0n in zip(norms["a1"], norms["a0"])]
 
@@ -254,7 +260,13 @@ def _measure_norms(problems, grid: Grid, seed) -> list:
 def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
                       case: str = "a") -> float:
     """C * (1 + Q^0_{0,k',l'}(a0) + Q^1_{0,k,l}(a1)) at the orders of
-    estimate case "a" or "b"; the a0 term is 0 without an a0."""
+    estimate case "a" or "b"; the a0 term is 0 without an a0.  Computed
+    once per (a0 object, grid, horizon, case) and kept on the a1 object, so
+    the checks of a scenario that ask for one constant share it."""
+    known = symbol.a1._seminorm_constants
+    key = (symbol.a0, grid, float(horizon), case)
+    if key in known:
+        return known[key]
     dim = symbol.dim
     orders = case_orders(dim, case)
     C = CALIBRATED_C[dim]
@@ -268,7 +280,8 @@ def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
     if symbol.a0 is not None:
         q0 = seminorm_Q(symbol.a0, 0, orders["k_prime"], orders["l_prime"],
                         box)
-    return C * (1.0 + q0 + q1)
+    known[key] = C * (1.0 + q0 + q1)
+    return known[key]
 
 
 def solve_fixed_eps(problem: CauchyProblem, dt: float | None = None,
@@ -522,7 +535,7 @@ def check_case_variants(problem: CauchyProblem, result: SolveResult,
         # the defect is the max over the times the ledger's norms sample
         defect_a0 = 0.0
         if problem.symbol.a0 is not None:
-            defect_a0 = max(est.value for est in adjoint_defect_norms(
+            defect_a0 = max(_upper_end(est) for est in adjoint_defect_norms(
                 [(problem.symbol.a0, t)
                  for t in problem.symbol.sample_times(problem.horizon)],
                 grid, seed))

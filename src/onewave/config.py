@@ -16,6 +16,9 @@ MAX_DIFF_ORDER = 6
 # Power iteration defaults (deterministic start vector from the run seed).
 POWER_ITERS = 50
 POWER_RTOL = 1e-6
+# A row whose norm has a certified upper end stops once its estimate is
+# within this fraction of it (the bracket closes).
+BRACKET_WIDTH = 0.01
 
 # RK4 stability policy: dt * sup|R| <= CFL_MARGIN, R the rest after the
 # Lawson step's exact multiplier, or dt * sup|a| for a forced, t-dependent

@@ -23,7 +23,10 @@ of A - A^dagger, or of A and then A^dagger, takes one batched ifftn and one
 batched fftn call.  A - A^dagger takes a separable symbol's Fourier
 multiplier share d (_Terms.split, the one split of op(s), which the time
 stepper reads too) exactly and transforms only the rest, so a real x-free
-symbol's defect is exactly 0.
+symbol's defect is exactly 0.  Each estimate carries a certified upper end
+read from the tables where one is known (a transport symbol's defect, an
+x-only symbol's norm and defect: _skew_upper, _operator_upper), and its row
+stops once the estimate is within BRACKET_WIDTH of it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .config import POWER_ITERS, POWER_RTOL
+from .config import BRACKET_WIDTH, POWER_ITERS, POWER_RTOL
 from .errors import BoxTooSmall, DimensionMismatch, TooLarge
 from .grid import Grid
 from .profiles import _gl_nodes, plateau
@@ -380,11 +383,13 @@ def symbol_from_matrix(matrix: np.ndarray, grid: Grid) -> np.ndarray:
     return (matrix @ E) / E
 
 
-def power_iteration(apply_hermitian, v):
+def power_iteration(apply_hermitian, v, stops):
     """Largest eigenvalues of a stack of Hermitian PSD operators by one power
     iteration; ``apply_hermitian(rows, w)`` applies those of ``rows``
     (indices into the stack) to the rows of w.  Row k starts from v[k],
-    normalized in place, and stops on its own test, then leaves the stack.
+    normalized in place, and stops on its own test, then leaves the stack:
+    its Rayleigh value reaches stops[k] (a float, or None for no such
+    test), or changes by at most POWER_RTOL relative.
     Returns (eigenvalue_estimate, converged, iterations_used) per row.
     """
     for row in v:
@@ -400,8 +405,9 @@ def power_iteration(apply_hermitian, v):
             nw = np.linalg.norm(w[k].ravel())
             if nw == 0.0:
                 out[i] = (0.0, True, it)
-            elif lam_prev is not None and abs(lam[i] - lam_prev) <= \
-                    POWER_RTOL * max(abs(lam[i]), 1e-300):
+            elif (stops[i] is not None and lam[i] >= stops[i]) or (
+                    lam_prev is not None and abs(lam[i] - lam_prev) <=
+                    POWER_RTOL * max(abs(lam[i]), 1e-300)):
                 out[i] = (max(lam[i], 0.0), True, it)
             else:
                 w[k] /= nw
@@ -414,9 +420,16 @@ def power_iteration(apply_hermitian, v):
 
 @dataclass(frozen=True)
 class NormEstimate:
+    """A band norm: ``value`` the power iteration's Rayleigh estimate, a
+    lower end; ``upper`` a certified upper end read from the tables
+    (_skew_upper, _operator_upper), or None where none is known.
+    ``converged`` once value >= (1 - BRACKET_WIDTH) upper, the bracket
+    closed, or value moved by at most POWER_RTOL relative."""
+
     value: float
     converged: bool
     iterations: int
+    upper: float | None
 
 
 def _start(seed, grid: Grid) -> np.ndarray:
@@ -441,27 +454,118 @@ def _band_mask(grid: Grid) -> np.ndarray:
     return mag <= 0.5 * grid.max_abs_xi() + 1e-12
 
 
-def _band_norms(pairs, grid: Grid, seed, gram) -> list:
+def _band_norms(pairs, grid: Grid, seed, gram, upper) -> list:
     """Square root of the top eigenvalue of gram(tables, hat, grid, mask), a
     Hermitian PSD product of op(s) at time t and the band projector, acting
     on a stack of spectra ``hat`` (fftn of grid values), per (s, t) in
-    ``pairs``.  One power iteration runs over the stack of each table
-    layout, every row starting from the spectrum of one complex normal draw
-    from ``seed``, as a one-member estimate does; each distinct (symbol
-    object, t) pair is estimated once and shared by the pairs that repeat
-    it."""
+    ``pairs``, with its upper end upper(s, tables) (a norm, or None) for
+    separable tables.  One power iteration runs over the stack of each
+    table layout, every row starting from the spectrum of one complex
+    normal draw from ``seed``, as a one-member estimate does, and stopping
+    once its estimate is within BRACKET_WIDTH of its upper end, if it has
+    one; each distinct (symbol object, t) pair is estimated once and shared
+    by the pairs that repeat it."""
     mask = _band_mask(grid)
     once, slot = _distinct(pairs, lambda pair: (id(pair[0]), float(pair[1])))
     out = [None] * len(once)
     for rows, stack in stacks([s for s, _ in once], grid):
         ts = [once[i][1] for i in rows]
+        # the tables the first iteration reads, each (symbol, t) built once
+        tables = stack.tables(ts, range(len(rows))) if stack.separable \
+            else None
+        tops = [None if tables is None else upper(once[i][0], _row(
+            tables, k, grid)) for k, i in enumerate(rows)]
         found = power_iteration(
             lambda live, hat: gram(stack.tables([ts[k] for k in live], live),
                                    hat, grid, mask),
-            np.stack([_start(seed, grid)] * len(rows)))
-        for i, (lam, ok, used) in zip(rows, found):
-            out[i] = NormEstimate(math.sqrt(max(lam, 0.0)), ok, used)
+            np.stack([_start(seed, grid)] * len(rows)),
+            [None if top is None else ((1.0 - BRACKET_WIDTH) * top) ** 2
+             for top in tops])
+        for i, top, (lam, ok, used) in zip(rows, tops, found):
+            out[i] = NormEstimate(math.sqrt(max(lam, 0.0)), ok, used, top)
     return [out[k] for k in slot]
+
+
+def _row(tables, k: int, grid: Grid):
+    """Row k of separable tables stacked per row; one symbol's tables,
+    which have no row axis, serve every row."""
+    if tables.f[0].ndim == grid.dim:
+        return tables
+    return _Terms([f_m[k] for f_m in tables.f], [g_m[k] for g_m in tables.g],
+                  grid.dim)
+
+
+def _x_values(tables) -> np.ndarray:
+    """The grid values a(x_j) of an x-only symbol, whose xi-tables are
+    constant."""
+    return sum(f_m * g_m for f_m, g_m in zip(tables.f, tables.g))
+
+
+def _transport_axis(g_m: np.ndarray, grid: Grid):
+    """(a, kappa) when the xi-table g_m equals kappa xi_a at every grid
+    frequency to 1e-12 relative (transport_speed's test), else None."""
+    for a, xi_a in enumerate(np.broadcast_arrays(*grid.xi_mesh())):
+        top = np.unravel_index(np.argmax(np.abs(xi_a)), xi_a.shape)
+        kappa = g_m[top] / xi_a[top]
+        # written so that NaN and inf fail the comparison
+        if np.all(np.abs(g_m - kappa * xi_a) <= 1e-12 * np.abs(kappa * xi_a)):
+            return a, kappa
+    return None
+
+
+def _skew_upper(s: SymbolExpr, tables, grid: Grid) -> float | None:
+    """A certified upper end of ||P B P||, B = op(s) - op(s)^dagger, from
+    the separable tables of s.
+
+    An x-only s is the multiplication by a(x_j): max_j |a - conj a|.
+    Otherwise each term of the split's rest R that varies in x must be
+    kappa f_m(x) xi_a with kappa f_m real on the grid; those sum per axis
+    to c_a, whose spectrum splits into lo (every |k_b| < M/4) and hi (the
+    rest).  On the band |xi| <= M/4 nothing of lo aliases, so its share of
+    P B P is the multiplication by i div c_lo, and each hi share is at most
+    max|c_a,hi| times the band's largest |xi|, once from each side:
+    U = max_j |sum_a d_a c_a,lo| + (M/2)(2 pi/L) sum_a max_j |c_a,hi|, plus
+    the multiplier d's exact share, the band's max |d - conj d|.  None for
+    any other symbol."""
+    if not s.root.depends_xi():
+        a = _x_values(tables)
+        return float(np.max(np.abs(a - np.conjugate(a))))
+    rest, d = tables.split
+    coeffs = {}
+    for f_m, g_m in zip(rest.f, rest.g):
+        if not np.any(f_m):         # x-free: in d exactly
+            continue
+        found = _transport_axis(g_m, grid)
+        if found is None:
+            return None
+        axis, kappa = found
+        c = kappa * f_m
+        if not np.max(np.abs(c.imag)) <= 1e-12 * np.max(np.abs(c)):
+            return None
+        coeffs[axis] = coeffs.get(axis, 0.0) + c
+    share = float(np.max(np.abs(d - np.conjugate(d)) * _band_mask(grid)))
+    if not coeffs:
+        return share
+    axes = sorted(coeffs)
+    c = np.stack([coeffs[a] for a in axes])
+    xim = np.broadcast_arrays(*grid.xi_mesh())
+    k = np.rint(np.asarray(xim) * (grid.length / (2.0 * np.pi)))
+    hat = np.fft.fftn(c.real, grid.shape, grid.axes) * \
+        np.all(np.abs(k) < grid.points / 4.0, axis=0)
+    lo = np.fft.ifftn(np.concatenate([hat, [1j * xim[a] * h for a, h in
+                                            zip(axes, hat)]]),
+                      grid.shape, grid.axes)      # c_a,lo, then d_a c_a,lo
+    hi = np.max(np.abs(c - lo[:len(axes)]), axis=grid.axes)
+    return float(np.max(np.abs(np.sum(lo[len(axes):], axis=0)))
+                 + grid.max_abs_xi() * np.sum(hi) + share)
+
+
+def _operator_upper(s: SymbolExpr, tables) -> float | None:
+    """A certified upper end of ||P op(s) P|| for an x-only s, the
+    multiplication by a(x_j): max_j |a(x_j)|; None for any other symbol."""
+    if s.root.depends_xi():
+        return None
+    return float(np.max(np.abs(_x_values(tables))))
 
 
 def _skew_spectrum(tables, hat, grid: Grid, mask):
@@ -506,13 +610,14 @@ def _operator_gram(tables, hat, grid: Grid, mask):
 def adjoint_defect_norms(pairs, grid: Grid, seed=None) -> list:
     """L2 operator norm of P(op(s) - op(s)^dagger)P at t, per (s, t) in
     ``pairs``, by power iteration on its Gram product."""
-    return _band_norms(pairs, grid, seed, _skew_gram)
+    return _band_norms(pairs, grid, seed, _skew_gram,
+                       lambda s, tables: _skew_upper(s, tables, grid))
 
 
 def operator_norms(pairs, grid: Grid, seed=None) -> list:
     """L2 operator norm of P op(s) P at t, per (s, t) in ``pairs``, by power
     iteration on its Gram product."""
-    return _band_norms(pairs, grid, seed, _operator_gram)
+    return _band_norms(pairs, grid, seed, _operator_gram, _operator_upper)
 
 
 def adjoint_defect_norm(s: SymbolExpr, t: float, grid: Grid,

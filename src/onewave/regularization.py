@@ -216,7 +216,14 @@ class RoughCoefficient:
 
 
 class MollifiedCoefficient:
-    """Exact finite Fourier series of the omega-mollified rough coefficient."""
+    """Exact finite Fourier series of the omega-mollified rough coefficient.
+
+    Its modes k with nonzero coefficients (xi_k = 2 pi k / period) fall
+    into runs of consecutive modes.  A run k_0..k_r is summed as
+    e^(i xi_k_0 y) (w_0 + z (w_1 + ... + z w_r)) by Horner's rule in
+    z = e^(2 pi i y / period), so a value costs one exponential per run
+    (and z) and one multiply-add per further mode at each point, grid nodes
+    and sample points alike; lone modes are summed as a direct sum does."""
 
     def __init__(self, rough: RoughCoefficient, omega: float):
         kmax = int(math.floor(Mollifier.cutoff_radius * omega *
@@ -228,16 +235,35 @@ class MollifiedCoefficient:
         damp = Mollifier().profile(np.abs(xi) / omega)
         coeffs = rough.fourier_coeff(k) * damp
         keep = np.abs(coeffs) > 0
-        keep[k == 0] = True
+        if not keep.any():
+            keep[k == 0] = True
         self.xi = xi[keep]
         self.coeffs = coeffs[keep]
+        # the first index of each run of consecutive modes, and its end
+        self.first = np.flatnonzero(np.diff(k[keep], prepend=-kmax - 2) != 1)
+        self.runs = list(zip(self.first.tolist(),
+                             self.first[1:].tolist() + [len(self.xi)]))
+        self.z_xi = 2.0 * np.pi / rough.period
 
     def eval(self, y: np.ndarray, order: int = 0) -> np.ndarray:
+        """Re sum_k c_k (i xi_k)^order e^(i xi_k y), the order-th
+        x-derivative, at the points y (any shape)."""
         y = np.asarray(y, dtype=float)
         flat = y.reshape(-1)
-        phases = np.exp(1j * np.outer(flat, self.xi))
         weights = self.coeffs * (1j * self.xi) ** order
-        out = phases @ weights
+        phases = np.exp(1j * np.outer(flat, self.xi[self.first]))
+        out = phases @ weights[self.first]
+        if len(self.runs) < len(self.xi):       # some run has more modes
+            z = np.exp(1j * self.z_xi * flat)
+        for r, (first, end) in enumerate(self.runs):
+            if end - first > 1:     # z (w_1 + z (w_2 + ...)), by Horner
+                acc = np.full(flat.shape, weights[end - 1])
+                for w in weights[end - 2:first:-1]:
+                    np.multiply(acc, z, out=acc)
+                    acc += w
+                acc *= z
+                acc *= phases[:, r]
+                out += acc
         return out.real.reshape(y.shape)
 
 

@@ -704,8 +704,9 @@ class TestSharedWork:
         once = [0, 1, 3]
         runs = []
 
-        def counted(apply_hermitian, v, _power=quantization.power_iteration):
-            found = _power(apply_hermitian, v)
+        def counted(apply_hermitian, v, stops,
+                    _power=quantization.power_iteration):
+            found = _power(apply_hermitian, v, stops)
             runs.append((len(v), sum(used for _, _, used in found)))
             return found
         monkeypatch.setattr(quantization, "power_iteration", counted)

@@ -9,6 +9,7 @@ import pytest
 from onewave import cauchy, quantization
 from onewave import expr as ex
 from onewave.cauchy import CauchyProblem, Forcing, TimeProfile, solve_stack
+from onewave.config import BRACKET_WIDTH, POWER_ITERS
 from onewave.grid import Grid, GridFunction
 from onewave.quantization import (PeriodicOperator, adjoint_defect_norms,
                                   operator_norms)
@@ -166,12 +167,62 @@ def x_space_rk4(problem, dt, steps):
     return u
 
 
+def reference_upper(s, t, grid, defect):
+    """The upper end of a norm estimate, worked out from the symbol's dense
+    values S[j, k] = s(t, x_j, xi_k) rather than its separable tables:
+    for an x-only s (S constant in k), max|a - conj a| (``defect``) or
+    max|a|; for a defect whose x-varying part S - mean_j S is
+    sum_a c_a(x_j) xi_a with real c_a (read at the frequency e_a), the lo
+    part's max |div c_lo| plus (M/2)(2 pi/L) sum_a max |c_a - c_a,lo|, lo
+    the modes with every |k_b| < M/4, plus the band's max |m - conj m| of
+    the x-mean m; None otherwise."""
+    pts, xi = grid.flat_points(), quantization._flat_frequencies(grid)
+    table = np.asarray(s.root.eval(
+        t, tuple(pts[:, a][:, None] for a in range(grid.dim)),
+        tuple(xi[:, a][None, :] for a in range(grid.dim))), dtype=complex)
+    table = np.broadcast_to(table, (grid.size, grid.size))
+    if np.all(table == table[:, :1]):                   # x-only
+        a = table[:, 0]
+        return float(np.max(np.abs(a - a.conj()) if defect else np.abs(a)))
+    if not defect:
+        return None
+    mean = table.mean(axis=0)
+    vary = table - mean
+    unit = 2.0 * np.pi / grid.length
+    coeffs = [vary[:, int(np.flatnonzero(np.all(
+        np.isclose(xi, unit * np.eye(grid.dim)[a]), axis=1))[0])] / unit
+        for a in range(grid.dim)]
+    linear = sum(c[:, None] * xi[None, :, a] for a, c in enumerate(coeffs))
+    scale = np.max(np.abs(vary))
+    if np.max(np.abs(vary - linear)) > 1e-12 * scale or \
+            max(np.max(np.abs(c.imag)) for c in coeffs) > 1e-12 * scale:
+        return None
+    k = np.fft.fftfreq(grid.points, 1.0 / grid.points)
+    lo = np.abs(k) < grid.points / 4.0
+    div = 0.0
+    hi = 0.0
+    for a, c in enumerate(coeffs):
+        c = c.real.reshape(grid.shape)
+        hat = np.fft.fftn(c)
+        for b in range(grid.dim):
+            hat = hat * lo.reshape([-1 if i == b else 1
+                                    for i in range(grid.dim)])
+        wave = (unit * k).reshape([-1 if i == a else 1
+                                   for i in range(grid.dim)])
+        div = div + np.fft.ifftn(1j * wave * hat)
+        hi += np.max(np.abs(c - np.fft.ifftn(hat)))
+    mask = quantization._band_mask(grid).ravel()
+    share = np.max(np.abs(mean - mean.conj())[mask])
+    return float(np.max(np.abs(div)) + grid.max_abs_xi() * hi + share)
+
+
 def x_space_norms(pairs, grid, seed, defect):
     """The referee of the spectral norm estimators (adjoint_defect_norms if
     ``defect``, else operator_norms): the same power iteration on grid
     values, from the same seeded draw, each Gram product projecting,
     applying, adjoint-applying and projecting again in x space, every step
-    its own transforms, every row its own operator."""
+    its own transforms, every row its own operator, each row stopping
+    once its estimate is within BRACKET_WIDTH of its reference_upper."""
     proj = band_projector(grid)
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(grid.shape) + \
@@ -191,12 +242,15 @@ def x_space_norms(pairs, grid, seed, defect):
     out = [None] * len(once)
     for rows, _ in quantization.stacks([s for s, _ in once], grid):
         ops = [(PeriodicOperator(once[i][0], grid), once[i][1]) for i in rows]
+        tops = [reference_upper(*once[i], grid, defect) for i in rows]
         found = quantization.power_iteration(
             lambda live, v: np.stack([gram(*ops[k], row)
                                       for k, row in zip(live, v)]),
-            np.stack([start] * len(rows)))
-        for i, (lam, ok, used) in zip(rows, found):
-            out[i] = quantization.NormEstimate(np.sqrt(lam), ok, used)
+            np.stack([start] * len(rows)),
+            [None if top is None else ((1.0 - BRACKET_WIDTH) * top) ** 2
+             for top in tops])
+        for i, top, (lam, ok, used) in zip(rows, tops, found):
+            out[i] = quantization.NormEstimate(np.sqrt(lam), ok, used, top)
     return [out[k] for k in slot]
 
 
@@ -306,16 +360,20 @@ class TestInPlaceEqualsAllocating:
     @staticmethod
     def norm_runs():
         """(estimator, pairs, grid): one- and two-term, x-independent real,
-        t-dependent and dense symbols, 1-D and 2-D, stacked, at per-row
-        times."""
+        t-dependent and dense symbols, and x-only ones for the operator
+        norm, 1-D and 2-D, stacked, at per-row times."""
         runs = []
         for grid, problems in ((Grid(1, 32, TWO_PI), one_d_problems),
+                               (Grid(1, 64, TWO_PI), one_d_problems),
                                (Grid(2, 16, TWO_PI), two_d_problems)):
             xi = SymbolExpr(ex.CoordXi(grid.dim - 1), 1.0, grid.dim)
             pairs = [pair for p in problems(grid) for pair in (
                 (p.symbol.full(), 0.0), (p.symbol.a1, 0.3))] + [(xi, 0.0)]
-            runs += [(estimate, pairs, grid)
-                     for estimate in (adjoint_defect_norms, operator_norms)]
+            # x-only: their defect is 0 exactly here, but not in x space
+            x_only = [(p.symbol.a0, 0.3) for p in problems(grid)
+                      if p.symbol.a0 is not None]
+            runs += [(adjoint_defect_norms, pairs, grid),
+                     (operator_norms, pairs + x_only, grid)]
         return runs
 
     def test_norm_estimates(self, allocating):
@@ -328,15 +386,23 @@ class TestInPlaceEqualsAllocating:
     def test_norm_estimates_equal_x_space_estimates(self):
         # the spectral iterate, its exact mask and its batched transforms
         # against the x-space Gram products: rounding apart, the same
-        # iteration
+        # iteration, with the same upper ends; rows without one, and rows
+        # whose bracket closes before the cap, occur
+        seen = set()
         for estimate, pairs, grid in self.norm_runs():
             got = estimate(pairs, grid, seed=2)
             want = x_space_norms(pairs, grid, 2,
                                  estimate is adjoint_defect_norms)
+            seen |= {(w.upper is None, w.upper is not None and w.upper > 0.0
+                      and w.iterations < POWER_ITERS) for w in want}
             for g, w in zip(got, want):
                 assert (g.iterations, g.converged) == \
                     (w.iterations, w.converged)
                 assert abs(g.value - w.value) <= 1e-12 * w.value
+                assert (g.upper is None) == (w.upper is None)
+                if w.upper is not None:
+                    assert abs(g.upper - w.upper) <= 1e-12 * (1.0 + w.upper)
+        assert {(True, False), (False, True)} <= seen
 
     @pytest.mark.parametrize("gram", ["_skew_gram", "_operator_gram"])
     def test_spectral_grams(self, gram, rng):

@@ -1,28 +1,31 @@
 """Operator application, adjoints, norms, and the oscillatory remainder."""
 
+import json
 import math
 import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from onewave import asymptotics, cauchy, quantization
+from onewave import asymptotics, cauchy, quantization, scenario
 from onewave import expr as ex
 from onewave.config import TRAJECTORY_STRIDE
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
-from onewave.presets import get_preset
+from onewave.presets import get_preset, list_presets
 from onewave.profiles import plateau
 from onewave.quantization import (LAM, PeriodicOperator,
                                   _contract, _kernel, _r_theta,
                                   _remainder_integrand_trees,
-                                  adjoint_defect_norm,
+                                  adjoint_defect_norm, adjoint_defect_norms,
                                   adjoint_symbol_remainder,
                                   check_remainder_estimate, op_matrix,
-                                  operator_norm, power_iteration,
+                                  operator_norm, operator_norms,
+                                  power_iteration,
                                   symbol_from_matrix)
 from onewave.scenario import run_scenario
 from onewave.symbols import (HyperbolicSymbol, SampleBox, SymbolExpr,
@@ -31,6 +34,7 @@ from onewave.symbols import (HyperbolicSymbol, SampleBox, SymbolExpr,
 from conftest import band_projector, random_grid_function
 
 TWO_PI = 2.0 * np.pi
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Operator-norm calibration: measured L2 norm of an order-0 symbol
 # <= CV_CONSTANT * Q^0_{0,f,f} with f = floor(n/2)+1.  Corpus maxima were
@@ -272,7 +276,8 @@ class TestApplyRoute:
     def test_norms_apply_per_iteration(self, calls, variable_speed_symbol,
                                        grid32, monkeypatch):
         # per iteration, one ifftn and one fftn call per B = A - A^dagger,
-        # or per A and per A^dagger; one fftn more starts the iteration
+        # or per A and per A^dagger; one fftn more starts the iteration, and
+        # the skew bound of a transport symbol takes one fftn and one ifftn
         for name in ("fftn", "ifftn"):
             def counted(*args, _name=name, _fn=getattr(np.fft, name),
                         **kwargs):
@@ -280,8 +285,9 @@ class TestApplyRoute:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         est = adjoint_defect_norm(variable_speed_symbol, 0.0, grid32, seed=1)
-        assert calls == {"fftn": 2 * est.iterations + 1,
-                         "ifftn": 2 * est.iterations}
+        assert est.upper is not None
+        assert calls == {"fftn": 2 * est.iterations + 2,
+                         "ifftn": 2 * est.iterations + 1}
         calls.clear()
         est = operator_norm(SymbolExpr(ex.Sin(ex.CoordX(0)), 0.0, 1), 0.0,
                             grid32, seed=1)
@@ -526,8 +532,142 @@ class TestOperatorNorm:
 
     def test_power_iteration_zero_operator(self, rng):
         [(lam, ok, _)] = power_iteration(lambda rows, v: np.zeros_like(v),
-                                         rng.standard_normal((1, 16)) + 0j)
+                                         rng.standard_normal((1, 16)) + 0j,
+                                         [None])
         assert lam == 0.0 and ok
+
+
+def exact_band_norms(s, t, grid):
+    """(||P B P||, ||P A P||), A = op(s) at t and B = A - A^dagger, from the
+    dense matrix: the band block of A in the unitary Fourier basis, whose
+    largest singular values they are."""
+    unitary = quantization._fourier_matrix(grid) / np.sqrt(grid.size)
+    band = quantization._band_mask(grid).ravel()
+    block = (unitary.conj().T @ op_matrix(s, t, grid) @ unitary)[
+        np.ix_(band, band)]
+    return (float(np.linalg.norm(block - block.conj().T, 2)),
+            float(np.linalg.norm(block, 2)))
+
+
+def bump_speed():
+    """The desk's a1, a smooth bump of width 2.4 times xi: not band-limited,
+    so the skew bound's hi term is nonzero on coarse grids."""
+    cfg = get_preset("adjoint_remainder_desk")
+    return scenario.ScenarioContext(cfg).fixed_symbol.a1
+
+
+def preset_symbols():
+    """(name, symbol) for the a1 and a0 of every preset, the rough ones at
+    their largest and smallest eps."""
+    out = []
+    for name in list_presets():
+        ctx = scenario.ScenarioContext(get_preset(name))
+        if ctx.fixed_symbol is not None:
+            fixed = [ctx.fixed_symbol]
+        else:
+            fixed = [ctx.family.member(eps) for eps in
+                     (ctx.eps_grid[0], ctx.eps_grid[-1])]
+        out += [(name, part) for sym in fixed for part in (sym.a1, sym.a0)
+                if part is not None]
+    return out
+
+
+class TestNormBracket:
+    """The dense exact band norms lie in [value, upper]; the symbols the
+    bound does not cover keep the POWER_RTOL estimate."""
+
+    @staticmethod
+    def assert_bracketed(s, grid, t=0.0):
+        """Each estimate at most its exact norm, and the exact norm at most
+        the upper end, up to rounding (both ends are 0 for a real x-free
+        defect); returns (defect estimate, exact defect)."""
+        exact = exact_band_norms(s, t, grid)
+        allowance = 1e-10 * (1.0 + exact[1])
+        got = (adjoint_defect_norm(s, t, grid, seed=7),
+               operator_norm(s, t, grid, seed=7))
+        for est, norm in zip(got, exact):
+            assert est.value <= norm + allowance
+            if est.upper is not None:
+                assert norm <= est.upper + allowance
+        return got[0], exact[0]
+
+    def test_preset_symbols(self):
+        grid = Grid(1, 64, TWO_PI)
+        bounded = 0
+        for name, s in preset_symbols():
+            est, _ = self.assert_bracketed(s, grid)
+            bounded += est.upper is not None
+        assert bounded == len(preset_symbols())     # all transport or x-only
+
+    @pytest.mark.parametrize("points", [32, 64, 128, 256])
+    def test_rough_members(self, points):
+        ctx = scenario.ScenarioContext(get_preset("piecewise_speed_logtype"))
+        grid = Grid(1, points, TWO_PI)
+        for eps in (ctx.eps_grid[0], ctx.eps_grid[3], ctx.eps_grid[-1]):
+            est, _ = self.assert_bracketed(ctx.family.member(eps).a1, grid)
+            assert est.upper is not None
+
+    def test_bump_hi_term(self):
+        # the bound tightens as the grid resolves the bump: upper / exact
+        # is about 1.31, 1.10, 1.014, 1.002 at M = 32, 64, 128, 256
+        ratios = []
+        for points in (32, 64, 128, 256):
+            est, exact = self.assert_bracketed(bump_speed(),
+                                               Grid(1, points, TWO_PI))
+            ratios.append(est.upper / exact)
+        assert ratios == sorted(ratios, reverse=True)
+        assert ratios[0] > 1.2 and ratios[-1] < 1.01
+
+    @pytest.mark.parametrize("points", [16, 24])
+    def test_plane_2d(self, points):
+        cfg = json.loads((BENCH / "plane_2d.json").read_text())
+        cfg["grid"]["points"] = points
+        symbol = scenario.ScenarioContext(cfg).fixed_symbol
+        grid = Grid(2, points, TWO_PI)
+        for part in (symbol.a1, symbol.a0):
+            est, _ = self.assert_bracketed(part, grid)
+            assert est.upper is not None
+
+    def test_bound_builds_no_tables_of_its_own(self, monkeypatch):
+        # a t-dependent transport symbol's rows at 9 times: the bound reads
+        # the tables the iteration reads, so each time's are built once
+        grid = Grid(1, 64, TWO_PI)
+        s = SymbolExpr(ex.mul(ex.add(ex.Const(1.0), ex.CoordT()), ex.add(
+            ex.Const(2.0), ex.Sin(ex.CoordX(0))), ex.CoordXi(0)), 1.0, 1)
+        built = []
+        tables = PeriodicOperator._tables
+
+        def counted(op, i, key):
+            if op._cache[i][0] != key:
+                built.append(key)
+            return tables(op, i, key)
+        monkeypatch.setattr(PeriodicOperator, "_tables", counted)
+        times = np.linspace(0.0, 1.0, 9)
+        found = adjoint_defect_norms([(s, t) for t in times], grid, seed=1)
+        assert all(est.upper is not None for est in found)
+        assert built == list(times)
+
+    def test_unbounded_symbols_keep_the_rtol_estimate(self, monkeypatch):
+        # a complex speed and the forced dense symbol get no upper end, and
+        # their estimates, stacked with a bounded one or not, are those of
+        # the POWER_RTOL rule alone
+        grid = Grid(1, 64, TWO_PI)
+        complex_speed = SymbolExpr(ex.mul(ex.add(ex.Const(2.0), ex.mul(
+            ex.Const(0.5j), ex.Sin(ex.CoordX(0)))), ex.CoordXi(0)), 1.0, 1)
+        cfg = json.loads((Path(__file__).parent /
+                          "forced_dense_t_dependent.json").read_text())
+        dense = scenario.ScenarioContext(cfg).fixed_symbol.a1
+        pairs = [(complex_speed, 0.0), (dense, 0.5), (bump_speed(), 0.0)]
+        got = [estimate(pairs, grid, seed=3)
+               for estimate in (adjoint_defect_norms, operator_norms)]
+        assert all(est.upper is None for row in got for est in row[:2])
+        assert got[0][2].upper is not None
+        monkeypatch.setattr(quantization, "_skew_upper",
+                            lambda s, tables, grid: None)
+        monkeypatch.setattr(quantization, "_operator_upper",
+                            lambda s, tables: None)
+        for estimate, row in zip((adjoint_defect_norms, operator_norms), got):
+            assert estimate(pairs[:2], grid, seed=3) == row[:2]
 
 
 class TestSymbolRecovery:

@@ -5,8 +5,10 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from onewave import profiles
+from onewave.config import MAX_DIFF_ORDER
 from onewave.errors import BadEps, UnsupportedRoughKind
 from onewave.grid import Grid, GridFunction
+from onewave.presets import get_preset
 from onewave.regularization import (Mollifier, MollifiedCoefficient,
                                     RoughCoefficient, RoughTransport,
                                     embed_data, omega_of_eps,
@@ -243,6 +245,54 @@ class TestMollifiedCoefficient:
             diff = np.max(np.abs(MollifiedCoefficient(sin_c, om)
                                  .eval(x) - np.sin(x)))
             assert diff <= bound
+
+
+def direct_sum(mc, y, order):
+    """The mollified series summed term by term, one exponential per point
+    and mode: Re sum_k c_k (i xi_k)^order e^(i xi_k y)."""
+    y = np.asarray(y, dtype=float)
+    return (np.exp(1j * np.outer(y.reshape(-1), mc.xi))
+            @ (mc.coeffs * (1j * mc.xi) ** order)).real.reshape(y.shape)
+
+
+class TestSeriesReferee:
+    """eval's run-wise Horner sums agree with the direct trig sum within
+    1e-13 of sum |c_k xi_k^order|, on grid nodes and sample points, for
+    every member of the piecewise_speed_logtype sweep and a sparse
+    fourier coefficient."""
+
+    @staticmethod
+    def coefficients():
+        cfg = get_preset("piecewise_speed_logtype")
+        rough = RoughCoefficient.from_json(cfg["symbol"]["speeds"][0])
+        sweep = cfg["sweep"]
+        members = [MollifiedCoefficient(rough, omega_of_eps(eps, 1))
+                   for eps in np.geomspace(sweep["eps0"], sweep["eps_min"],
+                                           sweep["count"])]
+        sparse = RoughCoefficient("fourier", TWO_PI, modes=[1, 400],
+                                  coeffs=[0.5 - 0.25j, 0.01])
+        return members + [MollifiedCoefficient(sparse, 500.0)]
+
+    def test_agrees_with_direct_sum(self):
+        box = SampleBox(1, TWO_PI, x_count=129, xi_max=512.0)
+        points = [Grid(1, m, TWO_PI).x_axis() for m in (256, 1024)] + [
+            box.x_points()[:, 0], SampleBox(1, TWO_PI).x_points()]
+        coeffs = self.coefficients()
+        assert len(coeffs) == 7 and list(coeffs[-1].xi) == [1.0, 400.0]
+        for mc in coeffs:
+            for order in range(MAX_DIFF_ORDER + 1):
+                scale = np.sum(np.abs(mc.coeffs * mc.xi ** order))
+                for y in points:
+                    assert np.max(np.abs(mc.eval(y, order)
+                                         - direct_sum(mc, y, order))) \
+                        <= 1e-13 * scale
+
+    def test_runs_of_consecutive_modes(self):
+        # the smallest member's 55 modes are one run; the sparse
+        # coefficient's two modes are two
+        coeffs = self.coefficients()
+        assert [len(mc.runs) for mc in (coeffs[-2], coeffs[-1])] == [1, 2]
+        assert len(coeffs[-2].xi) == 55
 
 
 class TestRegularizeSymbol:
