@@ -398,12 +398,15 @@ class _Member:
 def _rk4(stack, members, out):
     """The Lawson RK4 loop on spectra u: the live members take each step
     at once, as the rows of a stack over a leading member axis, each with
-    its own dt, times and factors E = e^(-i d dt), E2 = e^(-i d dt/2), and
-    each stage reads the live rows' tables from stack.tables.  For
-    N(t, v) = fftn(-i R ifftn(v) + f(t)): k1 = N(t, u), k2 = N(t + dt/2,
-    E2 (u + dt/2 k1)), k3 = N(t + dt/2, E2 u + dt/2 k2), k4 = N(t + dt,
-    E u + dt E2 k3) and u <- E u + dt/6 (E k1 + 2 E2 (k2 + k3) + k4), each
-    sum formed in place, in arrays allocated again when a member leaves."""
+    its own dt, times and factors E = e^(-i d dt), E2 = e^(-i d dt/2).  A
+    frozen stack's R tables are read from stack.tables once per live set;
+    otherwise each stage reads the live rows' tables at its stage times.
+    Stage times are formed only where a table or a forcing reads them.
+    For N(t, v) = fftn(-i R ifftn(v) + f(t)): k1 = N(t, u), k2 = N(t +
+    dt/2, E2 (u + dt/2 k1)), k3 = N(t + dt/2, E2 u + dt/2 k2), k4 = N(t +
+    dt, E u + dt E2 k3) and u <- E u + dt/6 (E k1 + 2 E2 (k2 + k3) + k4),
+    each sum formed in place, in arrays allocated again when a member
+    leaves."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
     if members:
@@ -413,16 +416,19 @@ def _rk4(stack, members, out):
             m.spectra[0] = u0
 
     def rhs(ts, v, k):
-        tables = stack.tables(ts, [m.row for m in members])
-        _synth(tables.split[0] if stack.frozen else tables, v, grid, k)
+        _synth(rest if stack.frozen else stack.tables(ts, rows), v, grid, k)
         np.multiply(-1j, k, out=k)
-        for row, (m, t) in enumerate(zip(members, ts)):
-            if m.forcing is not None:
-                k[row] += m.forcing.value(t)
+        for row in forced:
+            k[row] += members[row].forcing.value(ts[row])
         np.fft.fftn(k, shape, axes, out=k)
 
     step = 0
     while members:
+        rows = [m.row for m in members]
+        rest = stack.tables(0.0, rows).split[0] if stack.frozen else None
+        forced = [r for r, m in enumerate(members) if m.forcing is not None]
+        timed = forced or not stack.frozen
+        t0 = th = t1 = None
         dt = np.array([m.dt for m in members]).reshape(
             (-1,) + (1,) * grid.dim)
         half, sixth = dt / 2.0, dt / 6.0
@@ -431,16 +437,17 @@ def _rk4(stack, members, out):
         keep = range(len(members))
         while len(keep) == len(members):
             step += 1
-            t0 = [(step - 1) * m.dt for m in members]
-            th = [t + m.dt / 2.0 for t, m in zip(t0, members)]
+            if timed:
+                t0 = [(step - 1) * m.dt for m in members]
+                th = [t + m.dt / 2.0 for t, m in zip(t0, members)]
+                t1 = [t + m.dt for t, m in zip(t0, members)]
             rhs(t0, u, k1)
             np.add(u, np.multiply(half, k1, out=v), out=v)
             rhs(th, np.multiply(e2, v, out=v), k2)
             np.multiply(e2, u, out=w)
             rhs(th, np.add(w, np.multiply(half, k2, out=v), out=v), k3)
             np.multiply(dt, np.multiply(e2, k3, out=v), out=v)
-            rhs([t + m.dt for t, m in zip(t0, members)],
-                np.add(np.multiply(e, u, out=w), v, out=v), k4)
+            rhs(t1, np.add(np.multiply(e, u, out=w), v, out=v), k4)
             np.multiply(e2, np.add(k2, k3, out=k2), out=k2)
             np.add(np.multiply(e, k1, out=k1), np.multiply(2.0, k2, out=k2),
                    out=k1)

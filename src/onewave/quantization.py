@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 DENSE_GUARD = 4096
-_ROWS = 128      # dense-table rows filled or scanned at a time
+_ROWS = 128      # dense-table and remainder-kernel rows built at a time
 
 
 def _distinct(items, key) -> tuple[list, list]:
@@ -433,16 +435,27 @@ class NormEstimate:
 
 
 def _start(seed, grid: Grid) -> np.ndarray:
-    """The spectrum of a complex normal draw on ``grid`` from a fresh
-    generator of ``seed``, an int or None (for 0).  A generator object is
-    refused: its state would advance with every estimate, so a pair
-    estimated alone and in a stack would start from different draws."""
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+    """A complex normal draw of grid values on ``grid`` from a fresh
+    ``random.Random`` of ``seed``, a non-negative int or None (for 0): the
+    same values per (seed, grid).  A seed that is not an integer is refused
+    with TypeError; so is a generator object, whose state would advance
+    with every estimate, so a pair estimated alone and in a stack would
+    start from different draws.  The transform is Box-Muller, vectorized,
+    on 53-bit uniforms u, v in (0, 1] read from the generator's bytes:
+    sqrt(-2 log u) e^(2 pi i v) has independent standard normal real and
+    imaginary parts."""
+    try:
+        seed = 0 if seed is None else operator.index(seed)
+    except TypeError:
         raise TypeError("a norm estimate's seed is an int or None, "
-                        f"not a {type(seed).__name__}")
-    rng = np.random.default_rng(0 if seed is None else seed)
-    return np.fft.fftn(rng.standard_normal(grid.shape)
-                       + 1j * rng.standard_normal(grid.shape))
+                        f"not a {type(seed).__name__}") from None
+    if seed < 0:
+        raise ValueError(f"a norm estimate's seed is non-negative, not {seed}")
+    n = grid.size
+    bits = np.frombuffer(random.Random(seed).randbytes(16 * n), dtype="<u8")
+    u = ((bits >> 11) + 1.0) * 2.0 ** -53
+    r, angle = np.sqrt(-2.0 * np.log(u[:n])), (2.0 * np.pi) * u[n:]
+    return (r * np.cos(angle) + 1j * (r * np.sin(angle))).reshape(grid.shape)
 
 
 def _band_mask(grid: Grid) -> np.ndarray:
@@ -478,7 +491,7 @@ def _band_norms(pairs, grid: Grid, seed, gram, upper) -> list:
         found = power_iteration(
             lambda live, hat: gram(stack.tables([ts[k] for k in live], live),
                                    hat, grid, mask),
-            np.stack([_start(seed, grid)] * len(rows)),
+            np.stack([np.fft.fftn(_start(seed, grid))] * len(rows)),
             [None if top is None else ((1.0 - BRACKET_WIDTH) * top) ** 2
              for top in tops])
         for i, top, (lam, ok, used) in zip(rows, tops, found):
@@ -679,9 +692,20 @@ def _kernel(refined: bool) -> _Kernel:
     e_nodes, e_w, _ = _axis_quad(eta_half, points)
     y, eta = y_nodes[:, None], e_nodes[None, :]
     y_sq = y ** 2
-    phase = np.exp(-1j * (y * eta))
     damp = (1.0 + y_sq) ** (-LAM)
-    K = phase * damp * y_w[:, None] * (e_w / (2.0 * np.pi))[None, :]
+    e_scale = e_w / (2.0 * np.pi)
+    # built _ROWS rows at a time in K's own memory, each block by the
+    # operations of the one expression exp(-i (y eta)) damp w_y e_scale in
+    # its order, so K and its sums are bitwise that expression's
+    K = np.empty((points, points), dtype=complex)
+    for lo in range(0, points, _ROWS):
+        part = slice(lo, lo + _ROWS)
+        block = K[part]
+        np.multiply(-1j, y[part] * eta, out=block)
+        np.exp(block, out=block)
+        block *= damp[part]
+        block *= y_w[part, None]
+        block *= e_scale
     kernel = _Kernel(y, eta, K, K.sum(axis=1), K.sum(axis=0),
                      complex(K.sum()), damp * y_raw[:, None],
                      y_sq > (0.8 * y_half) ** 2)

@@ -224,9 +224,7 @@ def x_space_norms(pairs, grid, seed, defect):
     its own transforms, every row its own operator, each row stopping
     once its estimate is within BRACKET_WIDTH of its reference_upper."""
     proj = band_projector(grid)
-    rng = np.random.default_rng(seed)
-    start = rng.standard_normal(grid.shape) + \
-        1j * rng.standard_normal(grid.shape)
+    start = quantization._start(seed, grid)
 
     def b_apply(op, t, v):
         pv = proj(v)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -530,6 +533,58 @@ class TestOperatorNorm:
                 adjoint_defect_norm(variable_speed_symbol, 0.0, grid32,
                                     seed=seed)
 
+    def test_seed_contract(self, variable_speed_symbol, grid32):
+        # None is 0; integers of any type draw alike; anything else that is
+        # not an integer is refused, and so is a negative seed
+        start = quantization._start
+        assert start(None, grid32).tobytes() == start(0, grid32).tobytes()
+        assert start(np.int64(3), grid32).tobytes() == \
+            start(3, grid32).tobytes()
+        assert start(3, grid32).tobytes() != start(4, grid32).tobytes()
+        for seed in (1.5, 2.0, "3", [1, 2]):
+            with pytest.raises(TypeError, match="int or None"):
+                adjoint_defect_norm(variable_speed_symbol, 0.0, grid32,
+                                    seed=seed)
+        with pytest.raises(ValueError, match="non-negative"):
+            operator_norm(variable_speed_symbol, 0.0, grid32, seed=-1)
+
+    def test_start_is_a_complex_normal_draw(self):
+        # independent standard normal real and imaginary parts, to a few
+        # standard errors of 2-D M=128's 16384 points
+        z = quantization._start(5, Grid(2, 128, TWO_PI)).ravel()
+        err = 4.0 / math.sqrt(z.size)
+        for part in (z.real, z.imag):
+            assert abs(np.mean(part)) <= err
+            assert abs(np.mean(part ** 2) - 1.0) <= 2.0 * err
+            assert abs(np.mean(part ** 3)) <= 4.0 * err
+        assert abs(np.mean(z.real * z.imag)) <= err
+
+    def test_numpy_random_stays_unimported(self):
+        # the start draw uses the standard library's generator, so a run
+        # never pays numpy.random's import
+        child = """
+import sys
+import numpy as np
+from onewave import expr as ex
+from onewave.cauchy import CauchyProblem, solve_fixed_eps
+from onewave.grid import Grid, GridFunction
+from onewave.quantization import adjoint_defect_norm
+from onewave.symbols import HyperbolicSymbol, SymbolExpr
+grid = Grid(1, 64, 2.0 * np.pi)
+speed = ex.add(ex.Const(1.0), ex.mul(ex.Const(0.5), ex.Sin(ex.CoordX(0))))
+a1 = SymbolExpr(ex.mul(speed, ex.CoordXi(0)), 1.0, 1)
+assert adjoint_defect_norm(a1, 0.0, grid, seed=1).value > 0.0
+problem = CauchyProblem(HyperbolicSymbol(a1), GridFunction(
+    grid, np.exp(np.cos(grid.x_mesh()[0])) + 0j), 0.5)
+assert np.all(np.isfinite(solve_fixed_eps(problem, seed=1).final().values))
+print("numpy.random" in sys.modules)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", child], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "False"
+
     def test_power_iteration_zero_operator(self, rng):
         [(lam, ok, _)] = power_iteration(lambda rows, v: np.zeros_like(v),
                                          rng.standard_normal((1, 16)) + 0j,
@@ -824,6 +879,26 @@ class TestRemainderKernelOracle:
         want = _reference_remainder(s, x, xi)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_kernel_bitwise_one_expression_peak_below_1_5_k(self, refined):
+        # the row-block build against the one-expression build it
+        # replaced, the reference: K and its sums bitwise, at a
+        # tracemalloc peak below 1.5 times K's bytes (about 3 for the
+        # expression, whose phase and products were full temporaries)
+        _kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            k = _kernel(refined)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = _one_expression_kernel(refined)
+        assert k.K.tobytes() == want.tobytes()
+        assert k.rows.tobytes() == want.sum(axis=1).tobytes()
+        assert k.cols.tobytes() == want.sum(axis=0).tobytes()
+        assert k.total == complex(want.sum())
+        assert peak / k.K.nbytes < 1.5
+
     def test_kernel_built_once_per_config(self):
         # one kernel per box, and the cache holds no more than the two boxes
         s = SHAPE_SYMBOLS["bump_xi"]
@@ -834,6 +909,24 @@ class TestRemainderKernelOracle:
         info = _kernel.cache_info()
         assert info.misses == 2
         assert info.currsize == info.maxsize == 2
+
+
+def _one_expression_kernel(refined):
+    """The weighted kernel K built as one expression of full temporaries,
+    as it was before the row-block build, kept as the bitwise reference."""
+    if refined:
+        y_half = quantization.Y_HALF * quantization.REFINE
+        eta_half = quantization.ETA_HALF * quantization.REFINE
+        points = int(quantization.BOX_POINTS * quantization.REFINE) | 1
+    else:
+        y_half, eta_half = quantization.Y_HALF, quantization.ETA_HALF
+        points = quantization.BOX_POINTS
+    y_nodes, y_w, _ = quantization._axis_quad(y_half, points)
+    e_nodes, e_w, _ = quantization._axis_quad(eta_half, points)
+    y, eta = y_nodes[:, None], e_nodes[None, :]
+    phase = np.exp(-1j * (y * eta))
+    damp = (1.0 + y ** 2) ** (-LAM)
+    return phase * damp * y_w[:, None] * (e_w / (2.0 * np.pi))[None, :]
 
 
 def _r_theta_per_pair(trees, t, x, xi, theta, refined, tail_report=None):
