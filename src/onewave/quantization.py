@@ -259,7 +259,8 @@ class _Terms:
     """Tables f_m(x_j) and g_m(xi_k) of a separable symbol's terms, one
     list entry per term, on the last ``dim`` axes (a stack of rows before
     them), and, each built on its first use, their conjugates, which the
-    adjoint reads, and the split the adjoint defect and the stepper read."""
+    adjoint reads, the split the adjoint defect and the stepper read, and
+    the multiplier's share of the adjoint defect."""
 
     def __init__(self, f, g, dim):
         self.f, self.g, self.dim = f, g, dim
@@ -286,6 +287,12 @@ class _Terms:
         d = sum(c * g_m for c, g_m in zip(centres, self.g))
         return (_Terms([f_m - c for f_m, c in zip(self.f, centres)], self.g,
                        self.dim), d)
+
+    @functools.cached_property
+    def skew(self):
+        """d - conj(d), d the multiplier of the split."""
+        d = self.split[1]
+        return d - np.conjugate(d)
 
 
 # The FFTs (lengths given, which spares numpy a lookup) run over the grid
@@ -584,14 +591,15 @@ def _operator_upper(s: SymbolExpr, tables) -> float | None:
 def _skew_spectrum(tables, hat, grid: Grid, mask):
     """P B P on the spectra ``hat``, B = op(s) - op(s)^dagger, as a new
     array.  A separable symbol's multiplier share is exact (see
-    _Terms.split) and its rest R is quantized: v rides along with the terms
+    _Terms.split; its d - conj(d), _Terms.skew, is formed once per tables
+    object) and its rest R is quantized: v rides along with the terms
     of R v, and R v with those of R^dagger v, so B takes one ifftn and one
     fftn call."""
     p = hat * mask
     share = None
     if isinstance(tables, _Terms):
-        tables, d = tables.split
-        share = (d - np.conjugate(d)) * p           # before p is transformed
+        share = tables.skew * p                     # before p is transformed
+        tables = tables.split[0]
     av = np.empty(p.shape, dtype=complex)
     _synth(tables, p, grid, av, carry=p)            # R v and v, grid values
     out = _analyse(tables, p, grid, np.empty_like(p),
@@ -740,58 +748,89 @@ def _remainder_integrand_trees(s: SymbolExpr):
     return s._remainder_trees
 
 
-def _r_theta(trees, t: float, x: float, pairs, refined: bool,
-             tail_report=None):
-    """r_theta at one (t, x) point, one value per (xi, theta) in ``pairs``,
-    on the base box or the refined one.
+def _tail(k: _Kernel, coeffs, vals):
+    """(y-shell mass, whole mass) of the integrand sum_i c_i v_i, each
+    summed over the trailing (y, eta) axes of its broadcast shape, so a
+    stack of y columns over x gives one pair of masses per x.  The weights
+    are the raw trapezoid ones, so the smooth roll-off cannot hide boundary
+    mass, and the sums count the integrand broadcast over the full grid."""
+    mag = k.tail_w * np.abs(sum(c * v for c, v in zip(coeffs, vals)))
+    scale = k.K.size // (mag.shape[-2] * mag.shape[-1])
+    return (np.sum(mag * k.shell, axis=(-2, -1)) * scale,
+            np.sum(mag, axis=(-2, -1)) * scale)
+
+
+def _r_theta(trees, t: float, xs, pairs, refined: bool, tail_report=None):
+    """r_theta at the points (t, x), x in the 1-D array ``xs``: one row per
+    x, one value per (xi, theta) in ``pairs``, on the base box or the
+    refined one.
 
     ``trees`` comes from _remainder_integrand_trees.  The weighted kernel K is
     cached per box; each tree is evaluated at its natural broadcast shape
     over the (y, eta) grid, and that shape picks the contraction with K
     (_contract): a constant uses sum(K), a y-column the row sums, an
     eta-row the column sums, and only a full-grid integrand the whole K.
-    A tree that reads no xi is evaluated and contracted once, at the first
-    pair, and serves every pair; only the others are evaluated per pair.
+    A tree that reads no xi is evaluated once for the whole batch, over an
+    (x, y) grid, contracted once per x and shared by every pair; a tree that
+    reads xi is evaluated and contracted per (x, xi, theta), so no array of
+    full (y, eta) grids over x is formed.  Each x is contracted as a lone
+    point is, and the totals and the tail take a lone point's operations in
+    their order, elementwise over x, so every value is bitwise the
+    one-point value.
+
+    ``tail_report``, when given, gains per pair (shell, total): the y-shell
+    and the whole mass of the integrand, each an array over x.
     """
     k = _kernel(refined)
-    x_args = (x + k.y,)
-    xi_free = {}    # id of a tree that reads no xi -> (value, contraction)
-    totals = []
-    for xi, theta in pairs:
-        xi_args = None      # built when a tree first reads it
+    xs = np.asarray(xs, dtype=float)
+    free = {}       # index of a tree that reads no xi -> (value, contraction)
+    for i, tr in enumerate(trees):
+        if not tr.depends_xi():
+            v = np.asarray(tr.eval(t, (xs[:, None, None] + k.y,), (k.eta,)))
+            free[i] = (v, _contract(k, v) if v.ndim == 0 else
+                       np.array([_contract(k, row) for row in v]))
+    out = np.empty((xs.size, len(pairs)), dtype=complex)
+    for j, (xi, theta) in enumerate(pairs):
         # (1 - Lap_eta)^LAM = sum_i C(LAM,i) (-Lap_eta)^i and Lap_eta =
         # theta^2 Lap_xi, so each term carries (-theta^2)^i.
         coeffs = [math.comb(LAM, i) * (-theta * theta) ** i
                   for i in range(LAM + 1)]
-        terms = []
-        for tr in trees:
-            term = xi_free.get(id(tr))
-            if term is None:
-                xi_args = xi_args or (xi + theta * k.eta,)
-                v = np.asarray(tr.eval(t, x_args, xi_args))
-                term = (v, _contract(k, v))
-                if not tr.depends_xi():
-                    xi_free[id(tr)] = term
-            terms.append(term)
-        totals.append(0.0 + 0.0j +
-                      sum(c * kv for c, (_, kv) in zip(coeffs, terms)))
+        kvs = [free[i][1] if i in free else np.empty(xs.size, dtype=complex)
+               for i in range(len(trees))]
+        if len(free) < len(trees):
+            shell, total = np.empty(xs.size), np.empty(xs.size)
+            xi_args = (xi + theta * k.eta,)
+            for n, x in enumerate(xs):
+                vals = []
+                for i, tr in enumerate(trees):
+                    if i in free:
+                        v = free[i][0]
+                        vals.append(v if v.ndim == 0 else v[n])
+                    else:
+                        vals.append(np.asarray(tr.eval(t, (x + k.y,),
+                                                       xi_args)))
+                        kvs[i][n] = _contract(k, vals[-1])
+                if tail_report is not None:
+                    shell[n], total[n] = _tail(k, coeffs, vals)
+        elif tail_report is not None:
+            # no integrand reads xi: one tail over the whole batch
+            shell, total = (np.broadcast_to(mass, xs.shape) for mass in
+                            _tail(k, coeffs, [v for v, _ in free.values()]))
         if tail_report is not None:
-            # raw trapezoid weights, so the smooth roll-off cannot hide
-            # boundary mass; sums count mag broadcast over the full grid
-            mag = k.tail_w * np.abs(sum(c * v for c, (v, _)
-                                        in zip(coeffs, terms)))
-            scale = k.K.size // mag.size
-            tail_report.append((float(np.sum(mag * k.shell)) * scale,
-                                float(np.sum(mag)) * scale))
-    return totals
+            tail_report.append((shell, total))
+        out[:, j] = 0.0 + 0.0j + sum(c * kv for c, kv in zip(coeffs, kvs))
+    return out
 
 
-def adjoint_symbol_remainder(s: SymbolExpr, t: float, x: float,
-                             xi: float) -> complex:
+def adjoint_symbol_remainder(s: SymbolExpr, t: float, x: float | np.ndarray,
+                             xi: float) -> complex | np.ndarray:
     """Symbol-level adjoint correction: op(s)^dagger has symbol
     conj(s) + remainder, with the remainder of the 1-D symbol s evaluated
     here by regularized quadrature over the base (y, eta) box and
-    Gauss-Legendre in theta.
+    Gauss-Legendre in theta.  ``x`` is a number, for which the remainder is
+    a complex, or a 1-D array of points, for which it is an array, each
+    entry bitwise that point's remainder.  BoxTooSmall reports the first
+    point, in order, whose y shell holds more than TAIL_TOL of the mass.
 
     Verified convention (matches the dense-matrix adjoint oracle): for
     s = c(x) xi the remainder equals -i c'(x).
@@ -801,18 +840,20 @@ def adjoint_symbol_remainder(s: SymbolExpr, t: float, x: float,
     thetas = 0.5 * (nodes + 1.0)
     tw = 0.5 * weights
     tails = []
-    values = _r_theta(trees, t, float(x),
+    values = _r_theta(trees, t, np.atleast_1d(x),
                       [(float(xi), float(theta)) for theta in thetas], False,
                       tail_report=tails)
-    acc = 0.0 + 0.0j
-    for w, value in zip(tw, values):
-        acc += w * value
     shell = sum(a for a, _ in tails)
     total = sum(b for _, b in tails)
-    if total > 0 and shell / total > TAIL_TOL:
-        raise BoxTooSmall(
-            f"y-shell fraction {shell / total:.3f} exceeds {TAIL_TOL}")
-    return complex(-1j * acc)
+    for part, whole in zip(shell, total):
+        if whole > 0 and part / whole > TAIL_TOL:
+            raise BoxTooSmall(
+                f"y-shell fraction {part / whole:.3f} exceeds {TAIL_TOL}")
+    acc = 0.0 + 0.0j
+    for w, column in zip(tw, values.T):
+        acc = acc + w * column
+    remainder = -1j * acc
+    return complex(remainder[0]) if np.ndim(x) == 0 else remainder
 
 
 def check_remainder_estimate(s: SymbolExpr, length: float,
@@ -821,7 +862,8 @@ def check_remainder_estimate(s: SymbolExpr, length: float,
 
     lhs = max over sampled (x, xi, theta) at t = 0 of |r_theta|, on the
           base (y, eta) box or the refined one;
-    rhs = Q^m_{0,3,3}(s), m the declared order of s,
+    rhs = Q^m_{0,3,3}(s), m the declared order of s, sampled once per
+          length and kept on s, as it does not depend on the box;
     both sampled on [0, length] x {|xi| <= 64}, length that of the grid s
     lives on; box-uniformity shows up as stability of the reported ratio
     under refinement.
@@ -830,10 +872,12 @@ def check_remainder_estimate(s: SymbolExpr, length: float,
     box = SampleBox(1, length, x_count=9, xi_max=64.0, xi_uniform_count=5)
     pairs = [(xi, float(theta)) for xi in (0.0, 1.0, 4.0, 16.0, 64.0)
              for theta in np.linspace(0.0, 1.0, 5)]
-    # np.max keeps a NaN; max(0.0, nan) is 0.0
-    lhs = float(np.max([abs(val) for xp in box.x_points()[:, 0]
-                        for val in _r_theta(trees, 0.0, float(xp), pairs,
-                                            refined)]))
-    rhs = seminorm_Q(s, 0, 3, 3, box)
+    values = _r_theta(trees, 0.0, box.x_points()[:, 0], pairs, refined)
+    # np.max keeps a NaN (max(0.0, nan) is 0.0); abs of each value, as
+    # numpy's vectorized complex abs can differ from hypot in the last bit
+    lhs = float(np.max([abs(v) for v in values.flat]))
+    if length not in s._remainder_rhs:
+        s._remainder_rhs[length] = seminorm_Q(s, 0, 3, 3, box)
+    rhs = s._remainder_rhs[length]
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": ratio}

@@ -65,6 +65,7 @@ class SymbolExpr:
         self.dim = int(dim)
         self._deriv_cache = {}
         self._remainder_trees = None   # quantization's integrand trees
+        self._remainder_rhs = {}       # and its semi-norm side, per length
         self._seminorm_constants = {}  # cauchy.seminorm_constant's, as a1
 
     # -- construction helpers ----------------------------------------------

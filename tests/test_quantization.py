@@ -1,5 +1,6 @@
 """Operator application, adjoints, norms, and the oscillatory remainder."""
 
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from onewave.config import TRAJECTORY_STRIDE
 from onewave.errors import BoxTooSmall, DimensionMismatch, TooLarge
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset, list_presets
-from onewave.profiles import plateau
+from onewave.profiles import _gl_nodes, plateau
 from onewave.quantization import (LAM, PeriodicOperator,
                                   _contract, _kernel, _r_theta,
                                   _remainder_integrand_trees,
@@ -725,6 +726,68 @@ class TestNormBracket:
             assert estimate(pairs[:2], grid, seed=3) == row[:2]
 
 
+class TestSkewShare:
+    """The multiplier's share d - conj(d) of the adjoint defect is formed
+    once per tables object, not once per application, and the estimates
+    are bitwise those of the share formed per application."""
+
+    @staticmethod
+    def symbol():
+        # (2 + sin x) xi + i (1 + cos(x) / 2): the split's multiplier
+        # 2 xi + i is not real, so the share 2i is not 0
+        speed = ex.mul(ex.add(ex.Const(2.0), ex.Sin(_X)), _XI)
+        damping = ex.mul(ex.Const(1j), ex.add(
+            ex.ONE, ex.mul(ex.Const(0.5), ex.Cos(_X))))
+        return SymbolExpr(ex.add(speed, damping), 1.0, 1)
+
+    def test_share_formed_once_per_tables(self, monkeypatch, grid32):
+        made = []
+
+        def skew(terms, _skew=quantization._Terms.skew.func):
+            made.append(terms)
+            return _skew(terms)
+        prop = functools.cached_property(skew)
+        prop.__set_name__(quantization._Terms, "skew")
+        monkeypatch.setattr(quantization._Terms, "skew", prop)
+        est = adjoint_defect_norm(self.symbol(), 0.0, grid32, seed=3)
+        assert est.iterations > 1 and est.value > 0
+        assert len(made) == 1
+        assert np.any(made[0].skew != 0)
+        assert made[0].skew is made[0].skew
+
+    def test_estimates_bitwise_per_application_share(self, monkeypatch,
+                                                     variable_speed_symbol):
+        def per_application(tables, hat, grid, mask):
+            """_skew_spectrum with d - conj(d) formed on every call, as it
+            was before the share was kept on the tables."""
+            p = hat * mask
+            share = None
+            if isinstance(tables, quantization._Terms):
+                tables, d = tables.split
+                share = (d - np.conjugate(d)) * p
+            av = np.empty(p.shape, dtype=complex)
+            quantization._synth(tables, p, grid, av, carry=p)
+            out = quantization._analyse(tables, p, grid, np.empty_like(p),
+                                        carry=av)
+            np.subtract(av, out, out=out)
+            if share is not None:
+                np.add(out, share, out=out)
+            return np.multiply(out, mask, out=out)
+
+        for grid in (Grid(1, 64, TWO_PI), Grid(2, 16, TWO_PI)):
+            symbols = ([self.symbol(), variable_speed_symbol]
+                       if grid.dim == 1 else
+                       [SymbolExpr(ex.mul(ex.Sin(ex.CoordX(1)), _XI), 1.0,
+                                   2)])
+            pairs = [(s, t) for s in symbols for t in (0.0, 0.5)]
+            got = adjoint_defect_norms(pairs, grid, seed=4)
+            with monkeypatch.context() as patch:
+                patch.setattr(quantization, "_skew_spectrum", per_application)
+                want = adjoint_defect_norms(pairs, grid, seed=4)
+            assert [(_bits(e.value), e.iterations, e.converged) for e in got] \
+                == [(_bits(e.value), e.iterations, e.converged) for e in want]
+
+
 class TestSymbolRecovery:
     def test_round_trip(self, variable_speed_symbol, grid32):
         mat = op_matrix(variable_speed_symbol, 0.0, grid32)
@@ -783,6 +846,13 @@ class TestOscillatoryRemainder:
     def test_nan_remainder_fails_remainder_xindep(self, nan_total):
         cfg = get_preset("adjoint_remainder_desk")
         cfg["checks"] = ["remainder_xindep"]
+        ok, [outcome] = run_scenario(cfg, echo=lambda line: None)
+        assert not ok and math.isnan(outcome.number)
+
+    def test_nan_remainder_fails_remainder_oracle(self, nan_total):
+        # the desk bump's two constant trees contract to 0 * sum(K)
+        cfg = get_preset("adjoint_remainder_desk")
+        cfg["checks"] = ["remainder_oracle"]
         ok, [outcome] = run_scenario(cfg, echo=lambda line: None)
         assert not ok and math.isnan(outcome.number)
 
@@ -864,7 +934,7 @@ class TestRemainderKernelOracle:
         s = SHAPE_SYMBOLS[name]
         trees = _remainder_integrand_trees(s)
         for x, xi, theta in ((np.pi + 0.7, 1.0, 0.0), (2.0, 3.0, 0.6)):
-            [got] = _r_theta(trees, 0.0, x, [(xi, theta)], refined)
+            [got] = _r_theta(trees, 0.0, [x], [(xi, theta)], refined)[0]
             want = _reference_r_theta(s, 0.0, x, xi, theta, refined)
             assert abs(want) > 1e-6
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -997,7 +1067,7 @@ class TestRemainderSharing:
     def test_r_theta_bitwise_per_pair(self, name, refined):
         trees = _remainder_integrand_trees(SHAPE_SYMBOLS[name])
         got_tails, want_tails = [], []
-        got = _r_theta(trees, 0.0, 2.0, self.PAIRS, refined, got_tails)
+        got = _r_theta(trees, 0.0, [2.0], self.PAIRS, refined, got_tails)[0]
         want = [_r_theta_per_pair(trees, 0.0, 2.0, xi, theta, refined,
                                   want_tails) for xi, theta in self.PAIRS]
         assert _bits(got) == _bits(want)
@@ -1052,6 +1122,118 @@ class TestRemainderSharing:
         with pytest.raises(DimensionMismatch, match="1-D"):
             check_remainder_estimate(plane, TWO_PI)
         assert _kernel.cache_info().currsize == 0
+
+
+class TestRemainderBatch:
+    """The quadrature over a batch of x points: a tree that reads no xi is
+    evaluated once for the batch, one that reads xi per (x, xi, theta), and
+    every value and tail entry is bitwise a lone point's."""
+
+    XS = [0.5, np.pi + 0.7, 5.9]
+    PAIRS = TestRemainderSharing.PAIRS
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("name", sorted(SHAPE_SYMBOLS))
+    def test_r_theta_bitwise_per_pair(self, name, refined):
+        trees = _remainder_integrand_trees(SHAPE_SYMBOLS[name])
+        tails = []
+        got = _r_theta(trees, 0.0, self.XS, self.PAIRS, refined, tails)
+        assert got.shape == (len(self.XS), len(self.PAIRS))
+        assert len(tails) == len(self.PAIRS)
+        for n, x in enumerate(self.XS):
+            want_tails = []
+            want = [_r_theta_per_pair(trees, 0.0, x, xi, theta, refined,
+                                      want_tails) for xi, theta in self.PAIRS]
+            assert _bits(got[n]) == _bits(want)
+            assert _bits([(shell[n], total[n]) for shell, total in tails]) \
+                == _bits(want_tails)
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_SYMBOLS))
+    def test_array_call_bitwise_scalar_calls(self, name):
+        s = SHAPE_SYMBOLS[name]
+        got = adjoint_symbol_remainder(s, 0.0, np.array(self.XS), 3.0)
+        want = [adjoint_symbol_remainder(s, 0.0, x, 3.0) for x in self.XS]
+        assert all(type(value) is complex for value in want)
+        assert got.shape == (len(self.XS),)
+        assert _bits(got) == _bits(want) == \
+            _bits([_remainder_per_pair(s, x, 3.0) for x in self.XS])
+
+    def test_xi_free_trees_evaluated_once_per_call(self, monkeypatch):
+        # every tree has a Conj at its root; bump_xi's LAM + 1 trees read
+        # no xi and are evaluated once each for 32 points and 7 theta
+        # nodes, bump_xi2's one xi-reading tree once per point and node
+        calls = []
+
+        def counted(node, t, x, xi, _eval=ex.Conj.eval):
+            calls.append(np.shape(x[0]))
+            return _eval(node, t, x, xi)
+        monkeypatch.setattr(ex.Conj, "eval", counted)
+        xs = np.linspace(0.0, TWO_PI, 32, endpoint=False)
+        batch, point = (32, BOXES[False][1], 1), (BOXES[False][1], 1)
+        adjoint_symbol_remainder(SHAPE_SYMBOLS["bump_xi"], 0.0, xs, 1.0)
+        assert calls == [batch] * (LAM + 1)
+        calls.clear()
+        adjoint_symbol_remainder(SHAPE_SYMBOLS["bump_xi2"], 0.0, xs, 1.0)
+        assert Counter(calls) == {batch: LAM, point: 32 * 7}
+
+    def test_batch_of_xi_reading_trees_peaks_as_one_point(self):
+        # bump_xi2's tree 2 bump'(x) xi reads xi on the full (y, eta) grid,
+        # so one point's integrand alone holds one base kernel's bytes; 32
+        # points peak less than one kernel above one point: no (x, y, eta)
+        # array is formed
+        s = SHAPE_SYMBOLS["bump_xi2"]
+        xs = np.linspace(0.0, TWO_PI, 32, endpoint=False)
+        adjoint_symbol_remainder(s, 0.0, xs[:1], 3.0)    # kernel, trees
+
+        def peak(points):
+            tracemalloc.start()
+            try:
+                adjoint_symbol_remainder(s, 0.0, points, 3.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        one, batch = peak(xs[:1]), peak(xs)
+        assert batch - one < _kernel(False).K.nbytes
+
+    def test_box_too_small_names_the_first_failing_point(self):
+        # x^6 xi: at x = 50 the y shell holds a small share and passes; at
+        # x = 1 it holds 0.312 and at x = 2 0.190, so the batch reports x = 1
+        s = SymbolExpr(ex.mul(ex.Power(_X, 6), _XI), 1.0, 1)
+        adjoint_symbol_remainder(s, 0.0, 50.0, 0.0)
+        with pytest.raises(BoxTooSmall, match="fraction 0.312 exceeds"):
+            adjoint_symbol_remainder(s, 0.0, np.array([50.0, 1.0, 2.0]),
+                                     0.0)
+        with pytest.raises(BoxTooSmall, match="fraction 0.190 exceeds"):
+            adjoint_symbol_remainder(s, 0.0, np.array([50.0, 2.0, 1.0]),
+                                     0.0)
+
+    def test_remainder_stability_samples_the_seminorm_once(self,
+                                                           monkeypatch):
+        # the semi-norm side depends on the symbol and the length only, so
+        # the refined box reuses the base box's
+        calls = []
+
+        def counted(*args, _q=quantization.seminorm_Q):
+            calls.append(args[1:4])
+            return _q(*args)
+        monkeypatch.setattr(quantization, "seminorm_Q", counted)
+        cfg = get_preset("adjoint_remainder_desk")
+        cfg["checks"] = ["remainder_stability"]
+        ok, [outcome] = run_scenario(cfg, echo=lambda line: None)
+        assert ok and outcome.number >= 0
+        assert calls == [(0, 3, 3)]
+
+
+def _remainder_per_pair(s, x, xi):
+    """adjoint_symbol_remainder at one x from one _r_theta_per_pair call
+    per theta node, accumulated as the one-point quadrature did."""
+    trees = _remainder_integrand_trees(s)
+    nodes, weights = _gl_nodes(quantization.THETA_NODES)
+    acc = 0.0 + 0.0j
+    for theta, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        acc += w * _r_theta_per_pair(trees, 0.0, float(x), float(xi),
+                                     float(theta), False)
+    return complex(-1j * acc)
 
 
 class TestBandProjector:
