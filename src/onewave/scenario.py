@@ -12,12 +12,12 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
+import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import expr as ex
 from . import io as owio
@@ -573,15 +573,126 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-# Compiled once: jsonschema.validate re-checks the schema on every call.
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+# -- config validation --------------------------------------------------------
+# validate_config interprets CONFIG_SCHEMA itself, with exactly the Draft
+# 2020-12 keywords the schema uses; the tests referee it against jsonschema.
+SCHEMA_KEYWORDS = frozenset({
+    "$schema", "type", "enum", "const", "minimum", "maximum",
+    "exclusiveMinimum", "exclusiveMaximum", "multipleOf", "required",
+    "properties", "additionalProperties", "items", "prefixItems", "minItems",
+    "maxItems", "allOf", "if", "then", "else"})
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": numbers.Number}
+# bound keyword: (the test a value fails it by, jsonschema's wording)
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
+           "maximum": (operator.gt, "greater than the maximum"),
+           "exclusiveMinimum": (operator.le,
+                                "less than or equal to the minimum"),
+           "exclusiveMaximum": (operator.ge,
+                                "greater than or equal to the maximum")}
+
+
+def _is_type(value, kind: str) -> bool:
+    # a bool is not a number; a float with a zero fraction is an integer
+    if kind in ("number", "integer") and isinstance(value, bool):
+        return False
+    if kind == "integer":
+        return isinstance(value, int) or \
+            isinstance(value, float) and value.is_integer()
+    return isinstance(value, _TYPES[kind])
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _violations(value, schema: dict, path=()):
+    """(path, message, type_matched) per violation of `schema` by `value`,
+    worded and ordered as jsonschema's errors; type_matched: the failing
+    schema names a type that `value` has."""
+    kinds = schema.get("type", ())
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    matched = any(_is_type(value, k) for k in kinds)
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _is_type(value, "number")
+    for key, arg in schema.items():
+        msg = None
+        if key == "type" and not matched:
+            msg = f"{value!r} is not of type {', '.join(map(repr, kinds))}"
+        elif key == "enum" and not any(_equal(a, value) for a in arg):
+            msg = f"{value!r} is not one of {arg!r}"
+        elif key == "const" and not _equal(arg, value):
+            msg = f"{arg!r} was expected"
+        elif key in _BOUNDS and is_number and _BOUNDS[key][0](value, arg):
+            msg = f"{value!r} is {_BOUNDS[key][1]} of {arg!r}"
+        elif key == "multipleOf" and is_number and value % arg:
+            msg = f"{value!r} is not a multiple of {arg}"   # integer steps
+        elif key == "required" and is_object:
+            for name in arg:
+                if name not in value:
+                    yield path, f"{name!r} is a required property", matched
+        elif key == "properties" and is_object:
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif key == "additionalProperties" and is_object:   # false here
+            extras = sorted(set(value) - set(schema.get("properties", ())))
+            if extras:
+                msg = (f"Additional properties are not allowed "
+                       f"({', '.join(map(repr, extras))} "
+                       f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "items" and is_array:
+            for i in range(len(schema.get("prefixItems", ())), len(value)):
+                yield from _violations(value[i], arg, path + (i,))
+        elif key == "prefixItems" and is_array:
+            for i, sub in enumerate(arg[:len(value)]):
+                yield from _violations(value[i], sub, path + (i,))
+        elif key == "minItems" and is_array and len(value) < arg:
+            msg = f"{value!r} " + ("should be non-empty" if arg == 1
+                                   else "is too short")
+        elif key == "maxItems" and is_array and len(value) > arg:
+            msg = f"{value!r} " + ("is expected to be empty" if arg == 0
+                                   else "is too long")
+        elif key == "allOf":
+            for sub in arg:
+                yield from _violations(value, sub, path)
+        elif key == "if":
+            branch = "else" if any(_violations(value, arg, path)) else "then"
+            if branch in schema:
+                yield from _violations(value, schema[branch], path)
+        if msg is not None:
+            yield path, msg, matched
+
+
+def _non_finite(value, path=()):
+    """(path, message, True) per NaN or infinity: JSON has no such number,
+    but Python's json module reads them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, f"{value!r} is not a finite number", True
+    elif isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _non_finite(child, path + (key,))
+
+
+def _relevance(violation):
+    """jsonschema's best_match order: the shallowest violation, then the
+    last path among siblings, then one whose value misses the named type."""
+    path, _, matched = violation
+    return -len(path), path, not matched
 
 
 def validate_config(cfg: dict) -> dict:
-    err = best_match(_VALIDATOR.iter_errors(cfg))
-    if err is not None:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigInvalid(f"config field {path!r}: {err.message}")
+    """`cfg` itself; raises ConfigInvalid naming the violation jsonschema's
+    best_match picks, or else the first non-finite number."""
+    found = max(_violations(cfg, CONFIG_SCHEMA), key=_relevance,
+                default=None) or next(_non_finite(cfg), None)
+    if found is not None:
+        path, msg, _ = found
+        path = "/".join(map(str, path)) or "<root>"
+        raise ConfigInvalid(f"config field {path!r}: {msg}")
     return cfg
 
 

@@ -158,15 +158,23 @@ class SampleBox:
             mags.add(2.0 ** j)
             j += 1
         mags.add(self.xi_max)
+        # sorted and distinct, from mags[0] == 0.0.  No np.unique: it imports
+        # numpy.ma, and it leaves the sign of the zero point, +0.0 here, to
+        # its sort order.
         mags = np.array(sorted(mags))
         if self.dim == 1:
-            xi = np.unique(np.concatenate([-mags[::-1], mags]))[:, None]
+            xi = np.concatenate([-mags[:0:-1], mags])[:, None]
         else:
             root2 = 1.0 / math.sqrt(2.0)
             dirs = np.array([(1, 0), (0, 1), (-1, 0), (0, -1),
                              (root2, root2), (-root2, -root2)])
-            pts = (mags[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-            xi = np.unique(np.round(pts, 12), axis=0)
+            pts = np.round(mags[:, None, None] * dirs[None, :, :],
+                           12).reshape(-1, 2)
+            # rows in lexicographic order, the first of equal rows kept: the
+            # stable sort keeps the first zero row, (0.0, 0.0)
+            pts = pts[np.lexsort(pts.T[::-1])]
+            xi = pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1],
+                                                    axis=1)])]
         x.flags.writeable = xi.flags.writeable = False
         return x, xi
 

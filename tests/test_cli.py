@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from onewave import asymptotics, regularization, symbols
 from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
@@ -18,7 +19,8 @@ from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
 from onewave.config import Thresholds
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
-from onewave.scenario import _EXPR, ScenarioContext, run_scenario
+from onewave.scenario import (_EXPR, SCHEMA_KEYWORDS, ScenarioContext,
+                              _relevance, _violations, run_scenario)
 
 
 class TestPresets:
@@ -66,9 +68,30 @@ class TestPresets:
         assert list(open_objects(CONFIG_SCHEMA, "")) == []
 
     def test_schema_is_a_valid_draft_2020_12_schema(self):
-        # validate_config uses a precompiled validator, which never checks
-        # the schema itself
+        # validate_config interprets the schema and never checks it
         Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    def test_schema_uses_only_interpreted_keywords(self):
+        # validate_config interprets SCHEMA_KEYWORDS, additionalProperties
+        # false only, integer multipleOf steps and scalar enum and const
+        # values; a schema that outgrows it fails here
+        def walk(schema, path):
+            assert set(schema) <= SCHEMA_KEYWORDS, \
+                (path, set(schema) - SCHEMA_KEYWORDS)
+            assert schema.get("additionalProperties", False) is False, path
+            assert isinstance(schema.get("multipleOf", 1), int), path
+            assert all(isinstance(v, (str, int, float)) for v in
+                       [*schema.get("enum", ()), schema.get("const", 0)]), path
+            for key, sub in schema.items():
+                if key == "properties":
+                    for name, child in sub.items():
+                        walk(child, f"{path}/properties/{name}")
+                elif key in ("items", "if", "then", "else"):
+                    walk(sub, f"{path}/{key}")
+                elif key in ("prefixItems", "allOf"):
+                    for i, child in enumerate(sub):
+                        walk(child, f"{path}/{key}/{i}")
+        walk(CONFIG_SCHEMA, "")
 
 
 class TestValidation:
@@ -427,7 +450,29 @@ CONFIG_PROBES = {
         ["symbol", "a1", "expr", "children", 0, "ordr"], 3), []),
     "unknown_expr_key_extra": ("adjoint_remainder_desk", _set(
         ["symbol", "a1", "expr", "children", 0, "widht"], 0.1), []),
+    # JSON has no NaN or Infinity, but Python's json module reads them: a
+    # non-finite number is refused anywhere, open expression nodes included
+    "horizon_nan": ("transport_smoke", _set(["horizon"], math.nan), []),
+    "horizon_infinity": ("transport_smoke", _set(["horizon"], math.inf), []),
+    "dt_nan": ("transport_smoke", _set(["dt"], math.nan), []),
+    "a1_constant_infinity": ("variable_speed_smooth", _set(
+        ["symbol", "a1", "expr", "children", 0, "children", 0, "re"],
+        math.inf), []),
 }
+
+# Values that no shipped config changed are constants now: a config that
+# still sets one is refused, naming the key.
+DELETED_KEYS = [
+    ("transport_smoke", ["checks", 0, "tol"]),
+    ("transport_smoke", ["checks", 1, "tol"]),
+    ("adjoint_remainder_desk", ["checks", 0, "tol"]),
+    ("adjoint_remainder_desk", ["checks", 1, "rel_tol"]),
+    ("adjoint_remainder_desk", ["checks", 2, "rel_change"]),
+    ("adjoint_remainder_desk", ["checks", 3, "points"]),
+    ("adjoint_remainder_desk", ["checks", 3, "max_ratio"]),
+    ("piecewise_speed_logtype", ["symbol", "transition_width"]),
+    ("ginf_regularity", ["data", "gamma"]),
+    ("ginf_regularity", ["checks", 1, "data", "gamma"])]
 
 
 class TestRunPhaseExits:
@@ -532,19 +577,7 @@ class TestConfigContract:
         path.write_text(json.dumps(_apply_overrides(cfg, args)))
         assert main(["validate", str(path)]) == 3
 
-    # values that no shipped config changed are constants now: a config
-    # that still sets one is refused, naming the key
-    @pytest.mark.parametrize("preset, path", [
-        ("transport_smoke", ["checks", 0, "tol"]),
-        ("transport_smoke", ["checks", 1, "tol"]),
-        ("adjoint_remainder_desk", ["checks", 0, "tol"]),
-        ("adjoint_remainder_desk", ["checks", 1, "rel_tol"]),
-        ("adjoint_remainder_desk", ["checks", 2, "rel_change"]),
-        ("adjoint_remainder_desk", ["checks", 3, "points"]),
-        ("adjoint_remainder_desk", ["checks", 3, "max_ratio"]),
-        ("piecewise_speed_logtype", ["symbol", "transition_width"]),
-        ("ginf_regularity", ["data", "gamma"]),
-        ("ginf_regularity", ["checks", 1, "data", "gamma"])])
+    @pytest.mark.parametrize("preset, path", DELETED_KEYS)
     def test_deleted_key_is_named(self, preset, path, tmp_path, capsys):
         cfg = get_preset(preset)
         _set(path, 1.0)(cfg)
@@ -622,3 +655,131 @@ class TestBuildFuzz:
                 code = main(["run", str(path), "--out", str(out)])
         assert code in (0, 2, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+REFEREE = Draft202012Validator(CONFIG_SCHEMA)
+
+
+def _referee(cfg):
+    """The ConfigInvalid message of jsonschema's best_match error, or None."""
+    err = best_match(REFEREE.iter_errors(cfg))
+    if err is None:
+        return None
+    path = "/".join(str(p) for p in err.absolute_path) or "<root>"
+    return f"config field {path!r}: {err.message}"
+
+
+def _verdict(cfg):
+    """validate_config's ConfigInvalid message, or None."""
+    try:
+        validate_config(cfg)
+    except ConfigInvalid as err:
+        return str(err)
+    return None
+
+
+def _nodes(node, path=()):
+    """(path, node) of every node of a config, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _nodes(child, path + (key,))
+
+
+# The fuzz's leaf values as a fixed list: the ends of its ranges, values
+# between, each other kind once, and a bool, which is no number.
+REFEREE_VALUES = [-3, 0, 1, 2, 3, 7, 127, 300, -10.0, -1.0, 0.0, 0.5, 1.0,
+                  2.0, 2.5, 10.0, "", "a", "abc", None, [], {}, True]
+
+
+def _single_faults(name):
+    """Preset `name` with one fault: a leaf set to a referee value, another
+    node set to [] or {}, a key deleted, or an unknown key added to an
+    object."""
+    leaves = set(_leaf_paths(PRESETS[name]))
+    for path, node in _nodes(PRESETS[name]):
+        for value in REFEREE_VALUES if path in leaves else \
+                [[], {}] if path else []:
+            cfg = get_preset(name)
+            _set(list(path), value)(cfg)
+            yield cfg
+        if path and isinstance(path[-1], str):
+            cfg = get_preset(name)
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+            yield cfg
+        if isinstance(node, dict):
+            cfg = get_preset(name)
+            _set([*path, "unknown_key"], 1)(cfg)
+            yield cfg
+
+
+class TestReferee:
+    """validate_config against jsonschema's Draft 2020-12 validator and its
+    best_match: on finite configs both accept, or both name the same field
+    with the same message."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_single_faults_agree(self, name):
+        corpus = [get_preset(name), *_single_faults(name)]
+        verdicts = [(_verdict(cfg), _referee(cfg)) for cfg in corpus]
+        assert [v for v in verdicts if v[0] != v[1]] == []
+        assert verdicts[0] == (None, None)
+        assert any(ours is not None for ours, _ in verdicts)
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "integer"}, {"type": ["number", "null"]}, {"enum": [1, 2]},
+        {"const": 0}, {"minimum": 2}, {"maximum": 6}, {"exclusiveMinimum": 0},
+        {"exclusiveMaximum": 1}, {"multipleOf": 2}, {"minItems": 1},
+        {"minItems": 2}, {"maxItems": 0}, {"maxItems": 2},
+        # the shallowest violation, then the last path among siblings
+        {"type": "object", "required": ["b"],
+         "properties": {"a": {"type": "string"}, "b": {"type": "string"}},
+         "additionalProperties": False},
+        {"prefixItems": [{"type": "string"}], "items": {"type": "integer"}},
+        # a violation whose schema names no type outranks one whose value
+        # has the type its schema names, at the same path
+        {"type": "object", "required": ["a"], "allOf": [{"required": ["b"]}]},
+        {"if": {"required": ["a"]}, "then": {"required": ["b"]},
+         "else": {"required": ["c"]}}])
+    def test_each_keyword_agrees(self, schema):
+        referee = Draft202012Validator(schema)
+        for value in [True, False, 0, 1, 1.0, 2, 2.5, -1, 7, "a", None, [],
+                      ["a"], ["a", 1, 2.0], [1, "b", 3], {}, {"a": 1},
+                      {"a": 1, "b": 2}, {"a": "x", "b": 1}, {"c": 0, "d": 1}]:
+            ours = max(_violations(value, schema), key=_relevance,
+                       default=None)
+            theirs = best_match(referee.iter_errors(value))
+            assert (ours and ours[:2]) == \
+                (theirs and (tuple(theirs.absolute_path), theirs.message))
+
+    def test_probes_and_deleted_keys_agree(self):
+        corpus = []
+        for preset, mutate, flags in CONFIG_PROBES.values():
+            cfg = get_preset(preset)
+            mutate(cfg)
+            args = build_parser().parse_args(["run", preset, *flags])
+            corpus.append(_apply_overrides(cfg, args))
+        for preset, path in DELETED_KEYS:
+            cfg = get_preset(preset)
+            _set(path, 1.0)(cfg)
+            corpus.append(cfg)
+        stricter = []
+        for cfg in corpus:
+            ours, theirs = _verdict(cfg), _referee(cfg)
+            try:
+                json.dumps(cfg, allow_nan=False)
+            except ValueError:
+                # the one place the validator is stricter than jsonschema
+                assert theirs is None
+                stricter.append(ours)
+            else:
+                assert ours == theirs
+        assert stricter == [
+            f"config field {path!r}: {value} is not a finite number"
+            for path, value in [
+                ("horizon", "nan"), ("horizon", "inf"), ("dt", "nan"),
+                ("symbol/a1/expr/children/0/children/0/re", "inf")]]

@@ -562,15 +562,19 @@ class TestOperatorNorm:
 
     def test_numpy_random_stays_unimported(self):
         # the start draw uses the standard library's generator, so a run
-        # never pays numpy.random's import
+        # never pays numpy.random's import; config validation interprets
+        # the schema without jsonschema, and the sample boxes sort their
+        # points without np.unique, which imports numpy.ma
         child = """
 import sys
 import numpy as np
 from onewave import expr as ex
 from onewave.cauchy import CauchyProblem, solve_fixed_eps
 from onewave.grid import Grid, GridFunction
+from onewave.presets import PRESETS, get_preset
 from onewave.quantization import adjoint_defect_norm
-from onewave.symbols import HyperbolicSymbol, SymbolExpr
+from onewave.scenario import run_scenario, validate_config
+from onewave.symbols import HyperbolicSymbol, SampleBox, SymbolExpr
 grid = Grid(1, 64, 2.0 * np.pi)
 speed = ex.add(ex.Const(1.0), ex.mul(ex.Const(0.5), ex.Sin(ex.CoordX(0))))
 a1 = SymbolExpr(ex.mul(speed, ex.CoordXi(0)), 1.0, 1)
@@ -578,13 +582,19 @@ assert adjoint_defect_norm(a1, 0.0, grid, seed=1).value > 0.0
 problem = CauchyProblem(HyperbolicSymbol(a1), GridFunction(
     grid, np.exp(np.cos(grid.x_mesh()[0])) + 0j), 0.5)
 assert np.all(np.isfinite(solve_fixed_eps(problem, seed=1).final().values))
-print("numpy.random" in sys.modules)
+for name in PRESETS:
+    validate_config(get_preset(name))
+assert run_scenario(get_preset("adjoint_remainder_desk"),
+                    echo=lambda line: None)[0]
+assert SampleBox(2, 2.0 * np.pi).xi_points().shape == (241, 2)
+print([name for name in ("numpy.random", "jsonschema", "numpy.ma")
+       if name in sys.modules])
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run([sys.executable, "-c", child], check=True,
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_power_iteration_zero_operator(self, rng):
         [(lam, ok, _)] = power_iteration(lambda rows, v: np.zeros_like(v),

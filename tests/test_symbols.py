@@ -11,6 +11,7 @@ from onewave import expr as ex
 from onewave import symbols
 from onewave.errors import EmptyBox, InsufficientSweep, NonFinite
 from onewave.grid import Grid
+from onewave.presets import PRESETS
 from onewave.regularization import MollifiedCoefficient, RoughCoefficient
 from onewave.symbols import (GenSymbolFamily, HyperbolicSymbol, SampleBox,
                              SymbolExpr, classify_log_type,
@@ -257,6 +258,51 @@ class TestSeminorms:
         with pytest.raises(dataclasses.FrozenInstanceError):
             box.x_count = 17
         assert box.x_points().shape == (9 ** dim, dim)
+
+    def test_xi_points_are_np_uniques(self):
+        # the xi points, bit for bit, of np.unique over the magnitudes along
+        # the grid directions; np.unique leaves the sign of the zero point
+        # to its sort order (in 1-D with numpy 2.4 on x86-64: -0.0 at
+        # xi_max 1024, +0.0 at xi_max 16), and adding +0.0 makes it +0.0
+        def unique_points(box):
+            mags = set(np.linspace(0.0, 4.0, box.xi_uniform_count))
+            j = 0
+            while 2.0 ** j <= box.xi_max:
+                mags.add(2.0 ** j)
+                j += 1
+            mags.add(box.xi_max)
+            mags = np.array(sorted(mags))
+            if box.dim == 1:
+                xi = np.unique(np.concatenate([-mags[::-1], mags]))[:, None]
+            else:
+                r = 1.0 / np.sqrt(2.0)
+                dirs = np.array([(1, 0), (0, 1), (-1, 0), (0, -1), (r, r),
+                                 (-r, -r)])
+                xi = np.unique(np.round((mags[:, None, None] * dirs).reshape(
+                    -1, 2), 12), axis=0)
+            return xi + 0.0
+
+        # every xi_max and uniform count the package's boxes take, on each
+        # preset's grid at its own M and at M = 64 and 1024
+        boxes = {SampleBox(cfg["grid"]["dim"], 1.0, xi_max=xi_max,
+                           xi_uniform_count=count)
+                 for cfg in PRESETS.values()
+                 for m in (cfg["grid"]["points"], 64, 1024)
+                 for top in [Grid(cfg["grid"]["dim"], m,
+                                  cfg["grid"]["length"]).max_abs_xi()]
+                 for xi_max in (top, min(top, 256.0), 64.0, 1024.0)
+                 for count in (5, 9, 33)}
+        # and random ones, with magnitudes that round to equal 2-D points
+        rng = np.random.default_rng(7)
+        boxes |= {SampleBox(int(rng.integers(1, 3)), 1.0,
+                            xi_max=float(rng.uniform(1e-3, 5000.0)),
+                            xi_uniform_count=int(rng.integers(1, 80)))
+                  for _ in range(40)}
+        boxes |= {SampleBox(dim, 1.0, xi_max=xi_max) for dim in (1, 2)
+                  for xi_max in (1e-14, 1.0 + 1e-14, np.sqrt(2.0))}
+        for box in boxes:
+            assert box.xi_points().tobytes() == unique_points(box).tobytes()
+            assert box.xi_points().shape == unique_points(box).shape
 
 
 class TestFullSymbol:
