@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import (CauchyProblem, Forcing, SolveResult, check_energy_estimate,
-                     derivative_cascade, solve_fixed_eps, solve_stack)
+                     derivative_cascade, solve_stack)
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
@@ -35,9 +35,6 @@ __all__ = [
     "DataBuilder", "SweepPlan", "SweepReport", "run_sweep",
     "check_negligible", "check_association", "check_ginf", "fit_exponent",
 ]
-
-# Space and time refinement of check_association's refined-solve reference.
-REFERENCE_REFINEMENT = 4
 
 
 @dataclass
@@ -286,44 +283,24 @@ def check_negligible(plan: SweepPlan, report: SweepReport,
             "per_q": per_q, "norms": vals.tolist(), "eps": eps.tolist()}
 
 
-def check_association(plan: SweepPlan, report: SweepReport, probes, reference,
+def check_association(grid: Grid, report: SweepReport, probes, reference,
                       thresholds: Thresholds = DEFAULT_THRESHOLDS) -> dict:
-    """Weak-pairing residuals of the sweep's u_eps(T) against a reference.
+    """Weak-pairing residuals of the sweep's u_eps(T) on ``grid`` against an
+    exact reference.
 
-    ``probes`` are callables phi(x mesh arrays); ``reference`` is either a
-    callable probe -> exact pairing value, or the string "solve" for a
-    REFERENCE_REFINEMENT-refined solve with data built at the smallest sweep
-    eps (documented as an oracle, not ground truth).  Residuals must be
-    non-increasing over the last three completed sweep points (up to the
+    ``probes`` are callables phi(x mesh arrays); ``reference`` is a callable
+    probe -> the exact pairing value of the eps -> 0 limit.  Residuals must
+    be non-increasing over the last three completed sweep points (up to the
     configured additive slack).
     """
-    grid = plan.grid
-
     def pairing(u: GridFunction, phi_vals: np.ndarray) -> complex:
-        return complex(u.grid.cell_volume *
+        return complex(grid.cell_volume *
                        np.sum(u.values * np.conjugate(phi_vals)))
 
-    coarse_phis = [np.asarray(phi(*grid.x_mesh()), dtype=complex)
-                   for phi in probes]
-
-    if callable(reference):
-        ref_pairings = [complex(reference(phi)) for phi in probes]
-    else:
-        fine = Grid(grid.dim, grid.points * REFERENCE_REFINEMENT, grid.length)
-        eps_ref = min(plan.family.eps_grid)
-        g_f, f_f = _rebuild_on(plan.data, fine, eps_ref)
-        prob = CauchyProblem(symbol=plan.family.member(eps_ref),
-                             initial=g_f, horizon=plan.horizon, forcing=f_f)
-        # refine time along with space so the reference's step error sits
-        # below the sweep's
-        ref_dt = None if plan.dt is None else plan.dt / REFERENCE_REFINEMENT
-        u_ref = solve_fixed_eps(prob, ref_dt, seed=plan.seed).final()
-        fine_phis = [np.asarray(phi(*fine.x_mesh()), dtype=complex)
-                     for phi in probes]
-        ref_pairings = [pairing(u_ref, pv) for pv in fine_phis]
-
+    phis = [np.asarray(phi(*grid.x_mesh()), dtype=complex) for phi in probes]
+    ref_pairings = [complex(reference(phi)) for phi in probes]
     residuals = np.array([[abs(pairing(final, pv) - rp)
-                           for pv, rp in zip(coarse_phis, ref_pairings)]
+                           for pv, rp in zip(phis, ref_pairings)]
                           for final in report.finals])
     slack = thresholds.association_trend_slack
     tail = residuals[-3:]
@@ -333,34 +310,7 @@ def check_association(plan: SweepPlan, report: SweepReport, probes, reference,
         "residuals": residuals.tolist(),
         "monotone_tail": monotone,
         "terminal_residuals": residuals[-1].tolist() if len(residuals) else [],
-        "reference": "exact" if callable(reference) else "refined-solve",
     }
-
-
-def spectral_extend(coarse: GridFunction, fine: Grid) -> GridFunction:
-    """Trigonometric-interpolant extension of a grid function to a finer
-    grid: its spectrum, scaled by the ratio of the grid sizes, at the same
-    frequencies of the finer grid's."""
-    out = np.zeros(fine.shape, dtype=complex)
-    m = coarse.grid.points
-    idx = np.fft.fftfreq(m, 1.0 / m).astype(int)
-    out[np.ix_(*[idx] * fine.dim)] = np.fft.fftn(coarse.values) * (
-        fine.size / coarse.grid.size)
-    return GridFunction(fine, np.fft.ifftn(out))
-
-
-def _rebuild_on(data: DataBuilder, fine: Grid, eps: float):
-    """Build the data family on a refined grid via spectral extension."""
-    g_fine = spectral_extend(data.g, fine) if data.g is not None else None
-    f_fine = None
-    if data.forcing is not None and not data.forcing.is_zero:
-        src = data.forcing
-        terms = [(prof, spectral_extend(GridFunction(src.grid, vals), fine).values)
-                 for prof, vals in src.terms]
-        f_fine = Forcing(fine, terms)
-    rebuilt = DataBuilder(kind=data.kind, g=g_fine, forcing=f_fine,
-                          power=data.power)
-    return rebuilt.build(eps, fine)
 
 
 def require_ginf_orders(orders, cap: int):

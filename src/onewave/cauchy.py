@@ -34,9 +34,9 @@ import numpy as np
 from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
                      INSTABILITY_FACTOR, TRAJECTORY_STRIDE)
 from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
-                     UnstableStep)
+                     TooLarge, UnstableStep)
 from .grid import Grid, GridFunction
-from .quantization import (PeriodicOperator, _distinct, _synth,
+from .quantization import (DENSE_GUARD, PeriodicOperator, _distinct, _synth,
                            adjoint_defect_norms, operator_norms, stacks)
 from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 
@@ -154,6 +154,9 @@ def step_size(dt: float | None, horizon: float, symbol_sup: float) -> float:
         raise UnstableStep(f"dt*sup = {dt * symbol_sup:.3f} exceeds margin "
                            f"{CFL_MARGIN} (sup|R|, or sup|a| if forced, "
                            "t-dependent or dense)")
+    if not math.isfinite(horizon / dt):
+        raise TooLarge(f"horizon {horizon:g} over dt {dt:.3g} is no finite "
+                       "step count")
     steps = max(1, math.ceil(horizon / dt - 1e-12))
     return horizon / steps
 
@@ -345,6 +348,13 @@ class _Member:
                        for t in problem.symbol.sample_times(problem.horizon))
         self.dt = step_size(dt, problem.horizon, self.sup)
         self.n_steps = int(round(problem.horizon / self.dt))
+        # step 0 (set by the loop), every TRAJECTORY_STRIDE-th step, the last
+        rows = 2 + (self.n_steps - 1) // TRAJECTORY_STRIDE
+        if rows * problem.grid.size > DENSE_GUARD ** 2:
+            raise TooLarge(
+                f"horizon {problem.horizon:g} takes {self.n_steps:.3g} steps, "
+                f"whose {rows:.3g} snapshots of {problem.grid.size} nodes "
+                f"exceed the cap of {DENSE_GUARD ** 2} complex entries")
         self.factors = (np.exp(-1j * self.dt * d),
                         np.exp(-1j * (self.dt / 2.0) * d))
         self.g_norm_sq = problem.initial.norm_sq()
@@ -353,8 +363,6 @@ class _Member:
         self.guard_base = self.g_norm_sq + float(np.trapezoid(
             [self.f_norm_sq(t) for t in guard_t], guard_t))
         self.ledger = [(0.0, self.g_norm_sq, self.f_norm_sq(0.0))]
-        # step 0 (set by the loop), every TRAJECTORY_STRIDE-th step, the last
-        rows = 2 + (self.n_steps - 1) // TRAJECTORY_STRIDE
         self.snap_times = np.zeros(rows)
         self.spectra = np.zeros((rows,) + problem.grid.shape, dtype=complex)
 

@@ -34,7 +34,9 @@ class DimensionMismatch(OnewaveError):
 
 
 class TooLarge(OnewaveError):
-    """Dense-matrix oracle requested beyond its size guard."""
+    """A dense table, the matrix oracle or a solve's snapshot stack beyond
+    its size guard (quantization.DENSE_GUARD nodes, or DENSE_GUARD**2
+    complex snapshot entries)."""
 
 
 class BoxTooSmall(OnewaveError):

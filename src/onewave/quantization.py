@@ -45,7 +45,7 @@ from .config import BRACKET_WIDTH, POWER_ITERS, POWER_RTOL
 from .errors import BoxTooSmall, DimensionMismatch, TooLarge
 from .grid import Grid
 from .profiles import _gl_nodes, plateau
-from .symbols import SampleBox, SymbolExpr, seminorm_Q
+from .symbols import SampleBox, SymbolExpr, linear_in_xi, seminorm_Q
 
 __all__ = [
     "PeriodicOperator", "stacks", "op_matrix",
@@ -523,12 +523,10 @@ def _x_values(tables) -> np.ndarray:
 
 def _transport_axis(g_m: np.ndarray, grid: Grid):
     """(a, kappa) when the xi-table g_m equals kappa xi_a at every grid
-    frequency to 1e-12 relative (transport_speed's test), else None."""
+    frequency (linear_in_xi), else None."""
     for a, xi_a in enumerate(np.broadcast_arrays(*grid.xi_mesh())):
-        top = np.unravel_index(np.argmax(np.abs(xi_a)), xi_a.shape)
-        kappa = g_m[top] / xi_a[top]
-        # written so that NaN and inf fail the comparison
-        if np.all(np.abs(g_m - kappa * xi_a) <= 1e-12 * np.abs(kappa * xi_a)):
+        kappa = linear_in_xi(g_m, xi_a)
+        if kappa is not None:
             return a, kappa
     return None
 

@@ -238,6 +238,17 @@ def seminorm_Q(s: SymbolExpr, j: int, k: int, l: int,
     return best
 
 
+def linear_in_xi(values: np.ndarray, xi: np.ndarray):
+    """kappa when ``values`` equal kappa xi at every entry to 1e-12
+    relative, kappa read at the largest |xi|; else None."""
+    top = np.unravel_index(np.argmax(np.abs(xi)), xi.shape)
+    kappa = values[top] / xi[top]
+    # written so that NaN and inf fail the comparison
+    if np.all(np.abs(values - kappa * xi) <= 1e-12 * np.abs(kappa * xi)):
+        return kappa
+    return None
+
+
 @dataclass
 class HyperbolicSymbol:
     """Order-1 symbol split a = a1 + a0 with a1 real-valued, a0 of order 0.
@@ -275,13 +286,8 @@ class HyperbolicSymbol:
                 a1.root.depends_x():
             return None
         xi = grid.xi_axis()
-        values = a1.eval(0.0, (np.zeros(1),), (xi,))
-        top = int(np.argmax(np.abs(xi)))
-        speed = values[top] / xi[top]
-        exact = speed.real * xi
-        # written so that NaN and inf fail the comparison
-        if speed.imag != 0.0 or not np.all(
-                np.abs(values - exact) <= 1e-12 * np.abs(exact)):
+        speed = linear_in_xi(a1.eval(0.0, (np.zeros(1),), (xi,)), xi)
+        if speed is None or speed.imag != 0.0:
             return None
         return float(speed.real)
 

@@ -12,7 +12,7 @@ from onewave import asymptotics, cauchy, quantization, scenario
 from onewave import expr as ex
 from onewave.asymptotics import (DataBuilder, SweepPlan, check_association,
                                  check_ginf, check_negligible, fit_exponent,
-                                 run_sweep, spectral_extend)
+                                 run_sweep)
 from onewave.cauchy import (CauchyProblem, Forcing, TimeProfile,
                             derivative_cascade, solve_fixed_eps, solve_stack)
 from onewave.config import CFL_MARGIN, CFL_SAFETY
@@ -206,7 +206,8 @@ class TestAssociation:
             return complex(grid256.cell_volume *
                            np.sum(classical.values * np.conjugate(vals)))
 
-        rep = check_association(plan, run_sweep(plan), [probe], reference)
+        rep = check_association(plan.grid, run_sweep(plan), [probe],
+                                reference)
         assert max(rep["terminal_residuals"]) <= 1e-10
         assert rep["monotone_tail"]
 
@@ -226,32 +227,11 @@ class TestAssociation:
         def reference(phi):
             return complex(phi(np.array([x0 + 1.0]))[0])
 
-        rep = check_association(plan, run_sweep(plan), probes, reference)
+        rep = check_association(plan.grid, run_sweep(plan), probes,
+                                reference)
         assert rep["monotone_tail"]
         res = np.array(rep["residuals"])
         assert np.all(res[-1] <= res[0])
-
-    def test_refined_solve_reference(self, grid32):
-        eps_grid = [0.3 * 0.55 ** i for i in range(5)]
-        x = grid32.x_axis()
-        g0 = GridFunction(grid32, np.sin(x))
-        plan = SweepPlan(family=const_family(eps_grid), data=DataBuilder(
-            kind="mollified", g=g0), grid=grid32, horizon=0.5,
-            dt=0.005)
-        rep = check_association(plan, run_sweep(plan),
-                                [lambda X: np.cos(X)], "solve")
-        assert rep["reference"] == "refined-solve"
-        assert max(rep["terminal_residuals"]) <= 1e-8
-
-
-class TestSpectralExtend:
-    def test_band_limited_exact(self, grid32):
-        x = grid32.x_axis()
-        coarse = GridFunction(grid32, np.exp(3j * x))
-        fine = Grid(1, 128, TWO_PI)
-        ext = spectral_extend(coarse, fine)
-        xf = fine.x_axis()
-        assert np.max(np.abs(ext.values - np.exp(3j * xf))) <= 1e-12
 
 
 class TestGinf:

@@ -19,6 +19,7 @@ from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
 from onewave.config import Thresholds
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
+from onewave.quantization import DENSE_GUARD
 from onewave.scenario import (_EXPR, SCHEMA_KEYWORDS, ScenarioContext,
                               _relevance, _violations, run_scenario)
 
@@ -417,6 +418,12 @@ CONFIG_PROBES = {
         ["sweep", "count"], 2), []),
     "sweep_count_two_association": ("delta_association", _set(
         ["sweep", "count"], 2), []),
+    # association's reference is exact: a delta moved at the symbol's speed
+    "association_expression_data": ("delta_association", _set(
+        ["data", "g"], {"kind": "expression",
+                        "expr": {"node": "sin", "child": _X}}), []),
+    "association_rough_family": ("piecewise_speed_logtype", lambda cfg: cfg[
+        "checks"].append({"check": "association", "probes": [_X]}), []),
     # the regression verdicts need >= 5 eps points over >= 3 decades, and
     # say so before the sweep runs
     "negligible_eps_count_four": ("negligible_uniqueness", lambda cfg: None,
@@ -548,6 +555,16 @@ class TestRunPhaseExits:
         assert capsys.readouterr().out.startswith(
             "PASS   remainder_stability 3.1")
 
+    def test_huge_horizon_is_too_large(self, tmp_path, capsys):
+        # refused before the snapshot stack, or the step count, is made
+        for horizon, words in ((1e300, f"cap of {DENSE_GUARD ** 2}"),
+                               (1.7e308, "no finite step count")):
+            cfg = get_preset("transport_smoke")
+            cfg["horizon"] = horizon
+            assert self._run(cfg, tmp_path) == 4
+            err = capsys.readouterr().err
+            assert f"(TooLarge): horizon {horizon:g}" in err and words in err
+
     def test_zero_defect_norm_fails_naming_m(self, tmp_path, capsys):
         # the bump centred off the grid leaves a zero symbol, whose defect
         # norm is zero at every M
@@ -576,6 +593,21 @@ class TestConfigContract:
         args = build_parser().parse_args(["run", str(path), *flags])
         path.write_text(json.dumps(_apply_overrides(cfg, args)))
         assert main(["validate", str(path)]) == 3
+
+    @pytest.mark.parametrize("probe, need", [
+        ("association_expression_data", "delta data g"),
+        ("association_rough_family", "a constant-speed symbol a1 = c xi")])
+    def test_association_names_its_missing_need(self, probe, need, tmp_path,
+                                                capsys):
+        preset, mutate, _ = CONFIG_PROBES[probe]
+        cfg = get_preset(preset)
+        mutate(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("run", "validate"):
+            assert main([command, str(path)]) == 3
+            err = capsys.readouterr().err
+            assert "check 'association' needs" in err and need in err
 
     @pytest.mark.parametrize("preset, path", DELETED_KEYS)
     def test_deleted_key_is_named(self, preset, path, tmp_path, capsys):
