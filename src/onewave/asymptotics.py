@@ -6,8 +6,8 @@ share one result are post-processed once), tracks max_t ||d_t^d d_x^alpha
 u_eps(t)|| for requested orders on the solves' snapshot spectra (d_x^alpha
 a multiply, each norm by Parseval), and fits growth exponents against
 log(1/eps).  Verdicts (moderate, negligible, regular, slow-scale,
-associated) are finite-sweep regressions with explicit thresholds; reports
-never claim asymptotic proof.
+associated) are finite-sweep regressions against the fixed criteria of
+onewave.config; reports never claim asymptotic proof.
 
 t-derivatives are obtained from the equation itself (substituted
 recursively), never by finite differencing the trajectory, so dt-order error
@@ -23,7 +23,8 @@ import numpy as np
 
 from .cauchy import (CauchyProblem, Forcing, SolveResult, check_energy_estimate,
                      derivative_cascade, solve_stack)
-from .config import DEFAULT_THRESHOLDS, Thresholds
+from .config import (ASSOCIATION_TREND_SLACK, GINF_ORDER_CAP, GINF_SLACK,
+                     MODERATE_EXPONENT_CAP, NEGLIGIBLE_SLACK, Q_MAX)
 from .errors import GridMismatch, InsufficientOrders, OnewaveError
 from .grid import Grid, GridFunction
 from .quantization import PeriodicOperator
@@ -175,7 +176,7 @@ class SweepReport:
         }
 
 
-def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SweepReport:
+def run_sweep(plan: SweepPlan) -> SweepReport:
     """Solve every eps, track derivative norms, fit exponents, and
     cross-check each run against its own Gronwall bound.  Build every
     member, solve them as one stack, then post-process each eps in order;
@@ -222,7 +223,7 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
         n_hat, stderr, resid = fit_exponent(done, norms[order])
         fits[order] = {"N_hat": n_hat, "stderr": stderr, "residual": resid,
                        "moderate": (n_hat is None or
-                                    n_hat <= thresholds.moderate_exponent_cap)}
+                                    n_hat <= MODERATE_EXPONENT_CAP)}
     c_measured = [results[eps][1].ledger.c_measured for eps in done]
     c_log_fit = {}
     if len(done) >= 3:
@@ -251,47 +252,45 @@ def run_sweep(plan: SweepPlan, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> S
         finals=[results[eps][1].final() for eps in done])
 
 
-def check_negligible(plan: SweepPlan, report: SweepReport,
-                     thresholds: Thresholds = DEFAULT_THRESHOLDS) -> dict:
+def check_negligible(plan: SweepPlan, report: SweepReport) -> dict:
     """q-decay check for superpolynomially small data on the plan's sweep.
 
-    Normalizes at the largest completed eps: for each q <= q_max the
+    Normalizes at the largest completed eps: for each q <= Q_MAX the
     sequence max_t ||u_eps|| must stay below (eps/eps_0)^q times the first
-    value (with the configured multiplicative slack), i.e. decay at least as
-    fast as every tested power along the sweep.  A sweep with no completed
+    value times NEGLIGIBLE_SLACK, i.e. decay at least as fast as every
+    tested power along the sweep.  A sweep with no completed
     eps point passes no q.
     """
     plan.family.require_regression_sweep()
     order = report.orders[0]
     vals = np.array(report.norms[order])
     eps = np.array(report.eps)
-    q_max = thresholds.q_max
     base = vals[0] if vals.size else 0.0
     per_q = {}
     max_passed = -1
-    for q in range(q_max + 1):
+    for q in range(Q_MAX + 1):
         if base < 1e-280:
-            ok = bool(np.all(vals < 1e-280 * thresholds.negligible_slack + 1e-300))
+            ok = bool(np.all(vals < 1e-280 * NEGLIGIBLE_SLACK + 1e-300))
             ok = ok or bool(np.all(vals <= 1e-250))
         else:
-            bound = base * (eps / eps[0]) ** q * thresholds.negligible_slack
+            bound = base * (eps / eps[0]) ** q * NEGLIGIBLE_SLACK
             ok = bool(np.all(vals <= bound + 1e-300))
         per_q[q] = ok = ok and vals.size > 0
         if ok and max_passed == q - 1:
             max_passed = q
-    return {"is_negligible": max_passed >= q_max, "max_passed_q": max_passed,
+    return {"is_negligible": max_passed >= Q_MAX, "max_passed_q": max_passed,
             "per_q": per_q, "norms": vals.tolist(), "eps": eps.tolist()}
 
 
-def check_association(grid: Grid, report: SweepReport, probes, reference,
-                      thresholds: Thresholds = DEFAULT_THRESHOLDS) -> dict:
+def check_association(grid: Grid, report: SweepReport, probes,
+                      reference) -> dict:
     """Weak-pairing residuals of the sweep's u_eps(T) on ``grid`` against an
     exact reference.
 
     ``probes`` are callables phi(x mesh arrays); ``reference`` is a callable
     probe -> the exact pairing value of the eps -> 0 limit.  Residuals must
-    be non-increasing over the last three completed sweep points (up to the
-    configured additive slack).
+    be non-increasing over the last three completed sweep points (up to
+    ASSOCIATION_TREND_SLACK).
     """
     def pairing(u: GridFunction, phi_vals: np.ndarray) -> complex:
         return complex(grid.cell_volume *
@@ -302,9 +301,8 @@ def check_association(grid: Grid, report: SweepReport, probes, reference,
     residuals = np.array([[abs(pairing(final, pv) - rp)
                            for pv, rp in zip(phis, ref_pairings)]
                           for final in report.finals])
-    slack = thresholds.association_trend_slack
     tail = residuals[-3:]
-    monotone = bool(np.all(np.diff(tail, axis=0) <= slack))
+    monotone = bool(np.all(np.diff(tail, axis=0) <= ASSOCIATION_TREND_SLACK))
     return {
         "eps": report.eps,
         "residuals": residuals.tolist(),
@@ -313,36 +311,35 @@ def check_association(grid: Grid, report: SweepReport, probes, reference,
     }
 
 
-def require_ginf_orders(orders, cap: int):
+def require_ginf_orders(orders):
     """Raise InsufficientOrders unless ``orders`` holds the base order
     (0, 0), whose fit gives check_ginf's p_hat, and some (d, alpha) reaches
-    d + |alpha| = cap, the highest order its conclusion reads."""
+    d + |alpha| = GINF_ORDER_CAP, the highest order its conclusion reads."""
     if (0, (0,) * len(orders[0][1])) not in orders:
         raise InsufficientOrders("orders must hold the base order (0, 0)")
-    if not any(d + sum(alpha) >= cap for d, alpha in orders):
+    if not any(d + sum(alpha) >= GINF_ORDER_CAP for d, alpha in orders):
         raise InsufficientOrders(
-            f"orders must reach d + |alpha| = {cap} (ginf_order_cap)")
+            f"orders must reach d + |alpha| = {GINF_ORDER_CAP}")
 
 
-def check_ginf(plan: SweepPlan, report: SweepReport,
-               thresholds: Thresholds = DEFAULT_THRESHOLDS) -> dict:
+def check_ginf(plan: SweepPlan, report: SweepReport) -> dict:
     """Uniform-exponent regularity check of the plan's sweep report.
 
     Gate: the symbol family must classify as slow scale with log-type
     growth; then is_ginf requires every tracked exponent to stay within
-    p_hat + slack where p_hat = N_hat(0,0) + 1.  The gate can pass while the
+    p_hat + GINF_SLACK where p_hat = N_hat(0,0) + 1.  The gate can pass while the
     conclusion fails and vice versa; both facts are reported separately.  A
     report with no completed eps point observes no conclusion.
     """
     dim = plan.grid.dim
-    cap = thresholds.ginf_order_cap
-    require_ginf_orders(report.orders, cap)
-    covered = [o for o in report.orders if o[0] + sum(o[1]) <= cap]
+    require_ginf_orders(report.orders)
+    covered = [o for o in report.orders
+               if o[0] + sum(o[1]) <= GINF_ORDER_CAP]
     box = SampleBox(dim, plan.grid.length, x_count=33,
                     xi_max=min(plan.grid.max_abs_xi(), 256.0),
                     xi_uniform_count=9, t_max=plan.horizon)
-    gate_slow = classify_slow_scale(plan.family, 0, 1, 1, box, thresholds)
-    gate_log = classify_log_type(plan.family, 0, 1, box, thresholds)
+    gate_slow = classify_slow_scale(plan.family, 0, 1, 1, box)
+    gate_log = classify_log_type(plan.family, 0, 1, box)
     gate_passed = gate_slow["is_slow_scale"] and gate_log["is_log_type"]
     base = report.fits[(0, (0,) * dim)]["N_hat"]
     base = 0.0 if base is None else base
@@ -354,7 +351,7 @@ def check_ginf(plan: SweepPlan, report: SweepReport,
         if n_hat is None:
             continue
         worst = n_hat if worst is None else max(worst, n_hat)
-        if n_hat > p_hat + thresholds.ginf_slack:
+        if n_hat > p_hat + GINF_SLACK:
             conclusion = False
     out = {
         "status": "ok" if gate_passed else "not_applicable",

@@ -350,11 +350,15 @@ class _Member:
         self.n_steps = int(round(problem.horizon / self.dt))
         # step 0 (set by the loop), every TRAJECTORY_STRIDE-th step, the last
         rows = 2 + (self.n_steps - 1) // TRAJECTORY_STRIDE
-        if rows * problem.grid.size > DENSE_GUARD ** 2:
+        # the snapshots, their times and the ledger's three arrays, in bytes
+        size = 16 * rows * problem.grid.size + 8 * rows + \
+            24 * (self.n_steps + 1)
+        if size > 16 * DENSE_GUARD ** 2:
             raise TooLarge(
                 f"horizon {problem.horizon:g} takes {self.n_steps:.3g} steps, "
-                f"whose {rows:.3g} snapshots of {problem.grid.size} nodes "
-                f"exceed the cap of {DENSE_GUARD ** 2} complex entries")
+                f"whose ledger and {rows:.3g} snapshots of "
+                f"{problem.grid.size} nodes ({size:.3g} B) exceed the cap of "
+                f"{DENSE_GUARD ** 2} complex entries")
         self.factors = (np.exp(-1j * self.dt * d),
                         np.exp(-1j * (self.dt / 2.0) * d))
         self.g_norm_sq = problem.initial.norm_sq()
@@ -362,7 +366,9 @@ class _Member:
         guard_t = np.linspace(0.0, problem.horizon, 65)
         self.guard_base = self.g_norm_sq + float(np.trapezoid(
             [self.f_norm_sq(t) for t in guard_t], guard_t))
-        self.ledger = [(0.0, self.g_norm_sq, self.f_norm_sq(0.0))]
+        # times, ||u||^2 and ||f||^2 per step, filled by advance
+        self.ledger = np.zeros((3, self.n_steps + 1))
+        self.ledger[:, 0] = 0.0, self.g_norm_sq, self.f_norm_sq(0.0)
         self.snap_times = np.zeros(rows)
         self.spectra = np.zeros((rows,) + problem.grid.shape, dtype=complex)
 
@@ -386,15 +392,15 @@ class _Member:
                 f"norm^2 {nsq:.3e} exceeds {INSTABILITY_FACTOR}x Gronwall "
                 f"prediction {bound:.3e} at t={tn:.4g} (dt={self.dt:.3e}, "
                 f"step sup={self.sup:.3e})")
-        self.ledger.append((tn, nsq, self.f_norm_sq(tn)))
+        self.ledger[:, step] = tn, nsq, self.f_norm_sq(tn)
         if step % TRAJECTORY_STRIDE == 0 or step == self.n_steps:
             row = -(-step // TRAJECTORY_STRIDE)     # ceil(step / stride)
             self.snap_times[row], self.spectra[row] = tn, u
         if step < self.n_steps:
             return None
-        times, u_norms, f_norms = map(np.array, zip(*self.ledger))
-        for v in (times, u_norms, f_norms, self.snap_times, self.spectra):
+        for v in (self.ledger, self.snap_times, self.spectra):
             v.flags.writeable = False       # identical problems share them
+        times, u_norms, f_norms = self.ledger
         ledger = EnergyLedger(
             times=times, u_norm_sq=u_norms, f_norm_sq=f_norms,
             skew_norm=skew, c_measured=c_meas)

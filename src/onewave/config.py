@@ -1,12 +1,11 @@
-"""Package-wide numeric defaults and frozen calibration constants.
+"""Package-wide numeric defaults, frozen calibration constants and the
+criteria of the sweep verdicts.
 
-Every threshold used by a regression-style verdict lives here so reports can
-cite the exact criterion they applied.  Finite sweeps cannot certify
-asymptotic statements; the thresholds encode how much finite-sweep slack each
-verdict tolerates.
+Finite sweeps cannot certify asymptotic statements; each criterion below
+encodes how much finite-sweep slack its verdict tolerates, and no config
+sets one.  The tolerances of the single-solve and remainder checks are
+constants at the head of scenario.py, beside the checks that read them.
 """
-
-from dataclasses import dataclass
 
 # Maximum derivative order a scenario config may ask for (the schema caps
 # `orders`, `cascade_max_order` and the `cascade_bounds` `max_order`);
@@ -48,34 +47,30 @@ TRAJECTORY_STRIDE = 8
 CALIBRATED_C = {1: 1.0, 2: 1.17}
 
 
-@dataclass
-class Thresholds:
-    """Verdict thresholds for the sweep classifiers (all documented)."""
-
-    # classify_log_type: relative fit residual below which a c*log(1/eps)+b
-    # fit counts as log-type.
-    log_type_residual: float = 0.15
-    # classify_slow_scale: per-power criterion is p * excess <= 1 + slack
-    # where excess is the fitted power-law slope of Q minus the slope a pure
-    # log(1/eps) net measures on the same sweep.
-    slow_scale_slope_slack: float = 0.0
-    slow_scale_p_max: int = 8
-    # check_negligible: q-decay tested up to q_max with multiplicative slack
-    # on the first-sweep-point normalization.
-    q_max: int = 10
-    negligible_slack: float = 2.0
-    # check_ginf: uniform-exponent slack around p_hat.
-    ginf_slack: float = 0.1
-    ginf_order_cap: int = 4
-    # run_sweep moderateness fit: exponents above this are reported as
-    # non-moderate on the tested range.
-    moderate_exponent_cap: float = 50.0
-    # check_association: additive tolerance when testing non-increasing
-    # residual trends near the spectral floor.
-    association_trend_slack: float = 1e-10
-    # Gronwall-predicted exponent must dominate the fitted one up to this
-    # fit-noise slack.
-    exponent_fit_slack: float = 0.05
-
-
-DEFAULT_THRESHOLDS = Thresholds()
+# -- sweep verdict criteria --------------------------------------------------
+# classify_log_type: relative fit residual below which a c*log(1/eps)+b fit
+# counts as log-type.
+LOG_TYPE_RESIDUAL = 0.15
+# classify_slow_scale: per-power criterion is p * excess <= 1 + slack where
+# excess is the fitted power-law slope of Q minus the slope a pure
+# log(1/eps) net measures on the same sweep.
+SLOW_SCALE_SLOPE_SLACK = 0.0
+SLOW_SCALE_P_MAX = 8
+# check_negligible: q-decay tested up to q_max with multiplicative slack on
+# the first-sweep-point normalization.
+Q_MAX = 10
+NEGLIGIBLE_SLACK = 2.0
+# check_ginf: uniform-exponent slack around p_hat.
+GINF_SLACK = 0.1
+GINF_ORDER_CAP = 4
+# run_sweep moderateness fit: exponents above this are reported as
+# non-moderate on the tested range.
+MODERATE_EXPONENT_CAP = 50.0
+# check_association: additive tolerance when testing non-increasing residual
+# trends near the spectral floor.
+ASSOCIATION_TREND_SLACK = 1e-10
+# association: the largest terminal pairing residual it passes.
+ASSOCIATION_TERMINAL_TOL = 1e-6
+# Gronwall-predicted exponent must dominate the fitted one up to this
+# fit-noise slack.
+EXPONENT_FIT_SLACK = 0.05

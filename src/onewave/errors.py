@@ -34,9 +34,9 @@ class DimensionMismatch(OnewaveError):
 
 
 class TooLarge(OnewaveError):
-    """A dense table, the matrix oracle or a solve's snapshot stack beyond
-    its size guard (quantization.DENSE_GUARD nodes, or DENSE_GUARD**2
-    complex snapshot entries)."""
+    """A dense table, the matrix oracle or a solve's snapshots and per-step
+    ledger beyond its size guard (quantization.DENSE_GUARD nodes, or the
+    bytes of DENSE_GUARD**2 complex entries)."""
 
 
 class BoxTooSmall(OnewaveError):

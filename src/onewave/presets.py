@@ -166,8 +166,7 @@ PRESETS = {
                  "builder": "mollified"},
         "sweep": {"eps0": 0.3, "ratio": 0.55, "count": 6},
         "checks": [
-            {"check": "association", "probes": _BUMP_PROBES,
-             "terminal_tol": 1e-6},
+            {"check": "association", "probes": _BUMP_PROBES},
         ],
     },
     "negligible_uniqueness": {

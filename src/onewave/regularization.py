@@ -24,7 +24,6 @@ import numpy as np
 
 from . import expr as ex
 from . import profiles
-from .config import DEFAULT_THRESHOLDS
 from .errors import BadEps, GridMismatch, UnsupportedRoughKind
 from .grid import GridFunction
 from .symbols import (GenSymbolFamily, HyperbolicSymbol, SymbolExpr,
@@ -332,14 +331,14 @@ def regularized_family(rough, k: int, eps_grid) -> GenSymbolFamily:
     return GenSymbolFamily(builder, eps_grid)
 
 
-def verify_log_type_of_regularization(fam: GenSymbolFamily, k: int, box,
-                                      thresholds=DEFAULT_THRESHOLDS) -> dict:
+def verify_log_type_of_regularization(fam: GenSymbolFamily, k: int,
+                                      box) -> dict:
     """Classify log-type growth of ``fam`` = regularized_family(rough, k, ...)
     for every x-derivative order l <= k (the orders its rate protects)."""
     per_order = {}
     all_ok = True
     for l in range(k + 1):
-        verdict = classify_log_type(fam, 0, l, box, thresholds)
+        verdict = classify_log_type(fam, 0, l, box)
         per_order[l] = verdict
         all_ok = all_ok and verdict["is_log_type"]
     return {"is_log_type": all_ok, "orders": per_order,

@@ -14,7 +14,7 @@ import inspect
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,8 @@ from .asymptotics import (DataBuilder, SweepPlan, check_association,
 from .cauchy import (CauchyProblem, Forcing, TimeProfile, check_case_variants,
                      check_energy_estimate, derivative_cascade,
                      seminorm_constant, seminorm_dominates, solve_fixed_eps)
-from .config import MAX_DIFF_ORDER, Thresholds
+from .config import (ASSOCIATION_TERMINAL_TOL, EXPONENT_FIT_SLACK,
+                     LOG_TYPE_RESIDUAL, MAX_DIFF_ORDER, Q_MAX)
 from .errors import ConfigInvalid, OnewaveError
 from .grid import Grid, GridFunction
 from .quantization import (adjoint_defect_norm, adjoint_symbol_remainder,
@@ -193,8 +194,7 @@ def _check_log_type(ctx: ScenarioContext) -> CheckOutcome:
     box = SampleBox(ctx.grid.dim, ctx.grid.length,
                     xi_max=ctx.grid.max_abs_xi())
     # the sweep's family: its members and their derivatives are built once
-    rep = verify_log_type_of_regularization(ctx.family, k, box,
-                                            thresholds=ctx.thresholds)
+    rep = verify_log_type_of_regularization(ctx.family, k, box)
     coeff = rep["orders"][k]["fitted_coeff"]
     if ctx.artifact("seminorms.csv"):
         rows = []
@@ -207,7 +207,6 @@ def _check_log_type(ctx: ScenarioContext) -> CheckOutcome:
 
 
 def _check_gronwall_fit(ctx: ScenarioContext) -> CheckOutcome:
-    tol = ctx.thresholds.log_type_residual
     plan, rep = ctx.sweep()
     fit = rep.c_log_fit
     energy_all = all(rep.energy_ok)
@@ -221,8 +220,9 @@ def _check_gronwall_fit(ctx: ScenarioContext) -> CheckOutcome:
                                                   ctx.horizon)
     dominate_all = all(seminorm_dominates(c_sem[id(symbol)], cm)
                        for symbol, cm in zip(members, rep.c_measured))
-    ok = bool(fit) and fit["residual"] < tol and fit["coeff"] >= 0 and \
-        energy_all and dominate_all and not rep.incomplete
+    ok = bool(fit) and fit["residual"] < LOG_TYPE_RESIDUAL and \
+        fit["coeff"] >= 0 and energy_all and dominate_all and \
+        not rep.incomplete
     return CheckOutcome("gronwall_fit", "PASS" if ok else "FAIL",
                         fit.get("residual") if fit else None,
                         f"C_eps ~ {fit.get('coeff', 0):.3f} log(1/eps) + "
@@ -231,7 +231,6 @@ def _check_gronwall_fit(ctx: ScenarioContext) -> CheckOutcome:
 
 def _check_moderateness(ctx: ScenarioContext) -> CheckOutcome:
     _, rep = ctx.sweep()
-    slack = ctx.thresholds.exponent_fit_slack
     ok = not rep.incomplete
     worst = None
     rows = []
@@ -244,7 +243,7 @@ def _check_moderateness(ctx: ScenarioContext) -> CheckOutcome:
         d, alpha = order
         pred = rep.predicted_exponents.get(alpha) if d == 0 else None
         if pred is not None:
-            ok = ok and (n_hat <= pred + slack)
+            ok = ok and (n_hat <= pred + EXPONENT_FIT_SLACK)
             rows.append(("asymptotics", f"exponent d={d} alpha={alpha}",
                          n_hat, pred, n_hat / pred if pred else 0.0,
                          f"M={ctx.grid.points}"))
@@ -258,17 +257,16 @@ def _check_moderateness(ctx: ScenarioContext) -> CheckOutcome:
 
 def _check_negligible(ctx: ScenarioContext) -> CheckOutcome:
     plan, report = ctx.sweep()
-    rep = check_negligible(plan, report, ctx.thresholds)
+    rep = check_negligible(plan, report)
     if ctx.artifact("negligible.json"):
         owio.write_json(ctx.artifact("negligible.json"), rep)
     ok = rep["is_negligible"] and not report.incomplete
     return CheckOutcome("negligible", "PASS" if ok else "FAIL",
                         rep["max_passed_q"],
-                        f"max passed q of q_max={ctx.thresholds.q_max}")
+                        f"max passed q of q_max={Q_MAX}")
 
 
-def _check_association(ctx: ScenarioContext, probes,
-                       terminal_tol=math.inf) -> CheckOutcome:
+def _check_association(ctx: ScenarioContext, probes) -> CheckOutcome:
     # the exact reference: a delta moves with the symbol's speed, and the
     # pairing <u, phi> conjugates the probe, so it tends to conj(phi(x0 + cT))
     x0 = ctx.grid.x_axis()[ctx.delta_node[0]]
@@ -277,10 +275,9 @@ def _check_association(ctx: ScenarioContext, probes,
     def reference(phi):
         return complex(np.conjugate(phi(target)[0]))
     _, report = ctx.sweep()
-    rep = check_association(ctx.grid, report, probes, reference,
-                            ctx.thresholds)
+    rep = check_association(ctx.grid, report, probes, reference)
     terminal = max(rep["terminal_residuals"], default=math.inf)
-    ok = rep["monotone_tail"] and terminal <= terminal_tol and \
+    ok = rep["monotone_tail"] and terminal <= ASSOCIATION_TERMINAL_TOL and \
         not report.incomplete
     if ctx.artifact("association.csv"):
         rows = [(eps, *res) for eps, res in zip(rep["eps"], rep["residuals"])]
@@ -294,7 +291,7 @@ def _check_association(ctx: ScenarioContext, probes,
 
 def _check_ginf(ctx: ScenarioContext, expect=True, data=None) -> CheckOutcome:
     plan, report = ctx.sweep(data)
-    rep = check_ginf(plan, report, thresholds=ctx.thresholds)
+    rep = check_ginf(plan, report)
     # checked here, not in is_ginf: a short sweep must not pass expect=False
     ok = rep["is_ginf"] == expect and rep["gate_passed"] and not report.incomplete
     name = "ginf" + ("_regular" if expect else "_irregular")
@@ -417,7 +414,6 @@ def _requires(key: str, value: str, *names) -> dict:
 
 
 _NUMBER = {"type": "number"}
-_INT_THRESHOLDS = {f.name for f in fields(Thresholds) if f.type is int}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _MULTI_INDEX = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 # A derivative order a run takes; capped, as its work grows with it.
@@ -490,7 +486,6 @@ _DATA = {
 
 # Every check parameter, once; which check takes which is its signature.
 _CHECK_PARAMS = {
-    "terminal_tol": _NUMBER,
     "max_order": _ORDER,
     "expect": {"type": "boolean"},
     "probes": {"type": "array", "items": _EXPR, "minItems": 1},
@@ -561,13 +556,6 @@ CONFIG_SCHEMA = {
                                "required": ["check"],
                                "additionalProperties": False,
                                **_requires("check", "association", "probes")}},
-        },
-        "thresholds": {
-            "type": "object",
-            "properties": {f.name: {"type": "integer" if f.name in
-                                    _INT_THRESHOLDS else "number"}
-                           for f in fields(Thresholds)},
-            "additionalProperties": False,
         },
     },
     "required": ["name", "grid", "horizon", "seed", "symbol", "data",
@@ -723,9 +711,6 @@ class ScenarioContext:
         # the schema counts 10.0 as an integer; range() and numpy do not
         self.grid = Grid(int(gc["dim"]), int(gc["points"]), gc["length"])
         dim = self.grid.dim
-        self.thresholds = Thresholds(**{
-            key: int(v) if key in _INT_THRESHOLDS else v
-            for key, v in cfg.get("thresholds", {}).items()})
         self.dt = cfg.get("dt")
         self.cascade_max_order = cfg.get("cascade_max_order", 0)
 
@@ -822,7 +807,7 @@ class ScenarioContext:
         if name in ("log_type", "negligible", "ginf"):
             self.family.require_regression_sweep()
         if name == "ginf":
-            require_ginf_orders(self.orders, self.thresholds.ginf_order_cap)
+            require_ginf_orders(self.orders)
         if "data" in params:
             params["data"] = self._data_builder(params["data"])
         if "probes" in params:
@@ -856,8 +841,7 @@ class ScenarioContext:
                 horizon=self.horizon, orders=self.orders,
                 dt=self.dt, seed=self.seed,
                 cascade_max_order=self.cascade_max_order)
-            self._sweep_cache[id(data)] = (plan, run_sweep(plan,
-                                                           self.thresholds))
+            self._sweep_cache[id(data)] = (plan, run_sweep(plan))
         return self._sweep_cache[id(data)]
 
     def artifact(self, name: str):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .config import DEFAULT_THRESHOLDS
+from .config import (LOG_TYPE_RESIDUAL, SLOW_SCALE_P_MAX,
+                     SLOW_SCALE_SLOPE_SLACK)
 from .errors import EmptyBox, InsufficientSweep, NonFinite
 from .grid import Grid
 
@@ -405,12 +406,12 @@ def log_fit(eps, values) -> tuple[float, float, float]:
 
 
 def classify_log_type(fam: GenSymbolFamily, k: int, l: int,
-                      box: SampleBox, thresholds=DEFAULT_THRESHOLDS) -> dict:
+                      box: SampleBox) -> dict:
     """Least-squares fit Q^m_{0,k,l}(a_eps) ~ c*log(1/eps) + b over the sweep,
     m the members' declared order.
 
-    Verdict requires relative fit residual below the configured threshold
-    and a nonnegative fitted coefficient.
+    Verdict requires relative fit residual below LOG_TYPE_RESIDUAL and a
+    nonnegative fitted coefficient.
     """
     fam.require_regression_sweep()
     q_vals = _family_Q_values(fam, 0, k, l, box)
@@ -418,7 +419,7 @@ def classify_log_type(fam: GenSymbolFamily, k: int, l: int,
     # "nonnegative" up to fit noise: 1% of the semi-norm level counts as zero
     c_floor = -0.01 * (float(np.mean(np.abs(q_vals))) + 1e-300)
     return {
-        "is_log_type": bool(residual < thresholds.log_type_residual and c >= c_floor),
+        "is_log_type": bool(residual < LOG_TYPE_RESIDUAL and c >= c_floor),
         "fitted_coeff": c,
         "intercept": intercept,
         "residual": residual,
@@ -428,30 +429,29 @@ def classify_log_type(fam: GenSymbolFamily, k: int, l: int,
 
 
 def classify_slow_scale(fam: GenSymbolFamily, j: int, k: int, l: int,
-                        box: SampleBox, thresholds=DEFAULT_THRESHOLDS) -> dict:
+                        box: SampleBox) -> dict:
     """Finite-sweep slow-scale test of Q^1_{j,k,l} along the family.
 
     Fits the power-law slope of log Q against log(1/eps) and subtracts the
     slope a pure log(1/eps) net measures on the same sweep (a slow-scale
-    net by definition); the excess must satisfy p * excess <= 1 + slack for
-    every power p up to the configured maximum.  Reports the largest p
-    satisfied."""
+    net by definition); the excess must satisfy p * excess <= 1 +
+    SLOW_SCALE_SLOPE_SLACK for every power p up to SLOW_SCALE_P_MAX.
+    Reports the largest p satisfied."""
     fam.require_regression_sweep()
     q_vals = _family_Q_values(fam, j, k, l, box)
     logs = np.log(1.0 / np.array(fam.eps_grid))
-    p_max = thresholds.slow_scale_p_max
     if np.all(q_vals < 1e-280):
-        return {"is_slow_scale": True, "largest_p": p_max, "slope": 0.0,
-                "excess": 0.0}
+        return {"is_slow_scale": True, "largest_p": SLOW_SCALE_P_MAX,
+                "slope": 0.0, "excess": 0.0}
     y = np.log(np.maximum(q_vals, 1e-280))
     slope = float(np.polyfit(logs, y, 1)[0])
     log_ref = float(np.polyfit(logs, np.log(logs), 1)[0])
     excess = max(slope - log_ref, 0.0)
     largest = 0
-    for p in range(1, p_max + 1):
-        if p * excess <= 1.0 + thresholds.slow_scale_slope_slack:
+    for p in range(1, SLOW_SCALE_P_MAX + 1):
+        if p * excess <= 1.0 + SLOW_SCALE_SLOPE_SLACK:
             largest = p
         else:
             break
-    return {"is_slow_scale": largest >= p_max, "largest_p": largest,
-            "slope": slope, "excess": excess}
+    return {"is_slow_scale": largest >= SLOW_SCALE_P_MAX,
+            "largest_p": largest, "slope": slope, "excess": excess}

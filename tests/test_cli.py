@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from onewave import asymptotics, regularization, symbols
+from onewave import asymptotics, cauchy, regularization, symbols
 from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
                          load_config, main, validate_config)
-from onewave.config import Thresholds
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
 from onewave.quantization import DENSE_GUARD
@@ -112,8 +111,8 @@ class TestValidation:
 
     def test_field_at_fault_named_inside_check_entry(self):
         cfg = get_preset("delta_association")
-        cfg["checks"][0]["terminal_tol"] = "abc"
-        with pytest.raises(ConfigInvalid, match="'checks/0/terminal_tol'"):
+        cfg["checks"][0]["probes"] = "abc"
+        with pytest.raises(ConfigInvalid, match="'checks/0/probes'"):
             validate_config(cfg)
 
     def test_expr_symbol_requires_a1(self):
@@ -366,8 +365,6 @@ CONFIG_PROBES = {
                      _set(["symbol", "a1", "declared_order"], 2), []),
     "forcing_profile_misspelled": ("transport_smoke", _set(["data", "f"], {
         "kind": "separable", "profile": {"frq": 2.0}, "shape": _X}), []),
-    "tol_not_number": ("delta_association",
-                       _set(["checks", 0, "terminal_tol"], "abc"), []),
     "max_order_not_int": ("variable_speed_smooth",
                           _set(["checks", 2, "max_order"], "x"), []),
     "expression_without_expr": ("transport_smoke", _set(
@@ -380,8 +377,6 @@ CONFIG_PROBES = {
                             _set(["symbol", "a1", "dim"], 2), []),
     "eps_above_one": ("negligible_uniqueness",
                       _set(["sweep", "eps0"], 2.0), []),
-    "threshold_not_integral": ("negligible_uniqueness", _set(
-        ["thresholds"], {"q_max": 10.5}), []),
     "ginf_orders_below_cap": ("ginf_regularity", _set(
         ["orders"], [[0, [0]], [0, [1]]]), []),
     "probe_axis_beyond_grid": ("delta_association", _set(
@@ -479,7 +474,9 @@ DELETED_KEYS = [
     ("adjoint_remainder_desk", ["checks", 3, "max_ratio"]),
     ("piecewise_speed_logtype", ["symbol", "transition_width"]),
     ("ginf_regularity", ["data", "gamma"]),
-    ("ginf_regularity", ["checks", 1, "data", "gamma"])]
+    ("ginf_regularity", ["checks", 1, "data", "gamma"]),
+    ("negligible_uniqueness", ["thresholds"]),
+    ("delta_association", ["checks", 0, "terminal_tol"])]
 
 
 class TestRunPhaseExits:
@@ -489,17 +486,6 @@ class TestRunPhaseExits:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         return main(["run", str(path)])
-
-    @pytest.mark.parametrize("preset, keys", [
-        ("negligible_uniqueness", ("q_max",)),
-        ("ginf_regularity", ("slow_scale_p_max", "ginf_order_cap"))])
-    def test_integral_float_thresholds_run(self, preset, keys, tmp_path,
-                                           capsys):
-        # jsonschema counts 10.0 as an integer; the run must take it as 10
-        cfg = get_preset(preset)
-        cfg["thresholds"] = {k: float(getattr(Thresholds(), k)) for k in keys}
-        assert self._run(cfg, tmp_path) == 0
-        assert "FAIL" not in capsys.readouterr().out
 
     def test_integral_float_grid_runs(self, tmp_path, capsys):
         cfg = get_preset("transport_smoke")
@@ -564,6 +550,30 @@ class TestRunPhaseExits:
             assert self._run(cfg, tmp_path) == 4
             err = capsys.readouterr().err
             assert f"(TooLarge): horizon {horizon:g}" in err and words in err
+
+    def test_long_ledger_is_too_large(self, tmp_path, capsys, monkeypatch):
+        # 10M steps at M=2: 240 MB of per-step ledger beside 40 MB of
+        # snapshots, refused when the member is built, before any step
+        def step(stack, members, out):
+            assert not members, "a refused solve stepped"
+        monkeypatch.setattr(cauchy, "_rk4", step)
+        cfg = get_preset("transport_smoke")
+        cfg["grid"]["points"] = 2
+        cfg["horizon"] = 1e4
+        assert self._run(cfg, tmp_path) == 4
+        assert "(TooLarge): horizon 10000 takes 1e+07 steps, whose ledger" \
+            in capsys.readouterr().err
+
+    def test_association_fails_on_its_terminal_residual(self, tmp_path,
+                                                        capsys):
+        # five eps points leave a monotone tail whose terminal residual,
+        # 1.22e-6, is above config.ASSOCIATION_TERMINAL_TOL
+        cfg = get_preset("delta_association")
+        cfg["sweep"]["count"] = 5
+        assert self._run(cfg, tmp_path) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL   association 1.223")
+        assert "monotone_tail=True" in out
 
     def test_zero_defect_norm_fails_naming_m(self, tmp_path, capsys):
         # the bump centred off the grid leaves a zero symbol, whose defect
