@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
-                     INSTABILITY_FACTOR, TRAJECTORY_STRIDE)
+                     INSTABILITY_FACTOR, MAX_STEPS, TRAJECTORY_STRIDE)
 from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
                      TooLarge, UnstableStep)
 from .grid import Grid, GridFunction
@@ -359,6 +359,10 @@ class _Member:
                 f"whose ledger and {rows:.3g} snapshots of "
                 f"{problem.grid.size} nodes ({size:.3g} B) exceed the cap of "
                 f"{DENSE_GUARD ** 2} complex entries")
+        if self.n_steps > MAX_STEPS:
+            raise TooLarge(
+                f"horizon {problem.horizon:g} takes {self.n_steps} steps, "
+                f"above the cap of {MAX_STEPS} steps")
         self.factors = (np.exp(-1j * self.dt * d),
                         np.exp(-1j * (self.dt / 2.0) * d))
         self.g_norm_sq = problem.initial.norm_sq()

@@ -8,8 +8,8 @@ constants at the head of scenario.py, beside the checks that read them.
 """
 
 # Maximum derivative order a scenario config may ask for (the schema caps
-# `orders`, `cascade_max_order` and the `cascade_bounds` `max_order`);
-# internal machinery may differentiate further.
+# `orders` and the `cascade_bounds` `max_order`; a sweep's cascade order is
+# derived from `orders`); internal machinery may differentiate further.
 MAX_DIFF_ORDER = 6
 
 # Power iteration defaults (deterministic start vector from the run seed).
@@ -37,6 +37,10 @@ ENERGY_SLACK = 1e-8
 
 # Trajectory snapshot stride (steps between stored snapshots).
 TRAJECTORY_STRIDE = 8
+
+# The most RK4 steps one solve may take: the snapshot and ledger cap bounds
+# a solve's memory, this its time.  The largest shipped solve takes 3,000.
+MAX_STEPS = 2 ** 20
 
 # Energy-estimate calibration constants, one per spatial dimension: the
 # semi-norm bound C * (1 + Q0(a0) + Q1(a1)) must dominate the measured

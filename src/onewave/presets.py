@@ -143,7 +143,6 @@ PRESETS = {
                  "builder": "fixed"},
         "sweep": {"eps0": 1e-1, "eps_min": 1e-6, "count": 6},
         "orders": [[0, [0]], [0, [1]], [0, [2]], [0, [3]]],
-        "cascade_max_order": 3,
         "checks": [
             {"check": "log_type"},
             {"check": "gronwall_fit"},
@@ -205,7 +204,6 @@ PRESETS = {
                                        _XI)}},
         "data": {"g": {"kind": "zero"}, "builder": "fixed"},
         "checks": [
-            {"check": "remainder_xindep"},
             {"check": "remainder_oracle"},
             {"check": "remainder_stability"},
             {"check": "defect_stability"},

@@ -38,7 +38,7 @@ from .regularization import (MollifiedCoefficient, RoughCoefficient,
                              RoughTransport, regularized_family,
                              verify_log_type_of_regularization)
 from .symbols import (GenSymbolFamily, HyperbolicSymbol, SampleBox,
-                      SymbolExpr)
+                      SymbolExpr, _grid_box, check_real_valued)
 
 
 def _mollified(rough_json, omega):
@@ -82,7 +82,6 @@ class CheckOutcome:
 # The criteria that no config sets:
 TRANSPORT_TOL = 1e-6            # transport_exactness: max-norm error
 UNITARITY_TOL = 1e-10           # unitarity: norm drift per unit time
-XINDEP_TOL = 1e-10              # remainder_xindep: |remainder|
 ORACLE_REL_TOL = 5e-2           # remainder_oracle: relative sup deviation
 STABILITY_REL_CHANGE = 0.2      # remainder_stability: ratio change
 DEFECT_POINTS = (64, 128, 256)  # defect_stability: the grid sizes M
@@ -101,8 +100,8 @@ def _check_transport_exactness(ctx: ScenarioContext) -> CheckOutcome:
     exact = _transported_data(ctx)
     _, result = ctx.solve()
     err = float(np.max(np.abs(result.final().values - exact)))
-    if ctx.artifact("ledger.csv"):
-        owio.write_ledger_csv(ctx.artifact("ledger.csv"), result.ledger)
+    # the ledger is the energy check's artifact
+    if ctx.artifact("trajectory.bin"):
         owio.write_trajectory(ctx.artifact("trajectory.bin"), result)
     return CheckOutcome("transport_exactness",
                         "PASS" if err <= TRANSPORT_TOL else "FAIL", err,
@@ -301,23 +300,6 @@ def _check_ginf(ctx: ScenarioContext, expect=True, data=None) -> CheckOutcome:
                         f"p_hat={rep['p_hat']:.3f}")
 
 
-# remainder_xindep's symbol xi, one per process, so its integrand trees are
-# derived once
-_XI_SYMBOL = SymbolExpr(ex.CoordXi(0), 1.0, 1)
-
-
-def _check_remainder_xindep(ctx: ScenarioContext) -> CheckOutcome:
-    xs = np.array([0.5, 2.0, 4.0])
-    # np.max keeps a NaN, which then FAILs; max(0.0, nan) is 0.0
-    worst = float(np.max([abs(value) for xip in (0.0, 2.0, 8.0)
-                          for value in adjoint_symbol_remainder(
-                              _XI_SYMBOL, 0.0, xs, xip)]))
-    return CheckOutcome("remainder_xindep",
-                        "PASS" if worst <= XINDEP_TOL else "FAIL", worst,
-                        f"|remainder| of x-independent symbol, "
-                        f"tol {XINDEP_TOL:g}")
-
-
 def _check_remainder_oracle(ctx: ScenarioContext) -> CheckOutcome:
     symbol = ctx.symbol_1d.full()
     grid = ctx.grid
@@ -399,7 +381,6 @@ CHECKS = {
     "negligible": (_check_negligible, ("family",)),
     "association": (_check_association, ("family", "speed", "delta_node")),
     "ginf": (_check_ginf, ("family",)),
-    "remainder_xindep": (_check_remainder_xindep, ()),
     "remainder_oracle": (_check_remainder_oracle, ("symbol_1d",)),
     "remainder_stability": (_check_remainder_stability, ("symbol_1d",)),
     "defect_stability": (_check_defect_stability, ("fixed_symbol",)),
@@ -545,7 +526,6 @@ CONFIG_SCHEMA = {
                    "items": {"type": "array", "minItems": 2, "maxItems": 2,
                              "prefixItems": [_ORDER, {"type": "array",
                                                       "items": _ORDER}]}},
-        "cascade_max_order": _ORDER,
         "checks": {
             "type": "array", "minItems": 1,
             "items": {"if": {"type": "string"},
@@ -712,7 +692,6 @@ class ScenarioContext:
         self.grid = Grid(int(gc["dim"]), int(gc["points"]), gc["length"])
         dim = self.grid.dim
         self.dt = cfg.get("dt")
-        self.cascade_max_order = cfg.get("cascade_max_order", 0)
 
         sc = cfg["symbol"]
         self.fixed_symbol = self.rough_transport = None
@@ -724,6 +703,12 @@ class ScenarioContext:
                 x_independent_outside=sc.get("x_independent_outside"))
             origin = (np.zeros(1),) * dim     # IndexError for an axis >= dim
             self.fixed_symbol.full().root.eval(0.0, origin, origin)
+            # the verdicts take a1 real: case c, the energy rule, the speed
+            box, a1 = _grid_box(self.grid), self.fixed_symbol.a1
+            if not all(check_real_valued(a1, box, t) for t in
+                       self.fixed_symbol.sample_times(self.horizon)):
+                raise ValueError("symbol a1 is not real-valued on the grid's "
+                                 "sample box")
         else:
             zero = sc.get("zero_order")
             self.rough_transport = RoughTransport(
@@ -767,6 +752,11 @@ class ScenarioContext:
         self.g_1d = (_x_function(g["expr"], 1)
                      if g["kind"] == "expression" and dim == 1 else None)
         self.checks = [self._bind(entry) for entry in cfg["checks"]]
+        # the sweep's cascade serves only moderateness's predicted exponents,
+        # one per tracked d = 0 order
+        self.cascade_max_order = max(
+            (sum(alpha) for d, alpha in self.orders if d == 0), default=0) \
+            if any(c.func is _check_moderateness for c in self.checks) else 0
 
     def _data_builder(self, dc: dict) -> DataBuilder:
         def on_grid(expr_json) -> GridFunction:

@@ -203,8 +203,6 @@ def seminorm_c(s: SymbolExpr, alpha, beta, box: SampleBox,
     beta_t = _as_multi(beta, s.dim)
     node = s.derivative_root(0, alpha_t, beta_t)
     xpts, xipts = box.x_points(), box.xi_points()
-    if xpts.size == 0 or xipts.size == 0:
-        raise EmptyBox("sampling box produced no points")
     vals = np.abs(_eval_on_box(node, t, xpts, xipts, s.dim))
     ximag = np.linalg.norm(xipts, axis=1)
     weight = (1.0 + ximag) ** (-s.declared_order + sum(alpha_t))
@@ -304,8 +302,8 @@ class HyperbolicSymbol:
     def is_real(self, grid: Grid, horizon: float) -> bool:
         """Sampled reality check of the full symbol over ``grid``'s domain
         and frequencies |xi| <= grid.max_abs_xi(), at the sample times on
-        [0, horizon] (a1 is checked on construction paths; case analysis
-        also needs a0 real)."""
+        [0, horizon] (a scenario's build refuses an a1 that fails the same
+        check; case analysis also needs a0 real)."""
         if self.a0 is None:
             return True
         box = _grid_box(grid)

@@ -118,16 +118,42 @@ class TestGronwallFitDominance:
     @pytest.mark.parametrize("constant", [0.5, math.nan, math.inf])
     def test_low_or_non_finite_constant_fails_without_cascade(
             self, constant, monkeypatch):
-        # every measured constant is 1 + skew + 2||a0|| >= 1
+        # every measured constant is 1 + skew + 2||a0|| >= 1; with no
+        # moderateness check the sweep runs no cascade
         cfg = get_preset("piecewise_speed_logtype")
-        cfg["cascade_max_order"] = 0
         outcome, calls = self._run(cfg, monkeypatch, constant)
         assert outcome.status == "FAIL"
         assert calls
 
+    def test_no_cascade_without_moderateness(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(asymptotics, "derivative_cascade",
+                            lambda *args: calls.append(args))
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 128
+        cfg["checks"] = ["log_type", "gronwall_fit"]
+        ctx = scenario.ScenarioContext(cfg)
+        assert ctx.cascade_max_order == 0
+        assert all(check(ctx).ok for check in ctx.checks)
+        assert calls == []
+
+    def test_moderateness_predicts_every_tracked_order(self):
+        # the cascade order is derived from the d = 0 orders, so every one
+        # of them has a predicted exponent to be compared with
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 128
+        cfg["orders"] = [[0, [0]], [0, [1]], [0, [2]], [1, [0]]]
+        cfg["checks"] = ["moderateness"]
+        ctx = scenario.ScenarioContext(cfg)
+        assert ctx.cascade_max_order == 2
+        [moderateness] = ctx.checks
+        assert moderateness(ctx).ok
+        _, rep = ctx.sweep()
+        assert sorted(rep.predicted_exponents) == [(0,), (1,), (2,)]
+        assert all(p is not None for p in rep.predicted_exponents.values())
+
     def test_constant_once_per_distinct_member(self, monkeypatch):
         cfg = get_preset("piecewise_speed_logtype")
-        cfg["cascade_max_order"] = 0
         outcome, calls = self._run(cfg, monkeypatch)
         assert outcome.status == "PASS"
         assert len(calls) == 6 == len({id(c) for c in calls})

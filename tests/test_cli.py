@@ -16,6 +16,7 @@ from jsonschema.exceptions import best_match
 from onewave import asymptotics, cauchy, regularization, symbols
 from onewave.cli import (CONFIG_SCHEMA, _apply_overrides, build_parser,
                          load_config, main, validate_config)
+from onewave.config import MAX_STEPS
 from onewave.errors import ConfigInvalid
 from onewave.presets import PRESETS, get_preset, list_presets
 from onewave.quantization import DENSE_GUARD
@@ -398,8 +399,6 @@ CONFIG_PROBES = {
                           []),
     "x_order_above_cap": ("ginf_regularity", _set(["orders", 1], [0, [7]]),
                           []),
-    "cascade_order_above_cap": ("piecewise_speed_logtype",
-                                _set(["cascade_max_order"], 7), []),
     "max_order_above_cap": ("variable_speed_smooth",
                             _set(["checks", 2, "max_order"], 7), []),
     # the oscillating data's carrier reaches mode 61 at the smallest eps: at
@@ -431,7 +430,7 @@ CONFIG_PROBES = {
         ["sweep", "ratio"], 0.5), []),
     # a misspelled key is refused, not replaced by its default
     "unknown_root_key": ("piecewise_speed_logtype",
-                         _set(["cascade_max_ordr"], 1), []),
+                         _set(["horizn"], 1), []),
     "unknown_grid_key": ("transport_smoke", _set(["grid", "point"], 64), []),
     "unknown_symbol_key": ("piecewise_speed_logtype",
                            _set(["symbol", "mollification_K"], 2), []),
@@ -460,6 +459,22 @@ CONFIG_PROBES = {
     "a1_constant_infinity": ("variable_speed_smooth", _set(
         ["symbol", "a1", "expr", "children", 0, "children", 0, "re"],
         math.inf), []),
+    # a1 must be real: case c, the energy rule and the speed assume it
+    # (transport_smoke's complex speed drops transport_exactness, whose
+    # need of a real speed would refuse it first)
+    "a1_complex_variable_speed": ("variable_speed_smooth", lambda cfg: cfg[
+        "symbol"]["a1"].update(expr={"node": "product", "children": [
+            {"node": "constant", "re": 1.0, "im": 0.2},
+            cfg["symbol"]["a1"]["expr"]]}), []),
+    "a1_complex_speed": ("transport_smoke", lambda cfg: cfg.update(
+        symbol={**cfg["symbol"], "a1": {**cfg["symbol"]["a1"], "expr": {
+            "node": "product", "children": [
+                {"node": "constant", "re": 1.0, "im": 0.05}, _XI]}}},
+        checks=cfg["checks"][1:]), []),
+    # remainder_xindep is retired: its remainders were 0 whatever the kernel
+    "retired_check_remainder_xindep": (
+        "adjoint_remainder_desk",
+        lambda cfg: cfg["checks"].insert(0, "remainder_xindep"), []),
 }
 
 # Values that no shipped config changed are constants now: a config that
@@ -468,15 +483,17 @@ DELETED_KEYS = [
     ("transport_smoke", ["checks", 0, "tol"]),
     ("transport_smoke", ["checks", 1, "tol"]),
     ("adjoint_remainder_desk", ["checks", 0, "tol"]),
-    ("adjoint_remainder_desk", ["checks", 1, "rel_tol"]),
-    ("adjoint_remainder_desk", ["checks", 2, "rel_change"]),
-    ("adjoint_remainder_desk", ["checks", 3, "points"]),
-    ("adjoint_remainder_desk", ["checks", 3, "max_ratio"]),
+    ("adjoint_remainder_desk", ["checks", 0, "rel_tol"]),
+    ("adjoint_remainder_desk", ["checks", 1, "rel_change"]),
+    ("adjoint_remainder_desk", ["checks", 2, "points"]),
+    ("adjoint_remainder_desk", ["checks", 2, "max_ratio"]),
     ("piecewise_speed_logtype", ["symbol", "transition_width"]),
     ("ginf_regularity", ["data", "gamma"]),
     ("ginf_regularity", ["checks", 1, "data", "gamma"]),
     ("negligible_uniqueness", ["thresholds"]),
-    ("delta_association", ["checks", 0, "terminal_tol"])]
+    ("delta_association", ["checks", 0, "terminal_tol"]),
+    # a sweep's cascade order is derived from `orders`
+    ("piecewise_speed_logtype", ["cascade_max_order"])]
 
 
 class TestRunPhaseExits:
@@ -522,7 +539,7 @@ class TestRunPhaseExits:
         # dense adjoint remainder is zero
         cfg = get_preset("adjoint_remainder_desk")
         cfg["symbol"]["a1"]["expr"]["children"][0]["center"] = -3.0
-        cfg["checks"] = [cfg["checks"][1]]
+        cfg["checks"] = [cfg["checks"][0]]
         assert self._run(cfg, tmp_path) == 2
         out = capsys.readouterr().out
         assert out.startswith("FAIL   remainder_oracle")
@@ -535,7 +552,7 @@ class TestRunPhaseExits:
         cfg = get_preset("adjoint_remainder_desk")
         cfg["grid"]["length"] = 4 * math.pi
         cfg["symbol"]["a1"]["expr"]["children"][0]["center"] = 3 * math.pi
-        cfg["checks"] = [cfg["checks"][2]]
+        cfg["checks"] = [cfg["checks"][1]]
         assert cfg["checks"][0]["check"] == "remainder_stability"
         assert self._run(cfg, tmp_path) == 0
         assert capsys.readouterr().out.startswith(
@@ -563,6 +580,20 @@ class TestRunPhaseExits:
         assert self._run(cfg, tmp_path) == 4
         assert "(TooLarge): horizon 10000 takes 1e+07 steps, whose ledger" \
             in capsys.readouterr().err
+
+    def test_step_count_above_cap_is_too_large(self, tmp_path, capsys,
+                                               monkeypatch):
+        # 2M steps at M=2: 58 MB of ledger and snapshots, under the byte
+        # cap, but above config.MAX_STEPS; refused before any step
+        def step(stack, members, out):
+            assert not members, "a refused solve stepped"
+        monkeypatch.setattr(cauchy, "_rk4", step)
+        cfg = get_preset("transport_smoke")
+        cfg["grid"]["points"] = 2
+        cfg["horizon"] = 2000.0
+        assert self._run(cfg, tmp_path) == 4
+        assert "(TooLarge): horizon 2000 takes 2000000 steps, above the " \
+            f"cap of {MAX_STEPS} steps" in capsys.readouterr().err
 
     def test_association_fails_on_its_terminal_residual(self, tmp_path,
                                                         capsys):
@@ -618,6 +649,21 @@ class TestConfigContract:
             assert main([command, str(path)]) == 3
             err = capsys.readouterr().err
             assert "check 'association' needs" in err and need in err
+
+    @pytest.mark.parametrize("probe, words", [
+        ("a1_complex_variable_speed", "symbol a1 is not real-valued"),
+        ("a1_complex_speed", "symbol a1 is not real-valued"),
+        ("retired_check_remainder_xindep",
+         "'remainder_xindep' is not one of")])
+    def test_refusal_names_its_cause(self, probe, words, tmp_path, capsys):
+        preset, mutate, _ = CONFIG_PROBES[probe]
+        cfg = get_preset(preset)
+        mutate(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("run", "validate"):
+            assert main([command, str(path)]) == 3
+            assert words in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset, path", DELETED_KEYS)
     def test_deleted_key_is_named(self, preset, path, tmp_path, capsys):

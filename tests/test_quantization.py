@@ -853,12 +853,6 @@ class TestOscillatoryRemainder:
                                                        0.0)))
         assert math.isnan(check_remainder_estimate(xi_symbol, TWO_PI)["lhs"])
 
-    def test_nan_remainder_fails_remainder_xindep(self, nan_total):
-        cfg = get_preset("adjoint_remainder_desk")
-        cfg["checks"] = ["remainder_xindep"]
-        ok, [outcome] = run_scenario(cfg, echo=lambda line: None)
-        assert not ok and math.isnan(outcome.number)
-
     def test_nan_remainder_fails_remainder_oracle(self, nan_total):
         # the desk bump's two constant trees contract to 0 * sum(K)
         cfg = get_preset("adjoint_remainder_desk")
