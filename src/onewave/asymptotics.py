@@ -25,9 +25,9 @@ from .cauchy import (CauchyProblem, Forcing, SolveResult, check_energy_estimate,
                      derivative_cascade, solve_stack)
 from .config import (ASSOCIATION_TREND_SLACK, GINF_ORDER_CAP, GINF_SLACK,
                      MODERATE_EXPONENT_CAP, NEGLIGIBLE_SLACK, Q_MAX)
-from .errors import GridMismatch, InsufficientOrders, OnewaveError
+from .errors import GridMismatch, InsufficientOrders, OnewaveError, TooLarge
 from .grid import Grid, GridFunction
-from .quantization import PeriodicOperator
+from .quantization import DENSE_GUARD, PeriodicOperator
 from .regularization import embed_data
 from .symbols import (GenSymbolFamily, SampleBox, classify_log_type,
                       classify_slow_scale, log_fit, multi_indices)
@@ -183,6 +183,14 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     an OnewaveError in any phase is recorded for its eps."""
     orders = list(plan.orders)
     eps_list = list(plan.family.eps_grid)
+    # the members share a solve's byte cap, and each holds at least its
+    # data and two snapshots
+    least = 3 * 16 * plan.grid.size * len(eps_list)
+    if least > 16 * DENSE_GUARD ** 2:
+        raise TooLarge(
+            f"a sweep of {len(eps_list)} members holds at least {least:.3g} B "
+            f"(each its data and two snapshots of {plan.grid.size} nodes), "
+            f"above the cap of {DENSE_GUARD ** 2} complex entries")
     failed, problems, results = {}, {}, {}
     for eps in eps_list:
         try:
@@ -232,18 +240,18 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     energy_ok = [bool(results[eps][2]["pointwise_ok"] and
                       results[eps][2]["gronwall_ok"]) for eps in done]
 
+    # alpha = 0 reads the ledger's Gronwall bound, so it needs no cascade
     predicted = {}
-    if plan.cascade_max_order > 0:
-        for alpha in multi_indices(plan.grid.dim, plan.cascade_max_order):
-            if sum(alpha) == 0:
-                # base Gronwall bound in norm terms
-                vals = [math.sqrt(results[eps][1].ledger.gronwall_bound()[-1])
-                        for eps in done]
-            else:
-                vals = [math.sqrt(results[eps][3][alpha]["bound"][-1])
-                        for eps in done]
-            slope, _, _ = fit_exponent(done, vals)
-            predicted[alpha] = slope
+    for alpha in multi_indices(plan.grid.dim, plan.cascade_max_order):
+        if sum(alpha) == 0:
+            # base Gronwall bound in norm terms
+            vals = [math.sqrt(results[eps][1].ledger.gronwall_bound()[-1])
+                    for eps in done]
+        else:
+            vals = [math.sqrt(results[eps][3][alpha]["bound"][-1])
+                    for eps in done]
+        slope, _, _ = fit_exponent(done, vals)
+        predicted[alpha] = slope
 
     return SweepReport(
         eps=done, orders=orders, norms=norms, fits=fits,

@@ -33,8 +33,8 @@ import numpy as np
 
 from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
                      INSTABILITY_FACTOR, MAX_STEPS, TRAJECTORY_STRIDE)
-from .errors import (GridMismatch, IncompleteLedger, NonFinite, OnewaveError,
-                     TooLarge, UnstableStep)
+from .errors import (GridMismatch, NonFinite, OnewaveError, TooLarge,
+                     UnstableStep)
 from .grid import Grid, GridFunction
 from .quantization import (DENSE_GUARD, PeriodicOperator, _distinct, _synth,
                            adjoint_defect_norms, operator_norms, stacks)
@@ -189,11 +189,6 @@ class EnergyLedger:
         return _gronwall(self.u_norm_sq[0] + self.forcing_integral(), c,
                          self.times)
 
-    def validate(self):
-        n = len(self.times)
-        if n == 0 or len(self.u_norm_sq) != n or len(self.f_norm_sq) != n:
-            raise IncompleteLedger("ledger arrays missing or misaligned")
-
 
 @dataclass
 class SolveResult:
@@ -299,6 +294,8 @@ def solve_fixed_eps(problem: CauchyProblem, dt: float | None = None,
 def solve_stack(problems, dt: float | None = None, seed=0) -> list:
     """Lawson RK4 with full energy bookkeeping for problems on one grid;
     per problem, its SolveResult or the OnewaveError that stopped it.  The
+    members share one solve's caps, on steps and on the bytes of ledgers
+    and snapshots: past either, the call raises TooLarge.  The
     members of one table layout step as one stack, each with its step from
     ``dt`` and its own sup (step_size), and leave it after their last
     step, so each member's arithmetic is its one-member solve's.  A member
@@ -315,6 +312,7 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
         id(p.symbol), p.horizon, None if p.forcing.is_zero else id(p.forcing),
         p.initial.values.astype(complex).tobytes()))
     out = [None] * len(once)
+    size = steps = 0        # the members' bytes and steps, under one cap each
     for rows, stack in stacks([p.symbol.full() for p in once], grid):
         members = []
         for k, i in enumerate(rows):
@@ -322,6 +320,14 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
                 members.append(_Member(k, i, once[i], stack, dt))
             except OnewaveError as err:
                 out[i] = err
+        size += sum(m.size for m in members)
+        steps += sum(m.n_steps for m in members)
+        if size > 16 * DENSE_GUARD ** 2 or steps > MAX_STEPS:
+            raise TooLarge(
+                f"{len(once)} stacked solves take {steps} steps, whose "
+                f"ledgers and snapshots ({size:.3g} B) pass the caps they "
+                f"share: {MAX_STEPS} steps and {DENSE_GUARD ** 2} complex "
+                "entries")
         for m, norms in zip(members, _measure_norms(
                 [m.problem for m in members], stack.grid, seed)):
             m.norms = norms
@@ -351,14 +357,14 @@ class _Member:
         # step 0 (set by the loop), every TRAJECTORY_STRIDE-th step, the last
         rows = 2 + (self.n_steps - 1) // TRAJECTORY_STRIDE
         # the snapshots, their times and the ledger's three arrays, in bytes
-        size = 16 * rows * problem.grid.size + 8 * rows + \
+        self.size = 16 * rows * problem.grid.size + 8 * rows + \
             24 * (self.n_steps + 1)
-        if size > 16 * DENSE_GUARD ** 2:
+        if self.size > 16 * DENSE_GUARD ** 2:
             raise TooLarge(
                 f"horizon {problem.horizon:g} takes {self.n_steps:.3g} steps, "
                 f"whose ledger and {rows:.3g} snapshots of "
-                f"{problem.grid.size} nodes ({size:.3g} B) exceed the cap of "
-                f"{DENSE_GUARD ** 2} complex entries")
+                f"{problem.grid.size} nodes ({self.size:.3g} B) exceed the "
+                f"cap of {DENSE_GUARD ** 2} complex entries")
         if self.n_steps > MAX_STEPS:
             raise TooLarge(
                 f"horizon {problem.horizon:g} takes {self.n_steps} steps, "
@@ -491,18 +497,14 @@ def seminorm_dominates(c_seminorm: float, c_measured: float) -> bool:
     return bool(math.isfinite(c_seminorm) and c_seminorm >= c_measured)
 
 
-def check_energy_estimate(ledger: EnergyLedger,
-                          c_seminorm: float | None = None) -> dict:
+def check_energy_estimate(ledger: EnergyLedger) -> dict:
     """Pointwise differential inequality and Gronwall bound from the ledger.
 
     pointwise:  d/dt ||u||^2 <= ||f||^2 + (1 + skew + 2*a0) ||u||^2
     (centered differences; one-sided at the ends; ENERGY_SLACK absorbs the
     time-discretization error of the derivative estimate).
     gronwall:   ||u(t)||^2 <= (||g||^2 + int_0^T ||f||^2) exp(c_meas * t).
-    ``c_seminorm`` is the semi-norm constant to compare with c_meas (from
-    seminorm_constant, by seminorm_dominates); None skips the comparison.
     """
-    ledger.validate()
     t, usq, fsq = ledger.times, ledger.u_norm_sq, ledger.f_norm_sq
     c = ledger.c_measured
     dsq = np.gradient(usq, t)
@@ -514,10 +516,6 @@ def check_energy_estimate(ledger: EnergyLedger,
         "pointwise_ok": pointwise_ok,
         "gronwall_ok": gronwall_ok,
         "pointwise_margin_min": float(np.min(margins)),
-        "c_measured": c,
-        "c_seminorm": c_seminorm,
-        "seminorm_dominates": None if c_seminorm is None
-        else seminorm_dominates(c_seminorm, c),
     }
 
 

@@ -34,9 +34,10 @@ class DimensionMismatch(OnewaveError):
 
 
 class TooLarge(OnewaveError):
-    """A dense table, the matrix oracle or a solve's snapshots and per-step
-    ledger beyond its size guard (quantization.DENSE_GUARD nodes, or the
-    bytes of DENSE_GUARD**2 complex entries)."""
+    """A dense table, the matrix oracle, or the snapshots and per-step
+    ledgers of a solve, of a stack of solves or of a sweep's members beyond
+    its size guard (quantization.DENSE_GUARD nodes, or the bytes of
+    DENSE_GUARD**2 complex entries)."""
 
 
 class BoxTooSmall(OnewaveError):
@@ -45,10 +46,6 @@ class BoxTooSmall(OnewaveError):
 
 class UnstableStep(OnewaveError):
     """Time stepper norm growth exceeded the predicted bound."""
-
-
-class IncompleteLedger(OnewaveError):
-    """Energy ledger misses entries required by a check."""
 
 
 class InsufficientOrders(OnewaveError):

@@ -481,19 +481,14 @@ _NODE_KEYS = {
     "coord_xi": {"axis"}, "japanese_bracket": {"order"},
     "sum": {"children"}, "product": {"children"},
     "power": {"base", "exponent"}, "sin": {"child"}, "cos": {"child"},
-    "conj": {"child"}, "mollified_in_x": {"rough", "omega", "axis", "order"},
-    **{name: {"child", cls.loc_key, "width", "order"}
+    "conj": {"child"},
+    **{name: {"child", cls.loc_key, "width"}
        for name, cls in _PROFILE_NODES.items()},
 }
 
 
-def from_json(data: dict, mollifier_factory=None) -> Expr:
-    """Parse the tagged-union JSON form back into a tree.
-
-    ``mollifier_factory(rough_json, omega)`` builds the mollified-coefficient
-    payload; it is injected by the regularization module to keep this module
-    free of convolution machinery.
-    """
+def from_json(data: dict) -> Expr:
+    """Parse the tagged-union JSON form into a tree."""
     node = data["node"]
     if node not in _NODE_KEYS:
         raise ValueError(f"unknown expression node {node!r}")
@@ -506,23 +501,18 @@ def from_json(data: dict, mollifier_factory=None) -> Expr:
     if node in _LEAF_PARSERS:
         return _LEAF_PARSERS[node](data)
     if node == "sum":
-        return add(*(from_json(c, mollifier_factory) for c in data["children"]))
+        return add(*(from_json(c) for c in data["children"]))
     if node == "product":
-        return mul(*(from_json(c, mollifier_factory) for c in data["children"]))
+        return mul(*(from_json(c) for c in data["children"]))
     if node == "power":
-        return Power(from_json(data["base"], mollifier_factory), data["exponent"])
+        return Power(from_json(data["base"]), data["exponent"])
     if node == "sin":
-        return Sin(from_json(data["child"], mollifier_factory))
+        return Sin(from_json(data["child"]))
     if node == "cos":
-        return Cos(from_json(data["child"], mollifier_factory))
+        return Cos(from_json(data["child"]))
     if node == "conj":
-        return Conj(from_json(data["child"], mollifier_factory))
-    if node in _PROFILE_NODES:
-        cls = _PROFILE_NODES[node]
-        kwargs = {k: data[k] for k in (cls.loc_key, "width", "order") if k in data}
-        return cls(from_json(data["child"], mollifier_factory), **kwargs)
-    # mollified_in_x, the one node kind left
-    if mollifier_factory is None:
-        raise ValueError("mollified_in_x nodes need a mollifier factory")
-    coeff = mollifier_factory(data["rough"], data["omega"])
-    return MollifiedCoeff(coeff, data.get("axis", 0), data.get("order", 0))
+        return Conj(from_json(data["child"]))
+    # smooth_bump or smooth_step, the node kinds left
+    cls = _PROFILE_NODES[node]
+    kwargs = {k: data[k] for k in (cls.loc_key, "width") if k in data}
+    return cls(from_json(data["child"]), **kwargs)

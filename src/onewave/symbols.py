@@ -71,9 +71,9 @@ class SymbolExpr:
 
     # -- construction helpers ----------------------------------------------
     @staticmethod
-    def from_json(data: dict, mollifier_factory=None) -> "SymbolExpr":
-        return SymbolExpr(ex.from_json(data["expr"], mollifier_factory),
-                          data["declared_order"], data["dim"])
+    def from_json(data: dict) -> "SymbolExpr":
+        return SymbolExpr(ex.from_json(data["expr"]), data["declared_order"],
+                          data["dim"])
 
     # -- dependence flags ----------------------------------------------------
     def depends_t(self):

@@ -152,6 +152,35 @@ class TestGronwallFitDominance:
         assert sorted(rep.predicted_exponents) == [(0,), (1,), (2,)]
         assert all(p is not None for p in rep.predicted_exponents.values())
 
+    def test_moderateness_compares_alpha_0_without_cascade(self):
+        # alpha = 0 is predicted from the ledger's Gronwall bound, so the
+        # base order alone, whose derived cascade order is 0, is compared
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 128
+        cfg["orders"] = [[0, [0]]]
+        cfg["checks"] = ["moderateness"]
+        ctx = scenario.ScenarioContext(cfg)
+        assert ctx.cascade_max_order == 0
+        [moderateness] = ctx.checks
+        outcome = moderateness(ctx)
+        _, rep = ctx.sweep()
+        assert list(rep.predicted_exponents) == [(0,)]
+        assert rep.predicted_exponents[(0,)] is not None
+        assert outcome.ok, outcome.line()
+        assert outcome.message.endswith("all bounded by energy prediction")
+
+    def test_moderateness_without_a_comparison_fails(self):
+        # no tracked order has d = 0, so no fitted exponent has a
+        # prediction to be compared with
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 128
+        cfg["orders"] = [[1, [0]], [1, [1]]]
+        cfg["checks"] = ["moderateness"]
+        _, [outcome] = run_scenario(cfg, echo=lambda line: None)
+        assert outcome.status == "FAIL"
+        assert outcome.message.endswith(
+            "no fitted exponent compared with a prediction")
+
     def test_constant_once_per_distinct_member(self, monkeypatch):
         cfg = get_preset("piecewise_speed_logtype")
         outcome, calls = self._run(cfg, monkeypatch)

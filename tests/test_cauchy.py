@@ -15,9 +15,9 @@ from onewave import expr as ex
 from onewave.cauchy import (CauchyProblem, Forcing, TimeProfile,
                             check_case_variants, check_energy_estimate,
                             derivative_cascade, seminorm_constant,
-                            solve_fixed_eps)
+                            seminorm_dominates, solve_fixed_eps)
 from onewave.config import CALIBRATED_C, CFL_MARGIN, CFL_SAFETY
-from onewave.errors import NonFinite, UnstableStep
+from onewave.errors import NonFinite, TooLarge, UnstableStep
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
 from onewave.quantization import (PeriodicOperator, adjoint_defect_norm,
@@ -329,29 +329,42 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         assert int(done.stdout) / 1024 <= 400.0     # ru_maxrss is in KiB
 
 
+class TestStackCaps:
+    def test_members_share_the_step_cap(self, monkeypatch):
+        # 600,000 steps each are under config.MAX_STEPS, 1,200,000 together
+        # are not: the call is refused before any member steps
+        def step(stack, members, out):
+            raise AssertionError("a refused stack stepped")
+        monkeypatch.setattr(cauchy, "_rk4", step)
+        grid = Grid(1, 2, TWO_PI)
+        problems = [transport_problem(grid, horizon=600.0) for _ in range(2)]
+        with pytest.raises(TooLarge,
+                           match="2 stacked solves take 1200000 steps"):
+            cauchy.solve_stack(problems, 1e-3)
+
+
 class TestEnergy:
     def test_constant_transport_pointwise(self, grid256):
         prob = transport_problem(grid256)
         res = solve_fixed_eps(prob, 1e-3, seed=0)
-        c_sem = seminorm_constant(prob.symbol, grid256, prob.horizon)
-        rep = check_energy_estimate(res.ledger, c_sem)
+        rep = check_energy_estimate(res.ledger)
         assert rep["pointwise_ok"] and rep["gronwall_ok"]
-        assert rep["seminorm_dominates"]
+        assert seminorm_dominates(
+            seminorm_constant(prob.symbol, grid256, prob.horizon),
+            res.ledger.c_measured)
 
     def test_calibration_rescale(self, grid256):
-        # the check compares the constant it is given: rescaling the
-        # calibration C rescales the constant passed in
+        # the rule compares the constant it is given: rescaling the
+        # calibration C rescales that constant, and the estimate itself
+        # compares no semi-norm constant
         prob = transport_problem(grid256)
         res = solve_fixed_eps(prob, 1e-3, seed=0)
         c_sem = seminorm_constant(prob.symbol, grid256, prob.horizon)
-        base = check_energy_estimate(res.ledger, c_sem)
-        huge = check_energy_estimate(res.ledger,
-                                     c_sem * 100.0 / CALIBRATED_C[1])
-        assert huge["c_seminorm"] > base["c_seminorm"]
-        tiny = check_energy_estimate(res.ledger,
-                                     c_sem * 1e-6 / CALIBRATED_C[1])
-        assert tiny["seminorm_dominates"] is False
-        assert check_energy_estimate(res.ledger)["seminorm_dominates"] is None
+        c_meas = res.ledger.c_measured
+        assert seminorm_dominates(c_sem * 100.0 / CALIBRATED_C[1], c_meas)
+        assert not seminorm_dominates(c_sem * 1e-6 / CALIBRATED_C[1], c_meas)
+        assert set(check_energy_estimate(res.ledger)) == {
+            "pointwise_ok", "gronwall_ok", "pointwise_margin_min"}
 
     def test_damping_keeps_norm_down(self, grid256):
         # a = c(x) xi + i b(x) with b <= 0 damps; the measured bound must
@@ -530,7 +543,8 @@ class TestCaseVariants:
             1.0 + result.ledger.skew_norm + 2.0 * a0_norm
         assert variants.number == result.ledger.c_measured
         assert "case_c: n/a (a0 is not real-valued)" in variants.message
-        assert variants.ok
+        # nor does case b, untagged, so no case compares anything
+        assert not variants.ok
 
     def test_complex_a0_not_case_c(self, grid32):
         a1 = SymbolExpr(ex.CoordXi(0), 1.0, 1)
@@ -564,7 +578,23 @@ class TestCaseVariants:
         lines = []
         ok, _ = scenario.run_scenario(cfg, echo=lines.append)
         assert "case_c: n/a (a0 is not real-valued)" in lines[0]
-        assert ok
+        # nor does case b, untagged, so no case compares anything
+        assert not ok
+
+    def test_no_applicable_case_fails(self):
+        # a0 = i cos x is not real and (2 + sin x) xi has no tag: neither
+        # case compares a constant, so the check FAILs, naming both reasons
+        cfg = get_preset("variable_speed_smooth")
+        cfg["grid"]["points"] = 128
+        cfg["symbol"]["a0"]["expr"] = {"node": "product", "children": [
+            {"node": "constant", "re": 0.0, "im": 1.0},
+            cfg["symbol"]["a0"]["expr"]]}
+        cfg["checks"] = ["case_variants"]
+        ok, [outcome] = scenario.run_scenario(cfg, echo=lambda line: None)
+        assert not ok and outcome.status == "FAIL"
+        assert outcome.message == (
+            "case_b: n/a (x_independent_outside tag missing); "
+            "case_c: n/a (a0 is not real-valued); no case applies")
 
     def test_case_c_constant_leaves_out_a0(self, grid32):
         # a real a0 enters case c only through its adjoint defect

@@ -475,6 +475,16 @@ CONFIG_PROBES = {
     "retired_check_remainder_xindep": (
         "adjoint_remainder_desk",
         lambda cfg: cfg["checks"].insert(0, "remainder_xindep"), []),
+    # no config writes a mollified coefficient, which only a rough_transport
+    # symbol builds, nor a profile's derivative order, which only tree
+    # differentiation takes
+    "mollified_in_x_node": ("variable_speed_smooth", _set(
+        ["symbol", "a1", "expr", "children", 0],
+        {"node": "mollified_in_x", "omega": 3.0,
+         "rough": {"kind": "piecewise_constant", "period": 2 * math.pi,
+                   "breakpoints": [2.0, 4.3], "values": [2.0, 1.0]}}), []),
+    "profile_order_key": ("adjoint_remainder_desk", _set(
+        ["symbol", "a1", "expr", "children", 0, "order"], 1), []),
 }
 
 # Values that no shipped config changed are constants now: a config that
@@ -595,6 +605,28 @@ class TestRunPhaseExits:
         assert "(TooLarge): horizon 2000 takes 2000000 steps, above the " \
             f"cap of {MAX_STEPS} steps" in capsys.readouterr().err
 
+    def test_sweep_count_past_the_cap_is_too_large(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a million members of 128 nodes hold at least their data and two
+        # snapshots each, 6.1 GB: refused before any member is built
+        built = []
+
+        def counted(rough, k, eps, _build=regularization.regularize_symbol):
+            built.append(eps)
+            assert len(built) <= 2, "a sweep member was built"
+            return _build(rough, k, eps)
+        monkeypatch.setattr(regularization, "regularize_symbol", counted)
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 128
+        cfg["sweep"]["count"] = 1_000_000
+        cfg["checks"] = ["moderateness"]
+        assert self._run(cfg, tmp_path) == 4
+        # the family's first and last, built to compare their dimensions
+        assert len(built) == 2
+        err = capsys.readouterr().err
+        assert "(TooLarge): a sweep of 1000000 members" in err
+        assert f"cap of {DENSE_GUARD ** 2} complex entries" in err
+
     def test_association_fails_on_its_terminal_residual(self, tmp_path,
                                                         capsys):
         # five eps points leave a monotone tail whose terminal residual,
@@ -654,7 +686,9 @@ class TestConfigContract:
         ("a1_complex_variable_speed", "symbol a1 is not real-valued"),
         ("a1_complex_speed", "symbol a1 is not real-valued"),
         ("retired_check_remainder_xindep",
-         "'remainder_xindep' is not one of")])
+         "'remainder_xindep' is not one of"),
+        ("mollified_in_x_node", "unknown expression node 'mollified_in_x'"),
+        ("profile_order_key", "'smooth_bump' does not read 'order'")])
     def test_refusal_names_its_cause(self, probe, words, tmp_path, capsys):
         preset, mutate, _ = CONFIG_PROBES[probe]
         cfg = get_preset(preset)
