@@ -107,12 +107,8 @@ def fit_exponent(eps, values):
     mask = values > 1e-280
     if mask.sum() < 3:
         return None, 0.0, 0.0
-    x = np.log(1.0 / eps[mask])
-    y = np.log(values[mask])
-    coeffs, cov = np.polyfit(x, y, 1, cov=True)
-    fit = np.polyval(coeffs, x)
-    resid = float(np.linalg.norm(y - fit)) / max(float(np.linalg.norm(y)), 1e-300)
-    return float(coeffs[0]), float(np.sqrt(max(cov[0, 0], 0.0))), resid
+    n_hat, _, resid, stderr = log_fit(eps[mask], np.log(values[mask]))
+    return n_hat, stderr, resid
 
 
 def _t_derivative_norms(problem: CauchyProblem, result: SolveResult, orders):
@@ -180,7 +176,8 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     """Solve every eps, track derivative norms, fit exponents, and
     cross-check each run against its own Gronwall bound.  Build every
     member, solve them as one stack, then post-process each eps in order;
-    an OnewaveError in any phase is recorded for its eps."""
+    an OnewaveError in any phase is recorded for its eps, save TooLarge,
+    which refuses the sweep."""
     orders = list(plan.orders)
     eps_list = list(plan.family.eps_grid)
     # the members share a solve's byte cap, and each holds at least its
@@ -236,7 +233,7 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     c_log_fit = {}
     if len(done) >= 3:
         c_log_fit = dict(zip(("coeff", "intercept", "residual"),
-                             log_fit(done, c_measured)))
+                             log_fit(done, c_measured)[:3]))
     energy_ok = [bool(results[eps][2]["pointwise_ok"] and
                       results[eps][2]["gronwall_ok"]) for eps in done]
 

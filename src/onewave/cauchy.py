@@ -258,13 +258,7 @@ def _measure_norms(problems, grid: Grid, seed) -> list:
 def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
                       case: str = "a") -> float:
     """C * (1 + Q^0_{0,k',l'}(a0) + Q^1_{0,k,l}(a1)) at the orders of
-    estimate case "a" or "b"; the a0 term is 0 without an a0.  Computed
-    once per (a0 object, grid, horizon, case) and kept on the a1 object, so
-    the checks of a scenario that ask for one constant share it."""
-    known = symbol.a1._seminorm_constants
-    key = (symbol.a0, grid, float(horizon), case)
-    if key in known:
-        return known[key]
+    estimate case "a" or "b"; the a0 term is 0 without an a0."""
     dim = symbol.dim
     orders = case_orders(dim, case)
     C = CALIBRATED_C[dim]
@@ -278,8 +272,7 @@ def seminorm_constant(symbol: HyperbolicSymbol, grid: Grid, horizon: float,
     if symbol.a0 is not None:
         q0 = seminorm_Q(symbol.a0, 0, orders["k_prime"], orders["l_prime"],
                         box)
-    known[key] = C * (1.0 + q0 + q1)
-    return known[key]
+    return C * (1.0 + q0 + q1)
 
 
 def solve_fixed_eps(problem: CauchyProblem, dt: float | None = None,
@@ -295,7 +288,8 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
     """Lawson RK4 with full energy bookkeeping for problems on one grid;
     per problem, its SolveResult or the OnewaveError that stopped it.  The
     members share one solve's caps, on steps and on the bytes of ledgers
-    and snapshots: past either, the call raises TooLarge.  The
+    and snapshots: past either, by one member or by all of them, the call
+    raises TooLarge.  The
     members of one table layout step as one stack, each with its step from
     ``dt`` and its own sup (step_size), and leave it after their last
     step, so each member's arithmetic is its one-member solve's.  A member
@@ -318,6 +312,8 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
         for k, i in enumerate(rows):
             try:
                 members.append(_Member(k, i, once[i], stack, dt))
+            except TooLarge:
+                raise       # past a cap alone, so past the shared one
             except OnewaveError as err:
                 out[i] = err
         size += sum(m.size for m in members)

@@ -7,9 +7,9 @@ sets one.  The tolerances of the single-solve and remainder checks are
 constants at the head of scenario.py, beside the checks that read them.
 """
 
-# Maximum derivative order a scenario config may ask for (the schema caps
-# `orders` and the `cascade_bounds` `max_order`; a sweep's cascade order is
-# derived from `orders`); internal machinery may differentiate further.
+# Maximum derivative order a scenario config may ask for: the schema caps
+# `orders`, the `cascade_bounds` `max_order` and `mollification_k` (a sweep's
+# cascade order derives from `orders`); internals may differentiate further.
 MAX_DIFF_ORDER = 6
 
 # Power iteration defaults (deterministic start vector from the run seed).

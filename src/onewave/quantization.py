@@ -860,8 +860,7 @@ def check_remainder_estimate(s: SymbolExpr, length: float,
 
     lhs = max over sampled (x, xi, theta) at t = 0 of |r_theta|, on the
           base (y, eta) box or the refined one;
-    rhs = Q^m_{0,3,3}(s), m the declared order of s, sampled once per
-          length and kept on s, as it does not depend on the box;
+    rhs = Q^m_{0,3,3}(s), m the declared order of s;
     both sampled on [0, length] x {|xi| <= 64}, length that of the grid s
     lives on; box-uniformity shows up as stability of the reported ratio
     under refinement.
@@ -874,8 +873,6 @@ def check_remainder_estimate(s: SymbolExpr, length: float,
     # np.max keeps a NaN (max(0.0, nan) is 0.0); abs of each value, as
     # numpy's vectorized complex abs can differ from hypot in the last bit
     lhs = float(np.max([abs(v) for v in values.flat]))
-    if length not in s._remainder_rhs:
-        s._remainder_rhs[length] = seminorm_Q(s, 0, 3, 3, box)
-    rhs = s._remainder_rhs[length]
+    rhs = seminorm_Q(s, 0, 3, 3, box)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return {"lhs": lhs, "rhs_seminorm": rhs, "ratio": ratio}

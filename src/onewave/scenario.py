@@ -209,16 +209,11 @@ def _check_gronwall_fit(ctx: ScenarioContext) -> CheckOutcome:
     plan, rep = ctx.sweep()
     fit = rep.c_log_fit
     energy_all = all(rep.energy_ok)
-    # each completed member's semi-norm constant, once per distinct symbol,
-    # must dominate its measured constant
-    members = [plan.family.member(eps) for eps in rep.eps]
-    c_sem = {}
-    for symbol in members:
-        if id(symbol) not in c_sem:
-            c_sem[id(symbol)] = seminorm_constant(symbol, ctx.grid,
-                                                  ctx.horizon)
-    dominate_all = all(seminorm_dominates(c_sem[id(symbol)], cm)
-                       for symbol, cm in zip(members, rep.c_measured))
+    # each completed member's semi-norm constant must dominate its
+    # measured constant
+    constants = [seminorm_constant(plan.family.member(eps), ctx.grid,
+                                   ctx.horizon) for eps in rep.eps]
+    dominate_all = all(map(seminorm_dominates, constants, rep.c_measured))
     ok = bool(fit) and fit["residual"] < LOG_TYPE_RESIDUAL and \
         fit["coeff"] >= 0 and energy_all and dominate_all and \
         not rep.incomplete
@@ -401,6 +396,8 @@ _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _MULTI_INDEX = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 # A derivative order a run takes; capped, as its work grows with it.
 _ORDER = {"type": "integer", "minimum": 0, "maximum": MAX_DIFF_ORDER}
+# One that must be at least 1, as order 0 would sample or compare nothing.
+_ORDER_1 = {**_ORDER, "minimum": 1}
 
 # Expression nodes stay open here: each node kind reads its own fields, and
 # expr.from_json refuses any other key at build.  Every other object schema
@@ -469,7 +466,7 @@ _DATA = {
 
 # Every check parameter, once; which check takes which is its signature.
 _CHECK_PARAMS = {
-    "max_order": _ORDER,
+    "max_order": _ORDER_1,
     "expect": {"type": "boolean"},
     "probes": {"type": "array", "items": _EXPR, "minItems": 1},
     "data": _DATA,
@@ -503,7 +500,7 @@ CONFIG_SCHEMA = {
                 "x_independent_outside": {"type": ["number", "null"]},
                 "speeds": {"type": "array", "items": _ROUGH, "minItems": 1},
                 "zero_order": {**_ROUGH, "type": ["object", "null"]},
-                "mollification_k": {"type": "integer", "minimum": 1},
+                "mollification_k": _ORDER_1,
             },
             "required": ["kind"],
             "additionalProperties": False,
@@ -524,7 +521,7 @@ CONFIG_SCHEMA = {
             "required": ["eps0", "count"],
             "additionalProperties": False,
         },
-        "orders": {"type": "array",
+        "orders": {"type": "array", "minItems": 1,
                    "items": {"type": "array", "minItems": 2, "maxItems": 2,
                              "prefixItems": [_ORDER, {"type": "array",
                                                       "items": _ORDER}]}},

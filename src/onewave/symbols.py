@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,7 @@ class SymbolExpr:
         self.dim = int(dim)
         self._deriv_cache = {}
         self._remainder_trees = None   # quantization's integrand trees
-        self._remainder_rhs = {}       # and its semi-norm side, per length
-        self._seminorm_constants = {}  # cauchy.seminorm_constant's, as a1
+        self._seminorms = {}           # seminorm_Q's, per (j, k, l, box)
 
     # -- construction helpers ----------------------------------------------
     @staticmethod
@@ -226,14 +226,21 @@ def seminorm_q(s: SymbolExpr, k: int, l: int, box: SampleBox,
 def seminorm_Q(s: SymbolExpr, j: int, k: int, l: int,
                box: SampleBox) -> float:
     """max over t-derivative orders i <= j and uniform t samples of
-    seminorm_q applied to d_t^i s."""
+    seminorm_q applied to d_t^i s.  Sampled once per (j, k, l, box) and
+    kept on s, so every verdict that reads it shares the value."""
+    key = (j, k, l, box)
+    if key in s._seminorms:
+        return s._seminorms[key]
     if not s.depends_t():
-        return seminorm_q(s, k, l, box, t=0.0)
-    best = 0.0
-    for i in range(j + 1):
-        si = SymbolExpr(s.derivative_root(i, None, None), s.declared_order, s.dim)
-        for t in box.t_points():
-            best = max(best, seminorm_q(si, k, l, box, t=float(t)))
+        best = seminorm_q(s, k, l, box, t=0.0)
+    else:
+        best = 0.0
+        for i in range(j + 1):
+            si = SymbolExpr(s.derivative_root(i, None, None),
+                            s.declared_order, s.dim)
+            for t in box.t_points():
+                best = max(best, seminorm_q(si, k, l, box, t=float(t)))
+    s._seminorms[key] = best
     return best
 
 
@@ -381,26 +388,30 @@ class GenSymbolFamily:
 
 
 def _family_Q_values(fam: GenSymbolFamily, j, k, l, box):
-    """Q_{j,k,l} of each eps's member, sampled once per member object (a
-    fixed symbol is one member for every eps)."""
-    members, once = [fam.member(eps) for eps in fam.eps_grid], {}
-    for m in members:
-        if id(m) not in once:
-            once[id(m)] = seminorm_Q(m.full(), j, k, l, box)
-    return np.array([once[id(m)] for m in members])
+    """Q_{j,k,l} of each eps's member (a fixed symbol is one member for
+    every eps, so seminorm_Q samples it once)."""
+    return np.array([seminorm_Q(fam.member(eps).full(), j, k, l, box)
+                     for eps in fam.eps_grid])
 
 
-def log_fit(eps, values) -> tuple[float, float, float]:
-    """Least-squares c*log(1/eps) + b through values.
-
-    Returns (c, b, residual) with the residual relative to ||values||.
-    """
+def log_fit(eps, values) -> tuple[float, float, float, float]:
+    """Least-squares c*log(1/eps) + b through three or more values, the one
+    fit against log(1/eps).  Returns (c, b, residual, stderr), the residual
+    relative to ||values|| and stderr the standard error of c; raises
+    InsufficientSweep when the log(1/eps) agree to rounding (no slope)."""
     logs = np.log(1.0 / np.asarray(eps, dtype=float))
     values = np.asarray(values, dtype=float)
-    coeffs = np.polyfit(logs, values, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        try:
+            coeffs, cov = np.polyfit(logs, values, 1, cov=True)
+        except np.exceptions.RankWarning:
+            raise InsufficientSweep("the eps points do not resolve a fit "
+                                    "against log(1/eps)") from None
     scale = max(float(np.linalg.norm(values)), 1e-300)
     residual = float(np.linalg.norm(values - np.polyval(coeffs, logs))) / scale
-    return float(coeffs[0]), float(coeffs[1]), residual
+    return (float(coeffs[0]), float(coeffs[1]), residual,
+            float(np.sqrt(max(cov[0, 0], 0.0))))
 
 
 def classify_log_type(fam: GenSymbolFamily, k: int, l: int,
@@ -413,7 +424,7 @@ def classify_log_type(fam: GenSymbolFamily, k: int, l: int,
     """
     fam.require_regression_sweep()
     q_vals = _family_Q_values(fam, 0, k, l, box)
-    c, intercept, residual = log_fit(fam.eps_grid, q_vals)
+    c, intercept, residual, _ = log_fit(fam.eps_grid, q_vals)
     # "nonnegative" up to fit noise: 1% of the semi-norm level counts as zero
     c_floor = -0.01 * (float(np.mean(np.abs(q_vals))) + 1e-300)
     return {
@@ -441,9 +452,8 @@ def classify_slow_scale(fam: GenSymbolFamily, j: int, k: int, l: int,
     if np.all(q_vals < 1e-280):
         return {"is_slow_scale": True, "largest_p": SLOW_SCALE_P_MAX,
                 "slope": 0.0, "excess": 0.0}
-    y = np.log(np.maximum(q_vals, 1e-280))
-    slope = float(np.polyfit(logs, y, 1)[0])
-    log_ref = float(np.polyfit(logs, np.log(logs), 1)[0])
+    slope = log_fit(fam.eps_grid, np.log(np.maximum(q_vals, 1e-280)))[0]
+    log_ref = log_fit(fam.eps_grid, np.log(logs))[0]
     excess = max(slope - log_ref, 0.0)
     largest = 0
     for p in range(1, SLOW_SCALE_P_MAX + 1):

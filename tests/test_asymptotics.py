@@ -181,17 +181,6 @@ class TestGronwallFitDominance:
         assert outcome.message.endswith(
             "no fitted exponent compared with a prediction")
 
-    def test_constant_once_per_distinct_member(self, monkeypatch):
-        cfg = get_preset("piecewise_speed_logtype")
-        outcome, calls = self._run(cfg, monkeypatch)
-        assert outcome.status == "PASS"
-        assert len(calls) == 6 == len({id(c) for c in calls})
-        # a fixed symbol is one member for every eps
-        cfg = get_preset("ginf_regularity")
-        cfg["grid"]["points"] = 64
-        _, calls = self._run(cfg, monkeypatch)
-        assert len(calls) == 1
-
 
 class TestRoughZeroOrder:
     def test_piecewise_zero_order_runs_the_sweep_checks(self):

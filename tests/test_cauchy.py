@@ -431,24 +431,6 @@ class TestCaseVariants:
         assert rep["case_b"]["dominates_measured"]
         assert rep["case_b"]["gronwall_ok"]
 
-    def test_seminorm_constant_computed_once(self, monkeypatch):
-        # no a0 and no case b: case c's constant is energy's case-a
-        # constant of the same a1 on the same box, computed once
-        cfg = get_preset("variable_speed_smooth")
-        del cfg["symbol"]["a0"]
-        cfg["grid"]["points"] = 64
-        cfg["checks"] = ["energy", "case_variants"]
-        calls = []
-
-        def counted(s, *args, _seminorm_q=cauchy.seminorm_Q):
-            calls.append(s)
-            return _seminorm_q(s, *args)
-        monkeypatch.setattr(cauchy, "seminorm_Q", counted)
-        ok, outcomes = scenario.run_scenario(cfg, echo=lambda line: None)
-        assert ok
-        assert "case_b: n/a" in outcomes[1].message
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("tag, reason", [
         (0.0, "the symbol varies in x 0 or more from the midpoint"),
         (1e9, "no sample x lies 1e+09 or more from the midpoint")],

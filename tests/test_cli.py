@@ -401,6 +401,13 @@ CONFIG_PROBES = {
                           []),
     "max_order_above_cap": ("variable_speed_smooth",
                             _set(["checks", 2, "max_order"], 7), []),
+    "mollification_k_above_cap": ("piecewise_speed_logtype", _set(
+        ["symbol", "mollification_k"], 7), []),
+    # an empty `orders` tracks no norm, and a cascade to order 0 compares
+    # no bound
+    "orders_empty": ("piecewise_speed_logtype", _set(["orders"], []), []),
+    "max_order_zero": ("variable_speed_smooth",
+                       _set(["checks", 3, "max_order"], 0), []),
     # the oscillating data's carrier reaches mode 61 at the smallest eps: at
     # or above the Nyquist mode M/2 it would alias
     "carrier_above_nyquist_M32": ("ginf_regularity", lambda cfg: None,
@@ -627,6 +634,41 @@ class TestRunPhaseExits:
         assert "(TooLarge): a sweep of 1000000 members" in err
         assert f"cap of {DENSE_GUARD ** 2} complex entries" in err
 
+    @pytest.mark.parametrize("preset", ["piecewise_speed_logtype",
+                                        "negligible_uniqueness"])
+    def test_sweep_member_past_the_caps_is_too_large(self, preset, tmp_path,
+                                                     capsys, monkeypatch):
+        # at M=64 a horizon of 1e6 takes each member 7.46e6 steps, past both
+        # caps on its own, and 1e5 takes the six members 4.4e6 steps between
+        # them: either refuses the sweep before any member steps
+        def step(stack, members, out):
+            assert not members, "a refused solve stepped"
+        monkeypatch.setattr(cauchy, "_rk4", step)
+        for horizon, words in (
+                (1e6, "horizon 1e+06 takes 7.46e+06 steps"),
+                (1e5, "6 stacked solves take 4407054 steps")):
+            cfg = get_preset(preset)
+            cfg["grid"]["points"] = 64
+            cfg["horizon"] = horizon
+            assert self._run(cfg, tmp_path) == 4
+            assert f"(TooLarge): {words}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g", [None, {"kind": "zero"}],
+                             ids=["preset_data", "zero_data"])
+    def test_sweep_without_a_log_spread_is_refused(self, g, tmp_path,
+                                                   capsys):
+        # eps points 1 ulp apart leave every fit against log(1/eps) without
+        # a slope: the norms' fits, or with zero data the constants' fit
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 64
+        cfg["sweep"] = {"eps0": 0.1, "count": 6, "ratio": 1.0 - 2.0 ** -53}
+        cfg["checks"] = ["gronwall_fit"]
+        if g is not None:
+            cfg["data"]["g"] = g
+        assert self._run(cfg, tmp_path) == 4
+        assert "(InsufficientSweep): the eps points do not resolve a fit " \
+            "against log(1/eps)" in capsys.readouterr().err
+
     def test_association_fails_on_its_terminal_residual(self, tmp_path,
                                                         capsys):
         # five eps points leave a monotone tail whose terminal residual,
@@ -688,7 +730,12 @@ class TestConfigContract:
         ("retired_check_remainder_xindep",
          "'remainder_xindep' is not one of"),
         ("mollified_in_x_node", "unknown expression node 'mollified_in_x'"),
-        ("profile_order_key", "'smooth_bump' does not read 'order'")])
+        ("profile_order_key", "'smooth_bump' does not read 'order'"),
+        ("mollification_k_above_cap",
+         "'symbol/mollification_k': 7 is greater than the maximum of 6"),
+        ("orders_empty", "'orders': [] should be non-empty"),
+        ("max_order_zero",
+         "'checks/3/max_order': 0 is less than the minimum of 1")])
     def test_refusal_names_its_cause(self, probe, words, tmp_path, capsys):
         preset, mutate, _ = CONFIG_PROBES[probe]
         cfg = get_preset(preset)

@@ -1211,21 +1211,6 @@ class TestRemainderBatch:
             adjoint_symbol_remainder(s, 0.0, np.array([50.0, 2.0, 1.0]),
                                      0.0)
 
-    def test_remainder_stability_samples_the_seminorm_once(self,
-                                                           monkeypatch):
-        # the semi-norm side depends on the symbol and the length only, so
-        # the refined box reuses the base box's
-        calls = []
-
-        def counted(*args, _q=quantization.seminorm_Q):
-            calls.append(args[1:4])
-            return _q(*args)
-        monkeypatch.setattr(quantization, "seminorm_Q", counted)
-        cfg = get_preset("adjoint_remainder_desk")
-        cfg["checks"] = ["remainder_stability"]
-        ok, [outcome] = run_scenario(cfg, echo=lambda line: None)
-        assert ok and outcome.number >= 0
-        assert calls == [(0, 3, 3)]
 
 
 def _remainder_per_pair(s, x, xi):

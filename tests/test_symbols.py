@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onewave import cauchy, quantization, symbols
 from onewave import expr as ex
-from onewave import symbols
 from onewave.errors import EmptyBox, InsufficientSweep, NonFinite
 from onewave.grid import Grid
-from onewave.presets import PRESETS
+from onewave.presets import PRESETS, get_preset
+from onewave.scenario import run_scenario
 from onewave.symbols import (GenSymbolFamily, HyperbolicSymbol, SampleBox,
                              SymbolExpr, classify_log_type,
                              classify_slow_scale, seminorm_Q,
@@ -285,6 +286,67 @@ class TestSeminorms:
             assert box.xi_points().shape == unique_points(box).shape
 
 
+def _scenario(preset, checks, points=None, drop_a0=False):
+    """A run of ``checks`` on ``preset``, whatever their verdicts."""
+    def run(_):
+        cfg = get_preset(preset)
+        if points is not None:
+            cfg["grid"]["points"] = points
+        if drop_a0:
+            del cfg["symbol"]["a0"]
+        cfg["checks"] = checks
+        run_scenario(cfg, echo=lambda line: None)
+    return run
+
+
+def _fixed_family(a1):
+    """classify_log_type on a family whose one member serves every eps."""
+    member = HyperbolicSymbol(a1=a1)
+    verdict = classify_log_type(GenSymbolFamily(lambda eps: member, EPS6), 0,
+                                1, box_1d(xi_max=128.0))
+    assert verdict["q_values"] == [verdict["q_values"][0]] * len(EPS6)
+
+
+# Each consumer reads some semi-norm more than once: the energy and case c
+# constants of one a1 (no a0, and case b does not apply), the base and the
+# refined remainder estimates, a fixed symbol's family, and gronwall_fit's
+# constant of a fixed symbol at every eps.
+SEMINORM_CONSUMERS = {
+    "seminorm_constant": _scenario("variable_speed_smooth",
+                                   ["energy", "case_variants"], 64, True),
+    "remainder_estimate": _scenario("adjoint_remainder_desk",
+                                    ["remainder_stability"]),
+    "family_Q_values": _fixed_family,
+    "gronwall_fit": _scenario("ginf_regularity", ["gronwall_fit"], 64),
+}
+
+
+class TestSampledOnce:
+    @pytest.mark.parametrize("consumer", sorted(SEMINORM_CONSUMERS))
+    def test_each_seminorm_sampled_once(self, consumer, monkeypatch,
+                                        variable_speed_symbol):
+        # seminorm_Q keeps what it samples on the symbol, so a consumer
+        # that reads one Q twice samples it once
+        reads, samples = [], []
+
+        def read(s, *args, _Q=symbols.seminorm_Q):
+            reads.append((s, *args))
+            return _Q(s, *args)
+
+        def sample(s, k, l, box, t=0.0, _q=symbols.seminorm_q):
+            samples.append((s.root, s.declared_order, k, l, box, t))
+            return _q(s, k, l, box, t)
+        for module in (symbols, cauchy, quantization):
+            monkeypatch.setattr(module, "seminorm_Q", read)
+        monkeypatch.setattr(symbols, "seminorm_q", sample)
+        SEMINORM_CONSUMERS[consumer](variable_speed_symbol)
+
+        def distinct(calls):     # the calls hold their symbols alive
+            return {(id(s), *rest) for s, *rest in calls}
+        assert len(reads) > len(distinct(reads)) >= 1
+        assert len(samples) == len(distinct(samples))
+
+
 class TestFullSymbol:
     def test_full_symbol_built_once(self, variable_speed_symbol):
         # every caller shares one a1 + a0 object and its derivative cache
@@ -357,21 +419,6 @@ class TestClassifiers:
         # eps-independent family: fitted coefficient below 1% of the level
         level = np.mean(verdict["q_values"])
         assert abs(verdict["fitted_coeff"]) <= 0.01 * level
-
-    def test_fixed_symbol_family_samples_its_seminorm_once(
-            self, variable_speed_symbol, monkeypatch):
-        # one member object serves every eps, so Q is sampled once
-        calls = []
-
-        def counted(*args, _q=symbols.seminorm_Q):
-            calls.append(args)
-            return _q(*args)
-        monkeypatch.setattr(symbols, "seminorm_Q", counted)
-        member = HyperbolicSymbol(a1=variable_speed_symbol)
-        verdict = classify_log_type(GenSymbolFamily(lambda eps: member, EPS6),
-                                    0, 1, box_1d(xi_max=128.0))
-        assert len(calls) == 1
-        assert verdict["q_values"] == [verdict["q_values"][0]] * len(EPS6)
 
     def test_log_type_rejects_power_growth(self):
         def member(eps):
