@@ -36,8 +36,9 @@ from .config import (CALIBRATED_C, CFL_MARGIN, CFL_SAFETY, ENERGY_SLACK,
 from .errors import (GridMismatch, NonFinite, OnewaveError, TooLarge,
                      UnstableStep)
 from .grid import Grid, GridFunction
-from .quantization import (DENSE_GUARD, PeriodicOperator, _distinct, _synth,
-                           adjoint_defect_norms, operator_norms, stacks)
+from .quantization import (DENSE_GUARD, PeriodicOperator, _distinct,
+                           _sum_terms, _synth, adjoint_defect_norms,
+                           operator_norms, stacks)
 from .symbols import HyperbolicSymbol, SampleBox, multi_indices, seminorm_Q
 
 __all__ = [
@@ -297,7 +298,8 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
     its Gronwall bound.
     Identical problems (one symbol and forcing object and horizon, bitwise
     equal data) step as one member and share its read-only result; zero
-    data with zero forcing stays exactly zero, so it is not stepped.
+    data with zero forcing stays exactly zero, so it is not stepped.  The
+    members of one path (_Member.path, chosen per member) step together.
     """
     grid = problems[0].grid if problems else None
     if any(p.grid != grid for p in problems):
@@ -333,7 +335,8 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
         for m in (m for m in members if m not in live):     # stays zero
             for step in range(1, m.n_steps + 1):
                 out[m.slot] = m.advance(step, zero, 0.0)
-        _rk4(stack, live, out)
+        for path in ("half", "projected", "complex"):
+            _rk4(stack, [m for m in live if m.path == path], out)
     return [out[k] for k in slots]
 
 
@@ -343,13 +346,20 @@ class _Member:
     def __init__(self, row, slot, problem: CauchyProblem, op, dt):
         self.row, self.slot, self.problem = row, slot, problem
         self.forcing = None if problem.forcing.is_zero else problem.forcing
-        d = (op.tables(0.0, [row]).split[1] if op.frozen     # else R = a
-             else np.zeros(problem.grid.shape))
+        grid = problem.grid
+        rest, d = (op.tables(0.0, [row]).split if op.frozen     # else R = a
+                   else (None, np.zeros(grid.shape)))
         pick = op.frozen and self.forcing is None   # sup|R|, else sup|a|
         self.sup = max(op.sup_abs(t, row)[pick]
                        for t in problem.symbol.sample_times(problem.horizon))
         self.dt = step_size(dt, problem.horizon, self.sup)
         self.n_steps = int(round(problem.horizon / self.dt))
+        # real-preserving at a stable step: projected tables (_hermitian)
+        self.path = "complex" if not (op.frozen and self.forcing is None
+            and self.dt * self.sup <= 2.0 * math.sqrt(2.0)
+            and not any(np.any(f_m.imag) for f_m in rest.f)
+            and all(_hermitian(-1j * p, grid)[1] for p in rest.g + [d])) \
+            else "projected" if np.any(problem.initial.values.imag) else "half"
         # step 0 (set by the loop), every TRAJECTORY_STRIDE-th step, the last
         rows = 2 + (self.n_steps - 1) // TRAJECTORY_STRIDE
         # the snapshots, their times and the ledger's three arrays, in bytes
@@ -365,8 +375,9 @@ class _Member:
             raise TooLarge(
                 f"horizon {problem.horizon:g} takes {self.n_steps} steps, "
                 f"above the cap of {MAX_STEPS} steps")
-        self.factors = (np.exp(-1j * self.dt * d),
-                        np.exp(-1j * (self.dt / 2.0) * d))
+        p = -1j * d if self.path == "complex" else _hermitian(-1j * d, grid)[
+            0][..., :grid.points // 2 + 1 if self.path == "half" else None]
+        self.factors = (np.exp(self.dt * p), np.exp(self.dt / 2.0 * p))
         self.g_norm_sq = problem.initial.norm_sq()
         # forcing integral over the horizon for the instability guard
         guard_t = np.linspace(0.0, problem.horizon, 65)
@@ -401,9 +412,13 @@ class _Member:
         self.ledger[:, step] = tn, nsq, self.f_norm_sq(tn)
         if step % TRAJECTORY_STRIDE == 0 or step == self.n_steps:
             row = -(-step // TRAJECTORY_STRIDE)     # ceil(step / stride)
-            self.snap_times[row], self.spectra[row] = tn, u
+            self.snap_times[row], self.spectra[row, ..., :u.shape[-1]] = tn, u
         if step < self.n_steps:
             return None
+        if u.shape != self.spectra.shape[1:]:   # the half's Hermitian copy
+            n, axes = u.shape[-1], self.problem.grid.axes
+            self.spectra[..., n:] = np.conjugate(np.roll(np.flip(
+                self.spectra[..., 1:n - 1], axes), 1, axes[:-1]))
         for v in (self.ledger, self.snap_times, self.spectra):
             v.flags.writeable = False       # identical problems share them
         times, u_norms, f_norms = self.ledger
@@ -426,26 +441,37 @@ def _rk4(stack, members, out):
     dt/2, E2 (u + dt/2 k1)), k3 = N(t + dt/2, E2 u + dt/2 k2), k4 = N(t +
     dt, E u + dt E2 k3) and u <- E u + dt/6 (E k1 + 2 E2 (k2 + k3) + k4),
     each sum formed in place, in arrays allocated again when a member
-    leaves."""
+    leaves.  Projected members fold -i into the tables P_m (_hermitian) and
+    half ones step rfftn/irfftn on M/2 + 1 columns (_Member.path)."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
+    path = members[0].path if members else None
+    forward, inverse = ((np.fft.rfftn, np.fft.irfftn) if path == "half"
+                        else (np.fft.fftn, np.fft.ifftn))
     if members:
-        u = np.fft.fftn(np.stack([m.problem.initial.values for m in members]),
-                        shape, axes)
+        u = np.stack([m.problem.initial.values for m in members])
+        u = forward(u.real if path == "half" else u, shape, axes)
         for m, u0 in zip(members, u):
-            m.spectra[0] = u0
+            m.spectra[0, ..., :u0.shape[-1]] = u0
 
     def rhs(ts, v, k):
-        _synth(rest if stack.frozen else stack.tables(ts, rows), v, grid, k)
-        np.multiply(-1j, k, out=k)
-        for row in forced:
-            k[row] += members[row].forcing.value(ts[row])
-        np.fft.fftn(k, shape, axes, out=k)
+        if path != "complex":       # -i is folded into the tables
+            _sum_terms(*rest, v, inverse, grid, k if x is None else x, None)
+        else:
+            _synth(rest or stack.tables(ts, rows), v, grid, k)
+            np.multiply(-1j, k, out=k)
+            for row in forced:
+                k[row] += members[row].forcing.value(ts[row])
+        forward(k if x is None else x, shape, axes, out=k)
 
     step = 0
     while members:
         rows = [m.row for m in members]
         rest = stack.tables(0.0, rows).split[0] if stack.frozen else None
+        if path != "complex":
+            rest = ([_hermitian(-1j * g_m, grid)[0][..., :u.shape[-1]]
+                     for g_m in rest.g], [f_m.real for f_m in rest.f])
+        x = np.empty((len(members),) + shape) if path == "half" else None
         forced = [r for r, m in enumerate(members) if m.forcing is not None]
         timed = forced or not stack.frozen
         t0 = th = t1 = None
@@ -474,12 +500,24 @@ def _rk4(stack, members, out):
             np.add(k1, k4, out=k1)
             np.add(w, np.multiply(sixth, k1, out=k1), out=u)
             nsq, keep = grid.spectral_norm_sq(u), []
+            if path == "half":  # columns 1..M/2-1 stand for their conjugates
+                nsq = 2.0 * nsq - grid.spectral_norm_sq(
+                    u[..., ::grid.points // 2])
             for row, m in enumerate(members):
                 done = m.advance(step, u[row], float(nsq[row]))
                 if done is None:
                     keep.append(row)
                 out[m.slot] = done
         members, u = [members[r] for r in keep], u[keep]
+
+
+def _hermitian(p: np.ndarray, grid: Grid) -> tuple:
+    """(P + conj P(-k)) / 2 over the grid axes of the spectral table P, the
+    real-preserving projection, and whether it leaves P unchanged off the
+    Nyquist planes, where an odd symbol has no real-preserving value."""
+    q = (p + np.conjugate(np.roll(np.flip(p, grid.axes), 1, grid.axes))) / 2
+    off = np.arange(grid.points) != grid.points // 2
+    return q, not np.any((q != p)[(..., *np.ix_(*[off] * grid.dim))])
 
 
 def _under_bound(values, bound) -> bool:

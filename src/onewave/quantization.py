@@ -334,15 +334,17 @@ def _analyse(tables, values: np.ndarray, grid: Grid, out, carry=None):
 def _sum_terms(inner, outer, v, transform, grid: Grid, out, carry):
     """sum_m outer_m transform(inner_m v) into ``out``, summed from zero, as
     0 + x, which keeps the signs of zeros.  The R products are transformed
-    in place in one call, and so is ``carry`` (an array of v's shape, or
-    None) as one more row, its transform written back into it: a caller
-    that needs it pays no transform call of its own."""
+    in one call, in place unless ``out`` is real (irfftn's values), and so
+    is ``carry`` (an array of v's shape, or None) as one more row, its
+    transform written back into it: a caller that needs it pays no
+    transform call of its own."""
     w = np.empty((len(inner) + (carry is not None),) + v.shape, dtype=complex)
     for in_m, w_m in zip(inner, w):
         np.multiply(in_m, v, out=w_m)
     if carry is not None:
         w[-1] = carry
-    transform(w, grid.shape, grid.axes, out=w)
+    w = transform(w, grid.shape, grid.axes,     # irfftn's values are real
+                  out=w if np.iscomplexobj(out) else None)
     out.fill(0.0)
     for out_m, w_m in zip(outer, w):
         np.multiply(out_m, w_m, out=w_m)

@@ -3,6 +3,10 @@ versions they replaced stay here as references: every in-place result must
 equal theirs bitwise, since the floating-point operations, their operands
 and their order are the same."""
 
+import copy
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +15,10 @@ from onewave import expr as ex
 from onewave.cauchy import CauchyProblem, Forcing, TimeProfile, solve_stack
 from onewave.config import BRACKET_WIDTH, POWER_ITERS
 from onewave.grid import Grid, GridFunction
+from onewave.presets import get_preset
 from onewave.quantization import (PeriodicOperator, adjoint_defect_norms,
                                   operator_norms)
+from onewave.scenario import ScenarioContext
 from onewave.symbols import HyperbolicSymbol, SymbolExpr
 
 from conftest import band_projector, random_grid_function
@@ -101,17 +107,30 @@ def reference_operator_gram(tables, hat, grid, mask):
     return reference_analyse(tables, v, grid) * mask
 
 
+def reference_hermitian(p, grid):
+    """(P + conj P(-k)) / 2, P(-k) read at the negated frequency indices."""
+    neg = np.ix_(*[-np.arange(grid.points) % grid.points] * grid.dim)
+    return (p + np.conjugate(p[(Ellipsis,) + neg])) / 2.0
+
+
 def reference_rk4(stack, members, out):
     """cauchy._rk4, the Lawson loop on spectra, with new stage arrays every
-    step; it stores the snapshots' spectra."""
+    step; it stores the snapshots' spectra.  A projected member's stages
+    sum f_m inverse(P_m v) over P_m, the projected -i g_m, and half spectra
+    step with rfftn and irfftn and record the weighted half-spectrum sum."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
     frozen = stack.separable and not any(s.depends_t() for s in stack.symbols)
+    path = members[0].path if members else None
+    half = path == "half"
+    width = grid.points // 2 + 1 if half else grid.points
+    forward, inverse = ((np.fft.rfftn, np.fft.irfftn) if half
+                        else (np.fft.fftn, np.fft.ifftn))
     if members:
-        u = np.fft.fftn(np.stack([m.problem.initial.values
-                                  for m in members]), shape, axes)
+        values = np.stack([m.problem.initial.values for m in members])
+        u = forward(values.real if half else values, shape, axes)
         for m, u0 in zip(members, u):
-            m.spectra[0] = u0
+            m.spectra[0, ..., :width] = u0
         dt = np.array([m.dt for m in members]).reshape(
             (-1,) + (1,) * grid.dim)
         e = np.stack([m.factors[0] for m in members])
@@ -121,6 +140,13 @@ def reference_rk4(stack, members, out):
         tables = stack.tables(ts, [m.row for m in members])
         if frozen:
             tables = reference_split(tables, grid)[0]
+        if path != "complex":
+            res = np.zeros((len(members),) + shape,
+                           dtype=float if half else complex)
+            for f_m, g_m in zip(tables.f, tables.g):
+                p_m = reference_hermitian(-1j * g_m, grid)[..., :width]
+                res += f_m.real * inverse(p_m * v, shape, axes)
+            return forward(res, shape, axes)
         k = -1j * reference_synth(tables, v, grid)
         for row, (m, t) in enumerate(zip(members, ts)):
             if m.forcing is not None:
@@ -139,6 +165,9 @@ def reference_rk4(stack, members, out):
                  e * u + dt * (e2 * k3))
         u = e * u + dt / 6.0 * (e * k1 + 2.0 * (e2 * (k2 + k3)) + k4)
         nsq, keep = reference_norm_sq(grid, u) / grid.size, []
+        if half:
+            nsq = 2.0 * nsq - reference_norm_sq(
+                grid, u[..., ::grid.points // 2]) / grid.size
         for row, m in enumerate(members):
             done = m.advance(step, u[row], float(nsq[row]))
             if done is None:
@@ -482,3 +511,124 @@ class TestSpectralDerivatives:
             assert same_bits(stack, kept)
             assert same_bits(got, reference_spectral_derivative(
                 grid, stack, alpha))
+
+
+# -- half spectra -----------------------------------------------------------
+
+def preset_context(name, points, **sweep):
+    cfg = copy.deepcopy(get_preset(name))
+    cfg["grid"]["points"] = points
+    cfg["sweep"].update(sweep)
+    return ScenarioContext(cfg)
+
+
+def path_of(problem):
+    """The stepping path ("half", "projected" or "complex") of a problem."""
+    [(_, op)] = quantization.stacks([problem.symbol.full()], problem.grid)
+    return cauchy._Member(0, 0, problem, op, None).path
+
+
+def count_rfftn(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=np.fft.rfftn, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "rfftn", counted)
+    return calls
+
+
+class TestHalfSpectra:
+    @staticmethod
+    def transport_stacks():
+        """The eps = 1e-6 piecewise_speed_logtype member, a ginf_regularity
+        oscillating member and (2 + sin x) xi at M=1024, each on its own
+        data, and one 2-D M=16 transport stack of two rows, whose one step
+        carries the data's modes |k| <= 1 no further than |k| = 5: the two
+        paths differ on the Nyquist planes, where these solutions stay at
+        rounding."""
+        logtype = preset_context("piecewise_speed_logtype", 1024,
+                                 eps_min=1e-6)
+        ginf = preset_context("ginf_regularity", 1024)
+        [osc] = [c for c in get_preset("ginf_regularity")["checks"]
+                 if "data" in c]
+        eps = ginf.eps_grid[-1]
+        grid = ginf.grid
+        builder = ginf._data_builder(osc["data"])
+        stacks = [
+            [CauchyProblem(logtype.family.member(logtype.eps_grid[-1]),
+                           logtype.initial_data, logtype.horizon)],
+            [CauchyProblem(ginf.family.member(eps),
+                           builder.build(eps, grid)[0], ginf.horizon)],
+            [CauchyProblem(ginf.fixed_symbol, ginf.initial_data,
+                           ginf.horizon)]]
+        grid2 = Grid(2, 16, TWO_PI)
+        x0, x1 = grid2.x_mesh()
+        g2 = GridFunction(grid2, np.sin(x0) * np.cos(x1))
+        stacks.append([CauchyProblem(HyperbolicSymbol(SymbolExpr(ex.add(
+            speed_term(c), speed_term(0.8, 1)), 1.0, 2)), g2, 0.3)
+            for c in (1.0, 1.6)])
+        return stacks
+
+    def test_half_path_matches_complex_loop(self, monkeypatch):
+        # the half path against the complex reference loop on the full,
+        # unprojected tables: u(T) and the ledger agree to rounding, and the
+        # step, the times and the measured norms are the same bits
+        stacks = self.transport_stacks()
+        assert {path_of(p) for probs in stacks for p in probs} == {"half"}
+        got = [solve_stack(probs) for probs in stacks]
+        monkeypatch.setattr(cauchy, "_rk4", reference_rk4)
+        monkeypatch.setattr(cauchy, "_hermitian",
+                            lambda p, grid: (p, False))
+        want = [solve_stack(probs) for probs in stacks]
+        for gs, ws in zip(got, want):
+            for g, w in zip(gs, ws):
+                uw = w.final().values
+                assert np.max(np.abs(g.final().values - uw)) <= \
+                    1e-12 * np.max(np.abs(uw))
+                assert np.max(np.abs(g.ledger.u_norm_sq - w.ledger.u_norm_sq)
+                              / w.ledger.u_norm_sq) <= 1e-13
+                for name in ("dt", "times", "snap_times"):
+                    assert same_bits(getattr(g, name), getattr(w, name))
+                for name in ("skew_norm", "c_measured"):
+                    assert same_bits(getattr(g.ledger, name),
+                                     getattr(w.ledger, name))
+
+    def test_path_choice(self, monkeypatch):
+        # a real member steps alone on the half path, so its result is the
+        # same bits beside members that take a full path, none of which
+        # calls rfftn; its snapshots are exactly Hermitian
+        grid = Grid(1, 32, TWO_PI)
+        x = grid.x_axis()
+        real, forced, dense = [one_d_problems(grid)[k] for k in (0, 3, 4)]
+        with_a0 = CauchyProblem(HyperbolicSymbol(
+            real.symbol.a1, a0=forced.symbol.a0), real.initial, 0.8)
+        timed = two_d_problems(Grid(2, 16, TWO_PI))[1]
+        growing = CauchyProblem(HyperbolicSymbol(SymbolExpr(ex.mul(ex.add(
+            ex.Const(1.0), ex.CoordT()), speed_term(1.0)), 1.0, 1)),
+            real.initial, 0.8)
+        complex_data = CauchyProblem(real.symbol, GridFunction(
+            grid, np.exp(1j * x)), 0.8)
+        others = [complex_data, with_a0, forced, growing, dense]
+        assert path_of(real) == "half"
+        assert [path_of(p) for p in others] == \
+            ["projected", "complex", "complex", "complex", "complex"]
+        calls = count_rfftn(monkeypatch)
+        for p in others + [timed]:
+            solve_stack([p], seed=3)
+        assert not calls
+        [alone] = solve_stack([real], seed=3)
+        assert calls
+        for other in others:
+            assert_same_bits(solve_stack([real, other], seed=3)[:1], [alone])
+        spectra = alone.spectra
+        neg = -np.arange(grid.points) % grid.points
+        assert np.all(spectra == np.conjugate(spectra[..., neg]))
+        # bench/plane_2d.json's a0 = 0.5 cos(x0 + x1): -i a0 is not
+        # Hermitian, so it steps on the complex path
+        cfg = json.loads((pathlib.Path(__file__).parent.parent / "bench" /
+                          "plane_2d.json").read_text())
+        cfg["grid"]["points"] = 16
+        ctx = ScenarioContext(cfg)
+        assert path_of(CauchyProblem(ctx.fixed_symbol, ctx.initial_data,
+                                     ctx.horizon)) == "complex"

@@ -254,28 +254,35 @@ class TestApplyRoute:
     def test_solve_applies_four_times_per_step(self, calls, monkeypatch,
                                                variable_speed_symbol, grid32):
         # each of a step's four stages applies the rest R to a spectrum: one
-        # ifftn and one fftn call; one fftn takes g to its spectrum, and the
-        # snapshots are stored as spectra, with no transform
+        # inverse and one forward transform call, rfftn and irfftn for real
+        # data, fftn and ifftn for complex data; one forward call takes g to
+        # its spectrum, and the snapshots are stored as spectra, with no
+        # transform (a half spectrum's other half is its Hermitian copy)
         monkeypatch.setattr(cauchy, "_measure_norms", lambda problems, grid,
                             seed: [(0.0, 1.0)] * len(problems))
-        for name in ("fftn", "ifftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _name=name, _fn=getattr(np.fft, name),
                         **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         x = grid32.x_axis()
-        problem = cauchy.CauchyProblem(
-            HyperbolicSymbol(variable_speed_symbol),
-            GridFunction(grid32, np.sin(x)), 2.0)
-        result = cauchy.solve_fixed_eps(problem)
-        steps = len(result.times) - 1
-        assert steps > TRAJECTORY_STRIDE
-        assert calls == {"fftn": 4 * steps + 1, "ifftn": 4 * steps}
-        # the grid values take one ifftn call per read, u(T) one
-        states, final = result.states, result.final().values
-        assert calls == {"fftn": 4 * steps + 1, "ifftn": 4 * steps + 2}
-        assert np.array_equal(final, states[-1])
+        for g, fwd, inv in ((np.sin(x), "rfftn", "irfftn"),
+                            (np.exp(1j * x), "fftn", "ifftn")):
+            calls.clear()
+            problem = cauchy.CauchyProblem(
+                HyperbolicSymbol(variable_speed_symbol),
+                GridFunction(grid32, g), 2.0)
+            result = cauchy.solve_fixed_eps(problem)
+            steps = len(result.times) - 1
+            assert steps > TRAJECTORY_STRIDE
+            want = Counter({fwd: 4 * steps + 1, inv: 4 * steps})
+            assert calls == want
+            # the grid values take one ifftn call per read, u(T) one
+            states, final = result.states, result.final().values
+            want["ifftn"] += 2
+            assert calls == want
+            assert np.array_equal(final, states[-1])
 
     def test_norms_apply_per_iteration(self, calls, variable_speed_symbol,
                                        grid32, monkeypatch):
