@@ -1,9 +1,10 @@
 """Epsilon sweeps and asymptotic classification of solution families.
 
 A sweep solves the Cauchy problem for every eps on a geometric grid (the
-members advance as one stack through cauchy.solve_stack, and members that
-share one result are post-processed once), tracks max_t ||d_t^d d_x^alpha
-u_eps(t)|| for requested orders on the solves' snapshot spectra (d_x^alpha
+members of a scenario's sweeps advance as one stack through
+cauchy.solve_stack, run_sweeps, and members that share one result are
+post-processed once), tracks max_t ||d_t^d d_x^alpha u_eps(t)|| for
+requested orders on the solves' snapshot spectra (d_x^alpha
 a multiply, each norm by Parseval), and fits growth exponents against
 log(1/eps).  Verdicts (moderate, negligible, regular, slow-scale,
 associated) are finite-sweep regressions against the fixed criteria of
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import (CauchyProblem, Forcing, SolveResult, check_energy_estimate,
-                     derivative_cascade, solve_stack)
+from .cauchy import (CauchyProblem, Forcing, SolveResult, _minus_i_ops,
+                     check_energy_estimate, derivative_cascade, solve_stack)
 from .config import (ASSOCIATION_TREND_SLACK, GINF_ORDER_CAP, GINF_SLACK,
                      MODERATE_EXPONENT_CAP, NEGLIGIBLE_SLACK, Q_MAX)
 from .errors import GridMismatch, InsufficientOrders, OnewaveError, TooLarge
@@ -33,7 +34,7 @@ from .symbols import (GenSymbolFamily, SampleBox, classify_log_type,
                       classify_slow_scale, log_fit, multi_indices)
 
 __all__ = [
-    "DataBuilder", "SweepPlan", "SweepReport", "run_sweep",
+    "DataBuilder", "SweepPlan", "SweepReport", "run_sweep", "run_sweeps",
     "check_negligible", "check_association", "check_ginf", "fit_exponent",
 ]
 
@@ -117,24 +118,28 @@ def _t_derivative_norms(problem: CauchyProblem, result: SolveResult, orders):
 
     d_t^d u = -i sum_i C(d-1, i) op(d_t^i a) d_t^(d-1-i) u + d_t^(d-1) f.
 
-    Every layer is kept as spectra: one forward transform for each d >= 1.
+    Every layer is kept as spectra, half spectra where the result's are
+    and cauchy._minus_i_ops keeps them: one forward transform for each
+    d >= 1.
     """
     full, forcing, grid = problem.symbol.full(), problem.forcing, problem.grid
     d_max = max(d for d, _ in orders)
     ts = result.snap_times
-    layers = [result.spectra]
     # d_t^i a = 0 for i >= 1 when a does not depend on t
     ops = [PeriodicOperator(full.derivative(i, None, None), grid)
            for i in range(d_max if full.depends_t() else min(d_max, 1))]
+    spectra, minus_i = _minus_i_ops(result.spectra, ops, grid)
+    layers = [spectra]
+    forward = np.fft.fftn if layers[0].shape[-1] == grid.points \
+        else np.fft.rfftn
     for d in range(1, d_max + 1):
-        acc = np.zeros(layers[0].shape, dtype=complex)
-        for i, op in enumerate(ops[:d]):
-            acc -= 1j * math.comb(d - 1, i) * op.apply_spectrum(
-                ts, layers[d - 1 - i])
+        acc = 0.0
+        for i, apply in enumerate(minus_i[:d]):
+            acc = acc + math.comb(d - 1, i) * apply(ts, layers[d - 1 - i])
         if not forcing.is_zero:
             acc += forcing.values(ts)
         forcing = forcing.t_derivative()
-        layers.append(np.fft.fftn(acc, grid.shape, grid.axes, out=acc))
+        layers.append(forward(acc, grid.shape, grid.axes))
     return {(d, alpha): max(0.0, *np.sqrt(grid.spectral_norm_sq(
         grid.derivative_spectra(layers[d], alpha))).tolist())
         for d, alpha in orders}
@@ -172,33 +177,54 @@ class SweepReport:
         }
 
 
-def run_sweep(plan: SweepPlan) -> SweepReport:
-    """Solve every eps, track derivative norms, fit exponents, and
-    cross-check each run against its own Gronwall bound.  Build every
-    member, solve them as one stack, then post-process each eps in order;
-    an OnewaveError in any phase is recorded for its eps, save TooLarge,
-    which refuses the sweep."""
-    orders = list(plan.orders)
-    eps_list = list(plan.family.eps_grid)
+def run_sweeps(plans) -> list:
+    """One SweepReport per plan: every plan's members are built and solved
+    as one stack, so they share its caps, and each plan is then
+    post-processed by run_sweep, called once per plan through the module."""
+    [(grid, dt, seed)] = {(p.grid, p.dt, p.seed) for p in plans}    # one each
     # the members share a solve's byte cap, and each holds at least its
     # data and two snapshots
-    least = 3 * 16 * plan.grid.size * len(eps_list)
+    count = sum(len(p.family.eps_grid) for p in plans)
+    least = 3 * 16 * grid.size * count
     if least > 16 * DENSE_GUARD ** 2:
         raise TooLarge(
-            f"a sweep of {len(eps_list)} members holds at least {least:.3g} B "
-            f"(each its data and two snapshots of {plan.grid.size} nodes), "
+            f"a sweep of {count} members holds at least {least:.3g} B "
+            f"(each its data and two snapshots of {grid.size} nodes), "
             f"above the cap of {DENSE_GUARD ** 2} complex entries")
-    failed, problems, results = {}, {}, {}
-    for eps in eps_list:
-        try:
-            symbol = plan.family.member(eps)
-            g_eps, f_eps = plan.data.build(eps, plan.grid)
-            problems[eps] = CauchyProblem(symbol=symbol, initial=g_eps,
-                                          horizon=plan.horizon, forcing=f_eps)
-        except OnewaveError as err:
-            failed[eps] = err
-    solved = solve_stack(list(problems.values()), plan.dt, seed=plan.seed)
-    for eps, result in zip(problems, solved):
+    built = [{} for _ in plans]     # eps -> its problem, or its build's error
+    for plan, problems in zip(plans, built):
+        for eps in plan.family.eps_grid:
+            try:
+                symbol = plan.family.member(eps)
+                g_eps, f_eps = plan.data.build(eps, grid)
+                problems[eps] = CauchyProblem(symbol=symbol, initial=g_eps,
+                                              horizon=plan.horizon,
+                                              forcing=f_eps)
+            except OnewaveError as err:
+                problems[eps] = err
+    results = iter(solve_stack([p for b in built for p in b.values()
+                                if isinstance(p, CauchyProblem)], dt,
+                               seed=seed))
+    return [run_sweep(plan, {eps: (None, p) if isinstance(p, OnewaveError)
+                             else (p, next(results)) for eps, p in b.items()})
+            for plan, b in zip(plans, built)]
+
+
+def run_sweep(plan: SweepPlan, solved=None) -> SweepReport:
+    """Solve every eps, track derivative norms, fit exponents, and
+    cross-check each run against its own Gronwall bound.  ``solved``, as
+    run_sweeps passes it, maps each eps to (its problem, its SolveResult
+    or the OnewaveError that stopped it); None runs the plan alone through
+    run_sweeps.  Each eps is post-processed in order; an OnewaveError in
+    any phase is recorded for its eps, save TooLarge, which refuses the
+    sweep."""
+    if solved is None:
+        [report] = run_sweeps([plan])
+        return report
+    orders = list(plan.orders)
+    eps_list = list(plan.family.eps_grid)
+    failed, results = {}, {}
+    for eps, (problem, result) in solved.items():
         if isinstance(result, OnewaveError):
             failed[eps] = result
             continue
@@ -206,7 +232,6 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
         if shared:      # identical problems: post-processed once
             results[eps] = results[shared[0]]
             continue
-        problem = problems[eps]
         try:
             norms = _t_derivative_norms(problem, result, orders)
             energy = check_energy_estimate(result.ledger)

@@ -15,13 +15,14 @@ belongs to the symbol: seminorm_constant computes it for the verdicts that
 compare against it.
 
 One stepper, solve_stack, advances the members of a stack on one grid
-(a sweep's eps members) as rows of one PeriodicOperator per table layout,
-each with its own dt and step count, after one band-norm iteration over the
-stack; solve_fixed_eps is one member.  Identical problems step as one row,
-and zero data with zero forcing is not stepped.  A SolveResult keeps the
-loop's snapshot spectra; its grid values are derived from them.
-derivative_cascade builds each op(d_x^beta a) once and applies it to the
-snapshot spectra as one stack.
+(the eps members of a scenario's sweeps) as rows of one PeriodicOperator
+per table layout, each with its own dt and step count, after one band-norm
+iteration over the stack; solve_fixed_eps is one member.  Identical
+problems step as one row, and zero data with zero forcing is not stepped.
+A SolveResult keeps the loop's snapshot spectra, half spectra for a real
+solution; its grid values are derived from them.  derivative_cascade
+builds each op(d_x^beta a) once and applies it to the snapshot spectra as
+one stack.
 """
 
 from __future__ import annotations
@@ -195,7 +196,9 @@ class EnergyLedger:
 class SolveResult:
     """A solve's ledger and its snapshots: spectra[k] is fftn(u) at
     snap_times[k], one read-only array (n_snap, *grid.shape) that the
-    stepping loop fills; the grid values are derived from it."""
+    stepping loop fills, or for a member of the half path rfftn(u), its
+    last axis M/2 + 1 wide (Grid.spectral_norm_sq); the grid values are
+    derived from it."""
 
     grid: Grid
     times: np.ndarray
@@ -207,13 +210,12 @@ class SolveResult:
     @property
     def states(self) -> np.ndarray:
         """The snapshots' grid values, read-only, transformed on each read."""
-        return _read_only(np.fft.ifftn(self.spectra, self.grid.shape,
-                                       self.grid.axes))
+        return _read_only(self.grid.inverse(self.spectra))
 
     def final(self) -> GridFunction:
         """u(T), read-only, from the last spectrum alone."""
-        return GridFunction(self.grid, _read_only(np.fft.ifftn(
-            self.spectra[-1], self.grid.shape, self.grid.axes)))
+        return GridFunction(self.grid, _read_only(self.grid.inverse(
+            self.spectra[-1])))
 
 
 def _gronwall(base: float, c: float, times) -> np.ndarray:
@@ -298,8 +300,9 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
     its Gronwall bound.
     Identical problems (one symbol and forcing object and horizon, bitwise
     equal data) step as one member and share its read-only result; zero
-    data with zero forcing stays exactly zero, so it is not stepped.  The
-    members of one path (_Member.path, chosen per member) step together.
+    data with zero forcing stays exactly zero, so it is not stepped, and
+    its ledger is filled at once.  The members of one path (_Member.path,
+    chosen per member) step together.
     """
     grid = problems[0].grid if problems else None
     if any(p.grid != grid for p in problems):
@@ -329,19 +332,21 @@ def solve_stack(problems, dt: float | None = None, seed=0) -> list:
         for m, norms in zip(members, _measure_norms(
                 [m.problem for m in members], stack.grid, seed)):
             m.norms = norms
-        zero = np.zeros(grid.shape, dtype=complex)
         live = [m for m in members
                 if m.forcing is not None or np.any(m.problem.initial.values)]
         for m in (m for m in members if m not in live):     # stays zero
-            for step in range(1, m.n_steps + 1):
-                out[m.slot] = m.advance(step, zero, 0.0)
+            m.ledger[0] = np.arange(m.n_steps + 1) * m.dt
+            m.snap_times[:] = m.ledger[0, np.minimum(np.arange(
+                len(m.snap_times)) * TRAJECTORY_STRIDE, m.n_steps)]
+            out[m.slot] = m.result()
         for path in ("half", "projected", "complex"):
             _rk4(stack, [m for m in live if m.path == path], out)
     return [out[k] for k in slots]
 
 
 class _Member:
-    """One row of a solve stack: its step, factors, guard and ledger."""
+    """One row of a solve stack: its step, factors, guard base and ledger,
+    which the loop (_rk4) fills."""
 
     def __init__(self, row, slot, problem: CauchyProblem, op, dt):
         self.row, self.slot, self.problem = row, slot, problem
@@ -357,8 +362,7 @@ class _Member:
         # real-preserving at a stable step: projected tables (_hermitian)
         self.path = "complex" if not (op.frozen and self.forcing is None
             and self.dt * self.sup <= 2.0 * math.sqrt(2.0)
-            and not any(np.any(f_m.imag) for f_m in rest.f)
-            and all(_hermitian(-1j * p, grid)[1] for p in rest.g + [d])) \
+            and _projected(rest, grid, None, d)) \
             else "projected" if np.any(problem.initial.values.imag) else "half"
         # step 0 (set by the loop), every TRAJECTORY_STRIDE-th step, the last
         rows = 2 + (self.n_steps - 1) // TRAJECTORY_STRIDE
@@ -375,59 +379,53 @@ class _Member:
             raise TooLarge(
                 f"horizon {problem.horizon:g} takes {self.n_steps} steps, "
                 f"above the cap of {MAX_STEPS} steps")
-        p = -1j * d if self.path == "complex" else _hermitian(-1j * d, grid)[
-            0][..., :grid.points // 2 + 1 if self.path == "half" else None]
+        width = grid.points // 2 + 1 if self.path == "half" else grid.points
+        p = -1j * d if self.path == "complex" else \
+            _hermitian(-1j * d, grid)[0][..., :width]
         self.factors = (np.exp(self.dt * p), np.exp(self.dt / 2.0 * p))
         self.g_norm_sq = problem.initial.norm_sq()
         # forcing integral over the horizon for the instability guard
         guard_t = np.linspace(0.0, problem.horizon, 65)
         self.guard_base = self.g_norm_sq + float(np.trapezoid(
             [self.f_norm_sq(t) for t in guard_t], guard_t))
-        # times, ||u||^2 and ||f||^2 per step, filled by advance
+        # times, ||u||^2 and ||f||^2 per step, filled by the loop
         self.ledger = np.zeros((3, self.n_steps + 1))
         self.ledger[:, 0] = 0.0, self.g_norm_sq, self.f_norm_sq(0.0)
         self.snap_times = np.zeros(rows)
-        self.spectra = np.zeros((rows,) + problem.grid.shape, dtype=complex)
+        self.spectra = np.zeros((rows,) + grid.shape[:-1] + (width,),
+                                dtype=complex)
 
     def f_norm_sq(self, t: float) -> float:
         return 0.0 if self.forcing is None else self.forcing.norm(t) ** 2
 
-    def advance(self, step: int, u: np.ndarray, nsq: float):
-        """Record step ``step``, which left the spectrum u with norm^2 nsq;
-        returns the SolveResult after the last step, an error or None."""
-        tn = step * self.dt
-        if not math.isfinite(nsq):
-            return NonFinite(f"solution norm non-finite at t={tn:.4g}")
-        skew, c_meas = self.norms
-        try:
-            growth = math.exp(c_meas * tn)
-        except OverflowError:       # the guard bounds nothing
-            growth = math.inf
-        bound = INSTABILITY_FACTOR * max(self.guard_base, 1e-300) * growth
-        if self.guard_base > 0 and nsq > bound:
-            return UnstableStep(
-                f"norm^2 {nsq:.3e} exceeds {INSTABILITY_FACTOR}x Gronwall "
-                f"prediction {bound:.3e} at t={tn:.4g} (dt={self.dt:.3e}, "
-                f"step sup={self.sup:.3e})")
-        self.ledger[:, step] = tn, nsq, self.f_norm_sq(tn)
-        if step % TRAJECTORY_STRIDE == 0 or step == self.n_steps:
-            row = -(-step // TRAJECTORY_STRIDE)     # ceil(step / stride)
-            self.snap_times[row], self.spectra[row, ..., :u.shape[-1]] = tn, u
-        if step < self.n_steps:
-            return None
-        if u.shape != self.spectra.shape[1:]:   # the half's Hermitian copy
-            n, axes = u.shape[-1], self.problem.grid.axes
-            self.spectra[..., n:] = np.conjugate(np.roll(np.flip(
-                self.spectra[..., 1:n - 1], axes), 1, axes[:-1]))
+    def result(self) -> SolveResult:
+        """The SolveResult of the filled ledger and snapshots."""
         for v in (self.ledger, self.snap_times, self.spectra):
             v.flags.writeable = False       # identical problems share them
         times, u_norms, f_norms = self.ledger
+        skew, c_meas = self.norms
         ledger = EnergyLedger(
             times=times, u_norm_sq=u_norms, f_norm_sq=f_norms,
             skew_norm=skew, c_measured=c_meas)
         return SolveResult(grid=self.problem.grid, times=times,
                            snap_times=self.snap_times, spectra=self.spectra,
                            ledger=ledger, dt=self.dt)
+
+    def failure(self, step: int, nsq: float) -> OnewaveError:
+        """The error of step ``step``, which left norm^2 nsq not finite or
+        above INSTABILITY_FACTOR times its Gronwall bound."""
+        tn = step * self.dt
+        if not math.isfinite(nsq):
+            return NonFinite(f"solution norm non-finite at t={tn:.4g}")
+        try:
+            growth = math.exp(self.norms[1] * tn)
+        except OverflowError:       # the guard bounds nothing
+            growth = math.inf
+        bound = INSTABILITY_FACTOR * max(self.guard_base, 1e-300) * growth
+        return UnstableStep(
+            f"norm^2 {nsq:.3e} exceeds {INSTABILITY_FACTOR}x Gronwall "
+            f"prediction {bound:.3e} at t={tn:.4g} (dt={self.dt:.3e}, "
+            f"step sup={self.sup:.3e})")
 
 
 def _rk4(stack, members, out):
@@ -440,9 +438,13 @@ def _rk4(stack, members, out):
     For N(t, v) = fftn(-i R ifftn(v) + f(t)): k1 = N(t, u), k2 = N(t +
     dt/2, E2 (u + dt/2 k1)), k3 = N(t + dt/2, E2 u + dt/2 k2), k4 = N(t +
     dt, E u + dt E2 k3) and u <- E u + dt/6 (E k1 + 2 E2 (k2 + k3) + k4),
-    each sum formed in place, in arrays allocated again when a member
-    leaves.  Projected members fold -i into the tables P_m (_hermitian) and
-    half ones step rfftn/irfftn on M/2 + 1 columns (_Member.path)."""
+    each sum formed in place.  Projected members fold -i into the tables
+    P_m (_projected) and half ones step rfftn/irfftn on M/2 + 1 columns
+    (_Member.path).  Each live set allocates its buffers once, its ledger
+    columns with their times step * dt and guard bounds formed in advance;
+    a step takes one |u^|^2 pass and one comparison with the bounds.  A
+    live set ends when a member leaves, and writes its columns into the
+    members' ledgers; the stack's step cap (MAX_STEPS) bounds them too."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
     path = members[0].path if members else None
@@ -452,11 +454,12 @@ def _rk4(stack, members, out):
         u = np.stack([m.problem.initial.values for m in members])
         u = forward(u.real if path == "half" else u, shape, axes)
         for m, u0 in zip(members, u):
-            m.spectra[0, ..., :u0.shape[-1]] = u0
+            m.spectra[0] = u0
 
     def rhs(ts, v, k):
         if path != "complex":       # -i is folded into the tables
-            _sum_terms(*rest, v, inverse, grid, k if x is None else x, None)
+            _sum_terms(*rest, v, inverse, grid, k if x is None else x, None,
+                       scratch)
         else:
             _synth(rest or stack.tables(ts, rows), v, grid, k)
             np.multiply(-1j, k, out=k)
@@ -466,23 +469,48 @@ def _rk4(stack, members, out):
 
     step = 0
     while members:
+        n = len(members)
         rows = [m.row for m in members]
         rest = stack.tables(0.0, rows).split[0] if stack.frozen else None
+        x = scratch = None
         if path != "complex":
-            rest = ([_hermitian(-1j * g_m, grid)[0][..., :u.shape[-1]]
-                     for g_m in rest.g], [f_m.real for f_m in rest.f])
-        x = np.empty((len(members),) + shape) if path == "half" else None
+            # the tables at the shapes they multiply, u's and that of the
+            # inverse transform's values: a broadcast multiply is slower
+            inner, outer = _projected(rest, grid, u.shape[-1])
+            rest = ([np.broadcast_to(p, u.shape).copy() for p in inner],
+                    [np.broadcast_to(f, (n,) + shape).copy() for f in outer])
+            scratch = np.empty((len(inner),) + u.shape, dtype=complex), None
+        if path == "half":
+            x = np.empty((n,) + shape)
+            scratch = scratch[0], np.empty((len(inner), n) + shape)
         forced = [r for r, m in enumerate(members) if m.forcing is not None]
         timed = forced or not stack.frozen
         t0 = th = t1 = None
-        dt = np.array([m.dt for m in members]).reshape(
-            (-1,) + (1,) * grid.dim)
-        half, sixth = dt / 2.0, dt / 6.0
+        dts = np.array([m.dt for m in members])
+        col = dts.reshape((-1,) + (1,) * grid.dim)
+        # dt, dt/2 and dt/6 per row as complex arrays of u's shape: a stage
+        # multiply casts them so, and broadcasting a real column is slower
+        dt, half, sixth = (np.broadcast_to(c, u.shape).astype(complex)
+                           for c in (col, col / 2.0, col / 6.0))
         e, e2 = (np.stack(f) for f in zip(*(m.factors for m in members)))
         k1, k2, k3, k4, v, w = (np.empty_like(u) for _ in range(6))
-        keep = range(len(members))
-        while len(keep) == len(members):
+        sq = np.empty(u.shape)
+        # this live set's ledger columns, (steps, rows), and the guard's
+        # bounds, capped so that a norm^2 passes only if it is finite
+        first, stop = step, min(m.n_steps for m in members)
+        times = np.arange(first + 1, stop + 1)[:, None] * dts
+        nsq = np.empty(times.shape)
+        fsq = np.zeros(times.shape) if forced else None
+        base = np.array([m.guard_base for m in members])
+        with np.errstate(over="ignore"):
+            cap = np.exp(np.array([m.norms[1] for m in members]) * times)
+        cap *= INSTABILITY_FACTOR * np.maximum(base, 1e-300)
+        cap[:, base <= 0] = math.inf        # zero data and forcing
+        np.minimum(cap, np.finfo(float).max, out=cap)
+        ends = [r for r, m in enumerate(members) if m.n_steps == stop]
+        while True:
             step += 1
+            j = step - first - 1
             if timed:
                 t0 = [(step - 1) * m.dt for m in members]
                 th = [t + m.dt / 2.0 for t, m in zip(t0, members)]
@@ -499,25 +527,82 @@ def _rk4(stack, members, out):
                    out=k1)
             np.add(k1, k4, out=k1)
             np.add(w, np.multiply(sixth, k1, out=k1), out=u)
-            nsq, keep = grid.spectral_norm_sq(u), []
-            if path == "half":  # columns 1..M/2-1 stand for their conjugates
-                nsq = 2.0 * nsq - grid.spectral_norm_sq(
-                    u[..., ::grid.points // 2])
-            for row, m in enumerate(members):
-                done = m.advance(step, u[row], float(nsq[row]))
-                if done is None:
-                    keep.append(row)
-                out[m.slot] = done
+            nsq[j] = grid.spectral_norm_sq(u, sq)
+            for r in forced:
+                fsq[j, r] = members[r].f_norm_sq(float(times[j, r]))
+            failed = [] if (nsq[j] <= cap[j]).all() else [
+                r for r in range(n) if not nsq[j, r] <= cap[j, r]]
+            last = step == stop
+            snaps = range(n) if step % TRAJECTORY_STRIDE == 0 else \
+                ends if last else ()
+            row = -(-step // TRAJECTORY_STRIDE)     # ceil(step / stride)
+            for r in snaps:
+                members[r].snap_times[row] = times[j, r]
+                members[r].spectra[row] = u[r]
+            if failed or last:
+                break
+        keep = []
+        for r, m in enumerate(members):
+            if r in failed:
+                out[m.slot] = m.failure(step, float(nsq[j, r]))
+                continue
+            m.ledger[0, first + 1:step + 1] = times[:j + 1, r]
+            m.ledger[1, first + 1:step + 1] = nsq[:j + 1, r]
+            if forced:
+                m.ledger[2, first + 1:step + 1] = fsq[:j + 1, r]
+            if last and r in ends:
+                out[m.slot] = m.result()
+            else:
+                keep.append(r)
         members, u = [members[r] for r in keep], u[keep]
+
+
+def _projected(tables, grid: Grid, width, *more):
+    """-i op(s) of separable tables as a real-preserving stage reads it,
+    with -i folded in: (the projected tables P_m of -i g_m (_hermitian) on
+    the first ``width`` columns of the last axis, the real parts of the
+    f_m); None unless it maps real data to real data, every f_m real and
+    each -i g_m, and -i p for each of ``more`` (a split's multiplier d),
+    unchanged by the projection off the Nyquist planes."""
+    if any(np.any(f_m.imag) for f_m in tables.f):
+        return None
+    proj = [_hermitian(-1j * p, grid) for p in list(tables.g) + list(more)]
+    if not all(same for _, same in proj):
+        return None
+    return ([q[..., :width] for q, _ in proj[:len(tables.g)]],
+            [f_m.real for f_m in tables.f])
+
+
+def _minus_i_ops(spectra: np.ndarray, ops, grid: Grid) -> tuple:
+    """(the spectra to post-process, per op of ``ops`` a function (ts, hat)
+    -> -i op(s) ifftn(hat), grid values, on the rows of hat at ts (as
+    PeriodicOperator.apply_spectrum)).  Half spectra stay half where every
+    op is frozen and real-preserving: each applies as the half path's
+    stage does, by its projected tables (_projected), to real values;
+    otherwise they become the full spectra of the same grid values."""
+    if spectra.shape[-1] != grid.points:
+        kernels = [op.frozen and _projected(op.tables(0.0), grid,
+                                            spectra.shape[-1]) for op in ops]
+        if all(kernels):
+            return spectra, [lambda ts, hat, k=k: _sum_terms(
+                *k, hat, np.fft.irfftn, grid,
+                np.empty(hat.shape[:-grid.dim] + grid.shape), None)
+                for k in kernels]
+        spectra = np.fft.fftn(grid.inverse(spectra), grid.shape, grid.axes)
+    return spectra, [lambda ts, hat, op=op: -1j * op.apply_spectrum(ts, hat)
+                     for op in ops]
 
 
 def _hermitian(p: np.ndarray, grid: Grid) -> tuple:
     """(P + conj P(-k)) / 2 over the grid axes of the spectral table P, the
     real-preserving projection, and whether it leaves P unchanged off the
     Nyquist planes, where an odd symbol has no real-preserving value."""
-    q = (p + np.conjugate(np.roll(np.flip(p, grid.axes), 1, grid.axes))) / 2
-    off = np.arange(grid.points) != grid.points // 2
-    return q, not np.any((q != p)[(..., *np.ix_(*[off] * grid.dim))])
+    neg = -np.arange(grid.points) % grid.points     # the index of -k
+    q = (p + np.conjugate(p[(..., *np.ix_(*[neg] * grid.dim))])) / 2
+    moved = q != p
+    for axis in range(grid.dim):    # the Nyquist planes do not count
+        moved[(..., grid.points // 2) + (slice(None),) * axis] = False
+    return q, not moved.any()
 
 
 def _under_bound(values, bound) -> bool:
@@ -619,28 +704,31 @@ def derivative_cascade(problem: CauchyProblem, result: SolveResult,
     ||d^alpha u(t)||^2 <= (||d^alpha g||^2 + int_0^T ||F_alpha||^2)
                            * exp(c_meas * t), evaluated on the stored
     snapshots, which are taken as one stack of spectra: d^alpha is a
-    multiply, ||d^alpha u||^2 comes by Parseval, and op(d_x^beta a) applies
-    to the spectra.
+    multiply, ||d^alpha u||^2 comes by Parseval, and -i op(d_x^beta a)
+    applies to the spectra, half spectra where _minus_i_ops keeps them.
     """
     grid = problem.grid
     full = problem.symbol.full()
     snap_t = result.snap_times
     c_meas = result.ledger.c_measured
     alphas = multi_indices(grid.dim, max_order)
-    hats = {alpha: grid.derivative_spectra(result.spectra, alpha)
-            for alpha in alphas}
     ops = {beta: PeriodicOperator(full.derivative(0, None, beta), grid)
            for beta in alphas if sum(beta)}
+    spectra, minus_i = _minus_i_ops(result.spectra, ops.values(), grid)
+    minus_i = dict(zip(ops, minus_i))
+    hats = {alpha: grid.derivative_spectra(spectra, alpha)
+            for alpha in alphas}
 
     report = {}
     for alpha in (a for a in alphas if sum(a)):
         v_norm_sq = grid.spectral_norm_sq(hats[alpha])
-        acc = problem.forcing.x_derivative(alpha).values(snap_t)
+        acc = 0.0 if problem.forcing.is_zero else \
+            problem.forcing.x_derivative(alpha).values(snap_t)
         for beta in sorted(ops):        # lexicographic order of the sum
             if all(b <= a for a, b in zip(alpha, beta)):
                 coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
                 low = tuple(a - b for a, b in zip(alpha, beta))
-                acc -= 1j * coeff * ops[beta].apply_spectrum(snap_t, hats[low])
+                acc = acc + coeff * minus_i[beta](snap_t, hats[low])
         h_vals = grid.norm_sq(acc)
         h_int = float(np.trapezoid(h_vals, snap_t))
         bound = _gronwall(v_norm_sq[0] + h_int, c_meas, snap_t)

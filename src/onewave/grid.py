@@ -90,18 +90,38 @@ class Grid:
         return self.cell_volume * np.sum(sq, axis=self.axes)
 
     def derivative_spectra(self, spectra: np.ndarray, alpha) -> np.ndarray:
-        """The spectra (fftn of grid values) of d_x^alpha of the grid
-        functions whose spectra are in spectra (..., *shape): the multiply
-        by (i xi)^alpha, alpha one order per axis; spectra for alpha = 0."""
+        """The spectra (fftn of grid values, or a real function's half
+        spectrum, rfftn's M/2 + 1 columns on the last axis) of d_x^alpha of
+        the grid functions whose spectra are in spectra: the multiply by
+        (i xi)^alpha, alpha one order per axis; spectra for alpha = 0."""
         if not any(alpha):
             return spectra
-        return math.prod((1j * xi) ** order
+        width = spectra.shape[-1]
+        return math.prod((1j * xi[..., :width]) ** order
                          for xi, order in zip(self.xi_mesh(), alpha)) * spectra
 
-    def spectral_norm_sq(self, spectra: np.ndarray) -> np.ndarray:
-        """norm_sq of each grid function whose spectrum (fftn of its values)
-        is in spectra (..., *shape), by Parseval: dx^n sum |u^|^2 / M^n."""
-        return self.norm_sq(spectra) / self.size
+    def spectral_norm_sq(self, spectra: np.ndarray, sq=None) -> np.ndarray:
+        """norm_sq of each grid function whose spectrum is in spectra, by
+        Parseval: dx^n sum |u^|^2 / M^n over fftn's spectrum (..., *shape).
+        A half spectrum, read by its width M/2 + 1 < M, weights its last
+        axis's columns 1, 2, ..., 2, 1 (columns 1..M/2-1 stand for their
+        conjugates), summed as twice the whole less columns 0 and M/2.
+        ``sq``, a real array of spectra's shape, takes |u^|^2 if given."""
+        sq = np.abs(spectra, out=sq)
+        sq **= 2
+        total = self.cell_volume * sq.sum(self.axes) / self.size
+        if spectra.shape[-1] == self.points:
+            return total
+        edges = np.ascontiguousarray(sq[..., ::self.points // 2])
+        return 2.0 * total - self.cell_volume * edges.sum(self.axes) / \
+            self.size
+
+    def inverse(self, spectra: np.ndarray) -> np.ndarray:
+        """The grid values, complex, of the spectra in spectra: ifftn, or
+        irfftn of half spectra (see spectral_norm_sq)."""
+        if spectra.shape[-1] == self.points:
+            return np.fft.ifftn(spectra, self.shape, self.axes)
+        return np.fft.irfftn(spectra, self.shape, self.axes).astype(complex)
 
     def spectral_derivative(self, values: np.ndarray, alpha) -> np.ndarray:
         """d_x^alpha of the trigonometric interpolant of each grid function

@@ -23,7 +23,7 @@ from . import expr as ex
 from . import io as owio
 from .asymptotics import (DataBuilder, SweepPlan, check_association,
                           check_ginf, check_negligible, require_ginf_orders,
-                          run_sweep)
+                          run_sweeps)
 from .cauchy import (CauchyProblem, Forcing, TimeProfile, check_case_variants,
                      check_energy_estimate, derivative_cascade,
                      seminorm_constant, seminorm_dominates, solve_fixed_eps)
@@ -365,6 +365,9 @@ _NEEDS = {"fixed_symbol": "symbol.kind 'expr'",
           "delta_node": "delta data g"}
 
 _TRANSPORT = ("speed", "g_1d")
+# The checks that read a sweep (ScenarioContext.sweep).
+_SWEEPING = {_check_gronwall_fit, _check_moderateness, _check_negligible,
+             _check_association, _check_ginf}
 CHECKS = {
     "transport_exactness": (_check_transport_exactness, _TRANSPORT),
     "rk4_convergence": (_check_rk4_convergence, ("fixed_symbol",)),
@@ -756,6 +759,13 @@ class ScenarioContext:
         self.cascade_max_order = max(
             (sum(alpha) for d, alpha in self.orders if d == 0), default=0) \
             if any(c.func is _check_moderateness for c in self.checks) else 0
+        self._plan = functools.partial(
+            SweepPlan, family=self.family, grid=self.grid,
+            horizon=self.horizon, orders=self.orders, dt=self.dt,
+            seed=self.seed, cascade_max_order=self.cascade_max_order)
+        # the data of each sweep a check reads, solved as one stack
+        self._sweep_data = [c.keywords.get("data") or self.data_builder
+                            for c in self.checks if c.func in _SWEEPING]
 
     def _data_builder(self, dc: dict) -> DataBuilder:
         def on_grid(expr_json) -> GridFunction:
@@ -822,15 +832,14 @@ class ScenarioContext:
         return self._solve_cache[dt]
 
     def sweep(self, data: DataBuilder | None = None):
-        """(plan, report) of the eps sweep, run once per data."""
+        """(plan, report) of the eps sweep on ``data`` (the config's by
+        default), run once, with each unrun sweep the checks read, stacked."""
         data = data or self.data_builder
         if id(data) not in self._sweep_cache:
-            plan = SweepPlan(
-                family=self.family, data=data, grid=self.grid,
-                horizon=self.horizon, orders=self.orders,
-                dt=self.dt, seed=self.seed,
-                cascade_max_order=self.cascade_max_order)
-            self._sweep_cache[id(data)] = (plan, run_sweep(plan))
+            todo = {id(d): d for d in self._sweep_data + [data]
+                    if id(d) not in self._sweep_cache}
+            plans = [self._plan(data=d) for d in todo.values()]
+            self._sweep_cache.update(zip(todo, zip(plans, run_sweeps(plans))))
         return self._sweep_cache[id(data)]
 
     def artifact(self, name: str):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -591,7 +593,11 @@ class TestLawsonSteps:
         ctx = scenario.ScenarioContext(get_preset(preset))
         assert ctx.grid.points == 256
         ctx.sweep()
-        assert seen == [steps] * len(ctx.eps_grid)
+        # the first read solves every sweep the checks read, as one stack:
+        # ginf_regularity's regular and oscillating data
+        sweeps = len({id(data) for data in ctx._sweep_data})
+        assert sweeps == (2 if preset == "ginf_regularity" else 1)
+        assert seen == [steps] * len(ctx.eps_grid) * sweeps
 
 
 class TestSharedWork:
@@ -814,6 +820,25 @@ def cascade_per_snapshot(problem, result, max_order):
     return out
 
 
+def minus_i_on_grid_values(op, ts, values, result):
+    """-i op(s) on grid values, with a forward transform of its own; for a
+    half-path result, whose solve stepped the projected tables P_m of
+    -i g_m, over them: sum_m f_m ifftn(P_m fftn(v)), real."""
+    grid = op.grid
+    if result.spectra.shape[-1] == grid.points:
+        return -1j * op.apply(ts, values)
+    tables = op.tables(0.0)
+    hat = np.fft.fftn(values, grid.shape, grid.axes)
+    neg = (Ellipsis,) + np.ix_(*[-np.arange(grid.points) % grid.points]
+                               * grid.dim)
+    out = 0.0
+    for f_m, g_m in zip(tables.f, tables.g):
+        p_m = (-1j * g_m + np.conjugate(-1j * g_m[neg])) / 2.0
+        out = out + f_m.real * np.fft.ifftn(p_m * hat, grid.shape,
+                                            grid.axes).real
+    return out
+
+
 def t_derivative_norms_on_grid_values(problem, result, orders):
     """The referee of the spectral post-processing: the t-derivative norms
     on the snapshots' grid values, every derivative and every apply taking
@@ -826,8 +851,8 @@ def t_derivative_norms_on_grid_values(problem, result, orders):
     for d in range(1, d_max + 1):
         acc = np.zeros(layers[0].shape, dtype=complex)
         for i in range(d):
-            acc = acc - 1j * math.comb(d - 1, i) * ops[i].apply(
-                ts, layers[d - 1 - i])
+            acc = acc + math.comb(d - 1, i) * minus_i_on_grid_values(
+                ops[i], ts, layers[d - 1 - i], result)
         if not forcing.is_zero:
             acc = acc + forcing.values(ts)
         forcing = forcing.t_derivative()
@@ -850,8 +875,8 @@ def cascade_on_grid_values(problem, result, max_order):
             if sum(beta):
                 coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
                 low = tuple(a - b for a, b in zip(alpha, beta))
-                acc = acc - 1j * coeff * derivative_op(
-                    full, 0, beta, grid).apply(ts, derivs[low])
+                acc = acc + coeff * minus_i_on_grid_values(derivative_op(
+                    full, 0, beta, grid), ts, derivs[low], result)
         out[alpha] = (grid.norm_sq(derivs[alpha]), grid.norm_sq(acc))
     return out
 
@@ -967,7 +992,10 @@ class TestStackedPostProcessing:
 
     def test_piecewise_member_spectra_match_grid_values(self):
         # the smallest eps of piecewise_speed_logtype at M=256, with its
-        # x-derivative orders, two t-derivative orders and its cascade
+        # x-derivative orders, two t-derivative orders and its cascade; a
+        # half-path member, so the referee applies the projected tables
+        # its solve stepped (at 3.5e-7 of the largest mode, its Nyquist
+        # mode moves H by 2.8e-7 under the unprojected op)
         cfg = get_preset("piecewise_speed_logtype")
         cfg["grid"]["points"] = 256
         ctx = scenario.ScenarioContext(cfg)
@@ -996,3 +1024,162 @@ class TestStackedPostProcessing:
                 for a in range(3):
                     assert norms[(d, (a,))] == pytest.approx(
                         c ** d * norms[(0, (d + a,))], rel=1e-12)
+
+
+class TestOneStackPerScenario:
+    """A scenario solves the members of every sweep its checks read as one
+    solve_stack; run_sweep still post-processes and reports each sweep."""
+
+    def test_each_report_equals_its_sweep_run_alone(self):
+        ctx = scenario.ScenarioContext(get_preset("ginf_regularity"))
+        datas = [check.keywords.get("data") or ctx.data_builder
+                 for check in ctx.checks]
+        assert len({id(data) for data in datas}) == 2
+        for data in datas:
+            plan, got = ctx.sweep(data)
+            want = run_sweep(ctx._plan(data=data))
+            assert got.incomplete == want.incomplete == {}
+            assert got.eps == want.eps and got.norms == want.norms
+            assert got.fits == want.fits
+            assert got.c_measured == want.c_measured
+            for a, b in zip(got.finals, want.finals, strict=True):
+                assert a.values.tobytes() == b.values.tobytes()
+
+    def test_one_solve_stack_and_one_norm_estimate(self, monkeypatch):
+        # ginf_regularity's sweeps share one symbol: its 1 + 7 distinct
+        # members step as one 8-row loop after one defect-norm estimate,
+        # and run_sweep, looked up through the module, reports each sweep
+        calls, rows, loops, reports = [], [], [], []
+
+        def solve(problems, *args, _solve=asymptotics.solve_stack, **kw):
+            calls.append(len(problems))
+            return _solve(problems, *args, **kw)
+
+        def power(apply_hermitian, v, stops,
+                  _power=quantization.power_iteration):
+            rows.append(len(v))
+            return _power(apply_hermitian, v, stops)
+
+        def step(stack, members, out, _rk4=cauchy._rk4):
+            loops.append(len(members))
+            return _rk4(stack, members, out)
+
+        def report(*args, _run=asymptotics.run_sweep, **kw):
+            reports.append(_run(*args, **kw))
+            return reports[-1]
+        monkeypatch.setattr(asymptotics, "solve_stack", solve)
+        monkeypatch.setattr(quantization, "power_iteration", power)
+        monkeypatch.setattr(cauchy, "_rk4", step)
+        monkeypatch.setattr(asymptotics, "run_sweep", report)
+        ok, _ = run_scenario(get_preset("ginf_regularity"),
+                             echo=lambda line: None)
+        assert ok
+        assert calls == [14] and rows == [1]
+        assert [n for n in loops if n] == [8]
+        assert [len(r.eps) for r in reports] == [7, 7]
+
+
+def hermitian_completion(half, grid):
+    """The full spectrum (fftn) of the real grid functions whose half
+    spectra (rfftn) are in half: column k > M/2 of the last axis is the
+    conjugate of column M - k at the negated indices of the others."""
+    m = grid.points
+    neg = (Ellipsis,) + np.ix_(*[-np.arange(m) % m] * (grid.dim - 1)) + (
+        slice(None),)
+    rest = np.conjugate(half[..., 1:m // 2][neg][..., ::-1])
+    return np.concatenate([half, rest], axis=-1)
+
+
+class TestHalfSpectrumPostProcessing:
+    """The t-derivative norms and the cascade read a half-path result's
+    half spectra, applying -i op(d^beta a) through the projected tables;
+    they agree to rounding with the same solve's Hermitian-completed full
+    spectrum, and a full-spectrum result gives the same bits as the
+    per-snapshot references."""
+
+    ORDERS_1D = ((0, (0,)), (0, (1,)), (0, (3,)), (0, (4,)), (1, (0,)),
+                 (1, (3,)), (2, (2,)))
+    ORDERS_2D = ((0, (0, 0)), (0, (1, 2)), (1, (0, 0)), (2, (1, 0)))
+
+    @staticmethod
+    def half_results():
+        """(problem, result, orders, cascade order): the eps = 1e-6
+        piecewise_speed_logtype member and ginf_regularity's smallest-eps
+        oscillating member at M=1024, and a 2-D M=16 real stack."""
+        logtype = scenario.ScenarioContext(dict(get_preset(
+            "piecewise_speed_logtype"), grid={
+                "dim": 1, "points": 1024, "length": TWO_PI}))
+        cfg = get_preset("ginf_regularity")
+        cfg["grid"]["points"] = 1024
+        ginf = scenario.ScenarioContext(cfg)
+        [osc] = [c.keywords["data"] for c in ginf.checks if c.keywords.get(
+            "data")]
+        eps = min(ginf.eps_grid)
+        assert min(logtype.eps_grid) == 1e-6
+        problems = [
+            CauchyProblem(logtype.family.member(1e-6), logtype.initial_data,
+                          logtype.horizon),
+            CauchyProblem(ginf.family.member(eps),
+                          osc.build(eps, ginf.grid)[0], ginf.horizon)]
+        out = [(p, solve_fixed_eps(p), TestHalfSpectrumPostProcessing.
+                ORDERS_1D, 3) for p in problems]
+        grid = Grid(2, 16, TWO_PI)
+        x0, x1 = grid.x_mesh()
+        g = GridFunction(grid, np.sin(x0) * np.cos(x1) + 0.2 * np.sin(3 * x1))
+        stack = [CauchyProblem(HyperbolicSymbol(SymbolExpr(ex.add(
+            varying_xi_term(c, amp=0.5), varying_xi_term(0.8, 1, amp=0.3)),
+            1.0, 2)), g, 0.3) for c in (1.0, 1.6)]
+        return out + [(p, r, TestHalfSpectrumPostProcessing.ORDERS_2D, 2)
+                      for p, r in zip(stack, solve_stack(stack))]
+
+    def test_half_spectra_match_the_completed_full_spectra(self):
+        for problem, result, orders, max_order in self.half_results():
+            grid = problem.grid
+            assert result.spectra.shape[-1] == grid.points // 2 + 1
+            op = PeriodicOperator(problem.symbol.full(), grid)
+            assert cauchy._minus_i_ops(result.spectra, [op], grid)[0] is \
+                result.spectra
+            full = dataclasses.replace(result, spectra=hermitian_completion(
+                result.spectra, grid))
+            assert np.max(np.abs(grid.inverse(full.spectra) - result.states)
+                          ) <= 1e-13 * np.max(np.abs(result.states))
+            got = asymptotics._t_derivative_norms(problem, result, orders)
+            want = asymptotics._t_derivative_norms(problem, full, orders)
+            for order in orders:
+                assert abs(got[order] - want[order]) <= 1e-12 * want[order]
+            got = derivative_cascade(problem, result, max_order)
+            want = derivative_cascade(problem, full, max_order)
+            assert list(got) == list(want)
+            for alpha in want:
+                for name in ("v_norm_sq", "H", "bound"):
+                    assert_close(got[alpha][name], want[alpha][name])
+                assert got[alpha]["ok"] == want[alpha]["ok"]
+
+    def test_full_spectra_keep_their_bits(self):
+        # delta_association's mollified delta has rounding-level imaginary
+        # parts, so its members step full spectra; plane_2d's -i a0 is not
+        # real-preserving
+        ctx = scenario.ScenarioContext(get_preset("delta_association"))
+        eps = min(ctx.eps_grid)
+        problems = [CauchyProblem(ctx.family.member(eps),
+                                  ctx.data_builder.build(eps, ctx.grid)[0],
+                                  ctx.horizon)]
+        cfg = json.loads((pathlib.Path(__file__).parent.parent / "bench" /
+                          "plane_2d.json").read_text())
+        cfg["grid"]["points"] = 16
+        plane = scenario.ScenarioContext(cfg)
+        problems.append(CauchyProblem(plane.fixed_symbol, plane.initial_data,
+                                      plane.horizon))
+        for problem, orders in zip(problems, (self.ORDERS_1D,
+                                              self.ORDERS_2D)):
+            grid = problem.grid
+            result = solve_fixed_eps(problem)
+            assert result.spectra.shape[-1] == grid.points
+            got = asymptotics._t_derivative_norms(problem, result, orders)
+            assert got == t_derivative_norms_per_snapshot(
+                problem.symbol, problem.forcing, result, grid, orders, 2)
+            rep = derivative_cascade(problem, result, 2)
+            for alpha, (v_norm_sq, h_vals) in cascade_per_snapshot(
+                    problem, result, 2).items():
+                assert np.array_equal(rep[alpha]["v_norm_sq"], v_norm_sq)
+                assert np.array_equal(rep[alpha]["H"], h_vals)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onewave import cauchy, scenario
+from onewave import asymptotics, cauchy, scenario
 from onewave import expr as ex
 from onewave.cauchy import (CauchyProblem, Forcing, TimeProfile,
                             check_case_variants, check_energy_estimate,
@@ -116,17 +116,19 @@ class TestTransport:
 
     def test_final_is_a_read_only_copy(self, grid32):
         # u(T) comes from the last spectrum alone, so it keeps no snapshot
-        # alive; the grid values are the spectra inverse-transformed
+        # alive; the grid values are the spectra inverse-transformed, here
+        # the real solution's half spectra by irfftn
         res = solve_fixed_eps(transport_problem(grid32, horizon=0.1), seed=0)
         final = res.final().values
         assert final.base is None and not final.flags.writeable
         assert np.array_equal(final, res.states[-1])
-        assert res.states.shape == res.spectra.shape == \
-            (len(res.snap_times),) + grid32.shape
+        assert res.states.shape == (len(res.snap_times),) + grid32.shape
+        assert res.spectra.shape == (len(res.snap_times),
+                                     grid32.points // 2 + 1)
         assert not res.states.flags.writeable
         assert not res.spectra.flags.writeable
-        assert np.array_equal(res.states, np.fft.ifftn(res.spectra,
-                                                       axes=(-1,)))
+        assert np.array_equal(res.states, np.fft.irfftn(
+            res.spectra, grid32.shape, axes=(-1,)))
 
     def test_zero_data_stays_zero(self, grid32):
         a1 = SymbolExpr(ex.mul(ex.add(ex.Const(2.0), ex.Sin(ex.CoordX(0))),
@@ -249,8 +251,8 @@ class TestSolveNeeds:
     def test_each_solve_and_sweep_runs_once(self, monkeypatch):
         # every transport_smoke check reads its one solve; rk4_convergence
         # adds its reference and its dt * 4 and dt * 2 solves, its factor-1
-        # dt being the config's own; every sweep check of a scenario reads
-        # one sweep, cascade included
+        # dt being the config's own; the sweep checks of a scenario read
+        # one stack of sweeps, cascade included, solved once
         calls = []
 
         def counted(name, fn):
@@ -260,8 +262,8 @@ class TestSolveNeeds:
             return run
         monkeypatch.setattr(scenario, "solve_fixed_eps", counted(
             "solve", scenario.solve_fixed_eps))
-        monkeypatch.setattr(scenario, "run_sweep", counted(
-            "sweep", scenario.run_sweep))
+        monkeypatch.setattr(asymptotics, "solve_stack", counted(
+            "sweep", asymptotics.solve_stack))
         scenario.run_scenario(get_preset("transport_smoke"),
                               echo=lambda line: None)
         assert calls == ["solve"]

@@ -5,6 +5,7 @@ and their order are the same."""
 
 import copy
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from onewave import cauchy, quantization
 from onewave import expr as ex
 from onewave.cauchy import CauchyProblem, Forcing, TimeProfile, solve_stack
-from onewave.config import BRACKET_WIDTH, POWER_ITERS
+from onewave.config import BRACKET_WIDTH, POWER_ITERS, TRAJECTORY_STRIDE
 from onewave.grid import Grid, GridFunction
 from onewave.presets import get_preset
 from onewave.quantization import (PeriodicOperator, adjoint_defect_norms,
@@ -113,11 +114,33 @@ def reference_hermitian(p, grid):
     return (p + np.conjugate(p[(Ellipsis,) + neg])) / 2.0
 
 
+def reference_advance(m, step, u, nsq):
+    """The per-row bookkeeping the loop replaced by array operations:
+    record step ``step`` of member m, which left the spectrum u with
+    norm^2 nsq; returns m's SolveResult after its last step, its error,
+    or None."""
+    tn = step * m.dt
+    skew, c_meas = m.norms
+    try:
+        growth = math.exp(c_meas * tn)
+    except OverflowError:       # the guard bounds nothing
+        growth = math.inf
+    bound = cauchy.INSTABILITY_FACTOR * max(m.guard_base, 1e-300) * growth
+    if not math.isfinite(nsq) or m.guard_base > 0 and nsq > bound:
+        return m.failure(step, nsq)
+    m.ledger[:, step] = tn, nsq, m.f_norm_sq(tn)
+    if step % TRAJECTORY_STRIDE == 0 or step == m.n_steps:
+        row = -(-step // TRAJECTORY_STRIDE)
+        m.snap_times[row], m.spectra[row] = tn, u
+    return m.result() if step == m.n_steps else None
+
+
 def reference_rk4(stack, members, out):
     """cauchy._rk4, the Lawson loop on spectra, with new stage arrays every
-    step; it stores the snapshots' spectra.  A projected member's stages
-    sum f_m inverse(P_m v) over P_m, the projected -i g_m, and half spectra
-    step with rfftn and irfftn and record the weighted half-spectrum sum."""
+    step and one reference_advance call per row and step; it stores the
+    snapshots' spectra.  A projected member's stages sum f_m inverse(P_m
+    v) over P_m, the projected -i g_m, and half spectra step with rfftn
+    and irfftn and record the weighted half-spectrum sum."""
     grid = stack.grid
     shape, axes = grid.shape, grid.axes
     frozen = stack.separable and not any(s.depends_t() for s in stack.symbols)
@@ -130,7 +153,7 @@ def reference_rk4(stack, members, out):
         values = np.stack([m.problem.initial.values for m in members])
         u = forward(values.real if half else values, shape, axes)
         for m, u0 in zip(members, u):
-            m.spectra[0, ..., :width] = u0
+            m.spectra[0] = u0
         dt = np.array([m.dt for m in members]).reshape(
             (-1,) + (1,) * grid.dim)
         e = np.stack([m.factors[0] for m in members])
@@ -169,7 +192,7 @@ def reference_rk4(stack, members, out):
             nsq = 2.0 * nsq - reference_norm_sq(
                 grid, u[..., ::grid.points // 2]) / grid.size
         for row, m in enumerate(members):
-            done = m.advance(step, u[row], float(nsq[row]))
+            done = reference_advance(m, step, u[row], float(nsq[row]))
             if done is None:
                 keep.append(row)
             out[m.slot] = done
@@ -597,7 +620,8 @@ class TestHalfSpectra:
     def test_path_choice(self, monkeypatch):
         # a real member steps alone on the half path, so its result is the
         # same bits beside members that take a full path, none of which
-        # calls rfftn; its snapshots are exactly Hermitian
+        # calls rfftn; its snapshots stay half spectra, M/2 + 1 columns,
+        # whose grid values are real
         grid = Grid(1, 32, TWO_PI)
         x = grid.x_axis()
         real, forced, dense = [one_d_problems(grid)[k] for k in (0, 3, 4)]
@@ -621,9 +645,9 @@ class TestHalfSpectra:
         assert calls
         for other in others:
             assert_same_bits(solve_stack([real, other], seed=3)[:1], [alone])
-        spectra = alone.spectra
-        neg = -np.arange(grid.points) % grid.points
-        assert np.all(spectra == np.conjugate(spectra[..., neg]))
+        assert alone.spectra.shape == (len(alone.snap_times),
+                                       grid.points // 2 + 1)
+        assert not np.any(alone.states.imag)
         # bench/plane_2d.json's a0 = 0.5 cos(x0 + x1): -i a0 is not
         # Hermitian, so it steps on the complex path
         cfg = json.loads((pathlib.Path(__file__).parent.parent / "bench" /
@@ -632,3 +656,41 @@ class TestHalfSpectra:
         ctx = ScenarioContext(cfg)
         assert path_of(CauchyProblem(ctx.fixed_symbol, ctx.initial_data,
                                      ctx.horizon)) == "complex"
+
+
+class TestLiveSetShrink:
+    def test_members_leave_after_different_steps(self, monkeypatch):
+        # piecewise_speed_logtype at M=1024: eps = 0.1, 0.01 and 0.001 take
+        # 120, 118 and 119 steps on the half path, so the live set shrinks
+        # twice; the eps = 1e-4 member, whose guard bound is made to decay
+        # as e^(-60 t), fails mid-stack, and a zero-data member is filled
+        # without a step
+        ctx = preset_context("piecewise_speed_logtype", 1024)
+        members = [CauchyProblem(ctx.family.member(eps), ctx.initial_data,
+                                 ctx.horizon) for eps in ctx.eps_grid[:4]]
+        zero = CauchyProblem(members[0].symbol,
+                             GridFunction.zeros(ctx.grid), ctx.horizon)
+        measure = cauchy._measure_norms
+
+        def decaying(problems, grid, seed):
+            return [(skew, -60.0 if p is members[3] else c) for p, (skew, c)
+                    in zip(problems, measure(problems, grid, seed))]
+        monkeypatch.setattr(cauchy, "_measure_norms", decaying)
+        problems = members + [zero]
+        assert {path_of(p) for p in problems} == {"half"}
+        got = solve_stack(problems, seed=3)
+        assert [len(r.times) - 1 for r in got[:3]] == [120, 118, 119]
+        failure = str(got[3])
+        assert failure.startswith("norm^2")
+        assert 0.0 < float(failure.split(" at t=")[1].split()[0]) < 0.5
+        n = len(got[4].times) - 1
+        assert same_bits(got[4].times, np.array([k * got[4].dt
+                                                 for k in range(n + 1)]))
+        assert same_bits(got[4].snap_times, got[4].times[np.minimum(
+            np.arange(len(got[4].snap_times)) * TRAJECTORY_STRIDE, n)])
+        assert not np.any(got[4].ledger.u_norm_sq) and \
+            not np.any(got[4].spectra)
+        monkeypatch.setattr(cauchy, "_rk4", reference_rk4)
+        for problem, result in zip(members[:3], got):
+            assert_same_bits([result], solve_stack([problem], seed=3))
+        assert str(solve_stack(problems, seed=3)[3]) == failure
