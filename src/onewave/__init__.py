@@ -18,6 +18,6 @@ from .cauchy import (CauchyProblem, EnergyLedger, Forcing, SolveResult,
                      derivative_cascade, solve_fixed_eps)
 from .asymptotics import (DataBuilder, SweepPlan, SweepReport,
                           check_association, check_ginf, check_negligible,
-                          run_sweep)
+                          run_sweep, run_sweeps)
 
 __version__ = "0.1.0"

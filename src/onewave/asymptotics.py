@@ -130,8 +130,6 @@ def _t_derivative_norms(problem: CauchyProblem, result: SolveResult, orders):
            for i in range(d_max if full.depends_t() else min(d_max, 1))]
     spectra, minus_i = _minus_i_ops(result.spectra, ops, grid)
     layers = [spectra]
-    forward = np.fft.fftn if layers[0].shape[-1] == grid.points \
-        else np.fft.rfftn
     for d in range(1, d_max + 1):
         acc = 0.0
         for i, apply in enumerate(minus_i[:d]):
@@ -139,7 +137,7 @@ def _t_derivative_norms(problem: CauchyProblem, result: SolveResult, orders):
         if not forcing.is_zero:
             acc += forcing.values(ts)
         forcing = forcing.t_derivative()
-        layers.append(forward(acc, grid.shape, grid.axes))
+        layers.append(grid.forward(acc, like=spectra))
     return {(d, alpha): max(0.0, *np.sqrt(grid.spectral_norm_sq(
         grid.derivative_spectra(layers[d], alpha))).tolist())
         for d, alpha in orders}
@@ -180,7 +178,9 @@ class SweepReport:
 def run_sweeps(plans) -> list:
     """One SweepReport per plan: every plan's members are built and solved
     as one stack, so they share its caps, and each plan is then
-    post-processed by run_sweep, called once per plan through the module."""
+    post-processed by run_sweep, called once per plan through the module.
+    A member's OnewaveError is recorded for its eps, save TooLarge, which
+    refuses them all."""
     [(grid, dt, seed)] = {(p.grid, p.dt, p.seed) for p in plans}    # one each
     # the members share a solve's byte cap, and each holds at least its
     # data and two snapshots
@@ -210,17 +210,13 @@ def run_sweeps(plans) -> list:
             for plan, b in zip(plans, built)]
 
 
-def run_sweep(plan: SweepPlan, solved=None) -> SweepReport:
-    """Solve every eps, track derivative norms, fit exponents, and
-    cross-check each run against its own Gronwall bound.  ``solved``, as
-    run_sweeps passes it, maps each eps to (its problem, its SolveResult
-    or the OnewaveError that stopped it); None runs the plan alone through
-    run_sweeps.  Each eps is post-processed in order; an OnewaveError in
-    any phase is recorded for its eps, save TooLarge, which refuses the
-    sweep."""
-    if solved is None:
-        [report] = run_sweeps([plan])
-        return report
+def run_sweep(plan: SweepPlan, solved: dict) -> SweepReport:
+    """Track derivative norms of every eps, fit exponents, and cross-check
+    each run against its own Gronwall bound.  ``solved``, as run_sweeps
+    passes it, maps each eps to (its problem, its SolveResult or the
+    OnewaveError that stopped it); run_sweeps([plan])[0] runs a plan
+    alone.  Each eps is post-processed in order; an OnewaveError in any
+    phase is recorded for its eps."""
     orders = list(plan.orders)
     eps_list = list(plan.family.eps_grid)
     failed, results = {}, {}

@@ -573,22 +573,35 @@ def _projected(tables, grid: Grid, width, *more):
             [f_m.real for f_m in tables.f])
 
 
+# The real-preserving projection changes a table only on the Nyquist planes:
+# where a half spectrum's modes there are at most this fraction of its
+# largest, snapshot by snapshot, the projected and the unprojected operator
+# agree on it to rounding.
+_NYQUIST_ROUNDING = 1e-13
+
+
 def _minus_i_ops(spectra: np.ndarray, ops, grid: Grid) -> tuple:
     """(the spectra to post-process, per op of ``ops`` a function (ts, hat)
     -> -i op(s) ifftn(hat), grid values, on the rows of hat at ts (as
     PeriodicOperator.apply_spectrum)).  Half spectra stay half where every
-    op is frozen and real-preserving: each applies as the half path's
-    stage does, by its projected tables (_projected), to real values;
-    otherwise they become the full spectra of the same grid values."""
+    op is frozen and real-preserving and their Nyquist modes are at
+    rounding (_NYQUIST_ROUNDING): each op applies as the half path's stage
+    does, by its projected tables (_projected), to real values; otherwise
+    they become their full spectra (Grid.full_spectra)."""
     if spectra.shape[-1] != grid.points:
         kernels = [op.frozen and _projected(op.tables(0.0), grid,
                                             spectra.shape[-1]) for op in ops]
-        if all(kernels):
+        mags = np.abs(spectra)
+        peak = mags.reshape(len(mags), -1).max(1)
+        edges = (mags.take(grid.points // 2, axis).reshape(len(mags), -1)
+                 for axis in grid.axes)
+        if all(kernels) and all(np.all(e.max(1) <= _NYQUIST_ROUNDING * peak)
+                                for e in edges):
             return spectra, [lambda ts, hat, k=k: _sum_terms(
                 *k, hat, np.fft.irfftn, grid,
                 np.empty(hat.shape[:-grid.dim] + grid.shape), None)
                 for k in kernels]
-        spectra = np.fft.fftn(grid.inverse(spectra), grid.shape, grid.axes)
+        spectra = grid.full_spectra(spectra)
     return spectra, [lambda ts, hat, op=op: -1j * op.apply_spectrum(ts, hat)
                      for op in ops]
 

@@ -123,6 +123,24 @@ class Grid:
             return np.fft.ifftn(spectra, self.shape, self.axes)
         return np.fft.irfftn(spectra, self.shape, self.axes).astype(complex)
 
+    def forward(self, values: np.ndarray, like: np.ndarray) -> np.ndarray:
+        """The spectra of the grid values in values, as wide as the spectra
+        ``like``: fftn, or rfftn of real values for half spectra."""
+        if like.shape[-1] == self.points:
+            return np.fft.fftn(values, self.shape, self.axes)
+        return np.fft.rfftn(values, self.shape, self.axes)
+
+    def full_spectra(self, spectra: np.ndarray) -> np.ndarray:
+        """fftn's spectra of the grid functions whose spectra are in
+        spectra: spectra itself, or a half spectrum's Hermitian completion,
+        column k > M/2 of the last axis the conjugate of column M - k at
+        the negated indices of the other axes."""
+        n = spectra.shape[-1]
+        if n == self.points:
+            return spectra
+        return np.concatenate([spectra, np.conjugate(np.roll(np.flip(
+            spectra[..., 1:n - 1], self.axes), 1, self.axes[:-1]))], axis=-1)
+
     def spectral_derivative(self, values: np.ndarray, alpha) -> np.ndarray:
         """d_x^alpha of the trigonometric interpolant of each grid function
         in values (..., *shape), alpha one order per axis."""

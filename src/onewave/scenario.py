@@ -356,6 +356,7 @@ def _check_defect_stability(ctx: ScenarioContext) -> CheckOutcome:
 
 # CHECKS: name -> (check, the ScenarioContext attributes it needs).  The build
 # rejects a check whose needs the config does not meet; _NEEDS says why.
+# "sweep", a method, marks a check that reads ScenarioContext.sweep.
 _NEEDS = {"fixed_symbol": "symbol.kind 'expr'",
           "symbol_1d": "symbol.kind 'expr' on a 1-D grid",
           "speed": "a constant-speed symbol a1 = c xi (no a0) on a 1-D grid",
@@ -365,9 +366,6 @@ _NEEDS = {"fixed_symbol": "symbol.kind 'expr'",
           "delta_node": "delta data g"}
 
 _TRANSPORT = ("speed", "g_1d")
-# The checks that read a sweep (ScenarioContext.sweep).
-_SWEEPING = {_check_gronwall_fit, _check_moderateness, _check_negligible,
-             _check_association, _check_ginf}
 CHECKS = {
     "transport_exactness": (_check_transport_exactness, _TRANSPORT),
     "rk4_convergence": (_check_rk4_convergence, ("fixed_symbol",)),
@@ -376,11 +374,12 @@ CHECKS = {
     "case_variants": (_check_case_variants, ("fixed_symbol",)),
     "cascade_bounds": (_check_cascade_bounds, ("fixed_symbol",)),
     "log_type": (_check_log_type, ("rough_transport", "family")),
-    "gronwall_fit": (_check_gronwall_fit, ("family",)),
-    "moderateness": (_check_moderateness, ("family",)),
-    "negligible": (_check_negligible, ("family",)),
-    "association": (_check_association, ("family", "speed", "delta_node")),
-    "ginf": (_check_ginf, ("family",)),
+    "gronwall_fit": (_check_gronwall_fit, ("family", "sweep")),
+    "moderateness": (_check_moderateness, ("family", "sweep")),
+    "negligible": (_check_negligible, ("family", "sweep")),
+    "association": (_check_association,
+                    ("family", "sweep", "speed", "delta_node")),
+    "ginf": (_check_ginf, ("family", "sweep")),
     "remainder_oracle": (_check_remainder_oracle, ("symbol_1d",)),
     "remainder_stability": (_check_remainder_stability, ("symbol_1d",)),
     "defect_stability": (_check_defect_stability, ("fixed_symbol",)),
@@ -753,19 +752,13 @@ class ScenarioContext:
                            if g["kind"] == "delta" else None)
         self.g_1d = (_x_function(g["expr"], 1)
                      if g["kind"] == "expression" and dim == 1 else None)
+        self._sweep_data = []   # of each sweep a check reads (_bind)
         self.checks = [self._bind(entry) for entry in cfg["checks"]]
         # the sweep's cascade serves only moderateness's predicted exponents,
         # one per tracked d = 0 order
         self.cascade_max_order = max(
             (sum(alpha) for d, alpha in self.orders if d == 0), default=0) \
             if any(c.func is _check_moderateness for c in self.checks) else 0
-        self._plan = functools.partial(
-            SweepPlan, family=self.family, grid=self.grid,
-            horizon=self.horizon, orders=self.orders, dt=self.dt,
-            seed=self.seed, cascade_max_order=self.cascade_max_order)
-        # the data of each sweep a check reads, solved as one stack
-        self._sweep_data = [c.keywords.get("data") or self.data_builder
-                            for c in self.checks if c.func in _SWEEPING]
 
     def _data_builder(self, dc: dict) -> DataBuilder:
         def on_grid(expr_json) -> GridFunction:
@@ -809,6 +802,8 @@ class ScenarioContext:
             require_ginf_orders(self.orders)
         if "data" in params:
             params["data"] = self._data_builder(params["data"])
+        if "sweep" in needs:    # solved with the checks' other sweeps
+            self._sweep_data.append(params.get("data") or self.data_builder)
         if "probes" in params:
             params["probes"] = [_x_function(pj, self.grid.dim)
                                 for pj in params["probes"]]
@@ -832,13 +827,15 @@ class ScenarioContext:
         return self._solve_cache[dt]
 
     def sweep(self, data: DataBuilder | None = None):
-        """(plan, report) of the eps sweep on ``data`` (the config's by
-        default), run once, with each unrun sweep the checks read, stacked."""
+        """(plan, report) of the eps sweep on data, run once, stacked with
+        every unrun sweep the checks read."""
         data = data or self.data_builder
         if id(data) not in self._sweep_cache:
             todo = {id(d): d for d in self._sweep_data + [data]
                     if id(d) not in self._sweep_cache}
-            plans = [self._plan(data=d) for d in todo.values()]
+            plans = [SweepPlan(self.family, d, self.grid, self.horizon,
+                               self.orders, self.dt, self.seed,
+                               self.cascade_max_order) for d in todo.values()]
             self._sweep_cache.update(zip(todo, zip(plans, run_sweeps(plans))))
         return self._sweep_cache[id(data)]
 

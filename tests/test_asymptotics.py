@@ -14,7 +14,7 @@ from onewave import asymptotics, cauchy, quantization, scenario
 from onewave import expr as ex
 from onewave.asymptotics import (DataBuilder, SweepPlan, check_association,
                                  check_ginf, check_negligible, fit_exponent,
-                                 run_sweep)
+                                 run_sweeps)
 from onewave.cauchy import (CauchyProblem, Forcing, TimeProfile,
                             derivative_cascade, solve_fixed_eps, solve_stack)
 from onewave.config import CFL_MARGIN, CFL_SAFETY
@@ -51,7 +51,7 @@ class TestRunSweep:
         plan = SweepPlan(family=const_family(), data=DataBuilder(
             kind="fixed", g=smooth_g(grid256)), grid=grid256, horizon=0.5,
             orders=((0, (0,)), (0, (1,)), (1, (0,)), (2, (1,))))
-        rep = run_sweep(plan)
+        rep = run_sweeps([plan])[0]
         assert not rep.incomplete
         for fit in rep.fits.values():
             assert abs(fit["N_hat"]) <= 0.05
@@ -63,8 +63,8 @@ class TestRunSweep:
         scaled = SweepPlan(family=const_family(), data=DataBuilder(
             kind="scaled_power", g=smooth_g(grid256), power=2.0),
             grid=grid256, horizon=0.5)
-        n0 = run_sweep(base).fits[(0, (0,))]["N_hat"]
-        n2 = run_sweep(scaled).fits[(0, (0,))]["N_hat"]
+        n0 = run_sweeps([base])[0].fits[(0, (0,))]["N_hat"]
+        n2 = run_sweeps([scaled])[0].fits[(0, (0,))]["N_hat"]
         assert n2 - n0 == pytest.approx(-2.0, abs=0.05)
 
     def test_regression_stability_without_largest_eps(self, grid256):
@@ -75,10 +75,11 @@ class TestRunSweep:
         fam_short = regularized_family(RoughTransport(speeds=(speed,)), 1,
                                        eps[1:])
         data = DataBuilder(kind="fixed", g=smooth_g(grid256))
-        full = run_sweep(SweepPlan(family=fam, data=data, grid=grid256,
-                                   horizon=1.0, orders=((0, (1,)),)))
-        short = run_sweep(SweepPlan(family=fam_short, data=data, grid=grid256,
-                                    horizon=1.0, orders=((0, (1,)),)))
+        full = run_sweeps([SweepPlan(family=fam, data=data, grid=grid256,
+                                     horizon=1.0, orders=((0, (1,)),))])[0]
+        short = run_sweeps([SweepPlan(
+            family=fam_short, data=data, grid=grid256, horizon=1.0,
+            orders=((0, (1,)),))])[0]
         delta = abs(full.fits[(0, (1,))]["N_hat"] -
                     short.fits[(0, (1,))]["N_hat"])
         assert delta <= 0.1
@@ -87,7 +88,7 @@ class TestRunSweep:
         plan = SweepPlan(family=const_family(), data=DataBuilder(
             kind="fixed", g=smooth_g(grid256)), grid=grid256, horizon=0.5,
             cascade_max_order=1)
-        rep = run_sweep(plan)
+        rep = run_sweeps([plan])[0]
         assert all(rep.energy_ok)
         assert (1,) in rep.predicted_exponents
         # the semi-norm constant dominates every member's measured constant
@@ -212,13 +213,13 @@ class TestNegligible:
     def test_zero_data(self, grid256):
         plan = SweepPlan(family=const_family(), data=DataBuilder(kind="fixed"),
                          grid=grid256, horizon=0.5)
-        rep = check_negligible(plan, run_sweep(plan))
+        rep = check_negligible(plan, run_sweeps([plan])[0])
         assert rep["is_negligible"]
 
     def test_exponentially_small_data(self, grid256):
         plan = SweepPlan(family=const_family(), data=DataBuilder(
             kind="scaled_exp", g=smooth_g(grid256)), grid=grid256, horizon=0.5)
-        rep = check_negligible(plan, run_sweep(plan))
+        rep = check_negligible(plan, run_sweeps([plan])[0])
         assert rep["is_negligible"]
         assert rep["max_passed_q"] >= 10
 
@@ -226,7 +227,7 @@ class TestNegligible:
         plan = SweepPlan(family=const_family(), data=DataBuilder(
             kind="scaled_power", g=smooth_g(grid256), power=1.0),
             grid=grid256, horizon=0.5)
-        rep = check_negligible(plan, run_sweep(plan))
+        rep = check_negligible(plan, run_sweeps([plan])[0])
         assert not rep["is_negligible"]
         assert rep["max_passed_q"] == 1
 
@@ -252,7 +253,7 @@ class TestAssociation:
             return complex(grid256.cell_volume *
                            np.sum(classical.values * np.conjugate(vals)))
 
-        rep = check_association(plan.grid, run_sweep(plan), [probe],
+        rep = check_association(plan.grid, run_sweeps([plan])[0], [probe],
                                 reference)
         assert max(rep["terminal_residuals"]) <= 1e-10
         assert rep["monotone_tail"]
@@ -273,7 +274,7 @@ class TestAssociation:
         def reference(phi):
             return complex(phi(np.array([x0 + 1.0]))[0])
 
-        rep = check_association(plan.grid, run_sweep(plan), probes,
+        rep = check_association(plan.grid, run_sweeps([plan])[0], probes,
                                 reference)
         assert rep["monotone_tail"]
         res = np.array(rep["residuals"])
@@ -288,7 +289,7 @@ class TestGinf:
             grid=grid256, horizon=0.5,
             orders=((0, (0,)), (0, (1,)), (0, (2,)), (0, (3,)), (0, (4,)),
                     (1, (0,)), (1, (3,)), (2, (2,))))
-        rep = check_ginf(plan, run_sweep(plan))
+        rep = check_ginf(plan, run_sweeps([plan])[0])
         assert rep["gate_passed"]
         assert rep["is_ginf"]
         assert rep["p_hat"] == pytest.approx(1.0, abs=0.1)
@@ -302,7 +303,7 @@ class TestGinf:
             data=DataBuilder(kind="oscillating", g=envelope),
             grid=grid256, horizon=0.5,
             orders=((0, (0,)), (0, (1,)), (0, (2,)), (0, (3,)), (0, (4,))))
-        rep = check_ginf(plan, run_sweep(plan))
+        rep = check_ginf(plan, run_sweeps([plan])[0])
         assert rep["gate_passed"]
         assert not rep["is_ginf"]
 
@@ -312,7 +313,7 @@ class TestGinf:
             kind="fixed", g=smooth_g(grid256)), grid=grid256, horizon=0.5,
             orders=((0, (0,)), (0, (1,))))
         with pytest.raises(InsufficientOrders):
-            check_ginf(plan, run_sweep(plan))
+            check_ginf(plan, run_sweeps([plan])[0])
 
     def test_orders_without_base_order_rejected(self, grid256):
         from onewave.errors import InsufficientOrders
@@ -320,7 +321,7 @@ class TestGinf:
             kind="fixed", g=smooth_g(grid256)), grid=grid256, horizon=0.5,
             orders=((1, (0,)), (0, (4,))))
         with pytest.raises(InsufficientOrders, match="base order"):
-            check_ginf(plan, run_sweep(plan))
+            check_ginf(plan, run_sweeps([plan])[0])
 
     def test_slow_scale_violating_family_not_applicable(self, grid256):
         def member(eps):
@@ -334,7 +335,7 @@ class TestGinf:
             family=fam, data=DataBuilder(kind="fixed", g=smooth_g(grid256)),
             grid=grid256, horizon=0.02,
             orders=((0, (0,)), (0, (1,)), (0, (2,)), (0, (3,)), (0, (4,))))
-        rep = check_ginf(plan, run_sweep(plan))
+        rep = check_ginf(plan, run_sweeps([plan])[0])
         assert rep["status"] == "not_applicable"
         assert not rep["gate_passed"]
         assert not rep["is_ginf"]
@@ -379,10 +380,10 @@ class TestIncompleteSweep:
                          grid=grid256, horizon=0.5,
                          orders=((0, (0,)), (0, (4,))))
         # an all-zero but complete sweep stays regular
-        zero = check_ginf(plan, run_sweep(plan))
+        zero = check_ginf(plan, run_sweeps([plan])[0])
         assert zero["is_ginf"] and zero["conclusion_observed"]
         monkeypatch.setattr(asymptotics, "solve_stack", every_solve_fails)
-        report = run_sweep(plan)
+        report = run_sweeps([plan])[0]
         assert report.eps == [] and len(report.incomplete) == len(EPS6)
         rep = check_ginf(plan, report)
         assert not rep["is_ginf"] and not rep["conclusion_observed"]
@@ -480,10 +481,10 @@ class TestStackedSolve:
                                  not syms[rows[0]].depends_t())
 
     def sweep_pair(self, monkeypatch, plan):
-        stacked = run_sweep(plan)
+        stacked = run_sweeps([plan])[0]
         with monkeypatch.context() as patch:
             patch.setattr(asymptotics, "solve_stack", one_member_solves)
-            serial = run_sweep(plan)
+            serial = run_sweeps([plan])[0]
         assert stacked.incomplete == serial.incomplete
         assert stacked.eps == serial.eps and stacked.norms == serial.norms
         assert stacked.c_measured == serial.c_measured
@@ -638,9 +639,10 @@ class TestSharedWork:
         shared, out = self.symbol(), []
         for member in (lambda eps: shared, lambda eps: self.symbol()):
             stepped.clear()
-            out.append((run_sweep(SweepPlan(
+            out.append((run_sweeps([SweepPlan(
                 family=GenSymbolFamily(member, EPS6), data=data, grid=grid,
-                horizon=self.H, orders=((0, (0,)), (1, (1,))))), sum(stepped)))
+                horizon=self.H, orders=((0, (0,)), (1, (1,))))])[0],
+                        sum(stepped)))
         (got, got_rows), (want, want_rows) = out
         assert got.incomplete == want.incomplete == {}
         assert got.eps == want.eps and got.norms == want.norms
@@ -820,25 +822,6 @@ def cascade_per_snapshot(problem, result, max_order):
     return out
 
 
-def minus_i_on_grid_values(op, ts, values, result):
-    """-i op(s) on grid values, with a forward transform of its own; for a
-    half-path result, whose solve stepped the projected tables P_m of
-    -i g_m, over them: sum_m f_m ifftn(P_m fftn(v)), real."""
-    grid = op.grid
-    if result.spectra.shape[-1] == grid.points:
-        return -1j * op.apply(ts, values)
-    tables = op.tables(0.0)
-    hat = np.fft.fftn(values, grid.shape, grid.axes)
-    neg = (Ellipsis,) + np.ix_(*[-np.arange(grid.points) % grid.points]
-                               * grid.dim)
-    out = 0.0
-    for f_m, g_m in zip(tables.f, tables.g):
-        p_m = (-1j * g_m + np.conjugate(-1j * g_m[neg])) / 2.0
-        out = out + f_m.real * np.fft.ifftn(p_m * hat, grid.shape,
-                                            grid.axes).real
-    return out
-
-
 def t_derivative_norms_on_grid_values(problem, result, orders):
     """The referee of the spectral post-processing: the t-derivative norms
     on the snapshots' grid values, every derivative and every apply taking
@@ -851,8 +834,8 @@ def t_derivative_norms_on_grid_values(problem, result, orders):
     for d in range(1, d_max + 1):
         acc = np.zeros(layers[0].shape, dtype=complex)
         for i in range(d):
-            acc = acc + math.comb(d - 1, i) * minus_i_on_grid_values(
-                ops[i], ts, layers[d - 1 - i], result)
+            acc = acc - 1j * math.comb(d - 1, i) * ops[i].apply(
+                ts, layers[d - 1 - i])
         if not forcing.is_zero:
             acc = acc + forcing.values(ts)
         forcing = forcing.t_derivative()
@@ -875,8 +858,8 @@ def cascade_on_grid_values(problem, result, max_order):
             if sum(beta):
                 coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
                 low = tuple(a - b for a, b in zip(alpha, beta))
-                acc = acc + coeff * minus_i_on_grid_values(derivative_op(
-                    full, 0, beta, grid), ts, derivs[low], result)
+                acc = acc - 1j * coeff * derivative_op(
+                    full, 0, beta, grid).apply(ts, derivs[low])
         out[alpha] = (grid.norm_sq(derivs[alpha]), grid.norm_sq(acc))
     return out
 
@@ -992,10 +975,7 @@ class TestStackedPostProcessing:
 
     def test_piecewise_member_spectra_match_grid_values(self):
         # the smallest eps of piecewise_speed_logtype at M=256, with its
-        # x-derivative orders, two t-derivative orders and its cascade; a
-        # half-path member, so the referee applies the projected tables
-        # its solve stepped (at 3.5e-7 of the largest mode, its Nyquist
-        # mode moves H by 2.8e-7 under the unprojected op)
+        # x-derivative orders, two t-derivative orders and its cascade
         cfg = get_preset("piecewise_speed_logtype")
         cfg["grid"]["points"] = 256
         ctx = scenario.ScenarioContext(cfg)
@@ -1037,7 +1017,7 @@ class TestOneStackPerScenario:
         assert len({id(data) for data in datas}) == 2
         for data in datas:
             plan, got = ctx.sweep(data)
-            want = run_sweep(ctx._plan(data=data))
+            want = run_sweeps([plan])[0]
             assert got.incomplete == want.incomplete == {}
             assert got.eps == want.eps and got.norms == want.norms
             assert got.fits == want.fits
@@ -1094,8 +1074,9 @@ class TestHalfSpectrumPostProcessing:
     """The t-derivative norms and the cascade read a half-path result's
     half spectra, applying -i op(d^beta a) through the projected tables;
     they agree to rounding with the same solve's Hermitian-completed full
-    spectrum, and a full-spectrum result gives the same bits as the
-    per-snapshot references."""
+    spectrum, unless their Nyquist modes are above rounding, and a
+    full-spectrum result gives the same bits as the per-snapshot
+    references."""
 
     ORDERS_1D = ((0, (0,)), (0, (1,)), (0, (3,)), (0, (4,)), (1, (0,)),
                  (1, (3,)), (2, (2,)))
@@ -1154,6 +1135,33 @@ class TestHalfSpectrumPostProcessing:
                 for name in ("v_norm_sq", "H", "bound"):
                     assert_close(got[alpha][name], want[alpha][name])
                 assert got[alpha]["ok"] == want[alpha]["ok"]
+
+    def test_unresolved_nyquist_modes_take_the_full_spectra(self):
+        # piecewise_speed_logtype's eps = 1e-6 member at M=256: its Nyquist
+        # mode, 3.5e-7 of its largest, is where the projected and the
+        # unprojected operator differ, so its post-processing reads the
+        # Hermitian-completed full spectrum, bit for bit
+        cfg = get_preset("piecewise_speed_logtype")
+        cfg["grid"]["points"] = 256
+        ctx = scenario.ScenarioContext(cfg)
+        problem = CauchyProblem(ctx.family.member(1e-6), ctx.initial_data,
+                                ctx.horizon)
+        result = solve_fixed_eps(problem)
+        grid = problem.grid
+        assert result.spectra.shape[-1] == grid.points // 2 + 1
+        completed = hermitian_completion(result.spectra, grid)
+        op = PeriodicOperator(problem.symbol.full(), grid)
+        spectra, _ = cauchy._minus_i_ops(result.spectra, [op], grid)
+        assert spectra.tobytes() == completed.tobytes()
+        full = dataclasses.replace(result, spectra=completed)
+        assert asymptotics._t_derivative_norms(
+            problem, result, self.ORDERS_1D) == \
+            asymptotics._t_derivative_norms(problem, full, self.ORDERS_1D)
+        got = derivative_cascade(problem, result, 3)
+        want = derivative_cascade(problem, full, 3)
+        for alpha in want:
+            for name in ("v_norm_sq", "H", "bound"):
+                assert np.array_equal(got[alpha][name], want[alpha][name])
 
     def test_full_spectra_keep_their_bits(self):
         # delta_association's mollified delta has rounding-level imaginary
