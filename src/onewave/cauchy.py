@@ -592,11 +592,9 @@ def _minus_i_ops(spectra: np.ndarray, ops, grid: Grid) -> tuple:
         kernels = [op.frozen and _projected(op.tables(0.0), grid,
                                             spectra.shape[-1]) for op in ops]
         mags = np.abs(spectra)
-        peak = mags.reshape(len(mags), -1).max(1)
-        edges = (mags.take(grid.points // 2, axis).reshape(len(mags), -1)
-                 for axis in grid.axes)
-        if all(kernels) and all(np.all(e.max(1) <= _NYQUIST_ROUNDING * peak)
-                                for e in edges):
+        peak = _NYQUIST_ROUNDING * mags.max(grid.axes)      # per snapshot
+        if all(kernels) and all((mags.take(grid.points // 2, axis).max(
+                grid.axes[1:]) <= peak).all() for axis in grid.axes):
             return spectra, [lambda ts, hat, k=k: _sum_terms(
                 *k, hat, np.fft.irfftn, grid,
                 np.empty(hat.shape[:-grid.dim] + grid.shape), None)
